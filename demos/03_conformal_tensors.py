@@ -7,12 +7,16 @@ curvature: V = t U + (1-t) tr(U) I interpolates between a pure trace
 equation at t=0 (solved by u = 0 in closed form) and the target equation at
 t=1. This script builds the tensors at a few states and audits where they
 sit relative to the admissibility cone.
+
+The builders take the derivatives of u (stencil ones here) and return plain
+(..., n, n) arrays of symmetric matrices.
 """
 
 import numpy as np
 
 from sigmak import Background, Grid, ProblemSpec, sample_text
 from sigmak.curvature import build_u_tensor, build_v_tensor, build_w_tensor
+from sigmak.grid import grad_values, hess
 from sigmak.symfunc import in_gamma
 
 grid = Grid(n=3, N=16)
@@ -24,17 +28,17 @@ print("problem:", *report.to_lines()[:6], sep="\n  ")
 
 # At u = 0 and t = 0 the tensor V is a known multiple of the identity.
 u0 = sample_text("0", grid)
-v0 = build_v_tensor(build_u_tensor(u0, 0.0, spec), 0.0)
-mats = v0.as_matrices()
-print(f"\nV(u=0, t=0) at the origin:\n{mats[0, 0, 0]}")
+mats = build_v_tensor(build_u_tensor(hess(u0), grad_values(u0), 0.0, spec), 0.0)
+print(f"\nV(u=0, t=0), shape {mats.shape}, at the origin:\n{mats[0, 0, 0]}")
 print("eigenvalues everywhere equal, cone report:",
       in_gamma(np.linalg.eigvalsh(mats[0, 0, 0]), 3))
 
 # A nonzero u bends the spectrum; t = 1 is the real equation.
 u = sample_text("0.05*sin(x1)*cos(x2)", grid)
+hess_u, grad_u = hess(u), grad_values(u)
 for t in (0.0, 0.5, 1.0):
-    v = build_v_tensor(build_u_tensor(u, t, spec), t)
-    eigs = np.linalg.eigvalsh(v.as_matrices())
+    v = build_v_tensor(build_u_tensor(hess_u, grad_u, t, spec), t)
+    eigs = np.linalg.eigvalsh(v)
     margins = np.array([in_gamma(e, 2).margin
                         for e in eigs.reshape(-1, 3)])
     print(f"t={t:3.1f}: eig range [{eigs.min():+.4f}, {eigs.max():+.4f}], "
@@ -43,6 +47,6 @@ for t in (0.0, 0.5, 1.0):
 # Case C works with W and the inverted conformal factor.
 specC = ProblemSpec.build("C", 3, 3, grid, alpha="-0.05", f="1",
                           background=Background.isotropic(grid, -1.0))
-w = build_w_tensor(u, specC)
-eigs = np.linalg.eigvalsh(w.as_matrices())
+w = build_w_tensor(hess_u, grad_u, specC)
+eigs = np.linalg.eigvalsh(w)
 print(f"\ncase C tensor W: eig range [{eigs.min():+.4f}, {eigs.max():+.4f}]")

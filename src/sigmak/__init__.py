@@ -44,7 +44,6 @@ from .fieldexpr import parse, evaluate, to_string
 from .grid import (
     Grid,
     ScalarField,
-    SymmetricTensorField,
     sample,
     sample_text,
     dump_field,
@@ -57,7 +56,6 @@ from .curvature import (
     build_u_tensor,
     build_v_tensor,
     build_w_tensor,
-    conformal_ricci,
 )
 from .operators import (
     ResidualField,
@@ -66,6 +64,7 @@ from .operators import (
     EllipticityReport,
     ConcavityReport,
     C0Report,
+    case_weights,
     prepare_state,
     residual,
     linearize,

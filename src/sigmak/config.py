@@ -40,7 +40,6 @@ class RunConfig:
     """Everything a run needs, with the library defaults (canonical case A)."""
 
     seed: int = 12345
-    workers: int = 0
     case: str = "A"
     n: int = 3
     k: int = 3
@@ -87,8 +86,6 @@ class RunConfig:
             raise ConfigError(f"spec.N must lie in [8, 128], got {self.N}")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        if self.workers < 0:
-            raise ConfigError("workers must be nonnegative (0 = auto)")
         if self.check_samples < 1:
             raise ConfigError("check.samples must be positive")
         for label, value in (("monitor.ceiling_sup_u", self.ceiling_sup_u),
@@ -164,7 +161,6 @@ class RunConfig:
 
         lines = [
             f"seed = {fmt(self.seed)}",
-            f"workers = {fmt(self.workers)}",
             f"spec.case = {fmt(self.case)}",
             f"spec.n = {fmt(self.n)}",
             f"spec.k = {fmt(self.k)}",
@@ -196,7 +192,6 @@ class RunConfig:
 
 _SCALAR_KEYS = {
     "seed": ("seed", int),
-    "workers": ("workers", int),
     "spec.case": ("case", str),
     "spec.n": ("n", int),
     "spec.k": ("k", int),

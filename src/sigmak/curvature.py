@@ -1,7 +1,7 @@
 """Conformal curvature tensors on the periodic box.
 
-Three symmetric tensors drive the equations, all assembled pointwise from a
-scalar field u, its grid derivatives, and prescribed background data (flat
+Three symmetric tensors drive the equations, all assembled pointwise from the
+derivatives of a scalar field u and prescribed background data (flat
 g0 = identity; all background curvature is injected as tensor fields):
 
   U(u, t) = Hess u + (1/(n-2)) (Lap u) I + |grad u|^2 I - du x du
@@ -15,6 +15,19 @@ Cases A and B use the conformal factor g = e^{2u} g0 and the tensor V built
 from U; case C uses g = e^{-2u} g0 and W (the Schouten tensor of the
 conformal metric). The homotopy parameter t in U and V deforms the problem
 to the t = 0 reference equation whose unique solution is u = 0.
+
+Every tensor is a plain array of symmetric matrices, shape (..., n, n):
+
+  build_u_tensor(hess, grad, t, spec)   hess (..., n, n), grad (..., n)
+  build_v_tensor(mats, t)               any matrix stack; t a scalar or an
+                                        array over the stack's batch shape
+  build_w_tensor(hess, grad, spec)
+
+The derivatives are whatever the caller has: stencil derivatives for the
+solver, spectral ones for manufactured forcing, zeros for the gradient-free
+comparison tensor. The Laplacian is the trace of the given Hessian. The
+background tensors Background.ric0 and Background.schouten0 have shape
+grid.shape + (n, n).
 
 ProblemSpec bundles the case tag, (n, k), coefficient expressions alpha and
 f, and the background; validate() samples the coefficients and enforces the
@@ -30,15 +43,11 @@ import numpy as np
 from . import fieldexpr
 from . import symfunc
 from .errors import DomainError, ValidationError
-from .grid import (
-    Grid, ScalarField, SymmetricTensorField,
-    comp_index, grad_values, hess, laplacian, sample,
-)
+from .grid import Grid, ScalarField, sample
 
 __all__ = [
     "Background", "ProblemSpec", "ValidationReport",
-    "build_u_tensor", "build_v_tensor", "build_w_tensor", "conformal_ricci",
-    "cone_margins", "worst_cone_node",
+    "build_u_tensor", "build_v_tensor", "build_w_tensor", "cone_margins",
 ]
 
 CASES = ("A", "B", "C")
@@ -65,8 +74,8 @@ class Background:
     """Prescribed background curvature: Ric_{g0} and the Schouten tensor
     A_{g0}, sampled from per-component expression strings."""
 
-    ric0: SymmetricTensorField
-    schouten0: SymmetricTensorField
+    ric0: np.ndarray        # grid.shape + (n, n)
+    schouten0: np.ndarray   # grid.shape + (n, n)
     ric0_source: dict = field(default_factory=dict)
     schouten0_source: dict = field(default_factory=dict)
 
@@ -76,12 +85,12 @@ class Background:
         """Build from maps of component name "(i,j)" (1-based) to expression
         text; omitted components are zero."""
         def build(components: dict | None):
-            tensor = SymmetricTensorField.zeros(grid)
+            tensor = np.zeros(grid.shape + (grid.n, grid.n))
             source = {}
             for key, src in (components or {}).items():
                 i, j = _component_key(grid.n, key)
                 ast = fieldexpr.parse(src, grid.n)
-                tensor.comps[..., comp_index(grid.n, i - 1, j - 1)] = \
+                tensor[..., i - 1, j - 1] = tensor[..., j - 1, i - 1] = \
                     sample(ast, grid).values
                 source[f"({i},{j})"] = src
             return tensor, source
@@ -104,13 +113,12 @@ class Background:
     def ric0_admissibility(self, k: int):
         """Cone margins of -ric0/(n-2) for Gamma_k (the case A/B precondition
         on the background). Returns (margins, worst node, worst report)."""
-        n = self.ric0.grid.n
-        mats = -self.ric0.as_matrices() / (n - 2)
-        return cone_margins(mats, k)
+        n = self.ric0.shape[-1]
+        return cone_margins(-self.ric0 / (n - 2), k)
 
     def schouten0_admissibility(self, k: int):
         """Cone margins of schouten0 for Gamma_k (case C precondition)."""
-        return cone_margins(self.schouten0.as_matrices(), k)
+        return cone_margins(self.schouten0, k)
 
 
 def cone_margins(mats: np.ndarray, k: int):
@@ -130,10 +138,6 @@ def cone_margins(mats: np.ndarray, k: int):
         margin=float(margins[node]),
     )
     return margins, node, worst
-
-
-def worst_cone_node(tensor: SymmetricTensorField, k: int):
-    return cone_margins(tensor.as_matrices(), k)
 
 
 @dataclass
@@ -280,82 +284,41 @@ class ProblemSpec:
         return report
 
 
-def build_u_tensor(u: ScalarField, t: float, spec: ProblemSpec) -> SymmetricTensorField:
-    """The homotopy curvature tensor U(u, t); affine in t."""
-    if not 0.0 <= t <= 1.0:
+def _check_t(t) -> None:
+    if not np.all((0.0 <= t) & (t <= 1.0)):
         raise DomainError(f"homotopy parameter t must lie in [0, 1], got {t}")
-    g = u.grid
-    n = g.n
-    hess_u = hess(u)
-    lap_u = laplacian(u).values
-    gv = grad_values(u)
-    grad_sq = np.einsum("...a,...a->...", gv, gv)
-    iso = lap_u / (n - 2) + grad_sq + (1.0 - t) / n
-    comps = hess_u.comps.copy()
-    ric = spec.background.ric0.comps
-    c = 0
-    for i in range(n):
-        comps[..., c] += iso - gv[..., i] * gv[..., i] - t * ric[..., c] / (n - 2)
-        c += 1
-        for j in range(i + 1, n):
-            comps[..., c] += -gv[..., i] * gv[..., j] - t * ric[..., c] / (n - 2)
-            c += 1
-    return SymmetricTensorField(g, comps)
 
 
-def build_v_tensor(u_tensor: SymmetricTensorField, t: float) -> SymmetricTensorField:
-    """V = t U + (1 - t) (tr U) identity, the cone interpolation."""
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"homotopy parameter t must lie in [0, 1], got {t}")
-    g = u_tensor.grid
-    tr = u_tensor.trace()
-    comps = t * u_tensor.comps
-    c = 0
-    for i in range(g.n):
-        comps[..., c] += (1.0 - t) * tr
-        c += 1 + (g.n - i - 1)
-    return SymmetricTensorField(g, comps)
+def build_u_tensor(hess: np.ndarray, grad: np.ndarray, t: float,
+                   spec: ProblemSpec) -> np.ndarray:
+    """The homotopy curvature tensor U(u, t) from the derivatives of u;
+    affine in t."""
+    _check_t(t)
+    n = spec.n
+    iso = (np.trace(hess, axis1=-2, axis2=-1) / (n - 2)
+           + np.einsum("...a,...a->...", grad, grad) + (1.0 - t) / n)
+    outer = grad[..., :, None] * grad[..., None, :]
+    return hess + ((iso[..., None, None] * np.eye(n) - outer)
+                   - t * spec.background.ric0 / (n - 2))
 
 
-def build_w_tensor(u: ScalarField, spec: ProblemSpec) -> SymmetricTensorField:
-    """W = Hess u + du x du - (1/2)|grad u|^2 I + schouten0 (case C)."""
+def build_v_tensor(mats: np.ndarray, t) -> np.ndarray:
+    """V = t U + (1 - t) (tr U) identity, the cone interpolation. t is a
+    scalar or an array over the batch shape; extended-precision input stays
+    in extended precision."""
+    _check_t(t)
+    t = np.asarray(t)[..., None, None]
+    tr = np.trace(mats, axis1=-2, axis2=-1)[..., None, None]
+    return t * mats + ((1.0 - t) * tr) * np.eye(mats.shape[-1])
+
+
+def build_w_tensor(hess: np.ndarray, grad: np.ndarray,
+                   spec: ProblemSpec) -> np.ndarray:
+    """W = Hess u + du x du - (1/2)|grad u|^2 I + schouten0 (case C), from
+    the derivatives of u."""
     if spec.case != "C":
         raise DomainError(f"W is the case C tensor; spec case is {spec.case}")
-    g = u.grid
-    n = g.n
-    hess_u = hess(u)
-    gv = grad_values(u)
-    grad_sq = np.einsum("...a,...a->...", gv, gv)
-    comps = hess_u.comps.copy()
-    sch = spec.background.schouten0.comps
-    c = 0
-    for i in range(n):
-        for j in range(i, n):
-            comps[..., c] += gv[..., i] * gv[..., j] + sch[..., c]
-            if i == j:
-                comps[..., c] -= 0.5 * grad_sq
-            c += 1
-    return SymmetricTensorField(g, comps)
-
-
-def conformal_ricci(u: ScalarField, spec: ProblemSpec) -> SymmetricTensorField:
-    """Ricci tensor of g = e^{2u} g0:
-    Ric_g = (n-2)(-Hess u - (Lap u/(n-2)) I - |grad u|^2 I + du x du
-            + ric0/(n-2)). Reporting/verification only."""
-    g = u.grid
-    n = g.n
-    hess_u = hess(u)
-    lap_u = laplacian(u).values
-    gv = grad_values(u)
-    grad_sq = np.einsum("...a,...a->...", gv, gv)
-    comps = -hess_u.comps.copy()
-    ric = spec.background.ric0.comps
-    c = 0
-    for i in range(n):
-        for j in range(i, n):
-            comps[..., c] += gv[..., i] * gv[..., j] + ric[..., c] / (n - 2)
-            if i == j:
-                comps[..., c] -= lap_u / (n - 2) + grad_sq
-            c += 1
-    comps *= (n - 2)
-    return SymmetricTensorField(g, comps)
+    grad_sq = np.einsum("...a,...a->...", grad, grad)
+    outer = grad[..., :, None] * grad[..., None, :]
+    return (hess + (outer + spec.background.schouten0)) \
+        - (0.5 * grad_sq)[..., None, None] * np.eye(spec.n)

@@ -8,8 +8,9 @@ wrap-around via np.roll. The Laplacian is computed by summing the same
 per-axis second differences the Hessian diagonal uses, in the same axis
 order, so laplacian(u) equals the Hessian trace bitwise.
 
-Symmetric tensor fields store the upper triangle per node in the fixed
-component order (1,1),(1,2),...,(1,n),(2,2),...,(n,n).
+Tensor-valued derivatives are plain arrays: grad_values and spectral_grad
+return shape grid.shape + (n,), hess and spectral_hess return full
+symmetric matrices of shape grid.shape + (n, n).
 
 Fields can be serialized to a bit-exact text format: a header line
 `field n=<n> N=<N> name=<name>` followed by N^n values, one per line,
@@ -23,7 +24,6 @@ O(h^2) stencil error being measured.
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass
 
@@ -33,8 +33,8 @@ from . import fieldexpr
 from .errors import DomainError, ExprEvalError
 
 __all__ = [
-    "Grid", "ScalarField", "SymmetricTensorField",
-    "grad", "hess", "laplacian", "sample",
+    "Grid", "ScalarField",
+    "grad_values", "hess", "laplacian", "sample",
     "dump_field", "load_field",
     "spectral_grad", "spectral_hess",
     "random_smooth_field",
@@ -66,11 +66,6 @@ class Grid:
     def size(self) -> int:
         return self.N ** self.n
 
-    @property
-    def ncomp(self) -> int:
-        """Number of stored components of a symmetric tensor."""
-        return self.n * (self.n + 1) // 2
-
     def axis_coords(self) -> np.ndarray:
         return 2.0 * np.pi * np.arange(self.N) / self.N
 
@@ -83,10 +78,6 @@ class Grid:
             shape[a] = self.N
             out.append(x.reshape(shape))
         return out
-
-
-def _pairs(n: int) -> list:
-    return [(i, j) for i in range(n) for j in range(i, n)]
 
 
 @dataclass
@@ -114,74 +105,6 @@ class ScalarField:
         return float(np.abs(self.values).max())
 
 
-@dataclass
-class SymmetricTensorField:
-    """Per-node symmetric n x n matrices, upper triangle packed."""
-
-    grid: Grid
-    comps: np.ndarray  # shape grid.shape + (n(n+1)/2,)
-
-    def __post_init__(self):
-        comps = np.ascontiguousarray(self.comps, dtype=float)
-        want = self.grid.shape + (self.grid.ncomp,)
-        if comps.shape != want:
-            raise DomainError(
-                f"tensor component shape {comps.shape}, expected {want}")
-        self.comps = comps
-
-    @classmethod
-    def zeros(cls, grid: Grid) -> "SymmetricTensorField":
-        return cls(grid, np.zeros(grid.shape + (grid.ncomp,)))
-
-    @classmethod
-    def isotropic(cls, grid: Grid, scale: float) -> "SymmetricTensorField":
-        """scale * identity at every node."""
-        out = cls.zeros(grid)
-        for i in range(grid.n):
-            out.comps[..., comp_index(grid.n, i, i)] = scale
-        return out
-
-    def component(self, i: int, j: int) -> np.ndarray:
-        """View of the (i, j) component array (0-based, order-insensitive)."""
-        return self.comps[..., comp_index(self.grid.n, i, j)]
-
-    def as_matrices(self) -> np.ndarray:
-        """Unpack to full matrices, shape grid.shape + (n, n)."""
-        n = self.grid.n
-        mats = np.empty(self.grid.shape + (n, n))
-        for c, (i, j) in enumerate(_pairs(n)):
-            mats[..., i, j] = self.comps[..., c]
-            mats[..., j, i] = self.comps[..., c]
-        return mats
-
-    @classmethod
-    def from_matrices(cls, grid: Grid, mats: np.ndarray) -> "SymmetricTensorField":
-        comps = np.empty(grid.shape + (grid.ncomp,))
-        for c, (i, j) in enumerate(_pairs(grid.n)):
-            comps[..., c] = mats[..., i, j]
-        return cls(grid, comps)
-
-    def copy(self) -> "SymmetricTensorField":
-        return SymmetricTensorField(self.grid, self.comps.copy())
-
-    def trace(self) -> np.ndarray:
-        n = self.grid.n
-        out = self.comps[..., comp_index(n, 0, 0)].copy()
-        for i in range(1, n):
-            out += self.comps[..., comp_index(n, i, i)]
-        return out
-
-
-def comp_index(n: int, i: int, j: int) -> int:
-    """Packed index of component (i, j), 0-based, i and j interchangeable."""
-    if not (0 <= i < n and 0 <= j < n):
-        raise DomainError(f"component ({i},{j}) out of range for n={n}")
-    if i > j:
-        i, j = j, i
-    # row i starts after rows 0..i-1 of lengths n, n-1, ...
-    return i * n - i * (i - 1) // 2 + (j - i)
-
-
 def _d1(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
     return (np.roll(vals, -1, axis) - np.roll(vals, 1, axis)) / (2.0 * h)
 
@@ -198,30 +121,23 @@ def _dcross(vals: np.ndarray, a: int, b: int, h: float) -> np.ndarray:
     return (pp - pm - mp + mm) / (4.0 * h * h)
 
 
-def grad(u: ScalarField) -> tuple:
-    """Central-difference gradient, one ScalarField per axis."""
-    h = u.grid.h
-    return tuple(ScalarField(u.grid, _d1(u.values, a, h)) for a in range(u.grid.n))
-
-
 def grad_values(u: ScalarField) -> np.ndarray:
     """Gradient stacked on a trailing axis, shape grid.shape + (n,)."""
     h = u.grid.h
     return np.stack([_d1(u.values, a, h) for a in range(u.grid.n)], axis=-1)
 
 
-def hess(u: ScalarField) -> SymmetricTensorField:
-    """Central-difference Hessian: per-axis second differences on the
-    diagonal, 4-point cross stencil off the diagonal."""
+def hess(u: ScalarField) -> np.ndarray:
+    """Central-difference Hessian, shape grid.shape + (n, n): per-axis second
+    differences on the diagonal, 4-point cross stencil off the diagonal."""
     g = u.grid
     h = g.h
-    comps = np.empty(g.shape + (g.ncomp,))
-    for c, (i, j) in enumerate(_pairs(g.n)):
-        if i == j:
-            comps[..., c] = _d2(u.values, i, h)
-        else:
-            comps[..., c] = _dcross(u.values, i, j, h)
-    return SymmetricTensorField(g, comps)
+    out = np.empty(g.shape + (g.n, g.n))
+    for i in range(g.n):
+        out[..., i, i] = _d2(u.values, i, h)
+        for j in range(i + 1, g.n):
+            out[..., i, j] = out[..., j, i] = _dcross(u.values, i, j, h)
+    return out
 
 
 def laplacian(u: ScalarField) -> ScalarField:
@@ -287,12 +203,6 @@ def load_field(source) -> tuple:
             fp.close()
 
 
-def dumps_field(field: ScalarField, name: str) -> str:
-    buf = io.StringIO()
-    dump_field(field, name, buf)
-    return buf.getvalue()
-
-
 def _wavenumbers(N: int) -> np.ndarray:
     return np.fft.fftfreq(N, d=1.0 / N)
 
@@ -314,26 +224,28 @@ def spectral_grad(u: ScalarField) -> np.ndarray:
     return out
 
 
-def spectral_hess(u: ScalarField) -> SymmetricTensorField:
-    """FFT Hessian (exact for band-limited fields)."""
+def spectral_hess(u: ScalarField) -> np.ndarray:
+    """FFT Hessian, shape grid.shape + (n, n) (exact for band-limited
+    fields)."""
     g = u.grid
     uhat = np.fft.fftn(u.values)
-    comps = np.empty(g.shape + (g.ncomp,))
+    out = np.empty(g.shape + (g.n, g.n))
     kfull = _wavenumbers(g.N)
     kodd = kfull.copy()
     if g.N % 2 == 0:
         kodd[g.N // 2] = 0.0
-    for c, (i, j) in enumerate(_pairs(g.n)):
+    for i in range(g.n):
         si = [1] * g.n
         si[i] = g.N
-        sj = [1] * g.n
-        sj[j] = g.N
-        if i == j:
-            sym = -(kfull.reshape(si) ** 2)
-        else:
-            sym = -(kodd.reshape(si) * kodd.reshape(sj))
-        comps[..., c] = np.fft.ifftn(sym * uhat).real
-    return SymmetricTensorField(g, comps)
+        for j in range(i, g.n):
+            sj = [1] * g.n
+            sj[j] = g.N
+            if i == j:
+                sym = -(kfull.reshape(si) ** 2)
+            else:
+                sym = -(kodd.reshape(si) * kodd.reshape(sj))
+            out[..., i, j] = out[..., j, i] = np.fft.ifftn(sym * uhat).real
+    return out
 
 
 def random_smooth_field(grid: Grid, rng: np.random.Generator,

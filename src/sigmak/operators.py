@@ -5,7 +5,8 @@ The solver iterates on the multiplied form of the curvature equation,
     sigma_k(T) + a e^{2su} sigma_{k-1}(T) - r e^{2ksu} = 0,
 
 where T is the case's curvature tensor (V for cases A and B, W for case C),
-s is the conformal sign, and the weights (a, r) collect the case data:
+s is the conformal sign, and the weights (a, r), computed by case_weights,
+collect the case data:
 
     case A:  a = t alpha,                                r = (1-t) C(n,k) + t f
     case B:  a = -((1-t) C(n,k)/C(n,k-1) - t alpha),     r = 0
@@ -53,17 +54,18 @@ from .errors import AdmissibilityError, DomainError, SingularityError, Validatio
 from .grid import (
     Grid,
     ScalarField,
-    SymmetricTensorField,
     _d1,
     _d2,
     _dcross,
     grad_values,
+    hess,
     spectral_grad,
     spectral_hess,
 )
 from .symfunc import (
     ConeReport,
     sample_gamma,
+    sigma_all_batch,
     sigma_and_dsigma_batch,
     sigma_matrix_all_batch,
     sigma_matrix_batch,
@@ -124,8 +126,7 @@ class StateData:
     t: float
     u: ScalarField
     gv: np.ndarray        # gradient of u, grid.shape + (n,)
-    tensor: SymmetricTensorField   # V for cases A/B, W for case C
-    mats: np.ndarray      # tensor as stacked matrices, grid.shape + (n, n)
+    mats: np.ndarray      # V for cases A/B, W for case C, grid.shape + (n, n)
     sig: np.ndarray       # sigma_0..sigma_k of the tensor, grid.shape + (k+1,)
     dk: np.ndarray        # d sigma_k / dM
     dkm1: np.ndarray      # d sigma_{k-1} / dM
@@ -149,6 +150,24 @@ class StateData:
                                 margin=margin)
 
 
+def case_weights(spec: ProblemSpec, t: float):
+    """The weights (a, r) of the multiplied form at homotopy parameter t (see
+    the module docstring), each broadcast to the grid shape."""
+    n, k = spec.n, spec.k
+    alpha = spec.alpha_field.values
+    if spec.case == "A":
+        a = t * alpha
+        r = (1.0 - t) * math.comb(n, k) + t * spec.f_field.values
+    elif spec.case == "B":
+        a = -((1.0 - t) * math.comb(n, k) / math.comb(n, k - 1) - t * alpha)
+        r = np.zeros(spec.grid.shape)
+    else:
+        a = alpha
+        r = spec.f_field.values
+    return (np.broadcast_to(a, spec.grid.shape),
+            np.broadcast_to(r, spec.grid.shape))
+
+
 def prepare_state(u: ScalarField, t: float, spec: ProblemSpec) -> StateData:
     """Build the cached state for (u, t): curvature tensor, sigma values and
     derivatives, cone margins, and the case weights."""
@@ -156,35 +175,25 @@ def prepare_state(u: ScalarField, t: float, spec: ProblemSpec) -> StateData:
         raise DomainError("field grid does not match the problem grid")
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"homotopy parameter t must lie in [0, 1], got {t}")
-    n, k = spec.n, spec.k
+    k = spec.k
+    gv = grad_values(u)
+    hess_u = hess(u)
     if spec.case == "C":
-        tensor = build_w_tensor(u, spec)
+        mats = build_w_tensor(hess_u, gv, spec)
     else:
-        tensor = build_v_tensor(build_u_tensor(u, t, spec), t)
-    mats = tensor.as_matrices()
+        mats = build_v_tensor(build_u_tensor(hess_u, gv, t, spec), t)
+    del hess_u   # the recurrence below sets the memory peak; free it first
     sig, dk, dkm1 = sigma_and_dsigma_batch(mats, k)
     m = spec.required_cone
     margins = sig[..., 1:m + 1].min(axis=-1)
 
     s = spec.conformal_sign
-    e2su = np.exp(2.0 * s * u.values)
-    e2ksu = np.exp(2.0 * k * s * u.values)
-    alpha = spec.alpha_field.values
-    if spec.case == "A":
-        a_weight = t * alpha
-        r_weight = (1.0 - t) * math.comb(n, k) + t * spec.f_field.values
-    elif spec.case == "B":
-        q = (1.0 - t) * math.comb(n, k) / math.comb(n, k - 1) - t * alpha
-        a_weight = -q
-        r_weight = np.zeros(spec.grid.shape)
-    else:
-        a_weight = alpha
-        r_weight = spec.f_field.values
-    return StateData(spec=spec, t=t, u=u, gv=grad_values(u), tensor=tensor,
-                     mats=mats, sig=sig, dk=dk, dkm1=dkm1, margins=margins,
-                     e2su=e2su, e2ksu=e2ksu,
-                     a_weight=np.broadcast_to(a_weight, spec.grid.shape),
-                     r_weight=np.broadcast_to(r_weight, spec.grid.shape))
+    a_weight, r_weight = case_weights(spec, t)
+    return StateData(spec=spec, t=t, u=u, gv=gv, mats=mats, sig=sig, dk=dk,
+                     dkm1=dkm1, margins=margins,
+                     e2su=np.exp(2.0 * s * u.values),
+                     e2ksu=np.exp(2.0 * k * s * u.values),
+                     a_weight=a_weight, r_weight=r_weight)
 
 
 def _require_cone(sd: StateData, what: str) -> None:
@@ -259,10 +268,6 @@ class LinearOperator:
         trace = np.einsum("...ii->...", self.second)
         return (self.zeroth - 2.0 * trace / self.grid.h ** 2).ravel()
 
-    def min_second_eigenvalues(self) -> np.ndarray:
-        """Per-node smallest eigenvalue of the second-order coefficients."""
-        return np.linalg.eigvalsh(self.second)[..., 0]
-
     def as_csr(self):
         g = self.grid
         n, h = g.n, g.h
@@ -300,7 +305,6 @@ def _coefficients(sd: StateData):
     form's Frechet derivative at the cached state."""
     spec = sd.spec
     n, k, t = spec.n, spec.k, sd.t
-    eye = np.eye(n)
     weight = (sd.a_weight * sd.e2su)[..., None, None]
     S = sd.dk + weight * sd.dkm1
     trS = np.einsum("...ii->...", S)
@@ -309,9 +313,9 @@ def _coefficients(sd: StateData):
         first = 2.0 * np.einsum("...ij,...j->...i", S, sd.gv) \
             - trS[..., None] * sd.gv
     else:
-        P = t * S + (1.0 - t) * trS[..., None, None] * eye
+        P = build_v_tensor(S, t)
         trP = (t + n * (1.0 - t)) * trS
-        second = P + (trP / (n - 2.0))[..., None, None] * eye
+        second = P + (trP / (n - 2.0))[..., None, None] * np.eye(n)
         first = 2.0 * trP[..., None] * sd.gv \
             - 2.0 * np.einsum("...ij,...j->...i", P, sd.gv)
     s = spec.conformal_sign
@@ -340,19 +344,14 @@ def _quotient_coefficients(sd: StateData, valid: np.ndarray):
     G = sigma_k/sigma_{k-1} - (r e^{2ksu})/sigma_{k-1} + a e^{2su},
     evaluated where `valid` (cone membership and denominator floor) holds."""
     spec = sd.spec
-    n, t = spec.n, sd.t
     k = spec.k
-    eye = np.eye(n)
     skm1 = np.where(valid, sd.sig[..., k - 1], 1.0)
     sk = sd.sig[..., k]
     d_quot = sd.dk / skm1[..., None, None] \
         - (sk / skm1 ** 2)[..., None, None] * sd.dkm1
     h_field = sd.r_weight * sd.e2ksu
     pq = d_quot + (h_field / skm1 ** 2)[..., None, None] * sd.dkm1
-    if spec.case == "C":
-        return pq
-    trp = np.einsum("...ii->...", pq)
-    return t * pq + (1.0 - t) * trp[..., None, None] * eye
+    return pq if spec.case == "C" else build_v_tensor(pq, sd.t)
 
 
 def _fmt(value) -> str:
@@ -446,22 +445,20 @@ def ellipticity_certificate(u: ScalarField, t: float, spec: ProblemSpec,
         trace_bound=bound, trace_slack=slack, passed=passed)
 
 
-def _sigma_all_generic(lams: np.ndarray, kmax: int) -> np.ndarray:
-    """Coefficient recurrence for sigma_0..sigma_kmax preserving the input
-    dtype (the certificate runs it in extended precision)."""
-    out = np.zeros(lams.shape[:-1] + (kmax + 1,), dtype=lams.dtype)
-    out[..., 0] = 1.0
-    for i in range(lams.shape[-1]):
-        lam = lams[..., i]
-        for j in range(min(i + 1, kmax), 0, -1):
-            out[..., j] = out[..., j] + lam * out[..., j - 1]
-    return out
+def _diag_matrices(xs: np.ndarray) -> np.ndarray:
+    """Diagonal matrices with the spectra xs on the diagonal, dtype kept."""
+    return xs[..., None] * np.eye(xs.shape[-1])
+
+
+def _v_spectrum(xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Spectrum of V at the diagonal tensor U = diag(x):
+    mu = t x + (1-t) tr(x) e, in the dtype of xs."""
+    return np.einsum("...ii->...i", build_v_tensor(_diag_matrices(xs), ts))
 
 
 def _quotient_g(xs: np.ndarray, ts: np.ndarray, hs: np.ndarray, k: int) -> np.ndarray:
     """G(x) = (sigma_k - h)/sigma_{k-1} evaluated at mu = t x + (1-t) tr(x) e."""
-    mu = ts[:, None] * xs + ((1.0 - ts) * xs.sum(axis=-1))[:, None]
-    sig = _sigma_all_generic(mu, k)
+    sig = sigma_all_batch(_v_spectrum(xs, ts), k)
     return (sig[..., k] - hs) / sig[..., k - 1]
 
 
@@ -544,9 +541,7 @@ def _draw_concavity_samples(n: int, k: int, count: int,
         psi /= np.linalg.norm(psi, axis=(-2, -1), keepdims=True)
         ok = np.ones(m, dtype=bool)
         for shift in (0.0, step, -step):
-            mu = t[:, None] * (eta + shift * d) \
-                + ((1.0 - t) * (eta + shift * d).sum(axis=-1))[:, None]
-            sig = _sigma_all_generic(mu, k - 1)
+            sig = sigma_all_batch(_v_spectrum(eta + shift * d, t), k - 1)
             ok &= sig[:, 1:].min(axis=-1) > PROBE_MARGIN
         etas = np.concatenate([etas, eta[ok]])
         ts = np.concatenate([ts, t[ok]])
@@ -574,12 +569,8 @@ def _eq93_slacks(etas: np.ndarray, ts: np.ndarray, psis: np.ndarray,
     count, n = etas.shape
     m = k - 1
     nodes = np.arange(m + 1, dtype=float) - (m // 2)
-    eye = np.eye(n)
-    lam = np.zeros((count, n, n))
-    lam[:, np.arange(n), np.arange(n)] = etas
-    v = ts[:, None, None] * lam + ((1.0 - ts) * etas.sum(-1))[:, None, None] * eye
-    trp = np.einsum("...ii->...", psis)
-    big_psi = ts[:, None, None] * psis + ((1.0 - ts) * trp)[:, None, None] * eye
+    v = build_v_tensor(_diag_matrices(etas), ts)
+    big_psi = build_v_tensor(psis, ts)
     stack = v[:, None] + nodes[None, :, None, None] * big_psi[:, None]
     vals = sigma_matrix_batch(stack.reshape(-1, n, n), m).reshape(count, m + 1)
     ainv = np.linalg.inv(np.vander(nodes, increasing=True))
@@ -645,31 +636,19 @@ def manufactured_forcing(u_star: ScalarField, t: float,
     """
     if u_star.grid != spec.grid:
         raise DomainError("field grid does not match the problem grid")
-    n, k = spec.n, spec.k
-    eye = np.eye(n)
-    gv = spectral_grad(u_star)
-    hmat = spectral_hess(u_star).as_matrices()
-    gsq = (gv ** 2).sum(axis=-1)
-    outer = gv[..., :, None] * gv[..., None, :]
-    alpha = spec.alpha_field.values
-    uv = u_star.values
-    if spec.case == "C":
-        mats = hmat + outer - 0.5 * gsq[..., None, None] * eye \
-            + spec.background.schouten0.as_matrices()
-    elif spec.case == "A":
-        if t <= 0.0:
-            raise DomainError("case A forcing needs t > 0 (f enters with "
-                              "weight t)")
-        lap = np.einsum("...ii->...", hmat)
-        u_mat = hmat + (lap / (n - 2.0))[..., None, None] * eye \
-            + gsq[..., None, None] * eye - outer \
-            - t * spec.background.ric0.as_matrices() / (n - 2.0) \
-            + ((1.0 - t) / n) * eye
-        tru = np.einsum("...ii->...", u_mat)
-        mats = t * u_mat + (1.0 - t) * tru[..., None, None] * eye
-    else:
+    if spec.case == "B":
         raise DomainError("case B prescribes f identically 0; nothing to "
                           "manufacture")
+    if spec.case == "A" and t <= 0.0:
+        raise DomainError("case A forcing needs t > 0 (f enters with "
+                          "weight t)")
+    k = spec.k
+    gv = spectral_grad(u_star)
+    hmat = spectral_hess(u_star)
+    if spec.case == "C":
+        mats = build_w_tensor(hmat, gv, spec)
+    else:
+        mats = build_v_tensor(build_u_tensor(hmat, gv, t, spec), t)
     sig = sigma_matrix_all_batch(mats, k)
     margins = sig[..., 1:k].min(axis=-1)
     worst = float(margins.min())
@@ -679,13 +658,12 @@ def manufactured_forcing(u_star: ScalarField, t: float,
             f"curvature tensor of u_star leaves Gamma_{k - 1} at node "
             f"{node} (margin {worst:.3e})")
     s = spec.conformal_sign
-    e2su = np.exp(2.0 * s * uv)
-    e2ksu = np.exp(2.0 * k * s * uv)
-    if spec.case == "C":
-        f = (sig[..., k] + alpha * e2su * sig[..., k - 1]) / e2ksu
-    else:
-        f = ((sig[..., k] + t * alpha * e2su * sig[..., k - 1]) / e2ksu
-             - (1.0 - t) * math.comb(n, k)) / t
+    e2su = np.exp(2.0 * s * u_star.values)
+    e2ksu = np.exp(2.0 * k * s * u_star.values)
+    # The weights at f = 0: r is r0 + t f in case A and f itself in case C.
+    a, r0 = case_weights(spec.with_f_field(ScalarField.zeros(spec.grid)), t)
+    r = (sig[..., k] + a * e2su * sig[..., k - 1]) / e2ksu
+    f = (r - r0) / t if spec.case == "A" else r
     low = float(f.min())
     if low <= 0.0:
         node = _argmin_node(f)
@@ -741,21 +719,9 @@ class C0Report:
         return [f"{prefix}.{key}: {_fmt(val)}" for key, val in fields]
 
 
-def _mats_at(tensor: SymmetricTensorField, node: tuple) -> np.ndarray:
-    comps = tensor.comps[node]
-    n = tensor.grid.n
-    mat = np.zeros((n, n))
-    c = 0
-    for i in range(n):
-        for j in range(i, n):
-            mat[i, j] = comps[c]
-            mat[j, i] = comps[c]
-            c += 1
-    return mat
-
-
-def _quotient_of(mat: np.ndarray, k: int) -> float:
-    sig = _sigma_all_generic(np.linalg.eigvalsh(mat), k)
+def _cone_quotient(sig: np.ndarray, k: int) -> float:
+    """sigma_k / sigma_{k-1} from sigma_0..sigma_k of one spectrum; nan
+    outside Gamma_{k-1} or under the denominator floor."""
     if sig[1:k].min() <= 0.0 or sig[k - 1] < SIGMA_FLOOR:
         return float("nan")
     return float(sig[k] / sig[k - 1])
@@ -767,13 +733,13 @@ def c0_diagnostic(u: ScalarField, t: float, spec: ProblemSpec,
 
     At the argmax of u the Hessian contribution is nonpositive and the
     gradient vanishes, so the state tensor is dominated by the comparison
-    tensor B (cases A/B: -t ric0/(n-2) + ((1-t)/n) I pushed through the V
-    map; case C: the background Schouten tensor), and quotient monotonicity
-    plus concavity force quotient(state) <= quotient(comparison) there. The
-    discrete check allows an O(h) slack. For cases A and B the comparison
-    value feeds the closed-form sup/inf estimates; for case C the bound
-    machinery targets the other conformal sign, so only the gaps are
-    reported."""
+    tensor B, the case tensor at zero derivatives (cases A/B:
+    -t ric0/(n-2) + ((1-t)/n) I pushed through the V map; case C: the
+    background Schouten tensor), and quotient monotonicity plus concavity
+    force quotient(state) <= quotient(comparison) there. The discrete check
+    allows an O(h) slack. For cases A and B the comparison value feeds the
+    closed-form sup/inf estimates; for case C the bound machinery targets
+    the other conformal sign, so only the gaps are reported."""
     sd = state if state is not None else prepare_state(u, t, spec)
     n, k = spec.n, spec.k
     grid = spec.grid
@@ -782,25 +748,19 @@ def c0_diagnostic(u: ScalarField, t: float, spec: ProblemSpec,
     u_max = float(u.values[node_max])
     u_min = float(u.values[node_min])
 
-    def state_quotient(node):
-        sig = sd.sig[node]
-        if sig[1:k].min() <= 0.0 or sig[k - 1] < SIGMA_FLOOR:
-            return float("nan")
-        return float(sig[k] / sig[k - 1])
+    zero_hess, zero_grad = np.zeros((n, n)), np.zeros(n)
+    if spec.case == "C":
+        comparison = build_w_tensor(zero_hess, zero_grad, spec)
+    else:
+        comparison = build_v_tensor(
+            build_u_tensor(zero_hess, zero_grad, t, spec), t)
+    sig_b_max = sigma_all_batch(np.linalg.eigvalsh(comparison[node_max]), k)
+    sig_b_min = sigma_all_batch(np.linalg.eigvalsh(comparison[node_min]), k)
 
-    def comparison_matrix(node):
-        if spec.case == "C":
-            return _mats_at(spec.background.schouten0, node)
-        b = -t * _mats_at(spec.background.ric0, node) / (n - 2.0) \
-            + ((1.0 - t) / n) * np.eye(n)
-        return t * b + (1.0 - t) * np.trace(b) * np.eye(n)
-
-    q_max = state_quotient(node_max)
-    q_min = state_quotient(node_min)
-    bmat_max = comparison_matrix(node_max)
-    bmat_min = comparison_matrix(node_min)
-    qb_max = _quotient_of(bmat_max, k)
-    qb_min = _quotient_of(bmat_min, k)
+    q_max = _cone_quotient(sd.sig[node_max], k)
+    q_min = _cone_quotient(sd.sig[node_min], k)
+    qb_max = _cone_quotient(sig_b_max, k)
+    qb_min = _cone_quotient(sig_b_min, k)
     gap_max = qb_max - q_max
     gap_min = q_min - qb_min
     delta = C0_SLACK_CONSTANT * grid.h
@@ -808,24 +768,17 @@ def c0_diagnostic(u: ScalarField, t: float, spec: ProblemSpec,
     sup_est = float("nan")
     inf_est = float("nan")
     if spec.case == "A":
-        alpha = spec.alpha_field.values
-        f = spec.f_field.values
-        h_max = (1.0 - t) * math.comb(n, k) + t * float(f[node_max])
-        h_min = (1.0 - t) * math.comb(n, k) + t * float(f[node_min])
-        sig_b_max = _sigma_all_generic(np.linalg.eigvalsh(bmat_max), k)
-        sig_b_min = _sigma_all_generic(np.linalg.eigvalsh(bmat_min), k)
+        h_max = float(sd.r_weight[node_max])
+        h_min = float(sd.r_weight[node_min])
         if sig_b_max[k] > 0.0:
             sup_est = math.log(sig_b_max[k] / h_max) / (2.0 * k)
-        low = sig_b_min[k] + t * float(alpha[node_min]) \
+        low = sig_b_min[k] + float(sd.a_weight[node_min]) \
             * math.exp(2.0 * u_min) * sig_b_min[k - 1]
         if low > 0.0:
             inf_est = math.log(low / h_min) / (2.0 * k)
     elif spec.case == "B":
-        alpha = spec.alpha_field.values
-        q_w_max = (1.0 - t) * math.comb(n, k) / math.comb(n, k - 1) \
-            - t * float(alpha[node_max])
-        q_w_min = (1.0 - t) * math.comb(n, k) / math.comb(n, k - 1) \
-            - t * float(alpha[node_min])
+        q_w_max = -float(sd.a_weight[node_max])
+        q_w_min = -float(sd.a_weight[node_min])
         if qb_max > 0.0:
             sup_est = 0.5 * math.log(qb_max / q_w_max)
         if qb_min > 0.0:

@@ -53,6 +53,10 @@ DENSE_FALLBACK_SIZE = 4096
 LINEAR_RTOL = 1e-10
 LINEAR_GUARD = 1e-8
 
+# Restart cycles (of 50 inner iterations each) allowed to the GMRES fallback,
+# so a stalled solve fails as LinearSolveError in bounded time.
+GMRES_MAX_RESTARTS = 20
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -159,8 +163,7 @@ def monitor(state: HomotopyState, spec: ProblemSpec,
     sd = state_data if state_data is not None else \
         prepare_state(state.u, state.t, spec)
     grad_sq = (sd.gv ** 2).sum(axis=-1)
-    hmats = hess(state.u).as_matrices()
-    spectral = np.abs(np.linalg.eigvalsh(hmats)).max(axis=-1)
+    spectral = np.abs(np.linalg.eigvalsh(hess(state.u))).max(axis=-1)
     cert = ellipticity_certificate(state.u, state.t, spec, state=sd)
     return MonitorRecord(
         sup_u=float(np.abs(state.u.values).max()),
@@ -174,9 +177,10 @@ def solve_linear(op: LinearOperator, rhs: np.ndarray) -> np.ndarray:
     """Solve L[delta] = rhs on the grid.
 
     Diagonally preconditioned BiCGSTAB first (the operator is nonsymmetric
-    because of the first-order terms), GMRES on breakdown, and a dense direct
-    solve as last resort for systems up to DENSE_FALLBACK_SIZE unknowns. The
-    winner must pass a true-residual guard; otherwise LinearSolveError.
+    because of the first-order terms), GMRES on breakdown (at most
+    GMRES_MAX_RESTARTS restart cycles), and a dense direct solve as last
+    resort for systems up to DENSE_FALLBACK_SIZE unknowns. The winner must
+    pass a true-residual guard; otherwise LinearSolveError.
     """
     size = op.grid.size
     flat = np.ascontiguousarray(rhs, dtype=float).ravel()
@@ -197,7 +201,7 @@ def solve_linear(op: LinearOperator, rhs: np.ndarray) -> np.ndarray:
     if info == 0 and good(x):
         return x.reshape(op.grid.shape)
     x, info = gmres(action, flat, rtol=LINEAR_RTOL, atol=0.0,
-                    restart=50, maxiter=10 * size, M=precond)
+                    restart=50, maxiter=GMRES_MAX_RESTARTS, M=precond)
     if info == 0 and good(x):
         return x.reshape(op.grid.shape)
     if size <= DENSE_FALLBACK_SIZE:

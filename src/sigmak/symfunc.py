@@ -21,7 +21,8 @@ they can be sampled and audited.
 
 All functions accept either a Spectrum/SymMatrix wrapper or a bare array-like.
 Batched variants (trailing-axis spectra, stacked matrices) are provided for
-grid-sized workloads and are used by the operator and solver layers.
+grid-sized workloads and are used by the operator and solver layers; the two
+inequality gaps take spectra stacked on the last axis as well.
 """
 
 from __future__ import annotations
@@ -109,10 +110,19 @@ class ConeReport:
     margin: float = 0.0
 
 
-def _spectrum_values(spec) -> np.ndarray:
+def _stacked_spectra(spec) -> np.ndarray:
+    """One spectrum (Spectrum or 1-D array-like) or spectra stacked on the
+    last axis, as a float array."""
     if isinstance(spec, Spectrum):
         return np.asarray(spec.values, dtype=float)
     vals = np.asarray(spec, dtype=float)
+    if vals.ndim < 1:
+        raise DomainError("spectra need at least one axis")
+    return vals
+
+
+def _spectrum_values(spec) -> np.ndarray:
+    vals = _stacked_spectra(spec)
     if vals.ndim != 1:
         raise DomainError(f"spectrum must be one-dimensional, got shape {vals.shape}")
     return vals
@@ -127,15 +137,17 @@ def _matrix_values(m) -> np.ndarray:
 def sigma_all_batch(lams: np.ndarray, kmax: int) -> np.ndarray:
     """sigma_0..sigma_kmax of spectra stacked on the last axis.
 
-    Returns an array of shape lams.shape[:-1] + (kmax+1,). This is the
-    coefficient recurrence for prod_i (1 + lambda_i x): exact in exact
-    arithmetic, O(n kmax) flops per spectrum.
+    Returns an array of shape lams.shape[:-1] + (kmax+1,) in the floating
+    dtype of lams (float64 for integer input; longdouble stays longdouble).
+    This is the coefficient recurrence for prod_i (1 + lambda_i x): exact in
+    exact arithmetic, O(n kmax) flops per spectrum.
     """
-    lams = np.asarray(lams, dtype=float)
+    lams = np.asarray(lams)
+    lams = lams.astype(np.result_type(lams.dtype, np.float64), copy=False)
     n = lams.shape[-1]
     if not 0 <= kmax <= n:
         raise DomainError(f"k must lie in [0, {n}], got {kmax}")
-    out = np.zeros(lams.shape[:-1] + (kmax + 1,))
+    out = np.zeros(lams.shape[:-1] + (kmax + 1,), dtype=lams.dtype)
     out[..., 0] = 1.0
     for i in range(n):
         lam_i = lams[..., i]
@@ -186,55 +198,60 @@ def in_gamma(spec, k: int) -> ConeReport:
                       inside=margin > 0.0, margin=margin)
 
 
-def newton_maclaurin_gap(spec, k: int, l: int) -> float:
+def _scalar_or_array(values):
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def newton_maclaurin_gap(spec, k: int, l: int):
     """Signed slack of the Newton-Maclaurin inequality
 
         k (n-l+1) sigma_{l-1} sigma_k  <=  l (n-k+1) sigma_l sigma_{k-1},
 
     returned as RHS - LHS (sigma_{-1} taken as 0). Nonnegative whenever
-    lambda lies in Gamma_k; not asserted outside the cone.
+    lambda lies in Gamma_k; not asserted outside the cone. For spectra
+    stacked on the last axis the gaps come back as an array over the
+    leading axes; for one spectrum, as a float.
     """
-    vals = _spectrum_values(spec)
-    n = vals.shape[0]
+    vals = _stacked_spectra(spec)
+    n = vals.shape[-1]
     if not 0 <= l < k <= n:
         raise DomainError(f"need 0 <= l < k <= {n}, got k={k}, l={l}")
     sig = sigma_all_batch(vals, k)
-
-    def at(j: int) -> float:
-        return 0.0 if j < 0 else float(sig[j])
-
-    rhs = l * (n - k + 1) * at(l) * at(k - 1)
-    lhs = k * (n - l + 1) * at(l - 1) * at(k)
-    return rhs - lhs
+    below = sig[..., l - 1] if l >= 1 else 0.0
+    rhs = l * (n - k + 1) * sig[..., l] * sig[..., k - 1]
+    lhs = k * (n - l + 1) * below * sig[..., k]
+    return _scalar_or_array(rhs - lhs)
 
 
-def quotient_ratio_gap(spec, k: int, l: int, r: int, s: int) -> float:
+def quotient_ratio_gap(spec, k: int, l: int, r: int, s: int):
     """Signed slack of the normalized-ratio monotonicity
 
         [ (sigma_k/C(n,k)) / (sigma_l/C(n,l)) ]^{1/(k-l)}
             <= [ (sigma_r/C(n,r)) / (sigma_s/C(n,s)) ]^{1/(r-s)},
 
     returned as the (r,s) ratio minus the (k,l) ratio. Only defined on
-    Gamma_k, where every sigma involved is positive.
+    Gamma_k, where every sigma involved is positive; DomainError if any
+    spectrum lies outside. Stacked spectra give an array, one spectrum a
+    float.
     """
-    vals = _spectrum_values(spec)
-    n = vals.shape[0]
+    vals = _stacked_spectra(spec)
+    n = vals.shape[-1]
     if not (k > l >= 0 and r > s >= 0 and k >= r and l >= s and k <= n):
         raise DomainError(
             f"need k>l>=0, r>s>=0, k>=r, l>=s within n={n}; got {(k, l, r, s)}")
-    report = in_gamma(vals, k)
-    if not report.inside:
+    sig = sigma_all_batch(vals, k)
+    margin = float(sig[..., 1:].min())
+    if not margin > 0.0:
         raise DomainError(
             f"ratio monotonicity is only asserted on Gamma_{k}; "
-            f"margin was {report.margin:.3e}")
-    sig = sigma_all_batch(vals, k)
+            f"margin was {margin:.3e}")
 
-    def ratio(a: int, b: int) -> float:
-        num = sig[a] / math.comb(n, a)
-        den = sig[b] / math.comb(n, b)
+    def ratio(a: int, b: int):
+        num = sig[..., a] / math.comb(n, a)
+        den = sig[..., b] / math.comb(n, b)
         return (num / den) ** (1.0 / (a - b))
 
-    return ratio(r, s) - ratio(k, l)
+    return _scalar_or_array(ratio(r, s) - ratio(k, l))
 
 
 def _fl_recurrence(mats: np.ndarray, kmax: int):

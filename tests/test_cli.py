@@ -2,7 +2,10 @@
 
 import json
 import os
+import subprocess
+import sys
 
+import sigmak
 from sigmak import RunConfig, load_field, parse_config_file
 from sigmak.cli import main
 from sigmak.solver import TRACE_HEADER
@@ -173,3 +176,24 @@ def test_outputs_land_in_requested_directory(tmp_path):
     rc, out = drive(tmp_path, fast_check_config(), "check", "nested/deep")
     assert rc == 0
     assert sorted(os.listdir(out)) == ["certificates.txt", "config.txt"]
+
+
+def test_solve_finishes_when_krylov_stalls(tmp_path):
+    """At t = 1 this problem's Newton system breaks BiCGSTAB down and GMRES
+    does not converge. The GMRES fallback is capped, so that step fails as
+    LinearSolveError, the continuation halves dt, and the run still reaches
+    t = 1 in bounded time. Run in a subprocess so a hang fails the test."""
+    cfg = RunConfig(N=24, alpha="-0.5*(1+cos(x1))",
+                    f="0.3+0.25*sin(x2)*sin(x3)")
+    conf = tmp_path / "stall.config"
+    conf.write_text(cfg.to_text(), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sigmak.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sigmak.cli", "solve", "--config", str(conf),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+    assert float(rows[-1].split(",")[1]) == 1.0

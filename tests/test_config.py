@@ -48,7 +48,7 @@ def test_unknown_key_reports_line_number():
 
 def test_duplicate_key_reports_line_number():
     with pytest.raises(ConfigError, match="line 3: duplicate key 'seed'"):
-        parse_config_text("seed = 1\nworkers = 0\nseed = 2\n")
+        parse_config_text("seed = 1\nspec.n = 3\nseed = 2\n")
 
 
 def test_malformed_lines_report_line_numbers():
@@ -109,7 +109,6 @@ def test_validate_rejects_out_of_range_knobs():
         (dict(k=4), "spec.k"),
         (dict(N=4), "spec.N"),
         (dict(seed=-1), "seed"),
-        (dict(workers=-2), "workers"),
         (dict(check_samples=0), "check.samples"),
         (dict(ceiling_sup_u=0.0), "monitor.ceiling_sup_u"),
         (dict(dt_init=0.5, dt_max=0.25), "solver schedule"),

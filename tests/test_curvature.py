@@ -6,27 +6,29 @@ import pytest
 from helpers import canonical_problem
 from sigmak import Background, Grid, ProblemSpec, ScalarField, sample_text
 from sigmak.curvature import (CASES, build_u_tensor, build_v_tensor,
-                              build_w_tensor, conformal_ricci)
+                              build_w_tensor)
 from sigmak.errors import DomainError, ValidationError
+from sigmak.grid import grad_values, hess
 
 
 def test_background_from_components_and_defaults():
     g = Grid(3, 8)
     bg = Background.from_components(
         g, ric0={"(1,1)": "-1", "(1,2)": "0.5*sin(x1)"})
-    assert np.array_equal(bg.ric0.component(0, 0), np.full(g.shape, -1.0))
-    assert np.allclose(bg.ric0.component(0, 1),
-                       0.5 * np.sin(g.coords()[0]))
+    assert bg.ric0.shape == g.shape + (3, 3)
+    assert np.array_equal(bg.ric0[..., 0, 0], np.full(g.shape, -1.0))
+    assert np.allclose(bg.ric0[..., 0, 1], 0.5 * np.sin(g.coords()[0]))
+    assert np.array_equal(bg.ric0, np.swapaxes(bg.ric0, -1, -2))
     # Omitted components are zero, including the whole schouten0 tensor.
-    assert np.array_equal(bg.ric0.component(2, 2), np.zeros(g.shape))
-    assert np.array_equal(bg.schouten0.component(0, 0), np.zeros(g.shape))
+    assert np.array_equal(bg.ric0[..., 2, 2], np.zeros(g.shape))
+    assert np.array_equal(bg.schouten0, np.zeros(g.shape + (3, 3)))
 
 
 def test_background_component_keys_accept_tuples_and_strings():
     g = Grid(3, 8)
     a = Background.from_components(g, ric0={(1, 2): "2"})
     b = Background.from_components(g, ric0={"(2,1)": "2"})
-    assert np.array_equal(a.ric0.comps, b.ric0.comps)
+    assert np.array_equal(a.ric0, b.ric0)
     with pytest.raises(DomainError):
         Background.from_components(g, ric0={"(0,1)": "1"})
     with pytest.raises(DomainError):
@@ -105,15 +107,25 @@ def test_conformal_sign_and_required_cone():
     assert tuple(sorted(CASES)) == ("A", "B", "C")
 
 
+def _stencil_derivatives(u):
+    return hess(u), grad_values(u)
+
+
 def test_u_tensor_closed_form_at_zero():
-    """U(0, t) = -t ric0/(n-2) + ((1-t)/n) I."""
+    """U(0, t) = -t ric0/(n-2) + ((1-t)/n) I, from grid-sized zero
+    derivatives or from one broadcast zero matrix alike."""
     spec = canonical_problem("A", N=8)
     g = spec.grid
     u0 = ScalarField.zeros(g)
     for t in (0.0, 0.3, 1.0):
-        mats = build_u_tensor(u0, t, spec).as_matrices()
+        mats = build_u_tensor(*_stencil_derivatives(u0), t, spec)
         want = t * np.eye(3) + ((1.0 - t) / 3.0) * np.eye(3)
+        assert mats.shape == g.shape + (3, 3)
         assert np.abs(mats - want).max() <= 1e-14
+        broadcast = build_u_tensor(np.zeros((3, 3)), np.zeros(3), t, spec)
+        assert np.array_equal(broadcast, mats)
+    with pytest.raises(DomainError):
+        build_u_tensor(*_stencil_derivatives(u0), 1.5, spec)
 
 
 def test_v_tensor_interpolates_trace_weights():
@@ -122,13 +134,27 @@ def test_v_tensor_interpolates_trace_weights():
     g = spec.grid
     u = sample_text("0.05*sin(x1)", g)
     for t in (0.0, 0.4, 1.0):
-        ut = build_u_tensor(u, t, spec)
+        ut = build_u_tensor(*_stencil_derivatives(u), t, spec)
         vt = build_v_tensor(ut, t)
-        tr_u = ut.trace()
-        tr_v = vt.trace()
+        tr_u = np.einsum("...ii->...", ut)
+        tr_v = np.einsum("...ii->...", vt)
         assert np.abs(tr_v - (t + 3 * (1 - t)) * tr_u).max() <= 1e-12
         if t == 1.0:
-            assert np.abs(vt.comps - ut.comps).max() <= 1e-14
+            assert np.abs(vt - ut).max() <= 1e-14
+
+
+def test_v_tensor_takes_per_matrix_t_and_keeps_dtype():
+    rng = np.random.default_rng(4)
+    raw = rng.standard_normal((5, 4, 4))
+    mats = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+    ts = rng.uniform(0.0, 1.0, 5)
+    stacked = build_v_tensor(mats, ts)
+    for i in range(5):
+        assert np.array_equal(stacked[i], build_v_tensor(mats[i], ts[i]))
+    ld = build_v_tensor(mats.astype(np.longdouble), ts.astype(np.longdouble))
+    assert ld.dtype == np.longdouble
+    with pytest.raises(DomainError):
+        build_v_tensor(mats, np.array([0.5, 0.5, 1.2, 0.5, 0.5]))
 
 
 def test_w_tensor_reduces_to_schouten_at_zero():
@@ -138,30 +164,25 @@ def test_w_tensor_reduces_to_schouten_at_zero():
                       "(1,2)": "0.1"})
     spec = ProblemSpec.build("C", 3, 3, g, alpha="-0.05", f="1",
                              background=bg)
-    w = build_w_tensor(ScalarField.zeros(g), spec)
-    assert np.abs(w.comps - bg.schouten0.comps).max() == 0.0
+    w = build_w_tensor(*_stencil_derivatives(ScalarField.zeros(g)), spec)
+    assert np.abs(w - bg.schouten0).max() == 0.0
+    with pytest.raises(DomainError):
+        build_w_tensor(np.zeros((3, 3)), np.zeros(3), canonical_problem("A"))
 
 
 def test_w_tensor_gradient_terms():
     """W(u) - W(0) = hess u + du x du - 0.5 |grad u|^2 I (stencil ops)."""
-    from sigmak.grid import grad_values, hess
     spec = canonical_problem("C", N=16)
     g = spec.grid
     u = sample_text("0.1*sin(x1)*cos(x2)", g)
-    w = build_w_tensor(u, spec).as_matrices()
-    w0 = build_w_tensor(ScalarField.zeros(g), spec).as_matrices()
+    w = build_w_tensor(*_stencil_derivatives(u), spec)
+    w0 = build_w_tensor(np.zeros((3, 3)), np.zeros(3), spec)
     gv = grad_values(u)
     grad_sq = np.einsum("...a,...a->...", gv, gv)
-    want = (hess(u).as_matrices()
+    want = (hess(u)
             + np.einsum("...a,...b->...ab", gv, gv)
             - 0.5 * grad_sq[..., None, None] * np.eye(3))
     assert np.abs((w - w0) - want).max() <= 1e-13
-
-
-def test_conformal_ricci_matches_background_at_zero():
-    spec = canonical_problem("A", N=8)
-    ric = conformal_ricci(ScalarField.zeros(spec.grid), spec)
-    assert np.abs(ric.comps - spec.background.ric0.comps).max() == 0.0
 
 
 def test_with_f_field_swaps_forcing_only():

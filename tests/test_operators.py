@@ -242,6 +242,20 @@ def test_manufactured_forcing_roundtrip_residual():
     assert norms[16] / norms[32] == pytest.approx(4.0, rel=0.35)
 
 
+@pytest.mark.parametrize("case", ["A", "C"])
+def test_stencil_residual_is_second_order_at_n4_k3(case):
+    """n=4, k=3: the forcing is manufactured from spectral derivatives, the
+    residual from stencil ones, so the residual at u* is the stencil's
+    truncation error and falls by ~4x under grid doubling."""
+    norms = {}
+    for N in (8, 16):
+        spec = canonical_problem(case, n=4, k=3, N=N)
+        star = sample_text("0.1*sin(x1)*cos(x2)", spec.grid)
+        f = manufactured_forcing(star, 1.0, spec)
+        norms[N] = residual(star, 1.0, spec.with_f_field(f)).max_abs()
+    assert 3.5 <= norms[8] / norms[16] <= 4.5
+
+
 # -- C0 comparison -------------------------------------------------------------
 
 def test_c0_diagnostic_exact_at_constant_state():

@@ -136,6 +136,27 @@ def test_ratio_monotonicity_on_cone():
 def test_ratio_gap_rejects_outside_cone():
     with pytest.raises(DomainError):
         quotient_ratio_gap(np.array([3.0, 1.0, -1.0]), 3, 0, 2, 0)
+    # A stack is rejected when any one spectrum lies outside.
+    with pytest.raises(DomainError):
+        quotient_ratio_gap(np.array([[1.0, 1.0, 1.0], [3.0, 1.0, -1.0]]),
+                           3, 0, 2, 0)
+
+
+def test_gaps_on_stacked_spectra_match_single_calls():
+    rng = np.random.default_rng(9)
+    spectra = sample_gamma(5, 4, 300, rng)
+    for l in range(1, 4):
+        gaps = newton_maclaurin_gap(spectra, 4, l)
+        assert gaps.shape == (300,)
+        assert np.array_equal(
+            gaps, [newton_maclaurin_gap(lam, 4, l) for lam in spectra])
+    gaps = quotient_ratio_gap(spectra, 4, 0, 3, 0)
+    single = np.array([quotient_ratio_gap(lam, 4, 0, 3, 0) for lam in spectra])
+    assert gaps.shape == (300,)
+    # numpy.power on arrays may round the last place differently.
+    assert np.abs(gaps - single).max() <= 1e-13
+    assert isinstance(newton_maclaurin_gap(spectra[0], 4, 1), float)
+    assert isinstance(quotient_ratio_gap(spectra[0], 4, 0, 3, 0), float)
 
 
 def test_sigma_matrix_diagonal_matches_spectrum():
@@ -212,6 +233,28 @@ def test_batch_shapes_and_scalar_agreement():
     assert all_sig.shape == (2, 3, 5)
     assert all_sig[1, 2, 3] == pytest.approx(sigma_matrix(mats[1, 2], 3),
                                              rel=1e-12, abs=1e-12)
+
+
+def test_sigma_all_batch_keeps_the_input_dtype():
+    assert sigma_all_batch([1, 2, 3], 3).dtype == np.float64
+    assert sigma_all_batch(np.ones(3, dtype=np.float32), 2).dtype == np.float64
+    lams = np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 4.0]], dtype=np.longdouble)
+    out = sigma_all_batch(lams, 3)
+    assert out.dtype == np.longdouble
+    for row, lam in zip(out, lams):
+        assert np.allclose(row.astype(float), brute_sigma_all(lam, 3),
+                           rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52,
+                    reason="longdouble is double precision on this platform")
+def test_sigma_all_batch_computes_in_extended_precision():
+    tiny = np.longdouble(2.0) ** -60   # lost in 1 + tiny at double precision
+    lams = np.array([1.0, 1.0, 1.0], dtype=np.longdouble)
+    lams[0] += tiny
+    out = sigma_all_batch(lams, 3)
+    assert out[1] - 3 == tiny
+    assert out[3] - 1 == tiny
 
 
 def test_sample_gamma_contract():
