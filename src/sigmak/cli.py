@@ -186,9 +186,11 @@ def run_solve(cfg: RunConfig, out_dir: str) -> int:
     spec.validate(strict=True)
     try:
         if cfg.case == "C":
-            state = solve_caseC(spec, tol=cfg.newton_tol,
-                                max_iters=cfg.newton_max_iters)
-            trace = trace_for_state(state, spec)
+            state, sd = solve_caseC(spec, tol=cfg.newton_tol,
+                                    max_iters=cfg.newton_max_iters,
+                                    with_state_data=True)
+            trace = trace_for_state(state, spec, sd)
+            del sd   # free the state's arrays before the outputs are written
         else:
             trace = continue_path(spec, cfg.schedule())
     except PathFailureError as err:

@@ -43,20 +43,18 @@ certificate therefore reports both.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 
 from .curvature import ProblemSpec, build_u_tensor, build_v_tensor, build_w_tensor
 from .errors import AdmissibilityError, DomainError, SingularityError, ValidationError
 from .grid import (
     Grid,
     ScalarField,
-    _d1,
-    _d2,
-    _dcross,
     grad_values,
     hess,
     spectral_grad,
@@ -232,72 +230,100 @@ def residual(u: ScalarField, t: float, spec: ProblemSpec,
     return ResidualField(values=ScalarField(spec.grid, vals), form=form)
 
 
+@functools.lru_cache(maxsize=4)
+def _stencil_pattern(grid: Grid) -> tuple:
+    """Column indices and row pointers of the periodic stencil in CSR form.
+
+    Every row holds the same 2n^2 + 1 offsets, in blocks: the centre; +e_i
+    for each axis i; -e_i for each i; then, over the pairs i < j in
+    np.triu_indices order, +e_i+e_j, -e_i-e_j, +e_i-e_j and -e_i+e_j, one
+    block each. The pattern depends only on the grid, so it is built once
+    per grid and shared, read-only, by every operator on it. int32 holds the
+    indices while nnz < 2^31."""
+    n = grid.n
+    m = n * (n - 1) // 2
+    width = 2 * n * n + 1
+    nnz = grid.size * width
+    itype = np.int32 if nnz < 2 ** 31 else np.int64
+    idx = np.arange(grid.size, dtype=itype).reshape(grid.shape)
+    cols = np.empty(grid.shape + (width,), dtype=itype)
+    cols[..., 0] = idx
+    for i in range(n):
+        cols[..., 1 + i] = np.roll(idx, -1, axis=i)
+        cols[..., 1 + n + i] = np.roll(idx, 1, axis=i)
+    p = 1 + 2 * n
+    for c, (i, j) in enumerate(zip(*np.triu_indices(n, 1))):
+        plus, minus = cols[..., 1 + i], cols[..., 1 + n + i]
+        cols[..., p + c] = np.roll(plus, -1, axis=j)
+        cols[..., p + m + c] = np.roll(minus, 1, axis=j)
+        cols[..., p + 2 * m + c] = np.roll(plus, 1, axis=j)
+        cols[..., p + 3 * m + c] = np.roll(minus, -1, axis=j)
+    indices = cols.ravel()
+    indptr = np.arange(0, nnz + 1, width, dtype=itype)
+    indices.flags.writeable = False
+    indptr.flags.writeable = False
+    return indices, indptr
+
+
 @dataclass
 class LinearOperator:
     """The linearized equation  L[phi] = G:hess(phi) + b.grad(phi) + c phi
-    with periodic second-order stencils.
+    with periodic second-order stencils, assembled once as one CSR matrix.
 
     second has shape grid.shape + (n, n) and is symmetric per node, first has
-    shape grid.shape + (n,), zeroth has shape grid.shape. apply() acts on a
-    full grid array; as_csr() assembles the same stencil as a sparse matrix
-    (they agree to roundoff, which the tests pin down).
+    shape grid.shape + (n,), zeroth has shape grid.shape. Construction writes
+    the stencil weights straight into the matrix values on the grid's cached
+    pattern (see _stencil_pattern), so the coefficients are read only then.
+    matvec() is one product with that matrix, apply() reshapes around it,
+    and as_csr() returns the matrix itself.
     """
 
     grid: Grid
     second: np.ndarray
     first: np.ndarray
     zeroth: np.ndarray
+    csr: csr_matrix = field(init=False, repr=False, compare=False)
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        g = self.grid
-        h = g.h
-        out = self.zeroth * values
-        for i in range(g.n):
-            out += self.second[..., i, i] * _d2(values, i, h)
-            out += self.first[..., i] * _d1(values, i, h)
-            for j in range(i + 1, g.n):
-                out += 2.0 * self.second[..., i, j] * _dcross(values, i, j, h)
-        return out
-
-    def matvec(self, flat: np.ndarray) -> np.ndarray:
-        """apply() on a flattened field; the shape scipy's solvers want."""
-        return self.apply(flat.reshape(self.grid.shape)).ravel()
-
-    def diagonal(self) -> np.ndarray:
-        """Flattened stencil diagonal (for Jacobi preconditioning)."""
-        trace = np.einsum("...ii->...", self.second)
-        return (self.zeroth - 2.0 * trace / self.grid.h ** 2).ravel()
-
-    def as_csr(self):
+    def __post_init__(self):
         g = self.grid
         n, h = g.n, g.h
-        idx = np.arange(g.size).reshape(g.shape)
-        rows, cols, vals = [], [], []
+        m = n * (n - 1) // 2
+        second = self.second.reshape(g.size, n, n)
+        diag = np.einsum("rii->ri", second) / h ** 2
+        bias = self.first.reshape(g.size, n) / (2.0 * h)
+        vals = np.empty((g.size, 2 * n * n + 1))
+        vals[:, 0] = self.zeroth.ravel() - 2.0 * diag.sum(axis=1)
+        np.add(diag, bias, out=vals[:, 1:1 + n])
+        np.subtract(diag, bias, out=vals[:, 1 + n:1 + 2 * n])
+        # cross weights G_ij / (2h^2): + at +e_i+e_j and -e_i-e_j, - at the
+        # two mixed-sign corners
+        p = 1 + 2 * n
+        iu, ju = np.triu_indices(n, 1)
+        np.divide(second[:, iu, ju], 2.0 * h ** 2, out=vals[:, p:p + m])
+        vals[:, p + m:p + 2 * m] = vals[:, p:p + m]
+        np.negative(vals[:, p:p + m], out=vals[:, p + 2 * m:p + 3 * m])
+        vals[:, p + 3 * m:] = vals[:, p + 2 * m:p + 3 * m]
+        indices, indptr = _stencil_pattern(g)
+        self.csr = csr_matrix((vals.ravel(), indices, indptr),
+                              shape=(g.size, g.size))
 
-        def add(col_block, val_block):
-            rows.append(idx.ravel())
-            cols.append(col_block.ravel())
-            vals.append(np.ascontiguousarray(val_block, dtype=float).ravel())
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """L on a full grid array."""
+        return self.matvec(values.ravel()).reshape(self.grid.shape)
 
-        trace = np.einsum("...ii->...", self.second)
-        add(idx, self.zeroth - 2.0 * trace / h ** 2)
-        for i in range(n):
-            plus = np.roll(idx, -1, axis=i)
-            minus = np.roll(idx, 1, axis=i)
-            aii = self.second[..., i, i] / h ** 2
-            bi = self.first[..., i] / (2.0 * h)
-            add(plus, aii + bi)
-            add(minus, aii - bi)
-            for j in range(i + 1, n):
-                aij = self.second[..., i, j] / (2.0 * h ** 2)
-                add(np.roll(plus, -1, axis=j), aij)
-                add(np.roll(minus, 1, axis=j), aij)
-                add(np.roll(plus, 1, axis=j), -aij)
-                add(np.roll(minus, -1, axis=j), -aij)
-        mat = coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(g.size, g.size))
-        return mat.tocsr()
+    def matvec(self, flat: np.ndarray) -> np.ndarray:
+        """L on a flattened field; the shape scipy's solvers want."""
+        return self.csr @ flat
+
+    def diagonal(self) -> np.ndarray:
+        """Flattened stencil centre weights (for Jacobi preconditioning)."""
+        return self.csr.data[::2 * self.grid.n ** 2 + 1].copy()
+
+    def as_csr(self) -> csr_matrix:
+        """The assembled matrix itself (not a copy). Its index arrays are the
+        grid's shared read-only pattern, so in-place restructuring such as
+        sum_duplicates() raises."""
+        return self.csr
 
 
 def _coefficients(sd: StateData):

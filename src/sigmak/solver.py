@@ -44,17 +44,15 @@ from .operators import (
     residual,
 )
 
-# Largest linear system the dense fallback will take on (Newton matrix as a
-# full array); beyond it an iterative failure is terminal.
-DENSE_FALLBACK_SIZE = 4096
-
 # Relative tolerance asked of the iterative solvers, and the looser guard the
 # returned vector must actually meet (checked against the true residual).
 LINEAR_RTOL = 1e-10
 LINEAR_GUARD = 1e-8
 
-# Restart cycles (of 50 inner iterations each) allowed to the GMRES fallback,
-# so a stalled solve fails as LinearSolveError in bounded time.
+# Iteration caps of the two Krylov stages, so a stalled solve fails as
+# LinearSolveError in bounded time: BiCGSTAB iterations (successful solves
+# take under 200), and GMRES restart cycles of 50 inner iterations each.
+BICGSTAB_MAX_ITERS = 1000
 GMRES_MAX_RESTARTS = 20
 
 
@@ -176,11 +174,11 @@ def monitor(state: HomotopyState, spec: ProblemSpec,
 def solve_linear(op: LinearOperator, rhs: np.ndarray) -> np.ndarray:
     """Solve L[delta] = rhs on the grid.
 
-    Diagonally preconditioned BiCGSTAB first (the operator is nonsymmetric
-    because of the first-order terms), GMRES on breakdown (at most
-    GMRES_MAX_RESTARTS restart cycles), and a dense direct solve as last
-    resort for systems up to DENSE_FALLBACK_SIZE unknowns. The winner must
-    pass a true-residual guard; otherwise LinearSolveError.
+    A two-stage Krylov cascade with Jacobi preconditioning: BiCGSTAB (the
+    operator is nonsymmetric because of the first-order terms), capped at
+    BICGSTAB_MAX_ITERS iterations, then GMRES on breakdown, capped at
+    GMRES_MAX_RESTARTS restart cycles. The winner must pass a true-residual
+    guard; otherwise LinearSolveError.
     """
     size = op.grid.size
     flat = np.ascontiguousarray(rhs, dtype=float).ravel()
@@ -197,18 +195,13 @@ def solve_linear(op: LinearOperator, rhs: np.ndarray) -> np.ndarray:
         return err <= LINEAR_GUARD * bnorm
 
     x, info = bicgstab(action, flat, rtol=LINEAR_RTOL, atol=0.0,
-                       maxiter=10 * size, M=precond)
+                       maxiter=BICGSTAB_MAX_ITERS, M=precond)
     if info == 0 and good(x):
         return x.reshape(op.grid.shape)
     x, info = gmres(action, flat, rtol=LINEAR_RTOL, atol=0.0,
                     restart=50, maxiter=GMRES_MAX_RESTARTS, M=precond)
     if info == 0 and good(x):
         return x.reshape(op.grid.shape)
-    if size <= DENSE_FALLBACK_SIZE:
-        dense = op.as_csr().toarray()
-        x = np.linalg.solve(dense, flat)
-        if good(x):
-            return x.reshape(op.grid.shape)
     raise LinearSolveError(
         f"linearized system not solved to guard {LINEAR_GUARD:.0e} "
         f"(size {size})")
@@ -216,7 +209,8 @@ def solve_linear(op: LinearOperator, rhs: np.ndarray) -> np.ndarray:
 
 def newton_correct(state: HomotopyState, spec: ProblemSpec, tol: float,
                    max_iters: int, cone_factor: float = 0.1,
-                   armijo_factor: float = 0.25) -> HomotopyState:
+                   armijo_factor: float = 0.25, *, with_state_data: bool = False
+                   ) -> HomotopyState | tuple[HomotopyState, StateData]:
     """Damped Newton on the multiplied residual at fixed t.
 
     Each step solves L[delta] = -residual and takes the largest step size
@@ -225,6 +219,9 @@ def newton_correct(state: HomotopyState, spec: ProblemSpec, tol: float,
     residual max-norm to at most (1 - s * armijo_factor) of the current one.
     The tolerance is checked before the first iteration, so an already
     converged state returns unchanged with newton_iters = 0.
+
+    Returns the converged HomotopyState, or with with_state_data=True the
+    pair (HomotopyState, StateData of its u) so monitor can reuse the latter.
     """
     if tol <= 0.0:
         raise DomainError("tol must be positive")
@@ -239,12 +236,17 @@ def newton_correct(state: HomotopyState, spec: ProblemSpec, tol: float,
             f"(margin {rep.margin:.3e})")
     res = residual(u, t, spec, state=sd).values.values
     rnorm = float(np.abs(res).max())
-    if rnorm <= tol:
-        return HomotopyState(t=t, u=u, residual_norm=rnorm,
-                             cone_margin=margin, newton_iters=0)
-    for it in range(1, max_iters + 1):
-        lin = linearize(u, t, spec, state=sd)
-        delta = solve_linear(lin, -res)
+    it = 0
+    while rnorm > tol:
+        if it == max_iters:
+            raise NonConvergenceError(
+                f"Newton reached {max_iters} iterations at t={t!r} with "
+                f"residual {rnorm:.3e} > tol {tol:.0e}")
+        it += 1
+        delta = solve_linear(linearize(u, t, spec, state=sd), -res)
+        # The operator is gone; drop this state's arrays too, so only one
+        # state is alive while the candidates build theirs.
+        sd = sd_cand = None
         accepted = False
         for j in range(11):
             s = 2.0 ** (-j)
@@ -264,12 +266,9 @@ def newton_correct(state: HomotopyState, spec: ProblemSpec, tol: float,
             raise ConeExitError(
                 f"line search found no admissible decreasing step at "
                 f"t={t!r} (residual {rnorm:.3e}, margin {margin:.3e})")
-        if rnorm <= tol:
-            return HomotopyState(t=t, u=u, residual_norm=rnorm,
-                                 cone_margin=margin, newton_iters=it)
-    raise NonConvergenceError(
-        f"Newton reached {max_iters} iterations at t={t!r} with residual "
-        f"{rnorm:.3e} > tol {tol:.0e}")
+    out = HomotopyState(t=t, u=u, residual_norm=rnorm, cone_margin=margin,
+                        newton_iters=it)
+    return (out, sd) if with_state_data else out
 
 
 def solve_t0(spec: ProblemSpec, u_init: ScalarField,
@@ -306,10 +305,11 @@ def continue_path(spec: ProblemSpec,
     start = HomotopyState(t=0.0, u=ScalarField.zeros(spec.grid),
                           residual_norm=float("inf"), cone_margin=0.0,
                           newton_iters=0)
-    state = newton_correct(start, spec, sched.newton_tol,
-                           sched.newton_max_iters, sched.cone_factor,
-                           sched.armijo_factor)
-    trace.append(state, monitor(state, spec))
+    state, sd = newton_correct(start, spec, sched.newton_tol,
+                               sched.newton_max_iters, sched.cone_factor,
+                               sched.armijo_factor, with_state_data=True)
+    trace.append(state, monitor(state, spec, sd))
+    del sd   # keep no state's arrays alive into the next corrector
 
     t = 0.0
     dt = sched.dt_init
@@ -319,9 +319,11 @@ def continue_path(spec: ProblemSpec,
                                 residual_norm=float("inf"), cone_margin=0.0,
                                 newton_iters=0)
         try:
-            accepted = newton_correct(attempt, spec, sched.newton_tol,
-                                      sched.newton_max_iters,
-                                      sched.cone_factor, sched.armijo_factor)
+            accepted, sd = newton_correct(attempt, spec, sched.newton_tol,
+                                          sched.newton_max_iters,
+                                          sched.cone_factor,
+                                          sched.armijo_factor,
+                                          with_state_data=True)
         except (ConeExitError, NonConvergenceError, LinearSolveError) as err:
             dt *= 0.5
             if dt < sched.dt_min:
@@ -331,25 +333,31 @@ def continue_path(spec: ProblemSpec,
             continue
         state = accepted
         t = t_next
-        trace.append(state, monitor(state, spec))
+        trace.append(state, monitor(state, spec, sd))
+        del sd
         if state.newton_iters <= 4:
             dt = min(2.0 * dt, sched.dt_max)
     return trace
 
 
-def trace_for_state(state: HomotopyState, spec: ProblemSpec) -> ContinuationTrace:
+def trace_for_state(state: HomotopyState, spec: ProblemSpec,
+                    state_data: StateData | None = None) -> ContinuationTrace:
     """Wrap a single solved state (a case C solve, typically) in a one-row
-    trace so the reporting layer treats every solve uniformly."""
+    trace so the reporting layer treats every solve uniformly. state_data,
+    when given, is the state's cached StateData, handed on to monitor."""
     trace = ContinuationTrace()
-    trace.append(state, monitor(state, spec))
+    trace.append(state, monitor(state, spec, state_data))
     return trace
 
 
 def solve_caseC(spec: ProblemSpec, u_init: ScalarField | None = None,
-                tol: float = 1e-10, max_iters: int = 50) -> HomotopyState:
+                tol: float = 1e-10, max_iters: int = 50, *,
+                with_state_data: bool = False
+                ) -> HomotopyState | tuple[HomotopyState, StateData]:
     """Direct damped Newton for case C (experimental: the estimates exist,
     an existence theorem does not). Requires the background Schouten tensor
-    strictly inside Gamma_{k-1} at every node."""
+    strictly inside Gamma_{k-1} at every node. Returns what newton_correct
+    returns for the same with_state_data."""
     if spec.case != "C":
         raise DomainError("solve_caseC only accepts case C problems")
     margins, node, report = spec.background.schouten0_admissibility(spec.k - 1)
@@ -360,4 +368,5 @@ def solve_caseC(spec: ProblemSpec, u_init: ScalarField | None = None,
     u0 = u_init if u_init is not None else ScalarField.zeros(spec.grid)
     start = HomotopyState(t=1.0, u=u0, residual_norm=float("inf"),
                           cone_margin=0.0, newton_iters=0)
-    return newton_correct(start, spec, tol, max_iters)
+    return newton_correct(start, spec, tol, max_iters,
+                          with_state_data=with_state_data)

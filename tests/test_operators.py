@@ -11,8 +11,8 @@ from sigmak import (Grid, ScalarField, c0_diagnostic, concavity_certificate,
                     prepare_state, residual, sample_text)
 from sigmak.errors import (AdmissibilityError, DomainError, SingularityError,
                            ValidationError)
-from sigmak.grid import random_smooth_field
-from sigmak.operators import line_second_difference
+from sigmak.grid import grad_values, hess, random_smooth_field
+from sigmak.operators import LinearOperator, line_second_difference
 from sigmak.solver import solve_linear
 
 
@@ -107,20 +107,28 @@ def test_linearize_matches_central_differences(case, t):
 
 
 def test_linear_operator_routes_agree():
-    spec = canonical_problem("A")
+    """The assembled CSR operator against G:hess(phi) + b.grad(phi) + c phi
+    built from the grid's own stencils, for general coefficients in every
+    supported dimension; apply, matvec and as_csr share the one matrix."""
     rng = np.random.default_rng(15)
-    u = random_smooth_field(spec.grid, rng, amplitude=0.02)
-    op = linearize(u, 0.5, spec)
-    phi = rng.standard_normal(spec.grid.shape)
-    dense_route = op.apply(phi)
-    flat_route = op.matvec(phi.ravel()).reshape(spec.grid.shape)
-    csr_route = (op.as_csr() @ phi.ravel()).reshape(spec.grid.shape)
-    assert np.abs(dense_route - flat_route).max() == 0.0
-    assert np.abs(dense_route - csr_route).max() <= 1e-12
-    diag = op.diagonal().reshape(spec.grid.shape)
-    e0 = np.zeros(spec.grid.shape)
-    e0[0, 0, 0] = 1.0
-    assert op.apply(e0)[0, 0, 0] == pytest.approx(diag[0, 0, 0], rel=1e-12)
+    for n in range(3, 7):
+        grid = Grid(n, 8)
+        second = rng.standard_normal(grid.shape + (n, n))
+        second = second + np.swapaxes(second, -1, -2)
+        first = rng.standard_normal(grid.shape + (n,))
+        zeroth = rng.standard_normal(grid.shape)
+        phi = ScalarField(grid, rng.standard_normal(grid.shape))
+        want = (np.einsum("...ij,...ij->...", second, hess(phi))
+                + np.einsum("...i,...i->...", first, grad_values(phi))
+                + zeroth * phi.values)
+        op = LinearOperator(grid=grid, second=second, first=first,
+                            zeroth=zeroth)
+        got = op.apply(phi.values)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), n
+        assert np.array_equal(op.matvec(phi.values.ravel()), got.ravel())
+        assert op.as_csr() is op.as_csr()
+        assert op.as_csr().nnz == grid.size * (2 * n * n + 1)
+        assert np.array_equal(op.diagonal(), op.as_csr().diagonal())
 
 
 def test_zeroth_order_sign_matches_case():

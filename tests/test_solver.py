@@ -1,6 +1,7 @@
 """Newton correction, continuation, and the trace contract."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from sigmak.errors import (AdmissibilityError, ConeExitError, DomainError,
                            LinearSolveError, NonConvergenceError,
                            PathFailureError)
 from sigmak.grid import random_smooth_field
-from sigmak.operators import linearize
+from sigmak.operators import LinearOperator, linearize, manufactured_forcing
 from sigmak.solver import HomotopyState, newton_correct, solve_linear, trace_for_state
 
 
@@ -46,6 +47,25 @@ def test_solve_linear_zero_rhs_shortcut():
     op = linearize(ScalarField.zeros(spec.grid), 0.0, spec)
     x = solve_linear(op, np.zeros(spec.grid.size))
     assert np.array_equal(x, np.zeros(spec.grid.shape))
+
+
+def test_solve_linear_fails_in_bounded_time_on_singular_system():
+    """The periodic Laplacian has constants in its kernel, so a right-hand
+    side with nonzero mean is not in its range. With rhs = ones both Krylov
+    stages break down at once; with noise added they run to their caps.
+    Either way the solve must report failure in bounded time."""
+    grid = Grid(3, 16)
+    op = LinearOperator(grid=grid,
+                        second=np.broadcast_to(np.eye(3), grid.shape + (3, 3)),
+                        first=np.zeros(grid.shape + (3,)),
+                        zeroth=np.zeros(grid.shape))
+    noise = np.random.default_rng(3).standard_normal(grid.size)
+    for rhs in (np.ones(grid.size), np.ones(grid.size) + 0.5 * noise):
+        start = time.perf_counter()
+        with pytest.raises(LinearSolveError):
+            solve_linear(op, rhs)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"singular solve took {elapsed:.1f} s"
 
 
 def test_solve_t0_zero_start_is_already_converged():
@@ -110,6 +130,22 @@ def test_continue_path_canonical_case_a():
     assert ts == sorted(ts) and len(set(ts)) == len(ts)
     assert all(row.cone_margin > 0.0 for row in trace.rows)
     assert trace.rows[0].t == 0.0
+
+
+def test_canonical_case_a_newton_iterations_are_pinned():
+    """Per-step Newton iteration counts of the canonical case A solve
+    (n=3, N=16; the README config's trace.csv) and of the same problem with
+    the forcing manufactured from u* = 0.1 sin(x1) cos(x2) (the coarse solve
+    of `sigmak verify`). Changes to the linear layer must keep both."""
+    spec = canonical_problem("A")
+    trace = continue_path(spec, Schedule())
+    assert [row.newton_iters for row in trace.rows] == [0, 4, 4, 4, 4, 5]
+    star = sample_text("0.1*sin(x1)*cos(x2)", spec.grid)
+    manufactured = spec.with_f_field(manufactured_forcing(star, 1.0, spec))
+    trace = continue_path(manufactured, Schedule())
+    assert [row.newton_iters for row in trace.rows] == [0, 4, 4, 4, 4, 5]
+    assert [row.t for row in trace.rows] == [0.0, 0.1, 0.30000000000000004,
+                                             0.55, 0.8, 1.0]
 
 
 def test_continue_path_trace_csv_contract():
