@@ -12,8 +12,11 @@ verify  manufactures the forcing for the configured u_star, solves at N and
         lies in [1.6, 2.4] (or u_star is identically zero and both errors
         stay below 1e-10).
 
-Every command echoes the effective configuration to config.txt in the output
-directory; the echo re-parses to an identical RunConfig. Exit codes: 0 ok,
+Every command first echoes the effective configuration to config.txt in the
+output directory, once it has validated, so a run that fails later still
+leaves it; the echo re-parses to an identical RunConfig. The case C solve
+and the verify solves take their Newton settings from the configured
+schedule (solver.*), like the continuation path. Exit codes: 0 ok,
 1 run failure, 2 invalid configuration, 3 I/O error. Output files carry no
 timestamps, and all sampling flows from the single config seed, so repeated
 runs produce byte-identical files.
@@ -30,7 +33,7 @@ import sys
 import numpy as np
 
 from .config import RunConfig, parse_config_file
-from .curvature import ProblemSpec
+from .curvature import ProblemSpec, record_lines
 from .errors import (AdmissibilityError, ConeExitError, ConfigError,
                      DomainError, ExprEvalError, ExprSyntaxError,
                      LinearSolveError, NonConvergenceError, PathFailureError,
@@ -51,21 +54,9 @@ _ORDER_RANGE = (1.6, 2.4)
 _ZERO_STAR_TOL = 1e-10
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fp:
         fp.write(text)
-
-
-def _echo_config(cfg: RunConfig, out_dir: str) -> None:
-    _write_text(os.path.join(out_dir, "config.txt"), cfg.to_text())
 
 
 # -- check -----------------------------------------------------------------
@@ -84,10 +75,8 @@ def _suite_recurrence(cfg: RunConfig, rng: np.random.Generator) -> tuple:
     scale = np.maximum(1.0, np.maximum(np.abs(via_traces), np.abs(via_eigs)))
     max_rel = float((np.abs(via_traces - via_eigs) / scale).max())
     ok = max_rel <= _REL_TOL
-    lines = [f"suite.recurrence.samples: {count}",
-             f"suite.recurrence.max_rel_err: {_fmt(max_rel)}",
-             f"suite.recurrence.passed: {_fmt(ok)}"]
-    return lines, ok
+    return record_lines({"samples": count, "max_rel_err": max_rel,
+                         "passed": ok}, "suite.recurrence"), ok
 
 
 def _suite_newton_maclaurin(cfg: RunConfig, rng: np.random.Generator) -> tuple:
@@ -97,11 +86,9 @@ def _suite_newton_maclaurin(cfg: RunConfig, rng: np.random.Generator) -> tuple:
     min_gap = float(gaps.min())
     violations = int((gaps < -_GAP_SLACK).sum())
     ok = violations == 0
-    lines = [f"suite.newton_maclaurin.samples: {len(spectra)}",
-             f"suite.newton_maclaurin.min_gap: {_fmt(min_gap)}",
-             f"suite.newton_maclaurin.violations: {violations}",
-             f"suite.newton_maclaurin.passed: {_fmt(ok)}"]
-    return lines, ok
+    return record_lines({"samples": len(spectra), "min_gap": min_gap,
+                         "violations": violations, "passed": ok},
+                        "suite.newton_maclaurin"), ok
 
 
 def _suite_ratio_monotonicity(cfg: RunConfig, rng: np.random.Generator) -> tuple:
@@ -111,11 +98,9 @@ def _suite_ratio_monotonicity(cfg: RunConfig, rng: np.random.Generator) -> tuple
     min_gap = float(gaps.min())
     violations = int((gaps < -_GAP_SLACK).sum())
     ok = violations == 0
-    lines = [f"suite.ratio_monotonicity.samples: {len(spectra)}",
-             f"suite.ratio_monotonicity.min_gap: {_fmt(min_gap)}",
-             f"suite.ratio_monotonicity.violations: {violations}",
-             f"suite.ratio_monotonicity.passed: {_fmt(ok)}"]
-    return lines, ok
+    return record_lines({"samples": len(spectra), "min_gap": min_gap,
+                         "violations": violations, "passed": ok},
+                        "suite.ratio_monotonicity"), ok
 
 
 def _suite_euler_identity(cfg: RunConfig, rng: np.random.Generator) -> tuple:
@@ -130,10 +115,8 @@ def _suite_euler_identity(cfg: RunConfig, rng: np.random.Generator) -> tuple:
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     max_rel = float((np.abs(lhs - rhs) / scale).max())
     ok = max_rel <= _REL_TOL
-    lines = [f"suite.euler_identity.samples: {count}",
-             f"suite.euler_identity.max_rel_err: {_fmt(max_rel)}",
-             f"suite.euler_identity.passed: {_fmt(ok)}"]
-    return lines, ok
+    return record_lines({"samples": count, "max_rel_err": max_rel,
+                         "passed": ok}, "suite.euler_identity"), ok
 
 
 def run_check(cfg: RunConfig, out_dir: str) -> int:
@@ -159,10 +142,9 @@ def run_check(cfg: RunConfig, out_dir: str) -> int:
     lines.extend(conc.to_lines())
     all_ok = all_ok and conc.passed
 
-    lines.append(f"summary.passed: {_fmt(all_ok)}")
+    lines.extend(record_lines({"passed": all_ok}, "summary"))
     _write_text(os.path.join(out_dir, "certificates.txt"),
                 "\n".join(lines) + "\n")
-    _echo_config(cfg, out_dir)
     return 0 if all_ok else 1
 
 
@@ -177,7 +159,6 @@ def _write_solve_outputs(cfg: RunConfig, spec: ProblemSpec,
     report = run_checks(trace, spec, cfg.checks_mapping())
     _write_text(os.path.join(out_dir, "report.txt"), report.to_text())
     _write_text(os.path.join(out_dir, "report.json"), report.to_json_text())
-    _echo_config(cfg, out_dir)
     return report.reached_target and report.ok
 
 
@@ -186,9 +167,7 @@ def run_solve(cfg: RunConfig, out_dir: str) -> int:
     spec.validate(strict=True)
     try:
         if cfg.case == "C":
-            state, sd = solve_caseC(spec, tol=cfg.newton_tol,
-                                    max_iters=cfg.newton_max_iters,
-                                    with_state_data=True)
+            state, sd = solve_caseC(spec, schedule=cfg.schedule())
             trace = trace_for_state(state, spec, sd)
             del sd   # free the state's arrays before the outputs are written
         else:
@@ -217,8 +196,7 @@ def _solve_manufactured(cfg: RunConfig, grid: Grid) -> tuple:
     spec = base.with_f_field(f_field)
     spec.validate(strict=True)
     if cfg.case == "C":
-        state = solve_caseC(spec, tol=cfg.newton_tol,
-                            max_iters=cfg.newton_max_iters)
+        state, _ = solve_caseC(spec, schedule=cfg.schedule())
     else:
         trace = continue_path(spec, cfg.schedule())
         state = trace.final_state
@@ -244,30 +222,18 @@ def run_verify(cfg: RunConfig, out_dir: str) -> int:
         detail = (f"order in [{_ORDER_RANGE[0]}, {_ORDER_RANGE[1]}] "
                   f"from N={n_coarse} to N={n_fine}")
 
-    lines = [f"verify.case: {cfg.case}",
-             f"verify.n: {cfg.n}",
-             f"verify.k: {cfg.k}",
-             f"verify.N_coarse: {n_coarse}",
-             f"verify.N_fine: {n_fine}",
-             f"verify.u_star: {cfg.u_star}",
-             f"verify.err_coarse: {_fmt(err_coarse)}",
-             f"verify.err_fine: {_fmt(err_fine)}",
-             f"verify.order: {'n/a' if order is None else _fmt(float(order))}",
-             f"verify.status: {status}",
-             f"verify.detail: {detail}",
-             f"verify.passed: {_fmt(passed)}"]
-    _write_text(os.path.join(out_dir, "report.txt"), "\n".join(lines) + "\n")
-    payload = {"command": "verify", "case": cfg.case, "n": cfg.n, "k": cfg.k,
-               "N_coarse": n_coarse, "N_fine": n_fine, "u_star": cfg.u_star,
-               "err_coarse": err_coarse, "err_fine": err_fine,
-               "order": (None if order is None or not math.isfinite(order)
-                         else order),
-               "status": status, "detail": detail, "passed": passed}
+    record = {"case": cfg.case, "n": cfg.n, "k": cfg.k,
+              "N_coarse": n_coarse, "N_fine": n_fine, "u_star": cfg.u_star,
+              "err_coarse": err_coarse, "err_fine": err_fine, "order": order,
+              "status": status, "detail": detail, "passed": passed}
+    _write_text(os.path.join(out_dir, "report.txt"),
+                "\n".join(record_lines(record, "verify")) + "\n")
+    payload = {"command": "verify", **record, "order": (
+        order if order is not None and math.isfinite(order) else None)}
     _write_text(os.path.join(out_dir, "report.json"),
                 json.dumps(payload, indent=2, sort_keys=True) + "\n")
     dump_field(u_coarse, "u_coarse", os.path.join(out_dir, "u_coarse.field"))
     dump_field(u_fine, "u_fine", os.path.join(out_dir, "u_fine.field"))
-    _echo_config(cfg, out_dir)
     return 0 if passed else 1
 
 
@@ -300,6 +266,7 @@ def main(argv=None) -> int:
         cfg = parse_config_file(args.config)
         cfg.validate()
         os.makedirs(args.out, exist_ok=True)
+        _write_text(os.path.join(args.out, "config.txt"), cfg.to_text())
         return _COMMANDS[args.command](cfg, args.out)
     except OSError as err:
         print(f"sigmak {args.command}: i/o error: {err}", file=sys.stderr)

@@ -21,16 +21,17 @@ entirely, with omitted components zero.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import fieldexpr
-from .curvature import CASES, Background, ProblemSpec
-from .errors import ConfigError, ExprSyntaxError, SigmaKError
+from .curvature import CASES, Background, ProblemSpec, _fmt, component_key
+from .errors import ConfigError, DomainError, ExprSyntaxError, SigmaKError
 from .grid import Grid
-from .report import KNOWN_CHECKS, _normalize_checks
+from .report import BOUNDED_CHECKS, KNOWN_CHECKS, _normalize_checks
 from .solver import Schedule
 
 _DEFAULT_CHECKS = ",".join(KNOWN_CHECKS)
+_SCHEDULE = Schedule()
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
@@ -48,19 +49,19 @@ class RunConfig:
     f: str = "0.7"
     ric0: dict = field(default_factory=dict)
     schouten0: dict = field(default_factory=dict)
-    dt_init: float = 0.1
-    dt_max: float = 0.25
-    dt_min: float = 1e-6
-    newton_tol: float = 1e-10
-    newton_max_iters: int = 30
-    cone_factor: float = 0.1
-    armijo_factor: float = 0.25
+    dt_init: float = _SCHEDULE.dt_init
+    dt_max: float = _SCHEDULE.dt_max
+    dt_min: float = _SCHEDULE.dt_min
+    newton_tol: float = _SCHEDULE.newton_tol
+    newton_max_iters: int = _SCHEDULE.newton_max_iters
+    cone_factor: float = _SCHEDULE.cone_factor
+    armijo_factor: float = _SCHEDULE.armijo_factor
     check_samples: int = 2000
     u_star: str = "0.1*sin(x1)*cos(x2)"
     checks: str = _DEFAULT_CHECKS
-    ceiling_sup_u: float = 10.0
-    ceiling_sup_grad_u_sq: float = 100.0
-    ceiling_sup_hess_u: float = 100.0
+    ceiling_sup_u: float = BOUNDED_CHECKS["bounded_sup_u"][1]
+    ceiling_sup_grad_u_sq: float = BOUNDED_CHECKS["bounded_sup_grad_u_sq"][1]
+    ceiling_sup_hess_u: float = BOUNDED_CHECKS["bounded_sup_hess_u"][1]
 
     def __post_init__(self):
         if not self.ric0:
@@ -88,13 +89,9 @@ class RunConfig:
             raise ConfigError("seed must be nonnegative")
         if self.check_samples < 1:
             raise ConfigError("check.samples must be positive")
-        for label, value in (("monitor.ceiling_sup_u", self.ceiling_sup_u),
-                             ("monitor.ceiling_sup_grad_u_sq",
-                              self.ceiling_sup_grad_u_sq),
-                             ("monitor.ceiling_sup_hess_u",
-                              self.ceiling_sup_hess_u)):
-            if value <= 0.0:
-                raise ConfigError(f"{label} must be positive")
+        for attr, _ in BOUNDED_CHECKS.values():
+            if getattr(self, f"ceiling_{attr}") <= 0.0:
+                raise ConfigError(f"monitor.ceiling_{attr} must be positive")
         try:
             self.schedule()
         except SigmaKError as err:
@@ -109,9 +106,9 @@ class RunConfig:
                                    ("background.schouten0", self.schouten0)):
             for key, src in components.items():
                 try:
-                    _parse_component_key(key, self.n)
+                    component_key(self.n, key)
                     fieldexpr.parse(src, self.n)
-                except (ConfigError, ExprSyntaxError) as err:
+                except (DomainError, ExprSyntaxError) as err:
                     raise ConfigError(f"{prefix}.{key}: {err}") from err
         _normalize_checks(self.check_names())
 
@@ -131,62 +128,37 @@ class RunConfig:
                                  background=self.background(g))
 
     def schedule(self) -> Schedule:
-        return Schedule(dt_init=self.dt_init, dt_max=self.dt_max,
-                        dt_min=self.dt_min, newton_tol=self.newton_tol,
-                        newton_max_iters=self.newton_max_iters,
-                        cone_factor=self.cone_factor,
-                        armijo_factor=self.armijo_factor)
+        return Schedule(**{f.name: getattr(self, f.name)
+                           for f in fields(Schedule)})
 
     def check_names(self) -> list:
         return [name.strip() for name in self.checks.split(",")
                 if name.strip()]
 
     def checks_mapping(self) -> dict:
-        ceilings = {"bounded_sup_u": self.ceiling_sup_u,
-                    "bounded_sup_grad_u_sq": self.ceiling_sup_grad_u_sq,
-                    "bounded_sup_hess_u": self.ceiling_sup_hess_u}
+        ceilings = {name: getattr(self, f"ceiling_{attr}")
+                    for name, (attr, _) in BOUNDED_CHECKS.items()}
         return {name: ceilings.get(name) for name in self.check_names()}
 
     # -- serialization ---------------------------------------------------
 
     def to_text(self) -> str:
-        def fmt(value) -> str:
-            if isinstance(value, bool):
-                return "true" if value else "false"
-            if isinstance(value, int):
-                return str(value)
-            if isinstance(value, float):
-                return repr(value)
-            return _quote(value)
-
-        lines = [
-            f"seed = {fmt(self.seed)}",
-            f"spec.case = {fmt(self.case)}",
-            f"spec.n = {fmt(self.n)}",
-            f"spec.k = {fmt(self.k)}",
-            f"spec.N = {fmt(self.N)}",
-            f"spec.alpha = {fmt(self.alpha)}",
-            f"spec.f = {fmt(self.f)}",
-        ]
-        for prefix, components in (("background.ric0", self.ric0),
-                                   ("background.schouten0", self.schouten0)):
-            for key in sorted(components, key=_component_sort_key):
-                lines.append(f"{prefix}.{key} = {_quote(components[key])}")
-        lines.extend([
-            f"solver.dt_init = {fmt(self.dt_init)}",
-            f"solver.dt_max = {fmt(self.dt_max)}",
-            f"solver.dt_min = {fmt(self.dt_min)}",
-            f"solver.newton_tol = {fmt(self.newton_tol)}",
-            f"solver.newton_max_iters = {fmt(self.newton_max_iters)}",
-            f"solver.cone_factor = {fmt(self.cone_factor)}",
-            f"solver.armijo_factor = {fmt(self.armijo_factor)}",
-            f"check.samples = {fmt(self.check_samples)}",
-            f"verify.u_star = {fmt(self.u_star)}",
-            f"monitor.checks = {fmt(self.checks)}",
-            f"monitor.ceiling_sup_u = {fmt(self.ceiling_sup_u)}",
-            f"monitor.ceiling_sup_grad_u_sq = {fmt(self.ceiling_sup_grad_u_sq)}",
-            f"monitor.ceiling_sup_hess_u = {fmt(self.ceiling_sup_hess_u)}",
-        ])
+        """The echo: one line per _SCALAR_KEYS entry, in table order, with
+        the background components after spec.f."""
+        lines = []
+        for key, (attr, _) in _SCALAR_KEYS.items():
+            value = getattr(self, attr)
+            text = _quote(value) if isinstance(value, str) else _fmt(value)
+            lines.append(f"{key} = {text}")
+            if key != "spec.f":
+                continue
+            for prefix, components in (("background.ric0", self.ric0),
+                                       ("background.schouten0",
+                                        self.schouten0)):
+                for comp in sorted(components,
+                                   key=lambda c: component_key(self.n, c)):
+                    lines.append(f"{prefix}.{comp} = "
+                                 f"{_quote(components[comp])}")
         return "\n".join(lines) + "\n"
 
 
@@ -218,22 +190,6 @@ def _quote(text: str) -> str:
     if '"' in text or "\n" in text:
         raise ConfigError("string values cannot contain quotes or newlines")
     return f'"{text}"'
-
-
-def _parse_component_key(key: str, n: int) -> str:
-    m = re.match(r"^\((\d+),(\d+)\)$", key.strip())
-    if m is None:
-        raise ConfigError(f"malformed tensor component {key!r}; "
-                          f"expected (i,j)")
-    i, j = int(m.group(1)), int(m.group(2))
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ConfigError(f"component ({i},{j}) out of range for n={n}")
-    return f"({min(i, j)},{max(i, j)})"
-
-
-def _component_sort_key(key: str):
-    m = re.match(r"^\((\d+),(\d+)\)$", key)
-    return (int(m.group(1)), int(m.group(2))) if m else (99, 99)
 
 
 def _parse_value(raw: str, lineno: int):
@@ -314,7 +270,10 @@ def parse_config_text(text: str) -> RunConfig:
 def _canonical_components(components: dict, n: int, prefix: str) -> dict:
     out = {}
     for key, src in components.items():
-        canon = _parse_component_key(key, n)
+        try:
+            canon = "({},{})".format(*component_key(n, key))
+        except DomainError as err:
+            raise ConfigError(str(err)) from err
         if canon in out:
             raise ConfigError(f"{prefix}.{canon} given twice "
                               f"(components are symmetric)")

@@ -36,7 +36,8 @@ per-case sign conditions before any solve touches the data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -53,20 +54,44 @@ __all__ = [
 CASES = ("A", "B", "C")
 
 
-def _component_key(n: int, key) -> tuple:
-    """Normalize a component designator: (i, j) tuple or "(i,j)" string,
-    1-based as written in configuration files."""
+_COMPONENT_RE = re.compile(r"^\((\d+),(\d+)\)$")
+
+
+def component_key(n: int, key) -> tuple:
+    """Normalize a component designator, 1-based as written in configuration
+    files: an (i, j) tuple or the string "(i,j)". Returns (min, max)."""
     if isinstance(key, str):
-        body = key.strip().strip("()")
-        parts = body.split(",")
-        if len(parts) != 2:
-            raise DomainError(f"malformed tensor component name {key!r}")
-        i, j = (int(p) for p in parts)
-    else:
-        i, j = key
+        m = _COMPONENT_RE.match(key.strip())
+        if m is None:
+            raise DomainError(f"malformed tensor component {key!r}; "
+                              f"expected (i,j)")
+        key = m.groups()
+    i, j = (int(v) for v in key)
     if not (1 <= i <= n and 1 <= j <= n):
         raise DomainError(f"component ({i},{j}) out of range for n={n}")
     return min(i, j), max(i, j)
+
+
+def _fmt(value) -> str:
+    """One value as the `key: value` records write it."""
+    if value is None:
+        return "n/a"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, tuple):
+        return "(" + ", ".join(str(int(v)) for v in value) + ")"
+    return str(value)
+
+
+def record_lines(record, prefix: str = "") -> list:
+    """The `prefix.key: value` lines of a record, in field order. record is
+    a mapping or a dataclass instance (fields in declaration order)."""
+    if not isinstance(record, dict):
+        record = {f.name: getattr(record, f.name) for f in fields(record)}
+    lead = f"{prefix}." if prefix else ""
+    return [f"{lead}{key}: {_fmt(value)}" for key, value in record.items()]
 
 
 @dataclass
@@ -88,7 +113,7 @@ class Background:
             tensor = np.zeros(grid.shape + (grid.n, grid.n))
             source = {}
             for key, src in (components or {}).items():
-                i, j = _component_key(grid.n, key)
+                i, j = component_key(grid.n, key)
                 ast = fieldexpr.parse(src, grid.n)
                 tensor[..., i - 1, j - 1] = tensor[..., j - 1, i - 1] = \
                     sample(ast, grid).values
@@ -161,24 +186,10 @@ class ValidationReport:
         return not self.problems
 
     def to_lines(self) -> list:
-        lines = [
-            f"case: {self.case}",
-            f"n: {self.n}",
-            f"k: {self.k}",
-            f"N: {self.N}",
-            f"conformal_sign: {self.conformal_sign:+d}",
-            f"alpha_min: {self.alpha_min!r}",
-            f"alpha_max: {self.alpha_max!r}",
-            f"f_min: {self.f_min!r}",
-            f"f_max: {self.f_max!r}",
-            f"theta: {self.theta!r}",
-            f"background_cone_k: {self.background_cone_k}",
-            f"background_margin_min: {self.background_margin_min!r}",
-            f"valid: {str(self.ok).lower()}",
-        ]
-        for p in self.problems:
-            lines.append(f"problem: {p}")
-        return lines
+        record = {**vars(self), "conformal_sign": f"{self.conformal_sign:+d}",
+                  "valid": self.ok}
+        del record["problems"]
+        return record_lines(record) + [f"problem: {p}" for p in self.problems]
 
 
 @dataclass

@@ -50,7 +50,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .curvature import ProblemSpec, build_u_tensor, build_v_tensor, build_w_tensor
+from .curvature import (ProblemSpec, build_u_tensor, build_v_tensor,
+                        build_w_tensor, record_lines)
 from .errors import AdmissibilityError, DomainError, SingularityError, ValidationError
 from .grid import (
     Grid,
@@ -380,16 +381,6 @@ def _quotient_coefficients(sd: StateData, valid: np.ndarray):
     return pq if spec.case == "C" else build_v_tensor(pq, sd.t)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, tuple):
-        return "(" + ", ".join(str(int(v)) for v in value) + ")"
-    return str(value)
-
-
 @dataclass
 class EllipticityReport:
     """Pointwise ellipticity audit of one state.
@@ -418,21 +409,7 @@ class EllipticityReport:
     passed: bool
 
     def to_lines(self, prefix: str = "ellipticity") -> list:
-        fields = [
-            ("case", self.case), ("n", self.n), ("k", self.k), ("N", self.N),
-            ("t", self.t), ("nodes", self.nodes),
-            ("nodes_outside_cone", self.nodes_outside_cone),
-            ("worst_margin", self.worst_margin),
-            ("worst_margin_node", self.worst_margin_node),
-            ("newton_min_eig", self.newton_min_eig),
-            ("newton_min_eig_node", self.newton_min_eig_node),
-            ("quotient_min_eig", self.quotient_min_eig),
-            ("quotient_trace_min", self.quotient_trace_min),
-            ("trace_bound", self.trace_bound),
-            ("trace_slack", self.trace_slack),
-            ("passed", self.passed),
-        ]
-        return [f"{prefix}.{key}: {_fmt(val)}" for key, val in fields]
+        return record_lines(self, prefix)
 
 
 def ellipticity_certificate(u: ScalarField, t: float, spec: ProblemSpec,
@@ -530,17 +507,7 @@ class ConcavityReport:
     passed: bool
 
     def to_lines(self, prefix: str = "concavity") -> list:
-        fields = [
-            ("n", self.n), ("k", self.k), ("samples", self.samples),
-            ("seed", self.seed), ("step", self.step),
-            ("margin_floor", self.margin_floor),
-            ("line_max_second_diff", self.line_max_second_diff),
-            ("line_violations", self.line_violations),
-            ("hess_min_slack", self.hess_min_slack),
-            ("hess_violations", self.hess_violations),
-            ("passed", self.passed),
-        ]
-        return [f"{prefix}.{key}: {_fmt(val)}" for key, val in fields]
+        return record_lines(self, prefix)
 
 
 def _draw_concavity_samples(n: int, k: int, count: int,
@@ -727,22 +694,7 @@ class C0Report:
     within_slack: bool
 
     def to_lines(self, prefix: str = "c0") -> list:
-        fields = [
-            ("case", self.case), ("n", self.n), ("k", self.k), ("t", self.t),
-            ("h", self.h), ("slack_delta", self.slack_delta),
-            ("max_node", self.max_node), ("u_max", self.u_max),
-            ("min_node", self.min_node), ("u_min", self.u_min),
-            ("quotient_at_max", self.quotient_at_max),
-            ("comparison_at_max", self.comparison_at_max),
-            ("gap_at_max", self.gap_at_max),
-            ("quotient_at_min", self.quotient_at_min),
-            ("comparison_at_min", self.comparison_at_min),
-            ("gap_at_min", self.gap_at_min),
-            ("sup_estimate", self.sup_estimate),
-            ("inf_estimate", self.inf_estimate),
-            ("within_slack", self.within_slack),
-        ]
-        return [f"{prefix}.{key}: {_fmt(val)}" for key, val in fields]
+        return record_lines(self, prefix)
 
 
 def _cone_quotient(sig: np.ndarray, k: int) -> float:

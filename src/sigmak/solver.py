@@ -18,7 +18,7 @@ does not).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator as ScipyOperator
@@ -112,13 +112,10 @@ class TraceRow:
     sup_hess_u: float
 
     def to_csv(self) -> str:
-        return (f"{self.step},{self.t!r},{self.newton_iters},"
-                f"{self.residual_norm!r},{self.cone_margin!r},"
-                f"{self.sup_u!r},{self.sup_grad_u_sq!r},{self.sup_hess_u!r}")
+        return ",".join(repr(getattr(self, f.name)) for f in fields(self))
 
 
-TRACE_HEADER = ("step,t,newton_iters,residual_norm,cone_margin,"
-                "sup_u,sup_grad_u_sq,sup_hess_u")
+TRACE_HEADER = ",".join(f.name for f in fields(TraceRow))
 
 
 @dataclass
@@ -207,26 +204,23 @@ def solve_linear(op: LinearOperator, rhs: np.ndarray) -> np.ndarray:
         f"(size {size})")
 
 
-def newton_correct(state: HomotopyState, spec: ProblemSpec, tol: float,
-                   max_iters: int, cone_factor: float = 0.1,
-                   armijo_factor: float = 0.25, *, with_state_data: bool = False
-                   ) -> HomotopyState | tuple[HomotopyState, StateData]:
-    """Damped Newton on the multiplied residual at fixed t.
+def newton_correct(u: ScalarField, t: float, spec: ProblemSpec,
+                   schedule: Schedule) -> tuple[HomotopyState, StateData]:
+    """Damped Newton on the multiplied residual at fixed t, from u.
 
     Each step solves L[delta] = -residual and takes the largest step size
     s in {1, 1/2, ..., 2^-10} whose candidate (a) keeps the cone margin at or
-    above cone_factor times the current margin at every node, and (b) cuts the
-    residual max-norm to at most (1 - s * armijo_factor) of the current one.
-    The tolerance is checked before the first iteration, so an already
-    converged state returns unchanged with newton_iters = 0.
+    above schedule.cone_factor times the current margin at every node, and
+    (b) cuts the residual max-norm to at most (1 - s * schedule.armijo_factor)
+    of the current one. The tolerance schedule.newton_tol is checked before
+    the first iteration, so an already converged u returns unchanged with
+    newton_iters = 0; more than schedule.newton_max_iters iterations raise
+    NonConvergenceError.
 
-    Returns the converged HomotopyState, or with with_state_data=True the
-    pair (HomotopyState, StateData of its u) so monitor can reuse the latter.
+    Returns the converged HomotopyState and the StateData of its u, which
+    monitor can reuse; callers that do not need the latter drop it at once.
     """
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
-    t = state.t
-    u = state.u
+    tol, max_iters = schedule.newton_tol, schedule.newton_max_iters
     sd = prepare_state(u, t, spec)
     margin = sd.cone_margin
     if margin <= 0.0:
@@ -253,11 +247,11 @@ def newton_correct(state: HomotopyState, spec: ProblemSpec, tol: float,
             cand = ScalarField(spec.grid, u.values + s * delta)
             sd_cand = prepare_state(cand, t, spec)
             m_cand = sd_cand.cone_margin
-            if m_cand < cone_factor * margin:
+            if m_cand < schedule.cone_factor * margin:
                 continue
             r_cand = residual(cand, t, spec, state=sd_cand).values.values
             rn_cand = float(np.abs(r_cand).max())
-            if rn_cand <= (1.0 - s * armijo_factor) * rnorm:
+            if rn_cand <= (1.0 - s * schedule.armijo_factor) * rnorm:
                 u, sd, margin = cand, sd_cand, m_cand
                 res, rnorm = r_cand, rn_cand
                 accepted = True
@@ -266,14 +260,14 @@ def newton_correct(state: HomotopyState, spec: ProblemSpec, tol: float,
             raise ConeExitError(
                 f"line search found no admissible decreasing step at "
                 f"t={t!r} (residual {rnorm:.3e}, margin {margin:.3e})")
-    out = HomotopyState(t=t, u=u, residual_norm=rnorm, cone_margin=margin,
-                        newton_iters=it)
-    return (out, sd) if with_state_data else out
+    return HomotopyState(t=t, u=u, residual_norm=rnorm, cone_margin=margin,
+                         newton_iters=it), sd
 
 
 def solve_t0(spec: ProblemSpec, u_init: ScalarField,
-             tol: float = 1e-10, max_iters: int = 50) -> ScalarField:
-    """Solve the t = 0 equation (unique solution u = 0) by the same corrector.
+             schedule: Schedule = Schedule()) -> ScalarField:
+    """Solve the t = 0 equation (unique solution u = 0) by the same corrector,
+    with the schedule's Newton settings.
 
     The returned field should be zero to solver tolerance from any small
     initial guess; this anchors the continuation path.
@@ -281,9 +275,8 @@ def solve_t0(spec: ProblemSpec, u_init: ScalarField,
     if spec.case not in ("A", "B"):
         raise DomainError("the t = 0 endpoint belongs to the homotopy "
                           "cases A and B")
-    start = HomotopyState(t=0.0, u=u_init, residual_norm=float("inf"),
-                          cone_margin=0.0, newton_iters=0)
-    return newton_correct(start, spec, tol, max_iters).u
+    state, _ = newton_correct(u_init, 0.0, spec, schedule)
+    return state.u
 
 
 def continue_path(spec: ProblemSpec,
@@ -302,12 +295,7 @@ def continue_path(spec: ProblemSpec,
     sched = schedule if schedule is not None else Schedule()
     trace = ContinuationTrace()
 
-    start = HomotopyState(t=0.0, u=ScalarField.zeros(spec.grid),
-                          residual_norm=float("inf"), cone_margin=0.0,
-                          newton_iters=0)
-    state, sd = newton_correct(start, spec, sched.newton_tol,
-                               sched.newton_max_iters, sched.cone_factor,
-                               sched.armijo_factor, with_state_data=True)
+    state, sd = newton_correct(ScalarField.zeros(spec.grid), 0.0, spec, sched)
     trace.append(state, monitor(state, spec, sd))
     del sd   # keep no state's arrays alive into the next corrector
 
@@ -315,15 +303,8 @@ def continue_path(spec: ProblemSpec,
     dt = sched.dt_init
     while t < 1.0:
         t_next = min(t + dt, 1.0)
-        attempt = HomotopyState(t=t_next, u=state.u,
-                                residual_norm=float("inf"), cone_margin=0.0,
-                                newton_iters=0)
         try:
-            accepted, sd = newton_correct(attempt, spec, sched.newton_tol,
-                                          sched.newton_max_iters,
-                                          sched.cone_factor,
-                                          sched.armijo_factor,
-                                          with_state_data=True)
+            accepted, sd = newton_correct(state.u, t_next, spec, sched)
         except (ConeExitError, NonConvergenceError, LinearSolveError) as err:
             dt *= 0.5
             if dt < sched.dt_min:
@@ -351,13 +332,12 @@ def trace_for_state(state: HomotopyState, spec: ProblemSpec,
 
 
 def solve_caseC(spec: ProblemSpec, u_init: ScalarField | None = None,
-                tol: float = 1e-10, max_iters: int = 50, *,
-                with_state_data: bool = False
-                ) -> HomotopyState | tuple[HomotopyState, StateData]:
+                schedule: Schedule = Schedule()
+                ) -> tuple[HomotopyState, StateData]:
     """Direct damped Newton for case C (experimental: the estimates exist,
-    an existence theorem does not). Requires the background Schouten tensor
-    strictly inside Gamma_{k-1} at every node. Returns what newton_correct
-    returns for the same with_state_data."""
+    an existence theorem does not), with the schedule's Newton settings.
+    Requires the background Schouten tensor strictly inside Gamma_{k-1} at
+    every node. Returns what newton_correct returns."""
     if spec.case != "C":
         raise DomainError("solve_caseC only accepts case C problems")
     margins, node, report = spec.background.schouten0_admissibility(spec.k - 1)
@@ -366,7 +346,4 @@ def solve_caseC(spec: ProblemSpec, u_init: ScalarField | None = None,
             f"background Schouten tensor must lie in Gamma_{spec.k - 1}",
             node=node, margin=report.margin)
     u0 = u_init if u_init is not None else ScalarField.zeros(spec.grid)
-    start = HomotopyState(t=1.0, u=u0, residual_norm=float("inf"),
-                          cone_margin=0.0, newton_iters=0)
-    return newton_correct(start, spec, tol, max_iters,
-                          with_state_data=with_state_data)
+    return newton_correct(u0, 1.0, spec, schedule)

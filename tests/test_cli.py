@@ -197,3 +197,82 @@ def test_solve_finishes_when_krylov_stalls(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rows = (tmp_path / "out" / "trace.csv").read_text().splitlines()
     assert float(rows[-1].split(",")[1]) == 1.0
+
+
+def _keys(text, sep=":"):
+    return [line.partition(sep)[0].strip() for line in text.splitlines()]
+
+
+def test_record_layouts_are_pinned(tmp_path):
+    """The key order of every `key: value` record and of the config echo,
+    the key set of verify's report.json, and the trace.csv header."""
+    cfg = fast_check_config()
+    rc, check = drive(tmp_path, cfg, "check", "check")
+    assert rc == 0
+    suites = [("suite.recurrence", ("samples", "max_rel_err", "passed"))]
+    for name in ("newton_maclaurin", "ratio_monotonicity"):
+        suites.append((f"suite.{name}",
+                       ("samples", "min_gap", "violations", "passed")))
+    suites.append(("suite.euler_identity", ("samples", "max_rel_err", "passed")))
+    ellipticity = ("case", "n", "k", "N", "t", "nodes", "nodes_outside_cone",
+                   "worst_margin", "worst_margin_node", "newton_min_eig",
+                   "newton_min_eig_node", "quotient_min_eig",
+                   "quotient_trace_min", "trace_bound", "trace_slack",
+                   "passed")
+    suites += [("ellipticity_t0", ellipticity), ("ellipticity_t1", ellipticity)]
+    suites.append(("concavity", ("n", "k", "samples", "seed", "step",
+                                 "margin_floor", "line_max_second_diff",
+                                 "line_violations", "hess_min_slack",
+                                 "hess_violations", "passed")))
+    suites.append(("summary", ("passed",)))
+    expected = [f"{prefix}.{key}" for prefix, keys in suites for key in keys]
+    assert _keys((check / "certificates.txt").read_text()) == expected
+
+    config_keys = ["seed", "spec.case", "spec.n", "spec.k", "spec.N",
+                   "spec.alpha", "spec.f"]
+    config_keys += [f"background.{name}.({i},{i})"
+                    for name in ("ric0", "schouten0") for i in (1, 2, 3)]
+    config_keys += [f"solver.{key}" for key in (
+        "dt_init", "dt_max", "dt_min", "newton_tol", "newton_max_iters",
+        "cone_factor", "armijo_factor")]
+    config_keys += ["check.samples", "verify.u_star", "monitor.checks",
+                    "monitor.ceiling_sup_u", "monitor.ceiling_sup_grad_u_sq",
+                    "monitor.ceiling_sup_hess_u"]
+    assert _keys((check / "config.txt").read_text(), "=") == config_keys
+
+    rc, solve = drive(tmp_path, cfg, "solve", "solve")
+    assert rc == 0
+    assert (solve / "trace.csv").read_text().splitlines()[0] == (
+        "step,t,newton_iters,residual_norm,cone_margin,"
+        "sup_u,sup_grad_u_sq,sup_hess_u")
+
+    rc, verify = drive(tmp_path, cfg, "verify", "verify")
+    assert rc == 0
+    record = ["case", "n", "k", "N_coarse", "N_fine", "u_star", "err_coarse",
+              "err_fine", "order", "status", "detail", "passed"]
+    assert _keys((verify / "report.txt").read_text()) == [
+        f"verify.{key}" for key in record]
+    doc = json.loads((verify / "report.json").read_text())
+    assert set(doc) == {"command", *record}
+    assert doc["command"] == "verify"
+
+
+def test_case_c_solve_follows_the_solver_schedule(tmp_path):
+    """The direct case C Newton solve reads solver.* like the continuation
+    path does: a stricter Armijo factor takes more iterations."""
+    iters = {}
+    for factor in (0.25, 0.99):
+        cfg = RunConfig(case="C", alpha="-0.05", f="1", N=8,
+                        armijo_factor=factor)
+        rc, out = drive(tmp_path, cfg, "solve", f"armijo{factor}")
+        assert rc == 0
+        row = (out / "trace.csv").read_text().splitlines()[1]
+        iters[factor] = int(row.split(",")[2])
+    assert iters[0.99] > iters[0.25]
+
+
+def test_failed_verify_still_echoes_config(tmp_path):
+    cfg = RunConfig(N=8, newton_max_iters=1, dt_min=0.05)
+    rc, out = drive(tmp_path, cfg, "verify")
+    assert rc == 1
+    assert parse_config_file(out / "config.txt") == cfg

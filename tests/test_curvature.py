@@ -33,6 +33,10 @@ def test_background_component_keys_accept_tuples_and_strings():
         Background.from_components(g, ric0={"(0,1)": "1"})
     with pytest.raises(DomainError):
         Background.from_components(g, ric0={"(1,4)": "1"})
+    # the same strict "(i,j)" syntax the configuration format accepts
+    for malformed in ("1,2", "(1, 2)", "((1,2))", "(a,b)"):
+        with pytest.raises(DomainError, match="malformed tensor component"):
+            Background.from_components(g, ric0={malformed: "1"})
 
 
 def test_isotropic_background_admissibility():

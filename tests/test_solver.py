@@ -101,10 +101,7 @@ def test_newton_correct_reports_iterations():
     spec = canonical_problem("A")
     u0 = random_smooth_field(spec.grid, np.random.default_rng(23),
                              amplitude=0.03, max_wavenumber=1)
-    start = HomotopyState(t=0.0, u=u0,
-                          residual_norm=residual(u0, 0.0, spec).max_abs(),
-                          cone_margin=1.0, newton_iters=0)
-    state = newton_correct(start, spec, tol=1e-10, max_iters=30)
+    state, _ = newton_correct(u0, 0.0, spec, Schedule())
     assert state.newton_iters >= 1
     assert state.residual_norm <= 1e-10
     assert state.t == 0.0
@@ -114,11 +111,9 @@ def test_newton_correct_raises_on_iteration_budget():
     spec = canonical_problem("A")
     u0 = random_smooth_field(spec.grid, np.random.default_rng(23),
                              amplitude=0.03, max_wavenumber=1)
-    start = HomotopyState(t=0.0, u=u0,
-                          residual_norm=residual(u0, 0.0, spec).max_abs(),
-                          cone_margin=1.0, newton_iters=0)
     with pytest.raises(NonConvergenceError):
-        newton_correct(start, spec, tol=1e-14, max_iters=1)
+        newton_correct(u0, 0.0, spec,
+                       Schedule(newton_tol=1e-14, newton_max_iters=1))
 
 
 def test_continue_path_canonical_case_a():
@@ -203,14 +198,14 @@ def test_monitor_values_at_rest():
 def test_solve_case_c_constant_oracle():
     # f = 1 + 3 alpha makes u = 0 the exact solution.
     spec = canonical_problem("C", alpha="-0.05", f="0.85")
-    state = solve_caseC(spec)
+    state, _ = solve_caseC(spec)
     assert state.u.max_abs() <= 1e-10
     assert state.t == 1.0
 
 
 def test_solve_case_c_converges_from_offset_forcing():
     spec = canonical_problem("C")
-    state = solve_caseC(spec)
+    state, _ = solve_caseC(spec)
     assert state.residual_norm <= 1e-10
     assert residual(state.u, 1.0, spec).max_abs() <= 1e-9
 
@@ -233,7 +228,7 @@ def test_solve_case_c_rejects_other_cases():
 
 def test_trace_for_state_single_row():
     spec = canonical_problem("C", alpha="-0.05", f="0.85")
-    state = solve_caseC(spec)
+    state, _ = solve_caseC(spec)
     trace = trace_for_state(state, spec)
     assert len(trace.rows) == 1
     assert trace.final_t == 1.0
