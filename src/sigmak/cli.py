@@ -6,7 +6,8 @@ check   runs the symmetric-function property suites and the ellipticity and
 solve   runs the continuation path (cases A and B) or the direct Newton
         solve (case C), writing trace.csv, the final field dump, report.txt
         and report.json; exit 0 on reaching the target with all configured
-        checks green, exit 1 on a reported failure.
+        checks green, exit 1 on a reported failure. A failed case C solve
+        writes a header-only trace.csv and a report that fails on it.
 verify  manufactures the forcing for the configured u_star, solves at N and
         2N, and reports the observed convergence order; exit 0 iff the order
         lies in [1.6, 2.4] (or u_star is identically zero and both errors
@@ -17,9 +18,10 @@ output directory, once it has validated, so a run that fails later still
 leaves it; the echo re-parses to an identical RunConfig. The case C solve
 and the verify solves take their Newton settings from the configured
 schedule (solver.*), like the continuation path. Exit codes: 0 ok,
-1 run failure, 2 invalid configuration, 3 I/O error. Output files carry no
-timestamps, and all sampling flows from the single config seed, so repeated
-runs produce byte-identical files.
+1 run failure, 2 invalid configuration (including a grid over the memory
+budget, found before any work; verify also checks its 2N grid), 3 I/O
+error. Output files carry no timestamps, and all sampling flows from the
+single config seed, so repeated runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -172,8 +174,13 @@ def run_solve(cfg: RunConfig, out_dir: str) -> int:
             del sd   # free the state's arrays before the outputs are written
         else:
             trace = continue_path(spec, cfg.schedule())
-    except PathFailureError as err:
-        _write_solve_outputs(cfg, spec, err.trace, out_dir)
+    except (PathFailureError, ConeExitError, NonConvergenceError,
+            LinearSolveError) as err:
+        # A failed path still reports its accepted prefix; the direct case C
+        # solve has none, so it reports an empty trace.
+        failed = err.trace if isinstance(err, PathFailureError) \
+            else ContinuationTrace()
+        _write_solve_outputs(cfg, spec, failed, out_dir)
         print(f"sigmak solve: {err}", file=sys.stderr)
         return 1
     ok = _write_solve_outputs(cfg, spec, trace, out_dir)
@@ -206,6 +213,7 @@ def _solve_manufactured(cfg: RunConfig, grid: Grid) -> tuple:
 
 def run_verify(cfg: RunConfig, out_dir: str) -> int:
     n_coarse, n_fine = cfg.N, 2 * cfg.N
+    cfg.check_memory(n_fine)
     err_coarse, star_sup, u_coarse = _solve_manufactured(cfg, Grid(cfg.n, n_coarse))
     err_fine, _, u_fine = _solve_manufactured(cfg, Grid(cfg.n, n_fine))
 

@@ -35,6 +35,21 @@ _SCHEDULE = Schedule()
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
+# A run whose estimated peak memory exceeds this is rejected as an invalid
+# configuration before any work starts, rather than left to the operating
+# system's out-of-memory killer.
+MEMORY_BUDGET_BYTES = 2 * 2 ** 30
+
+
+def peak_bytes(n: int, N: int) -> int:
+    """Estimated peak bytes of a solve or check on the grid with N points on
+    each of n axes: N^n nodes at 84 n^2 + 300 bytes a node. That per-node
+    cost bounds the tracemalloc peaks of solves at n = 3, 4, 5, 6 (1002,
+    1589, 2284 and 3160 bytes a node), which are set by the (n, n) stacks of
+    the state and the recurrence and by the operator's 2n^2 + 1 stencil
+    weights and column indices per node."""
+    return N ** n * (84 * n * n + 300)
+
 
 @dataclass
 class RunConfig:
@@ -85,6 +100,7 @@ class RunConfig:
                               f"got {self.k}")
         if not 8 <= self.N <= 128:
             raise ConfigError(f"spec.N must lie in [8, 128], got {self.N}")
+        self.check_memory(self.N)
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if self.check_samples < 1:
@@ -111,6 +127,17 @@ class RunConfig:
                 except (DomainError, ExprSyntaxError) as err:
                     raise ConfigError(f"{prefix}.{key}: {err}") from err
         _normalize_checks(self.check_names())
+
+    def check_memory(self, N: int) -> None:
+        """ConfigError when a run on this n with N points per axis would
+        need more than MEMORY_BUDGET_BYTES (see peak_bytes). validate checks
+        spec.N; verify also checks its doubled grid."""
+        need = peak_bytes(self.n, N)
+        if need > MEMORY_BUDGET_BYTES:
+            raise ConfigError(
+                f"a grid with n={self.n}, N={N} needs about "
+                f"{need / 2 ** 30:.1f} GiB, over the "
+                f"{MEMORY_BUDGET_BYTES / 2 ** 30:g} GiB memory budget")
 
     # -- derived objects -------------------------------------------------
 

@@ -300,17 +300,35 @@ def _check_t(t) -> None:
         raise DomainError(f"homotopy parameter t must lie in [0, 1], got {t}")
 
 
+def _outer(left: np.ndarray, grad: np.ndarray, others: tuple) -> np.ndarray:
+    """left x grad as a fresh array to accumulate the other terms of a
+    tensor into: one einsum pass, widened to the shape and dtype of the sum
+    only when the derivatives are narrower (the (n,) zero derivatives of the
+    comparison tensor against grid-shaped backgrounds)."""
+    out = np.einsum("...i,...j->...ij", left, grad)
+    shape = np.broadcast_shapes(out.shape, *(np.shape(a) for a in others))
+    dtype = np.result_type(out, *others)
+    if out.shape != shape or out.dtype != dtype:
+        out = np.broadcast_to(out, shape).astype(dtype)
+    return out
+
+
 def build_u_tensor(hess: np.ndarray, grad: np.ndarray, t: float,
                    spec: ProblemSpec) -> np.ndarray:
     """The homotopy curvature tensor U(u, t) from the derivatives of u;
     affine in t."""
     _check_t(t)
     n = spec.n
-    iso = (np.trace(hess, axis1=-2, axis2=-1) / (n - 2)
+    iso = (np.einsum("...ii->...", hess) / (n - 2)
            + np.einsum("...a,...a->...", grad, grad) + (1.0 - t) / n)
-    outer = grad[..., :, None] * grad[..., None, :]
-    return hess + ((iso[..., None, None] * np.eye(n) - outer)
-                   - t * spec.background.ric0 / (n - 2))
+    ric = t * spec.background.ric0 / (n - 2)
+    # hess + ((iso I - du x du) - ric), accumulated over -du x du
+    out = _outer(np.negative(grad), grad, (hess, ric, iso[..., None, None]))
+    diag = symfunc._diag(out)
+    diag += iso[..., None]
+    out -= ric
+    out += hess
+    return out
 
 
 def build_v_tensor(mats: np.ndarray, t) -> np.ndarray:
@@ -318,9 +336,11 @@ def build_v_tensor(mats: np.ndarray, t) -> np.ndarray:
     scalar or an array over the batch shape; extended-precision input stays
     in extended precision."""
     _check_t(t)
-    t = np.asarray(t)[..., None, None]
-    tr = np.trace(mats, axis1=-2, axis2=-1)[..., None, None]
-    return t * mats + ((1.0 - t) * tr) * np.eye(mats.shape[-1])
+    t = np.asarray(t)
+    out = t[..., None, None] * mats
+    diag = symfunc._diag(out)
+    diag += ((1.0 - t) * np.einsum("...ii->...", mats))[..., None]
+    return out
 
 
 def build_w_tensor(hess: np.ndarray, grad: np.ndarray,
@@ -329,7 +349,12 @@ def build_w_tensor(hess: np.ndarray, grad: np.ndarray,
     the derivatives of u."""
     if spec.case != "C":
         raise DomainError(f"W is the case C tensor; spec case is {spec.case}")
+    schouten0 = spec.background.schouten0
     grad_sq = np.einsum("...a,...a->...", grad, grad)
-    outer = grad[..., :, None] * grad[..., None, :]
-    return (hess + (outer + spec.background.schouten0)) \
-        - (0.5 * grad_sq)[..., None, None] * np.eye(spec.n)
+    # (hess + (du x du + schouten0)) - (1/2)|grad u|^2 I, over du x du
+    out = _outer(grad, grad, (hess, schouten0))
+    out += schouten0
+    out += hess
+    diag = symfunc._diag(out)
+    diag -= 0.5 * grad_sq[..., None]
+    return out

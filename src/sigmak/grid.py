@@ -113,14 +113,6 @@ def _d2(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
     return (np.roll(vals, -1, axis) - 2.0 * vals + np.roll(vals, 1, axis)) / (h * h)
 
 
-def _dcross(vals: np.ndarray, a: int, b: int, h: float) -> np.ndarray:
-    pp = np.roll(np.roll(vals, -1, a), -1, b)
-    pm = np.roll(np.roll(vals, -1, a), 1, b)
-    mp = np.roll(np.roll(vals, 1, a), -1, b)
-    mm = np.roll(np.roll(vals, 1, a), 1, b)
-    return (pp - pm - mp + mm) / (4.0 * h * h)
-
-
 def grad_values(u: ScalarField) -> np.ndarray:
     """Gradient stacked on a trailing axis, shape grid.shape + (n,)."""
     h = u.grid.h
@@ -129,14 +121,25 @@ def grad_values(u: ScalarField) -> np.ndarray:
 
 def hess(u: ScalarField) -> np.ndarray:
     """Central-difference Hessian, shape grid.shape + (n, n): per-axis second
-    differences on the diagonal, 4-point cross stencil off the diagonal."""
+    differences on the diagonal, 4-point cross stencil off the diagonal. The
+    2n one-step shifts are made once and shared by both, so each cross pair
+    takes 4 rolls; the arithmetic order is _d2's (laplacian's) and the
+    stencil's as written."""
     g = u.grid
     h = g.h
+    vals = u.values
+    plus = [np.roll(vals, -1, a) for a in range(g.n)]
+    minus = [np.roll(vals, 1, a) for a in range(g.n)]
+    twice = 2.0 * vals
     out = np.empty(g.shape + (g.n, g.n))
     for i in range(g.n):
-        out[..., i, i] = _d2(u.values, i, h)
+        out[..., i, i] = (plus[i] - twice + minus[i]) / (h * h)
         for j in range(i + 1, g.n):
-            out[..., i, j] = out[..., j, i] = _dcross(u.values, i, j, h)
+            # v(+e_i+e_j) - v(+e_i-e_j) - v(-e_i+e_j) + v(-e_i-e_j)
+            out[..., i, j] = out[..., j, i] = (
+                np.roll(plus[i], -1, j) - np.roll(plus[i], 1, j)
+                - np.roll(minus[i], -1, j) + np.roll(minus[i], 1, j)
+            ) / (4.0 * h * h)
     return out
 
 

@@ -63,6 +63,7 @@ from .grid import (
 )
 from .symfunc import (
     ConeReport,
+    _diag,
     sample_gamma,
     sigma_all_batch,
     sigma_and_dsigma_batch,
@@ -294,16 +295,19 @@ class LinearOperator:
         bias = self.first.reshape(g.size, n) / (2.0 * h)
         vals = np.empty((g.size, 2 * n * n + 1))
         vals[:, 0] = self.zeroth.ravel() - 2.0 * diag.sum(axis=1)
-        np.add(diag, bias, out=vals[:, 1:1 + n])
-        np.subtract(diag, bias, out=vals[:, 1 + n:1 + 2 * n])
+        # Each block of weights is formed contiguously and copied into its
+        # columns once: strided ufunc output over a few columns is slow.
+        axial = vals[:, 1:1 + 2 * n].reshape(g.size, 2, n)
+        axial[:, 0] = diag + bias
+        axial[:, 1] = diag - bias
         # cross weights G_ij / (2h^2): + at +e_i+e_j and -e_i-e_j, - at the
         # two mixed-sign corners
-        p = 1 + 2 * n
         iu, ju = np.triu_indices(n, 1)
-        np.divide(second[:, iu, ju], 2.0 * h ** 2, out=vals[:, p:p + m])
-        vals[:, p + m:p + 2 * m] = vals[:, p:p + m]
-        np.negative(vals[:, p:p + m], out=vals[:, p + 2 * m:p + 3 * m])
-        vals[:, p + 3 * m:] = vals[:, p + 2 * m:p + 3 * m]
+        cross = second[:, iu, ju]
+        cross /= 2.0 * h ** 2
+        corners = vals[:, 1 + 2 * n:].reshape(g.size, 2, 2, m)
+        corners[:, 0] = cross[:, None, :]
+        corners[:, 1] = np.negative(cross)[:, None, :]
         indices, indptr = _stencil_pattern(g)
         self.csr = csr_matrix((vals.ravel(), indices, indptr),
                               shape=(g.size, g.size))
@@ -332,19 +336,25 @@ def _coefficients(sd: StateData):
     form's Frechet derivative at the cached state."""
     spec = sd.spec
     n, k, t = spec.n, spec.k, sd.t
-    weight = (sd.a_weight * sd.e2su)[..., None, None]
-    S = sd.dk + weight * sd.dkm1
+    S = (sd.a_weight * sd.e2su)[..., None, None] * sd.dkm1
+    S += sd.dk
     trS = np.einsum("...ii->...", S)
     if spec.case == "C":
         second = S
         first = 2.0 * np.einsum("...ij,...j->...i", S, sd.gv) \
             - trS[..., None] * sd.gv
     else:
-        P = build_v_tensor(S, t)
+        # P = build_v_tensor(S, t), written over S: t S + (1-t) tr(S) I
+        P = S
+        P *= t
+        diag = _diag(P)
+        diag += ((1.0 - t) * trS)[..., None]
         trP = (t + n * (1.0 - t)) * trS
-        second = P + (trP / (n - 2.0))[..., None, None] * np.eye(n)
         first = 2.0 * trP[..., None] * sd.gv \
             - 2.0 * np.einsum("...ij,...j->...i", P, sd.gv)
+        # second = P + (tr P / (n-2)) I, again in place
+        diag += (trP / (n - 2.0))[..., None]
+        second = P
     s = spec.conformal_sign
     zeroth = 2.0 * s * (sd.a_weight * sd.e2su * sd.sig[..., k - 1]
                         - k * sd.r_weight * sd.e2ksu)

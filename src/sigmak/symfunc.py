@@ -10,7 +10,10 @@ eigendecomposition:
   T_0 = I, sigma_j = tr(M T_{j-1})/j, T_j = sigma_j I - M T_{j-1},
   whose byproduct T_{k-1} is exactly the derivative matrix
   d sigma_k / d M (for diagonal M its diagonal is sigma_{k-1} of the
-  deleted spectra).
+  deleted spectra). It starts at T_1 = tr(M) I - M, and each trace
+  tr(M T_{j-1}) is one contraction, so the product M T_{j-1} is formed only
+  when T_j is needed: sigma_0..sigma_k with T_{k-1} and T_{k-2} cost k-2
+  stacked matrix products.
 
 The Garding cone Gamma_k = {lambda : sigma_j(lambda) > 0 for 1 <= j <= k}
 drives admissibility throughout the package; in_gamma reports membership with
@@ -254,28 +257,58 @@ def quotient_ratio_gap(spec, k: int, l: int, r: int, s: int):
     return _scalar_or_array(ratio(r, s) - ratio(k, l))
 
 
+def _diag(mats: np.ndarray) -> np.ndarray:
+    """The diagonals of stacked square matrices as a view, shape (..., n);
+    writeable when mats is, so isotropic terms can be added in place."""
+    return np.einsum("...ii->...i", mats)
+
+
+def _symmetrize(*stacks) -> None:
+    """Overwrite each stack of matrices with 0.5 (M + M^T), skipping None;
+    the stacks share one scratch array for the transposes."""
+    scratch = np.empty_like(stacks[0])
+    for mats in stacks:
+        if mats is None:
+            continue
+        np.copyto(scratch, np.swapaxes(mats, -1, -2))
+        mats += scratch
+        mats *= 0.5
+
+
 def _fl_recurrence(mats: np.ndarray, kmax: int):
     """Faddeev-LeVerrier up to order kmax on stacked matrices.
 
     Returns (sig, T_last, T_prev) where sig has shape batch + (kmax+1,),
     T_last = T_{kmax-1} and T_prev = T_{kmax-2} (None when out of range).
+    The T are fresh arrays, never views of mats or of each other; the
+    recurrence holds at most two of them, reusing the older one's buffer.
     """
     n = mats.shape[-1]
     if not 0 <= kmax <= n:
         raise DomainError(f"k must lie in [0, {n}], got {kmax}")
-    batch = mats.shape[:-2]
-    eye = np.eye(n)
-    sig = np.zeros(batch + (kmax + 1,))
+    sig = np.zeros(mats.shape[:-2] + (kmax + 1,))
     sig[..., 0] = 1.0
-    t_prev = None
-    t_last = np.broadcast_to(eye, mats.shape).copy() if kmax >= 1 else None
-    for j in range(1, kmax + 1):
-        mt = mats @ t_last
-        s_j = np.trace(mt, axis1=-2, axis2=-1) / j
-        sig[..., j] = s_j
-        if j < kmax:
-            t_prev = t_last
-            t_last = s_j[..., None, None] * eye - mt
+    if kmax == 0:
+        return sig, None, None
+    # T_0 = I is returned only for kmax <= 2
+    t_prev = t_last = None
+    if kmax <= 2:
+        t_last = np.broadcast_to(np.eye(n), mats.shape).copy()
+    np.einsum("...ii->...", mats, out=sig[..., 1])
+    for j in range(1, kmax):
+        # T_j = sigma_j I - M T_{j-1}; T_1 = sigma_1 I - M needs no product
+        # T_{j-2} is not needed again, so its buffer takes the product
+        if j == 1:
+            t_next = np.negative(mats)
+        else:
+            t_next = np.matmul(mats, t_last, out=t_prev)
+            np.negative(t_next, out=t_next)
+        diag = _diag(t_next)
+        diag += sig[..., j, None]
+        t_prev, t_last = t_last, t_next
+        # sigma_{j+1} = tr(M T_j)/(j+1), without forming M T_j
+        np.einsum("...ij,...ji->...", mats, t_last, out=sig[..., j + 1])
+        sig[..., j + 1] /= j + 1
     return sig, t_last, t_prev
 
 
@@ -307,7 +340,8 @@ def dsigma_matrix_batch(mats: np.ndarray, k: int) -> np.ndarray:
     if not 1 <= k <= n:
         raise DomainError(f"k must lie in [1, {n}], got {k}")
     _, t_last, _ = _fl_recurrence(mats, k)
-    return 0.5 * (t_last + np.swapaxes(t_last, -1, -2))
+    _symmetrize(t_last)
+    return t_last
 
 
 def dsigma_matrix(m, k: int) -> SymMatrix:
@@ -326,11 +360,8 @@ def sigma_and_dsigma_batch(mats: np.ndarray, k: int):
     n = mats.shape[-1]
     if not 1 <= k <= n:
         raise DomainError(f"k must lie in [1, {n}], got {k}")
-    sig, t_last, t_prev = _fl_recurrence(mats, k)
-    dk = 0.5 * (t_last + np.swapaxes(t_last, -1, -2))
-    dkm1 = None
-    if k >= 2:
-        dkm1 = 0.5 * (t_prev + np.swapaxes(t_prev, -1, -2))
+    sig, dk, dkm1 = _fl_recurrence(mats, k)
+    _symmetrize(dk, dkm1)
     return sig, dk, dkm1
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 
 import sigmak
+import sigmak.cli
 from sigmak import RunConfig, load_field, parse_config_file
 from sigmak.cli import main
 from sigmak.solver import TRACE_HEADER
@@ -115,6 +116,32 @@ def test_solve_failure_keeps_partial_trace(tmp_path, capsys):
     assert (out / "u_final.field").exists()
 
 
+def test_failed_case_c_solve_writes_an_empty_trace_and_report(tmp_path,
+                                                            capsys):
+    # The direct case C Newton solve of this problem finds no admissible
+    # decreasing step at t = 1. It has no accepted prefix, so the run writes
+    # a header-only trace and a report whose checks fail on the empty trace.
+    cfg = RunConfig(case="C", n=3, k=3, N=8, alpha="-0.05",
+                    f="1+0.5*cos(x1+x2)")
+    rc, out = drive(tmp_path, cfg, "solve")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sigmak solve: line search found no admissible")
+    assert err.count("\n") == 1
+
+    assert (out / "trace.csv").read_text() == TRACE_HEADER + "\n"
+    assert not (out / "u_final.field").exists()
+    report = (out / "report.txt").read_text()
+    assert "trace.reached_target: false" in report
+    assert "result: fail" in report
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["checks"]
+    assert all(c["status"] == "fail" and c["detail"] == "empty trace"
+               for c in doc["checks"])
+    assert sorted(os.listdir(out)) == ["config.txt", "report.json",
+                                       "report.txt", "trace.csv"]
+
+
 def test_verify_manufactured_convergence_case_c(tmp_path):
     cfg = RunConfig(case="C", alpha="-0.05", f="1", N=16)
     rc, out = drive(tmp_path, cfg, "verify")
@@ -170,6 +197,29 @@ def test_invalid_config_exits_two(tmp_path):
     conf2.write_text("spec.k = 2\n", encoding="utf-8")
     assert main(["solve", "--config", str(conf2),
                  "--out", str(tmp_path / "out")]) == 2
+
+
+def test_grids_over_the_memory_budget_exit_two_before_any_work(
+        tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a rejected config")
+    monkeypatch.setattr(RunConfig, "problem", no_work)
+    monkeypatch.setattr(sigmak.cli, "_solve_manufactured", no_work)
+    for n, N in ((4, 64), (6, 128)):
+        cfg = RunConfig(n=n, k=3, N=N)
+        for command in ("check", "solve", "verify"):
+            rc, out = drive(tmp_path, cfg, command, f"n{n}/{command}")
+            assert rc == 2
+            assert "memory budget" in capsys.readouterr().err
+            assert not out.exists()
+    # verify solves at N and 2N: N=64 passes validation at n=3, its doubled
+    # grid does not.
+    cfg = RunConfig(N=64)
+    cfg.validate()
+    rc, out = drive(tmp_path, cfg, "verify", "verify64")
+    assert rc == 2
+    assert "N=128" in capsys.readouterr().err
+    assert sorted(os.listdir(out)) == ["config.txt"]
 
 
 def test_outputs_land_in_requested_directory(tmp_path):

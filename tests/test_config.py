@@ -3,6 +3,7 @@
 import pytest
 
 from sigmak import ConfigError, RunConfig, parse_config_file, parse_config_text
+from sigmak.config import MEMORY_BUDGET_BYTES, peak_bytes
 from sigmak.report import KNOWN_CHECKS
 
 
@@ -161,3 +162,27 @@ def test_parse_config_file_round_trip(tmp_path):
     cfg = RunConfig(case="C", f="1", alpha="-0.05", N=8)
     path.write_text(cfg.to_text(), encoding="utf-8")
     assert parse_config_file(path) == cfg
+
+
+def test_validate_rejects_grids_over_the_memory_budget():
+    # One (..., n, n) stack alone is about 2.1 GB at n=4, N=64; n=6, N=128
+    # has 4.4e12 nodes.
+    for n, k, N in ((4, 3, 64), (6, 3, 128)):
+        cfg = RunConfig(n=n, k=k, N=N)
+        assert peak_bytes(n, N) > MEMORY_BUDGET_BYTES
+        with pytest.raises(ConfigError, match="memory budget"):
+            cfg.validate()
+
+
+def test_validate_accepts_every_grid_the_suite_demos_and_benchmark_run():
+    # (n, k, N, doubled): the largest grids of the tests, the README config,
+    # the demos' n=3 grids and the benchmark's three workloads; verify
+    # (doubled) also solves at 2N.
+    used = [(3, 3, 16, True), (3, 3, 24, False), (3, 3, 32, False),
+            (3, 3, 64, False), (4, 3, 8, False), (4, 3, 16, False),
+            (5, 4, 8, False), (6, 3, 8, False)]
+    for n, k, N, doubled in used:
+        cfg = RunConfig(n=n, k=k, N=N)
+        cfg.validate()
+        if doubled:
+            cfg.check_memory(2 * N)

@@ -198,3 +198,67 @@ def test_with_f_field_swaps_forcing_only():
     assert spec2.case == spec.case
     # Original spec is untouched.
     assert spec.f_field.values[0, 0, 0] == 0.7
+
+
+# The builders accumulate in place; these are the plain broadcasting
+# expressions they must reproduce bit for bit (signed zeros aside).
+def _u_reference(hess_m, grad, t, spec):
+    n = spec.n
+    iso = (np.trace(hess_m, axis1=-2, axis2=-1) / (n - 2)
+           + np.einsum("...a,...a->...", grad, grad) + (1.0 - t) / n)
+    outer = grad[..., :, None] * grad[..., None, :]
+    return hess_m + ((iso[..., None, None] * np.eye(n) - outer)
+                     - t * spec.background.ric0 / (n - 2))
+
+
+def _v_reference(mats, t):
+    t = np.asarray(t)[..., None, None]
+    tr = np.trace(mats, axis1=-2, axis2=-1)[..., None, None]
+    return t * mats + ((1.0 - t) * tr) * np.eye(mats.shape[-1])
+
+
+def _w_reference(hess_m, grad, spec):
+    grad_sq = np.einsum("...a,...a->...", grad, grad)
+    outer = grad[..., :, None] * grad[..., None, :]
+    return (hess_m + (outer + spec.background.schouten0)) \
+        - (0.5 * grad_sq)[..., None, None] * np.eye(spec.n)
+
+
+def _same(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_tensor_builders_equal_the_reference_expressions(n):
+    g = Grid(n, 8)
+    rng = np.random.default_rng(n)
+    u = ScalarField(g, 0.3 * rng.standard_normal(g.shape))
+    bg = Background.from_components(
+        g, ric0={(1, 1): "-1+0.2*sin(x1)", (1, 2): "0.1*cos(x2)",
+                 (n, n): "-1.5"},
+        schouten0={(1, 1): "1", (2, 3): "0.3*sin(x3)", (n, n): "0.5"})
+    spec_a = ProblemSpec.build("A", n, 3, g, alpha="-0.1", f="0.7",
+                               background=bg)
+    spec_c = ProblemSpec.build("C", n, 3, g, alpha="-0.05", f="1",
+                               background=bg)
+    hm, gv = hess(u), grad_values(u)
+    zero_h, zero_g = np.zeros((n, n)), np.zeros(n)
+    inputs = (hm.copy(), gv.copy())
+    for t in (0.0, 0.35, 1.0):
+        u_t = build_u_tensor(hm, gv, t, spec_a)
+        _same(u_t, _u_reference(hm, gv, t, spec_a))
+        _same(build_v_tensor(u_t, t), _v_reference(u_t, t))
+        # (n, n) zero derivatives against grid-shaped backgrounds
+        _same(build_u_tensor(zero_h, zero_g, t, spec_a),
+              _u_reference(zero_h, zero_g, t, spec_a))
+    ts = rng.uniform(0.0, 1.0, size=g.shape)
+    _same(build_v_tensor(u_t, ts), _v_reference(u_t, ts))
+    wide = u_t.astype(np.longdouble)
+    _same(build_v_tensor(wide, ts), _v_reference(wide, ts))
+    _same(build_w_tensor(hm, gv, spec_c), _w_reference(hm, gv, spec_c))
+    _same(build_w_tensor(zero_h, zero_g, spec_c),
+          _w_reference(zero_h, zero_g, spec_c))
+    # the derivatives and the background are read, never written
+    assert np.array_equal(hm, inputs[0]) and np.array_equal(gv, inputs[1])
+    assert not np.shares_memory(build_v_tensor(u_t, 0.5), u_t)

@@ -127,3 +127,26 @@ def test_random_smooth_field_contract():
     assert u1.max_abs() <= 0.05 + 1e-12
     u3 = random_smooth_field(g, np.random.default_rng(8), amplitude=0.05)
     assert not np.array_equal(u1.values, u3.values)
+
+
+@pytest.mark.parametrize("n, N", [(3, 8), (3, 9), (4, 8), (5, 8)])
+def test_hessian_equals_the_eight_roll_stencils(n, N):
+    """hess shares its one-step shifts between the diagonal and the cross
+    terms; the result must equal the per-entry stencils bit for bit."""
+    g = Grid(n, N)
+    u = ScalarField(g, np.random.default_rng(N + n).standard_normal(g.shape))
+    before = u.values.copy()
+    v, h = u.values, g.h
+    want = np.empty(g.shape + (n, n))
+    for i in range(n):
+        want[..., i, i] = (np.roll(v, -1, i) - 2.0 * v
+                           + np.roll(v, 1, i)) / (h * h)
+        for j in range(i + 1, n):
+            pp = np.roll(np.roll(v, -1, i), -1, j)
+            pm = np.roll(np.roll(v, -1, i), 1, j)
+            mp = np.roll(np.roll(v, 1, i), -1, j)
+            mm = np.roll(np.roll(v, 1, i), 1, j)
+            want[..., i, j] = want[..., j, i] = \
+                (pp - pm - mp + mm) / (4.0 * h * h)
+    assert np.array_equal(hess(u), want)
+    assert np.array_equal(u.values, before)

@@ -12,7 +12,8 @@ from sigmak import (Grid, ScalarField, c0_diagnostic, concavity_certificate,
 from sigmak.errors import (AdmissibilityError, DomainError, SingularityError,
                            ValidationError)
 from sigmak.grid import grad_values, hess, random_smooth_field
-from sigmak.operators import LinearOperator, line_second_difference
+from sigmak.operators import (LinearOperator, line_second_difference,
+                              prepare_state)
 from sigmak.solver import solve_linear
 
 
@@ -129,6 +130,60 @@ def test_linear_operator_routes_agree():
         assert op.as_csr() is op.as_csr()
         assert op.as_csr().nnz == grid.size * (2 * n * n + 1)
         assert np.array_equal(op.diagonal(), op.as_csr().diagonal())
+
+
+def _reference_weights(grid, second, first, zeroth):
+    """The stencil weights in _stencil_pattern's column order, one column
+    block at a time: the fill the assembled values must equal bit for bit."""
+    n, h = grid.n, grid.h
+    m = n * (n - 1) // 2
+    second = second.reshape(grid.size, n, n)
+    diag = np.einsum("rii->ri", second) / h ** 2
+    bias = first.reshape(grid.size, n) / (2.0 * h)
+    vals = np.empty((grid.size, 2 * n * n + 1))
+    vals[:, 0] = zeroth.ravel() - 2.0 * diag.sum(axis=1)
+    vals[:, 1:1 + n] = diag + bias
+    vals[:, 1 + n:1 + 2 * n] = diag - bias
+    p = 1 + 2 * n
+    iu, ju = np.triu_indices(n, 1)
+    vals[:, p:p + m] = second[:, iu, ju] / (2.0 * h ** 2)
+    vals[:, p + m:p + 2 * m] = vals[:, p:p + m]
+    vals[:, p + 2 * m:p + 3 * m] = -vals[:, p:p + m]
+    vals[:, p + 3 * m:] = vals[:, p + 2 * m:p + 3 * m]
+    return vals.ravel()
+
+
+@pytest.mark.parametrize("case, n, k", [("A", 3, 3), ("B", 4, 3),
+                                        ("A", 5, 4), ("C", 4, 3)])
+def test_linearization_coefficients_and_weights_are_bitwise(case, n, k):
+    """The in-place coefficient fields and the blockwise value fill equal
+    the plain expressions S = dk + a e^{2su} dkm1, P = V(S, t),
+    second = P + (tr P/(n-2)) I (case C: S), first and zeroth as in the
+    module docstring."""
+    spec = canonical_problem(case, n=n, k=k, N=8)
+    u = random_smooth_field(spec.grid, np.random.default_rng(n),
+                            amplitude=0.02)
+    t = 1.0 if case == "C" else 0.6
+    sd = prepare_state(u, t, spec)
+    op = linearize(u, t, spec, state=sd)
+    weight = (sd.a_weight * sd.e2su)[..., None, None]
+    S = sd.dk + weight * sd.dkm1
+    trS = np.einsum("...ii->...", S)
+    if case == "C":
+        second = S
+        first = 2.0 * np.einsum("...ij,...j->...i", S, sd.gv) \
+            - trS[..., None] * sd.gv
+    else:
+        tr = np.trace(S, axis1=-2, axis2=-1)[..., None, None]
+        P = t * S + ((1.0 - t) * tr) * np.eye(n)
+        trP = (t + n * (1.0 - t)) * trS
+        second = P + (trP / (n - 2.0))[..., None, None] * np.eye(n)
+        first = 2.0 * trP[..., None] * sd.gv \
+            - 2.0 * np.einsum("...ij,...j->...i", P, sd.gv)
+    assert np.array_equal(op.second, second)
+    assert np.array_equal(op.first, first)
+    assert np.array_equal(op.as_csr().data, _reference_weights(
+        spec.grid, op.second, op.first, op.zeroth))
 
 
 def test_zeroth_order_sign_matches_case():

@@ -143,6 +143,26 @@ def test_canonical_case_a_newton_iterations_are_pinned():
                                              0.55, 0.8, 1.0]
 
 
+@pytest.mark.parametrize("case, n, k, f, iters, ts", [
+    ("A", 5, 4, None, [0, 3, 4, 4, 5, 5],
+     [0.0, 0.1, 0.30000000000000004, 0.55, 0.8, 1.0]),
+    ("C", 4, 3, "1+0.5*cos(x1+x2)", [8], [1.0]),
+], ids=["A5k4", "C4"])
+def test_newton_iterations_beyond_n3_are_pinned(case, n, k, f, iters, ts):
+    """Per-step Newton iteration counts of two solves beyond n=3, as in
+    their trace.csv: case A with n=5, k=4, N=8 along the continuation path,
+    and the direct case C solve with n=4, k=3, N=8, f = 1 + 0.5 cos(x1+x2).
+    Changes to the tensor, recurrence or linear layers must keep both."""
+    spec = canonical_problem(case, n=n, k=k, N=8, f=f)
+    if case == "C":
+        state, sd = solve_caseC(spec, schedule=Schedule())
+        trace = trace_for_state(state, spec, sd)
+    else:
+        trace = continue_path(spec, Schedule())
+    assert [row.newton_iters for row in trace.rows] == iters
+    assert [row.t for row in trace.rows] == ts
+
+
 def test_continue_path_trace_csv_contract():
     spec = canonical_problem("A")
     trace = continue_path(spec, Schedule())

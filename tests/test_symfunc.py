@@ -269,3 +269,58 @@ def test_sample_gamma_contract():
     assert np.array_equal(out, again)
     with pytest.raises(DomainError):
         sample_gamma(4, 5, 10, rng)
+
+
+def _conjugated_stack(n: int, shape: tuple, seed: int):
+    """Symmetric matrices Q diag(lam) Q^T stacked over `shape`, with their
+    spectra lam and eigenvector frames Q."""
+    rng = np.random.default_rng(seed)
+    lams = rng.uniform(-2.0, 2.0, size=shape + (n,))
+    q, _ = np.linalg.qr(rng.standard_normal(size=shape + (n, n)))
+    mats = np.einsum("...ij,...j,...kj->...ik", q, lams, q)
+    return 0.5 * (mats + np.swapaxes(mats, -1, -2)), lams, q
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_sigma_and_dsigma_batch_match_the_eigenvalue_route(n):
+    """For every k: sigma_0..sigma_k match sigma_all_batch of eigvalsh, and
+    dsigma_k (dsigma_{k-1}) is Q diag(sigma_{k-1}(lam|i)) Q^T, the
+    diagonalised derivative built from the deleted spectra."""
+    mats, lams, q = _conjugated_stack(n, (4, 5), seed=n)
+    eig = np.linalg.eigvalsh(mats)
+    # sigma_{j-1} of every deleted spectrum lam|i, stacked on axis -2
+    deleted = np.stack([sigma_all_batch(np.delete(lams, i, axis=-1), n - 1)
+                        for i in range(n)], axis=-2)
+    for k in range(1, n + 1):
+        sig, dk, dkm1 = sigma_and_dsigma_batch(mats, k)
+        assert sig.shape == (4, 5, k + 1)
+        np.testing.assert_allclose(sig, sigma_all_batch(eig, k),
+                                   rtol=1e-11, atol=1e-11)
+        for d, j in ((dk, k), (dkm1, k - 1)):
+            if j == 0:
+                assert d is None
+                continue
+            want = np.einsum("...ij,...j,...kj->...ik", q,
+                             deleted[..., j - 1], q)
+            np.testing.assert_allclose(d, want, rtol=1e-11, atol=1e-11)
+            assert np.array_equal(d, np.swapaxes(d, -1, -2))
+
+
+def test_sigma_and_dsigma_batch_low_orders_are_exact_fresh_arrays():
+    mats, _, _ = _conjugated_stack(4, (3,), seed=11)
+    before = mats.copy()
+    eye = np.broadcast_to(np.eye(4), mats.shape)
+    sig, dk, dkm1 = sigma_and_dsigma_batch(mats, 1)
+    assert np.array_equal(dk, eye) and dkm1 is None
+    assert dk.flags.writeable and not np.shares_memory(dk, mats)
+    sig, dk, dkm1 = sigma_and_dsigma_batch(mats, 2)
+    assert np.array_equal(dkm1, eye)
+    assert np.array_equal(dk, sig[..., 1, None, None] * np.eye(4) - mats)
+    for d in (dk, dkm1):
+        assert d.flags.writeable and not np.shares_memory(d, mats)
+    assert not np.shares_memory(dk, dkm1)
+    for k in (3, 4):
+        _, dk, dkm1 = sigma_and_dsigma_batch(mats, k)
+        assert not np.shares_memory(dk, dkm1)
+        assert not np.shares_memory(dk, mats)
+    assert np.array_equal(mats, before)
