@@ -35,7 +35,7 @@ import sys
 import numpy as np
 
 from .config import RunConfig, parse_config_file
-from .curvature import ProblemSpec, record_lines
+from .curvature import ProblemSpec, ValidationReport, record_lines
 from .errors import (AdmissibilityError, ConeExitError, ConfigError,
                      DomainError, ExprEvalError, ExprSyntaxError,
                      LinearSolveError, NonConvergenceError, PathFailureError,
@@ -153,12 +153,13 @@ def run_check(cfg: RunConfig, out_dir: str) -> int:
 # -- solve -----------------------------------------------------------------
 
 def _write_solve_outputs(cfg: RunConfig, spec: ProblemSpec,
+                         validation: ValidationReport,
                          trace: ContinuationTrace, out_dir: str) -> bool:
     _write_text(os.path.join(out_dir, "trace.csv"), trace.to_csv())
     if trace.final_state is not None:
         dump_field(trace.final_state.u, "u",
                    os.path.join(out_dir, "u_final.field"))
-    report = run_checks(trace, spec, cfg.checks_mapping())
+    report = run_checks(trace, spec, cfg.checks_mapping(), validation)
     _write_text(os.path.join(out_dir, "report.txt"), report.to_text())
     _write_text(os.path.join(out_dir, "report.json"), report.to_json_text())
     return report.reached_target and report.ok
@@ -166,7 +167,7 @@ def _write_solve_outputs(cfg: RunConfig, spec: ProblemSpec,
 
 def run_solve(cfg: RunConfig, out_dir: str) -> int:
     spec = cfg.problem()
-    spec.validate(strict=True)
+    validation = spec.validate(strict=True)
     try:
         if cfg.case == "C":
             state, sd = solve_caseC(spec, schedule=cfg.schedule())
@@ -180,10 +181,10 @@ def run_solve(cfg: RunConfig, out_dir: str) -> int:
         # solve has none, so it reports an empty trace.
         failed = err.trace if isinstance(err, PathFailureError) \
             else ContinuationTrace()
-        _write_solve_outputs(cfg, spec, failed, out_dir)
+        _write_solve_outputs(cfg, spec, validation, failed, out_dir)
         print(f"sigmak solve: {err}", file=sys.stderr)
         return 1
-    ok = _write_solve_outputs(cfg, spec, trace, out_dir)
+    ok = _write_solve_outputs(cfg, spec, validation, trace, out_dir)
     return 0 if ok else 1
 
 

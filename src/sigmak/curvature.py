@@ -18,16 +18,17 @@ to the t = 0 reference equation whose unique solution is u = 0.
 
 Every tensor is a plain array of symmetric matrices, shape (..., n, n):
 
-  build_u_tensor(hess, grad, t, spec)   hess (..., n, n), grad (..., n)
-  build_v_tensor(mats, t)               any matrix stack; t a scalar or an
-                                        array over the stack's batch shape
-  build_w_tensor(hess, grad, spec)
+  build_u_tensor(hess, grad, t, spec, at)   hess (..., n, n), grad (..., n)
+  build_v_tensor(mats, t)                   any matrix stack; t a scalar or
+                                            an array over the batch shape
+  build_w_tensor(hess, grad, spec, at)
 
 The derivatives are whatever the caller has: stencil derivatives for the
 solver, spectral ones for manufactured forcing, zeros for the gradient-free
 comparison tensor. The Laplacian is the trace of the given Hessian. The
 background tensors Background.ric0 and Background.schouten0 have shape
-grid.shape + (n, n).
+grid.shape + (n, n); `at` indexes their grid axes (every node by default),
+so a tensor can be built at a few nodes from derivatives taken there.
 
 ProblemSpec bundles the case tag, (n, k), coefficient expressions alpha and
 f, and the background; validate() samples the coefficients and enforces the
@@ -314,14 +315,14 @@ def _outer(left: np.ndarray, grad: np.ndarray, others: tuple) -> np.ndarray:
 
 
 def build_u_tensor(hess: np.ndarray, grad: np.ndarray, t: float,
-                   spec: ProblemSpec) -> np.ndarray:
-    """The homotopy curvature tensor U(u, t) from the derivatives of u;
-    affine in t."""
+                   spec: ProblemSpec, at=...) -> np.ndarray:
+    """The homotopy curvature tensor U(u, t) from the derivatives of u at
+    the nodes `at` of the background; affine in t."""
     _check_t(t)
     n = spec.n
     iso = (np.einsum("...ii->...", hess) / (n - 2)
            + np.einsum("...a,...a->...", grad, grad) + (1.0 - t) / n)
-    ric = t * spec.background.ric0 / (n - 2)
+    ric = t * spec.background.ric0[at] / (n - 2)
     # hess + ((iso I - du x du) - ric), accumulated over -du x du
     out = _outer(np.negative(grad), grad, (hess, ric, iso[..., None, None]))
     diag = symfunc._diag(out)
@@ -344,12 +345,12 @@ def build_v_tensor(mats: np.ndarray, t) -> np.ndarray:
 
 
 def build_w_tensor(hess: np.ndarray, grad: np.ndarray,
-                   spec: ProblemSpec) -> np.ndarray:
+                   spec: ProblemSpec, at=...) -> np.ndarray:
     """W = Hess u + du x du - (1/2)|grad u|^2 I + schouten0 (case C), from
-    the derivatives of u."""
+    the derivatives of u at the nodes `at` of the background."""
     if spec.case != "C":
         raise DomainError(f"W is the case C tensor; spec case is {spec.case}")
-    schouten0 = spec.background.schouten0
+    schouten0 = spec.background.schouten0[at]
     grad_sq = np.einsum("...a,...a->...", grad, grad)
     # (hess + (du x du + schouten0)) - (1/2)|grad u|^2 I, over du x du
     out = _outer(grad, grad, (hess, schouten0))

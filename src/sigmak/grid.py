@@ -10,7 +10,9 @@ order, so laplacian(u) equals the Hessian trace bitwise.
 
 Tensor-valued derivatives are plain arrays: grad_values and spectral_grad
 return shape grid.shape + (n,), hess and spectral_hess return full
-symmetric matrices of shape grid.shape + (n, n).
+symmetric matrices of shape grid.shape + (n, n). derivatives_at takes the
+stencil gradient and Hessian at a few nodes only, bitwise equal to the
+whole-grid values there.
 
 Fields can be serialized to a bit-exact text format: a header line
 `field n=<n> N=<N> name=<name>` followed by N^n values, one per line,
@@ -34,7 +36,7 @@ from .errors import DomainError, ExprEvalError
 
 __all__ = [
     "Grid", "ScalarField",
-    "grad_values", "hess", "laplacian", "sample",
+    "grad_values", "hess", "derivatives_at", "laplacian", "sample",
     "dump_field", "load_field",
     "spectral_grad", "spectral_hess",
     "random_smooth_field",
@@ -115,8 +117,11 @@ def _d2(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
 
 def grad_values(u: ScalarField) -> np.ndarray:
     """Gradient stacked on a trailing axis, shape grid.shape + (n,)."""
-    h = u.grid.h
-    return np.stack([_d1(u.values, a, h) for a in range(u.grid.n)], axis=-1)
+    return _grad_array(u.values, u.grid.h)
+
+
+def _grad_array(vals: np.ndarray, h: float) -> np.ndarray:
+    return np.stack([_d1(vals, a, h) for a in range(vals.ndim)], axis=-1)
 
 
 def hess(u: ScalarField) -> np.ndarray:
@@ -125,22 +130,41 @@ def hess(u: ScalarField) -> np.ndarray:
     2n one-step shifts are made once and shared by both, so each cross pair
     takes 4 rolls; the arithmetic order is _d2's (laplacian's) and the
     stencil's as written."""
-    g = u.grid
-    h = g.h
-    vals = u.values
-    plus = [np.roll(vals, -1, a) for a in range(g.n)]
-    minus = [np.roll(vals, 1, a) for a in range(g.n)]
+    return _hess_array(u.values, u.grid.h)
+
+
+def _hess_array(vals: np.ndarray, h: float) -> np.ndarray:
+    n = vals.ndim
+    plus = [np.roll(vals, -1, a) for a in range(n)]
+    minus = [np.roll(vals, 1, a) for a in range(n)]
     twice = 2.0 * vals
-    out = np.empty(g.shape + (g.n, g.n))
-    for i in range(g.n):
+    out = np.empty(vals.shape + (n, n))
+    for i in range(n):
         out[..., i, i] = (plus[i] - twice + minus[i]) / (h * h)
-        for j in range(i + 1, g.n):
+        for j in range(i + 1, n):
             # v(+e_i+e_j) - v(+e_i-e_j) - v(-e_i+e_j) + v(-e_i-e_j)
             out[..., i, j] = out[..., j, i] = (
                 np.roll(plus[i], -1, j) - np.roll(plus[i], 1, j)
                 - np.roll(minus[i], -1, j) + np.roll(minus[i], 1, j)
             ) / (4.0 * h * h)
     return out
+
+
+def derivatives_at(u: ScalarField, nodes) -> tuple:
+    """grad_values(u) and hess(u) at the given nodes only, stacked in the
+    order given: shapes (m, n) and (m, n, n). Each node's stencils are taken
+    on its periodic 3^n neighbourhood, whose centre sees the same neighbour
+    values as on the whole grid, so the results equal the whole-grid ones
+    bitwise."""
+    g = u.grid
+    centre = (1,) * g.n
+    steps = np.arange(-1, 2)
+    grads, hessians = [], []
+    for node in nodes:
+        block = u.values[np.ix_(*((steps + c) % g.N for c in node))]
+        grads.append(_grad_array(block, g.h)[centre])
+        hessians.append(_hess_array(block, g.h)[centre])
+    return np.stack(grads), np.stack(hessians)
 
 
 def laplacian(u: ScalarField) -> ScalarField:

@@ -39,6 +39,16 @@ states but not at arbitrary cone points (the identity
 ties its definiteness to the size of the residual). The quotient-form family
 is the one that is positive definite on the whole cone, and the ellipticity
 certificate therefore reports both.
+
+Both families are polynomials in T, so the certificate reads them off one
+eigvalsh of T (the eigenvalue form of Caffarelli, Nirenberg and Spruck).
+With lambda the eigenvalues of T and sigma_j(lambda|i) the sigma_j of lambda
+with lambda_i deleted, S has eigenvalues
+s_i = sigma_{k-1}(lambda|i) + a e^{2su} sigma_{k-2}(lambda|i); the second-order
+family has s_i (case C) or p_i + sum(p)/(n-2) with p_i = t s_i + (1-t) sum(s);
+and the quotient family has t q_i + (1-t) sum(q) (case C: q_i) with
+q_i = sigma_{k-1}(lambda|i)/sigma_{k-1} + (r e^{2ksu} - sigma_k)
+sigma_{k-2}(lambda|i)/sigma_{k-1}^2. No coefficient matrix is formed.
 """
 
 from __future__ import annotations
@@ -56,6 +66,7 @@ from .errors import AdmissibilityError, DomainError, SingularityError, Validatio
 from .grid import (
     Grid,
     ScalarField,
+    derivatives_at,
     grad_values,
     hess,
     spectral_grad,
@@ -168,20 +179,30 @@ def case_weights(spec: ProblemSpec, t: float):
             np.broadcast_to(r, spec.grid.shape))
 
 
-def prepare_state(u: ScalarField, t: float, spec: ProblemSpec) -> StateData:
-    """Build the cached state for (u, t): curvature tensor, sigma values and
-    derivatives, cone margins, and the case weights."""
+def _case_tensor(hess_u: np.ndarray, gv: np.ndarray, t: float,
+                 spec: ProblemSpec, at=...) -> np.ndarray:
+    """The case's curvature tensor from derivatives of u at the background
+    nodes `at`: V(U(u, t), t) for cases A and B, W(u) for case C."""
+    if spec.case == "C":
+        return build_w_tensor(hess_u, gv, spec, at)
+    return build_v_tensor(build_u_tensor(hess_u, gv, t, spec, at), t)
+
+
+def _check_state_args(u: ScalarField, t: float, spec: ProblemSpec) -> None:
     if u.grid != spec.grid:
         raise DomainError("field grid does not match the problem grid")
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"homotopy parameter t must lie in [0, 1], got {t}")
+
+
+def prepare_state(u: ScalarField, t: float, spec: ProblemSpec) -> StateData:
+    """Build the cached state for (u, t): curvature tensor, sigma values and
+    derivatives, cone margins, and the case weights."""
+    _check_state_args(u, t, spec)
     k = spec.k
     gv = grad_values(u)
     hess_u = hess(u)
-    if spec.case == "C":
-        mats = build_w_tensor(hess_u, gv, spec)
-    else:
-        mats = build_v_tensor(build_u_tensor(hess_u, gv, t, spec), t)
+    mats = _case_tensor(hess_u, gv, t, spec)
     del hess_u   # the recurrence below sets the memory peak; free it first
     sig, dk, dkm1 = sigma_and_dsigma_batch(mats, k)
     m = spec.required_cone
@@ -376,29 +397,15 @@ def linearize(u: ScalarField, t: float, spec: ProblemSpec,
                           zeroth=zeroth)
 
 
-def _quotient_coefficients(sd: StateData, valid: np.ndarray):
-    """Second-order coefficient family of the quotient-form operator
-    G = sigma_k/sigma_{k-1} - (r e^{2ksu})/sigma_{k-1} + a e^{2su},
-    evaluated where `valid` (cone membership and denominator floor) holds."""
-    spec = sd.spec
-    k = spec.k
-    skm1 = np.where(valid, sd.sig[..., k - 1], 1.0)
-    sk = sd.sig[..., k]
-    d_quot = sd.dk / skm1[..., None, None] \
-        - (sk / skm1 ** 2)[..., None, None] * sd.dkm1
-    h_field = sd.r_weight * sd.e2ksu
-    pq = d_quot + (h_field / skm1 ** 2)[..., None, None] * sd.dkm1
-    return pq if spec.case == "C" else build_v_tensor(pq, sd.t)
-
-
 @dataclass
 class EllipticityReport:
-    """Pointwise ellipticity audit of one state.
+    """Pointwise ellipticity audit of one state, from the eigenvalues of the
+    state tensor (see the module docstring): no coefficient matrix is formed.
 
     newton_* rates the second-order coefficients the solver actually inverts
     (multiplied form); quotient_* rates the concave quotient family, whose
-    smallest eigenvalue is positive on the whole cone and whose trace obeys
-    the (n-k+1)/k lower bound.
+    smallest eigenvalue is positive on the whole cone and whose trace (the
+    sum of its eigenvalues) obeys the (n-k+1)/k lower bound.
     """
 
     case: str
@@ -428,19 +435,32 @@ def ellipticity_certificate(u: ScalarField, t: float, spec: ProblemSpec,
     (or under the denominator floor) are counted and fail the certificate."""
     sd = state if state is not None else prepare_state(u, t, spec)
     n, k = spec.n, spec.k
-    second, _, _ = _coefficients(sd)
-    newton_eigs = np.linalg.eigvalsh(second)[..., 0]
+    lam = np.linalg.eigvalsh(sd.mats)
+    others = np.array([np.delete(np.arange(n), i) for i in range(n)])
+    # sigma_{k-2} and sigma_{k-1} of the deleted spectra (lambda|i): the
+    # eigenvalues of d sigma_{k-1}(T) and d sigma_k(T)
+    deleted = sigma_all_batch(lam[..., others], k - 1)
+    dkm1, dk = deleted[..., k - 2], deleted[..., k - 1]
+    s_eigs = dk + (sd.a_weight * sd.e2su)[..., None] * dkm1
+    if spec.case == "C":
+        newton_eigs = s_eigs.min(axis=-1)
+    else:
+        p_eigs = _v_spectrum(s_eigs, sd.t)
+        newton_eigs = (p_eigs + p_eigs.sum(axis=-1, keepdims=True)
+                       / (n - 2.0)).min(axis=-1)
     nm_node = _argmin_node(newton_eigs)
     worst_node = _argmin_node(sd.margins)
 
     valid = (sd.margins > 0.0) & (sd.sig[..., k - 1] >= SIGMA_FLOOR)
     outside = int(sd.margins.size - valid.sum())
     if valid.any():
-        gq = _quotient_coefficients(sd, valid)
-        q_eigs = np.where(valid, np.linalg.eigvalsh(gq)[..., 0], np.inf)
-        q_traces = np.where(valid, np.einsum("...ii->...", gq), np.inf)
-        q_min = float(q_eigs.min())
-        q_trace_min = float(q_traces.min())
+        skm1 = np.where(valid, sd.sig[..., k - 1], 1.0)
+        excess = (sd.r_weight * sd.e2ksu - sd.sig[..., k]) / skm1 ** 2
+        q_eigs = dk / skm1[..., None] + excess[..., None] * dkm1
+        if spec.case != "C":
+            q_eigs = _v_spectrum(q_eigs, sd.t)
+        q_min = float(q_eigs.min(axis=-1)[valid].min())
+        q_trace_min = float(q_eigs.sum(axis=-1)[valid].min())
     else:
         q_min = float("nan")
         q_trace_min = float("nan")
@@ -458,15 +478,12 @@ def ellipticity_certificate(u: ScalarField, t: float, spec: ProblemSpec,
         trace_bound=bound, trace_slack=slack, passed=passed)
 
 
-def _diag_matrices(xs: np.ndarray) -> np.ndarray:
-    """Diagonal matrices with the spectra xs on the diagonal, dtype kept."""
-    return xs[..., None] * np.eye(xs.shape[-1])
-
-
-def _v_spectrum(xs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Spectrum of V at the diagonal tensor U = diag(x):
-    mu = t x + (1-t) tr(x) e, in the dtype of xs."""
-    return np.einsum("...ii->...i", build_v_tensor(_diag_matrices(xs), ts))
+def _v_spectrum(xs: np.ndarray, ts) -> np.ndarray:
+    """Spectrum of V at a tensor U with spectrum xs (same eigenvectors):
+    mu = t x + (1-t) sum(x), in the dtype of xs. ts is a scalar or an array
+    over the batch shape of xs."""
+    ts = np.asarray(ts)[..., None]
+    return ts * xs + (1.0 - ts) * xs.sum(axis=-1, keepdims=True)
 
 
 def _quotient_g(xs: np.ndarray, ts: np.ndarray, hs: np.ndarray, k: int) -> np.ndarray:
@@ -572,9 +589,10 @@ def _eq93_slacks(etas: np.ndarray, ts: np.ndarray, psis: np.ndarray,
     count, n = etas.shape
     m = k - 1
     nodes = np.arange(m + 1, dtype=float) - (m // 2)
-    v = build_v_tensor(_diag_matrices(etas), ts)
-    big_psi = build_v_tensor(psis, ts)
-    stack = v[:, None] + nodes[None, :, None, None] * big_psi[:, None]
+    # V(diag(eta) + s Psi) = diag(mu) + s V(Psi), with mu the V-spectrum
+    stack = nodes[None, :, None, None] * build_v_tensor(psis, ts)[:, None]
+    diag = _diag(stack)
+    diag += _v_spectrum(etas, ts)[:, None, :]
     vals = sigma_matrix_batch(stack.reshape(-1, n, n), m).reshape(count, m + 1)
     ainv = np.linalg.inv(np.vander(nodes, increasing=True))
     coef = vals @ ainv.T
@@ -646,12 +664,7 @@ def manufactured_forcing(u_star: ScalarField, t: float,
         raise DomainError("case A forcing needs t > 0 (f enters with "
                           "weight t)")
     k = spec.k
-    gv = spectral_grad(u_star)
-    hmat = spectral_hess(u_star)
-    if spec.case == "C":
-        mats = build_w_tensor(hmat, gv, spec)
-    else:
-        mats = build_v_tensor(build_u_tensor(hmat, gv, t, spec), t)
+    mats = _case_tensor(spectral_hess(u_star), spectral_grad(u_star), t, spec)
     sig = sigma_matrix_all_batch(mats, k)
     margins = sig[..., 1:k].min(axis=-1)
     worst = float(margins.min())
@@ -715,8 +728,7 @@ def _cone_quotient(sig: np.ndarray, k: int) -> float:
     return float(sig[k] / sig[k - 1])
 
 
-def c0_diagnostic(u: ScalarField, t: float, spec: ProblemSpec,
-                  state: StateData | None = None) -> C0Report:
+def c0_diagnostic(u: ScalarField, t: float, spec: ProblemSpec) -> C0Report:
     """Check the discrete extremum comparison and emit the implied bounds.
 
     At the argmax of u the Hessian contribution is nonpositive and the
@@ -727,8 +739,11 @@ def c0_diagnostic(u: ScalarField, t: float, spec: ProblemSpec,
     force quotient(state) <= quotient(comparison) there. The discrete check
     allows an O(h) slack. For cases A and B the comparison value feeds the
     closed-form sup/inf estimates; for case C the bound machinery targets
-    the other conformal sign, so only the gaps are reported."""
-    sd = state if state is not None else prepare_state(u, t, spec)
+    the other conformal sign, so only the gaps are reported.
+
+    Both tensors are built at the two extremal nodes only, from the stencil
+    derivatives there and the background indexed there."""
+    _check_state_args(u, t, spec)
     n, k = spec.n, spec.k
     grid = spec.grid
     node_max = _argmax_node(u.values)
@@ -736,17 +751,16 @@ def c0_diagnostic(u: ScalarField, t: float, spec: ProblemSpec,
     u_max = float(u.values[node_max])
     u_min = float(u.values[node_min])
 
-    zero_hess, zero_grad = np.zeros((n, n)), np.zeros(n)
-    if spec.case == "C":
-        comparison = build_w_tensor(zero_hess, zero_grad, spec)
-    else:
-        comparison = build_v_tensor(
-            build_u_tensor(zero_hess, zero_grad, t, spec), t)
-    sig_b_max = sigma_all_batch(np.linalg.eigvalsh(comparison[node_max]), k)
-    sig_b_min = sigma_all_batch(np.linalg.eigvalsh(comparison[node_min]), k)
+    at = tuple(np.array(axis) for axis in zip(node_max, node_min))
+    gv, hess_u = derivatives_at(u, (node_max, node_min))
+    sig_max, sig_min = sigma_matrix_all_batch(
+        _case_tensor(hess_u, gv, t, spec, at), k)
+    comparison = _case_tensor(np.zeros((n, n)), np.zeros(n), t, spec, at)
+    sig_b_max, sig_b_min = sigma_all_batch(np.linalg.eigvalsh(comparison), k)
+    a_weight, r_weight = case_weights(spec, t)
 
-    q_max = _cone_quotient(sd.sig[node_max], k)
-    q_min = _cone_quotient(sd.sig[node_min], k)
+    q_max = _cone_quotient(sig_max, k)
+    q_min = _cone_quotient(sig_min, k)
     qb_max = _cone_quotient(sig_b_max, k)
     qb_min = _cone_quotient(sig_b_min, k)
     gap_max = qb_max - q_max
@@ -756,17 +770,17 @@ def c0_diagnostic(u: ScalarField, t: float, spec: ProblemSpec,
     sup_est = float("nan")
     inf_est = float("nan")
     if spec.case == "A":
-        h_max = float(sd.r_weight[node_max])
-        h_min = float(sd.r_weight[node_min])
+        h_max = float(r_weight[node_max])
+        h_min = float(r_weight[node_min])
         if sig_b_max[k] > 0.0:
             sup_est = math.log(sig_b_max[k] / h_max) / (2.0 * k)
-        low = sig_b_min[k] + float(sd.a_weight[node_min]) \
+        low = sig_b_min[k] + float(a_weight[node_min]) \
             * math.exp(2.0 * u_min) * sig_b_min[k - 1]
         if low > 0.0:
             inf_est = math.log(low / h_min) / (2.0 * k)
     elif spec.case == "B":
-        q_w_max = -float(sd.a_weight[node_max])
-        q_w_min = -float(sd.a_weight[node_min])
+        q_w_max = -float(a_weight[node_max])
+        q_w_min = -float(a_weight[node_min])
         if qb_max > 0.0:
             sup_est = 0.5 * math.log(qb_max / q_w_max)
         if qb_min > 0.0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import ProblemSpec
+from .curvature import ProblemSpec, ValidationReport
 from .errors import ConfigError
 from .operators import c0_diagnostic
 from .solver import ContinuationTrace
@@ -138,15 +138,20 @@ def _run_id(spec: ProblemSpec, trace: ContinuationTrace, items: tuple) -> str:
     return digest.hexdigest()[:12]
 
 
-def run_checks(trace: ContinuationTrace, spec: ProblemSpec,
-               checks=None) -> VerificationReport:
+def run_checks(trace: ContinuationTrace, spec: ProblemSpec, checks=None,
+               validation: ValidationReport | None = None
+               ) -> VerificationReport:
     """Evaluate the configured checks against a trace.
 
     checks may be None (all known checks at default ceilings), a sequence of
     names, or a mapping of names to ceiling overrides for the bounded-*
-    family. Unknown or duplicated names raise ConfigError. Inputs are not
-    mutated; rerunning yields an identical report.
+    family. Unknown or duplicated names raise ConfigError. validation is
+    spec's ValidationReport, echoed into the report; it is computed here
+    when not given. Inputs are not mutated; rerunning yields an identical
+    report.
     """
+    if validation is None:
+        validation = spec.validate(strict=False)
     items = _normalize_checks(checks)
     rows = trace.rows
     results = []
@@ -196,7 +201,7 @@ def run_checks(trace: ContinuationTrace, spec: ProblemSpec,
     final_t = trace.final_t
     return VerificationReport(
         run_id=_run_id(spec, trace, items),
-        spec_lines=spec.validate(strict=False).to_lines(),
+        spec_lines=validation.to_lines(),
         trace_steps=len(rows),
         final_t=final_t,
         reached_target=bool(rows and final_t == 1.0),

@@ -7,8 +7,8 @@ import pytest
 
 from sigmak import Grid, ScalarField, dump_field, load_field, sample_text
 from sigmak.errors import DomainError
-from sigmak.grid import (grad_values, hess, laplacian, random_smooth_field,
-                         spectral_grad, spectral_hess)
+from sigmak.grid import (derivatives_at, grad_values, hess, laplacian,
+                         random_smooth_field, spectral_grad, spectral_hess)
 
 
 def test_grid_invariants():
@@ -150,3 +150,21 @@ def test_hessian_equals_the_eight_roll_stencils(n, N):
                 (pp - pm - mp + mm) / (4.0 * h * h)
     assert np.array_equal(hess(u), want)
     assert np.array_equal(u.values, before)
+
+
+@pytest.mark.parametrize("n, N", [(3, 8), (4, 9), (6, 8)])
+def test_derivatives_at_nodes_equal_the_whole_grid_values(n, N):
+    """derivatives_at takes each node's stencils on its periodic 3^n
+    neighbourhood; at interior, edge and corner nodes the result must equal
+    grad_values and hess of the whole grid bit for bit."""
+    g = Grid(n, N)
+    rng = np.random.default_rng(N * n)
+    u = ScalarField(g, rng.standard_normal(g.shape))
+    nodes = [(0,) * n, (N - 1,) * n, tuple(rng.integers(0, N, size=n)),
+             tuple([0] + [N - 1] * (n - 1))]
+    gv, hs = derivatives_at(u, nodes)
+    assert gv.shape == (len(nodes), n) and hs.shape == (len(nodes), n, n)
+    whole_g, whole_h = grad_values(u), hess(u)
+    for i, node in enumerate(nodes):
+        assert np.array_equal(gv[i], whole_g[node])
+        assert np.array_equal(hs[i], whole_h[node])

@@ -6,15 +6,18 @@ import numpy as np
 import pytest
 
 from helpers import canonical_problem
-from sigmak import (Grid, ScalarField, c0_diagnostic, concavity_certificate,
-                    ellipticity_certificate, linearize, manufactured_forcing,
-                    prepare_state, residual, sample_text)
+from sigmak import (Background, Grid, ProblemSpec, ScalarField, c0_diagnostic,
+                    concavity_certificate, ellipticity_certificate, linearize,
+                    manufactured_forcing, prepare_state, residual, sample_text)
+from sigmak.curvature import build_u_tensor, build_v_tensor, build_w_tensor
 from sigmak.errors import (AdmissibilityError, DomainError, SingularityError,
                            ValidationError)
 from sigmak.grid import grad_values, hess, random_smooth_field
-from sigmak.operators import (LinearOperator, line_second_difference,
+from sigmak.operators import (SIGMA_FLOOR, C0_SLACK_CONSTANT, LinearOperator,
+                              _v_spectrum, line_second_difference,
                               prepare_state)
 from sigmak.solver import solve_linear
+from sigmak.symfunc import sigma_all_batch
 
 
 # -- residual oracles --------------------------------------------------------
@@ -153,6 +156,29 @@ def _reference_weights(grid, second, first, zeroth):
     return vals.ravel()
 
 
+def _reference_coefficients(sd):
+    """The plain expressions of the second- and first-order coefficients:
+    S = dk + a e^{2su} dkm1, P = V(S, t), second = P + (tr P/(n-2)) I,
+    first = 2 tr(P) grad u - 2 P grad u (case C: S, 2 S grad u - tr(S)
+    grad u). Defined at every node, inside the cone or not."""
+    n, t = sd.spec.n, sd.t
+    weight = (sd.a_weight * sd.e2su)[..., None, None]
+    S = sd.dk + weight * sd.dkm1
+    trS = np.einsum("...ii->...", S)
+    if sd.spec.case == "C":
+        second = S
+        first = 2.0 * np.einsum("...ij,...j->...i", S, sd.gv) \
+            - trS[..., None] * sd.gv
+    else:
+        tr = np.trace(S, axis1=-2, axis2=-1)[..., None, None]
+        P = t * S + ((1.0 - t) * tr) * np.eye(n)
+        trP = (t + n * (1.0 - t)) * trS
+        second = P + (trP / (n - 2.0))[..., None, None] * np.eye(n)
+        first = 2.0 * trP[..., None] * sd.gv \
+            - 2.0 * np.einsum("...ij,...j->...i", P, sd.gv)
+    return second, first
+
+
 @pytest.mark.parametrize("case, n, k", [("A", 3, 3), ("B", 4, 3),
                                         ("A", 5, 4), ("C", 4, 3)])
 def test_linearization_coefficients_and_weights_are_bitwise(case, n, k):
@@ -166,20 +192,7 @@ def test_linearization_coefficients_and_weights_are_bitwise(case, n, k):
     t = 1.0 if case == "C" else 0.6
     sd = prepare_state(u, t, spec)
     op = linearize(u, t, spec, state=sd)
-    weight = (sd.a_weight * sd.e2su)[..., None, None]
-    S = sd.dk + weight * sd.dkm1
-    trS = np.einsum("...ii->...", S)
-    if case == "C":
-        second = S
-        first = 2.0 * np.einsum("...ij,...j->...i", S, sd.gv) \
-            - trS[..., None] * sd.gv
-    else:
-        tr = np.trace(S, axis1=-2, axis2=-1)[..., None, None]
-        P = t * S + ((1.0 - t) * tr) * np.eye(n)
-        trP = (t + n * (1.0 - t)) * trS
-        second = P + (trP / (n - 2.0))[..., None, None] * np.eye(n)
-        first = 2.0 * trP[..., None] * sd.gv \
-            - 2.0 * np.einsum("...ij,...j->...i", P, sd.gv)
+    second, first = _reference_coefficients(sd)
     assert np.array_equal(op.second, second)
     assert np.array_equal(op.first, first)
     assert np.array_equal(op.as_csr().data, _reference_weights(
@@ -245,6 +258,165 @@ def test_ellipticity_trace_bound_all_cases():
         cert = ellipticity_certificate(u, 1.0, spec)
         assert cert.passed, (case, cert.to_lines())
         assert cert.quotient_trace_min >= cert.trace_bound - 1e-10
+
+
+def _varied_problem(case: str, n: int) -> ProblemSpec:
+    """A problem on Grid(n, 8), k = max(3, n-1), with non-constant
+    coefficients and a non-constant, non-diagonal background tensor (ric0
+    near -I for cases A and B, schouten0 near I for case C), so every
+    per-node index into the background matters."""
+    grid = Grid(n, 8)
+    sign = "1" if case == "C" else "-1"
+    comps = {(i, i): sign for i in range(1, n + 1)}
+    comps[(1, 1)] = f"{sign} - 0.2*sin(x2)"
+    comps[(n, n)] = f"{sign} + 0.1*cos(x1)"
+    comps[(1, 2)] = "0.1*sin(x3)"
+    if case == "C":
+        background = Background.from_components(grid, schouten0=comps)
+        alpha, f = "-0.05", "1 + 0.3*cos(x1)"
+    elif case == "A":
+        background = Background.from_components(grid, ric0=comps)
+        alpha, f = "-0.1 - 0.05*cos(x2)", "0.7 + 0.2*sin(x1)*cos(x3)"
+    else:
+        background = Background.from_components(grid, ric0=comps)
+        alpha, f = "-0.3 - 0.05*sin(x1)", "0"
+    return ProblemSpec.build(case, n, max(3, n - 1), grid, alpha=alpha, f=f,
+                             background=background)
+
+
+def _reference_ellipticity(sd) -> dict:
+    """The matrix route: eigvalsh of the assembled second-order family, and
+    of the quotient family dk/s_{k-1} - s_k/s_{k-1}^2 dkm1
+    + r e^{2ksu}/s_{k-1}^2 dkm1 pushed through V (cases A, B)."""
+    spec, k = sd.spec, sd.spec.k
+    second, _ = _reference_coefficients(sd)
+    newton_eigs = np.linalg.eigvalsh(second)[..., 0]
+    valid = (sd.margins > 0.0) & (sd.sig[..., k - 1] >= SIGMA_FLOOR)
+    skm1 = np.where(valid, sd.sig[..., k - 1], 1.0)
+    sk = sd.sig[..., k]
+    d_quot = sd.dk / skm1[..., None, None] \
+        - (sk / skm1 ** 2)[..., None, None] * sd.dkm1
+    h_field = sd.r_weight * sd.e2ksu
+    gq = d_quot + (h_field / skm1 ** 2)[..., None, None] * sd.dkm1
+    if spec.case != "C":
+        gq = build_v_tensor(gq, sd.t)
+    q_eigs = np.where(valid, np.linalg.eigvalsh(gq)[..., 0], np.inf)
+    q_traces = np.where(valid, np.einsum("...ii->...", gq), np.inf)
+    node = np.unravel_index(int(np.argmin(newton_eigs)), newton_eigs.shape)
+    return {"newton_min_eig": float(newton_eigs.min()),
+            "newton_min_eig_node": tuple(int(i) for i in node),
+            "quotient_min_eig": float(q_eigs.min()),
+            "quotient_trace_min": float(q_traces.min()),
+            "nodes_outside_cone": int(valid.size - valid.sum())}
+
+
+def _close(got: float, want: float, rel: float = 1e-13) -> bool:
+    return abs(got - want) <= rel * abs(want)
+
+
+def _reference_c0(u, t, spec, sd) -> dict:
+    """The whole-grid comparison route: the state's sigmas from the full
+    prepared state sd, the comparison tensor built over the whole grid,
+    both read at the extremal nodes of u."""
+    n, k = spec.n, spec.k
+    node_max = np.unravel_index(int(np.argmax(u.values)), u.values.shape)
+    node_min = np.unravel_index(int(np.argmin(u.values)), u.values.shape)
+    zero_hess, zero_grad = np.zeros((n, n)), np.zeros(n)
+    if spec.case == "C":
+        comparison = build_w_tensor(zero_hess, zero_grad, spec)
+    else:
+        comparison = build_v_tensor(
+            build_u_tensor(zero_hess, zero_grad, t, spec), t)
+
+    def quotient(sig):
+        if sig[1:k].min() <= 0.0 or sig[k - 1] < SIGMA_FLOOR:
+            return float("nan")
+        return float(sig[k] / sig[k - 1])
+
+    out = {"max_node": tuple(int(i) for i in node_max),
+           "min_node": tuple(int(i) for i in node_min)}
+    for end, node in (("max", node_max), ("min", node_min)):
+        sig_b = sigma_all_batch(np.linalg.eigvalsh(comparison[node]), k)
+        out[f"quotient_at_{end}"] = quotient(sd.sig[node])
+        out[f"comparison_at_{end}"] = quotient(sig_b)
+        out[f"sig_b_{end}"] = sig_b
+    out["gap_at_max"] = out["comparison_at_max"] - out["quotient_at_max"]
+    out["gap_at_min"] = out["quotient_at_min"] - out["comparison_at_min"]
+    out["a"] = sd.a_weight
+    out["r"] = sd.r_weight
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("case", ["A", "B", "C"])
+def test_audit_matches_matrix_routes(case, n):
+    """The eigenvalue-form certificate against eigvalsh of the assembled
+    coefficient families, and the two-node comparison against the
+    whole-grid route: on a random smooth state that leaves the cone at
+    some nodes, and on the uniform state u = 0, whose nodes tie exactly
+    along the axes the background does not depend on. The random state has
+    more modes than axes: with fewer, whole families of nodes share their
+    values up to roundoff, and the argmin among such near-ties is not
+    defined by either route."""
+    spec = _varied_problem(case, n)
+    t = 1.0 if case == "C" else 0.6
+    k = spec.k
+    rough = random_smooth_field(spec.grid, np.random.default_rng(n),
+                                amplitude=0.6, modes=8)
+    for u, leaves_cone in ((rough, True),
+                           (ScalarField.zeros(spec.grid), False)):
+        sd = prepare_state(u, t, spec)
+        got = ellipticity_certificate(u, t, spec, state=sd)
+        want = _reference_ellipticity(sd)
+        assert (0 < got.nodes_outside_cone < got.nodes) == leaves_cone
+        assert got.nodes_outside_cone == want["nodes_outside_cone"]
+        assert got.newton_min_eig_node == want["newton_min_eig_node"]
+        for name in ("newton_min_eig", "quotient_min_eig",
+                     "quotient_trace_min"):
+            assert _close(getattr(got, name), want[name]), (name, got)
+        assert got.passed == (got.nodes_outside_cone == 0
+                              and want["newton_min_eig"] > 0.0
+                              and want["quotient_min_eig"] > 0.0
+                              and got.trace_slack >= -1e-10)
+
+        got = c0_diagnostic(u, t, spec)
+        want = _reference_c0(u, t, spec, sd)
+        del sd
+        assert got.max_node == want["max_node"]
+        assert got.min_node == want["min_node"]
+        for name in ("quotient_at_max", "comparison_at_max", "gap_at_max",
+                     "quotient_at_min", "comparison_at_min", "gap_at_min"):
+            g, w = getattr(got, name), want[name]
+            assert (math.isnan(g) and math.isnan(w)) or _close(g, w), name
+        delta = C0_SLACK_CONSTANT * spec.grid.h
+        assert got.within_slack == bool(
+            want["gap_at_max"] >= -delta and want["gap_at_min"] >= -delta)
+        sig_b_max, sig_b_min = want["sig_b_max"], want["sig_b_min"]
+        if case == "A":
+            node_max, node_min = want["max_node"], want["min_node"]
+            sup_est = math.log(sig_b_max[k] / want["r"][node_max]) / (2 * k)
+            low = sig_b_min[k] + want["a"][node_min] \
+                * math.exp(2.0 * got.u_min) * sig_b_min[k - 1]
+            inf_est = math.log(low / want["r"][node_min]) / (2 * k)
+            assert _close(got.sup_estimate, sup_est)
+            assert _close(got.inf_estimate, inf_est)
+
+
+def test_v_spectrum_is_the_diagonal_of_v_on_diagonal_tensors():
+    """t x + (1-t) sum(x) equals the diagonal of build_v_tensor(diag(x), t)
+    bitwise, in float64 and in extended precision, for scalar and per-row
+    t."""
+    rng = np.random.default_rng(21)
+    xs = rng.uniform(-1.0, 3.0, size=(200, 5))
+    ts = rng.uniform(0.0, 1.0, size=200)
+    for dtype in (np.float64, np.longdouble):
+        x = xs.astype(dtype)
+        diag = x[..., None] * np.eye(5)
+        for t in (ts.astype(dtype), 0.3):
+            want = np.einsum("...ii->...i", build_v_tensor(diag, t))
+            got = _v_spectrum(x, t)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 def test_concavity_certificate_passes_and_is_deterministic():

@@ -143,3 +143,18 @@ def test_case_c_comparison_holds_at_schouten_rest():
     assert check.status == "pass"
     assert check.value == 0.0
     assert report.ok
+
+
+def test_given_validation_is_echoed_instead_of_recomputed():
+    """run_checks echoes the ValidationReport it is handed; without one it
+    validates the spec itself, to the same lines."""
+    spec = canonical_problem("A", N=8)
+    trace = rest_trace(spec)
+    validation = spec.validate(strict=False)
+    assert run_checks(trace, spec, validation=validation).to_text() == \
+        run_checks(trace, spec).to_text()
+    marked = type(validation)(**{**vars(validation),
+                                 "problems": ("marker",)})
+    report = run_checks(trace, spec, validation=marked)
+    assert report.spec_lines == marked.to_lines()
+    assert "problem: marker" in report.to_text()

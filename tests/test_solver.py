@@ -13,9 +13,10 @@ from sigmak import (Background, Grid, ProblemSpec, ScalarField, Schedule,
 from sigmak.errors import (AdmissibilityError, ConeExitError, DomainError,
                            LinearSolveError, NonConvergenceError,
                            PathFailureError)
-from sigmak.grid import random_smooth_field
+from sigmak.grid import hess, random_smooth_field
 from sigmak.operators import LinearOperator, linearize, manufactured_forcing
-from sigmak.solver import HomotopyState, newton_correct, solve_linear, trace_for_state
+from sigmak.solver import (HomotopyState, _sup_spectral_radius, newton_correct,
+                           solve_linear, trace_for_state)
 
 
 def test_schedule_validation():
@@ -213,6 +214,45 @@ def test_monitor_values_at_rest():
     assert record.sup_hess_u == 0.0
     assert record.cone_margin == 3.0
     assert record.ellipticity.passed
+
+
+def test_pruned_sup_hess_is_the_full_eigvalsh_maximum():
+    """The pruned spectral-radius maximum equals the full route,
+    np.abs(eigvalsh(H)).max(), bit for bit: on random fields, the zero
+    field, a single spike, Hessians of rank one (rho = |H|_F, the edge of
+    the pruning bound), and through monitor."""
+    def full(mats):
+        return float(np.abs(np.linalg.eigvalsh(mats)).max())
+
+    rng = np.random.default_rng(23)
+    fields = []
+    for n, N in ((3, 16), (4, 8), (5, 8)):
+        g = Grid(n, N)
+        fields.append(random_smooth_field(g, rng, amplitude=0.1))
+        fields.append(ScalarField(g, rng.standard_normal(g.shape)))
+        fields.append(ScalarField.zeros(g))
+        spike = np.zeros(g.shape)
+        spike[(1,) * n] = 1.0
+        fields.append(ScalarField(g, spike))
+        # depends on x1 only: every stencil Hessian is diag(d, 0, ..., 0)
+        fields.append(sample_text("0.3*sin(2*x1) + 0.1*cos(x1)", g))
+    for u in fields:
+        mats = hess(u)
+        assert _sup_spectral_radius(mats) == full(mats)
+    for n in (3, 5):
+        v = rng.standard_normal((4000, n))
+        rank_one = np.einsum("bi,bj->bij", v, v)
+        # unit vectors: every norm and radius is 1 up to roundoff, so the
+        # largest radius sits where the computed norm may not be largest
+        v /= np.linalg.norm(v, axis=-1, keepdims=True)
+        unit = np.einsum("bi,bj->bij", v, v)
+        for mats in (rank_one, -rank_one, unit, -unit):
+            assert _sup_spectral_radius(mats) == full(mats)
+    spec = canonical_problem("A", N=8)
+    u = random_smooth_field(spec.grid, rng, amplitude=0.02)
+    state = HomotopyState(t=0.5, u=u, residual_norm=0.0, cone_margin=1.0,
+                          newton_iters=0)
+    assert monitor(state, spec).sup_hess_u == full(hess(u))
 
 
 def test_solve_case_c_constant_oracle():
