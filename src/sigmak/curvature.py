@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -257,7 +258,16 @@ class ProblemSpec:
     def validate(self, strict: bool = True) -> ValidationReport:
         """Check the per-case sign conditions on alpha and f and record the
         background admissibility margin. With strict=True a violated sign
-        condition raises ValidationError."""
+        condition raises ValidationError. The report is computed on the first
+        call and kept, so the solve, the path and the checks share one sweep
+        (a spec's fields are not reassigned after it is built)."""
+        report = self._validation
+        if strict and report.problems:
+            raise ValidationError("; ".join(report.problems))
+        return report
+
+    @cached_property
+    def _validation(self) -> ValidationReport:
         a = self.alpha_field.values
         f = self.f_field.values
         problems = []
@@ -281,7 +291,7 @@ class ProblemSpec:
             margins, _, _ = self.background.ric0_admissibility(cone_k)
         else:
             margins, _, _ = self.background.schouten0_admissibility(cone_k)
-        report = ValidationReport(
+        return ValidationReport(
             case=self.case, n=self.n, k=self.k, N=self.grid.N,
             conformal_sign=self.conformal_sign,
             alpha_min=float(a.min()), alpha_max=float(a.max()),
@@ -291,9 +301,6 @@ class ProblemSpec:
             background_margin_min=float(margins.min()),
             problems=tuple(problems),
         )
-        if strict and problems:
-            raise ValidationError("; ".join(problems))
-        return report
 
 
 def _check_t(t) -> None:

@@ -28,7 +28,8 @@ tensor construction gives, for cases A and B with P = t S + (1-t) tr(S) I,
 and for case C simply S, 2 S grad u - tr(S) grad u, and the same zeroth
 pattern. For case A with alpha <= 0 (and case B with its positive quotient
 weight) the zeroth coefficient is strictly negative, which is what makes the
-linearized operator invertible on the periodic box.
+linearized operator invertible on the periodic box. LinearOperator holds it
+as one CSR matrix with a frozen-coefficient FFT inverse as preconditioner.
 
 A caution recorded here because it is easy to trip over: the second-order
 coefficient family of the multiplied form is positive definite near solution
@@ -291,7 +292,8 @@ def _stencil_pattern(grid: Grid) -> tuple:
 @dataclass
 class LinearOperator:
     """The linearized equation  L[phi] = G:hess(phi) + b.grad(phi) + c phi
-    with periodic second-order stencils, assembled once as one CSR matrix.
+    with periodic second-order stencils, assembled once as one CSR matrix,
+    together with its frozen-coefficient preconditioner.
 
     second has shape grid.shape + (n, n) and is symmetric per node, first has
     shape grid.shape + (n,), zeroth has shape grid.shape. Construction writes
@@ -299,6 +301,24 @@ class LinearOperator:
     pattern (see _stencil_pattern), so the coefficients are read only then.
     matvec() is one product with that matrix, apply() reshapes around it,
     and as_csr() returns the matrix itself.
+
+    precondition() inverts L with its coefficients frozen (the approach of
+    Benamou, Froese and Oberman for fully nonlinear elliptic equations). Each
+    row is scaled by 1/d, d = 2|tau| + |c| with tau = sum_i G_ii/h^2 (the sum
+    the centre weight c - 2 tau uses), and the scaled weights are averaged
+    over the nodes. d is the centre weight's magnitude wherever G is
+    elliptic and c <= 0, and unlike tau it stays away from zero where a
+    trial state leaves ellipticity at some nodes. The constant-coefficient
+    stencil then has the discrete symbol, at theta_i = 2 pi k_i/N,
+
+        sum_i g_ii (-4 sin^2(theta_i/2)) + 2i b_i sin(theta_i)
+            - 4 sum_{i<j} g_ij sin(theta_i) sin(theta_j) - |c|
+
+    (g_ii = mean G_ii/(h^2 d), b_i = mean b_i/(2h d), g_ij = mean
+    G_ij/(2h^2 d), c = mean c/d), which the FFT inverts. Freezing the
+    zeroth coefficient at -|c| keeps the symbol off zero where the mean c is
+    positive (case C); only a vanishing mode, the constants when c = 0, is
+    left out. For constant coefficients with c <= 0 the inverse is exact.
     """
 
     grid: Grid
@@ -306,6 +326,8 @@ class LinearOperator:
     first: np.ndarray
     zeroth: np.ndarray
     csr: csr_matrix = field(init=False, repr=False, compare=False)
+    row_scale: np.ndarray = field(init=False, repr=False, compare=False)
+    inv_symbol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = self.grid
@@ -314,8 +336,14 @@ class LinearOperator:
         second = self.second.reshape(g.size, n, n)
         diag = np.einsum("rii->ri", second) / h ** 2
         bias = self.first.reshape(g.size, n) / (2.0 * h)
+        # tau = sum_i G_ii / h^2 by column adds (bitwise diag.sum(axis=1)),
+        # shared by the centre weight and the row scale
+        tau = diag[:, 0].copy()
+        for i in range(1, n):
+            tau += diag[:, i]
+        zeroth = self.zeroth.ravel()
         vals = np.empty((g.size, 2 * n * n + 1))
-        vals[:, 0] = self.zeroth.ravel() - 2.0 * diag.sum(axis=1)
+        vals[:, 0] = zeroth - 2.0 * tau
         # Each block of weights is formed contiguously and copied into its
         # columns once: strided ufunc output over a few columns is slow.
         axial = vals[:, 1:1 + 2 * n].reshape(g.size, 2, n)
@@ -333,17 +361,42 @@ class LinearOperator:
         self.csr = csr_matrix((vals.ravel(), indices, indptr),
                               shape=(g.size, g.size))
 
+        self.row_scale = 1.0 / (2.0 * np.abs(tau) + np.abs(zeroth))
+        mean = self.row_scale / g.size
+        # sin(theta_i) and sin^2(theta_i/2) along axis i; the last axis
+        # holds rfftn's half spectrum
+        sines, halves = [], []
+        for i in range(n):
+            freq = np.fft.rfftfreq(g.N) if i == n - 1 else np.fft.fftfreq(g.N)
+            shape = [1] * n
+            shape[i] = freq.size
+            sines.append(np.sin(2.0 * np.pi * freq).reshape(shape))
+            halves.append(np.sin(np.pi * freq).reshape(shape) ** 2)
+        symbol = np.full(np.broadcast_shapes(*(s.shape for s in sines)),
+                         -abs(float(mean @ zeroth)), dtype=complex)
+        for i, (gi, bi) in enumerate(zip(mean @ diag, mean @ bias)):
+            symbol += -4.0 * gi * halves[i] + 2j * bi * sines[i]
+        for gij, i, j in zip(mean @ cross, iu, ju):
+            symbol -= 4.0 * gij * sines[i] * sines[j]
+        self.inv_symbol = np.divide(1.0, symbol, out=np.zeros_like(symbol),
+                                    where=symbol != 0.0)
+
     def apply(self, values: np.ndarray) -> np.ndarray:
         """L on a full grid array."""
         return self.matvec(values.ravel()).reshape(self.grid.shape)
 
     def matvec(self, flat: np.ndarray) -> np.ndarray:
-        """L on a flattened field; the shape scipy's solvers want."""
+        """L on a flattened field."""
         return self.csr @ flat
 
-    def diagonal(self) -> np.ndarray:
-        """Flattened stencil centre weights (for Jacobi preconditioning)."""
-        return self.csr.data[::2 * self.grid.n ** 2 + 1].copy()
+    def precondition(self, flat: np.ndarray) -> np.ndarray:
+        """The frozen-coefficient inverse on a flattened field: the row
+        scale, then the inverse symbol on the rfftn half spectrum."""
+        shape = self.grid.shape
+        spectrum = np.fft.rfftn((flat * self.row_scale).reshape(shape))
+        spectrum *= self.inv_symbol
+        return np.fft.irfftn(spectrum, s=shape,
+                             axes=range(len(shape))).ravel()
 
     def as_csr(self) -> csr_matrix:
         """The assembled matrix itself (not a copy). Its index arrays are the

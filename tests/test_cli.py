@@ -229,10 +229,11 @@ def test_outputs_land_in_requested_directory(tmp_path):
 
 
 def test_solve_finishes_when_krylov_stalls(tmp_path):
-    """At t = 1 this problem's Newton system breaks BiCGSTAB down and GMRES
-    does not converge. The GMRES fallback is capped, so that step fails as
-    LinearSolveError, the continuation halves dt, and the run still reaches
-    t = 1 in bounded time. Run in a subprocess so a hang fails the test."""
+    """The first Newton system of the step from t = 0.8 to t = 1 is not
+    elliptic at some nodes, and GMRES does not converge on it. GMRES is
+    capped, so that step fails as LinearSolveError, the continuation halves
+    dt, and the run still reaches t = 1 in bounded time. Run in a
+    subprocess so a hang fails the test."""
     cfg = RunConfig(N=24, alpha="-0.5*(1+cos(x1))",
                     f="0.3+0.25*sin(x2)*sin(x3)")
     conf = tmp_path / "stall.config"

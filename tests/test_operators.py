@@ -132,7 +132,26 @@ def test_linear_operator_routes_agree():
         assert np.array_equal(op.matvec(phi.values.ravel()), got.ravel())
         assert op.as_csr() is op.as_csr()
         assert op.as_csr().nnz == grid.size * (2 * n * n + 1)
-        assert np.array_equal(op.diagonal(), op.as_csr().diagonal())
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_preconditioner_inverts_constant_coefficient_operators(n):
+    """With constant coefficients (random SPD G, nonzero b, c < 0) the
+    frozen-coefficient inverse is the exact inverse of the stencil, so
+    L[precondition(r)] = r to roundoff: this pins the symbol, its signs and
+    its axis order to the assembled matrix."""
+    rng = np.random.default_rng(40 + n)
+    grid = Grid(n, 8)
+    root = rng.standard_normal((n, n))
+    second = np.broadcast_to(root @ root.T + n * np.eye(n),
+                             grid.shape + (n, n))
+    first = np.broadcast_to(rng.standard_normal(n), grid.shape + (n,))
+    zeroth = np.full(grid.shape, -0.5 - rng.random())
+    op = LinearOperator(grid=grid, second=second, first=first,
+                        zeroth=zeroth)
+    r = rng.standard_normal(grid.size)
+    got = op.matvec(op.precondition(r))
+    assert np.abs(got - r).max() <= 1e-12 * np.abs(r).max()
 
 
 def _reference_weights(grid, second, first, zeroth):

@@ -2,20 +2,25 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import sigmak.solver
 from helpers import canonical_problem
-from sigmak import (Background, Grid, ProblemSpec, ScalarField, Schedule,
-                    TRACE_HEADER, continue_path, monitor, residual,
+from sigmak import (Background, Grid, ProblemSpec, RunConfig, ScalarField,
+                    Schedule, TRACE_HEADER, continue_path, monitor, residual,
                     sample_text, solve_caseC, solve_t0)
+from sigmak.cli import main
+from sigmak.config import peak_bytes
 from sigmak.errors import (AdmissibilityError, ConeExitError, DomainError,
                            LinearSolveError, NonConvergenceError,
                            PathFailureError)
 from sigmak.grid import hess, random_smooth_field
 from sigmak.operators import LinearOperator, linearize, manufactured_forcing
-from sigmak.solver import (HomotopyState, _sup_spectral_radius, newton_correct,
+from sigmak.solver import (GMRES_MAX_RESTARTS, LINEAR_GUARD, HomotopyState,
+                           _sup_spectral_radius, newton_correct,
                            solve_linear, trace_for_state)
 
 
@@ -67,6 +72,87 @@ def test_solve_linear_fails_in_bounded_time_on_singular_system():
             solve_linear(op, rhs)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"singular solve took {elapsed:.1f} s"
+
+
+def _counting(op):
+    """op with its matvec counted in calls[0], for solve_linear to use."""
+    calls, matvec = [0], op.matvec
+
+    def counted(flat):
+        calls[0] += 1
+        return matvec(flat)
+
+    op.matvec = counted
+    return calls
+
+
+def test_case_c_matvec_counts_do_not_swing_with_roundoff(monkeypatch):
+    """The last Newton system of the direct case C solve (n=4, k=3, N=8,
+    f = 1 + 0.5 cos(x1+x2)), its mean zeroth coefficient positive, solved
+    as captured and as 5 copies with coefficients perturbed by 1e-14
+    relative noise: every copy must solve, with matvec counts within a
+    factor of 1.5 of each other. (Jacobi-preconditioned BiCGSTAB took 95
+    matvecs on the captured system and 164-206 on these copies.)"""
+    spec = canonical_problem("C", n=4, k=3, N=8, f="1+0.5*cos(x1+x2)")
+    systems = []
+
+    def capture(op, rhs):
+        systems.append((op, rhs))
+        return solve_linear(op, rhs)
+
+    monkeypatch.setattr(sigmak.solver, "solve_linear", capture)
+    solve_caseC(spec)
+    op, rhs = systems[-1]
+    assert op.zeroth.mean() > 0.0
+    rng = np.random.default_rng(11)
+    copies = [op]
+    for _ in range(5):
+        noise = rng.standard_normal(op.second.shape)
+        noise += np.swapaxes(noise, -1, -2)
+        copies.append(LinearOperator(
+            grid=op.grid, second=op.second * (1.0 + 1e-14 * noise),
+            first=op.first * (1.0 + 1e-14 * rng.standard_normal(
+                op.first.shape)),
+            zeroth=op.zeroth * (1.0 + 1e-14 * rng.standard_normal(
+                op.zeroth.shape))))
+    counts = []
+    for copy in copies:
+        calls = _counting(copy)
+        x = solve_linear(copy, rhs)
+        counts.append(calls[0])
+        assert np.abs(copy.apply(x) - rhs).max() \
+            <= LINEAR_GUARD * np.abs(rhs).max()
+    assert max(counts) <= 1.5 * min(counts), counts
+
+
+def test_solves_peak_within_the_memory_estimate(tmp_path):
+    """tracemalloc peaks stay under config.peak_bytes, GMRES basis included:
+    a whole `sigmak solve` at n=3, N=24, and the singular Laplacian solve
+    that runs every restart cycle before it fails."""
+    conf = tmp_path / "solve.config"
+    conf.write_text(RunConfig(N=24).to_text(), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        rc = main(["solve", "--config", str(conf), "--out",
+                   str(tmp_path / "out")])
+        solve_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        grid = Grid(3, 16)
+        op = LinearOperator(
+            grid=grid, second=np.broadcast_to(np.eye(3), grid.shape + (3, 3)),
+            first=np.zeros(grid.shape + (3,)), zeroth=np.zeros(grid.shape))
+        calls = _counting(op)
+        noise = np.random.default_rng(3).standard_normal(grid.size)
+        with pytest.raises(LinearSolveError):
+            solve_linear(op, np.ones(grid.size) + 0.5 * noise)
+        singular_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert solve_peak < peak_bytes(3, 24)
+    # a true-residual test and at least one step per cycle, then a last test
+    assert calls[0] >= 2 * GMRES_MAX_RESTARTS + 1
+    assert singular_peak < peak_bytes(3, 16)
 
 
 def test_solve_t0_zero_start_is_already_converged():
