@@ -129,7 +129,8 @@ def hess(u: ScalarField) -> np.ndarray:
     differences on the diagonal, 4-point cross stencil off the diagonal. The
     2n one-step shifts are made once and shared by both, so each cross pair
     takes 4 rolls; the arithmetic order is _d2's (laplacian's) and the
-    stencil's as written."""
+    stencil's as written. Each component is written to a contiguous (i, j)
+    plane, and one copy transposes the planes into the result."""
     return _hess_array(u.values, u.grid.h)
 
 
@@ -138,16 +139,16 @@ def _hess_array(vals: np.ndarray, h: float) -> np.ndarray:
     plus = [np.roll(vals, -1, a) for a in range(n)]
     minus = [np.roll(vals, 1, a) for a in range(n)]
     twice = 2.0 * vals
-    out = np.empty(vals.shape + (n, n))
+    planes = np.empty((n, n) + vals.shape)
     for i in range(n):
-        out[..., i, i] = (plus[i] - twice + minus[i]) / (h * h)
+        planes[i, i] = (plus[i] - twice + minus[i]) / (h * h)
         for j in range(i + 1, n):
             # v(+e_i+e_j) - v(+e_i-e_j) - v(-e_i+e_j) + v(-e_i-e_j)
-            out[..., i, j] = out[..., j, i] = (
+            planes[i, j] = planes[j, i] = (
                 np.roll(plus[i], -1, j) - np.roll(plus[i], 1, j)
                 - np.roll(minus[i], -1, j) + np.roll(minus[i], 1, j)
             ) / (4.0 * h * h)
-    return out
+    return np.ascontiguousarray(np.moveaxis(planes, (0, 1), (-2, -1)))
 
 
 def derivatives_at(u: ScalarField, nodes) -> tuple:

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -299,8 +299,11 @@ class LinearOperator:
     shape grid.shape + (n,), zeroth has shape grid.shape. Construction writes
     the stencil weights straight into the matrix values on the grid's cached
     pattern (see _stencil_pattern), so the coefficients are read only then.
-    matvec() is one product with that matrix, apply() reshapes around it,
-    and as_csr() returns the matrix itself.
+    A given `values` (float64, grid.size * (2n^2 + 1) entries) is
+    overwritten in full and becomes the matrix data without a copy, so one
+    buffer can serve operators never alive together; by default a fresh
+    array is allocated. matvec() is one product with that matrix, apply()
+    reshapes around it, and as_csr() returns the matrix itself.
 
     precondition() inverts L with its coefficients frozen (the approach of
     Benamou, Froese and Oberman for fully nonlinear elliptic equations). Each
@@ -325,11 +328,12 @@ class LinearOperator:
     second: np.ndarray
     first: np.ndarray
     zeroth: np.ndarray
+    values: InitVar[np.ndarray | None] = None
     csr: csr_matrix = field(init=False, repr=False, compare=False)
     row_scale: np.ndarray = field(init=False, repr=False, compare=False)
     inv_symbol: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, values):
         g = self.grid
         n, h = g.n, g.h
         m = n * (n - 1) // 2
@@ -342,7 +346,9 @@ class LinearOperator:
         for i in range(1, n):
             tau += diag[:, i]
         zeroth = self.zeroth.ravel()
-        vals = np.empty((g.size, 2 * n * n + 1))
+        width = 2 * n * n + 1
+        vals = np.empty((g.size, width)) if values is None \
+            else values.reshape(g.size, width)
         vals[:, 0] = zeroth - 2.0 * tau
         # Each block of weights is formed contiguously and copied into its
         # columns once: strided ufunc output over a few columns is slow.
@@ -436,18 +442,20 @@ def _coefficients(sd: StateData):
 
 
 def linearize(u: ScalarField, t: float, spec: ProblemSpec,
-              state: StateData | None = None) -> LinearOperator:
+              state: StateData | None = None,
+              values: np.ndarray | None = None) -> LinearOperator:
     """Frechet derivative of the multiplied-form residual with respect to u.
 
     Assembled analytically: d sigma terms via the derivative matrices from the
     recurrence, composed with the dependence of the curvature tensor on
     (hess u, grad u, u); zeroth-order terms from the explicit exponentials.
+    values is handed to LinearOperator, which writes the weights into it.
     """
     sd = state if state is not None else prepare_state(u, t, spec)
     _require_cone(sd, "linearization")
     second, first, zeroth = _coefficients(sd)
     return LinearOperator(grid=spec.grid, second=second, first=first,
-                          zeroth=zeroth)
+                          zeroth=zeroth, values=values)
 
 
 @dataclass

@@ -175,8 +175,8 @@ def run_checks(trace: ContinuationTrace, spec: ProblemSpec, checks=None,
                 value, status, detail = float("nan"), "fail", "empty trace"
             results.append(CheckResult(name, status, value, 0.0, detail))
         elif name == "ellipticity":
-            if trace.records:
-                cert = trace.records[-1].ellipticity
+            if trace.ellipticity is not None:
+                cert = trace.ellipticity
                 status = "pass" if cert.passed else "fail"
                 detail = (f"quotient_trace_min={cert.quotient_trace_min!r} "
                           f"trace_bound={cert.trace_bound!r}")
@@ -184,7 +184,8 @@ def run_checks(trace: ContinuationTrace, spec: ProblemSpec, checks=None,
                     name, status, cert.newton_min_eig, 0.0, detail))
             else:
                 results.append(CheckResult(
-                    name, "fail", float("nan"), 0.0, "empty trace"))
+                    name, "fail", float("nan"), 0.0,
+                    "no certificate" if rows else "empty trace"))
         elif name == "c0_comparison":
             if trace.final_state is not None:
                 final = trace.final_state

@@ -97,13 +97,12 @@ class HomotopyState:
 @dataclass
 class MonitorRecord:
     """The a priori quantities tracked along the path: the sup bounds the
-    estimates control, the cone margin, and the ellipticity audit."""
+    estimates control and the cone margin."""
 
     sup_u: float
     sup_grad_u_sq: float
     sup_hess_u: float
     cone_margin: float
-    ellipticity: EllipticityReport
 
 
 @dataclass
@@ -130,11 +129,12 @@ class ContinuationTrace:
 
     Row summaries stay small on purpose; only the last accepted state keeps
     its full field (final_state), which downstream checks and the final dump
-    read."""
+    read. ellipticity is the audit of that state alone, set by the solver
+    once the trace ends (None while it grows, and for an empty trace)."""
 
     rows: list = field(default_factory=list)
-    records: list = field(default_factory=list)
     final_state: HomotopyState | None = None
+    ellipticity: EllipticityReport | None = None
 
     def append(self, state: HomotopyState, record: MonitorRecord) -> None:
         if self.rows and state.t <= self.rows[-1].t:
@@ -147,7 +147,6 @@ class ContinuationTrace:
             cone_margin=state.cone_margin,
             sup_u=record.sup_u, sup_grad_u_sq=record.sup_grad_u_sq,
             sup_hess_u=record.sup_hess_u))
-        self.records.append(record)
 
     @property
     def final_t(self) -> float:
@@ -178,17 +177,17 @@ def _sup_spectral_radius(mats: np.ndarray) -> float:
 
 def monitor(state: HomotopyState, spec: ProblemSpec,
             state_data: StateData | None = None) -> MonitorRecord:
-    """Compute the monitored sup quantities and the ellipticity audit."""
+    """Compute the monitored sup quantities and the cone margin of one
+    accepted state. The ellipticity audit is not part of it: the solver
+    certifies only the state a trace ends on (ContinuationTrace.ellipticity)."""
     sd = state_data if state_data is not None else \
         prepare_state(state.u, state.t, spec)
     grad_sq = (sd.gv ** 2).sum(axis=-1)
-    cert = ellipticity_certificate(state.u, state.t, spec, state=sd)
     return MonitorRecord(
         sup_u=float(np.abs(state.u.values).max()),
         sup_grad_u_sq=float(grad_sq.max()),
         sup_hess_u=_sup_spectral_radius(hess(state.u)),
-        cone_margin=sd.cone_margin,
-        ellipticity=cert)
+        cone_margin=sd.cone_margin)
 
 
 def gmres(matvec, precondition, b: np.ndarray, x0: np.ndarray) -> tuple:
@@ -199,9 +198,10 @@ def gmres(matvec, precondition, b: np.ndarray, x0: np.ndarray) -> tuple:
     Each of at most GMRES_MAX_RESTARTS cycles starts with the true-residual
     test |b - matvec(x)|_2 <= LINEAR_RTOL |b|_2 and takes up to
     GMRES_RESTART steps, each orthogonalised by classical Gram-Schmidt
-    applied twice, with Givens rotations on Python floats. Returns (x, info),
-    info 0 when the test passed, else the number of cycles run. A solve
-    whose x0 passes allocates no basis.
+    applied twice, with Givens rotations on Python floats. Returns
+    (x, info, r): info is 0 when the test passed, else the number of cycles
+    run, and r = b - matvec(x) is the true residual of the returned x from
+    the last test. A solve whose x0 passes allocates no basis.
     """
     tol = LINEAR_RTOL * float(np.linalg.norm(b))
     x, basis = x0, None
@@ -209,7 +209,7 @@ def gmres(matvec, precondition, b: np.ndarray, x0: np.ndarray) -> tuple:
         r = b - matvec(x)
         beta = float(np.linalg.norm(r))
         if beta <= tol:
-            return x, 0
+            return x, 0, r
         if cycle == GMRES_MAX_RESTARTS:
             break
         if basis is None:
@@ -247,7 +247,7 @@ def gmres(matvec, precondition, b: np.ndarray, x0: np.ndarray) -> tuple:
                 / cols[i][i]
         if k:
             x = x + precondition(np.asarray(y) @ basis[:k])
-    return x, GMRES_MAX_RESTARTS
+    return x, GMRES_MAX_RESTARTS, r
 
 
 def solve_linear(op: LinearOperator, rhs: np.ndarray) -> np.ndarray:
@@ -256,15 +256,16 @@ def solve_linear(op: LinearOperator, rhs: np.ndarray) -> np.ndarray:
     One GMRES call, right-preconditioned by op.precondition (the frozen-
     coefficient FFT inverse) and started from precondition(rhs), so a
     constant-coefficient system is solved before any Krylov step. The
-    result must pass a true-residual guard; otherwise LinearSolveError.
+    result must pass a true-residual guard, the max-norm of the residual
+    GMRES's passing test computed; otherwise LinearSolveError.
     """
     flat = np.ascontiguousarray(rhs, dtype=float).ravel()
     bnorm = float(np.abs(flat).max())
     if bnorm == 0.0:
         return np.zeros(op.grid.shape)
-    x, info = gmres(op.matvec, op.precondition, flat, op.precondition(flat))
-    if info == 0 and \
-            float(np.abs(op.matvec(x) - flat).max()) <= LINEAR_GUARD * bnorm:
+    x, info, r = gmres(op.matvec, op.precondition, flat,
+                       op.precondition(flat))
+    if info == 0 and float(np.abs(r).max()) <= LINEAR_GUARD * bnorm:
         return x.reshape(op.grid.shape)
     raise LinearSolveError(
         f"linearized system not solved to guard {LINEAR_GUARD:.0e} "
@@ -284,6 +285,9 @@ def newton_correct(u: ScalarField, t: float, spec: ProblemSpec,
     newton_iters = 0; more than schedule.newton_max_iters iterations raise
     NonConvergenceError.
 
+    Each linearize after the first refills the previous operator's CSR
+    values in place, so one such buffer serves the whole call.
+
     Returns the converged HomotopyState and the StateData of its u, which
     monitor can reuse; callers that do not need the latter drop it at once.
     """
@@ -298,16 +302,20 @@ def newton_correct(u: ScalarField, t: float, spec: ProblemSpec,
     res = residual(u, t, spec, state=sd).values.values
     rnorm = float(np.abs(res).max())
     it = 0
+    values = None
     while rnorm > tol:
         if it == max_iters:
             raise NonConvergenceError(
                 f"Newton reached {max_iters} iterations at t={t!r} with "
                 f"residual {rnorm:.3e} > tol {tol:.0e}")
         it += 1
-        delta = solve_linear(linearize(u, t, spec, state=sd), -res)
-        # The operator is gone; drop this state's arrays too, so only one
-        # state is alive while the candidates build theirs.
-        sd = sd_cand = None
+        op = linearize(u, t, spec, state=sd, values=values)
+        delta = solve_linear(op, -res)
+        # Keep only the operator's values, for the next linearize, and drop
+        # this state's arrays, so one state is alive while the candidates
+        # build theirs.
+        values = op.csr.data
+        op = sd = sd_cand = None
         accepted = False
         for j in range(11):
             s = 2.0 ** (-j)
@@ -354,6 +362,10 @@ def continue_path(spec: ProblemSpec,
     to dt_max); a corrector failure halves dt and retries from the last
     accepted state; dt below dt_min raises PathFailureError carrying the
     trace accumulated so far, whose last row holds the final accepted t.
+
+    Every accepted state is monitored, but only the one the trace ends on
+    is audited for ellipticity (trace.ellipticity): the t = 1 state from its
+    live StateData, or on failure the last accepted state, rebuilt for it.
     """
     if spec.case not in ("A", "B"):
         raise DomainError("continuation is defined for cases A and B; "
@@ -375,6 +387,8 @@ def continue_path(spec: ProblemSpec,
         except (ConeExitError, NonConvergenceError, LinearSolveError) as err:
             dt *= 0.5
             if dt < sched.dt_min:
+                trace.ellipticity = ellipticity_certificate(
+                    state.u, state.t, spec)
                 raise PathFailureError(
                     f"step size underflow below {sched.dt_min:.0e} at "
                     f"t={t!r}: {err}", trace=trace) from err
@@ -382,6 +396,9 @@ def continue_path(spec: ProblemSpec,
         state = accepted
         t = t_next
         trace.append(state, monitor(state, spec, sd))
+        if t == 1.0:
+            trace.ellipticity = ellipticity_certificate(state.u, t, spec,
+                                                        state=sd)
         del sd
         if state.newton_iters <= 4:
             dt = min(2.0 * dt, sched.dt_max)
@@ -391,10 +408,16 @@ def continue_path(spec: ProblemSpec,
 def trace_for_state(state: HomotopyState, spec: ProblemSpec,
                     state_data: StateData | None = None) -> ContinuationTrace:
     """Wrap a single solved state (a case C solve, typically) in a one-row
-    trace so the reporting layer treats every solve uniformly. state_data,
-    when given, is the state's cached StateData, handed on to monitor."""
+    trace, with its ellipticity audit, so the reporting layer treats every
+    solve uniformly. state_data, when given, is the state's cached
+    StateData, which monitor and the audit share; otherwise it is built
+    once here."""
+    sd = state_data if state_data is not None else \
+        prepare_state(state.u, state.t, spec)
     trace = ContinuationTrace()
-    trace.append(state, monitor(state, spec, state_data))
+    trace.append(state, monitor(state, spec, sd))
+    trace.ellipticity = ellipticity_certificate(state.u, state.t, spec,
+                                                state=sd)
     return trace
 
 

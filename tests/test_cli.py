@@ -113,6 +113,8 @@ def test_solve_failure_keeps_partial_trace(tmp_path, capsys):
     assert lines[1].split(",")[1] == "0.0"
     report = (out / "report.txt").read_text()
     assert "trace.reached_target: false" in report
+    # the accepted t = 0 state is still audited
+    assert "check.ellipticity: pass value=" in report
     assert (out / "u_final.field").exists()
 
 

@@ -135,6 +135,37 @@ def test_linear_operator_routes_agree():
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
+def test_operator_built_into_a_supplied_buffer_keeps_it(n):
+    """An operator built into a supplied values array keeps that array as
+    its matrix data (no copy), overwrites every entry of it, and equals a
+    freshly built operator bit for bit, in its data and in matvec; so does
+    one built by linearize into the previous operator's data."""
+    rng = np.random.default_rng(60 + n)
+    grid = Grid(n, 8)
+    second = rng.standard_normal(grid.shape + (n, n))
+    second = second + np.swapaxes(second, -1, -2)
+    coeffs = dict(grid=grid, second=second,
+                  first=rng.standard_normal(grid.shape + (n,)),
+                  zeroth=rng.standard_normal(grid.shape))
+    fresh = LinearOperator(**coeffs)
+    buf = np.full(grid.size * (2 * n * n + 1), np.nan)
+    op = LinearOperator(**coeffs, values=buf)
+    assert np.shares_memory(op.csr.data, buf)
+    assert np.array_equal(op.csr.data, fresh.csr.data)
+    phi = rng.standard_normal(grid.size)
+    assert np.array_equal(op.matvec(phi), fresh.matvec(phi))
+
+    spec = canonical_problem("A", n=n, k=3, N=8)
+    u = random_smooth_field(spec.grid, rng, amplitude=0.02)
+    sd = prepare_state(u, 0.6, spec)
+    want = linearize(u, 0.6, spec, state=sd)
+    refilled = linearize(u, 0.6, spec, state=sd, values=op.csr.data)
+    assert np.shares_memory(refilled.csr.data, buf)
+    assert np.array_equal(refilled.csr.data, want.csr.data)
+    assert np.array_equal(refilled.matvec(phi), want.matvec(phi))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_preconditioner_inverts_constant_coefficient_operators(n):
     """With constant coefficients (random SPD G, nonzero b, c < 0) the
     frozen-coefficient inverse is the exact inverse of the stencil, so

@@ -13,6 +13,7 @@ from sigmak import (
     continue_path,
     run_checks,
 )
+from sigmak.operators import ellipticity_certificate
 from sigmak.report import KNOWN_CHECKS
 from sigmak.solver import monitor, trace_for_state
 
@@ -143,6 +144,13 @@ def test_case_c_comparison_holds_at_schouten_rest():
     assert check.status == "pass"
     assert check.value == 0.0
     assert report.ok
+    # the ellipticity check reads the trace's own certificate
+    (missing,) = run_checks(trace, spec, ["ellipticity"]).checks
+    assert (missing.status, missing.detail) == ("fail", "no certificate")
+    trace.ellipticity = ellipticity_certificate(state.u, state.t, spec)
+    (check,) = run_checks(trace, spec, ["ellipticity"]).checks
+    assert check.status == "pass"
+    assert check.value == trace.ellipticity.newton_min_eig
 
 
 def test_given_validation_is_echoed_instead_of_recomputed():

@@ -18,7 +18,8 @@ from sigmak.errors import (AdmissibilityError, ConeExitError, DomainError,
                            LinearSolveError, NonConvergenceError,
                            PathFailureError)
 from sigmak.grid import hess, random_smooth_field
-from sigmak.operators import LinearOperator, linearize, manufactured_forcing
+from sigmak.operators import (LinearOperator, ellipticity_certificate,
+                              linearize, manufactured_forcing)
 from sigmak.solver import (GMRES_MAX_RESTARTS, LINEAR_GUARD, HomotopyState,
                            _sup_spectral_radius, newton_correct,
                            solve_linear, trace_for_state)
@@ -72,6 +73,27 @@ def test_solve_linear_fails_in_bounded_time_on_singular_system():
             solve_linear(op, rhs)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"singular solve took {elapsed:.1f} s"
+
+
+def test_solve_linear_takes_one_matvec_on_constant_coefficients():
+    """The frozen-coefficient start solves a constant-coefficient system
+    exactly, so GMRES's first true-residual test passes and the guard
+    reuses that residual: one matvec for the whole solve."""
+    rng = np.random.default_rng(29)
+    grid = Grid(4, 8)
+    root = rng.standard_normal((4, 4))
+    op = LinearOperator(
+        grid=grid,
+        second=np.broadcast_to(root @ root.T + 4 * np.eye(4),
+                               grid.shape + (4, 4)),
+        first=np.broadcast_to(rng.standard_normal(4), grid.shape + (4,)),
+        zeroth=np.full(grid.shape, -0.7))
+    calls = _counting(op)
+    rhs = rng.standard_normal(grid.size)
+    x = solve_linear(op, rhs)
+    assert calls[0] == 1
+    assert np.abs(op.csr @ x.ravel() - rhs).max() \
+        <= LINEAR_GUARD * np.abs(rhs).max()
 
 
 def _counting(op):
@@ -194,6 +216,29 @@ def test_newton_correct_reports_iterations():
     assert state.t == 0.0
 
 
+def test_newton_correct_refills_one_values_buffer(monkeypatch):
+    """The first linearize of a corrector call allocates the CSR values;
+    every later one is handed the previous operator's values and refills
+    them in place."""
+    seen = []
+    real = sigmak.solver.linearize
+
+    def capture(*args, values=None, **kwargs):
+        op = real(*args, values=values, **kwargs)
+        seen.append((values, op.csr.data))
+        return op
+
+    monkeypatch.setattr(sigmak.solver, "linearize", capture)
+    spec = canonical_problem("A")
+    u0 = random_smooth_field(spec.grid, np.random.default_rng(23),
+                             amplitude=0.03, max_wavenumber=1)
+    newton_correct(u0, 0.0, spec, Schedule())
+    assert len(seen) >= 2 and seen[0][0] is None
+    for (_, previous), (given, data) in zip(seen, seen[1:]):
+        assert given is previous
+        assert np.shares_memory(data, seen[0][1])
+
+
 def test_newton_correct_raises_on_iteration_budget():
     spec = canonical_problem("A")
     u0 = random_smooth_field(spec.grid, np.random.default_rng(23),
@@ -212,6 +257,38 @@ def test_continue_path_canonical_case_a():
     assert ts == sorted(ts) and len(set(ts)) == len(ts)
     assert all(row.cone_margin > 0.0 for row in trace.rows)
     assert trace.rows[0].t == 0.0
+
+
+def _counting_certificates(monkeypatch):
+    """Count the solver's calls to ellipticity_certificate."""
+    calls, real = [], sigmak.solver.ellipticity_certificate
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sigmak.solver, "ellipticity_certificate", counted)
+    return calls
+
+
+def test_a_path_is_certified_once_at_its_final_state(monkeypatch):
+    """continue_path audits ellipticity once, at t = 1, and trace_for_state
+    once; each stored certificate equals a fresh audit of the final state
+    field for field."""
+    calls = _counting_certificates(monkeypatch)
+    spec = canonical_problem("A")
+    trace = continue_path(spec, Schedule())
+    assert calls == [1.0]
+    final = trace.final_state
+    assert trace.ellipticity == ellipticity_certificate(final.u, 1.0, spec)
+    assert trace.ellipticity.passed
+
+    calls.clear()
+    spec = canonical_problem("C", alpha="-0.05", f="0.85")
+    state, sd = solve_caseC(spec)
+    trace = trace_for_state(state, spec, sd)
+    assert calls == [1.0]
+    assert trace.ellipticity == ellipticity_certificate(state.u, 1.0, spec)
 
 
 def test_canonical_case_a_newton_iterations_are_pinned():
@@ -288,6 +365,10 @@ def test_continue_path_failure_carries_partial_trace():
     assert trace is not None
     assert len(trace.rows) == 1      # the t=0 start was accepted
     assert trace.final_t == 0.0
+    # the certificate is the accepted t=0 state's
+    assert trace.ellipticity == ellipticity_certificate(
+        trace.final_state.u, 0.0, spec)
+    assert trace.ellipticity.t == 0.0
 
 
 def test_monitor_values_at_rest():
@@ -299,7 +380,7 @@ def test_monitor_values_at_rest():
     assert record.sup_grad_u_sq == 0.0
     assert record.sup_hess_u == 0.0
     assert record.cone_margin == 3.0
-    assert record.ellipticity.passed
+    assert trace_for_state(state, spec).ellipticity.passed
 
 
 def test_pruned_sup_hess_is_the_full_eigvalsh_maximum():
