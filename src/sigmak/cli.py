@@ -110,10 +110,10 @@ def _suite_euler_identity(cfg: RunConfig, rng: np.random.Generator) -> tuple:
     n, k = cfg.n, cfg.k
     count = cfg.check_samples
     raw = rng.standard_normal(size=(count, n, n))
-    mats = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+    mats = np.moveaxis(0.5 * (raw + np.swapaxes(raw, -1, -2)), 0, -1)
     sig, dk, _ = sigma_and_dsigma_batch(mats, k)
-    lhs = np.einsum("bij,bji->b", dk, mats)
-    rhs = k * sig[:, k]
+    lhs = np.einsum("ij...,ji...->...", dk, mats)
+    rhs = k * sig[k]
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     max_rel = float((np.abs(lhs - rhs) / scale).max())
     ok = max_rel <= _REL_TOL

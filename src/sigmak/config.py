@@ -44,12 +44,16 @@ MEMORY_BUDGET_BYTES = 2 * 2 ** 30
 def peak_bytes(n: int, N: int) -> int:
     """Estimated peak bytes of a solve or check on the grid with N points on
     each of n axes: N^n nodes at 84 n^2 + 300 bytes a node. That per-node
-    cost bounds the tracemalloc peaks of solves at n = 3, 4, 5, 6 (1002,
-    1589, 2284 and 3160 bytes a node), which are set by the (n, n) stacks of
-    the state and the recurrence and by the operator's 2n^2 + 1 stencil
-    weights and column indices per node. A full GMRES basis (51 grid
-    vectors, 408 bytes a node) fits inside it: at n = 3, N = 24 the peak
-    while solve_linear runs is 897 bytes a node, the basis included."""
+    cost bounds the tracemalloc peaks of `sigmak solve` at n = 3, 4, 5, 6
+    (976, 1562, 2292 and 3168 bytes a node: case A at N = 16, case A with
+    k = n at N = 8, and case C with k = 3 at N = 8), which are set by the
+    (n, n) planes of the state and the recurrence, the two background
+    tensors, and the operator's 2n^2 + 1 stencil weights and column indices
+    per node. A full GMRES basis (51 grid vectors, 408 bytes a node) fits
+    inside it: the Newton state is dropped before the Krylov solve (at
+    n = 3, N = 24 the peak while solve_linear runs is 585 bytes a node), and
+    a singular solve that allocates the whole basis peaks at 477 bytes a
+    node at n = 3, N = 16."""
     return N ** n * (84 * n * n + 300)
 
 

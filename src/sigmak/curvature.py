@@ -16,19 +16,24 @@ from U; case C uses g = e^{-2u} g0 and W (the Schouten tensor of the
 conformal metric). The homotopy parameter t in U and V deforms the problem
 to the t = 0 reference equation whose unique solution is u = 0.
 
-Every tensor is a plain array of symmetric matrices, shape (..., n, n):
+Every tensor is a plain array of symmetric matrices stored component-major,
+shape (n, n) + batch, as grid.hess returns them: each entry is one
+contiguous plane over the batch, and per-node scalars broadcast against a
+stack without new axes.
 
-  build_u_tensor(hess, grad, t, spec, at)   hess (..., n, n), grad (..., n)
+  build_u_tensor(hess, grad, t, spec, at)   hess (n, n) + batch, grad (n,) +
+                                            batch
   build_v_tensor(mats, t)                   any matrix stack; t a scalar or
                                             an array over the batch shape
   build_w_tensor(hess, grad, spec, at)
 
 The derivatives are whatever the caller has: stencil derivatives for the
-solver, spectral ones for manufactured forcing, zeros for the gradient-free
-comparison tensor. The Laplacian is the trace of the given Hessian. The
-background tensors Background.ric0 and Background.schouten0 have shape
-grid.shape + (n, n); `at` indexes their grid axes (every node by default),
-so a tensor can be built at a few nodes from derivatives taken there.
+solver, spectral ones for manufactured forcing, zeros (with unit batch
+axes) for the gradient-free comparison tensor. The Laplacian is the trace of
+the given Hessian. The background tensors Background.ric0 and
+Background.schouten0 have shape (n, n) + grid.shape; `at` is a tuple of
+index arrays into their grid axes (every node by default), so a tensor can
+be built at a few nodes from derivatives taken there.
 
 ProblemSpec bundles the case tag, (n, k), coefficient expressions alpha and
 f, and the background; validate() samples the coefficients and enforces the
@@ -101,8 +106,8 @@ class Background:
     """Prescribed background curvature: Ric_{g0} and the Schouten tensor
     A_{g0}, sampled from per-component expression strings."""
 
-    ric0: np.ndarray        # grid.shape + (n, n)
-    schouten0: np.ndarray   # grid.shape + (n, n)
+    ric0: np.ndarray        # (n, n) + grid.shape
+    schouten0: np.ndarray   # (n, n) + grid.shape
     ric0_source: dict = field(default_factory=dict)
     schouten0_source: dict = field(default_factory=dict)
 
@@ -112,12 +117,12 @@ class Background:
         """Build from maps of component name "(i,j)" (1-based) to expression
         text; omitted components are zero."""
         def build(components: dict | None):
-            tensor = np.zeros(grid.shape + (grid.n, grid.n))
+            tensor = np.zeros((grid.n, grid.n) + grid.shape)
             source = {}
             for key, src in (components or {}).items():
                 i, j = component_key(grid.n, key)
                 ast = fieldexpr.parse(src, grid.n)
-                tensor[..., i - 1, j - 1] = tensor[..., j - 1, i - 1] = \
+                tensor[i - 1, j - 1] = tensor[j - 1, i - 1] = \
                     sample(ast, grid).values
                 source[f"({i},{j})"] = src
             return tensor, source
@@ -140,7 +145,7 @@ class Background:
     def ric0_admissibility(self, k: int):
         """Cone margins of -ric0/(n-2) for Gamma_k (the case A/B precondition
         on the background). Returns (margins, worst node, worst report)."""
-        n = self.ric0.shape[-1]
+        n = self.ric0.shape[0]
         return cone_margins(-self.ric0 / (n - 2), k)
 
     def schouten0_admissibility(self, k: int):
@@ -150,17 +155,15 @@ class Background:
 
 def cone_margins(mats: np.ndarray, k: int):
     """Pointwise Gamma_k margins (min over j <= k of sigma_j of the
-    eigenvalues) for stacked matrices. Returns (margins, argmin index tuple,
-    ConeReport at the worst node)."""
-    sig = symfunc.sigma_matrix_all_batch(mats, k)[..., 1:]
-    margins = sig.min(axis=-1)
+    eigenvalues) for a component-major stack (n, n) + batch. Returns
+    (margins, argmin index tuple, ConeReport at the worst node)."""
+    sig = symfunc.sigma_matrix_planes(mats, k)[1:]
+    margins = np.minimum.reduce(sig)
     flat = int(np.argmin(margins))
-    node = (tuple(int(i) for i in np.unravel_index(flat, margins.shape))
-            if margins.ndim else ())
-    node = tuple(int(i) for i in node)
+    node = tuple(int(i) for i in np.unravel_index(flat, margins.shape))
     worst = symfunc.ConeReport(
         k=k,
-        sigmas=tuple(float(s) for s in sig[node]),
+        sigmas=tuple(float(s) for s in sig[(..., *node)]),
         inside=bool(margins[node] > 0.0),
         margin=float(margins[node]),
     )
@@ -310,10 +313,11 @@ def _check_t(t) -> None:
 
 def _outer(left: np.ndarray, grad: np.ndarray, others: tuple) -> np.ndarray:
     """left x grad as a fresh array to accumulate the other terms of a
-    tensor into: one einsum pass, widened to the shape and dtype of the sum
-    only when the derivatives are narrower (the (n,) zero derivatives of the
-    comparison tensor against grid-shaped backgrounds)."""
-    out = np.einsum("...i,...j->...ij", left, grad)
+    tensor into: one broadcast product of planes, widened to the shape and
+    dtype of the sum only when the derivatives are narrower (the unit-batch
+    zero derivatives of the comparison tensor against grid-shaped
+    backgrounds)."""
+    out = left[:, None] * grad[None, :]
     shape = np.broadcast_shapes(out.shape, *(np.shape(a) for a in others))
     dtype = np.result_type(out, *others)
     if out.shape != shape or out.dtype != dtype:
@@ -322,18 +326,18 @@ def _outer(left: np.ndarray, grad: np.ndarray, others: tuple) -> np.ndarray:
 
 
 def build_u_tensor(hess: np.ndarray, grad: np.ndarray, t: float,
-                   spec: ProblemSpec, at=...) -> np.ndarray:
+                   spec: ProblemSpec, at=()) -> np.ndarray:
     """The homotopy curvature tensor U(u, t) from the derivatives of u at
     the nodes `at` of the background; affine in t."""
     _check_t(t)
     n = spec.n
-    iso = (np.einsum("...ii->...", hess) / (n - 2)
-           + np.einsum("...a,...a->...", grad, grad) + (1.0 - t) / n)
-    ric = t * spec.background.ric0[at] / (n - 2)
+    iso = (np.einsum("ii...->...", hess) / (n - 2)
+           + np.einsum("a...,a...->...", grad, grad) + (1.0 - t) / n)
+    ric = t * spec.background.ric0[(..., *at)] / (n - 2)
     # hess + ((iso I - du x du) - ric), accumulated over -du x du
-    out = _outer(np.negative(grad), grad, (hess, ric, iso[..., None, None]))
+    out = _outer(np.negative(grad), grad, (hess, ric, iso))
     diag = symfunc._diag(out)
-    diag += iso[..., None]
+    diag += iso
     out -= ric
     out += hess
     return out
@@ -345,24 +349,24 @@ def build_v_tensor(mats: np.ndarray, t) -> np.ndarray:
     in extended precision."""
     _check_t(t)
     t = np.asarray(t)
-    out = t[..., None, None] * mats
+    out = t * mats
     diag = symfunc._diag(out)
-    diag += ((1.0 - t) * np.einsum("...ii->...", mats))[..., None]
+    diag += (1.0 - t) * np.einsum("ii...->...", mats)
     return out
 
 
 def build_w_tensor(hess: np.ndarray, grad: np.ndarray,
-                   spec: ProblemSpec, at=...) -> np.ndarray:
+                   spec: ProblemSpec, at=()) -> np.ndarray:
     """W = Hess u + du x du - (1/2)|grad u|^2 I + schouten0 (case C), from
     the derivatives of u at the nodes `at` of the background."""
     if spec.case != "C":
         raise DomainError(f"W is the case C tensor; spec case is {spec.case}")
-    schouten0 = spec.background.schouten0[at]
-    grad_sq = np.einsum("...a,...a->...", grad, grad)
+    schouten0 = spec.background.schouten0[(..., *at)]
+    grad_sq = np.einsum("a...,a...->...", grad, grad)
     # (hess + (du x du + schouten0)) - (1/2)|grad u|^2 I, over du x du
     out = _outer(grad, grad, (hess, schouten0))
     out += schouten0
     out += hess
     diag = symfunc._diag(out)
-    diag -= 0.5 * grad_sq[..., None]
+    diag -= 0.5 * grad_sq
     return out

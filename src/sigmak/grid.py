@@ -8,11 +8,12 @@ wrap-around via np.roll. The Laplacian is computed by summing the same
 per-axis second differences the Hessian diagonal uses, in the same axis
 order, so laplacian(u) equals the Hessian trace bitwise.
 
-Tensor-valued derivatives are plain arrays: grad_values and spectral_grad
-return shape grid.shape + (n,), hess and spectral_hess return full
-symmetric matrices of shape grid.shape + (n, n). derivatives_at takes the
-stencil gradient and Hessian at a few nodes only, bitwise equal to the
-whole-grid values there.
+Tensor-valued derivatives are plain arrays stored component-major: one
+contiguous grid plane per component, so every later pass over them is a
+pass over whole planes. grad_values and spectral_grad return shape
+(n,) + grid.shape, hess and spectral_hess return full symmetric matrices of
+shape (n, n) + grid.shape. derivatives_at takes the stencil gradient and
+Hessian at a few nodes only, bitwise equal to the whole-grid values there.
 
 Fields can be serialized to a bit-exact text format: a header line
 `field n=<n> N=<N> name=<name>` followed by N^n values, one per line,
@@ -116,21 +117,21 @@ def _d2(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
 
 
 def grad_values(u: ScalarField) -> np.ndarray:
-    """Gradient stacked on a trailing axis, shape grid.shape + (n,)."""
+    """Gradient, one plane per axis: shape (n,) + grid.shape."""
     return _grad_array(u.values, u.grid.h)
 
 
 def _grad_array(vals: np.ndarray, h: float) -> np.ndarray:
-    return np.stack([_d1(vals, a, h) for a in range(vals.ndim)], axis=-1)
+    return np.stack([_d1(vals, a, h) for a in range(vals.ndim)])
 
 
 def hess(u: ScalarField) -> np.ndarray:
-    """Central-difference Hessian, shape grid.shape + (n, n): per-axis second
+    """Central-difference Hessian, shape (n, n) + grid.shape: per-axis second
     differences on the diagonal, 4-point cross stencil off the diagonal. The
     2n one-step shifts are made once and shared by both, so each cross pair
     takes 4 rolls; the arithmetic order is _d2's (laplacian's) and the
-    stencil's as written. Each component is written to a contiguous (i, j)
-    plane, and one copy transposes the planes into the result."""
+    stencil's as written. Each component is written straight to its
+    contiguous (i, j) plane."""
     return _hess_array(u.values, u.grid.h)
 
 
@@ -148,24 +149,24 @@ def _hess_array(vals: np.ndarray, h: float) -> np.ndarray:
                 np.roll(plus[i], -1, j) - np.roll(plus[i], 1, j)
                 - np.roll(minus[i], -1, j) + np.roll(minus[i], 1, j)
             ) / (4.0 * h * h)
-    return np.ascontiguousarray(np.moveaxis(planes, (0, 1), (-2, -1)))
+    return planes
 
 
 def derivatives_at(u: ScalarField, nodes) -> tuple:
-    """grad_values(u) and hess(u) at the given nodes only, stacked in the
-    order given: shapes (m, n) and (m, n, n). Each node's stencils are taken
-    on its periodic 3^n neighbourhood, whose centre sees the same neighbour
-    values as on the whole grid, so the results equal the whole-grid ones
-    bitwise."""
+    """grad_values(u) and hess(u) at the given nodes only, stacked on a last
+    axis in the order given: shapes (n, m) and (n, n, m). Each node's
+    stencils are taken on its periodic 3^n neighbourhood, whose centre sees
+    the same neighbour values as on the whole grid, so the results equal
+    the whole-grid ones bitwise."""
     g = u.grid
     centre = (1,) * g.n
     steps = np.arange(-1, 2)
     grads, hessians = [], []
     for node in nodes:
         block = u.values[np.ix_(*((steps + c) % g.N for c in node))]
-        grads.append(_grad_array(block, g.h)[centre])
-        hessians.append(_hess_array(block, g.h)[centre])
-    return np.stack(grads), np.stack(hessians)
+        grads.append(_grad_array(block, g.h)[(..., *centre)])
+        hessians.append(_hess_array(block, g.h)[(..., *centre)])
+    return np.stack(grads, axis=-1), np.stack(hessians, axis=-1)
 
 
 def laplacian(u: ScalarField) -> ScalarField:
@@ -236,11 +237,11 @@ def _wavenumbers(N: int) -> np.ndarray:
 
 
 def spectral_grad(u: ScalarField) -> np.ndarray:
-    """FFT gradient, shape grid.shape + (n,). Exact for band-limited fields;
+    """FFT gradient, shape (n,) + grid.shape. Exact for band-limited fields;
     the Nyquist mode of odd derivatives is zeroed as is standard."""
     g = u.grid
     uhat = np.fft.fftn(u.values)
-    out = np.empty(g.shape + (g.n,))
+    out = np.empty((g.n,) + g.shape)
     for a in range(g.n):
         k = _wavenumbers(g.N)
         if g.N % 2 == 0:
@@ -248,16 +249,16 @@ def spectral_grad(u: ScalarField) -> np.ndarray:
             k[g.N // 2] = 0.0
         shape = [1] * g.n
         shape[a] = g.N
-        out[..., a] = np.fft.ifftn(1j * k.reshape(shape) * uhat).real
+        out[a] = np.fft.ifftn(1j * k.reshape(shape) * uhat).real
     return out
 
 
 def spectral_hess(u: ScalarField) -> np.ndarray:
-    """FFT Hessian, shape grid.shape + (n, n) (exact for band-limited
+    """FFT Hessian, shape (n, n) + grid.shape (exact for band-limited
     fields)."""
     g = u.grid
     uhat = np.fft.fftn(u.values)
-    out = np.empty(g.shape + (g.n, g.n))
+    out = np.empty((g.n, g.n) + g.shape)
     kfull = _wavenumbers(g.N)
     kodd = kfull.copy()
     if g.N % 2 == 0:
@@ -272,7 +273,7 @@ def spectral_hess(u: ScalarField) -> np.ndarray:
                 sym = -(kfull.reshape(si) ** 2)
             else:
                 sym = -(kodd.reshape(si) * kodd.reshape(sj))
-            out[..., i, j] = out[..., j, i] = np.fft.ifftn(sym * uhat).real
+            out[i, j] = out[j, i] = np.fft.ifftn(sym * uhat).real
     return out
 
 

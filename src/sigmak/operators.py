@@ -79,8 +79,7 @@ from .symfunc import (
     sample_gamma,
     sigma_all_batch,
     sigma_and_dsigma_batch,
-    sigma_matrix_all_batch,
-    sigma_matrix_batch,
+    sigma_matrix_planes,
 )
 
 # Floor under sigma_{k-1} for quotient-form evaluation: below it the state is
@@ -131,17 +130,18 @@ class StateData:
     """Per-node quantities cached for one (u, t) state.
 
     Holding these in one place lets residual, linearization, certificates,
-    and the solver's line search share a single recurrence pass.
+    and the solver's line search share a single recurrence pass. Tensor
+    fields are component-major, one grid plane per component.
     """
 
     spec: ProblemSpec
     t: float
     u: ScalarField
-    gv: np.ndarray        # gradient of u, grid.shape + (n,)
-    mats: np.ndarray      # V for cases A/B, W for case C, grid.shape + (n, n)
-    sig: np.ndarray       # sigma_0..sigma_k of the tensor, grid.shape + (k+1,)
-    dk: np.ndarray        # d sigma_k / dM
-    dkm1: np.ndarray      # d sigma_{k-1} / dM
+    gv: np.ndarray        # gradient of u, (n,) + grid.shape
+    mats: np.ndarray      # V for cases A/B, W for case C, (n, n) + grid.shape
+    sig: np.ndarray       # sigma_0..sigma_k of the tensor, (k+1,) + grid.shape
+    dk: np.ndarray        # d sigma_k / dM, (n, n) + grid.shape
+    dkm1: np.ndarray      # d sigma_{k-1} / dM, (n, n) + grid.shape
     margins: np.ndarray   # grid.shape, min of sigma_1..sigma_m (m = required cone)
     e2su: np.ndarray      # exp(2 s u)
     e2ksu: np.ndarray     # exp(2 k s u)
@@ -156,7 +156,7 @@ class StateData:
         """Grid index with the smallest cone margin, plus its ConeReport."""
         node = _argmin_node(self.margins)
         m = self.spec.required_cone
-        sigmas = tuple(float(x) for x in self.sig[node][1:m + 1])
+        sigmas = tuple(float(x) for x in self.sig[(slice(1, m + 1), *node)])
         margin = float(self.margins[node])
         return node, ConeReport(k=m, sigmas=sigmas, inside=margin > 0.0,
                                 margin=margin)
@@ -181,7 +181,7 @@ def case_weights(spec: ProblemSpec, t: float):
 
 
 def _case_tensor(hess_u: np.ndarray, gv: np.ndarray, t: float,
-                 spec: ProblemSpec, at=...) -> np.ndarray:
+                 spec: ProblemSpec, at=()) -> np.ndarray:
     """The case's curvature tensor from derivatives of u at the background
     nodes `at`: V(U(u, t), t) for cases A and B, W(u) for case C."""
     if spec.case == "C":
@@ -207,7 +207,7 @@ def prepare_state(u: ScalarField, t: float, spec: ProblemSpec) -> StateData:
     del hess_u   # the recurrence below sets the memory peak; free it first
     sig, dk, dkm1 = sigma_and_dsigma_batch(mats, k)
     m = spec.required_cone
-    margins = sig[..., 1:m + 1].min(axis=-1)
+    margins = np.minimum.reduce(sig[1:m + 1])
 
     s = spec.conformal_sign
     a_weight, r_weight = case_weights(spec, t)
@@ -238,8 +238,8 @@ def residual(u: ScalarField, t: float, spec: ProblemSpec,
         raise DomainError(f"unknown residual form '{form}'")
     sd = state if state is not None else prepare_state(u, t, spec)
     k = spec.k
-    sk = sd.sig[..., k]
-    skm1 = sd.sig[..., k - 1]
+    sk = sd.sig[k]
+    skm1 = sd.sig[k - 1]
     if form == "multiplied":
         vals = sk + sd.a_weight * sd.e2su * skm1 - sd.r_weight * sd.e2ksu
     else:
@@ -295,10 +295,11 @@ class LinearOperator:
     with periodic second-order stencils, assembled once as one CSR matrix,
     together with its frozen-coefficient preconditioner.
 
-    second has shape grid.shape + (n, n) and is symmetric per node, first has
-    shape grid.shape + (n,), zeroth has shape grid.shape. Construction writes
-    the stencil weights straight into the matrix values on the grid's cached
-    pattern (see _stencil_pattern), so the coefficients are read only then.
+    second has shape (n, n) + grid.shape and is symmetric per node, first has
+    shape (n,) + grid.shape (component-major, like every tensor field),
+    zeroth has shape grid.shape. Construction writes the stencil weights
+    into the row-major matrix values on the grid's cached pattern (see
+    _stencil_pattern), so the coefficients are read only then.
     A given `values` (float64, grid.size * (2n^2 + 1) entries) is
     overwritten in full and becomes the matrix data without a copy, so one
     buffer can serve operators never alive together; by default a fresh
@@ -337,32 +338,37 @@ class LinearOperator:
         g = self.grid
         n, h = g.n, g.h
         m = n * (n - 1) // 2
-        second = self.second.reshape(g.size, n, n)
-        diag = np.einsum("rii->ri", second) / h ** 2
-        bias = self.first.reshape(g.size, n) / (2.0 * h)
-        # tau = sum_i G_ii / h^2 by column adds (bitwise diag.sum(axis=1)),
-        # shared by the centre weight and the row scale
-        tau = diag[:, 0].copy()
-        for i in range(1, n):
-            tau += diag[:, i]
+        if (self.second.shape != (n, n) + g.shape
+                or self.first.shape != (n,) + g.shape):
+            raise DomainError(
+                f"coefficients must be component-major, (n, n) + grid.shape "
+                f"and (n,) + grid.shape; got {self.second.shape} and "
+                f"{self.first.shape}")
+        second = self.second.reshape(n, n, g.size)
+        diag = _diag(second) / h ** 2
+        bias = self.first.reshape(n, g.size) / (2.0 * h)
+        # tau = sum_i G_ii / h^2, shared by the centre weight and the row
+        # scale
+        tau = diag.sum(axis=0)
         zeroth = self.zeroth.ravel()
         width = 2 * n * n + 1
         vals = np.empty((g.size, width)) if values is None \
             else values.reshape(g.size, width)
         vals[:, 0] = zeroth - 2.0 * tau
-        # Each block of weights is formed contiguously and copied into its
-        # columns once: strided ufunc output over a few columns is slow.
+        # Each block of weights is formed as contiguous planes and copied,
+        # transposed, into its columns once: strided ufunc output over a few
+        # columns is slow.
         axial = vals[:, 1:1 + 2 * n].reshape(g.size, 2, n)
-        axial[:, 0] = diag + bias
-        axial[:, 1] = diag - bias
+        axial[:, 0] = (diag + bias).T
+        axial[:, 1] = (diag - bias).T
         # cross weights G_ij / (2h^2): + at +e_i+e_j and -e_i-e_j, - at the
         # two mixed-sign corners
         iu, ju = np.triu_indices(n, 1)
-        cross = second[:, iu, ju]
+        cross = second[iu, ju]
         cross /= 2.0 * h ** 2
         corners = vals[:, 1 + 2 * n:].reshape(g.size, 2, 2, m)
-        corners[:, 0] = cross[:, None, :]
-        corners[:, 1] = np.negative(cross)[:, None, :]
+        corners[:, 0] = cross.T[:, None, :]
+        corners[:, 1] = np.negative(cross).T[:, None, :]
         indices, indptr = _stencil_pattern(g)
         self.csr = csr_matrix((vals.ravel(), indices, indptr),
                               shape=(g.size, g.size))
@@ -380,9 +386,9 @@ class LinearOperator:
             halves.append(np.sin(np.pi * freq).reshape(shape) ** 2)
         symbol = np.full(np.broadcast_shapes(*(s.shape for s in sines)),
                          -abs(float(mean @ zeroth)), dtype=complex)
-        for i, (gi, bi) in enumerate(zip(mean @ diag, mean @ bias)):
+        for i, (gi, bi) in enumerate(zip(diag @ mean, bias @ mean)):
             symbol += -4.0 * gi * halves[i] + 2j * bi * sines[i]
-        for gij, i, j in zip(mean @ cross, iu, ju):
+        for gij, i, j in zip(cross @ mean, iu, ju):
             symbol -= 4.0 * gij * sines[i] * sines[j]
         self.inv_symbol = np.divide(1.0, symbol, out=np.zeros_like(symbol),
                                     where=symbol != 0.0)
@@ -416,27 +422,26 @@ def _coefficients(sd: StateData):
     form's Frechet derivative at the cached state."""
     spec = sd.spec
     n, k, t = spec.n, spec.k, sd.t
-    S = (sd.a_weight * sd.e2su)[..., None, None] * sd.dkm1
+    S = (sd.a_weight * sd.e2su) * sd.dkm1
     S += sd.dk
-    trS = np.einsum("...ii->...", S)
+    trS = np.einsum("ii...->...", S)
     if spec.case == "C":
         second = S
-        first = 2.0 * np.einsum("...ij,...j->...i", S, sd.gv) \
-            - trS[..., None] * sd.gv
+        first = 2.0 * np.einsum("ij...,j...->i...", S, sd.gv) - trS * sd.gv
     else:
         # P = build_v_tensor(S, t), written over S: t S + (1-t) tr(S) I
         P = S
         P *= t
         diag = _diag(P)
-        diag += ((1.0 - t) * trS)[..., None]
+        diag += (1.0 - t) * trS
         trP = (t + n * (1.0 - t)) * trS
-        first = 2.0 * trP[..., None] * sd.gv \
-            - 2.0 * np.einsum("...ij,...j->...i", P, sd.gv)
+        first = 2.0 * trP * sd.gv \
+            - 2.0 * np.einsum("ij...,j...->i...", P, sd.gv)
         # second = P + (tr P / (n-2)) I, again in place
-        diag += (trP / (n - 2.0))[..., None]
+        diag += trP / (n - 2.0)
         second = P
     s = spec.conformal_sign
-    zeroth = 2.0 * s * (sd.a_weight * sd.e2su * sd.sig[..., k - 1]
+    zeroth = 2.0 * s * (sd.a_weight * sd.e2su * sd.sig[k - 1]
                         - k * sd.r_weight * sd.e2ksu)
     return second, first, zeroth
 
@@ -496,7 +501,7 @@ def ellipticity_certificate(u: ScalarField, t: float, spec: ProblemSpec,
     (or under the denominator floor) are counted and fail the certificate."""
     sd = state if state is not None else prepare_state(u, t, spec)
     n, k = spec.n, spec.k
-    lam = np.linalg.eigvalsh(sd.mats)
+    lam = np.linalg.eigvalsh(np.moveaxis(sd.mats, (0, 1), (-2, -1)))
     others = np.array([np.delete(np.arange(n), i) for i in range(n)])
     # sigma_{k-2} and sigma_{k-1} of the deleted spectra (lambda|i): the
     # eigenvalues of d sigma_{k-1}(T) and d sigma_k(T)
@@ -512,11 +517,11 @@ def ellipticity_certificate(u: ScalarField, t: float, spec: ProblemSpec,
     nm_node = _argmin_node(newton_eigs)
     worst_node = _argmin_node(sd.margins)
 
-    valid = (sd.margins > 0.0) & (sd.sig[..., k - 1] >= SIGMA_FLOOR)
+    valid = (sd.margins > 0.0) & (sd.sig[k - 1] >= SIGMA_FLOOR)
     outside = int(sd.margins.size - valid.sum())
     if valid.any():
-        skm1 = np.where(valid, sd.sig[..., k - 1], 1.0)
-        excess = (sd.r_weight * sd.e2ksu - sd.sig[..., k]) / skm1 ** 2
+        skm1 = np.where(valid, sd.sig[k - 1], 1.0)
+        excess = (sd.r_weight * sd.e2ksu - sd.sig[k]) / skm1 ** 2
         q_eigs = dk / skm1[..., None] + excess[..., None] * dkm1
         if spec.case != "C":
             q_eigs = _v_spectrum(q_eigs, sd.t)
@@ -647,14 +652,14 @@ def _eq93_slacks(etas: np.ndarray, ts: np.ndarray, psis: np.ndarray,
     is equivalent, after multiplying by sigma^3 > 0, to
     sigma sigma'' <= (k/(k+1)) (sigma')^2.
     """
-    count, n = etas.shape
     m = k - 1
     nodes = np.arange(m + 1, dtype=float) - (m // 2)
-    # V(diag(eta) + s Psi) = diag(mu) + s V(Psi), with mu the V-spectrum
-    stack = nodes[None, :, None, None] * build_v_tensor(psis, ts)[:, None]
+    # V(diag(eta) + s Psi) = diag(mu) + s V(Psi), with mu the V-spectrum;
+    # stack is component-major over (sample, node)
+    stack = build_v_tensor(np.moveaxis(psis, 0, -1), ts)[..., None] * nodes
     diag = _diag(stack)
-    diag += _v_spectrum(etas, ts)[:, None, :]
-    vals = sigma_matrix_batch(stack.reshape(-1, n, n), m).reshape(count, m + 1)
+    diag += _v_spectrum(etas, ts).T[..., None]
+    vals = sigma_matrix_planes(stack, m)[m]
     ainv = np.linalg.inv(np.vander(nodes, increasing=True))
     coef = vals @ ainv.T
     sig0 = vals[:, m // 2]
@@ -726,8 +731,8 @@ def manufactured_forcing(u_star: ScalarField, t: float,
                           "weight t)")
     k = spec.k
     mats = _case_tensor(spectral_hess(u_star), spectral_grad(u_star), t, spec)
-    sig = sigma_matrix_all_batch(mats, k)
-    margins = sig[..., 1:k].min(axis=-1)
+    sig = sigma_matrix_planes(mats, k)
+    margins = np.minimum.reduce(sig[1:k])
     worst = float(margins.min())
     if worst <= 0.0:
         node = _argmin_node(margins)
@@ -739,7 +744,7 @@ def manufactured_forcing(u_star: ScalarField, t: float,
     e2ksu = np.exp(2.0 * k * s * u_star.values)
     # The weights at f = 0: r is r0 + t f in case A and f itself in case C.
     a, r0 = case_weights(spec.with_f_field(ScalarField.zeros(spec.grid)), t)
-    r = (sig[..., k] + a * e2su * sig[..., k - 1]) / e2ksu
+    r = (sig[k] + a * e2su * sig[k - 1]) / e2ksu
     f = (r - r0) / t if spec.case == "A" else r
     low = float(f.min())
     if low <= 0.0:
@@ -814,10 +819,12 @@ def c0_diagnostic(u: ScalarField, t: float, spec: ProblemSpec) -> C0Report:
 
     at = tuple(np.array(axis) for axis in zip(node_max, node_min))
     gv, hess_u = derivatives_at(u, (node_max, node_min))
-    sig_max, sig_min = sigma_matrix_all_batch(
-        _case_tensor(hess_u, gv, t, spec, at), k)
-    comparison = _case_tensor(np.zeros((n, n)), np.zeros(n), t, spec, at)
-    sig_b_max, sig_b_min = sigma_all_batch(np.linalg.eigvalsh(comparison), k)
+    sig_max, sig_min = sigma_matrix_planes(
+        _case_tensor(hess_u, gv, t, spec, at), k).T
+    comparison = _case_tensor(np.zeros((n, n, 1)), np.zeros((n, 1)), t,
+                              spec, at)
+    sig_b_max, sig_b_min = sigma_all_batch(
+        np.linalg.eigvalsh(np.moveaxis(comparison, -1, 0)), k)
     a_weight, r_weight = case_weights(spec, t)
 
     q_max = _cone_quotient(sig_max, k)

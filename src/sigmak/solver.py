@@ -57,7 +57,8 @@ LINEAR_RTOL = 1e-10
 LINEAR_GUARD = 1e-8
 
 # GMRES runs at most GMRES_MAX_RESTARTS cycles of GMRES_RESTART steps, so a
-# stalled solve fails as LinearSolveError in bounded time.
+# stalled solve fails as LinearSolveError in bounded time; it stops sooner
+# once its last cycle's rate cannot reach the tolerance in the cycles left.
 GMRES_RESTART = 50
 GMRES_MAX_RESTARTS = 20
 
@@ -158,15 +159,18 @@ class ContinuationTrace:
 
 
 def _sup_spectral_radius(mats: np.ndarray) -> float:
-    """max over a stack of symmetric matrices of the spectral radius, equal
-    bitwise to np.abs(np.linalg.eigvalsh(mats)).max().
+    """max over a component-major stack of symmetric matrices, (n, n) +
+    batch, of the spectral radius, equal bitwise to
+    np.abs(np.linalg.eigvalsh(M)).max() for M the same stack with the
+    matrix axes last.
 
     rho(H) <= |H|_F, so with `best` the radius at the matrix of largest
     Frobenius norm, only matrices whose norm exceeds best (less a 1e-12
     relative allowance for roundoff) can hold a larger radius, and only
     those are decomposed. LAPACK solves each matrix on its own, so the
     maximum over them is the full stack's."""
-    fro = np.sqrt(np.einsum("...ij,...ij->...", mats, mats))
+    fro = np.sqrt(np.einsum("ij...,ij...->...", mats, mats))
+    mats = np.moveaxis(mats, (0, 1), (-2, -1))
     top = np.unravel_index(int(np.argmax(fro)), fro.shape)
     best = float(np.abs(np.linalg.eigvalsh(mats[top])).max())
     rivals = fro > (1.0 - 1e-12) * best
@@ -182,7 +186,7 @@ def monitor(state: HomotopyState, spec: ProblemSpec,
     certifies only the state a trace ends on (ContinuationTrace.ellipticity)."""
     sd = state_data if state_data is not None else \
         prepare_state(state.u, state.t, spec)
-    grad_sq = (sd.gv ** 2).sum(axis=-1)
+    grad_sq = (sd.gv ** 2).sum(axis=0)
     return MonitorRecord(
         sup_u=float(np.abs(state.u.values).max()),
         sup_grad_u_sq=float(grad_sq.max()),
@@ -198,20 +202,29 @@ def gmres(matvec, precondition, b: np.ndarray, x0: np.ndarray) -> tuple:
     Each of at most GMRES_MAX_RESTARTS cycles starts with the true-residual
     test |b - matvec(x)|_2 <= LINEAR_RTOL |b|_2 and takes up to
     GMRES_RESTART steps, each orthogonalised by classical Gram-Schmidt
-    applied twice, with Givens rotations on Python floats. Returns
+    applied twice, with Givens rotations on Python floats. A failed test
+    after a cycle also stops the solve when the cycle's reduction of the
+    residual, kept up over the cycles left, would not reach the tolerance:
+    a stagnating solve fails at once instead of at the cap. Returns
     (x, info, r): info is 0 when the test passed, else the number of cycles
     run, and r = b - matvec(x) is the true residual of the returned x from
     the last test. A solve whose x0 passes allocates no basis.
     """
     tol = LINEAR_RTOL * float(np.linalg.norm(b))
-    x, basis = x0, None
+    x, basis, last = x0, None, None
     for cycle in range(GMRES_MAX_RESTARTS + 1):
         r = b - matvec(x)
         beta = float(np.linalg.norm(r))
         if beta <= tol:
             return x, 0, r
         if cycle == GMRES_MAX_RESTARTS:
-            break
+            return x, cycle, r
+        if last is not None:
+            # a rate >= 1 never reaches tol (and its power could overflow)
+            rate = beta / last
+            if rate >= 1.0 or beta * rate ** (GMRES_MAX_RESTARTS - cycle) > tol:
+                return x, cycle, r
+        last = beta
         if basis is None:
             basis = np.empty((GMRES_RESTART + 1, b.size))
         np.divide(r, beta, out=basis[0])
@@ -247,7 +260,6 @@ def gmres(matvec, precondition, b: np.ndarray, x0: np.ndarray) -> tuple:
                 / cols[i][i]
         if k:
             x = x + precondition(np.asarray(y) @ basis[:k])
-    return x, GMRES_MAX_RESTARTS, r
 
 
 def solve_linear(op: LinearOperator, rhs: np.ndarray) -> np.ndarray:
@@ -310,16 +322,20 @@ def newton_correct(u: ScalarField, t: float, spec: ProblemSpec,
                 f"residual {rnorm:.3e} > tol {tol:.0e}")
         it += 1
         op = linearize(u, t, spec, state=sd, values=values)
+        # This state's arrays go before the Krylov basis is built, and the
+        # operator's after the solve, all but its values, which the next
+        # linearize refills: one state is alive while the candidates build
+        # theirs.
+        sd = sd_cand = None
         delta = solve_linear(op, -res)
-        # Keep only the operator's values, for the next linearize, and drop
-        # this state's arrays, so one state is alive while the candidates
-        # build theirs.
         values = op.csr.data
-        op = sd = sd_cand = None
+        op = None
         accepted = False
         for j in range(11):
             s = 2.0 ** (-j)
             cand = ScalarField(spec.grid, u.values + s * delta)
+            # a rejected candidate's arrays go before the next one is built
+            sd_cand = None
             sd_cand = prepare_state(cand, t, spec)
             m_cand = sd_cand.cone_margin
             if m_cand < schedule.cone_factor * margin:

@@ -10,10 +10,11 @@ eigendecomposition:
   T_0 = I, sigma_j = tr(M T_{j-1})/j, T_j = sigma_j I - M T_{j-1},
   whose byproduct T_{k-1} is exactly the derivative matrix
   d sigma_k / d M (for diagonal M its diagonal is sigma_{k-1} of the
-  deleted spectra). It starts at T_1 = tr(M) I - M, and each trace
-  tr(M T_{j-1}) is one contraction, so the product M T_{j-1} is formed only
-  when T_j is needed: sigma_0..sigma_k with T_{k-1} and T_{k-2} cost k-2
-  stacked matrix products.
+  deleted spectra). It starts at T_1 = tr(M) I - M, each product
+  M T_{j-1} gives sigma_j as its trace, and the last trace tr(M T_{k-1}) is
+  one contraction, so sigma_0..sigma_k with T_{k-1} and T_{k-2} cost k-2
+  matrix products, each formed on its upper triangle (M and T_{j-1}
+  commute) and mirrored.
 
 The Garding cone Gamma_k = {lambda : sigma_j(lambda) > 0 for 1 <= j <= k}
 drives admissibility throughout the package; in_gamma reports membership with
@@ -23,9 +24,14 @@ the Newton-Maclaurin inequality and the monotonicity of normalized ratios
 they can be sampled and audited.
 
 All functions accept either a Spectrum/SymMatrix wrapper or a bare array-like.
-Batched variants (trailing-axis spectra, stacked matrices) are provided for
-grid-sized workloads and are used by the operator and solver layers; the two
-inequality gaps take spectra stacked on the last axis as well.
+Spectra are stacked on the last axis. Grid-sized matrix fields are stored
+component-major, shape (n, n) + batch, so that every entry is one
+contiguous plane and every step of the recurrence is a pass over whole
+planes; sigma_matrix_planes and sigma_and_dsigma_batch take and return that
+layout (sigma stacks as (k+1,) + batch). sigma_matrix_all_batch,
+sigma_matrix_batch and dsigma_matrix_batch take the matrix axes last,
+batch + (n, n), and are np.moveaxis views onto the same recurrence: their
+input is copied to contiguous planes, their output is a view.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ __all__ = [
     "quotient_ratio_gap",
     "sigma_matrix",
     "sigma_matrix_batch",
+    "sigma_matrix_planes",
     "sigma_matrix_all_batch",
     "dsigma_matrix",
     "dsigma_matrix_batch",
@@ -258,65 +265,81 @@ def quotient_ratio_gap(spec, k: int, l: int, r: int, s: int):
 
 
 def _diag(mats: np.ndarray) -> np.ndarray:
-    """The diagonals of stacked square matrices as a view, shape (..., n);
-    writeable when mats is, so isotropic terms can be added in place."""
-    return np.einsum("...ii->...i", mats)
+    """The diagonal planes of a component-major stack as a view, shape
+    (n,) + batch; writeable when mats is, so isotropic terms can be added in
+    place."""
+    return np.einsum("ii...->i...", mats)
 
 
-def _symmetrize(*stacks) -> None:
-    """Overwrite each stack of matrices with 0.5 (M + M^T), skipping None;
-    the stacks share one scratch array for the transposes."""
-    scratch = np.empty_like(stacks[0])
-    for mats in stacks:
-        if mats is None:
-            continue
-        np.copyto(scratch, np.swapaxes(mats, -1, -2))
-        mats += scratch
-        mats *= 0.5
+def _planes(mats) -> np.ndarray:
+    """A stack of matrices on the last two axes as contiguous component-major
+    planes, so the recurrence sums in the same order as on grid fields."""
+    return np.ascontiguousarray(
+        np.moveaxis(np.asarray(mats, dtype=float), (-2, -1), (0, 1)))
 
 
 def _fl_recurrence(mats: np.ndarray, kmax: int):
-    """Faddeev-LeVerrier up to order kmax on stacked matrices.
+    """Faddeev-LeVerrier up to order kmax on a component-major stack
+    (n, n) + batch.
 
-    Returns (sig, T_last, T_prev) where sig has shape batch + (kmax+1,),
+    Returns (sig, T_last, T_prev) where sig has shape (kmax+1,) + batch,
     T_last = T_{kmax-1} and T_prev = T_{kmax-2} (None when out of range).
     The T are fresh arrays, never views of mats or of each other; the
-    recurrence holds at most two of them, reusing the older one's buffer.
+    recurrence holds at most two of them, writing each product into the
+    buffer of the T it no longer needs. M and T_{j-1} commute, so each
+    product M T_{j-1} is formed on its upper triangle, one row of planes per
+    einsum, and mirrored: every T is exactly symmetric. sigma_j is the sum
+    of the product's diagonal planes; only sigma_kmax, whose product is not
+    needed, is one contraction sum of M_ab T_ab.
     """
-    n = mats.shape[-1]
+    n = mats.shape[0]
     if not 0 <= kmax <= n:
         raise DomainError(f"k must lie in [0, {n}], got {kmax}")
-    sig = np.zeros(mats.shape[:-2] + (kmax + 1,))
-    sig[..., 0] = 1.0
+    sig = np.empty((kmax + 1,) + mats.shape[2:])
+    sig[0] = 1.0
     if kmax == 0:
         return sig, None, None
-    # T_0 = I is returned only for kmax <= 2
     t_prev = t_last = None
-    if kmax <= 2:
-        t_last = np.broadcast_to(np.eye(n), mats.shape).copy()
-    np.einsum("...ii->...", mats, out=sig[..., 1])
+    if kmax <= 2:   # T_0 = I is returned only then
+        t_last = np.zeros_like(mats)
+        _diag(t_last)[...] = 1.0
     for j in range(1, kmax):
-        # T_j = sigma_j I - M T_{j-1}; T_1 = sigma_1 I - M needs no product
-        # T_{j-2} is not needed again, so its buffer takes the product
+        # T_j = sigma_j I - M T_{j-1}, with sigma_j = tr(M T_{j-1})/j;
+        # T_1 = tr(M) I - M needs no product
         if j == 1:
             t_next = np.negative(mats)
+            np.einsum("ii...->...", mats, out=sig[1, ...])
         else:
-            t_next = np.matmul(mats, t_last, out=t_prev)
+            t_next = np.empty_like(mats) if t_prev is None else t_prev
+            for a in range(n):
+                np.einsum("c...,cb...->b...", mats[a], t_last[:, a:],
+                          out=t_next[a, a:])
+                t_next[a + 1:, a] = t_next[a, a + 1:]
+            np.einsum("ii...->...", t_next, out=sig[j, ...])
+            sig[j] /= j
             np.negative(t_next, out=t_next)
         diag = _diag(t_next)
-        diag += sig[..., j, None]
+        diag += sig[j]
         t_prev, t_last = t_last, t_next
-        # sigma_{j+1} = tr(M T_j)/(j+1), without forming M T_j
-        np.einsum("...ij,...ji->...", mats, t_last, out=sig[..., j + 1])
-        sig[..., j + 1] /= j + 1
+    # sigma_kmax = tr(M T_{kmax-1})/kmax, without forming the product
+    # (T_{kmax-1} is symmetric, so the trace is the sum of M_ab T_ab)
+    np.einsum("ab...,ab...->...", mats, t_last, out=sig[kmax, ...])
+    sig[kmax] /= kmax
     return sig, t_last, t_prev
 
 
-def sigma_matrix_all_batch(mats: np.ndarray, kmax: int) -> np.ndarray:
-    """sigma_0..sigma_kmax of the eigenvalues of stacked symmetric matrices,
-    without eigendecomposition (trace recurrence)."""
+def sigma_matrix_planes(mats: np.ndarray, kmax: int) -> np.ndarray:
+    """sigma_0..sigma_kmax of the eigenvalues of a component-major stack of
+    symmetric matrices, shape (n, n) + batch, as planes (kmax+1,) + batch."""
     sig, _, _ = _fl_recurrence(np.asarray(mats, dtype=float), kmax)
     return sig
+
+
+def sigma_matrix_all_batch(mats: np.ndarray, kmax: int) -> np.ndarray:
+    """sigma_0..sigma_kmax of the eigenvalues of symmetric matrices stacked
+    on the last two axes, as batch + (kmax+1,), without eigendecomposition
+    (trace recurrence)."""
+    return np.moveaxis(sigma_matrix_planes(_planes(mats), kmax), 0, -1)
 
 
 def sigma_matrix_batch(mats: np.ndarray, k: int) -> np.ndarray:
@@ -329,19 +352,14 @@ def sigma_matrix(m, k: int) -> float:
 
 
 def dsigma_matrix_batch(mats: np.ndarray, k: int) -> np.ndarray:
-    """d sigma_k / d M for stacked symmetric matrices.
+    """d sigma_k / d M for symmetric matrices stacked on the last two axes.
 
     This is the Faddeev-LeVerrier cofactor-like matrix T_{k-1}(M); it is
-    symmetric for symmetric M (symmetrized here to kill roundoff skew) and
-    contracts against M to k sigma_k (Euler homogeneity).
+    exactly symmetric and contracts against M to k sigma_k (Euler
+    homogeneity).
     """
-    mats = np.asarray(mats, dtype=float)
-    n = mats.shape[-1]
-    if not 1 <= k <= n:
-        raise DomainError(f"k must lie in [1, {n}], got {k}")
-    _, t_last, _ = _fl_recurrence(mats, k)
-    _symmetrize(t_last)
-    return t_last
+    _, dk, _ = sigma_and_dsigma_batch(_planes(mats), k)
+    return np.moveaxis(dk, (0, 1), (-2, -1))
 
 
 def dsigma_matrix(m, k: int) -> SymMatrix:
@@ -351,18 +369,18 @@ def dsigma_matrix(m, k: int) -> SymMatrix:
 
 
 def sigma_and_dsigma_batch(mats: np.ndarray, k: int):
-    """One recurrence pass returning (sigma_0..k, dsigma_k, dsigma_{k-1}).
+    """One recurrence pass over a component-major stack (n, n) + batch,
+    returning (sigma_0..k, dsigma_k, dsigma_{k-1}) as (k+1,) + batch and two
+    (n, n) + batch stacks, both exactly symmetric.
 
     dsigma_{k-1} is None for k = 1 (sigma_0 is constant). Used by the
     operator layer, which needs the pair at every grid node.
     """
     mats = np.asarray(mats, dtype=float)
-    n = mats.shape[-1]
+    n = mats.shape[0]
     if not 1 <= k <= n:
         raise DomainError(f"k must lie in [1, {n}], got {k}")
-    sig, dk, dkm1 = _fl_recurrence(mats, k)
-    _symmetrize(dk, dkm1)
-    return sig, dk, dkm1
+    return _fl_recurrence(mats, k)
 
 
 def sample_gamma(n: int, k: int, count: int, rng: np.random.Generator,

@@ -15,13 +15,13 @@ def test_background_from_components_and_defaults():
     g = Grid(3, 8)
     bg = Background.from_components(
         g, ric0={"(1,1)": "-1", "(1,2)": "0.5*sin(x1)"})
-    assert bg.ric0.shape == g.shape + (3, 3)
-    assert np.array_equal(bg.ric0[..., 0, 0], np.full(g.shape, -1.0))
-    assert np.allclose(bg.ric0[..., 0, 1], 0.5 * np.sin(g.coords()[0]))
-    assert np.array_equal(bg.ric0, np.swapaxes(bg.ric0, -1, -2))
+    assert bg.ric0.shape == (3, 3) + g.shape
+    assert np.array_equal(bg.ric0[0, 0], np.full(g.shape, -1.0))
+    assert np.allclose(bg.ric0[0, 1], 0.5 * np.sin(g.coords()[0]))
+    assert np.array_equal(bg.ric0, np.swapaxes(bg.ric0, 0, 1))
     # Omitted components are zero, including the whole schouten0 tensor.
-    assert np.array_equal(bg.ric0[..., 2, 2], np.zeros(g.shape))
-    assert np.array_equal(bg.schouten0, np.zeros(g.shape + (3, 3)))
+    assert np.array_equal(bg.ric0[2, 2], np.zeros(g.shape))
+    assert np.array_equal(bg.schouten0, np.zeros((3, 3) + g.shape))
 
 
 def test_background_component_keys_accept_tuples_and_strings():
@@ -115,6 +115,12 @@ def _stencil_derivatives(u):
     return hess(u), grad_values(u)
 
 
+def _unit_batch_zeros(n: int, ndim: int) -> tuple:
+    """Zero Hessian and gradient with unit batch axes, which the builders
+    broadcast against a grid-shaped background."""
+    return np.zeros((n, n) + (1,) * ndim), np.zeros((n,) + (1,) * ndim)
+
+
 def test_u_tensor_closed_form_at_zero():
     """U(0, t) = -t ric0/(n-2) + ((1-t)/n) I, from grid-sized zero
     derivatives or from one broadcast zero matrix alike."""
@@ -123,10 +129,11 @@ def test_u_tensor_closed_form_at_zero():
     u0 = ScalarField.zeros(g)
     for t in (0.0, 0.3, 1.0):
         mats = build_u_tensor(*_stencil_derivatives(u0), t, spec)
-        want = t * np.eye(3) + ((1.0 - t) / 3.0) * np.eye(3)
-        assert mats.shape == g.shape + (3, 3)
+        want = (t * np.eye(3) + ((1.0 - t) / 3.0) * np.eye(3))[:, :, None,
+                                                               None, None]
+        assert mats.shape == (3, 3) + g.shape
         assert np.abs(mats - want).max() <= 1e-14
-        broadcast = build_u_tensor(np.zeros((3, 3)), np.zeros(3), t, spec)
+        broadcast = build_u_tensor(*_unit_batch_zeros(3, 3), t, spec)
         assert np.array_equal(broadcast, mats)
     with pytest.raises(DomainError):
         build_u_tensor(*_stencil_derivatives(u0), 1.5, spec)
@@ -140,8 +147,8 @@ def test_v_tensor_interpolates_trace_weights():
     for t in (0.0, 0.4, 1.0):
         ut = build_u_tensor(*_stencil_derivatives(u), t, spec)
         vt = build_v_tensor(ut, t)
-        tr_u = np.einsum("...ii->...", ut)
-        tr_v = np.einsum("...ii->...", vt)
+        tr_u = np.einsum("ii...->...", ut)
+        tr_v = np.einsum("ii...->...", vt)
         assert np.abs(tr_v - (t + 3 * (1 - t)) * tr_u).max() <= 1e-12
         if t == 1.0:
             assert np.abs(vt - ut).max() <= 1e-14
@@ -149,12 +156,13 @@ def test_v_tensor_interpolates_trace_weights():
 
 def test_v_tensor_takes_per_matrix_t_and_keeps_dtype():
     rng = np.random.default_rng(4)
-    raw = rng.standard_normal((5, 4, 4))
-    mats = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+    raw = rng.standard_normal((4, 4, 5))
+    mats = 0.5 * (raw + np.swapaxes(raw, 0, 1))
     ts = rng.uniform(0.0, 1.0, 5)
     stacked = build_v_tensor(mats, ts)
     for i in range(5):
-        assert np.array_equal(stacked[i], build_v_tensor(mats[i], ts[i]))
+        assert np.array_equal(stacked[..., i],
+                              build_v_tensor(mats[..., i], ts[i]))
     ld = build_v_tensor(mats.astype(np.longdouble), ts.astype(np.longdouble))
     assert ld.dtype == np.longdouble
     with pytest.raises(DomainError):
@@ -171,7 +179,7 @@ def test_w_tensor_reduces_to_schouten_at_zero():
     w = build_w_tensor(*_stencil_derivatives(ScalarField.zeros(g)), spec)
     assert np.abs(w - bg.schouten0).max() == 0.0
     with pytest.raises(DomainError):
-        build_w_tensor(np.zeros((3, 3)), np.zeros(3), canonical_problem("A"))
+        build_w_tensor(*_unit_batch_zeros(3, 3), canonical_problem("A"))
 
 
 def test_w_tensor_gradient_terms():
@@ -180,12 +188,12 @@ def test_w_tensor_gradient_terms():
     g = spec.grid
     u = sample_text("0.1*sin(x1)*cos(x2)", g)
     w = build_w_tensor(*_stencil_derivatives(u), spec)
-    w0 = build_w_tensor(np.zeros((3, 3)), np.zeros(3), spec)
+    w0 = build_w_tensor(*_unit_batch_zeros(3, 3), spec)
     gv = grad_values(u)
-    grad_sq = np.einsum("...a,...a->...", gv, gv)
+    grad_sq = np.einsum("a...,a...->...", gv, gv)
     want = (hess(u)
-            + np.einsum("...a,...b->...ab", gv, gv)
-            - 0.5 * grad_sq[..., None, None] * np.eye(3))
+            + np.einsum("a...,b...->ab...", gv, gv)
+            - 0.5 * grad_sq * np.eye(3)[:, :, None, None, None])
     assert np.abs((w - w0) - want).max() <= 1e-13
 
 
@@ -202,26 +210,31 @@ def test_with_f_field_swaps_forcing_only():
 
 # The builders accumulate in place; these are the plain broadcasting
 # expressions they must reproduce bit for bit (signed zeros aside).
+def _eye(n, batch_ndim):
+    """The identity as a component-major stack with unit batch axes."""
+    return np.eye(n).reshape((n, n) + (1,) * batch_ndim)
+
+
 def _u_reference(hess_m, grad, t, spec):
     n = spec.n
-    iso = (np.trace(hess_m, axis1=-2, axis2=-1) / (n - 2)
-           + np.einsum("...a,...a->...", grad, grad) + (1.0 - t) / n)
-    outer = grad[..., :, None] * grad[..., None, :]
-    return hess_m + ((iso[..., None, None] * np.eye(n) - outer)
+    iso = (np.trace(hess_m, axis1=0, axis2=1) / (n - 2)
+           + np.einsum("a...,a...->...", grad, grad) + (1.0 - t) / n)
+    outer = grad[:, None] * grad[None, :]
+    return hess_m + ((iso * _eye(n, iso.ndim) - outer)
                      - t * spec.background.ric0 / (n - 2))
 
 
 def _v_reference(mats, t):
-    t = np.asarray(t)[..., None, None]
-    tr = np.trace(mats, axis1=-2, axis2=-1)[..., None, None]
-    return t * mats + ((1.0 - t) * tr) * np.eye(mats.shape[-1])
+    t = np.asarray(t)
+    tr = np.trace(mats, axis1=0, axis2=1)
+    return t * mats + ((1.0 - t) * tr) * _eye(mats.shape[0], mats.ndim - 2)
 
 
 def _w_reference(hess_m, grad, spec):
-    grad_sq = np.einsum("...a,...a->...", grad, grad)
-    outer = grad[..., :, None] * grad[..., None, :]
+    grad_sq = np.einsum("a...,a...->...", grad, grad)
+    outer = grad[:, None] * grad[None, :]
     return (hess_m + (outer + spec.background.schouten0)) \
-        - (0.5 * grad_sq)[..., None, None] * np.eye(spec.n)
+        - (0.5 * grad_sq) * _eye(spec.n, grad_sq.ndim)
 
 
 def _same(got, want):
@@ -243,13 +256,13 @@ def test_tensor_builders_equal_the_reference_expressions(n):
     spec_c = ProblemSpec.build("C", n, 3, g, alpha="-0.05", f="1",
                                background=bg)
     hm, gv = hess(u), grad_values(u)
-    zero_h, zero_g = np.zeros((n, n)), np.zeros(n)
+    zero_h, zero_g = _unit_batch_zeros(n, n)
     inputs = (hm.copy(), gv.copy())
     for t in (0.0, 0.35, 1.0):
         u_t = build_u_tensor(hm, gv, t, spec_a)
         _same(u_t, _u_reference(hm, gv, t, spec_a))
         _same(build_v_tensor(u_t, t), _v_reference(u_t, t))
-        # (n, n) zero derivatives against grid-shaped backgrounds
+        # unit-batch zero derivatives against grid-shaped backgrounds
         _same(build_u_tensor(zero_h, zero_g, t, spec_a),
               _u_reference(zero_h, zero_g, t, spec_a))
     ts = rng.uniform(0.0, 1.0, size=g.shape)

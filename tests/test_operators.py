@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import canonical_problem
+from helpers import canonical_problem, matmul_sigma_and_dsigma
 from sigmak import (Background, Grid, ProblemSpec, ScalarField, c0_diagnostic,
                     concavity_certificate, ellipticity_certificate, linearize,
                     manufactured_forcing, prepare_state, residual, sample_text)
@@ -53,7 +53,7 @@ def test_quotient_form_is_multiplied_over_sigma():
     sd = prepare_state(u, 0.6, spec)
     mult = residual(u, 0.6, spec, form="multiplied", state=sd)
     quot = residual(u, 0.6, spec, form="quotient", state=sd)
-    skm1 = sd.sig[..., spec.k - 1]
+    skm1 = sd.sig[spec.k - 1]
     back = quot.values.values * skm1
     assert np.abs(back - mult.values.values).max() <= 1e-12
 
@@ -117,13 +117,13 @@ def test_linear_operator_routes_agree():
     rng = np.random.default_rng(15)
     for n in range(3, 7):
         grid = Grid(n, 8)
-        second = rng.standard_normal(grid.shape + (n, n))
-        second = second + np.swapaxes(second, -1, -2)
-        first = rng.standard_normal(grid.shape + (n,))
+        second = rng.standard_normal((n, n) + grid.shape)
+        second = second + np.swapaxes(second, 0, 1)
+        first = rng.standard_normal((n,) + grid.shape)
         zeroth = rng.standard_normal(grid.shape)
         phi = ScalarField(grid, rng.standard_normal(grid.shape))
-        want = (np.einsum("...ij,...ij->...", second, hess(phi))
-                + np.einsum("...i,...i->...", first, grad_values(phi))
+        want = (np.einsum("ij...,ij...->...", second, hess(phi))
+                + np.einsum("i...,i...->...", first, grad_values(phi))
                 + zeroth * phi.values)
         op = LinearOperator(grid=grid, second=second, first=first,
                             zeroth=zeroth)
@@ -142,10 +142,10 @@ def test_operator_built_into_a_supplied_buffer_keeps_it(n):
     one built by linearize into the previous operator's data."""
     rng = np.random.default_rng(60 + n)
     grid = Grid(n, 8)
-    second = rng.standard_normal(grid.shape + (n, n))
-    second = second + np.swapaxes(second, -1, -2)
+    second = rng.standard_normal((n, n) + grid.shape)
+    second = second + np.swapaxes(second, 0, 1)
     coeffs = dict(grid=grid, second=second,
-                  first=rng.standard_normal(grid.shape + (n,)),
+                  first=rng.standard_normal((n,) + grid.shape),
                   zeroth=rng.standard_normal(grid.shape))
     fresh = LinearOperator(**coeffs)
     buf = np.full(grid.size * (2 * n * n + 1), np.nan)
@@ -174,9 +174,11 @@ def test_preconditioner_inverts_constant_coefficient_operators(n):
     rng = np.random.default_rng(40 + n)
     grid = Grid(n, 8)
     root = rng.standard_normal((n, n))
-    second = np.broadcast_to(root @ root.T + n * np.eye(n),
-                             grid.shape + (n, n))
-    first = np.broadcast_to(rng.standard_normal(n), grid.shape + (n,))
+    unit = (1,) * n
+    second = np.broadcast_to((root @ root.T + n * np.eye(n)).reshape(
+        (n, n) + unit), (n, n) + grid.shape)
+    first = np.broadcast_to(rng.standard_normal(n).reshape((n,) + unit),
+                            (n,) + grid.shape)
     zeroth = np.full(grid.shape, -0.5 - rng.random())
     op = LinearOperator(grid=grid, second=second, first=first,
                         zeroth=zeroth)
@@ -186,15 +188,25 @@ def test_preconditioner_inverts_constant_coefficient_operators(n):
 
 
 def _reference_weights(grid, second, first, zeroth):
-    """The stencil weights in _stencil_pattern's column order, one column
-    block at a time: the fill the assembled values must equal bit for bit."""
-    n, h = grid.n, grid.h
+    """The stencil weights in _stencil_pattern's column order from the
+    component-major coefficients: the fill the assembled values must equal
+    bit for bit."""
+    n = grid.n
+    second = np.moveaxis(second, (0, 1), (-2, -1)).reshape(grid.size, n, n)
+    first = np.moveaxis(first, 0, -1).reshape(grid.size, n)
+    return _weight_rows(grid.h, second, first, zeroth.ravel()).ravel()
+
+
+def _weight_rows(h, second, first, zeroth):
+    """One row of stencil weights per node, one column block at a time, from
+    node-major coefficients: second (rows, n, n), first (rows, n), zeroth
+    (rows,)."""
+    rows, n = first.shape
     m = n * (n - 1) // 2
-    second = second.reshape(grid.size, n, n)
     diag = np.einsum("rii->ri", second) / h ** 2
-    bias = first.reshape(grid.size, n) / (2.0 * h)
-    vals = np.empty((grid.size, 2 * n * n + 1))
-    vals[:, 0] = zeroth.ravel() - 2.0 * diag.sum(axis=1)
+    bias = first / (2.0 * h)
+    vals = np.empty((rows, 2 * n * n + 1))
+    vals[:, 0] = zeroth - 2.0 * diag.sum(axis=1)
     vals[:, 1:1 + n] = diag + bias
     vals[:, 1 + n:1 + 2 * n] = diag - bias
     p = 1 + 2 * n
@@ -203,7 +215,7 @@ def _reference_weights(grid, second, first, zeroth):
     vals[:, p + m:p + 2 * m] = vals[:, p:p + m]
     vals[:, p + 2 * m:p + 3 * m] = -vals[:, p:p + m]
     vals[:, p + 3 * m:] = vals[:, p + 2 * m:p + 3 * m]
-    return vals.ravel()
+    return vals
 
 
 def _reference_coefficients(sd):
@@ -212,21 +224,27 @@ def _reference_coefficients(sd):
     first = 2 tr(P) grad u - 2 P grad u (case C: S, 2 S grad u - tr(S)
     grad u). Defined at every node, inside the cone or not."""
     n, t = sd.spec.n, sd.t
-    weight = (sd.a_weight * sd.e2su)[..., None, None]
+    eye = np.eye(n).reshape((n, n) + (1,) * n)
+    weight = sd.a_weight * sd.e2su
     S = sd.dk + weight * sd.dkm1
-    trS = np.einsum("...ii->...", S)
+    trS = np.einsum("ii...->...", S)
     if sd.spec.case == "C":
         second = S
-        first = 2.0 * np.einsum("...ij,...j->...i", S, sd.gv) \
-            - trS[..., None] * sd.gv
+        first = 2.0 * np.einsum("ij...,j...->i...", S, sd.gv) - trS * sd.gv
     else:
-        tr = np.trace(S, axis1=-2, axis2=-1)[..., None, None]
-        P = t * S + ((1.0 - t) * tr) * np.eye(n)
+        tr = np.trace(S, axis1=0, axis2=1)
+        P = t * S + ((1.0 - t) * tr) * eye
         trP = (t + n * (1.0 - t)) * trS
-        second = P + (trP / (n - 2.0))[..., None, None] * np.eye(n)
-        first = 2.0 * trP[..., None] * sd.gv \
-            - 2.0 * np.einsum("...ij,...j->...i", P, sd.gv)
+        second = P + (trP / (n - 2.0)) * eye
+        first = 2.0 * trP * sd.gv \
+            - 2.0 * np.einsum("ij...,j...->i...", P, sd.gv)
     return second, first
+
+
+def _node_major(mats):
+    """A component-major stack as a view with the matrix axes last, as
+    eigvalsh takes it."""
+    return np.moveaxis(mats, (0, 1), (-2, -1))
 
 
 @pytest.mark.parametrize("case, n, k", [("A", 3, 3), ("B", 4, 3),
@@ -247,6 +265,70 @@ def test_linearization_coefficients_and_weights_are_bitwise(case, n, k):
     assert np.array_equal(op.first, first)
     assert np.array_equal(op.as_csr().data, _reference_weights(
         spec.grid, op.second, op.first, op.zeroth))
+
+
+def _node_coefficients(sd, nodes, sig, dk, dkm1):
+    """The plain node-major expressions of the three coefficient fields at
+    the flat node indices `nodes`, from sigma_0..sigma_k (nodes, k+1) and the
+    derivative matrices (nodes, n, n) of a reference recurrence and the
+    recurrence-free fields of the state sd."""
+    spec = sd.spec
+    n, k, t, s = spec.n, spec.k, sd.t, spec.conformal_sign
+
+    def at(field):
+        return field.reshape(field.shape[:field.ndim - n] + (-1,))[..., nodes]
+
+    weight = at(sd.a_weight * sd.e2su)
+    gv = at(sd.gv).T
+    S = dk + weight[:, None, None] * dkm1
+    trS = np.trace(S, axis1=-2, axis2=-1)
+    if spec.case == "C":
+        second = S
+        first = 2.0 * np.einsum("rij,rj->ri", S, gv) - trS[:, None] * gv
+    else:
+        eye = np.eye(n)
+        P = t * S + ((1.0 - t) * trS)[:, None, None] * eye
+        trP = (t + n * (1.0 - t)) * trS
+        second = P + (trP / (n - 2.0))[:, None, None] * eye
+        first = 2.0 * trP[:, None] * gv - 2.0 * np.einsum("rij,rj->ri", P, gv)
+    zeroth = 2.0 * s * (weight * sig[:, k - 1]
+                        - k * at(sd.r_weight * sd.e2ksu))
+    return second, first, zeroth
+
+
+_ACCEPTED_NK = [(n, k) for n in range(3, 7) for k in range(3, n + 1)]
+
+
+@pytest.mark.parametrize("n, k", _ACCEPTED_NK)
+@pytest.mark.parametrize("case", ["A", "B", "C"])
+def test_state_and_operator_match_the_matmul_recurrence(case, n, k):
+    """prepare_state's sigma_0..sigma_k, dsigma_k and dsigma_{k-1} and
+    linearize's CSR weights, against the whole-matrix product recurrence of
+    tests/helpers.py pushed through the plain coefficient and weight
+    expressions: within 1e-13 of the largest reference entry, at 400 sampled
+    nodes of a non-constant state, for every accepted (n, k) and case. The
+    derivative matrices are exactly symmetric at every node."""
+    spec = _varied_problem(case, n, k)
+    rng = np.random.default_rng(100 * n + k)
+    u = random_smooth_field(spec.grid, rng, amplitude=0.02, modes=8)
+    t = 1.0 if case == "C" else 0.6
+    sd = prepare_state(u, t, spec)
+    for d in (sd.dk, sd.dkm1):
+        assert np.array_equal(d, np.swapaxes(d, 0, 1))
+    nodes = rng.choice(spec.grid.size, size=400, replace=False)
+    mats = np.moveaxis(sd.mats.reshape(n, n, -1)[:, :, nodes], -1, 0)
+    sig, dk, dkm1 = matmul_sigma_and_dsigma(mats, k)
+
+    def close(got, want):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    close(sd.sig.reshape(k + 1, -1)[:, nodes].T, sig)
+    close(np.moveaxis(sd.dk.reshape(n, n, -1)[:, :, nodes], -1, 0), dk)
+    close(np.moveaxis(sd.dkm1.reshape(n, n, -1)[:, :, nodes], -1, 0), dkm1)
+    op = linearize(u, t, spec, state=sd)
+    width = 2 * n * n + 1
+    close(op.csr.data.reshape(-1, width)[nodes], _weight_rows(
+        spec.grid.h, *_node_coefficients(sd, nodes, sig, dk, dkm1)))
 
 
 def test_zeroth_order_sign_matches_case():
@@ -310,8 +392,8 @@ def test_ellipticity_trace_bound_all_cases():
         assert cert.quotient_trace_min >= cert.trace_bound - 1e-10
 
 
-def _varied_problem(case: str, n: int) -> ProblemSpec:
-    """A problem on Grid(n, 8), k = max(3, n-1), with non-constant
+def _varied_problem(case: str, n: int, k: int | None = None) -> ProblemSpec:
+    """A problem on Grid(n, 8), k = max(3, n-1) by default, with non-constant
     coefficients and a non-constant, non-diagonal background tensor (ric0
     near -I for cases A and B, schouten0 near I for case C), so every
     per-node index into the background matters."""
@@ -330,7 +412,8 @@ def _varied_problem(case: str, n: int) -> ProblemSpec:
     else:
         background = Background.from_components(grid, ric0=comps)
         alpha, f = "-0.3 - 0.05*sin(x1)", "0"
-    return ProblemSpec.build(case, n, max(3, n - 1), grid, alpha=alpha, f=f,
+    k = max(3, n - 1) if k is None else k
+    return ProblemSpec.build(case, n, k, grid, alpha=alpha, f=f,
                              background=background)
 
 
@@ -340,18 +423,18 @@ def _reference_ellipticity(sd) -> dict:
     + r e^{2ksu}/s_{k-1}^2 dkm1 pushed through V (cases A, B)."""
     spec, k = sd.spec, sd.spec.k
     second, _ = _reference_coefficients(sd)
-    newton_eigs = np.linalg.eigvalsh(second)[..., 0]
-    valid = (sd.margins > 0.0) & (sd.sig[..., k - 1] >= SIGMA_FLOOR)
-    skm1 = np.where(valid, sd.sig[..., k - 1], 1.0)
-    sk = sd.sig[..., k]
-    d_quot = sd.dk / skm1[..., None, None] \
-        - (sk / skm1 ** 2)[..., None, None] * sd.dkm1
+    newton_eigs = np.linalg.eigvalsh(_node_major(second))[..., 0]
+    valid = (sd.margins > 0.0) & (sd.sig[k - 1] >= SIGMA_FLOOR)
+    skm1 = np.where(valid, sd.sig[k - 1], 1.0)
+    sk = sd.sig[k]
+    d_quot = sd.dk / skm1 - (sk / skm1 ** 2) * sd.dkm1
     h_field = sd.r_weight * sd.e2ksu
-    gq = d_quot + (h_field / skm1 ** 2)[..., None, None] * sd.dkm1
+    gq = d_quot + (h_field / skm1 ** 2) * sd.dkm1
     if spec.case != "C":
         gq = build_v_tensor(gq, sd.t)
-    q_eigs = np.where(valid, np.linalg.eigvalsh(gq)[..., 0], np.inf)
-    q_traces = np.where(valid, np.einsum("...ii->...", gq), np.inf)
+    q_eigs = np.where(valid, np.linalg.eigvalsh(_node_major(gq))[..., 0],
+                      np.inf)
+    q_traces = np.where(valid, np.einsum("ii...->...", gq), np.inf)
     node = np.unravel_index(int(np.argmin(newton_eigs)), newton_eigs.shape)
     return {"newton_min_eig": float(newton_eigs.min()),
             "newton_min_eig_node": tuple(int(i) for i in node),
@@ -371,7 +454,8 @@ def _reference_c0(u, t, spec, sd) -> dict:
     n, k = spec.n, spec.k
     node_max = np.unravel_index(int(np.argmax(u.values)), u.values.shape)
     node_min = np.unravel_index(int(np.argmin(u.values)), u.values.shape)
-    zero_hess, zero_grad = np.zeros((n, n)), np.zeros(n)
+    zero_hess = np.zeros((n, n) + (1,) * n)
+    zero_grad = np.zeros((n,) + (1,) * n)
     if spec.case == "C":
         comparison = build_w_tensor(zero_hess, zero_grad, spec)
     else:
@@ -386,8 +470,9 @@ def _reference_c0(u, t, spec, sd) -> dict:
     out = {"max_node": tuple(int(i) for i in node_max),
            "min_node": tuple(int(i) for i in node_min)}
     for end, node in (("max", node_max), ("min", node_min)):
-        sig_b = sigma_all_batch(np.linalg.eigvalsh(comparison[node]), k)
-        out[f"quotient_at_{end}"] = quotient(sd.sig[node])
+        sig_b = sigma_all_batch(
+            np.linalg.eigvalsh(comparison[(..., *node)]), k)
+        out[f"quotient_at_{end}"] = quotient(sd.sig[(..., *node)])
         out[f"comparison_at_{end}"] = quotient(sig_b)
         out[f"sig_b_{end}"] = sig_b
     out["gap_at_max"] = out["comparison_at_max"] - out["quotient_at_max"]
@@ -461,9 +546,9 @@ def test_v_spectrum_is_the_diagonal_of_v_on_diagonal_tensors():
     ts = rng.uniform(0.0, 1.0, size=200)
     for dtype in (np.float64, np.longdouble):
         x = xs.astype(dtype)
-        diag = x[..., None] * np.eye(5)
+        diag = x.T[:, None] * np.eye(5)[..., None]
         for t in (ts.astype(dtype), 0.3):
-            want = np.einsum("...ii->...i", build_v_tensor(diag, t))
+            want = np.einsum("ii...->...i", build_v_tensor(diag, t))
             got = _v_spectrum(x, t)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)

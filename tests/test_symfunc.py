@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_sigma, brute_sigma_all
+from helpers import brute_sigma, brute_sigma_all, matmul_sigma_and_dsigma
 from sigmak import (dsigma_matrix, in_gamma, newton_maclaurin_gap,
                     quotient_ratio_gap, sigma, sigma_matrix, sigma_minor)
 from sigmak.errors import DomainError
-from sigmak.symfunc import (sample_gamma, sigma_all, sigma_all_batch,
-                            sigma_and_dsigma_batch, sigma_matrix_all_batch)
+from sigmak.symfunc import (dsigma_matrix_batch, sample_gamma, sigma_all,
+                            sigma_all_batch, sigma_and_dsigma_batch,
+                            sigma_matrix_all_batch, sigma_matrix_batch,
+                            sigma_matrix_planes)
 
 
 def test_sigma_small_hand_values():
@@ -195,17 +197,17 @@ def test_dsigma_matrix_diagonal_values():
 
 def test_dsigma_euler_identity():
     rng = np.random.default_rng(9)
-    raw = rng.standard_normal((100, 4, 4))
-    mats = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+    raw = rng.standard_normal((4, 4, 100))
+    mats = 0.5 * (raw + np.swapaxes(raw, 0, 1))
     for k in range(1, 5):
         sig, dk, dkm1 = sigma_and_dsigma_batch(mats, k)
-        lhs = np.einsum("bij,bji->b", dk, mats)
-        scale = np.maximum(1.0, np.abs(k * sig[:, k]))
-        assert np.all(np.abs(lhs - k * sig[:, k]) <= 1e-12 * scale)
+        lhs = np.einsum("ijb,jib->b", dk, mats)
+        scale = np.maximum(1.0, np.abs(k * sig[k]))
+        assert np.all(np.abs(lhs - k * sig[k]) <= 1e-12 * scale)
         if k >= 2:
-            lhs2 = np.einsum("bij,bji->b", dkm1, mats)
-            assert np.all(np.abs(lhs2 - (k - 1) * sig[:, k - 1])
-                          <= 1e-12 * np.maximum(1.0, np.abs(sig[:, k - 1])))
+            lhs2 = np.einsum("ijb,jib->b", dkm1, mats)
+            assert np.all(np.abs(lhs2 - (k - 1) * sig[k - 1])
+                          <= 1e-12 * np.maximum(1.0, np.abs(sig[k - 1])))
 
 
 def test_dsigma_matches_finite_differences():
@@ -291,31 +293,34 @@ def test_sigma_and_dsigma_batch_match_the_eigenvalue_route(n):
     # sigma_{j-1} of every deleted spectrum lam|i, stacked on axis -2
     deleted = np.stack([sigma_all_batch(np.delete(lams, i, axis=-1), n - 1)
                         for i in range(n)], axis=-2)
+    planes = np.moveaxis(mats, (-2, -1), (0, 1))
     for k in range(1, n + 1):
-        sig, dk, dkm1 = sigma_and_dsigma_batch(mats, k)
-        assert sig.shape == (4, 5, k + 1)
-        np.testing.assert_allclose(sig, sigma_all_batch(eig, k),
+        sig, dk, dkm1 = sigma_and_dsigma_batch(planes, k)
+        assert sig.shape == (k + 1, 4, 5)
+        np.testing.assert_allclose(np.moveaxis(sig, 0, -1),
+                                   sigma_all_batch(eig, k),
                                    rtol=1e-11, atol=1e-11)
         for d, j in ((dk, k), (dkm1, k - 1)):
             if j == 0:
                 assert d is None
                 continue
-            want = np.einsum("...ij,...j,...kj->...ik", q,
+            want = np.einsum("...ij,...j,...kj->ik...", q,
                              deleted[..., j - 1], q)
             np.testing.assert_allclose(d, want, rtol=1e-11, atol=1e-11)
-            assert np.array_equal(d, np.swapaxes(d, -1, -2))
+            assert np.array_equal(d, np.swapaxes(d, 0, 1))
 
 
 def test_sigma_and_dsigma_batch_low_orders_are_exact_fresh_arrays():
     mats, _, _ = _conjugated_stack(4, (3,), seed=11)
+    mats = np.ascontiguousarray(np.moveaxis(mats, 0, -1))
     before = mats.copy()
-    eye = np.broadcast_to(np.eye(4), mats.shape)
+    eye = np.broadcast_to(np.eye(4)[..., None], mats.shape)
     sig, dk, dkm1 = sigma_and_dsigma_batch(mats, 1)
     assert np.array_equal(dk, eye) and dkm1 is None
     assert dk.flags.writeable and not np.shares_memory(dk, mats)
     sig, dk, dkm1 = sigma_and_dsigma_batch(mats, 2)
     assert np.array_equal(dkm1, eye)
-    assert np.array_equal(dk, sig[..., 1, None, None] * np.eye(4) - mats)
+    assert np.array_equal(dk, sig[1] * np.eye(4)[..., None] - mats)
     for d in (dk, dkm1):
         assert d.flags.writeable and not np.shares_memory(d, mats)
     assert not np.shares_memory(dk, dkm1)
@@ -324,3 +329,35 @@ def test_sigma_and_dsigma_batch_low_orders_are_exact_fresh_arrays():
         assert not np.shares_memory(dk, dkm1)
         assert not np.shares_memory(dk, mats)
     assert np.array_equal(mats, before)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_trailing_axis_wrappers_are_views_onto_the_planes(n):
+    """sigma_matrix_all_batch, sigma_matrix_batch and dsigma_matrix_batch
+    take matrices on the last two axes; each equals the component-major
+    recurrence of the same stack bit for bit, with the axes moved, for every
+    k; and that recurrence matches the whole-matrix product reference."""
+    mats, _, _ = _conjugated_stack(n, (6, 7), seed=30 + n)
+    planes = np.ascontiguousarray(np.moveaxis(mats, (-2, -1), (0, 1)))
+    for k in range(1, n + 1):
+        sig, dk, dkm1 = sigma_and_dsigma_batch(planes, k)
+        assert np.array_equal(sigma_matrix_planes(planes, k), sig)
+        assert np.array_equal(sigma_matrix_all_batch(mats, k),
+                              np.moveaxis(sig, 0, -1))
+        assert np.array_equal(sigma_matrix_batch(mats, k), sig[k])
+        assert np.array_equal(dsigma_matrix_batch(mats, k),
+                              np.moveaxis(dk, (0, 1), (-2, -1)))
+        ref_sig, ref_dk, ref_dkm1 = matmul_sigma_and_dsigma(mats, k)
+        _assert_rel(np.moveaxis(sig, 0, -1), ref_sig)
+        for got, want in ((dk, ref_dk), (dkm1, ref_dkm1)):
+            if want is None:
+                assert got is None
+                continue
+            assert np.array_equal(got, np.swapaxes(got, 0, 1))
+            _assert_rel(np.moveaxis(got, (0, 1), (-2, -1)), want)
+
+
+def _assert_rel(got, want, rel=1e-13):
+    """Largest difference within rel of the largest reference entry."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
