@@ -11,7 +11,7 @@ t=1 solution is again u = 0, which the final residual confirms.
 import numpy as np
 
 from sigmak import Background, Grid, ProblemSpec, Schedule, continue_path
-from sigmak.operators import c0_diagnostic, residual
+from sigmak.operators import c0_diagnostic, prepare_state, residual
 from sigmak.report import run_checks
 
 grid = Grid(n=3, N=16)
@@ -26,7 +26,8 @@ final = trace.final_state
 print(f"reached t = {final.t}")
 print(f"sup |u|   = {final.u.max_abs():.3e}  (constant-coefficient "
       f"problem, exact answer 0)")
-print(f"residual  = {residual(final.u, final.t, spec).max_abs():.3e}")
+sd = prepare_state(final.u, final.t, spec)
+print(f"residual  = {residual(sd).max_abs():.3e}")
 
 # The C0 comparison diagnostic re-runs the maximum-principle argument at
 # the final state: the quotient at the max of u must not exceed the value

@@ -21,18 +21,14 @@ from .errors import (
     ConfigError,
     ValidationError,
     AdmissibilityError,
-    SingularityError,
     LinearSolveError,
     ConeExitError,
     NonConvergenceError,
     PathFailureError,
 )
 from .symfunc import (
-    Spectrum,
-    SymMatrix,
     ConeReport,
     sigma,
-    sigma_minor,
     in_gamma,
     newton_maclaurin_gap,
     quotient_ratio_gap,
@@ -58,7 +54,6 @@ from .curvature import (
     build_w_tensor,
 )
 from .operators import (
-    ResidualField,
     StateData,
     LinearOperator,
     EllipticityReport,

@@ -38,17 +38,16 @@ from .config import RunConfig, parse_config_file
 from .curvature import ProblemSpec, ValidationReport, record_lines
 from .errors import (AdmissibilityError, ConeExitError, ConfigError,
                      DomainError, ExprEvalError, ExprSyntaxError,
-                     LinearSolveError, NonConvergenceError, PathFailureError,
-                     SingularityError)
+                     LinearSolveError, NonConvergenceError, PathFailureError)
 from .grid import Grid, ScalarField, dump_field, sample_text
 from .operators import (concavity_certificate, ellipticity_certificate,
-                        manufactured_forcing)
+                        manufactured_forcing, prepare_state)
 from .report import run_checks
 from .solver import (ContinuationTrace, continue_path, solve_caseC,
                      trace_for_state)
 from .symfunc import (newton_maclaurin_gap, quotient_ratio_gap, sample_gamma,
                       sigma_all_batch, sigma_and_dsigma_batch,
-                      sigma_matrix_all_batch)
+                      sigma_matrix_planes)
 
 _GAP_SLACK = 1e-10
 _REL_TOL = 1e-10
@@ -72,7 +71,8 @@ def _suite_recurrence(cfg: RunConfig, rng: np.random.Generator) -> tuple:
     q, _ = np.linalg.qr(raw)
     mats = np.einsum("bij,bj,bkj->bik", q, lams, q)
     mats = 0.5 * (mats + np.swapaxes(mats, -1, -2))
-    via_traces = sigma_matrix_all_batch(mats, n)
+    planes = np.ascontiguousarray(np.moveaxis(mats, (-2, -1), (0, 1)))
+    via_traces = np.moveaxis(sigma_matrix_planes(planes, n), 0, -1)
     via_eigs = sigma_all_batch(lams, n)
     scale = np.maximum(1.0, np.maximum(np.abs(via_traces), np.abs(via_eigs)))
     max_rel = float((np.abs(via_traces - via_eigs) / scale).max())
@@ -135,7 +135,7 @@ def run_check(cfg: RunConfig, out_dir: str) -> int:
     u0 = ScalarField.zeros(spec.grid)
     t_values = (1.0,) if cfg.case == "C" else (0.0, 1.0)
     for t in t_values:
-        cert = ellipticity_certificate(u0, t, spec)
+        cert = ellipticity_certificate(prepare_state(u0, t, spec))
         label = f"ellipticity_t{t:g}".replace(".", "_")
         lines.extend(cert.to_lines(prefix=label))
         all_ok = all_ok and cert.passed
@@ -171,7 +171,7 @@ def run_solve(cfg: RunConfig, out_dir: str) -> int:
     try:
         if cfg.case == "C":
             state, sd = solve_caseC(spec, schedule=cfg.schedule())
-            trace = trace_for_state(state, spec, sd)
+            trace = trace_for_state(state, sd)
             del sd   # free the state's arrays before the outputs are written
         else:
             trace = continue_path(spec, cfg.schedule())
@@ -284,8 +284,8 @@ def main(argv=None) -> int:
         print(f"sigmak {args.command}: invalid configuration: {err}",
               file=sys.stderr)
         return 2
-    except (AdmissibilityError, SingularityError, LinearSolveError,
-            ConeExitError, NonConvergenceError, PathFailureError) as err:
+    except (AdmissibilityError, LinearSolveError, ConeExitError,
+            NonConvergenceError, PathFailureError) as err:
         print(f"sigmak {args.command}: {err}", file=sys.stderr)
         return 1
 

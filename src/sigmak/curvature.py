@@ -159,15 +159,7 @@ def cone_margins(mats: np.ndarray, k: int):
     (margins, argmin index tuple, ConeReport at the worst node)."""
     sig = symfunc.sigma_matrix_planes(mats, k)[1:]
     margins = np.minimum.reduce(sig)
-    flat = int(np.argmin(margins))
-    node = tuple(int(i) for i in np.unravel_index(flat, margins.shape))
-    worst = symfunc.ConeReport(
-        k=k,
-        sigmas=tuple(float(s) for s in sig[(..., *node)]),
-        inside=bool(margins[node] > 0.0),
-        margin=float(margins[node]),
-    )
-    return margins, node, worst
+    return (margins, *symfunc._worst_node(sig, margins))
 
 
 @dataclass

@@ -57,10 +57,6 @@ class AdmissibilityError(SigmaKError, RuntimeError):
         self.margin = margin
 
 
-class SingularityError(SigmaKError, RuntimeError):
-    """A quotient-form denominator fell below its floor."""
-
-
 class LinearSolveError(SigmaKError, RuntimeError):
     """The linearized system could not be solved to tolerance."""
 

@@ -13,9 +13,10 @@ collect the case data:
     case C:  a = alpha,                                  r = f.
 
 The multiplied form is polynomial in T and needs no cone membership to
-evaluate. The quotient form divides through by sigma_{k-1}(T); it is the
-concave one, so it drives the diagnostics (ellipticity trace bound, the C0
-comparison), but it demands the cone and a denominator floor.
+evaluate; residual returns it. The quotient form divides through by
+sigma_{k-1}(T); it is the concave one, so it drives the diagnostics
+(ellipticity trace bound, the C0 comparison), but it demands the cone and a
+denominator floor.
 
 The linearization is assembled analytically. Writing S for the matrix
 weight d sigma_k(T) + a e^{2su} d sigma_{k-1}(T) and pushing it through the
@@ -63,7 +64,7 @@ from scipy.sparse import csr_matrix
 
 from .curvature import (ProblemSpec, build_u_tensor, build_v_tensor,
                         build_w_tensor, record_lines)
-from .errors import AdmissibilityError, DomainError, SingularityError, ValidationError
+from .errors import AdmissibilityError, DomainError, ValidationError
 from .grid import (
     Grid,
     ScalarField,
@@ -75,7 +76,9 @@ from .grid import (
 )
 from .symfunc import (
     ConeReport,
+    _argmin_node,
     _diag,
+    _worst_node,
     sample_gamma,
     sigma_all_batch,
     sigma_and_dsigma_batch,
@@ -99,30 +102,8 @@ PROBE_MARGIN = 1e-8
 C0_SLACK_CONSTANT = 1.0
 
 
-def _argmin_node(values: np.ndarray) -> tuple:
-    """Grid index of the minimizing entry, as a tuple of plain ints."""
-    idx = np.unravel_index(int(np.argmin(values)), values.shape)
-    return tuple(int(i) for i in idx)
-
-
 def _argmax_node(values: np.ndarray) -> tuple:
     return _argmin_node(-values)
-
-
-@dataclass(frozen=True)
-class ResidualField:
-    """Pointwise equation residual, tagged with the form that produced it
-    so tolerances compare like with like."""
-
-    values: ScalarField
-    form: str
-
-    def __post_init__(self):
-        if self.form not in ("multiplied", "quotient"):
-            raise DomainError(f"unknown residual form '{self.form}'")
-
-    def max_abs(self) -> float:
-        return self.values.max_abs()
 
 
 @dataclass
@@ -152,14 +133,10 @@ class StateData:
     def cone_margin(self) -> float:
         return float(self.margins.min())
 
-    def worst_node(self):
+    def worst_node(self) -> tuple[tuple, ConeReport]:
         """Grid index with the smallest cone margin, plus its ConeReport."""
-        node = _argmin_node(self.margins)
         m = self.spec.required_cone
-        sigmas = tuple(float(x) for x in self.sig[(slice(1, m + 1), *node)])
-        margin = float(self.margins[node])
-        return node, ConeReport(k=m, sigmas=sigmas, inside=margin > 0.0,
-                                margin=margin)
+        return _worst_node(self.sig[1:m + 1], self.margins)
 
 
 def case_weights(spec: ProblemSpec, t: float):
@@ -218,40 +195,13 @@ def prepare_state(u: ScalarField, t: float, spec: ProblemSpec) -> StateData:
                      a_weight=a_weight, r_weight=r_weight)
 
 
-def _require_cone(sd: StateData, what: str) -> None:
-    if sd.cone_margin <= 0.0:
-        node, report = sd.worst_node()
-        raise AdmissibilityError(
-            f"{what} needs the state inside Gamma_{sd.spec.required_cone}",
-            node=node, margin=report.margin)
-
-
-def residual(u: ScalarField, t: float, spec: ProblemSpec,
-             form: str = "multiplied", state: StateData | None = None) -> ResidualField:
-    """Equation residual per node, in multiplied or quotient form.
-
-    The multiplied form is defined everywhere. The quotient form requires the
-    tensor inside the case's cone at every node (AdmissibilityError) and
-    sigma_{k-1} at least SIGMA_FLOOR (SingularityError).
-    """
-    if form not in ("multiplied", "quotient"):
-        raise DomainError(f"unknown residual form '{form}'")
-    sd = state if state is not None else prepare_state(u, t, spec)
-    k = spec.k
-    sk = sd.sig[k]
-    skm1 = sd.sig[k - 1]
-    if form == "multiplied":
-        vals = sk + sd.a_weight * sd.e2su * skm1 - sd.r_weight * sd.e2ksu
-    else:
-        _require_cone(sd, "quotient-form residual")
-        low = float(skm1.min())
-        if low < SIGMA_FLOOR:
-            node = _argmin_node(skm1)
-            raise SingularityError(
-                f"sigma_{k - 1} = {low:.3e} below floor {SIGMA_FLOOR:.0e} "
-                f"at node {node}")
-        vals = sk / skm1 + sd.a_weight * sd.e2su - sd.r_weight * sd.e2ksu / skm1
-    return ResidualField(values=ScalarField(spec.grid, vals), form=form)
+def residual(sd: StateData) -> ScalarField:
+    """Multiplied-form equation residual per node at the state sd; defined
+    inside the cone or not."""
+    k = sd.spec.k
+    vals = sd.sig[k] + sd.a_weight * sd.e2su * sd.sig[k - 1] \
+        - sd.r_weight * sd.e2ksu
+    return ScalarField(sd.spec.grid, vals)
 
 
 @functools.lru_cache(maxsize=4)
@@ -299,7 +249,7 @@ class LinearOperator:
     shape (n,) + grid.shape (component-major, like every tensor field),
     zeroth has shape grid.shape. Construction writes the stencil weights
     into the row-major matrix values on the grid's cached pattern (see
-    _stencil_pattern), so the coefficients are read only then.
+    _stencil_pattern); the coefficients are read only then and not kept.
     A given `values` (float64, grid.size * (2n^2 + 1) entries) is
     overwritten in full and becomes the matrix data without a copy, so one
     buffer can serve operators never alive together; by default a fresh
@@ -326,31 +276,30 @@ class LinearOperator:
     """
 
     grid: Grid
-    second: np.ndarray
-    first: np.ndarray
-    zeroth: np.ndarray
+    second: InitVar[np.ndarray]
+    first: InitVar[np.ndarray]
+    zeroth: InitVar[np.ndarray]
     values: InitVar[np.ndarray | None] = None
     csr: csr_matrix = field(init=False, repr=False, compare=False)
     row_scale: np.ndarray = field(init=False, repr=False, compare=False)
     inv_symbol: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, values):
+    def __post_init__(self, second, first, zeroth, values):
         g = self.grid
         n, h = g.n, g.h
         m = n * (n - 1) // 2
-        if (self.second.shape != (n, n) + g.shape
-                or self.first.shape != (n,) + g.shape):
+        if second.shape != (n, n) + g.shape or first.shape != (n,) + g.shape:
             raise DomainError(
                 f"coefficients must be component-major, (n, n) + grid.shape "
-                f"and (n,) + grid.shape; got {self.second.shape} and "
-                f"{self.first.shape}")
-        second = self.second.reshape(n, n, g.size)
+                f"and (n,) + grid.shape; got {second.shape} and "
+                f"{first.shape}")
+        second = second.reshape(n, n, g.size)
         diag = _diag(second) / h ** 2
-        bias = self.first.reshape(n, g.size) / (2.0 * h)
+        bias = first.reshape(n, g.size) / (2.0 * h)
         # tau = sum_i G_ii / h^2, shared by the centre weight and the row
         # scale
         tau = diag.sum(axis=0)
-        zeroth = self.zeroth.ravel()
+        zeroth = zeroth.ravel()
         width = 2 * n * n + 1
         vals = np.empty((g.size, width)) if values is None \
             else values.reshape(g.size, width)
@@ -446,20 +395,24 @@ def _coefficients(sd: StateData):
     return second, first, zeroth
 
 
-def linearize(u: ScalarField, t: float, spec: ProblemSpec,
-              state: StateData | None = None,
+def linearize(sd: StateData,
               values: np.ndarray | None = None) -> LinearOperator:
-    """Frechet derivative of the multiplied-form residual with respect to u.
+    """Frechet derivative of the multiplied-form residual with respect to u
+    at the state sd, which must lie inside the case's cone
+    (AdmissibilityError).
 
     Assembled analytically: d sigma terms via the derivative matrices from the
     recurrence, composed with the dependence of the curvature tensor on
     (hess u, grad u, u); zeroth-order terms from the explicit exponentials.
     values is handed to LinearOperator, which writes the weights into it.
     """
-    sd = state if state is not None else prepare_state(u, t, spec)
-    _require_cone(sd, "linearization")
+    if sd.cone_margin <= 0.0:
+        node, report = sd.worst_node()
+        raise AdmissibilityError(
+            f"linearization needs the state inside "
+            f"Gamma_{sd.spec.required_cone}", node=node, margin=report.margin)
     second, first, zeroth = _coefficients(sd)
-    return LinearOperator(grid=spec.grid, second=second, first=first,
+    return LinearOperator(grid=sd.spec.grid, second=second, first=first,
                           zeroth=zeroth, values=values)
 
 
@@ -495,11 +448,11 @@ class EllipticityReport:
         return record_lines(self, prefix)
 
 
-def ellipticity_certificate(u: ScalarField, t: float, spec: ProblemSpec,
-                            state: StateData | None = None) -> EllipticityReport:
-    """Audit ellipticity at one state. Never raises: nodes outside the cone
-    (or under the denominator floor) are counted and fail the certificate."""
-    sd = state if state is not None else prepare_state(u, t, spec)
+def ellipticity_certificate(sd: StateData) -> EllipticityReport:
+    """Audit ellipticity at the state sd. Never raises: nodes outside the
+    cone (or under the denominator floor) are counted and fail the
+    certificate."""
+    spec = sd.spec
     n, k = spec.n, spec.k
     lam = np.linalg.eigvalsh(np.moveaxis(sd.mats, (0, 1), (-2, -1)))
     others = np.array([np.delete(np.arange(n), i) for i in range(n)])
@@ -536,7 +489,7 @@ def ellipticity_certificate(u: ScalarField, t: float, spec: ProblemSpec,
     passed = bool(outside == 0 and newton_min > 0.0 and q_min > 0.0
                   and slack >= -1e-10)
     return EllipticityReport(
-        case=spec.case, n=n, k=k, N=spec.grid.N, t=float(t),
+        case=spec.case, n=n, k=k, N=spec.grid.N, t=float(sd.t),
         nodes=int(sd.margins.size), nodes_outside_cone=outside,
         worst_margin=sd.cone_margin, worst_margin_node=worst_node,
         newton_min_eig=newton_min, newton_min_eig_node=nm_node,
@@ -558,21 +511,21 @@ def _quotient_g(xs: np.ndarray, ts: np.ndarray, hs: np.ndarray, k: int) -> np.nd
     return (sig[..., k] - hs) / sig[..., k - 1]
 
 
-def line_second_difference(eta, t: float, h: float, d, k: int,
-                           step: float = CONCAVITY_STEP) -> float:
-    """Second central difference of G along eta + s*d at the given step,
-    computed in extended precision. Concavity makes it nonpositive whenever
-    the probe segment stays inside Gamma_{k-1}."""
+def line_second_difference(etas: np.ndarray, ts: np.ndarray, hs: np.ndarray,
+                           ds: np.ndarray, k: int) -> np.ndarray:
+    """Second central differences, step CONCAVITY_STEP, of G (see
+    _quotient_g) along the lines eta + s d, one per row of etas and ds with
+    its t and h, computed in extended precision and returned as float64.
+    Concavity makes each nonpositive whenever its probe segment stays inside
+    Gamma_{k-1}."""
     ld = np.longdouble
-    eta = np.asarray(eta, dtype=ld)[None, :]
-    d = np.asarray(d, dtype=ld)[None, :]
-    ts = np.array([t], dtype=ld)
-    hs = np.array([h], dtype=ld)
-    s = ld(step)
-    g0 = _quotient_g(eta, ts, hs, k)
-    gp = _quotient_g(eta + s * d, ts, hs, k)
-    gm = _quotient_g(eta - s * d, ts, hs, k)
-    return float((gp - 2.0 * g0 + gm)[0] / s ** 2)
+    step = ld(CONCAVITY_STEP)
+    e_ld, t_ld, h_ld, d_ld = (np.asarray(a, dtype=ld)
+                              for a in (etas, ts, hs, ds))
+    g0 = _quotient_g(e_ld, t_ld, h_ld, k)
+    gp = _quotient_g(e_ld + step * d_ld, t_ld, h_ld, k)
+    gm = _quotient_g(e_ld - step * d_ld, t_ld, h_ld, k)
+    return ((gp - 2.0 * g0 + gm) / step ** 2).astype(float)
 
 
 @dataclass
@@ -689,13 +642,7 @@ def concavity_certificate(spec: ProblemSpec, samples: int,
     rng = np.random.default_rng(seed)
     etas, ts, hs, ds, psis = _draw_concavity_samples(n, k, samples, rng)
 
-    ld = np.longdouble
-    step = ld(CONCAVITY_STEP)
-    e_ld, t_ld, h_ld, d_ld = (a.astype(ld) for a in (etas, ts, hs, ds))
-    g0 = _quotient_g(e_ld, t_ld, h_ld, k)
-    gp = _quotient_g(e_ld + step * d_ld, t_ld, h_ld, k)
-    gm = _quotient_g(e_ld - step * d_ld, t_ld, h_ld, k)
-    d2 = ((gp - 2.0 * g0 + gm) / step ** 2).astype(float)
+    d2 = line_second_difference(etas, ts, hs, ds, k)
     line_max = float(d2.max())
     line_viol = int((d2 > 1e-8).sum())
 

@@ -179,18 +179,15 @@ def _sup_spectral_radius(mats: np.ndarray) -> float:
     return best
 
 
-def monitor(state: HomotopyState, spec: ProblemSpec,
-            state_data: StateData | None = None) -> MonitorRecord:
-    """Compute the monitored sup quantities and the cone margin of one
-    accepted state. The ellipticity audit is not part of it: the solver
+def monitor(sd: StateData) -> MonitorRecord:
+    """Compute the monitored sup quantities and the cone margin of the
+    accepted state sd. The ellipticity audit is not part of it: the solver
     certifies only the state a trace ends on (ContinuationTrace.ellipticity)."""
-    sd = state_data if state_data is not None else \
-        prepare_state(state.u, state.t, spec)
     grad_sq = (sd.gv ** 2).sum(axis=0)
     return MonitorRecord(
-        sup_u=float(np.abs(state.u.values).max()),
+        sup_u=float(np.abs(sd.u.values).max()),
         sup_grad_u_sq=float(grad_sq.max()),
-        sup_hess_u=_sup_spectral_radius(hess(state.u)),
+        sup_hess_u=_sup_spectral_radius(hess(sd.u)),
         cone_margin=sd.cone_margin)
 
 
@@ -301,7 +298,8 @@ def newton_correct(u: ScalarField, t: float, spec: ProblemSpec,
     values in place, so one such buffer serves the whole call.
 
     Returns the converged HomotopyState and the StateData of its u, which
-    monitor can reuse; callers that do not need the latter drop it at once.
+    monitor and the audit take; callers that do not need the latter drop it
+    at once.
     """
     tol, max_iters = schedule.newton_tol, schedule.newton_max_iters
     sd = prepare_state(u, t, spec)
@@ -311,7 +309,7 @@ def newton_correct(u: ScalarField, t: float, spec: ProblemSpec,
         raise ConeExitError(
             f"entry state outside Gamma_{spec.required_cone} at node {node} "
             f"(margin {rep.margin:.3e})")
-    res = residual(u, t, spec, state=sd).values.values
+    res = residual(sd).values
     rnorm = float(np.abs(res).max())
     it = 0
     values = None
@@ -321,7 +319,7 @@ def newton_correct(u: ScalarField, t: float, spec: ProblemSpec,
                 f"Newton reached {max_iters} iterations at t={t!r} with "
                 f"residual {rnorm:.3e} > tol {tol:.0e}")
         it += 1
-        op = linearize(u, t, spec, state=sd, values=values)
+        op = linearize(sd, values=values)
         # This state's arrays go before the Krylov basis is built, and the
         # operator's after the solve, all but its values, which the next
         # linearize refills: one state is alive while the candidates build
@@ -340,7 +338,7 @@ def newton_correct(u: ScalarField, t: float, spec: ProblemSpec,
             m_cand = sd_cand.cone_margin
             if m_cand < schedule.cone_factor * margin:
                 continue
-            r_cand = residual(cand, t, spec, state=sd_cand).values.values
+            r_cand = residual(sd_cand).values
             rn_cand = float(np.abs(r_cand).max())
             if rn_cand <= (1.0 - s * schedule.armijo_factor) * rnorm:
                 u, sd, margin = cand, sd_cand, m_cand
@@ -381,7 +379,8 @@ def continue_path(spec: ProblemSpec,
 
     Every accepted state is monitored, but only the one the trace ends on
     is audited for ellipticity (trace.ellipticity): the t = 1 state from its
-    live StateData, or on failure the last accepted state, rebuilt for it.
+    live StateData, or on failure the last accepted state, whose StateData
+    is built again for the audit.
     """
     if spec.case not in ("A", "B"):
         raise DomainError("continuation is defined for cases A and B; "
@@ -391,7 +390,7 @@ def continue_path(spec: ProblemSpec,
     trace = ContinuationTrace()
 
     state, sd = newton_correct(ScalarField.zeros(spec.grid), 0.0, spec, sched)
-    trace.append(state, monitor(state, spec, sd))
+    trace.append(state, monitor(sd))
     del sd   # keep no state's arrays alive into the next corrector
 
     t = 0.0
@@ -404,36 +403,30 @@ def continue_path(spec: ProblemSpec,
             dt *= 0.5
             if dt < sched.dt_min:
                 trace.ellipticity = ellipticity_certificate(
-                    state.u, state.t, spec)
+                    prepare_state(state.u, state.t, spec))
                 raise PathFailureError(
                     f"step size underflow below {sched.dt_min:.0e} at "
                     f"t={t!r}: {err}", trace=trace) from err
             continue
         state = accepted
         t = t_next
-        trace.append(state, monitor(state, spec, sd))
+        trace.append(state, monitor(sd))
         if t == 1.0:
-            trace.ellipticity = ellipticity_certificate(state.u, t, spec,
-                                                        state=sd)
+            trace.ellipticity = ellipticity_certificate(sd)
         del sd
         if state.newton_iters <= 4:
             dt = min(2.0 * dt, sched.dt_max)
     return trace
 
 
-def trace_for_state(state: HomotopyState, spec: ProblemSpec,
-                    state_data: StateData | None = None) -> ContinuationTrace:
+def trace_for_state(state: HomotopyState, sd: StateData) -> ContinuationTrace:
     """Wrap a single solved state (a case C solve, typically) in a one-row
     trace, with its ellipticity audit, so the reporting layer treats every
-    solve uniformly. state_data, when given, is the state's cached
-    StateData, which monitor and the audit share; otherwise it is built
-    once here."""
-    sd = state_data if state_data is not None else \
-        prepare_state(state.u, state.t, spec)
+    solve uniformly. sd is the state's StateData, which monitor and the
+    audit share."""
     trace = ContinuationTrace()
-    trace.append(state, monitor(state, spec, sd))
-    trace.ellipticity = ellipticity_certificate(state.u, state.t, spec,
-                                                state=sd)
+    trace.append(state, monitor(sd))
+    trace.ellipticity = ellipticity_certificate(sd)
     return trace
 
 

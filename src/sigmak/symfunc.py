@@ -23,15 +23,12 @@ the Newton-Maclaurin inequality and the monotonicity of normalized ratios
 (sigma_k/C(n,k) / sigma_l/C(n,l))^{1/(k-l)}, are exposed as signed gaps so
 they can be sampled and audited.
 
-All functions accept either a Spectrum/SymMatrix wrapper or a bare array-like.
-Spectra are stacked on the last axis. Grid-sized matrix fields are stored
+Spectra are bare arrays, stacked on the last axis. Matrix stacks are
 component-major, shape (n, n) + batch, so that every entry is one
 contiguous plane and every step of the recurrence is a pass over whole
-planes; sigma_matrix_planes and sigma_and_dsigma_batch take and return that
-layout (sigma stacks as (k+1,) + batch). sigma_matrix_all_batch,
-sigma_matrix_batch and dsigma_matrix_batch take the matrix axes last,
-batch + (n, n), and are np.moveaxis views onto the same recurrence: their
-input is copied to contiguous planes, their output is a view.
+planes; sigma_and_dsigma_batch and its sigma-only view sigma_matrix_planes
+take that layout and return sigma stacks as (k+1,) + batch. A single
+matrix, (n, n), is the stack with an empty batch.
 """
 
 from __future__ import annotations
@@ -44,66 +41,19 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "Spectrum",
-    "SymMatrix",
     "ConeReport",
     "sigma",
     "sigma_all",
-    "sigma_batch",
     "sigma_all_batch",
-    "sigma_minor",
     "in_gamma",
     "newton_maclaurin_gap",
     "quotient_ratio_gap",
     "sigma_matrix",
-    "sigma_matrix_batch",
     "sigma_matrix_planes",
-    "sigma_matrix_all_batch",
     "dsigma_matrix",
-    "dsigma_matrix_batch",
     "sigma_and_dsigma_batch",
     "sample_gamma",
 ]
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """An unordered tuple of n real eigenvalues; n >= 3."""
-
-    values: tuple
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if len(vals) < 3:
-            raise DomainError(f"spectrum needs at least 3 entries, got {len(vals)}")
-        if not all(math.isfinite(v) for v in vals):
-            raise DomainError("spectrum entries must be finite")
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
-class SymMatrix:
-    """A symmetric n x n matrix; symmetry is required exactly as stored."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
-        object.__setattr__(self, "entries", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DomainError(f"matrix must be square, got shape {m.shape}")
-        if not np.array_equal(m, m.T):
-            raise DomainError("matrix must be symmetric exactly as stored")
-        if not np.all(np.isfinite(m)):
-            raise DomainError("matrix entries must be finite")
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True)
@@ -120,11 +70,25 @@ class ConeReport:
     margin: float = 0.0
 
 
+def _argmin_node(values: np.ndarray) -> tuple:
+    """Index of the minimizing entry, as a tuple of plain ints."""
+    idx = np.unravel_index(int(np.argmin(values)), values.shape)
+    return tuple(int(i) for i in idx)
+
+
+def _worst_node(sigmas: np.ndarray, margins: np.ndarray) -> tuple:
+    """The node of smallest margin and its ConeReport, from sigma_1..sigma_m
+    stacked as planes (m,) + batch and their pointwise minimum margins."""
+    node = _argmin_node(margins)
+    margin = float(margins[node])
+    at_node = tuple(float(x) for x in sigmas[(..., *node)])
+    return node, ConeReport(k=sigmas.shape[0], sigmas=at_node,
+                            inside=margin > 0.0, margin=margin)
+
+
 def _stacked_spectra(spec) -> np.ndarray:
-    """One spectrum (Spectrum or 1-D array-like) or spectra stacked on the
-    last axis, as a float array."""
-    if isinstance(spec, Spectrum):
-        return np.asarray(spec.values, dtype=float)
+    """One spectrum (a 1-D array-like) or spectra stacked on the last axis,
+    as a float array."""
     vals = np.asarray(spec, dtype=float)
     if vals.ndim < 1:
         raise DomainError("spectra need at least one axis")
@@ -139,9 +103,16 @@ def _spectrum_values(spec) -> np.ndarray:
 
 
 def _matrix_values(m) -> np.ndarray:
-    if isinstance(m, SymMatrix):
-        return m.entries
-    return SymMatrix(np.asarray(m, dtype=float)).entries
+    """One symmetric matrix as a float array; DomainError unless it is
+    square, symmetric exactly as stored, and finite."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DomainError(f"matrix must be square, got shape {m.shape}")
+    if not np.array_equal(m, m.T):
+        raise DomainError("matrix must be symmetric exactly as stored")
+    if not np.all(np.isfinite(m)):
+        raise DomainError("matrix entries must be finite")
+    return m
 
 
 def sigma_all_batch(lams: np.ndarray, kmax: int) -> np.ndarray:
@@ -166,34 +137,14 @@ def sigma_all_batch(lams: np.ndarray, kmax: int) -> np.ndarray:
     return out
 
 
-def sigma_batch(lams: np.ndarray, k: int) -> np.ndarray:
-    """sigma_k of spectra stacked on the last axis."""
-    return sigma_all_batch(lams, k)[..., k]
-
-
 def sigma(spec, k: int) -> float:
     """The k-th elementary symmetric polynomial of a spectrum (sigma_0 = 1)."""
-    return float(sigma_batch(_spectrum_values(spec), k))
+    return float(sigma_all_batch(_spectrum_values(spec), k)[k])
 
 
 def sigma_all(spec, kmax: int) -> np.ndarray:
     """sigma_0..sigma_kmax of a single spectrum, as a 1-D array."""
     return sigma_all_batch(_spectrum_values(spec), kmax)
-
-
-def sigma_minor(spec, k: int, i: int) -> float:
-    """sigma_k of the spectrum with entry i deleted.
-
-    Satisfies the deletion identity
-    sigma_k(lam) = sigma_k(lam|i) + lam_i * sigma_{k-1}(lam|i).
-    """
-    vals = _spectrum_values(spec)
-    n = vals.shape[0]
-    if not 0 <= i < n:
-        raise DomainError(f"index must lie in [0, {n - 1}], got {i}")
-    if not 0 <= k <= n - 1:
-        raise DomainError(f"k must lie in [0, {n - 1}] for a deleted spectrum, got {k}")
-    return float(sigma_batch(np.delete(vals, i), k))
 
 
 def in_gamma(spec, k: int) -> ConeReport:
@@ -271,39 +222,31 @@ def _diag(mats: np.ndarray) -> np.ndarray:
     return np.einsum("ii...->i...", mats)
 
 
-def _planes(mats) -> np.ndarray:
-    """A stack of matrices on the last two axes as contiguous component-major
-    planes, so the recurrence sums in the same order as on grid fields."""
-    return np.ascontiguousarray(
-        np.moveaxis(np.asarray(mats, dtype=float), (-2, -1), (0, 1)))
+def sigma_and_dsigma_batch(mats: np.ndarray, k: int):
+    """One Faddeev-LeVerrier pass over a component-major stack of symmetric
+    matrices (n, n) + batch, returning (sigma_0..k, dsigma_k, dsigma_{k-1})
+    as (k+1,) + batch and two (n, n) + batch stacks, both exactly symmetric.
 
-
-def _fl_recurrence(mats: np.ndarray, kmax: int):
-    """Faddeev-LeVerrier up to order kmax on a component-major stack
-    (n, n) + batch.
-
-    Returns (sig, T_last, T_prev) where sig has shape (kmax+1,) + batch,
-    T_last = T_{kmax-1} and T_prev = T_{kmax-2} (None when out of range).
-    The T are fresh arrays, never views of mats or of each other; the
-    recurrence holds at most two of them, writing each product into the
-    buffer of the T it no longer needs. M and T_{j-1} commute, so each
-    product M T_{j-1} is formed on its upper triangle, one row of planes per
-    einsum, and mirrored: every T is exactly symmetric. sigma_j is the sum
-    of the product's diagonal planes; only sigma_kmax, whose product is not
-    needed, is one contraction sum of M_ab T_ab.
+    dsigma_k = T_{k-1} and dsigma_{k-1} = T_{k-2}, the latter None for k = 1
+    (sigma_0 is constant). The T are fresh arrays, never views of mats or of
+    each other; the recurrence holds at most two of them, writing each
+    product into the buffer of the T it no longer needs. M and T_{j-1}
+    commute, so each product M T_{j-1} is formed on its upper triangle, one
+    row of planes per einsum, and mirrored: every T is exactly symmetric.
+    sigma_j is the sum of the product's diagonal planes; only sigma_k, whose
+    product is not needed, is one contraction sum of M_ab T_ab.
     """
+    mats = np.asarray(mats, dtype=float)
     n = mats.shape[0]
-    if not 0 <= kmax <= n:
-        raise DomainError(f"k must lie in [0, {n}], got {kmax}")
-    sig = np.empty((kmax + 1,) + mats.shape[2:])
+    if not 1 <= k <= n:
+        raise DomainError(f"k must lie in [1, {n}], got {k}")
+    sig = np.empty((k + 1,) + mats.shape[2:])
     sig[0] = 1.0
-    if kmax == 0:
-        return sig, None, None
     t_prev = t_last = None
-    if kmax <= 2:   # T_0 = I is returned only then
+    if k <= 2:   # T_0 = I is returned only then
         t_last = np.zeros_like(mats)
         _diag(t_last)[...] = 1.0
-    for j in range(1, kmax):
+    for j in range(1, k):
         # T_j = sigma_j I - M T_{j-1}, with sigma_j = tr(M T_{j-1})/j;
         # T_1 = tr(M) I - M needs no product
         if j == 1:
@@ -321,66 +264,29 @@ def _fl_recurrence(mats: np.ndarray, kmax: int):
         diag = _diag(t_next)
         diag += sig[j]
         t_prev, t_last = t_last, t_next
-    # sigma_kmax = tr(M T_{kmax-1})/kmax, without forming the product
-    # (T_{kmax-1} is symmetric, so the trace is the sum of M_ab T_ab)
-    np.einsum("ab...,ab...->...", mats, t_last, out=sig[kmax, ...])
-    sig[kmax] /= kmax
+    # sigma_k = tr(M T_{k-1})/k, without forming the product (T_{k-1} is
+    # symmetric, so the trace is the sum of M_ab T_ab)
+    np.einsum("ab...,ab...->...", mats, t_last, out=sig[k, ...])
+    sig[k] /= k
     return sig, t_last, t_prev
 
 
-def sigma_matrix_planes(mats: np.ndarray, kmax: int) -> np.ndarray:
-    """sigma_0..sigma_kmax of the eigenvalues of a component-major stack of
-    symmetric matrices, shape (n, n) + batch, as planes (kmax+1,) + batch."""
-    sig, _, _ = _fl_recurrence(np.asarray(mats, dtype=float), kmax)
-    return sig
-
-
-def sigma_matrix_all_batch(mats: np.ndarray, kmax: int) -> np.ndarray:
-    """sigma_0..sigma_kmax of the eigenvalues of symmetric matrices stacked
-    on the last two axes, as batch + (kmax+1,), without eigendecomposition
-    (trace recurrence)."""
-    return np.moveaxis(sigma_matrix_planes(_planes(mats), kmax), 0, -1)
-
-
-def sigma_matrix_batch(mats: np.ndarray, k: int) -> np.ndarray:
-    return sigma_matrix_all_batch(mats, k)[..., k]
+def sigma_matrix_planes(mats: np.ndarray, k: int) -> np.ndarray:
+    """sigma_0..sigma_k of the eigenvalues of a component-major stack of
+    symmetric matrices, shape (n, n) + batch, as planes (k+1,) + batch."""
+    return sigma_and_dsigma_batch(mats, k)[0]
 
 
 def sigma_matrix(m, k: int) -> float:
-    """sigma_k of the eigenvalues of a symmetric matrix."""
-    return float(sigma_matrix_batch(_matrix_values(m), k))
+    """sigma_k of the eigenvalues of a symmetric matrix, 1 <= k <= n."""
+    return float(sigma_matrix_planes(_matrix_values(m), k)[k])
 
 
-def dsigma_matrix_batch(mats: np.ndarray, k: int) -> np.ndarray:
-    """d sigma_k / d M for symmetric matrices stacked on the last two axes.
-
-    This is the Faddeev-LeVerrier cofactor-like matrix T_{k-1}(M); it is
-    exactly symmetric and contracts against M to k sigma_k (Euler
-    homogeneity).
-    """
-    _, dk, _ = sigma_and_dsigma_batch(_planes(mats), k)
-    return np.moveaxis(dk, (0, 1), (-2, -1))
-
-
-def dsigma_matrix(m, k: int) -> SymMatrix:
-    """Derivative matrix of sigma_k at a symmetric matrix."""
-    d = dsigma_matrix_batch(_matrix_values(m), k)
-    return SymMatrix(d)
-
-
-def sigma_and_dsigma_batch(mats: np.ndarray, k: int):
-    """One recurrence pass over a component-major stack (n, n) + batch,
-    returning (sigma_0..k, dsigma_k, dsigma_{k-1}) as (k+1,) + batch and two
-    (n, n) + batch stacks, both exactly symmetric.
-
-    dsigma_{k-1} is None for k = 1 (sigma_0 is constant). Used by the
-    operator layer, which needs the pair at every grid node.
-    """
-    mats = np.asarray(mats, dtype=float)
-    n = mats.shape[0]
-    if not 1 <= k <= n:
-        raise DomainError(f"k must lie in [1, {n}], got {k}")
-    return _fl_recurrence(mats, k)
+def dsigma_matrix(m, k: int) -> np.ndarray:
+    """Derivative matrix d sigma_k / d M of a symmetric matrix: the
+    Faddeev-LeVerrier cofactor-like matrix T_{k-1}(M), exactly symmetric,
+    contracting against M to k sigma_k (Euler homogeneity)."""
+    return sigma_and_dsigma_batch(_matrix_values(m), k)[1]
 
 
 def sample_gamma(n: int, k: int, count: int, rng: np.random.Generator,

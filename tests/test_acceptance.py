@@ -20,6 +20,7 @@ from sigmak import (
     continue_path,
     ellipticity_certificate,
     linearize,
+    prepare_state,
     residual,
     sample_gamma,
     sigma,
@@ -90,7 +91,7 @@ def test_criterion_3():
         spec = canonical_problem(case)
         rest = ScalarField.zeros(spec.grid)
         for t in ts:
-            cert = ellipticity_certificate(rest, t, spec)
+            cert = ellipticity_certificate(prepare_state(rest, t, spec))
             assert cert.passed, (case, t)
             assert cert.quotient_min_eig > 0.0
             assert cert.trace_bound == (spec.n - spec.k + 1) / spec.k
@@ -119,12 +120,13 @@ def test_criterion_4():
             t = 1.0 if case == "C" else float(rng.uniform(0.0, 1.0))
             u = random_smooth_field(spec.grid, rng, amplitude=0.02)
             phi = random_smooth_field(spec.grid, rng, amplitude=1.0)
-            got = linearize(u, t, spec).apply(phi.values)
+            got = linearize(prepare_state(u, t, spec)).apply(phi.values)
             eps = 1e-6
             up = ScalarField(spec.grid, u.values + eps * phi.values)
             um = ScalarField(spec.grid, u.values - eps * phi.values)
-            want = (residual(up, t, spec).values.values
-                    - residual(um, t, spec).values.values) / (2.0 * eps)
+            want = (residual(prepare_state(up, t, spec)).values
+                    - residual(prepare_state(um, t, spec)).values) \
+                / (2.0 * eps)
             scale = max(1.0, float(np.abs(want).max()))
             err = float(np.abs(got - want).max())
             assert err <= 1e-6 * scale, (case, t, err)

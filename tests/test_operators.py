@@ -10,12 +10,11 @@ from sigmak import (Background, Grid, ProblemSpec, ScalarField, c0_diagnostic,
                     concavity_certificate, ellipticity_certificate, linearize,
                     manufactured_forcing, prepare_state, residual, sample_text)
 from sigmak.curvature import build_u_tensor, build_v_tensor, build_w_tensor
-from sigmak.errors import (AdmissibilityError, DomainError, SingularityError,
-                           ValidationError)
+from sigmak.errors import AdmissibilityError, DomainError, ValidationError
 from sigmak.grid import grad_values, hess, random_smooth_field
 from sigmak.operators import (SIGMA_FLOOR, C0_SLACK_CONSTANT, LinearOperator,
-                              _v_spectrum, line_second_difference,
-                              prepare_state)
+                              _coefficients, _v_spectrum,
+                              line_second_difference)
 from sigmak.solver import solve_linear
 from sigmak.symfunc import sigma_all_batch
 
@@ -26,64 +25,51 @@ def test_residual_zero_at_homotopy_start():
     """At t=0 the tensor V(0) is the identity and u = 0 solves exactly."""
     for case in ("A", "B"):
         spec = canonical_problem(case)
-        res = residual(ScalarField.zeros(spec.grid), 0.0, spec)
+        res = residual(prepare_state(ScalarField.zeros(spec.grid), 0.0, spec))
         assert res.max_abs() == 0.0
 
 
 def test_residual_zero_at_constant_solutions():
     # Case A canonical: sigma_3(I) + alpha sigma_2(I) = 1 - 0.3 = 0.7 = f.
     spec = canonical_problem("A")
-    assert residual(ScalarField.zeros(spec.grid), 1.0, spec).max_abs() == 0.0
+    assert residual(prepare_state(ScalarField.zeros(spec.grid), 1.0,
+                                   spec)).max_abs() == 0.0
     # Case B with alpha = -1/3: sigma_3(I) = (1/3) sigma_2(I).
     spec = canonical_problem("B")
-    assert residual(ScalarField.zeros(spec.grid), 1.0, spec).max_abs() == 0.0
+    assert residual(prepare_state(ScalarField.zeros(spec.grid), 1.0,
+                                   spec)).max_abs() == 0.0
     # Case B with alpha = -1/(3 e^2): constant solution u = 1.
     spec = canonical_problem("B", alpha=repr(-1.0 / (3.0 * math.e ** 2)))
     u1 = ScalarField(spec.grid, np.ones(spec.grid.shape))
-    assert residual(u1, 1.0, spec).max_abs() <= 1e-14
+    assert residual(prepare_state(u1, 1.0, spec)).max_abs() <= 1e-14
     # Case C with f = 1 + 3 alpha: W(0) = schouten0 = identity.
     spec = canonical_problem("C", alpha="-0.05", f="0.85")
-    assert residual(ScalarField.zeros(spec.grid), 1.0, spec).max_abs() == 0.0
+    assert residual(prepare_state(ScalarField.zeros(spec.grid), 1.0,
+                                   spec)).max_abs() == 0.0
 
 
-def test_quotient_form_is_multiplied_over_sigma():
-    spec = canonical_problem("A")
-    rng = np.random.default_rng(14)
-    u = random_smooth_field(spec.grid, rng, amplitude=0.02)
-    sd = prepare_state(u, 0.6, spec)
-    mult = residual(u, 0.6, spec, form="multiplied", state=sd)
-    quot = residual(u, 0.6, spec, form="quotient", state=sd)
-    skm1 = sd.sig[spec.k - 1]
-    back = quot.values.values * skm1
-    assert np.abs(back - mult.values.values).max() <= 1e-12
-
-
-def test_quotient_form_rejects_states_outside_cone():
+def test_linearize_rejects_states_outside_cone():
     spec = canonical_problem("A")
     u = sample_text("0.5*sin(x1)*cos(x2)", spec.grid)  # exits Gamma_2
     sd = prepare_state(u, 1.0, spec)
     assert sd.cone_margin <= 0.0
-    # Multiplied form still evaluates.
-    residual(u, 1.0, spec, form="multiplied", state=sd)
+    # The multiplied residual still evaluates.
+    assert np.all(np.isfinite(residual(sd).values))
     with pytest.raises(AdmissibilityError) as exc:
-        residual(u, 1.0, spec, form="quotient", state=sd)
+        linearize(sd)
     assert exc.value.margin is not None and exc.value.margin <= 0.0
-    with pytest.raises(AdmissibilityError):
-        linearize(u, 1.0, spec, state=sd)
 
 
 def test_residual_rejects_bad_inputs():
     spec = canonical_problem("A")
     u = ScalarField.zeros(spec.grid)
     with pytest.raises(DomainError):
-        residual(u, -0.1, spec)
+        residual(prepare_state(u, -0.1, spec))
     with pytest.raises(DomainError):
-        residual(u, 1.1, spec)
-    with pytest.raises(DomainError):
-        residual(u, 0.5, spec, form="exotic")
+        residual(prepare_state(u, 1.1, spec))
     other = ScalarField.zeros(Grid(3, 8))
     with pytest.raises(DomainError):
-        residual(other, 0.5, spec)
+        residual(prepare_state(other, 0.5, spec))
 
 
 # -- linearization ------------------------------------------------------------
@@ -91,8 +77,8 @@ def test_residual_rejects_bad_inputs():
 def _directional_fd(u, t, spec, phi, eps=1e-6):
     up = ScalarField(spec.grid, u.values + eps * phi.values)
     um = ScalarField(spec.grid, u.values - eps * phi.values)
-    rp = residual(up, t, spec).values.values
-    rm = residual(um, t, spec).values.values
+    rp = residual(prepare_state(up, t, spec)).values
+    rm = residual(prepare_state(um, t, spec)).values
     return (rp - rm) / (2.0 * eps)
 
 
@@ -103,7 +89,7 @@ def test_linearize_matches_central_differences(case, t):
     rng = np.random.default_rng(hash((case, t)) % 2 ** 31)
     u = random_smooth_field(spec.grid, rng, amplitude=0.02)
     phi = random_smooth_field(spec.grid, rng, amplitude=1.0)
-    op = linearize(u, t, spec)
+    op = linearize(prepare_state(u, t, spec))
     got = op.apply(phi.values)
     want = _directional_fd(u, t, spec, phi)
     scale = max(1.0, np.abs(want).max())
@@ -158,8 +144,8 @@ def test_operator_built_into_a_supplied_buffer_keeps_it(n):
     spec = canonical_problem("A", n=n, k=3, N=8)
     u = random_smooth_field(spec.grid, rng, amplitude=0.02)
     sd = prepare_state(u, 0.6, spec)
-    want = linearize(u, 0.6, spec, state=sd)
-    refilled = linearize(u, 0.6, spec, state=sd, values=op.csr.data)
+    want = linearize(sd)
+    refilled = linearize(sd, values=op.csr.data)
     assert np.shares_memory(refilled.csr.data, buf)
     assert np.array_equal(refilled.csr.data, want.csr.data)
     assert np.array_equal(refilled.matvec(phi), want.matvec(phi))
@@ -259,12 +245,12 @@ def test_linearization_coefficients_and_weights_are_bitwise(case, n, k):
                             amplitude=0.02)
     t = 1.0 if case == "C" else 0.6
     sd = prepare_state(u, t, spec)
-    op = linearize(u, t, spec, state=sd)
-    second, first = _reference_coefficients(sd)
-    assert np.array_equal(op.second, second)
-    assert np.array_equal(op.first, first)
-    assert np.array_equal(op.as_csr().data, _reference_weights(
-        spec.grid, op.second, op.first, op.zeroth))
+    second, first, zeroth = _coefficients(sd)
+    want_second, want_first = _reference_coefficients(sd)
+    assert np.array_equal(second, want_second)
+    assert np.array_equal(first, want_first)
+    assert np.array_equal(linearize(sd).as_csr().data, _reference_weights(
+        spec.grid, second, first, zeroth))
 
 
 def _node_coefficients(sd, nodes, sig, dk, dkm1):
@@ -325,7 +311,7 @@ def test_state_and_operator_match_the_matmul_recurrence(case, n, k):
     close(sd.sig.reshape(k + 1, -1)[:, nodes].T, sig)
     close(np.moveaxis(sd.dk.reshape(n, n, -1)[:, :, nodes], -1, 0), dk)
     close(np.moveaxis(sd.dkm1.reshape(n, n, -1)[:, :, nodes], -1, 0), dkm1)
-    op = linearize(u, t, spec, state=sd)
+    op = linearize(sd)
     width = 2 * n * n + 1
     close(op.csr.data.reshape(-1, width)[nodes], _weight_rows(
         spec.grid.h, *_node_coefficients(sd, nodes, sig, dk, dkm1)))
@@ -335,8 +321,9 @@ def test_zeroth_order_sign_matches_case():
     """c < 0 for the positive-sign cases (A, B), c > 0 for case C."""
     for case, sign in (("A", -1.0), ("B", -1.0), ("C", +1.0)):
         spec = canonical_problem(case)
-        op = linearize(ScalarField.zeros(spec.grid), 1.0, spec)
-        assert np.all(sign * op.zeroth > 0.0)
+        _, _, zeroth = _coefficients(
+            prepare_state(ScalarField.zeros(spec.grid), 1.0, spec))
+        assert np.all(sign * zeroth > 0.0)
 
 
 # -- certificates -------------------------------------------------------------
@@ -344,14 +331,14 @@ def test_zeroth_order_sign_matches_case():
 def test_ellipticity_certificate_closed_form_values():
     spec = canonical_problem("A")
     u0 = ScalarField.zeros(spec.grid)
-    cert0 = ellipticity_certificate(u0, 0.0, spec)
+    cert0 = ellipticity_certificate(prepare_state(u0, 0.0, spec))
     # second = k C(n,k) (2n-2)/(n-2) I at the start: 3*1*4/1 = 12.
     assert cert0.passed
     assert cert0.newton_min_eig == pytest.approx(12.0, rel=1e-12)
     assert cert0.quotient_min_eig == pytest.approx(1.0, rel=1e-12)
     assert cert0.quotient_trace_min == pytest.approx(3.0, rel=1e-12)
     assert cert0.trace_bound == pytest.approx(1.0 / 3.0, rel=1e-15)
-    cert1 = ellipticity_certificate(u0, 1.0, spec)
+    cert1 = ellipticity_certificate(prepare_state(u0, 1.0, spec))
     assert cert1.passed
     assert cert1.newton_min_eig == pytest.approx(3.2, rel=1e-12)
     assert cert1.quotient_min_eig == pytest.approx(4.0 / 15.0, rel=1e-12)
@@ -361,7 +348,7 @@ def test_ellipticity_certificate_closed_form_values():
 def test_ellipticity_certificate_flags_cone_exit():
     spec = canonical_problem("A")
     u = sample_text("0.5*sin(x1)*cos(x2)", spec.grid)
-    cert = ellipticity_certificate(u, 1.0, spec)
+    cert = ellipticity_certificate(prepare_state(u, 1.0, spec))
     assert not cert.passed
     assert cert.nodes_outside_cone > 0
     assert cert.worst_margin < 0.0
@@ -374,7 +361,7 @@ def test_ellipticity_can_fail_inside_cone_for_multiplied_family():
     elliptic. The certificate must report this honestly."""
     spec = canonical_problem("A")
     u = sample_text("0.5*sin(x1)", spec.grid)
-    cert = ellipticity_certificate(u, 1.0, spec)
+    cert = ellipticity_certificate(prepare_state(u, 1.0, spec))
     assert cert.nodes_outside_cone == 0
     assert cert.worst_margin > 0.0
     assert not cert.passed
@@ -387,7 +374,7 @@ def test_ellipticity_trace_bound_all_cases():
         spec = canonical_problem(case)
         rng = np.random.default_rng(16)
         u = random_smooth_field(spec.grid, rng, amplitude=0.02)
-        cert = ellipticity_certificate(u, 1.0, spec)
+        cert = ellipticity_certificate(prepare_state(u, 1.0, spec))
         assert cert.passed, (case, cert.to_lines())
         assert cert.quotient_trace_min >= cert.trace_bound - 1e-10
 
@@ -501,7 +488,7 @@ def test_audit_matches_matrix_routes(case, n):
     for u, leaves_cone in ((rough, True),
                            (ScalarField.zeros(spec.grid), False)):
         sd = prepare_state(u, t, spec)
-        got = ellipticity_certificate(u, t, spec, state=sd)
+        got = ellipticity_certificate(sd)
         want = _reference_ellipticity(sd)
         assert (0 < got.nodes_outside_cone < got.nodes) == leaves_cone
         assert got.nodes_outside_cone == want["nodes_outside_cone"]
@@ -570,8 +557,9 @@ def test_line_second_difference_negative_inside_cone():
     eta = np.array([1.0, 1.0, 1.0])
     d = np.array([1.0, -0.5, 0.2])
     d = d / np.linalg.norm(d)
-    val = line_second_difference(eta, 0.7, 0.5, d, 3, 1e-4)
-    assert val < 0.0
+    val = line_second_difference(eta[None], np.array([0.7]), np.array([0.5]),
+                                 d[None], 3)
+    assert val.shape == (1,) and val[0] < 0.0
 
 
 # -- manufactured forcing ------------------------------------------------------
@@ -608,7 +596,7 @@ def test_manufactured_forcing_roundtrip_residual():
         star = sample_text("0.1*sin(x1)*cos(x2)", spec.grid)
         f = manufactured_forcing(star, 1.0, spec)
         spec2 = spec.with_f_field(f)
-        norms[N] = residual(star, 1.0, spec2).max_abs()
+        norms[N] = residual(prepare_state(star, 1.0, spec2)).max_abs()
     assert norms[16] / norms[32] == pytest.approx(4.0, rel=0.35)
 
 
@@ -622,7 +610,8 @@ def test_stencil_residual_is_second_order_at_n4_k3(case):
         spec = canonical_problem(case, n=4, k=3, N=N)
         star = sample_text("0.1*sin(x1)*cos(x2)", spec.grid)
         f = manufactured_forcing(star, 1.0, spec)
-        norms[N] = residual(star, 1.0, spec.with_f_field(f)).max_abs()
+        norms[N] = residual(
+            prepare_state(star, 1.0, spec.with_f_field(f))).max_abs()
     assert 3.5 <= norms[8] / norms[16] <= 4.5
 
 

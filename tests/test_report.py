@@ -13,7 +13,7 @@ from sigmak import (
     continue_path,
     run_checks,
 )
-from sigmak.operators import ellipticity_certificate
+from sigmak.operators import ellipticity_certificate, prepare_state
 from sigmak.report import KNOWN_CHECKS
 from sigmak.solver import monitor, trace_for_state
 
@@ -24,7 +24,7 @@ def rest_trace(spec):
     """One-row trace holding the exact t=0 solution u = 0."""
     state = HomotopyState(t=0.0, u=ScalarField.zeros(spec.grid),
                           residual_norm=0.0, cone_margin=1.0, newton_iters=0)
-    return trace_for_state(state, spec)
+    return trace_for_state(state, prepare_state(state.u, state.t, spec))
 
 
 def test_default_checks_all_present_and_pass_at_rest():
@@ -138,7 +138,8 @@ def test_case_c_comparison_holds_at_schouten_rest():
     state = HomotopyState(t=1.0, u=ScalarField.zeros(spec.grid),
                           residual_norm=0.0, cone_margin=1.0, newton_iters=0)
     trace = ContinuationTrace()
-    trace.append(state, monitor(state, spec))
+    sd = prepare_state(state.u, state.t, spec)
+    trace.append(state, monitor(sd))
     report = run_checks(trace, spec, ["c0_comparison"])
     (check,) = report.checks
     assert check.status == "pass"
@@ -147,7 +148,7 @@ def test_case_c_comparison_holds_at_schouten_rest():
     # the ellipticity check reads the trace's own certificate
     (missing,) = run_checks(trace, spec, ["ellipticity"]).checks
     assert (missing.status, missing.detail) == ("fail", "no certificate")
-    trace.ellipticity = ellipticity_certificate(state.u, state.t, spec)
+    trace.ellipticity = ellipticity_certificate(sd)
     (check,) = run_checks(trace, spec, ["ellipticity"]).checks
     assert check.status == "pass"
     assert check.value == trace.ellipticity.newton_min_eig

@@ -18,8 +18,9 @@ from sigmak.errors import (AdmissibilityError, ConeExitError, DomainError,
                            LinearSolveError, NonConvergenceError,
                            PathFailureError)
 from sigmak.grid import hess, random_smooth_field
-from sigmak.operators import (LinearOperator, ellipticity_certificate,
-                              linearize, manufactured_forcing)
+from sigmak.operators import (LinearOperator, _coefficients,
+                              ellipticity_certificate, linearize,
+                              manufactured_forcing, prepare_state)
 from sigmak.solver import (GMRES_RESTART, LINEAR_GUARD, HomotopyState,
                            _sup_spectral_radius, newton_correct,
                            solve_linear, trace_for_state)
@@ -39,7 +40,7 @@ def test_schedule_validation():
 
 def test_solve_linear_matches_dense_inverse():
     spec = canonical_problem("A", N=8)
-    op = linearize(ScalarField.zeros(spec.grid), 0.0, spec)
+    op = linearize(prepare_state(ScalarField.zeros(spec.grid), 0.0, spec))
     rng = np.random.default_rng(17)
     rhs = rng.standard_normal(spec.grid.size)
     x = solve_linear(op, rhs)
@@ -51,7 +52,7 @@ def test_solve_linear_matches_dense_inverse():
 
 def test_solve_linear_zero_rhs_shortcut():
     spec = canonical_problem("A", N=8)
-    op = linearize(ScalarField.zeros(spec.grid), 0.0, spec)
+    op = linearize(prepare_state(ScalarField.zeros(spec.grid), 0.0, spec))
     x = solve_linear(op, np.zeros(spec.grid.size))
     assert np.array_equal(x, np.zeros(spec.grid.shape))
 
@@ -121,27 +122,33 @@ def test_case_c_matvec_counts_do_not_swing_with_roundoff(monkeypatch):
     factor of 1.5 of each other. (Jacobi-preconditioned BiCGSTAB took 95
     matvecs on the captured system and 164-206 on these copies.)"""
     spec = canonical_problem("C", n=4, k=3, N=8, f="1+0.5*cos(x1+x2)")
-    systems = []
+    coefficients, systems = [], []
+    linearize = sigmak.solver.linearize
+
+    def capture_coefficients(sd, values=None):
+        coefficients.append(_coefficients(sd))
+        return linearize(sd, values=values)
 
     def capture(op, rhs):
         systems.append((op, rhs))
         return solve_linear(op, rhs)
 
+    monkeypatch.setattr(sigmak.solver, "linearize", capture_coefficients)
     monkeypatch.setattr(sigmak.solver, "solve_linear", capture)
     solve_caseC(spec)
     op, rhs = systems[-1]
-    assert op.zeroth.mean() > 0.0
+    second, first, zeroth = coefficients[-1]
+    assert zeroth.mean() > 0.0
     rng = np.random.default_rng(11)
     copies = [op]
     for _ in range(5):
-        noise = rng.standard_normal(op.second.shape)
+        noise = rng.standard_normal(second.shape)
         noise += np.swapaxes(noise, 0, 1)
         copies.append(LinearOperator(
-            grid=op.grid, second=op.second * (1.0 + 1e-14 * noise),
-            first=op.first * (1.0 + 1e-14 * rng.standard_normal(
-                op.first.shape)),
-            zeroth=op.zeroth * (1.0 + 1e-14 * rng.standard_normal(
-                op.zeroth.shape))))
+            grid=op.grid, second=second * (1.0 + 1e-14 * noise),
+            first=first * (1.0 + 1e-14 * rng.standard_normal(first.shape)),
+            zeroth=zeroth * (1.0 + 1e-14 * rng.standard_normal(
+                zeroth.shape))))
     counts = []
     for copy in copies:
         calls = _counting(copy)
@@ -152,19 +159,35 @@ def test_case_c_matvec_counts_do_not_swing_with_roundoff(monkeypatch):
     assert max(counts) <= 1.5 * min(counts), counts
 
 
+# `sigmak solve` configs whose tracemalloc peaks are held to peak_bytes:
+# case A at n=3, N=24, and two beyond n=3 (the benchmark's case C config,
+# and case A with k = n = 5).
+_PEAK_CONFIGS = (
+    RunConfig(N=24),
+    RunConfig(case="C", n=4, k=3, N=8, alpha="-0.05", f="1+0.5*cos(x1+x2)"),
+    RunConfig(n=5, k=5, N=8),
+)
+
+
 def test_solves_peak_within_the_memory_estimate(tmp_path):
     """tracemalloc peaks stay under config.peak_bytes, GMRES basis included:
-    a whole `sigmak solve` at n=3, N=24, and the singular Laplacian solve,
-    whose first cycle allocates the whole basis before the solve stagnates
-    and fails."""
-    conf = tmp_path / "solve.config"
-    conf.write_text(RunConfig(N=24).to_text(), encoding="utf-8")
+    a whole `sigmak solve` for each of _PEAK_CONFIGS, each traced on its
+    own, and the singular Laplacian solve, whose first cycle allocates the
+    whole basis before the solve stagnates and fails."""
+    for i, cfg in enumerate(_PEAK_CONFIGS):
+        conf = tmp_path / f"solve{i}.config"
+        conf.write_text(cfg.to_text(), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            rc = main(["solve", "--config", str(conf), "--out",
+                       str(tmp_path / f"out{i}")])
+            solve_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0, cfg
+        assert solve_peak < peak_bytes(cfg.n, cfg.N), cfg
     tracemalloc.start()
     try:
-        rc = main(["solve", "--config", str(conf), "--out",
-                   str(tmp_path / "out")])
-        solve_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
         grid = Grid(3, 16)
         op = LinearOperator(
             grid=grid, second=_constant((3, 3), np.eye(3), grid),
@@ -176,8 +199,6 @@ def test_solves_peak_within_the_memory_estimate(tmp_path):
         singular_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rc == 0
-    assert solve_peak < peak_bytes(3, 24)
     # a true-residual test, at least one Krylov step, then a last test: the
     # basis was allocated, and the peak holds it
     assert calls[0] >= 3
@@ -198,7 +219,7 @@ def test_solve_t0_contracts_random_admissible_starts():
                                  amplitude=0.05, max_wavenumber=1)
         u = solve_t0(spec, u0)
         assert u.max_abs() <= 1e-10
-        assert residual(u, 0.0, spec).max_abs() <= 1e-10
+        assert residual(prepare_state(u, 0.0, spec)).max_abs() <= 1e-10
 
 
 def test_solve_t0_rejects_inadmissible_start():
@@ -271,9 +292,9 @@ def _counting_certificates(monkeypatch):
     """Count the solver's calls to ellipticity_certificate."""
     calls, real = [], sigmak.solver.ellipticity_certificate
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
+    def counted(sd):
+        calls.append(sd.t)
+        return real(sd)
 
     monkeypatch.setattr(sigmak.solver, "ellipticity_certificate", counted)
     return calls
@@ -288,15 +309,17 @@ def test_a_path_is_certified_once_at_its_final_state(monkeypatch):
     trace = continue_path(spec, Schedule())
     assert calls == [1.0]
     final = trace.final_state
-    assert trace.ellipticity == ellipticity_certificate(final.u, 1.0, spec)
+    assert trace.ellipticity == ellipticity_certificate(
+        prepare_state(final.u, 1.0, spec))
     assert trace.ellipticity.passed
 
     calls.clear()
     spec = canonical_problem("C", alpha="-0.05", f="0.85")
     state, sd = solve_caseC(spec)
-    trace = trace_for_state(state, spec, sd)
+    trace = trace_for_state(state, sd)
     assert calls == [1.0]
-    assert trace.ellipticity == ellipticity_certificate(state.u, 1.0, spec)
+    assert trace.ellipticity == ellipticity_certificate(
+        prepare_state(state.u, 1.0, spec))
 
 
 def test_canonical_case_a_newton_iterations_are_pinned():
@@ -328,7 +351,7 @@ def test_newton_iterations_beyond_n3_are_pinned(case, n, k, f, iters, ts):
     spec = canonical_problem(case, n=n, k=k, N=8, f=f)
     if case == "C":
         state, sd = solve_caseC(spec, schedule=Schedule())
-        trace = trace_for_state(state, spec, sd)
+        trace = trace_for_state(state, sd)
     else:
         trace = continue_path(spec, Schedule())
     assert [row.newton_iters for row in trace.rows] == iters
@@ -402,7 +425,7 @@ def test_continue_path_failure_carries_partial_trace():
     assert trace.final_t == 0.0
     # the certificate is the accepted t=0 state's
     assert trace.ellipticity == ellipticity_certificate(
-        trace.final_state.u, 0.0, spec)
+        prepare_state(trace.final_state.u, 0.0, spec))
     assert trace.ellipticity.t == 0.0
 
 
@@ -410,12 +433,13 @@ def test_monitor_values_at_rest():
     spec = canonical_problem("A")
     state = HomotopyState(t=0.0, u=ScalarField.zeros(spec.grid),
                           residual_norm=0.0, cone_margin=3.0, newton_iters=0)
-    record = monitor(state, spec)
+    sd = prepare_state(state.u, state.t, spec)
+    record = monitor(sd)
     assert record.sup_u == 0.0
     assert record.sup_grad_u_sq == 0.0
     assert record.sup_hess_u == 0.0
     assert record.cone_margin == 3.0
-    assert trace_for_state(state, spec).ellipticity.passed
+    assert trace_for_state(state, sd).ellipticity.passed
 
 
 def test_pruned_sup_hess_is_the_full_eigvalsh_maximum():
@@ -453,9 +477,7 @@ def test_pruned_sup_hess_is_the_full_eigvalsh_maximum():
             assert _sup_spectral_radius(mats) == full(mats)
     spec = canonical_problem("A", N=8)
     u = random_smooth_field(spec.grid, rng, amplitude=0.02)
-    state = HomotopyState(t=0.5, u=u, residual_norm=0.0, cone_margin=1.0,
-                          newton_iters=0)
-    assert monitor(state, spec).sup_hess_u == full(hess(u))
+    assert monitor(prepare_state(u, 0.5, spec)).sup_hess_u == full(hess(u))
 
 
 def test_solve_case_c_constant_oracle():
@@ -470,7 +492,7 @@ def test_solve_case_c_converges_from_offset_forcing():
     spec = canonical_problem("C")
     state, _ = solve_caseC(spec)
     assert state.residual_norm <= 1e-10
-    assert residual(state.u, 1.0, spec).max_abs() <= 1e-9
+    assert residual(prepare_state(state.u, 1.0, spec)).max_abs() <= 1e-9
 
 
 def test_solve_case_c_requires_admissible_schouten():
@@ -491,8 +513,8 @@ def test_solve_case_c_rejects_other_cases():
 
 def test_trace_for_state_single_row():
     spec = canonical_problem("C", alpha="-0.05", f="0.85")
-    state, _ = solve_caseC(spec)
-    trace = trace_for_state(state, spec)
+    state, sd = solve_caseC(spec)
+    trace = trace_for_state(state, sd)
     assert len(trace.rows) == 1
     assert trace.final_t == 1.0
     assert trace.final_state is state

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 from helpers import brute_sigma, brute_sigma_all, matmul_sigma_and_dsigma
 from sigmak import (dsigma_matrix, in_gamma, newton_maclaurin_gap,
-                    quotient_ratio_gap, sigma, sigma_matrix, sigma_minor)
+                    quotient_ratio_gap, sigma, sigma_matrix)
 from sigmak.errors import DomainError
-from sigmak.symfunc import (dsigma_matrix_batch, sample_gamma, sigma_all,
-                            sigma_all_batch, sigma_and_dsigma_batch,
-                            sigma_matrix_all_batch, sigma_matrix_batch,
-                            sigma_matrix_planes)
+from sigmak.symfunc import (sample_gamma, sigma_all, sigma_all_batch,
+                            sigma_and_dsigma_batch, sigma_matrix_planes)
 
 
 def test_sigma_small_hand_values():
@@ -70,8 +68,9 @@ def test_sigma_minor_expansion_identity():
     lam = rng.uniform(-2.0, 2.0, size=5)
     for k in range(1, 6):
         for i in range(5):
-            rest_km1 = sigma_minor(lam, k - 1, i) if k - 1 >= 0 else 0.0
-            rest_k = sigma_minor(lam, k, i) if k <= 4 else 0.0
+            rest = np.delete(lam, i)
+            rest_km1 = sigma(rest, k - 1)
+            rest_k = sigma(rest, k) if k <= 4 else 0.0
             assert sigma(lam, k) == pytest.approx(
                 lam[i] * rest_km1 + rest_k, rel=1e-12, abs=1e-12)
 
@@ -181,17 +180,34 @@ def test_sigma_matrix_invariant_under_conjugation():
         assert abs(sigma_matrix(m, k) - want) <= 1e-12 * scale
 
 
+def test_matrix_routes_reject_bad_matrices():
+    """sigma_matrix and dsigma_matrix take one square matrix, symmetric
+    exactly as stored and finite, and 1 <= k <= n."""
+    sym = np.eye(3)
+    skew = np.eye(3)
+    skew[0, 1] = 1e-16
+    nonfinite = np.eye(3)
+    nonfinite[1, 1] = np.inf
+    for route in (sigma_matrix, dsigma_matrix):
+        for bad in (np.ones((3, 4)), np.ones(3), skew, nonfinite):
+            with pytest.raises(DomainError):
+                route(bad, 2)
+        for k in (0, 4):
+            with pytest.raises(DomainError):
+                route(sym, k)
+
+
 def test_dsigma_matrix_diagonal_values():
     """On diagonal matrices, (dsigma_k)_ii = sigma_{k-1} of the other
     eigenvalues and off-diagonal entries vanish."""
     lam = np.array([1.0, 2.0, 3.0, 4.0])
     m = np.diag(lam)
     for k in range(1, 5):
-        d = dsigma_matrix(m, k).entries
+        d = dsigma_matrix(m, k)
         off = d - np.diag(np.diag(d))
         assert np.abs(off).max() <= 1e-12
         for i in range(4):
-            assert d[i, i] == pytest.approx(sigma_minor(lam, k - 1, i),
+            assert d[i, i] == pytest.approx(sigma(np.delete(lam, i), k - 1),
                                             rel=1e-12, abs=1e-12)
 
 
@@ -216,7 +232,7 @@ def test_dsigma_matches_finite_differences():
     m = 0.5 * (raw + raw.T)
     eps = 1e-6
     for k in range(1, 5):
-        d = dsigma_matrix(m, k).entries
+        d = dsigma_matrix(m, k)
         for i in range(4):
             for j in range(i, 4):
                 e = np.zeros((4, 4))
@@ -231,9 +247,9 @@ def test_batch_shapes_and_scalar_agreement():
     rng = np.random.default_rng(11)
     mats = rng.standard_normal((2, 3, 5, 5))
     mats = 0.5 * (mats + np.swapaxes(mats, -1, -2))
-    all_sig = sigma_matrix_all_batch(mats, 4)
-    assert all_sig.shape == (2, 3, 5)
-    assert all_sig[1, 2, 3] == pytest.approx(sigma_matrix(mats[1, 2], 3),
+    all_sig = sigma_matrix_planes(np.moveaxis(mats, (-2, -1), (0, 1)), 4)
+    assert all_sig.shape == (5, 2, 3)
+    assert all_sig[3, 1, 2] == pytest.approx(sigma_matrix(mats[1, 2], 3),
                                              rel=1e-12, abs=1e-12)
 
 
@@ -333,20 +349,21 @@ def test_sigma_and_dsigma_batch_low_orders_are_exact_fresh_arrays():
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_trailing_axis_wrappers_are_views_onto_the_planes(n):
-    """sigma_matrix_all_batch, sigma_matrix_batch and dsigma_matrix_batch
-    take matrices on the last two axes; each equals the component-major
-    recurrence of the same stack bit for bit, with the axes moved, for every
-    k; and that recurrence matches the whole-matrix product reference."""
+    """Matrices stacked with their axes last reach the component-major
+    recurrence through np.moveaxis alone: for every k, sigma_matrix_planes
+    is its sigma part bit for bit; sigma_matrix / dsigma_matrix of a single
+    matrix, the stack with an empty batch, agree with its entries at that
+    node; and the recurrence matches the whole-matrix product reference,
+    each within 1e-13 of the largest reference entry."""
     mats, _, _ = _conjugated_stack(n, (6, 7), seed=30 + n)
     planes = np.ascontiguousarray(np.moveaxis(mats, (-2, -1), (0, 1)))
     for k in range(1, n + 1):
         sig, dk, dkm1 = sigma_and_dsigma_batch(planes, k)
         assert np.array_equal(sigma_matrix_planes(planes, k), sig)
-        assert np.array_equal(sigma_matrix_all_batch(mats, k),
-                              np.moveaxis(sig, 0, -1))
-        assert np.array_equal(sigma_matrix_batch(mats, k), sig[k])
-        assert np.array_equal(dsigma_matrix_batch(mats, k),
-                              np.moveaxis(dk, (0, 1), (-2, -1)))
+        for node in ((0, 0), (2, 5), (5, 6)):
+            _assert_rel(np.array(sigma_matrix(mats[node], k)),
+                        sig[(k, *node)])
+            _assert_rel(dsigma_matrix(mats[node], k), dk[(..., *node)])
         ref_sig, ref_dk, ref_dkm1 = matmul_sigma_and_dsigma(mats, k)
         _assert_rel(np.moveaxis(sig, 0, -1), ref_sig)
         for got, want in ((dk, ref_dk), (dkm1, ref_dkm1)):
