@@ -16,15 +16,15 @@ mats[i, j]. np.moveaxis gives the per-node matrices that eigvalsh takes.
 
 import numpy as np
 
-from sigmak import Background, Grid, ProblemSpec, sample_text
+from sigmak import Grid, ProblemSpec, canonical_background, sample_text
 from sigmak.curvature import build_u_tensor, build_v_tensor, build_w_tensor
 from sigmak.grid import grad_values, hess
 from sigmak.symfunc import in_gamma
 
 grid = Grid(n=3, N=16)
-background = Background.isotropic(grid, ric0_scale=-1.0)
+# Case A reads Ric_{g0}; the canonical one is -identity.
 spec = ProblemSpec.build("A", 3, 3, grid, alpha="-0.1", f="0.7",
-                         background=background)
+                         background=canonical_background("A", 3))
 report = spec.validate(strict=True)
 print("problem:", *report.to_lines()[:6], sep="\n  ")
 
@@ -55,8 +55,9 @@ for t in (0.0, 0.5, 1.0):
           f"worst Gamma_2 margin {margins.min():+.4f}")
 
 # Case C works with W and the inverted conformal factor.
+# Case C reads the Schouten tensor A_{g0}; the canonical one is +identity.
 specC = ProblemSpec.build("C", 3, 3, grid, alpha="-0.05", f="1",
-                          background=Background.isotropic(grid, -1.0))
+                          background=canonical_background("C", 3))
 w = build_w_tensor(hess_u, grad_u, specC)
 eigs = node_eigenvalues(w)
 print(f"\ncase C tensor W: eig range [{eigs.min():+.4f}, {eigs.max():+.4f}]")

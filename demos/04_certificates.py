@@ -9,14 +9,13 @@ over randomized samples, and fails loudly when a hypothesis is violated.
 
 import numpy as np
 
-from sigmak import (Background, Grid, ProblemSpec, ScalarField,
+from sigmak import (Grid, ProblemSpec, ScalarField,
                     concavity_certificate, ellipticity_certificate,
                     prepare_state)
 from sigmak.grid import random_smooth_field
 
 grid = Grid(n=3, N=16)
-spec = ProblemSpec.build("A", 3, 3, grid, alpha="-0.1", f="0.7",
-                         background=Background.isotropic(grid, -1.0))
+spec = ProblemSpec.build("A", 3, 3, grid, alpha="-0.1", f="0.7")
 
 # Ellipticity at the homotopy start: everything is explicit there. The
 # audit reads the state's cached fields, built once by prepare_state.

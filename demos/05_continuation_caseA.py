@@ -10,13 +10,12 @@ t=1 solution is again u = 0, which the final residual confirms.
 
 import numpy as np
 
-from sigmak import Background, Grid, ProblemSpec, Schedule, continue_path
+from sigmak import Grid, ProblemSpec, Schedule, continue_path
 from sigmak.operators import c0_diagnostic, prepare_state, residual
 from sigmak.report import run_checks
 
 grid = Grid(n=3, N=16)
-spec = ProblemSpec.build("A", 3, 3, grid, alpha="-0.1", f="0.7",
-                         background=Background.isotropic(grid, -1.0))
+spec = ProblemSpec.build("A", 3, 3, grid, alpha="-0.1", f="0.7")
 spec.validate(strict=True)
 
 trace = continue_path(spec, Schedule())

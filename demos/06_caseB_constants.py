@@ -12,15 +12,14 @@ import math
 
 import numpy as np
 
-from sigmak import Background, Grid, ProblemSpec, Schedule, continue_path
+from sigmak import Grid, ProblemSpec, Schedule, continue_path
 
 grid = Grid(n=3, N=16)
 
 for label, alpha, expected_c in (
         ("c = 0", -1.0 / 3.0, 0.0),
         ("c = 1", -1.0 / (3.0 * math.e ** 2), 1.0)):
-    spec = ProblemSpec.build("B", 3, 3, grid, alpha=repr(alpha), f="0",
-                             background=Background.isotropic(grid, -1.0))
+    spec = ProblemSpec.build("B", 3, 3, grid, alpha=repr(alpha), f="0")
     spec.validate(strict=True)
     trace = continue_path(spec, Schedule())
     u = trace.final_state.u.values

@@ -12,15 +12,14 @@ import math
 
 import numpy as np
 
-from sigmak import Background, Grid, ProblemSpec, sample_text
+from sigmak import Grid, ProblemSpec, sample_text
 from sigmak.operators import manufactured_forcing
 from sigmak.solver import solve_caseC
 
 errors = {}
 for N in (16, 32):
     grid = Grid(n=3, N=N)
-    base = ProblemSpec.build("C", 3, 3, grid, alpha="-0.05", f="1",
-                             background=Background.isotropic(grid, -1.0))
+    base = ProblemSpec.build("C", 3, 3, grid, alpha="-0.05", f="1")
     star = sample_text("0.1*sin(x1)*cos(x2)", grid)
     f_field = manufactured_forcing(star, 1.0, base)
     spec = base.with_f_field(f_field)

@@ -46,9 +46,10 @@ from .grid import (
     load_field,
 )
 from .curvature import (
-    Background,
     ProblemSpec,
     ValidationReport,
+    canonical_background,
+    sample_tensor,
     build_u_tensor,
     build_v_tensor,
     build_w_tensor,

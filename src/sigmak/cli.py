@@ -193,8 +193,7 @@ def run_solve(cfg: RunConfig, out_dir: str) -> int:
 def _solve_manufactured(cfg: RunConfig, grid: Grid) -> tuple:
     """Solve on one grid with forcing manufactured from u_star; returns
     (sup error against u_star, sup |u_star|)."""
-    base = ProblemSpec.build(cfg.case, cfg.n, cfg.k, grid, alpha=cfg.alpha,
-                             f=cfg.f, background=cfg.background(grid))
+    base = cfg.problem(grid)
     star = sample_text(cfg.u_star, grid)
     star_sup = star.max_abs()
     if cfg.case == "B":

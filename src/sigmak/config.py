@@ -15,7 +15,8 @@ true/false. Unknown keys, duplicate keys, and malformed values are rejected
 with the line number. All randomness downstream flows from the single `seed`
 key. The default background is the canonical one (ric0 = -identity,
 schouten0 = +identity); providing any component replaces that default
-entirely, with omitted components zero.
+entirely, with omitted components zero. A run samples only the tensor its
+case reads: ric0 for cases A and B, schouten0 for case C.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import re
 from dataclasses import dataclass, field, fields
 
 from . import fieldexpr
-from .curvature import CASES, Background, ProblemSpec, _fmt, component_key
+from .curvature import (CASES, ProblemSpec, _fmt, canonical_background,
+                        component_key)
 from .errors import ConfigError, DomainError, ExprSyntaxError, SigmaKError
 from .grid import Grid
 from .report import BOUNDED_CHECKS, KNOWN_CHECKS, _normalize_checks
@@ -45,11 +47,13 @@ def peak_bytes(n: int, N: int) -> int:
     """Estimated peak bytes of a solve or check on the grid with N points on
     each of n axes: N^n nodes at 84 n^2 + 300 bytes a node. That per-node
     cost bounds the tracemalloc peaks of `sigmak solve` at n = 3, 4, 5, 6
-    (976, 1562, 2292 and 3168 bytes a node: case A at N = 16, case A with
-    k = n at N = 8, and case C with k = 3 at N = 8), which are set by the
-    (n, n) planes of the state and the recurrence, the two background
-    tensors, and the operator's 2n^2 + 1 stencil weights and column indices
-    per node. A full GMRES basis (51 grid vectors, 408 bytes a node) fits
+    (904, 1425, 2076 and 2889 bytes a node, N = 16 at n = 3 and N = 8
+    above, from case A with k = 3 on a background that varies along every
+    axis; case A with k = n and case C with k = 3 peak lower), which are
+    set by the (n, n) planes of the state and the recurrence, the one
+    background tensor (grid-sized only when it varies along every axis),
+    and the operator's 2n^2 + 1 stencil weights and column indices per
+    node. A full GMRES basis (51 grid vectors, 408 bytes a node) fits
     inside it: the Newton state is dropped before the Krylov solve (at
     n = 3, N = 24 the peak while solve_linear runs is 585 bytes a node), and
     a singular solve that allocates the whole basis peaks at 477 bytes a
@@ -86,9 +90,9 @@ class RunConfig:
 
     def __post_init__(self):
         if not self.ric0:
-            self.ric0 = {f"({i},{i})": "-1" for i in range(1, self.n + 1)}
+            self.ric0 = canonical_background("A", self.n)
         if not self.schouten0:
-            self.schouten0 = {f"({i},{i})": "1" for i in range(1, self.n + 1)}
+            self.schouten0 = canonical_background("C", self.n)
 
     # -- validation ------------------------------------------------------
 
@@ -150,15 +154,12 @@ class RunConfig:
     def grid(self) -> Grid:
         return Grid(self.n, self.N)
 
-    def background(self, grid: Grid) -> Background:
-        return Background.from_components(grid, ric0=self.ric0,
-                                          schouten0=self.schouten0)
-
     def problem(self, grid: Grid | None = None) -> ProblemSpec:
         g = grid if grid is not None else self.grid()
+        background = self.schouten0 if self.case == "C" else self.ric0
         return ProblemSpec.build(self.case, self.n, self.k, g,
                                  alpha=self.alpha, f=self.f,
-                                 background=self.background(g))
+                                 background=background)
 
     def schedule(self) -> Schedule:
         return Schedule(**{f.name: getattr(self, f.name)

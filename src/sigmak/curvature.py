@@ -1,8 +1,8 @@
 """Conformal curvature tensors on the periodic box.
 
 Three symmetric tensors drive the equations, all assembled pointwise from the
-derivatives of a scalar field u and prescribed background data (flat
-g0 = identity; all background curvature is injected as tensor fields):
+derivatives of a scalar field u and one prescribed background tensor (flat
+g0 = identity; the background curvature is injected as a tensor field):
 
   U(u, t) = Hess u + (1/(n-2)) (Lap u) I + |grad u|^2 I - du x du
             - t ric0/(n-2) + ((1-t)/n) I
@@ -30,20 +30,21 @@ stack without new axes.
 The derivatives are whatever the caller has: stencil derivatives for the
 solver, spectral ones for manufactured forcing, zeros (with unit batch
 axes) for the gradient-free comparison tensor. The Laplacian is the trace of
-the given Hessian. The background tensors Background.ric0 and
-Background.schouten0 have shape (n, n) + grid.shape; `at` is a tuple of
-index arrays into their grid axes (every node by default), so a tensor can
-be built at a few nodes from derivatives taken there.
+the given Hessian. `at` is a tuple of index arrays into the grid axes
+(every node by default), so a tensor can be built at a few nodes from
+derivatives taken there.
 
 ProblemSpec bundles the case tag, (n, k), coefficient expressions alpha and
-f, and the background; validate() samples the coefficients and enforces the
-per-case sign conditions before any solve touches the data.
+f, and the one background tensor the case reads (ric0 for cases A and B,
+schouten0 for case C), stored at the broadcast shape of its values;
+validate() samples the coefficients and enforces the per-case sign
+conditions before any solve touches the data.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -51,11 +52,12 @@ import numpy as np
 from . import fieldexpr
 from . import symfunc
 from .errors import DomainError, ValidationError
-from .grid import Grid, ScalarField, sample
+from .grid import Grid, ScalarField, sample, sample_values
 
 __all__ = [
-    "Background", "ProblemSpec", "ValidationReport",
-    "build_u_tensor", "build_v_tensor", "build_w_tensor", "cone_margins",
+    "ProblemSpec", "ValidationReport", "canonical_background",
+    "sample_tensor", "build_u_tensor", "build_v_tensor", "build_w_tensor",
+    "cone_margins",
 ]
 
 CASES = ("A", "B", "C")
@@ -101,56 +103,29 @@ def record_lines(record, prefix: str = "") -> list:
     return [f"{lead}{key}: {_fmt(value)}" for key, value in record.items()]
 
 
-@dataclass
-class Background:
-    """Prescribed background curvature: Ric_{g0} and the Schouten tensor
-    A_{g0}, sampled from per-component expression strings."""
+def canonical_background(case: str, n: int) -> dict:
+    """The components of the canonical background tensor a case reads:
+    Ric_{g0} = -identity for cases A and B, A_{g0} = +identity for case C."""
+    value = "1" if case == "C" else "-1"
+    return {f"({i},{i})": value for i in range(1, n + 1)}
 
-    ric0: np.ndarray        # (n, n) + grid.shape
-    schouten0: np.ndarray   # (n, n) + grid.shape
-    ric0_source: dict = field(default_factory=dict)
-    schouten0_source: dict = field(default_factory=dict)
 
-    @classmethod
-    def from_components(cls, grid: Grid, ric0: dict | None = None,
-                        schouten0: dict | None = None) -> "Background":
-        """Build from maps of component name "(i,j)" (1-based) to expression
-        text; omitted components are zero."""
-        def build(components: dict | None):
-            tensor = np.zeros((grid.n, grid.n) + grid.shape)
-            source = {}
-            for key, src in (components or {}).items():
-                i, j = component_key(grid.n, key)
-                ast = fieldexpr.parse(src, grid.n)
-                tensor[i - 1, j - 1] = tensor[j - 1, i - 1] = \
-                    sample(ast, grid).values
-                source[f"({i},{j})"] = src
-            return tensor, source
-
-        ric_t, ric_src = build(ric0)
-        sch_t, sch_src = build(schouten0)
-        return cls(ric0=ric_t, schouten0=sch_t,
-                   ric0_source=ric_src, schouten0_source=sch_src)
-
-    @classmethod
-    def isotropic(cls, grid: Grid, ric0_scale: float,
-                  schouten0_scale: float = 1.0) -> "Background":
-        n = grid.n
-        return cls.from_components(
-            grid,
-            ric0={(i, i): repr(float(ric0_scale)) for i in range(1, n + 1)},
-            schouten0={(i, i): repr(float(schouten0_scale)) for i in range(1, n + 1)},
-        )
-
-    def ric0_admissibility(self, k: int):
-        """Cone margins of -ric0/(n-2) for Gamma_k (the case A/B precondition
-        on the background). Returns (margins, worst node, worst report)."""
-        n = self.ric0.shape[0]
-        return cone_margins(-self.ric0 / (n - 2), k)
-
-    def schouten0_admissibility(self, k: int):
-        """Cone margins of schouten0 for Gamma_k (case C precondition)."""
-        return cone_margins(self.schouten0, k)
+def sample_tensor(grid: Grid, components: dict) -> np.ndarray:
+    """A symmetric tensor sampled from a map of component "(i,j)" (1-based)
+    to expression text, omitted components zero. Stored component-major at
+    the broadcast shape of the component values: (n, n) + (1,) * n for a
+    constant tensor, N on exactly the grid axes some component varies on."""
+    n = grid.n
+    planes = {}
+    for key, src in components.items():
+        i, j = component_key(n, key)
+        planes[i - 1, j - 1] = sample_values(fieldexpr.parse(src, n), grid)
+    shape = np.broadcast_shapes((1,) * n, *(np.shape(v)
+                                            for v in planes.values()))
+    tensor = np.zeros((n, n) + shape)
+    for (i, j), values in planes.items():
+        tensor[i, j] = tensor[j, i] = values
+    return tensor
 
 
 def cone_margins(mats: np.ndarray, k: int):
@@ -195,7 +170,9 @@ class ProblemSpec:
 
     alpha and f are kept both as expression text (for echoing) and as sampled
     fields (what the solver actually reads). Case C may carry a manufactured
-    f field with no expression source.
+    f field with no expression source. background is the tensor the case
+    reads, Ric_{g0} for cases A and B and A_{g0} for case C, sampled from
+    the components build() is given (canonical_background's when None).
     """
 
     case: str
@@ -206,12 +183,12 @@ class ProblemSpec:
     f_src: str
     alpha_field: ScalarField
     f_field: ScalarField
-    background: Background
+    background: np.ndarray
 
     @classmethod
     def build(cls, case: str, n: int, k: int, grid: Grid,
               alpha: str = "0", f: str = "0",
-              background: Background | None = None) -> "ProblemSpec":
+              background: dict | None = None) -> "ProblemSpec":
         if case not in CASES:
             raise DomainError(f"case must be one of {CASES}, got {case!r}")
         if grid.n != n:
@@ -219,7 +196,7 @@ class ProblemSpec:
         if not 3 <= k <= n:
             raise DomainError(f"need 3 <= k <= n={n}, got k={k}")
         if background is None:
-            background = Background.from_components(grid)
+            background = canonical_background(case, n)
         alpha_ast = fieldexpr.parse(alpha, n)
         f_ast = fieldexpr.parse(f, n)
         return cls(
@@ -227,7 +204,7 @@ class ProblemSpec:
             alpha_src=alpha, f_src=f,
             alpha_field=sample(alpha_ast, grid),
             f_field=sample(f_ast, grid),
-            background=background,
+            background=sample_tensor(grid, background),
         )
 
     def with_f_field(self, f_field: ScalarField, label: str = "<manufactured>"):
@@ -239,6 +216,15 @@ class ProblemSpec:
             background=self.background,
         )
 
+    def background_at(self, at=()) -> np.ndarray:
+        """The background as stored, or at the grid nodes `at` (one index
+        array per grid axis) through a full-grid broadcast view."""
+        if not at:
+            return self.background
+        full = np.broadcast_to(self.background,
+                               self.background.shape[:2] + self.grid.shape)
+        return full[(..., *at)]
+
     @property
     def conformal_sign(self) -> int:
         """+1 when g = e^{2u} g0 (cases A, B); -1 when g = e^{-2u} g0 (C)."""
@@ -249,6 +235,14 @@ class ProblemSpec:
         """Cone the homotopy tensor must stay in: Gamma_{k-1} for the
         quotient-type cases A and C, Gamma_k for case B."""
         return self.k if self.case == "B" else self.k - 1
+
+    def background_cone(self):
+        """Cone margins of the background condition: -Ric_{g0}/(n-2) in
+        Gamma_k (cases A and B), A_{g0} in Gamma_{k-1} (case C). Returns
+        (margins, worst node, worst report) on the stored grid axes."""
+        if self.case == "C":
+            return cone_margins(self.background, self.k - 1)
+        return cone_margins(-self.background / (self.n - 2), self.k)
 
     def validate(self, strict: bool = True) -> ValidationReport:
         """Check the per-case sign conditions on alpha and f and record the
@@ -281,18 +275,14 @@ class ProblemSpec:
                 problems.append("case C requires f >= theta > 0 pointwise")
             if a.max() > 0.0:
                 problems.append("case C requires alpha <= 0 pointwise")
-        cone_k = self.k if self.case in ("A", "B") else self.k - 1
-        if self.case in ("A", "B"):
-            margins, _, _ = self.background.ric0_admissibility(cone_k)
-        else:
-            margins, _, _ = self.background.schouten0_admissibility(cone_k)
+        margins, _, worst = self.background_cone()
         return ValidationReport(
             case=self.case, n=self.n, k=self.k, N=self.grid.N,
             conformal_sign=self.conformal_sign,
             alpha_min=float(a.min()), alpha_max=float(a.max()),
             f_min=float(f.min()), f_max=float(f.max()),
             theta=float(f.min()) if self.case == "C" else 0.0,
-            background_cone_k=cone_k,
+            background_cone_k=worst.k,
             background_margin_min=float(margins.min()),
             problems=tuple(problems),
         )
@@ -307,8 +297,8 @@ def _outer(left: np.ndarray, grad: np.ndarray, others: tuple) -> np.ndarray:
     """left x grad as a fresh array to accumulate the other terms of a
     tensor into: one broadcast product of planes, widened to the shape and
     dtype of the sum only when the derivatives are narrower (the unit-batch
-    zero derivatives of the comparison tensor against grid-shaped
-    backgrounds)."""
+    zero derivatives of the comparison tensor against a background read at
+    its nodes)."""
     out = left[:, None] * grad[None, :]
     shape = np.broadcast_shapes(out.shape, *(np.shape(a) for a in others))
     dtype = np.result_type(out, *others)
@@ -325,7 +315,7 @@ def build_u_tensor(hess: np.ndarray, grad: np.ndarray, t: float,
     n = spec.n
     iso = (np.einsum("ii...->...", hess) / (n - 2)
            + np.einsum("a...,a...->...", grad, grad) + (1.0 - t) / n)
-    ric = t * spec.background.ric0[(..., *at)] / (n - 2)
+    ric = t * spec.background_at(at) / (n - 2)
     # hess + ((iso I - du x du) - ric), accumulated over -du x du
     out = _outer(np.negative(grad), grad, (hess, ric, iso))
     diag = symfunc._diag(out)
@@ -353,7 +343,7 @@ def build_w_tensor(hess: np.ndarray, grad: np.ndarray,
     the derivatives of u at the nodes `at` of the background."""
     if spec.case != "C":
         raise DomainError(f"W is the case C tensor; spec case is {spec.case}")
-    schouten0 = spec.background.schouten0[(..., *at)]
+    schouten0 = spec.background_at(at)
     grad_sq = np.einsum("a...,a...->...", grad, grad)
     # (hess + (du x du + schouten0)) - (1/2)|grad u|^2 I, over du x du
     out = _outer(grad, grad, (hess, schouten0))

@@ -38,7 +38,7 @@ from .errors import DomainError, ExprEvalError
 __all__ = [
     "Grid", "ScalarField",
     "grad_values", "hess", "derivatives_at", "laplacian", "sample",
-    "dump_field", "load_field",
+    "sample_values", "dump_field", "load_field",
     "spectral_grad", "spectral_hess",
     "random_smooth_field",
 ]
@@ -179,15 +179,20 @@ def laplacian(u: ScalarField) -> ScalarField:
     return ScalarField(g, out)
 
 
-def sample(ast, grid: Grid) -> ScalarField:
-    """Evaluate an expression AST at every grid node x_i = 2 pi index / N."""
+def sample_values(ast, grid: Grid) -> np.ndarray:
+    """An expression AST at every grid node x_i = 2 pi index / N, at the
+    broadcast shape of the coordinates it reads (a scalar for a constant)."""
     vmax = fieldexpr.free_var_max(ast)
     if vmax > grid.n:
         raise DomainError(
             f"expression uses x{vmax} but the grid has n={grid.n}")
-    values = fieldexpr.eval_array(ast, grid.coords(), shape=grid.shape)
-    values = np.ascontiguousarray(np.broadcast_to(values, grid.shape))
-    return ScalarField(grid, values)
+    return fieldexpr.eval_array(ast, grid.coords(), shape=grid.shape)
+
+
+def sample(ast, grid: Grid) -> ScalarField:
+    """Evaluate an expression AST at every grid node x_i = 2 pi index / N."""
+    values = np.broadcast_to(sample_values(ast, grid), grid.shape)
+    return ScalarField(grid, np.ascontiguousarray(values))
 
 
 def sample_text(src: str, grid: Grid) -> ScalarField:

@@ -439,7 +439,7 @@ def solve_caseC(spec: ProblemSpec, u_init: ScalarField | None = None,
     every node. Returns what newton_correct returns."""
     if spec.case != "C":
         raise DomainError("solve_caseC only accepts case C problems")
-    margins, node, report = spec.background.schouten0_admissibility(spec.k - 1)
+    margins, node, report = spec.background_cone()
     if float(margins.min()) <= 0.0:
         raise AdmissibilityError(
             f"background Schouten tensor must lie in Gamma_{spec.k - 1}",

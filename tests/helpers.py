@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from sigmak import Background, Grid, ProblemSpec
+from sigmak import Grid, ProblemSpec
 
 
 def brute_sigma(lam, k: int) -> float:
@@ -31,9 +31,9 @@ def brute_sigma_all(lam, kmax: int) -> np.ndarray:
 def canonical_problem(case: str = "A", n: int = 3, k: int = 3,
                       N: int = 16, alpha: str | None = None,
                       f: str | None = None) -> ProblemSpec:
-    """The constant-coefficient model problems used throughout the suite."""
+    """The constant-coefficient model problems used throughout the suite,
+    on the canonical background."""
     grid = Grid(n, N)
-    background = Background.isotropic(grid, ric0_scale=-1.0)
     if case == "A":
         alpha = "-0.1" if alpha is None else alpha
         f = "0.7" if f is None else f
@@ -43,8 +43,7 @@ def canonical_problem(case: str = "A", n: int = 3, k: int = 3,
     else:
         alpha = "-0.05" if alpha is None else alpha
         f = "1" if f is None else f
-    return ProblemSpec.build(case, n, k, grid, alpha=alpha, f=f,
-                             background=background)
+    return ProblemSpec.build(case, n, k, grid, alpha=alpha, f=f)
 
 
 def matmul_sigma_and_dsigma(mats, k: int):

@@ -11,7 +11,6 @@ import time
 import numpy as np
 
 from sigmak import (
-    Background,
     Grid,
     ProblemSpec,
     RunConfig,
@@ -171,9 +170,7 @@ def test_criterion_7():
     start = time.perf_counter()
     grid = Grid(3, 16)
     for alpha, c in (("-1/3", 0.0), ("-1/(3*exp(2))", 1.0)):
-        spec = ProblemSpec.build(
-            "B", 3, 3, grid, alpha=alpha, f="0",
-            background=Background.isotropic(grid, ric0_scale=-1.0))
+        spec = ProblemSpec.build("B", 3, 3, grid, alpha=alpha, f="0")
         trace = continue_path(spec)
         assert trace.final_t == 1.0
         err = float(np.abs(trace.final_state.u.values - c).max())

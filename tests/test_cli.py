@@ -201,6 +201,25 @@ def test_invalid_config_exits_two(tmp_path):
                  "--out", str(tmp_path / "out")]) == 2
 
 
+def test_bad_background_components_exit_two(tmp_path, capsys):
+    """A malformed or out-of-range component key, a coordinate beyond n and
+    an expression that fails on the grid: `sigmak solve` exits 2 for each,
+    in the tensor each case reads."""
+    bad = (("1,1", "-1", "malformed tensor component"),
+           ("(1,4)", "-1", "out of range"),
+           ("(1,1)", "x4", "x4"),
+           ("(2,2)", "log(sin(x2))", "grid index (0, 0, 0)"))
+    for case, tensor in (("A", "ric0"), ("C", "schouten0")):
+        for i, (key, src, message) in enumerate(bad):
+            conf = tmp_path / f"{case}{i}.config"
+            conf.write_text(f'spec.case = "{case}"\nspec.N = 8\n'
+                            f'background.{tensor}.{key} = "{src}"\n',
+                            encoding="utf-8")
+            assert main(["solve", "--config", str(conf), "--out",
+                         str(tmp_path / f"{case}{i}")]) == 2, (case, key)
+            assert message in capsys.readouterr().err, (case, key)
+
+
 def test_grids_over_the_memory_budget_exit_two_before_any_work(
         tmp_path, monkeypatch, capsys):
     def no_work(*args, **kwargs):

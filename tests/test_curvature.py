@@ -1,88 +1,142 @@
-"""Backgrounds, problem validation, and the conformal curvature tensors."""
+"""The background tensor, problem validation, and the conformal curvature
+tensors."""
 
 import numpy as np
 import pytest
 
 from helpers import canonical_problem
-from sigmak import Background, Grid, ProblemSpec, ScalarField, sample_text
+from sigmak import Grid, ProblemSpec, ScalarField, parse, sample_text
 from sigmak.curvature import (CASES, build_u_tensor, build_v_tensor,
-                              build_w_tensor)
-from sigmak.errors import DomainError, ValidationError
-from sigmak.grid import grad_values, hess
+                              build_w_tensor, canonical_background,
+                              sample_tensor)
+from sigmak.errors import (DomainError, ExprEvalError, ExprSyntaxError,
+                           ValidationError)
+from sigmak.grid import grad_values, hess, sample_values
 
 
 def test_background_from_components_and_defaults():
     g = Grid(3, 8)
-    bg = Background.from_components(
-        g, ric0={"(1,1)": "-1", "(1,2)": "0.5*sin(x1)"})
-    assert bg.ric0.shape == (3, 3) + g.shape
-    assert np.array_equal(bg.ric0[0, 0], np.full(g.shape, -1.0))
-    assert np.allclose(bg.ric0[0, 1], 0.5 * np.sin(g.coords()[0]))
-    assert np.array_equal(bg.ric0, np.swapaxes(bg.ric0, 0, 1))
-    # Omitted components are zero, including the whole schouten0 tensor.
-    assert np.array_equal(bg.ric0[2, 2], np.zeros(g.shape))
-    assert np.array_equal(bg.schouten0, np.zeros((3, 3) + g.shape))
+    bg = sample_tensor(g, {"(1,1)": "-1", "(1,2)": "0.5*sin(x1)"})
+    # stored at the broadcast shape of its component values
+    assert bg.shape == (3, 3, 8, 1, 1)
+    full = np.broadcast_to(bg, (3, 3) + g.shape)
+    assert np.array_equal(full[0, 0], np.full(g.shape, -1.0))
+    assert np.allclose(full[0, 1], 0.5 * np.sin(g.coords()[0]))
+    assert np.array_equal(bg, np.swapaxes(bg, 0, 1))
+    # Omitted components are zero, including a whole tensor with none.
+    assert np.array_equal(full[2, 2], np.zeros(g.shape))
+    assert np.array_equal(sample_tensor(g, {}), np.zeros((3, 3, 1, 1, 1)))
 
 
 def test_background_component_keys_accept_tuples_and_strings():
     g = Grid(3, 8)
-    a = Background.from_components(g, ric0={(1, 2): "2"})
-    b = Background.from_components(g, ric0={"(2,1)": "2"})
-    assert np.array_equal(a.ric0, b.ric0)
+    a = sample_tensor(g, {(1, 2): "2"})
+    b = sample_tensor(g, {"(2,1)": "2"})
+    assert np.array_equal(a, b)
     with pytest.raises(DomainError):
-        Background.from_components(g, ric0={"(0,1)": "1"})
+        sample_tensor(g, {"(0,1)": "1"})
     with pytest.raises(DomainError):
-        Background.from_components(g, ric0={"(1,4)": "1"})
+        sample_tensor(g, {"(1,4)": "1"})
     # the same strict "(i,j)" syntax the configuration format accepts
     for malformed in ("1,2", "(1, 2)", "((1,2))", "(a,b)"):
         with pytest.raises(DomainError, match="malformed tensor component"):
-            Background.from_components(g, ric0={malformed: "1"})
+            sample_tensor(g, {malformed: "1"})
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sample_tensor_shape_follows_the_axes_it_varies_on(n):
+    g = Grid(n, 8)
+    constant = sample_tensor(g, canonical_background("A", n))
+    assert constant.shape == (n, n) + (1,) * n
+    assert np.array_equal(constant[..., *(0,) * n], -np.eye(n))
+    # a component in x2 only: N on grid axis 2 only
+    x2 = sample_tensor(g, {"(1,1)": "-1", "(1,3)": "0.2*cos(x2)"})
+    assert x2.shape == (n, n, 1, 8) + (1,) * (n - 2)
+    assert np.array_equal(x2, np.swapaxes(x2, 0, 1))
+    assert np.array_equal(x2[0, 2], 0.2 * np.cos(g.coords()[1]))
+    # every axis once the components together read every coordinate
+    every = sample_tensor(g, {(i, i): f"-1-0.1*sin(x{i})"
+                              for i in range(1, n + 1)})
+    assert every.shape == (n, n) + g.shape
+
+
+def test_sample_tensor_error_paths():
+    """A malformed key, an out-of-range key, a coordinate beyond n and a
+    domain failure raise the typed errors the configuration layer maps to
+    exit code 2, directly and through ProblemSpec.build."""
+    g = Grid(3, 8)
+    bad = (({"1,1": "1"}, DomainError, "malformed tensor component"),
+           ({"(1,4)": "1"}, DomainError, "out of range"),
+           ({"(1,1)": "x4"}, ExprSyntaxError, "x4"),
+           ({"(2,2)": "log(sin(x2))"}, ExprEvalError, "grid index"))
+    for components, error, match in bad:
+        with pytest.raises(error, match=match):
+            sample_tensor(g, components)
+        for case in CASES:
+            with pytest.raises(error, match=match):
+                ProblemSpec.build(case, 3, 3, g, alpha="-0.1", f="1",
+                                  background=components)
+    with pytest.raises(ExprEvalError) as exc:
+        sample_tensor(g, {"(2,2)": "log(sin(x2))"})
+    assert exc.value.index == (0, 0, 0)
+    # an expression parsed for a larger dimension still names the grid's n
+    with pytest.raises(DomainError, match="grid has n=3"):
+        sample_values(parse("x4", 4), g)
 
 
 def test_isotropic_background_admissibility():
+    """Each case's background cone condition on the canonical isotropic
+    tensors, and on an inadmissible one. None builds the canonical tensor
+    of the case, {} the zero tensor."""
     g = Grid(3, 8)
-    bg = Background.isotropic(g, ric0_scale=-1.0)
-    margins, node, report = bg.ric0_admissibility(3)
+    spec_a = ProblemSpec.build("A", 3, 3, g, alpha="-0.1", f="0.7")
+    margins, node, report = spec_a.background_cone()
     # -ric0/(n-2) = +identity for n=3: margin is min over sigma_1..3 = 1.
     assert margins.min() == pytest.approx(1.0)
-    assert report.inside
-    margins_s, _, _ = bg.schouten0_admissibility(2)
+    assert report.inside and node == (0, 0, 0)
+    assert spec_a.validate().background_cone_k == 3
+    spec_c = ProblemSpec.build("C", 3, 3, g, alpha="-0.05", f="1")
+    margins_s, _, _ = spec_c.background_cone()
     assert margins_s.min() > 0.0
-    bad = Background.isotropic(g, ric0_scale=1.0)
-    margins_b, _, report_b = bad.ric0_admissibility(3)
+    assert spec_c.validate().background_cone_k == 2
+    bad = ProblemSpec.build("A", 3, 3, g, alpha="-0.1", f="0.7",
+                            background={(i, i): "1" for i in (1, 2, 3)})
+    margins_b, _, report_b = bad.background_cone()
     assert margins_b.min() < 0.0 and not report_b.inside
+    # None is the canonical tensor of the case; {} is the zero tensor
+    for case in CASES:
+        spec = ProblemSpec.build(case, 3, 3, g)
+        assert np.array_equal(
+            spec.background,
+            sample_tensor(g, canonical_background(case, 3)))
+    zero = ProblemSpec.build("A", 3, 3, g, background={})
+    assert np.array_equal(zero.background, np.zeros((3, 3, 1, 1, 1)))
 
 
 def test_problem_validation_per_case():
     g = Grid(3, 8)
-    bg = Background.isotropic(g, -1.0)
+
+    def build(case, alpha, f):
+        return ProblemSpec.build(case, 3, 3, g, alpha=alpha, f=f)
+
     # Case A: alpha <= 0 and f > 0.
-    ProblemSpec.build("A", 3, 3, g, alpha="-0.1", f="0.7",
-                      background=bg).validate(strict=True)
+    build("A", "-0.1", "0.7").validate(strict=True)
     with pytest.raises(ValidationError):
-        ProblemSpec.build("A", 3, 3, g, alpha="0.1", f="0.7",
-                          background=bg).validate(strict=True)
+        build("A", "0.1", "0.7").validate(strict=True)
     with pytest.raises(ValidationError):
-        ProblemSpec.build("A", 3, 3, g, alpha="-0.1", f="0",
-                          background=bg).validate(strict=True)
+        build("A", "-0.1", "0").validate(strict=True)
     # Case B: alpha < 0 and f identically zero.
-    ProblemSpec.build("B", 3, 3, g, alpha="-0.4", f="0",
-                      background=bg).validate(strict=True)
+    build("B", "-0.4", "0").validate(strict=True)
     with pytest.raises(ValidationError):
-        ProblemSpec.build("B", 3, 3, g, alpha="-0.4", f="0.1",
-                          background=bg).validate(strict=True)
+        build("B", "-0.4", "0.1").validate(strict=True)
     with pytest.raises(ValidationError):
-        ProblemSpec.build("B", 3, 3, g, alpha="0", f="0",
-                          background=bg).validate(strict=True)
+        build("B", "0", "0").validate(strict=True)
     # Case C: f positive, alpha <= 0.
-    ProblemSpec.build("C", 3, 3, g, alpha="-0.05", f="1",
-                      background=bg).validate(strict=True)
+    build("C", "-0.05", "1").validate(strict=True)
     with pytest.raises(ValidationError):
-        ProblemSpec.build("C", 3, 3, g, alpha="0.05", f="1",
-                          background=bg).validate(strict=True)
+        build("C", "0.05", "1").validate(strict=True)
     # Non-strict mode reports instead of raising.
-    report = ProblemSpec.build("A", 3, 3, g, alpha="0.1", f="0.7",
-                               background=bg).validate(strict=False)
+    report = build("A", "0.1", "0.7").validate(strict=False)
     assert not report.ok
     assert any("alpha" in line for line in report.to_lines())
 
@@ -99,10 +153,9 @@ def test_problem_build_rejects_bad_shapes():
 
 def test_conformal_sign_and_required_cone():
     g = Grid(3, 8)
-    bg = Background.isotropic(g, -1.0)
-    a = ProblemSpec.build("A", 3, 3, g, alpha="-0.1", f="0.7", background=bg)
-    b = ProblemSpec.build("B", 3, 3, g, alpha="-0.4", f="0", background=bg)
-    c = ProblemSpec.build("C", 3, 3, g, alpha="-0.05", f="1", background=bg)
+    a = ProblemSpec.build("A", 3, 3, g, alpha="-0.1", f="0.7")
+    b = ProblemSpec.build("B", 3, 3, g, alpha="-0.4", f="0")
+    c = ProblemSpec.build("C", 3, 3, g, alpha="-0.05", f="1")
     assert a.conformal_sign == +1 and b.conformal_sign == +1
     assert c.conformal_sign == -1
     assert a.required_cone == 2   # Gamma_{k-1} for the quotient route
@@ -117,7 +170,7 @@ def _stencil_derivatives(u):
 
 def _unit_batch_zeros(n: int, ndim: int) -> tuple:
     """Zero Hessian and gradient with unit batch axes, which the builders
-    broadcast against a grid-shaped background."""
+    broadcast against the background."""
     return np.zeros((n, n) + (1,) * ndim), np.zeros((n,) + (1,) * ndim)
 
 
@@ -134,7 +187,8 @@ def test_u_tensor_closed_form_at_zero():
         assert mats.shape == (3, 3) + g.shape
         assert np.abs(mats - want).max() <= 1e-14
         broadcast = build_u_tensor(*_unit_batch_zeros(3, 3), t, spec)
-        assert np.array_equal(broadcast, mats)
+        assert broadcast.shape == (3, 3, 1, 1, 1)
+        assert np.array_equal(np.broadcast_to(broadcast, mats.shape), mats)
     with pytest.raises(DomainError):
         build_u_tensor(*_stencil_derivatives(u0), 1.5, spec)
 
@@ -171,13 +225,13 @@ def test_v_tensor_takes_per_matrix_t_and_keeps_dtype():
 
 def test_w_tensor_reduces_to_schouten_at_zero():
     g = Grid(3, 8)
-    bg = Background.from_components(
-        g, schouten0={"(1,1)": "1", "(2,2)": "0.5", "(3,3)": "2",
-                      "(1,2)": "0.1"})
-    spec = ProblemSpec.build("C", 3, 3, g, alpha="-0.05", f="1",
-                             background=bg)
+    spec = ProblemSpec.build(
+        "C", 3, 3, g, alpha="-0.05", f="1",
+        background={"(1,1)": "1", "(2,2)": "0.5", "(3,3)": "2",
+                    "(1,2)": "0.1"})
     w = build_w_tensor(*_stencil_derivatives(ScalarField.zeros(g)), spec)
-    assert np.abs(w - bg.schouten0).max() == 0.0
+    assert w.shape == (3, 3) + g.shape
+    assert np.abs(w - spec.background).max() == 0.0
     with pytest.raises(DomainError):
         build_w_tensor(*_unit_batch_zeros(3, 3), canonical_problem("A"))
 
@@ -221,7 +275,7 @@ def _u_reference(hess_m, grad, t, spec):
            + np.einsum("a...,a...->...", grad, grad) + (1.0 - t) / n)
     outer = grad[:, None] * grad[None, :]
     return hess_m + ((iso * _eye(n, iso.ndim) - outer)
-                     - t * spec.background.ric0 / (n - 2))
+                     - t * spec.background / (n - 2))
 
 
 def _v_reference(mats, t):
@@ -233,7 +287,7 @@ def _v_reference(mats, t):
 def _w_reference(hess_m, grad, spec):
     grad_sq = np.einsum("a...,a...->...", grad, grad)
     outer = grad[:, None] * grad[None, :]
-    return (hess_m + (outer + spec.background.schouten0)) \
+    return (hess_m + (outer + spec.background)) \
         - (0.5 * grad_sq) * _eye(spec.n, grad_sq.ndim)
 
 
@@ -247,14 +301,13 @@ def test_tensor_builders_equal_the_reference_expressions(n):
     g = Grid(n, 8)
     rng = np.random.default_rng(n)
     u = ScalarField(g, 0.3 * rng.standard_normal(g.shape))
-    bg = Background.from_components(
-        g, ric0={(1, 1): "-1+0.2*sin(x1)", (1, 2): "0.1*cos(x2)",
-                 (n, n): "-1.5"},
-        schouten0={(1, 1): "1", (2, 3): "0.3*sin(x3)", (n, n): "0.5"})
-    spec_a = ProblemSpec.build("A", n, 3, g, alpha="-0.1", f="0.7",
-                               background=bg)
-    spec_c = ProblemSpec.build("C", n, 3, g, alpha="-0.05", f="1",
-                               background=bg)
+    spec_a = ProblemSpec.build(
+        "A", n, 3, g, alpha="-0.1", f="0.7",
+        background={(1, 1): "-1+0.2*sin(x1)", (1, 2): "0.1*cos(x2)",
+                    (n, n): "-1.5"})
+    spec_c = ProblemSpec.build(
+        "C", n, 3, g, alpha="-0.05", f="1",
+        background={(1, 1): "1", (2, 3): "0.3*sin(x3)", (n, n): "0.5"})
     hm, gv = hess(u), grad_values(u)
     zero_h, zero_g = _unit_batch_zeros(n, n)
     inputs = (hm.copy(), gv.copy())
@@ -262,7 +315,7 @@ def test_tensor_builders_equal_the_reference_expressions(n):
         u_t = build_u_tensor(hm, gv, t, spec_a)
         _same(u_t, _u_reference(hm, gv, t, spec_a))
         _same(build_v_tensor(u_t, t), _v_reference(u_t, t))
-        # unit-batch zero derivatives against grid-shaped backgrounds
+        # unit-batch zero derivatives against a background on fewer axes
         _same(build_u_tensor(zero_h, zero_g, t, spec_a),
               _u_reference(zero_h, zero_g, t, spec_a))
     ts = rng.uniform(0.0, 1.0, size=g.shape)

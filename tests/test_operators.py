@@ -1,12 +1,13 @@
 """Residuals, linearization, and the certificate machinery."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from helpers import canonical_problem, matmul_sigma_and_dsigma
-from sigmak import (Background, Grid, ProblemSpec, ScalarField, c0_diagnostic,
+from sigmak import (Grid, ProblemSpec, ScalarField, c0_diagnostic,
                     concavity_certificate, ellipticity_certificate, linearize,
                     manufactured_forcing, prepare_state, residual, sample_text)
 from sigmak.curvature import build_u_tensor, build_v_tensor, build_w_tensor
@@ -391,17 +392,46 @@ def _varied_problem(case: str, n: int, k: int | None = None) -> ProblemSpec:
     comps[(n, n)] = f"{sign} + 0.1*cos(x1)"
     comps[(1, 2)] = "0.1*sin(x3)"
     if case == "C":
-        background = Background.from_components(grid, schouten0=comps)
         alpha, f = "-0.05", "1 + 0.3*cos(x1)"
     elif case == "A":
-        background = Background.from_components(grid, ric0=comps)
         alpha, f = "-0.1 - 0.05*cos(x2)", "0.7 + 0.2*sin(x1)*cos(x3)"
     else:
-        background = Background.from_components(grid, ric0=comps)
         alpha, f = "-0.3 - 0.05*sin(x1)", "0"
     k = max(3, n - 1) if k is None else k
     return ProblemSpec.build(case, n, k, grid, alpha=alpha, f=f,
-                             background=background)
+                             background=comps)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("case", ["A", "B", "C"])
+def test_broadcast_background_is_exact(case, n):
+    """Every operator reads the background as stored, at its broadcast
+    shape, exactly as it reads the same tensor copied out to the full grid:
+    for the canonical constant background and for a varied one."""
+    t = 1.0 if case == "C" else 0.6
+    for stored in (canonical_problem(case, n=n, N=8),
+                   _varied_problem(case, n)):
+        grid = stored.grid
+        full = dataclasses.replace(stored, background=np.broadcast_to(
+            stored.background, (n, n) + grid.shape).copy())
+        u = random_smooth_field(grid, np.random.default_rng(n),
+                                amplitude=0.02)
+        sd_s, sd_f = prepare_state(u, t, stored), prepare_state(u, t, full)
+        for name in [f.name for f in dataclasses.fields(sd_s)][3:]:
+            assert np.array_equal(getattr(sd_s, name),
+                                  getattr(sd_f, name)), name
+        assert np.array_equal(residual(sd_s).values, residual(sd_f).values)
+        assert np.array_equal(linearize(sd_s).csr.data,
+                              linearize(sd_f).csr.data)
+        assert ellipticity_certificate(sd_s).to_lines() \
+            == ellipticity_certificate(sd_f).to_lines()
+        assert c0_diagnostic(u, t, stored).to_lines() \
+            == c0_diagnostic(u, t, full).to_lines()
+        if case != "B":
+            star = sample_text("0.1*sin(x1)*cos(x2)", grid)
+            assert np.array_equal(
+                manufactured_forcing(star, 1.0, stored).values,
+                manufactured_forcing(star, 1.0, full).values)
 
 
 def _reference_ellipticity(sd) -> dict:
@@ -436,8 +466,9 @@ def _close(got: float, want: float, rel: float = 1e-13) -> bool:
 
 def _reference_c0(u, t, spec, sd) -> dict:
     """The whole-grid comparison route: the state's sigmas from the full
-    prepared state sd, the comparison tensor built over the whole grid,
-    both read at the extremal nodes of u."""
+    prepared state sd, the comparison tensor built at the background's
+    stored shape and broadcast over the whole grid, both read at the
+    extremal nodes of u."""
     n, k = spec.n, spec.k
     node_max = np.unravel_index(int(np.argmax(u.values)), u.values.shape)
     node_min = np.unravel_index(int(np.argmin(u.values)), u.values.shape)
@@ -448,6 +479,7 @@ def _reference_c0(u, t, spec, sd) -> dict:
     else:
         comparison = build_v_tensor(
             build_u_tensor(zero_hess, zero_grad, t, spec), t)
+    comparison = np.broadcast_to(comparison, (n, n) + spec.grid.shape)
 
     def quotient(sig):
         if sig[1:k].min() <= 0.0 or sig[k - 1] < SIGMA_FLOOR:

@@ -9,7 +9,7 @@ import pytest
 
 import sigmak.solver
 from helpers import canonical_problem
-from sigmak import (Background, Grid, ProblemSpec, RunConfig, ScalarField,
+from sigmak import (Grid, ProblemSpec, RunConfig, ScalarField,
                     Schedule, TRACE_HEADER, continue_path, monitor, residual,
                     sample_text, solve_caseC, solve_t0)
 from sigmak.cli import main
@@ -160,12 +160,16 @@ def test_case_c_matvec_counts_do_not_swing_with_roundoff(monkeypatch):
 
 
 # `sigmak solve` configs whose tracemalloc peaks are held to peak_bytes:
-# case A at n=3, N=24, and two beyond n=3 (the benchmark's case C config,
-# and case A with k = n = 5).
+# case A at n=3, N=24, and three beyond n=3 (the benchmark's case C config,
+# case A with k = n = 5, and case A at n=4 on a background that varies
+# along every axis, so it is stored grid-sized).
 _PEAK_CONFIGS = (
     RunConfig(N=24),
     RunConfig(case="C", n=4, k=3, N=8, alpha="-0.05", f="1+0.5*cos(x1+x2)"),
     RunConfig(n=5, k=5, N=8),
+    RunConfig(n=4, k=3, N=8,
+              ric0={"(1,1)": "-1-0.1*sin(x1+x2+x3+x4)", "(2,2)": "-1",
+                    "(3,3)": "-1", "(4,4)": "-1"}),
 )
 
 
@@ -174,6 +178,8 @@ def test_solves_peak_within_the_memory_estimate(tmp_path):
     a whole `sigmak solve` for each of _PEAK_CONFIGS, each traced on its
     own, and the singular Laplacian solve, whose first cycle allocates the
     whole basis before the solve stagnates and fails."""
+    varied = _PEAK_CONFIGS[-1]
+    assert varied.problem().background.shape == (4, 4) + varied.grid().shape
     for i, cfg in enumerate(_PEAK_CONFIGS):
         conf = tmp_path / f"solve{i}.config"
         conf.write_text(cfg.to_text(), encoding="utf-8")
@@ -405,8 +411,7 @@ def test_continue_path_trace_csv_contract():
 
 def test_continue_path_requires_valid_problem():
     g = Grid(3, 16)
-    bad = ProblemSpec.build("A", 3, 3, g, alpha="0.1", f="0.7",
-                            background=Background.isotropic(g, -1.0))
+    bad = ProblemSpec.build("A", 3, 3, g, alpha="0.1", f="0.7")
     from sigmak.errors import ValidationError
     with pytest.raises(ValidationError):
         continue_path(bad, Schedule())
@@ -497,11 +502,9 @@ def test_solve_case_c_converges_from_offset_forcing():
 
 def test_solve_case_c_requires_admissible_schouten():
     g = Grid(3, 16)
-    bg = Background.from_components(
-        g, ric0={"(1,1)": "-1", "(2,2)": "-1", "(3,3)": "-1"},
-        schouten0={"(1,1)": "-1", "(2,2)": "-1", "(3,3)": "-1"})
-    spec = ProblemSpec.build("C", 3, 3, g, alpha="-0.05", f="1",
-                             background=bg)
+    spec = ProblemSpec.build(
+        "C", 3, 3, g, alpha="-0.05", f="1",
+        background={"(1,1)": "-1", "(2,2)": "-1", "(3,3)": "-1"})
     with pytest.raises(AdmissibilityError):
         solve_caseC(spec)
 
