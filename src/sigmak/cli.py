@@ -3,11 +3,12 @@
 check   runs the symmetric-function property suites and the ellipticity and
         concavity certificates for the configured problem, writing
         certificates.txt; exit 0 iff every suite and certificate passes.
-solve   runs the continuation path (cases A and B) or the direct Newton
-        solve (case C), writing trace.csv, the final field dump, report.txt
-        and report.json; exit 0 on reaching the target with all configured
-        checks green, exit 1 on a reported failure. A failed case C solve
-        writes a header-only trace.csv and a report that fails on it.
+solve   runs the path from the problem's start_t to t = 1 (continuation
+        from t = 0 for cases A and B, the direct solve at t = 1 alone for
+        case C), writing trace.csv, the final field dump, report.txt and
+        report.json; exit 0 on reaching the target with all configured
+        checks green, exit 1 on a reported failure. A failed anchor writes
+        a header-only trace.csv and a report that fails on it.
 verify  manufactures the forcing for the configured u_star, solves at N and
         2N, and reports the observed convergence order; exit 0 iff the order
         lies in [1.6, 2.4] (or u_star is identically zero and both errors
@@ -15,13 +16,13 @@ verify  manufactures the forcing for the configured u_star, solves at N and
 
 Every command first echoes the effective configuration to config.txt in the
 output directory, once it has validated, so a run that fails later still
-leaves it; the echo re-parses to an identical RunConfig. The case C solve
-and the verify solves take their Newton settings from the configured
-schedule (solver.*), like the continuation path. Exit codes: 0 ok,
-1 run failure, 2 invalid configuration (including a grid over the memory
-budget, found before any work; verify also checks its 2N grid), 3 I/O
-error. Output files carry no timestamps, and all sampling flows from the
-single config seed, so repeated runs produce byte-identical files.
+leaves it; the echo re-parses to an identical RunConfig. Every solve runs
+through solver.continue_path, which picks the path from the case, with the
+configured schedule (solver.*). Exit codes: 0 ok, 1 run failure, 2 invalid
+configuration (including a run over the memory budget, found before any
+work; verify also checks its 2N grid), 3 I/O error. Output files carry no
+timestamps, and all sampling flows from the single config seed, so
+repeated runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ from .grid import Grid, ScalarField, dump_field, sample_text
 from .operators import (concavity_certificate, ellipticity_certificate,
                         manufactured_forcing, prepare_state)
 from .report import run_checks
-from .solver import (ContinuationTrace, continue_path, solve_caseC,
-                     trace_for_state)
+from .solver import ContinuationTrace, continue_path
+# Unused here: bench/tracer.py wraps sigmak.cli.solve_caseC by name.
+from .solver import solve_caseC  # noqa: F401
 from .symfunc import (newton_maclaurin_gap, quotient_ratio_gap, sample_gamma,
                       sigma_all_batch, sigma_and_dsigma_batch,
                       sigma_matrix_planes)
@@ -133,8 +135,7 @@ def run_check(cfg: RunConfig, out_dir: str) -> int:
 
     spec = cfg.problem()
     u0 = ScalarField.zeros(spec.grid)
-    t_values = (1.0,) if cfg.case == "C" else (0.0, 1.0)
-    for t in t_values:
+    for t in sorted({spec.start_t, 1.0}):
         cert = ellipticity_certificate(prepare_state(u0, t, spec))
         label = f"ellipticity_t{t:g}".replace(".", "_")
         lines.extend(cert.to_lines(prefix=label))
@@ -169,16 +170,11 @@ def run_solve(cfg: RunConfig, out_dir: str) -> int:
     spec = cfg.problem()
     validation = spec.validate(strict=True)
     try:
-        if cfg.case == "C":
-            state, sd = solve_caseC(spec, schedule=cfg.schedule())
-            trace = trace_for_state(state, sd)
-            del sd   # free the state's arrays before the outputs are written
-        else:
-            trace = continue_path(spec, cfg.schedule())
+        trace = continue_path(spec, cfg.schedule())
     except (PathFailureError, ConeExitError, NonConvergenceError,
             LinearSolveError) as err:
-        # A failed path still reports its accepted prefix; the direct case C
-        # solve has none, so it reports an empty trace.
+        # A failed path still reports its accepted prefix; a failed anchor
+        # (a case C solve, typically) has none: it reports an empty trace.
         failed = err.trace if isinstance(err, PathFailureError) \
             else ContinuationTrace()
         _write_solve_outputs(cfg, spec, validation, failed, out_dir)
@@ -192,23 +188,14 @@ def run_solve(cfg: RunConfig, out_dir: str) -> int:
 
 def _solve_manufactured(cfg: RunConfig, grid: Grid) -> tuple:
     """Solve on one grid with forcing manufactured from u_star; returns
-    (sup error against u_star, sup |u_star|)."""
+    (sup error against u_star, sup |u_star|, the solved u). A case with no
+    forcing to manufacture (B) fails in manufactured_forcing."""
     base = cfg.problem(grid)
     star = sample_text(cfg.u_star, grid)
-    star_sup = star.max_abs()
-    if cfg.case == "B":
-        raise DomainError("case B has no forcing to manufacture; "
-                          "verify supports cases A and C")
-    f_field = manufactured_forcing(star, 1.0, base)
-    spec = base.with_f_field(f_field)
-    spec.validate(strict=True)
-    if cfg.case == "C":
-        state, _ = solve_caseC(spec, schedule=cfg.schedule())
-    else:
-        trace = continue_path(spec, cfg.schedule())
-        state = trace.final_state
+    spec = base.with_f_field(manufactured_forcing(star, 1.0, base))
+    state = continue_path(spec, cfg.schedule()).final_state
     err = float(np.abs(state.u.values - star.values).max())
-    return err, star_sup, state.u
+    return err, star.max_abs(), state.u
 
 
 def run_verify(cfg: RunConfig, out_dir: str) -> int:

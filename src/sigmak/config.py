@@ -13,10 +13,11 @@ an output directory re-parses to an identical configuration:
 Values are quoted strings (no embedded quotes), integers, floats, or
 true/false. Unknown keys, duplicate keys, and malformed values are rejected
 with the line number. All randomness downstream flows from the single `seed`
-key. The default background is the canonical one (ric0 = -identity,
-schouten0 = +identity); providing any component replaces that default
-entirely, with omitted components zero. A run samples only the tensor its
-case reads: ric0 for cases A and B, schouten0 for case C.
+key. A configuration carries the one background tensor its case reads:
+background.ric0.* for cases A and B, background.schouten0.* for case C; a
+component of the other tensor is rejected. The default is the canonical
+tensor (ric0 = -identity, schouten0 = +identity); providing any component
+replaces that default entirely, with omitted components zero.
 """
 
 from __future__ import annotations
@@ -61,6 +62,14 @@ def peak_bytes(n: int, N: int) -> int:
     return N ** n * (84 * n * n + 300)
 
 
+def sample_bytes(n: int, k: int) -> int:
+    """Estimated peak bytes a check sample adds. It bounds the tracemalloc
+    peaks a sample of the suites and the concavity certificate (the largest)
+    at n = 3..6: 869 at n = k = 3, 1445/2181/3077 at k = 3 and
+    1976/3664/6120 at k = n = 4/5/6, alike at 20,000 and 40,000 samples."""
+    return 32 * n * n * k + 128
+
+
 @dataclass
 class RunConfig:
     """Everything a run needs, with the library defaults (canonical case A)."""
@@ -72,8 +81,7 @@ class RunConfig:
     N: int = 16
     alpha: str = "-0.1"
     f: str = "0.7"
-    ric0: dict = field(default_factory=dict)
-    schouten0: dict = field(default_factory=dict)
+    background: dict = field(default_factory=dict)
     dt_init: float = _SCHEDULE.dt_init
     dt_max: float = _SCHEDULE.dt_max
     dt_min: float = _SCHEDULE.dt_min
@@ -89,10 +97,13 @@ class RunConfig:
     ceiling_sup_hess_u: float = BOUNDED_CHECKS["bounded_sup_hess_u"][1]
 
     def __post_init__(self):
-        if not self.ric0:
-            self.ric0 = canonical_background("A", self.n)
-        if not self.schouten0:
-            self.schouten0 = canonical_background("C", self.n)
+        if not self.background:
+            self.background = canonical_background(self.case, self.n)
+
+    @property
+    def background_key(self) -> str:
+        """The key prefix of the background tensor this case reads."""
+        return "background." + ("schouten0" if self.case == "C" else "ric0")
 
     # -- validation ------------------------------------------------------
 
@@ -110,13 +121,13 @@ class RunConfig:
                               f"got {self.k}")
         if not 8 <= self.N <= 128:
             raise ConfigError(f"spec.N must lie in [8, 128], got {self.N}")
+        if self.check_samples < 1:
+            raise ConfigError("check.samples must be positive")
         self.check_memory(self.N)
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        if self.check_samples < 1:
-            raise ConfigError("check.samples must be positive")
         for attr, _ in BOUNDED_CHECKS.values():
-            if getattr(self, f"ceiling_{attr}") <= 0.0:
+            if not getattr(self, f"ceiling_{attr}") > 0.0:
                 raise ConfigError(f"monitor.ceiling_{attr} must be positive")
         try:
             self.schedule()
@@ -128,26 +139,28 @@ class RunConfig:
                 fieldexpr.parse(src, self.n)
             except ExprSyntaxError as err:
                 raise ConfigError(f"{label}: {err}") from err
-        for prefix, components in (("background.ric0", self.ric0),
-                                   ("background.schouten0", self.schouten0)):
-            for key, src in components.items():
-                try:
-                    component_key(self.n, key)
-                    fieldexpr.parse(src, self.n)
-                except (DomainError, ExprSyntaxError) as err:
-                    raise ConfigError(f"{prefix}.{key}: {err}") from err
+        for key, src in self.background.items():
+            try:
+                component_key(self.n, key)
+                fieldexpr.parse(src, self.n)
+            except (DomainError, ExprSyntaxError) as err:
+                raise ConfigError(f"{self.background_key}.{key}: {err}") \
+                    from err
         _normalize_checks(self.check_names())
 
     def check_memory(self, N: int) -> None:
-        """ConfigError when a run on this n with N points per axis would
-        need more than MEMORY_BUDGET_BYTES (see peak_bytes). validate checks
-        spec.N; verify also checks its doubled grid."""
-        need = peak_bytes(self.n, N)
+        """ConfigError when a run on this n with N points per axis and
+        check.samples samples would need more than MEMORY_BUDGET_BYTES (see
+        peak_bytes and sample_bytes). validate checks spec.N; verify also
+        checks its doubled grid."""
+        need = peak_bytes(self.n, N) \
+            + self.check_samples * sample_bytes(self.n, self.k)
         if need > MEMORY_BUDGET_BYTES:
             raise ConfigError(
-                f"a grid with n={self.n}, N={N} needs about "
-                f"{need / 2 ** 30:.1f} GiB, over the "
-                f"{MEMORY_BUDGET_BYTES / 2 ** 30:g} GiB memory budget")
+                f"a run with n={self.n}, N={N} and check.samples = "
+                f"{self.check_samples} needs about {need / 2 ** 30:.1f} GiB, "
+                f"over the {MEMORY_BUDGET_BYTES / 2 ** 30:g} GiB memory "
+                f"budget")
 
     # -- derived objects -------------------------------------------------
 
@@ -156,10 +169,9 @@ class RunConfig:
 
     def problem(self, grid: Grid | None = None) -> ProblemSpec:
         g = grid if grid is not None else self.grid()
-        background = self.schouten0 if self.case == "C" else self.ric0
         return ProblemSpec.build(self.case, self.n, self.k, g,
                                  alpha=self.alpha, f=self.f,
-                                 background=background)
+                                 background=self.background)
 
     def schedule(self) -> Schedule:
         return Schedule(**{f.name: getattr(self, f.name)
@@ -178,7 +190,7 @@ class RunConfig:
 
     def to_text(self) -> str:
         """The echo: one line per _SCALAR_KEYS entry, in table order, with
-        the background components after spec.f."""
+        the components of the background tensor after spec.f."""
         lines = []
         for key, (attr, _) in _SCALAR_KEYS.items():
             value = getattr(self, attr)
@@ -186,13 +198,10 @@ class RunConfig:
             lines.append(f"{key} = {text}")
             if key != "spec.f":
                 continue
-            for prefix, components in (("background.ric0", self.ric0),
-                                       ("background.schouten0",
-                                        self.schouten0)):
-                for comp in sorted(components,
-                                   key=lambda c: component_key(self.n, c)):
-                    lines.append(f"{prefix}.{comp} = "
-                                 f"{_quote(components[comp])}")
+            for comp in sorted(self.background,
+                               key=lambda c: component_key(self.n, c)):
+                lines.append(f"{self.background_key}.{comp} = "
+                             f"{_quote(self.background[comp])}")
         return "\n".join(lines) + "\n"
 
 
@@ -248,8 +257,7 @@ def _parse_value(raw: str, lineno: int):
 def parse_config_text(text: str) -> RunConfig:
     """Parse configuration text into a RunConfig (not yet validated)."""
     kwargs = {}
-    ric0 = {}
-    schouten0 = {}
+    background = {}
     seen = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -278,38 +286,35 @@ def parse_config_text(text: str) -> RunConfig:
                     raise ConfigError(f"line {lineno}: {key} wants a "
                                       f"quoted string")
                 kwargs[attr] = value
-        elif key.startswith("background.ric0."):
+        elif key.startswith(("background.ric0.", "background.schouten0.")):
             if not isinstance(value, str):
                 raise ConfigError(f"line {lineno}: tensor components want "
                                   f"quoted expression strings")
-            ric0[key[len("background.ric0."):]] = value
-        elif key.startswith("background.schouten0."):
-            if not isinstance(value, str):
-                raise ConfigError(f"line {lineno}: tensor components want "
-                                  f"quoted expression strings")
-            schouten0[key[len("background.schouten0."):]] = value
+            background[key] = (lineno, value)
         else:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-    if ric0:
-        kwargs["ric0"] = ric0
-    if schouten0:
-        kwargs["schouten0"] = schouten0
     cfg = RunConfig(**kwargs)
-    cfg.ric0 = _canonical_components(cfg.ric0, cfg.n, "background.ric0")
-    cfg.schouten0 = _canonical_components(cfg.schouten0, cfg.n,
-                                          "background.schouten0")
+    if background:
+        cfg.background = _background_components(background, cfg)
     return cfg
 
 
-def _canonical_components(components: dict, n: int, prefix: str) -> dict:
+def _background_components(given: dict, cfg: RunConfig) -> dict:
+    """The components of the tensor cfg's case reads, from the background
+    keys given (key -> (line number, expression text)), each written as
+    its upper-triangle "(i,j)"; a key of the other tensor is an error."""
+    prefix = cfg.background_key + "."
     out = {}
-    for key, src in components.items():
+    for key, (lineno, src) in given.items():
+        if not key.startswith(prefix):
+            raise ConfigError(f"line {lineno}: {key} is not read in case "
+                              f"{cfg.case}, which reads {prefix}*")
         try:
-            canon = "({},{})".format(*component_key(n, key))
+            canon = "({},{})".format(*component_key(cfg.n, key[len(prefix):]))
         except DomainError as err:
-            raise ConfigError(str(err)) from err
+            raise ConfigError(f"line {lineno}: {err}") from err
         if canon in out:
-            raise ConfigError(f"{prefix}.{canon} given twice "
+            raise ConfigError(f"line {lineno}: {prefix}{canon} given twice "
                               f"(components are symmetric)")
         out[canon] = src
     return out

@@ -231,6 +231,13 @@ class ProblemSpec:
         return -1 if self.case == "C" else +1
 
     @property
+    def start_t(self) -> float:
+        """Where a solve path starts: t = 0, whose unique solution is u = 0,
+        for the homotopy cases A and B; t = 1 for case C, whose W tensor and
+        weights do not depend on t."""
+        return 1.0 if self.case == "C" else 0.0
+
+    @property
     def required_cone(self) -> int:
         """Cone the homotopy tensor must stay in: Gamma_{k-1} for the
         quotient-type cases A and C, Gamma_k for case B."""

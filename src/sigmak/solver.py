@@ -11,9 +11,10 @@ cone; the line search enforces that together with an Armijo-type residual
 decrease, so a path either reaches t = 1 admissibly or fails loudly with the
 partial trace attached.
 
-Case C has no homotopy family: it gets a direct damped Newton solve from the
-initial guess, labeled experimental (the estimates exist; an existence proof
-does not).
+Case C has no homotopy family: its W tensor and weights do not depend on t,
+so its path starts at t = 1 (ProblemSpec.start_t) with a direct damped
+Newton solve from u = 0 and is that one point alone, labeled experimental
+(the estimates exist; an existence proof does not).
 
 Each Newton step solves its linearized system by one Krylov path: restarted
 GMRES, right-preconditioned by the operator's frozen-coefficient FFT inverse
@@ -76,6 +77,10 @@ class Schedule:
     armijo_factor: float = 0.25
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise DomainError(f"{f.name} must be finite, got {value!r}")
         if not (0.0 < self.dt_min <= self.dt_init <= self.dt_max <= 1.0):
             raise DomainError("need 0 < dt_min <= dt_init <= dt_max <= 1")
         if self.newton_tol <= 0.0 or self.newton_max_iters < 1:
@@ -370,7 +375,10 @@ def solve_t0(spec: ProblemSpec, u_init: ScalarField,
 
 def continue_path(spec: ProblemSpec,
                   schedule: Schedule | None = None) -> ContinuationTrace:
-    """Walk t from 0 to 1 with adaptive steps; return the full trace.
+    """Walk t from spec.start_t to 1 with adaptive steps; return the full
+    trace. The anchor at start_t is newton_correct from u = 0 at t = 0 for
+    cases A and B, and solve_caseC at t = 1 for case C, whose path is that
+    point alone; an error of the anchor propagates as it is.
 
     Step control: a corrector success in at most 4 iterations doubles dt (up
     to dt_max); a corrector failure halves dt and retries from the last
@@ -382,20 +390,18 @@ def continue_path(spec: ProblemSpec,
     live StateData, or on failure the last accepted state, whose StateData
     is built again for the audit.
     """
-    if spec.case not in ("A", "B"):
-        raise DomainError("continuation is defined for cases A and B; "
-                          "case C uses solve_caseC")
     spec.validate(strict=True)
     sched = schedule if schedule is not None else Schedule()
     trace = ContinuationTrace()
 
-    state, sd = newton_correct(ScalarField.zeros(spec.grid), 0.0, spec, sched)
+    t = spec.start_t
+    state, sd = solve_caseC(spec, schedule=sched) if t == 1.0 else \
+        newton_correct(ScalarField.zeros(spec.grid), t, spec, sched)
     trace.append(state, monitor(sd))
-    del sd   # keep no state's arrays alive into the next corrector
 
-    t = 0.0
     dt = sched.dt_init
     while t < 1.0:
+        sd = None   # keep no state's arrays alive into the next corrector
         t_next = min(t + dt, 1.0)
         try:
             accepted, sd = newton_correct(state.u, t_next, spec, sched)
@@ -411,21 +417,8 @@ def continue_path(spec: ProblemSpec,
         state = accepted
         t = t_next
         trace.append(state, monitor(sd))
-        if t == 1.0:
-            trace.ellipticity = ellipticity_certificate(sd)
-        del sd
         if state.newton_iters <= 4:
             dt = min(2.0 * dt, sched.dt_max)
-    return trace
-
-
-def trace_for_state(state: HomotopyState, sd: StateData) -> ContinuationTrace:
-    """Wrap a single solved state (a case C solve, typically) in a one-row
-    trace, with its ellipticity audit, so the reporting layer treats every
-    solve uniformly. sd is the state's StateData, which monitor and the
-    audit share."""
-    trace = ContinuationTrace()
-    trace.append(state, monitor(sd))
     trace.ellipticity = ellipticity_certificate(sd)
     return trace
 
@@ -433,10 +426,11 @@ def trace_for_state(state: HomotopyState, sd: StateData) -> ContinuationTrace:
 def solve_caseC(spec: ProblemSpec, u_init: ScalarField | None = None,
                 schedule: Schedule = Schedule()
                 ) -> tuple[HomotopyState, StateData]:
-    """Direct damped Newton for case C (experimental: the estimates exist,
-    an existence theorem does not), with the schedule's Newton settings.
-    Requires the background Schouten tensor strictly inside Gamma_{k-1} at
-    every node. Returns what newton_correct returns."""
+    """Direct damped Newton for case C at t = 1, the anchor of its path
+    (experimental: the estimates exist, an existence theorem does not), with
+    the schedule's Newton settings. Requires the background Schouten tensor
+    strictly inside Gamma_{k-1} at every node. Returns what newton_correct
+    returns."""
     if spec.case != "C":
         raise DomainError("solve_caseC only accepts case C problems")
     margins, node, report = spec.background_cone()

@@ -71,7 +71,13 @@ class ConeReport:
 
 
 def _argmin_node(values: np.ndarray) -> tuple:
-    """Index of the minimizing entry, as a tuple of plain ints."""
+    """Index of the minimizing entry, as a tuple of plain ints.
+
+    Ties go to the first occurrence in row-major (C) order, exactly: a
+    tolerance would only move the boundary at which roundoff decides. Every
+    *_node field is therefore byte-stable across reruns, but where values
+    are equal in exact arithmetic and differ in the last bit, a change of
+    code version that moves that bit can move the node."""
     idx = np.unravel_index(int(np.argmin(values)), values.shape)
     return tuple(int(i) for i in idx)
 

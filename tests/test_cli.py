@@ -48,7 +48,7 @@ def test_check_fails_when_a_certificate_fails(tmp_path):
     # ric0 = +identity makes the t=1 linearization state leave the cone,
     # so the t=1 ellipticity certificate must report failure.
     hostile = fast_check_config(
-        ric0={"(1,1)": "1", "(2,2)": "1", "(3,3)": "1"})
+        background={"(1,1)": "1", "(2,2)": "1", "(3,3)": "1"})
     rc, out = drive(tmp_path, hostile, "check")
     assert rc == 1
     text = (out / "certificates.txt").read_text()
@@ -220,6 +220,43 @@ def test_bad_background_components_exit_two(tmp_path, capsys):
             assert message in capsys.readouterr().err, (case, key)
 
 
+def test_unread_background_and_non_finite_numbers_exit_two(tmp_path,
+                                                          capsys):
+    """A component of the tensor the case does not read, a non-finite
+    Newton tolerance and a NaN ceiling: each `sigmak solve` exits 2, and
+    the message names the key."""
+    bad = (('spec.case = "C"\nbackground.ric0.(2,2) = "log(sin(x2))"\n',
+            "background.ric0.(2,2) is not read in case C"),
+           ('background.schouten0.(1,1) = "1"\n',
+            "background.schouten0.(1,1) is not read in case A"),
+           ("solver.newton_tol = nan\n", "newton_tol must be finite"),
+           ("solver.newton_tol = inf\n", "newton_tol must be finite"),
+           ("monitor.ceiling_sup_u = nan\n", "monitor.ceiling_sup_u"))
+    for i, (text, message) in enumerate(bad):
+        conf = tmp_path / f"bad{i}.config"
+        conf.write_text("spec.N = 8\n" + text, encoding="utf-8")
+        assert main(["solve", "--config", str(conf), "--out",
+                     str(tmp_path / f"out{i}")]) == 2, text
+        assert message in capsys.readouterr().err, text
+
+
+def test_check_samples_over_the_memory_budget_exit_two_before_any_work(
+        tmp_path, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a rejected config")
+    for name in ("_suite_recurrence", "_suite_newton_maclaurin",
+                 "_suite_ratio_monotonicity", "_suite_euler_identity",
+                 "concavity_certificate", "_solve_manufactured"):
+        monkeypatch.setattr(sigmak.cli, name, no_work)
+    monkeypatch.setattr(RunConfig, "problem", no_work)
+    cfg = RunConfig(check_samples=10_000_000)
+    for command in ("check", "solve", "verify"):
+        rc, out = drive(tmp_path, cfg, command, command)
+        assert rc == 2
+        assert "memory budget" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_grids_over_the_memory_budget_exit_two_before_any_work(
         tmp_path, monkeypatch, capsys):
     def no_work(*args, **kwargs):
@@ -302,8 +339,7 @@ def test_record_layouts_are_pinned(tmp_path):
 
     config_keys = ["seed", "spec.case", "spec.n", "spec.k", "spec.N",
                    "spec.alpha", "spec.f"]
-    config_keys += [f"background.{name}.({i},{i})"
-                    for name in ("ric0", "schouten0") for i in (1, 2, 3)]
+    config_keys += [f"background.ric0.({i},{i})" for i in (1, 2, 3)]
     config_keys += [f"solver.{key}" for key in (
         "dt_init", "dt_max", "dt_min", "newton_tol", "newton_max_iters",
         "cone_factor", "armijo_factor")]

@@ -1,9 +1,11 @@
 """Configuration text format: parsing, validation, canonical echo."""
 
+import re
+
 import pytest
 
 from sigmak import ConfigError, RunConfig, parse_config_file, parse_config_text
-from sigmak.config import MEMORY_BUDGET_BYTES, peak_bytes
+from sigmak.config import MEMORY_BUDGET_BYTES, peak_bytes, sample_bytes
 from sigmak.report import KNOWN_CHECKS
 
 
@@ -11,9 +13,13 @@ def test_defaults_describe_the_canonical_case_a_run():
     cfg = RunConfig()
     assert (cfg.case, cfg.n, cfg.k, cfg.N) == ("A", 3, 3, 16)
     assert cfg.alpha == "-0.1" and cfg.f == "0.7"
-    assert cfg.ric0 == {"(1,1)": "-1", "(2,2)": "-1", "(3,3)": "-1"}
-    assert cfg.schouten0 == {"(1,1)": "1", "(2,2)": "1", "(3,3)": "1"}
+    assert cfg.background == {"(1,1)": "-1", "(2,2)": "-1", "(3,3)": "-1"}
+    assert cfg.background_key == "background.ric0"
     cfg.validate()
+    # case C reads schouten0, canonically +identity
+    cfg = RunConfig(case="C")
+    assert cfg.background == {"(1,1)": "1", "(2,2)": "1", "(3,3)": "1"}
+    assert cfg.background_key == "background.schouten0"
 
 
 def test_text_round_trip_is_exact():
@@ -78,7 +84,7 @@ def test_value_types_are_enforced_per_key():
 
 def test_component_keys_canonicalize_to_upper_triangle():
     cfg = parse_config_text('background.ric0.(2,1) = "0.5"\n')
-    assert cfg.ric0 == {"(1,2)": "0.5"}
+    assert cfg.background == {"(1,2)": "0.5"}
 
 
 def test_symmetric_duplicate_components_rejected():
@@ -90,14 +96,32 @@ def test_symmetric_duplicate_components_rejected():
 
 def test_explicit_components_replace_the_default_background():
     cfg = parse_config_text('background.ric0.(1,1) = "-2"\n')
-    assert cfg.ric0 == {"(1,1)": "-2"}
-    # the untouched tensor keeps its default fill
-    assert cfg.schouten0 == {"(1,1)": "1", "(2,2)": "1", "(3,3)": "1"}
+    assert cfg.background == {"(1,1)": "-2"}
+    # the echo writes only the tensor the case reads
+    assert "schouten0" not in cfg.to_text()
+    cfg = parse_config_text('background.schouten0.(2,2) = "2"\n'
+                            'spec.case = "C"\n')
+    assert cfg.background == {"(2,2)": "2"}
+    assert "ric0" not in cfg.to_text()
+
+
+def test_components_of_the_unread_tensor_are_rejected():
+    """A key of the tensor the case does not read is an error naming the
+    key and the case, wherever the case line stands."""
+    for text, message in (
+            ('background.schouten0.(1,1) = "1"\n',
+             "line 1: background.schouten0.(1,1) is not read in case A"),
+            ('spec.case = "B"\nbackground.schouten0.(1,1) = "1"\n',
+             "line 2: background.schouten0.(1,1) is not read in case B"),
+            ('background.ric0.(2,2) = "log(sin(x2))"\nspec.case = "C"\n',
+             "line 1: background.ric0.(2,2) is not read in case C")):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config_text(text)
 
 
 def test_component_range_follows_spec_n():
     cfg = parse_config_text('spec.n = 4\nspec.k = 3\nbackground.ric0.(4,4) = "-1"\n')
-    assert cfg.ric0 == {"(4,4)": "-1"}
+    assert cfg.background == {"(4,4)": "-1"}
     with pytest.raises(ConfigError, match=r"out of range for n=3"):
         parse_config_text('background.ric0.(4,4) = "-1"\n')
 
@@ -112,6 +136,9 @@ def test_validate_rejects_out_of_range_knobs():
         (dict(seed=-1), "seed"),
         (dict(check_samples=0), "check.samples"),
         (dict(ceiling_sup_u=0.0), "monitor.ceiling_sup_u"),
+        (dict(ceiling_sup_u=float("nan")), "monitor.ceiling_sup_u"),
+        (dict(newton_tol=float("nan")), "newton_tol must be finite"),
+        (dict(newton_tol=float("inf")), "newton_tol must be finite"),
         (dict(dt_init=0.5, dt_max=0.25), "solver schedule"),
         (dict(alpha="sin(x1"), "spec.alpha"),
         (dict(f="x9"), "spec.f"),
@@ -126,10 +153,10 @@ def test_validate_rejects_out_of_range_knobs():
 
 
 def test_validate_rejects_bad_background_expressions():
-    cfg = RunConfig(ric0={"(1,1)": "sin("})
+    cfg = RunConfig(background={"(1,1)": "sin("})
     with pytest.raises(ConfigError, match=r"background\.ric0\.\(1,1\)"):
         cfg.validate()
-    cfg = RunConfig(schouten0={"(0,1)": "1"})
+    cfg = RunConfig(case="C", background={"(0,1)": "1"})
     with pytest.raises(ConfigError, match=r"background\.schouten0"):
         cfg.validate()
 
@@ -186,3 +213,13 @@ def test_validate_accepts_every_grid_the_suite_demos_and_benchmark_run():
         cfg.validate()
         if doubled:
             cfg.check_memory(2 * N)
+
+
+def test_validate_rejects_check_samples_over_the_memory_budget():
+    # about 32 n^2 k + 128 bytes a sample: 10 million at n = k = 3 need
+    # about 9.2 GiB
+    cfg = RunConfig(check_samples=10_000_000)
+    assert cfg.check_samples * sample_bytes(3, 3) > MEMORY_BUDGET_BYTES
+    with pytest.raises(ConfigError, match="check.samples = 10000000"):
+        cfg.validate()
+    RunConfig(check_samples=1_000_000).validate()

@@ -677,3 +677,21 @@ def test_c0_diagnostic_holds_along_a_solve():
     diag = c0_diagnostic(final.u, final.t, spec)
     assert diag.within_slack, diag.to_lines()
     assert final.u.max_abs() <= diag.sup_estimate + spec.grid.h
+
+
+@pytest.mark.parametrize("case", ["A", "B", "C"])
+def test_node_fields_at_a_uniform_state_are_the_first_node(case):
+    """Ties go to the first node in row-major order: at u = 0 on the
+    canonical problem every node is alike, so every *_node field and
+    worst_node() is (0,) * n, at the path's start and at t = 1."""
+    for n in (3, 4):
+        spec = canonical_problem(case, n=n, N=8)
+        u = ScalarField.zeros(spec.grid)
+        for t in sorted({spec.start_t, 1.0}):
+            sd = prepare_state(u, t, spec)
+            cert = ellipticity_certificate(sd)
+            c0 = c0_diagnostic(u, t, spec)
+            first = (0,) * n
+            assert sd.worst_node()[0] == first
+            assert (cert.worst_margin_node, cert.newton_min_eig_node,
+                    c0.max_node, c0.min_node) == (first,) * 4

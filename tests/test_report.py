@@ -15,16 +15,20 @@ from sigmak import (
 )
 from sigmak.operators import ellipticity_certificate, prepare_state
 from sigmak.report import KNOWN_CHECKS
-from sigmak.solver import monitor, trace_for_state
+from sigmak.solver import monitor
 
 from helpers import canonical_problem
 
 
 def rest_trace(spec):
-    """One-row trace holding the exact t=0 solution u = 0."""
+    """One-row trace holding the exact t=0 solution u = 0, certified."""
     state = HomotopyState(t=0.0, u=ScalarField.zeros(spec.grid),
                           residual_norm=0.0, cone_margin=1.0, newton_iters=0)
-    return trace_for_state(state, prepare_state(state.u, state.t, spec))
+    sd = prepare_state(state.u, state.t, spec)
+    trace = ContinuationTrace()
+    trace.append(state, monitor(sd))
+    trace.ellipticity = ellipticity_certificate(sd)
+    return trace
 
 
 def test_default_checks_all_present_and_pass_at_rest():

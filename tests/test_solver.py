@@ -23,7 +23,7 @@ from sigmak.operators import (LinearOperator, _coefficients,
                               manufactured_forcing, prepare_state)
 from sigmak.solver import (GMRES_RESTART, LINEAR_GUARD, HomotopyState,
                            _sup_spectral_radius, newton_correct,
-                           solve_linear, trace_for_state)
+                           solve_linear)
 
 
 def test_schedule_validation():
@@ -36,6 +36,10 @@ def test_schedule_validation():
         Schedule(newton_tol=0.0)
     with pytest.raises(DomainError):
         Schedule(cone_factor=1.0)
+    for name in ("newton_tol", "dt_init", "cone_factor"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(DomainError, match=f"{name} must be finite"):
+                Schedule(**{name: value})
 
 
 def test_solve_linear_matches_dense_inverse():
@@ -168,8 +172,8 @@ _PEAK_CONFIGS = (
     RunConfig(case="C", n=4, k=3, N=8, alpha="-0.05", f="1+0.5*cos(x1+x2)"),
     RunConfig(n=5, k=5, N=8),
     RunConfig(n=4, k=3, N=8,
-              ric0={"(1,1)": "-1-0.1*sin(x1+x2+x3+x4)", "(2,2)": "-1",
-                    "(3,3)": "-1", "(4,4)": "-1"}),
+              background={"(1,1)": "-1-0.1*sin(x1+x2+x3+x4)", "(2,2)": "-1",
+                          "(3,3)": "-1", "(4,4)": "-1"}),
 )
 
 
@@ -307,9 +311,9 @@ def _counting_certificates(monkeypatch):
 
 
 def test_a_path_is_certified_once_at_its_final_state(monkeypatch):
-    """continue_path audits ellipticity once, at t = 1, and trace_for_state
-    once; each stored certificate equals a fresh audit of the final state
-    field for field."""
+    """continue_path audits ellipticity once, at t = 1, on the case A path
+    and on the case C path (its anchor alone); each stored certificate
+    equals a fresh audit of the final state field for field."""
     calls = _counting_certificates(monkeypatch)
     spec = canonical_problem("A")
     trace = continue_path(spec, Schedule())
@@ -321,11 +325,10 @@ def test_a_path_is_certified_once_at_its_final_state(monkeypatch):
 
     calls.clear()
     spec = canonical_problem("C", alpha="-0.05", f="0.85")
-    state, sd = solve_caseC(spec)
-    trace = trace_for_state(state, sd)
+    trace = continue_path(spec, Schedule())
     assert calls == [1.0]
     assert trace.ellipticity == ellipticity_certificate(
-        prepare_state(state.u, 1.0, spec))
+        prepare_state(trace.final_state.u, 1.0, spec))
 
 
 def test_canonical_case_a_newton_iterations_are_pinned():
@@ -352,14 +355,11 @@ def test_canonical_case_a_newton_iterations_are_pinned():
 def test_newton_iterations_beyond_n3_are_pinned(case, n, k, f, iters, ts):
     """Per-step Newton iteration counts of two solves beyond n=3, as in
     their trace.csv: case A with n=5, k=4, N=8 along the continuation path,
-    and the direct case C solve with n=4, k=3, N=8, f = 1 + 0.5 cos(x1+x2).
-    Changes to the tensor, recurrence or linear layers must keep both."""
-    spec = canonical_problem(case, n=n, k=k, N=8, f=f)
-    if case == "C":
-        state, sd = solve_caseC(spec, schedule=Schedule())
-        trace = trace_for_state(state, sd)
-    else:
-        trace = continue_path(spec, Schedule())
+    and the direct case C solve with n=4, k=3, N=8, f = 1 + 0.5 cos(x1+x2),
+    the one point of its path. Changes to the tensor, recurrence or linear
+    layers must keep both."""
+    trace = continue_path(canonical_problem(case, n=n, k=k, N=8, f=f),
+                          Schedule())
     assert [row.newton_iters for row in trace.rows] == iters
     assert [row.t for row in trace.rows] == ts
 
@@ -444,7 +444,7 @@ def test_monitor_values_at_rest():
     assert record.sup_grad_u_sq == 0.0
     assert record.sup_hess_u == 0.0
     assert record.cone_margin == 3.0
-    assert trace_for_state(state, sd).ellipticity.passed
+    assert ellipticity_certificate(sd).passed
 
 
 def test_pruned_sup_hess_is_the_full_eigvalsh_maximum():
@@ -514,11 +514,33 @@ def test_solve_case_c_rejects_other_cases():
         solve_caseC(canonical_problem("A"))
 
 
-def test_trace_for_state_single_row():
+def test_case_c_path_is_its_anchor_alone():
+    """A case C path starts at start_t = 1 with the direct solve: one row,
+    the state solve_caseC returns, monitored and certified."""
     spec = canonical_problem("C", alpha="-0.05", f="0.85")
+    assert spec.start_t == 1.0
+    assert canonical_problem("A").start_t == canonical_problem("B").start_t \
+        == 0.0
+    trace = continue_path(spec, Schedule())
     state, sd = solve_caseC(spec)
-    trace = trace_for_state(state, sd)
     assert len(trace.rows) == 1
     assert trace.final_t == 1.0
-    assert trace.final_state is state
+    assert np.array_equal(trace.final_state.u.values, state.u.values)
+    assert trace.rows[0].newton_iters == state.newton_iters
+    assert trace.rows[0].sup_u == monitor(sd).sup_u
+    assert trace.ellipticity == ellipticity_certificate(sd)
     assert trace.to_csv().startswith(TRACE_HEADER)
+
+
+def test_case_c_path_propagates_its_anchors_errors():
+    """The anchor's errors reach the caller as they are: an inadmissible
+    background Schouten tensor, and a Newton solve with no admissible
+    decreasing step (the certify-C4 data at n=3)."""
+    bad = ProblemSpec.build(
+        "C", 3, 3, Grid(3, 8), alpha="-0.05", f="1",
+        background={"(1,1)": "-1", "(2,2)": "-1", "(3,3)": "-1"})
+    with pytest.raises(AdmissibilityError):
+        continue_path(bad, Schedule())
+    stuck = canonical_problem("C", N=8, f="1+0.5*cos(x1+x2)")
+    with pytest.raises(ConeExitError, match="no admissible decreasing step"):
+        continue_path(stuck, Schedule())
