@@ -47,14 +47,15 @@ MEMORY_BUDGET_BYTES = 2 * 2 ** 30
 def peak_bytes(n: int, N: int) -> int:
     """Estimated peak bytes of a solve or check on the grid with N points on
     each of n axes: N^n nodes at 84 n^2 + 300 bytes a node. That per-node
-    cost bounds the tracemalloc peaks of `sigmak solve` at n = 3, 4, 5, 6
-    (904, 1425, 2076 and 2889 bytes a node, N = 16 at n = 3 and N = 8
-    above, from case A with k = 3 on a background that varies along every
-    axis; case A with k = n and case C with k = 3 peak lower), which are
-    set by the (n, n) planes of the state and the recurrence, the one
-    background tensor (grid-sized only when it varies along every axis),
-    and the operator's 2n^2 + 1 stencil weights and column indices per
-    node. A full GMRES basis (51 grid vectors, 408 bytes a node) fits
+    cost bounds the tracemalloc peaks of `sigmak solve` at n = 3, 4, 5
+    (N = 16 at n = 3 and N = 8 above): 796, 1227 and 1786 bytes a node for
+    case A with k = 3 on a background whose (1,1) entry varies along every
+    axis, 797, 1108 and 1602 for case A with k = n, and 716, 1083 and 1569
+    for case C with k = 3; n = 6 peaked at 2889 when the operator also held
+    CSR column indices. The peaks are set by the (n, n) planes of the state
+    and the recurrence, the one background tensor (grid-sized only when it
+    varies along every axis), and the operator's 2n^2 + 1 stencil weight
+    planes. A full GMRES basis (51 grid vectors, 408 bytes a node) fits
     inside it: the Newton state is dropped before the Krylov solve (at
     n = 3, N = 24 the peak while solve_linear runs is 585 bytes a node), and
     a singular solve that allocates the whole basis peaks at 477 bytes a

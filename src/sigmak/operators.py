@@ -29,8 +29,15 @@ tensor construction gives, for cases A and B with P = t S + (1-t) tr(S) I,
 and for case C simply S, 2 S grad u - tr(S) grad u, and the same zeroth
 pattern. For case A with alpha <= 0 (and case B with its positive quotient
 weight) the zeroth coefficient is strictly negative, which is what makes the
-linearized operator invertible on the periodic box. LinearOperator holds it
-as one CSR matrix with a frozen-coefficient FFT inverse as preconditioner.
+linearized operator invertible on the periodic box.
+
+LinearOperator holds the linearization matrix-free: the 2n^2 + 1 weights of
+its periodic second-order stencil as component-major planes, written straight
+from the coefficient planes, and a matvec that wrap-pads its argument once
+and adds each weighted shift as a slice view, in the order a CSR row would,
+so the product is bitwise that of the assembled matrix (as_csr, which alone
+imports scipy, builds it on demand for tests and diagnostics). Its
+preconditioner is the frozen-coefficient FFT inverse.
 
 A caution recorded here because it is easy to trip over: the second-order
 coefficient family of the multiplied form is positive definite near solution
@@ -60,7 +67,6 @@ import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .curvature import (ProblemSpec, build_u_tensor, build_v_tensor,
                         build_w_tensor, record_lines)
@@ -204,35 +210,53 @@ def residual(sd: StateData) -> ScalarField:
     return ScalarField(sd.spec.grid, vals)
 
 
+# Slices of a wrap-padded axis that shift it by -1, 0 and +1.
+_SHIFT = {-1: slice(0, -2), 0: slice(1, -1), 1: slice(2, None)}
+
+
+@functools.lru_cache(maxsize=8)
+def _stencil_shifts(n: int) -> tuple:
+    """The 2n^2 + 1 offsets of the periodic stencil, as index tuples into
+    a wrap-padded grid (see _wrap_pad) whose view at offset o holds the
+    value at node + o. The order is that of the weight planes, in blocks:
+    the centre; +e_i for each axis i; -e_i for each i; then, over the pairs
+    i < j in np.triu_indices order, +e_i+e_j, -e_i-e_j, +e_i-e_j and
+    -e_i+e_j, one block each."""
+    eye = np.eye(n, dtype=int)
+    iu, ju = np.triu_indices(n, 1)
+    plus, mixed = eye[iu] + eye[ju], eye[iu] - eye[ju]
+    offsets = np.concatenate([np.zeros((1, n), dtype=int), eye, -eye,
+                              plus, -plus, mixed, -mixed])
+    return tuple(tuple(_SHIFT[o] for o in row) for row in offsets.tolist())
+
+
+def _wrap_pad(a: np.ndarray) -> np.ndarray:
+    """a with one periodic layer added on both sides of every axis, written
+    by slice copies: the interior, then each axis's two faces in turn, each
+    face spanning every other axis in full, so the faces of later axes fill
+    the edges and corners."""
+    out = np.empty(tuple(s + 2 for s in a.shape), dtype=a.dtype)
+    out[(slice(1, -1),) * a.ndim] = a
+    for axis in range(a.ndim):
+        lead = (slice(None),) * axis
+        out[lead + (0,)] = out[lead + (-2,)]
+        out[lead + (-1,)] = out[lead + (1,)]
+    return out
+
+
 @functools.lru_cache(maxsize=4)
 def _stencil_pattern(grid: Grid) -> tuple:
-    """Column indices and row pointers of the periodic stencil in CSR form.
-
-    Every row holds the same 2n^2 + 1 offsets, in blocks: the centre; +e_i
-    for each axis i; -e_i for each i; then, over the pairs i < j in
-    np.triu_indices order, +e_i+e_j, -e_i-e_j, +e_i-e_j and -e_i+e_j, one
-    block each. The pattern depends only on the grid, so it is built once
-    per grid and shared, read-only, by every operator on it. int32 holds the
-    indices while nnz < 2^31."""
-    n = grid.n
-    m = n * (n - 1) // 2
-    width = 2 * n * n + 1
+    """Column indices and row pointers of the periodic stencil in CSR form:
+    row i holds the flat index of node i + o for each offset o of
+    _stencil_shifts, in that order. It depends only on the grid, so it is
+    built once per grid and shared, read-only, by every as_csr on it. int32
+    holds the indices while nnz < 2^31."""
+    width = 2 * grid.n * grid.n + 1
     nnz = grid.size * width
     itype = np.int32 if nnz < 2 ** 31 else np.int64
-    idx = np.arange(grid.size, dtype=itype).reshape(grid.shape)
-    cols = np.empty(grid.shape + (width,), dtype=itype)
-    cols[..., 0] = idx
-    for i in range(n):
-        cols[..., 1 + i] = np.roll(idx, -1, axis=i)
-        cols[..., 1 + n + i] = np.roll(idx, 1, axis=i)
-    p = 1 + 2 * n
-    for c, (i, j) in enumerate(zip(*np.triu_indices(n, 1))):
-        plus, minus = cols[..., 1 + i], cols[..., 1 + n + i]
-        cols[..., p + c] = np.roll(plus, -1, axis=j)
-        cols[..., p + m + c] = np.roll(minus, 1, axis=j)
-        cols[..., p + 2 * m + c] = np.roll(plus, 1, axis=j)
-        cols[..., p + 3 * m + c] = np.roll(minus, -1, axis=j)
-    indices = cols.ravel()
+    padded = _wrap_pad(np.arange(grid.size, dtype=itype).reshape(grid.shape))
+    indices = np.stack([padded[shift] for shift in _stencil_shifts(grid.n)],
+                       axis=-1).ravel()
     indptr = np.arange(0, nnz + 1, width, dtype=itype)
     indices.flags.writeable = False
     indptr.flags.writeable = False
@@ -242,25 +266,29 @@ def _stencil_pattern(grid: Grid) -> tuple:
 @dataclass
 class LinearOperator:
     """The linearized equation  L[phi] = G:hess(phi) + b.grad(phi) + c phi
-    with periodic second-order stencils, assembled once as one CSR matrix,
-    together with its frozen-coefficient preconditioner.
+    with periodic second-order stencils, held matrix-free as its stencil
+    weights, together with its frozen-coefficient preconditioner.
 
     second has shape (n, n) + grid.shape and is symmetric per node, first has
     shape (n,) + grid.shape (component-major, like every tensor field),
     zeroth has shape grid.shape. Construction writes the stencil weights
-    into the row-major matrix values on the grid's cached pattern (see
-    _stencil_pattern); the coefficients are read only then and not kept.
-    A given `values` (float64, grid.size * (2n^2 + 1) entries) is
-    overwritten in full and becomes the matrix data without a copy, so one
-    buffer can serve operators never alive together; by default a fresh
-    array is allocated. matvec() is one product with that matrix, apply()
-    reshapes around it, and as_csr() returns the matrix itself.
+    straight from these planes into `weights`, (2n^2 + 1,) + grid.shape,
+    one plane per offset of _stencil_shifts: c - 2 tau at the centre
+    (tau = sum_i G_ii/h^2), G_ii/h^2 +- b_i/(2h) at +-e_i, G_ij/(2h^2) at
+    +-(e_i+e_j) and -G_ij/(2h^2) at +-(e_i-e_j); the coefficients are not
+    kept. A given `values` (float64, C-contiguous, grid.size * (2n^2 + 1)
+    entries) is overwritten in full and becomes `weights` without a copy,
+    so one buffer can serve operators never alive together.
+
+    matvec() wrap-pads its argument once and adds the weighted shifts, each
+    a slice view of the padded array, in plane order, which is bitwise
+    as_csr() @ x; apply() reshapes around it. as_csr() assembles the matrix
+    for tests and diagnostics.
 
     precondition() inverts L with its coefficients frozen (the approach of
     Benamou, Froese and Oberman for fully nonlinear elliptic equations). Each
-    row is scaled by 1/d, d = 2|tau| + |c| with tau = sum_i G_ii/h^2 (the sum
-    the centre weight c - 2 tau uses), and the scaled weights are averaged
-    over the nodes. d is the centre weight's magnitude wherever G is
+    row is scaled by 1/d, d = 2|tau| + |c|, and the scaled weights are
+    averaged over the nodes. d is the centre weight's magnitude wherever G is
     elliptic and c <= 0, and unlike tau it stays away from zero where a
     trial state leaves ellipticity at some nodes. The constant-coefficient
     stencil then has the discrete symbol, at theta_i = 2 pi k_i/N,
@@ -280,7 +308,7 @@ class LinearOperator:
     first: InitVar[np.ndarray]
     zeroth: InitVar[np.ndarray]
     values: InitVar[np.ndarray | None] = None
-    csr: csr_matrix = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
     row_scale: np.ndarray = field(init=False, repr=False, compare=False)
     inv_symbol: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -293,34 +321,25 @@ class LinearOperator:
                 f"coefficients must be component-major, (n, n) + grid.shape "
                 f"and (n,) + grid.shape; got {second.shape} and "
                 f"{first.shape}")
+        width = 2 * n * n + 1
+        self.weights = np.empty((width,) + g.shape) if values is None \
+            else values.reshape((width,) + g.shape)
+        planes = self.weights.reshape(width, g.size)
         second = second.reshape(n, n, g.size)
         diag = _diag(second) / h ** 2
         bias = first.reshape(n, g.size) / (2.0 * h)
-        # tau = sum_i G_ii / h^2, shared by the centre weight and the row
-        # scale
         tau = diag.sum(axis=0)
         zeroth = zeroth.ravel()
-        width = 2 * n * n + 1
-        vals = np.empty((g.size, width)) if values is None \
-            else values.reshape(g.size, width)
-        vals[:, 0] = zeroth - 2.0 * tau
-        # Each block of weights is formed as contiguous planes and copied,
-        # transposed, into its columns once: strided ufunc output over a few
-        # columns is slow.
-        axial = vals[:, 1:1 + 2 * n].reshape(g.size, 2, n)
-        axial[:, 0] = (diag + bias).T
-        axial[:, 1] = (diag - bias).T
-        # cross weights G_ij / (2h^2): + at +e_i+e_j and -e_i-e_j, - at the
-        # two mixed-sign corners
+        np.subtract(zeroth, 2.0 * tau, out=planes[0])
+        np.add(diag, bias, out=planes[1:1 + n])
+        np.subtract(diag, bias, out=planes[1 + n:1 + 2 * n])
+        p = 1 + 2 * n
         iu, ju = np.triu_indices(n, 1)
-        cross = second[iu, ju]
-        cross /= 2.0 * h ** 2
-        corners = vals[:, 1 + 2 * n:].reshape(g.size, 2, 2, m)
-        corners[:, 0] = cross.T[:, None, :]
-        corners[:, 1] = np.negative(cross).T[:, None, :]
-        indices, indptr = _stencil_pattern(g)
-        self.csr = csr_matrix((vals.ravel(), indices, indptr),
-                              shape=(g.size, g.size))
+        cross = planes[p:p + m]
+        np.divide(second[iu, ju], 2.0 * h ** 2, out=cross)
+        planes[p + m:p + 2 * m] = cross
+        np.negative(cross, out=planes[p + 2 * m:p + 3 * m])
+        planes[p + 3 * m:] = planes[p + 2 * m:p + 3 * m]
 
         self.row_scale = 1.0 / (2.0 * np.abs(tau) + np.abs(zeroth))
         mean = self.row_scale / g.size
@@ -347,8 +366,18 @@ class LinearOperator:
         return self.matvec(values.ravel()).reshape(self.grid.shape)
 
     def matvec(self, flat: np.ndarray) -> np.ndarray:
-        """L on a flattened field."""
-        return self.csr @ flat
+        """L on a flattened field: w_0 x, then w_j times the shift of x by
+        offset j added in plane order, so each node sums its terms in the
+        order of the CSR row (as_csr)."""
+        x = flat.reshape(self.grid.shape)
+        padded = _wrap_pad(x)
+        shifts = _stencil_shifts(self.grid.n)
+        y = self.weights[0] * x
+        term = np.empty_like(y)
+        for w, shift in zip(self.weights[1:], shifts[1:]):
+            np.multiply(w, padded[shift], out=term)
+            y += term
+        return y.ravel()
 
     def precondition(self, flat: np.ndarray) -> np.ndarray:
         """The frozen-coefficient inverse on a flattened field: the row
@@ -359,11 +388,17 @@ class LinearOperator:
         return np.fft.irfftn(spectrum, s=shape,
                              axes=range(len(shape))).ravel()
 
-    def as_csr(self) -> csr_matrix:
-        """The assembled matrix itself (not a copy). Its index arrays are the
-        grid's shared read-only pattern, so in-place restructuring such as
-        sum_duplicates() raises."""
-        return self.csr
+    def as_csr(self) -> "csr_matrix":
+        """The operator as a new scipy.sparse.csr_matrix: the weight planes
+        copied, node by node, into the rows of the grid's cached pattern
+        (_stencil_pattern). Its index arrays are that shared read-only
+        pattern, so in-place restructuring such as sum_duplicates() raises.
+        scipy is imported here only."""
+        from scipy.sparse import csr_matrix
+        indices, indptr = _stencil_pattern(self.grid)
+        size = self.grid.size
+        data = self.weights.reshape(-1, size).T.ravel()
+        return csr_matrix((data, indices, indptr), shape=(size, size))
 
 
 def _coefficients(sd: StateData):

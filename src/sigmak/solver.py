@@ -17,20 +17,25 @@ Newton solve from u = 0 and is that one point alone, labeled experimental
 (the estimates exist; an existence proof does not).
 
 Each Newton step solves its linearized system by one Krylov path: restarted
-GMRES, right-preconditioned by the operator's frozen-coefficient FFT inverse
-(LinearOperator.precondition), with a true-residual guard on the result.
-The frozen inverse is spectrally equivalent to the operator, so the number
-of steps a solve takes does not grow with N.
+GMRES on the matrix-free operator, right-preconditioned by its
+frozen-coefficient FFT inverse (LinearOperator.precondition), with a
+true-residual guard on the result. The frozen inverse is spectrally
+equivalent to the operator, so the number of steps a solve takes does not
+grow with N. The Newton steps are inexact (Eisenstat and Walker, SIAM J.
+Sci. Comput. 17, 1996): each linear solve asks only for the accuracy the
+step can use, a relative tolerance equal to the current residual's
+max-norm, clipped to [LINEAR_RTOL, FORCING_MAX], and an absolute floor of
+0.1 newton_tol, so early iterations take a few Krylov steps and the last
+ones solve tightly. Nothing on this path imports scipy.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
-# Unused here: bench/tracer.py wraps sigmak.solver.bicgstab by name.
-from scipy.sparse.linalg import bicgstab  # noqa: F401
 
 from .curvature import ProblemSpec
 from .errors import (
@@ -52,10 +57,16 @@ from .operators import (
     residual,
 )
 
-# Relative tolerance asked of GMRES (2-norm of the true residual), and the
-# looser max-norm guard the returned vector must actually meet.
+# Default relative tolerance asked of GMRES (2-norm of the true residual),
+# and the looser max-norm guard the returned vector must actually meet; a
+# looser requested tolerance scales the guard by the same factor.
 LINEAR_RTOL = 1e-10
 LINEAR_GUARD = 1e-8
+
+# Cap on the forcing term of the inexact Newton step: the relative linear
+# tolerance newton_correct asks for is the residual max-norm, clipped to
+# [LINEAR_RTOL, FORCING_MAX].
+FORCING_MAX = 1e-2
 
 # GMRES runs at most GMRES_MAX_RESTARTS cycles of GMRES_RESTART steps, so a
 # stalled solve fails as LinearSolveError in bounded time; it stops sooner
@@ -135,12 +146,30 @@ class ContinuationTrace:
 
     Row summaries stay small on purpose; only the last accepted state keeps
     its full field (final_state), which downstream checks and the final dump
-    read. ellipticity is the audit of that state alone, set by the solver
-    once the trace ends (None while it grows, and for an empty trace)."""
+    read. ellipticity is the audit of that state alone, computed when first
+    read once the solver has ended the trace (end), so a caller that never
+    reads it never pays for it; None for a trace not ended, until set."""
 
     rows: list = field(default_factory=list)
     final_state: HomotopyState | None = None
-    ellipticity: EllipticityReport | None = None
+    _certify: Callable[[], EllipticityReport] | None = field(
+        default=None, repr=False, compare=False)
+    _ellipticity: EllipticityReport | None = field(default=None, repr=False)
+
+    @property
+    def ellipticity(self) -> EllipticityReport | None:
+        if self._certify is not None:
+            self._ellipticity, self._certify = self._certify(), None
+        return self._ellipticity
+
+    @ellipticity.setter
+    def ellipticity(self, report: EllipticityReport | None) -> None:
+        self._ellipticity, self._certify = report, None
+
+    def end(self, state_data: Callable[[], StateData]) -> None:
+        """End the trace on final_state; state_data returns its StateData
+        when ellipticity is first read, and what it holds lives till then."""
+        self._certify = lambda: ellipticity_certificate(state_data())
 
     def append(self, state: HomotopyState, record: MonitorRecord) -> None:
         if self.rows and state.t <= self.rows[-1].t:
@@ -184,6 +213,17 @@ def _sup_spectral_radius(mats: np.ndarray) -> float:
     return best
 
 
+def __getattr__(name: str):
+    # bench/tracer.py still wraps sigmak.solver.bicgstab by name, so the
+    # name resolves, importing scipy only then; per the FOUND line in
+    # CHANGES.md on those tracer targets, the next benchmark change drops
+    # it and LinearOperator.as_csr's target, and this hook goes with them.
+    if name == "bicgstab":
+        from scipy.sparse.linalg import bicgstab
+        return bicgstab
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def monitor(sd: StateData) -> MonitorRecord:
     """Compute the monitored sup quantities and the cone margin of the
     accepted state sd. The ellipticity audit is not part of it: the solver
@@ -196,13 +236,14 @@ def monitor(sd: StateData) -> MonitorRecord:
         cone_margin=sd.cone_margin)
 
 
-def gmres(matvec, precondition, b: np.ndarray, x0: np.ndarray) -> tuple:
+def gmres(matvec, precondition, b: np.ndarray, x0: np.ndarray,
+          rtol: float = LINEAR_RTOL, atol: float = 0.0) -> tuple:
     """Restarted, right-preconditioned GMRES (Saad and Schultz) for
     matvec(x) = b from x0: a cycle seeks x + precondition(V y) over the
     Arnoldi basis V of matvec(precondition(.)).
 
     Each of at most GMRES_MAX_RESTARTS cycles starts with the true-residual
-    test |b - matvec(x)|_2 <= LINEAR_RTOL |b|_2 and takes up to
+    test |b - matvec(x)|_2 <= max(rtol |b|_2, atol) and takes up to
     GMRES_RESTART steps, each orthogonalised by classical Gram-Schmidt
     applied twice, with Givens rotations on Python floats. A failed test
     after a cycle also stops the solve when the cycle's reduction of the
@@ -212,7 +253,7 @@ def gmres(matvec, precondition, b: np.ndarray, x0: np.ndarray) -> tuple:
     run, and r = b - matvec(x) is the true residual of the returned x from
     the last test. A solve whose x0 passes allocates no basis.
     """
-    tol = LINEAR_RTOL * float(np.linalg.norm(b))
+    tol = max(rtol * float(np.linalg.norm(b)), atol)
     x, basis, last = x0, None, None
     for cycle in range(GMRES_MAX_RESTARTS + 1):
         r = b - matvec(x)
@@ -264,25 +305,30 @@ def gmres(matvec, precondition, b: np.ndarray, x0: np.ndarray) -> tuple:
             x = x + precondition(np.asarray(y) @ basis[:k])
 
 
-def solve_linear(op: LinearOperator, rhs: np.ndarray) -> np.ndarray:
-    """Solve L[delta] = rhs on the grid.
+def solve_linear(op: LinearOperator, rhs: np.ndarray,
+                 rtol: float = LINEAR_RTOL, atol: float = 0.0) -> np.ndarray:
+    """Solve L[delta] = rhs on the grid to the relative tolerance rtol, or
+    to the absolute floor atol, on the 2-norm of the true residual.
 
     One GMRES call, right-preconditioned by op.precondition (the frozen-
     coefficient FFT inverse) and started from precondition(rhs), so a
     constant-coefficient system is solved before any Krylov step. The
-    result must pass a true-residual guard, the max-norm of the residual
-    GMRES's passing test computed; otherwise LinearSolveError.
+    result must pass a true-residual guard on the max-norm of the residual
+    GMRES's passing test computed: at most (LINEAR_GUARD / LINEAR_RTOL)
+    rtol |rhs|_max, or atol if that is larger; otherwise LinearSolveError.
+    With the defaults that is LINEAR_GUARD |rhs|_max.
     """
     flat = np.ascontiguousarray(rhs, dtype=float).ravel()
     bnorm = float(np.abs(flat).max())
     if bnorm == 0.0:
         return np.zeros(op.grid.shape)
     x, info, r = gmres(op.matvec, op.precondition, flat,
-                       op.precondition(flat))
-    if info == 0 and float(np.abs(r).max()) <= LINEAR_GUARD * bnorm:
+                       op.precondition(flat), rtol, atol)
+    guard = max(LINEAR_GUARD * (rtol / LINEAR_RTOL) * bnorm, atol)
+    if info == 0 and float(np.abs(r).max()) <= guard:
         return x.reshape(op.grid.shape)
     raise LinearSolveError(
-        f"linearized system not solved to guard {LINEAR_GUARD:.0e} "
+        f"linearized system not solved to guard {guard:.0e} "
         f"(size {op.grid.size})")
 
 
@@ -299,8 +345,13 @@ def newton_correct(u: ScalarField, t: float, spec: ProblemSpec,
     newton_iters = 0; more than schedule.newton_max_iters iterations raise
     NonConvergenceError.
 
-    Each linearize after the first refills the previous operator's CSR
-    values in place, so one such buffer serves the whole call.
+    The step is an inexact Newton step (Eisenstat and Walker): the linear
+    solve asks only for the relative tolerance max(LINEAR_RTOL,
+    min(FORCING_MAX, residual max-norm)), and for no more than an absolute
+    0.1 newton_tol on the 2-norm of its residual, below which the Newton
+    test cannot see the linear error. Each linearize after the first
+    refills the previous operator's weight planes in place, so one such
+    buffer serves the whole call.
 
     Returns the converged HomotopyState and the StateData of its u, which
     monitor and the audit take; callers that do not need the latter drop it
@@ -330,8 +381,10 @@ def newton_correct(u: ScalarField, t: float, spec: ProblemSpec,
         # linearize refills: one state is alive while the candidates build
         # theirs.
         sd = sd_cand = None
-        delta = solve_linear(op, -res)
-        values = op.csr.data
+        delta = solve_linear(
+            op, -res, rtol=max(LINEAR_RTOL, min(FORCING_MAX, rnorm)),
+            atol=0.1 * tol)
+        values = op.weights
         op = None
         accepted = False
         for j in range(11):
@@ -386,9 +439,9 @@ def continue_path(spec: ProblemSpec,
     trace accumulated so far, whose last row holds the final accepted t.
 
     Every accepted state is monitored, but only the one the trace ends on
-    is audited for ellipticity (trace.ellipticity): the t = 1 state from its
-    live StateData, or on failure the last accepted state, whose StateData
-    is built again for the audit.
+    is audited for ellipticity (trace.ellipticity), and only once that is
+    read: the t = 1 state from its live StateData, or on failure the last
+    accepted state, whose StateData is built again for the audit.
     """
     spec.validate(strict=True)
     sched = schedule if schedule is not None else Schedule()
@@ -408,8 +461,7 @@ def continue_path(spec: ProblemSpec,
         except (ConeExitError, NonConvergenceError, LinearSolveError) as err:
             dt *= 0.5
             if dt < sched.dt_min:
-                trace.ellipticity = ellipticity_certificate(
-                    prepare_state(state.u, state.t, spec))
+                trace.end(lambda: prepare_state(state.u, state.t, spec))
                 raise PathFailureError(
                     f"step size underflow below {sched.dt_min:.0e} at "
                     f"t={t!r}: {err}", trace=trace) from err
@@ -419,7 +471,7 @@ def continue_path(spec: ProblemSpec,
         trace.append(state, monitor(sd))
         if state.newton_iters <= 4:
             dt = min(2.0 * dt, sched.dt_max)
-    trace.ellipticity = ellipticity_certificate(sd)
+    trace.end(lambda: sd)
     return trace
 
 

@@ -98,9 +98,9 @@ def test_linearize_matches_central_differences(case, t):
 
 
 def test_linear_operator_routes_agree():
-    """The assembled CSR operator against G:hess(phi) + b.grad(phi) + c phi
+    """The matrix-free operator against G:hess(phi) + b.grad(phi) + c phi
     built from the grid's own stencils, for general coefficients in every
-    supported dimension; apply, matvec and as_csr share the one matrix."""
+    supported dimension; apply reshapes around matvec."""
     rng = np.random.default_rng(15)
     for n in range(3, 7):
         grid = Grid(n, 8)
@@ -117,16 +117,34 @@ def test_linear_operator_routes_agree():
         got = op.apply(phi.values)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), n
         assert np.array_equal(op.matvec(phi.values.ravel()), got.ravel())
-        assert op.as_csr() is op.as_csr()
-        assert op.as_csr().nnz == grid.size * (2 * n * n + 1)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_matvec_is_bitwise_the_assembled_product(n):
+    """The matrix-free matvec equals as_csr() @ x bit for bit on random
+    elliptic coefficients (G positive definite at every node, c < 0) at
+    N=8: it adds each node's terms in the order of its CSR row."""
+    rng = np.random.default_rng(70 + n)
+    grid = Grid(n, 8)
+    root = 0.3 * rng.standard_normal((n, n) + grid.shape)
+    second = np.einsum("ik...,jk...->ij...", root, root)
+    second += np.eye(n).reshape((n, n) + (1,) * n)
+    op = LinearOperator(grid=grid, second=second,
+                        first=rng.standard_normal((n,) + grid.shape),
+                        zeroth=-0.5 - rng.random(grid.shape))
+    del root, second
+    x = rng.standard_normal(grid.size)
+    csr = op.as_csr()
+    assert csr.nnz == grid.size * (2 * n * n + 1)
+    assert np.array_equal(op.matvec(x), csr @ x)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_operator_built_into_a_supplied_buffer_keeps_it(n):
     """An operator built into a supplied values array keeps that array as
-    its matrix data (no copy), overwrites every entry of it, and equals a
-    freshly built operator bit for bit, in its data and in matvec; so does
-    one built by linearize into the previous operator's data."""
+    its weight planes (no copy), overwrites every entry of it, and equals a
+    freshly built operator bit for bit, in its planes and in matvec; so does
+    one built by linearize into the previous operator's planes."""
     rng = np.random.default_rng(60 + n)
     grid = Grid(n, 8)
     second = rng.standard_normal((n, n) + grid.shape)
@@ -137,8 +155,8 @@ def test_operator_built_into_a_supplied_buffer_keeps_it(n):
     fresh = LinearOperator(**coeffs)
     buf = np.full(grid.size * (2 * n * n + 1), np.nan)
     op = LinearOperator(**coeffs, values=buf)
-    assert np.shares_memory(op.csr.data, buf)
-    assert np.array_equal(op.csr.data, fresh.csr.data)
+    assert np.shares_memory(op.weights, buf)
+    assert np.array_equal(op.weights, fresh.weights)
     phi = rng.standard_normal(grid.size)
     assert np.array_equal(op.matvec(phi), fresh.matvec(phi))
 
@@ -146,9 +164,9 @@ def test_operator_built_into_a_supplied_buffer_keeps_it(n):
     u = random_smooth_field(spec.grid, rng, amplitude=0.02)
     sd = prepare_state(u, 0.6, spec)
     want = linearize(sd)
-    refilled = linearize(sd, values=op.csr.data)
-    assert np.shares_memory(refilled.csr.data, buf)
-    assert np.array_equal(refilled.csr.data, want.csr.data)
+    refilled = linearize(sd, values=op.weights)
+    assert np.shares_memory(refilled.weights, buf)
+    assert np.array_equal(refilled.weights, want.weights)
     assert np.array_equal(refilled.matvec(phi), want.matvec(phi))
 
 
@@ -175,13 +193,14 @@ def test_preconditioner_inverts_constant_coefficient_operators(n):
 
 
 def _reference_weights(grid, second, first, zeroth):
-    """The stencil weights in _stencil_pattern's column order from the
-    component-major coefficients: the fill the assembled values must equal
-    bit for bit."""
+    """The stencil weight planes, (2n^2 + 1,) + grid.shape in the order of
+    _stencil_shifts, from the component-major coefficients: the fill the
+    operator's weights must equal bit for bit."""
     n = grid.n
     second = np.moveaxis(second, (0, 1), (-2, -1)).reshape(grid.size, n, n)
     first = np.moveaxis(first, 0, -1).reshape(grid.size, n)
-    return _weight_rows(grid.h, second, first, zeroth.ravel()).ravel()
+    rows = _weight_rows(grid.h, second, first, zeroth.ravel())
+    return rows.T.reshape((-1,) + grid.shape)
 
 
 def _weight_rows(h, second, first, zeroth):
@@ -250,8 +269,11 @@ def test_linearization_coefficients_and_weights_are_bitwise(case, n, k):
     want_second, want_first = _reference_coefficients(sd)
     assert np.array_equal(second, want_second)
     assert np.array_equal(first, want_first)
-    assert np.array_equal(linearize(sd).as_csr().data, _reference_weights(
-        spec.grid, second, first, zeroth))
+    weights = linearize(sd).weights
+    want = _reference_weights(spec.grid, second, first, zeroth)
+    assert weights.shape == want.shape
+    for j, (got, plane) in enumerate(zip(weights, want)):
+        assert np.array_equal(got, plane), j
 
 
 def _node_coefficients(sd, nodes, sig, dk, dkm1):
@@ -290,7 +312,7 @@ _ACCEPTED_NK = [(n, k) for n in range(3, 7) for k in range(3, n + 1)]
 @pytest.mark.parametrize("case", ["A", "B", "C"])
 def test_state_and_operator_match_the_matmul_recurrence(case, n, k):
     """prepare_state's sigma_0..sigma_k, dsigma_k and dsigma_{k-1} and
-    linearize's CSR weights, against the whole-matrix product recurrence of
+    linearize's weight planes, against the whole-matrix product recurrence of
     tests/helpers.py pushed through the plain coefficient and weight
     expressions: within 1e-13 of the largest reference entry, at 400 sampled
     nodes of a non-constant state, for every accepted (n, k) and case. The
@@ -314,7 +336,7 @@ def test_state_and_operator_match_the_matmul_recurrence(case, n, k):
     close(np.moveaxis(sd.dkm1.reshape(n, n, -1)[:, :, nodes], -1, 0), dkm1)
     op = linearize(sd)
     width = 2 * n * n + 1
-    close(op.csr.data.reshape(-1, width)[nodes], _weight_rows(
+    close(op.weights.reshape(width, -1)[:, nodes].T, _weight_rows(
         spec.grid.h, *_node_coefficients(sd, nodes, sig, dk, dkm1)))
 
 
@@ -421,8 +443,8 @@ def test_broadcast_background_is_exact(case, n):
             assert np.array_equal(getattr(sd_s, name),
                                   getattr(sd_f, name)), name
         assert np.array_equal(residual(sd_s).values, residual(sd_f).values)
-        assert np.array_equal(linearize(sd_s).csr.data,
-                              linearize(sd_f).csr.data)
+        assert np.array_equal(linearize(sd_s).weights,
+                              linearize(sd_f).weights)
         assert ellipticity_certificate(sd_s).to_lines() \
             == ellipticity_certificate(sd_f).to_lines()
         assert c0_diagnostic(u, t, stored).to_lines() \

@@ -95,7 +95,7 @@ def test_solve_linear_takes_one_matvec_on_constant_coefficients():
     rhs = rng.standard_normal(grid.size)
     x = solve_linear(op, rhs)
     assert calls[0] == 1
-    assert np.abs(op.csr @ x.ravel() - rhs).max() \
+    assert np.abs(op.as_csr() @ x.ravel() - rhs).max() \
         <= LINEAR_GUARD * np.abs(rhs).max()
 
 
@@ -133,9 +133,9 @@ def test_case_c_matvec_counts_do_not_swing_with_roundoff(monkeypatch):
         coefficients.append(_coefficients(sd))
         return linearize(sd, values=values)
 
-    def capture(op, rhs):
+    def capture(op, rhs, **tolerances):
         systems.append((op, rhs))
-        return solve_linear(op, rhs)
+        return solve_linear(op, rhs, **tolerances)
 
     monkeypatch.setattr(sigmak.solver, "linearize", capture_coefficients)
     monkeypatch.setattr(sigmak.solver, "solve_linear", capture)
@@ -256,15 +256,15 @@ def test_newton_correct_reports_iterations():
 
 
 def test_newton_correct_refills_one_values_buffer(monkeypatch):
-    """The first linearize of a corrector call allocates the CSR values;
-    every later one is handed the previous operator's values and refills
+    """The first linearize of a corrector call allocates the weight planes;
+    every later one is handed the previous operator's planes and refills
     them in place."""
     seen = []
     real = sigmak.solver.linearize
 
     def capture(*args, values=None, **kwargs):
         op = real(*args, values=values, **kwargs)
-        seen.append((values, op.csr.data))
+        seen.append((values, op.weights))
         return op
 
     monkeypatch.setattr(sigmak.solver, "linearize", capture)
@@ -311,38 +311,71 @@ def _counting_certificates(monkeypatch):
 
 
 def test_a_path_is_certified_once_at_its_final_state(monkeypatch):
-    """continue_path audits ellipticity once, at t = 1, on the case A path
-    and on the case C path (its anchor alone); each stored certificate
-    equals a fresh audit of the final state field for field."""
+    """continue_path audits ellipticity on demand: not at all until
+    trace.ellipticity is read, then once, at the state the trace ends on,
+    on the case A path, on the case C path (its anchor alone) and on a
+    failed path (its last accepted state, built again by one prepare_state
+    on that read). Each certificate equals a fresh audit of that state
+    field for field."""
     calls = _counting_certificates(monkeypatch)
     spec = canonical_problem("A")
     trace = continue_path(spec, Schedule())
-    assert calls == [1.0]
+    assert calls == []
     final = trace.final_state
     assert trace.ellipticity == ellipticity_certificate(
         prepare_state(final.u, 1.0, spec))
     assert trace.ellipticity.passed
+    assert calls == [1.0]
 
     calls.clear()
     spec = canonical_problem("C", alpha="-0.05", f="0.85")
     trace = continue_path(spec, Schedule())
-    assert calls == [1.0]
+    assert calls == []
     assert trace.ellipticity == ellipticity_certificate(
         prepare_state(trace.final_state.u, 1.0, spec))
+    assert calls == [1.0]
+
+    calls.clear()
+    states, real = [], sigmak.solver.prepare_state
+    monkeypatch.setattr(sigmak.solver, "prepare_state",
+                        lambda *args: states.append(args) or real(*args))
+    with pytest.raises(PathFailureError) as exc:
+        continue_path(canonical_problem("A"),
+                      Schedule(dt_init=0.5, dt_max=0.5, dt_min=0.5,
+                               newton_max_iters=1))
+    trace, built = exc.value.trace, len(states)
+    assert calls == []
+    assert trace.ellipticity.t == 0.0 and trace.ellipticity.passed
+    assert calls == [0.0] and len(states) == built + 1
 
 
-def test_canonical_case_a_newton_iterations_are_pinned():
+def test_canonical_case_a_newton_iterations_are_pinned(monkeypatch):
     """Per-step Newton iteration counts of the canonical case A solve
     (n=3, N=16; the README config's trace.csv) and of the same problem with
     the forcing manufactured from u* = 0.1 sin(x1) cos(x2) (the coarse solve
-    of `sigmak verify`). Changes to the linear layer must keep both."""
+    of `sigmak verify`), and the matvecs each path takes. Changes to the
+    linear layer must keep the iterations. The inexact Newton steps keep
+    them and take 75 matvecs on the manufactured path, against 140 with
+    every system solved to LINEAR_RTOL; the canonical path lands on a
+    constant solution, where the preconditioner is exact and each of its
+    21 solves takes one matvec."""
+    calls, matvec = [0], LinearOperator.matvec
+
+    def counted(op, flat):
+        calls[0] += 1
+        return matvec(op, flat)
+
+    monkeypatch.setattr(LinearOperator, "matvec", counted)
     spec = canonical_problem("A")
     trace = continue_path(spec, Schedule())
     assert [row.newton_iters for row in trace.rows] == [0, 4, 4, 4, 4, 5]
+    assert calls[0] == 21
+    calls[0] = 0
     star = sample_text("0.1*sin(x1)*cos(x2)", spec.grid)
     manufactured = spec.with_f_field(manufactured_forcing(star, 1.0, spec))
     trace = continue_path(manufactured, Schedule())
     assert [row.newton_iters for row in trace.rows] == [0, 4, 4, 4, 4, 5]
+    assert calls[0] == 75
     assert [row.t for row in trace.rows] == [0.0, 0.1, 0.30000000000000004,
                                              0.55, 0.8, 1.0]
 
@@ -367,28 +400,49 @@ def test_newton_iterations_beyond_n3_are_pinned(case, n, k, f, iters, ts):
 def test_stagnating_gmres_fails_within_three_cycles(monkeypatch):
     """The README-style solve at n=3, N=24 with alpha = -0.5 (1 + cos x1)
     and f = 0.3 + 0.25 sin(x2) sin(x3): the first Newton system of the step
-    from t = 0.8 to t = 1 is not elliptic at some nodes, and its restarted
-    GMRES stagnates (relative residual 1.6e-4, 4.7e-5, 2.4e-5 after the
-    first three cycles). It must fail within 3 cycles rather than run all
-    of them, every other system must converge, and the path (t and Newton
-    iterations per row, as before the stagnation stop) must not change."""
-    runs = []
-    gmres = sigmak.solver.gmres
+    from t = 0.8 to t = 1 is not elliptic at some nodes. Solved by
+    solve_linear at its default tolerance, its restarted GMRES stagnates
+    (relative residual 1.6e-4, 4.7e-5, 2.4e-5 after the first three
+    cycles) and must fail within 3 cycles rather than run all of them. On
+    the path the inexact Newton step asks that system only for FORCING_MAX
+    relative, which GMRES reaches, so every system on the path converges;
+    the path keeps the t values of exact Newton steps, and its t = 0.8 row
+    takes 6 Newton iterations (5 with exact steps)."""
+    runs, ts, captured = [], [], []
+    gmres, linearize = sigmak.solver.gmres, sigmak.solver.linearize
 
     def recorded(*args):
         result = gmres(*args)
         runs.append(result[1])
         return result
 
+    def linearized(sd, values=None):
+        ts.append(sd.t)
+        return linearize(sd, values=values)
+
+    def solved(op, rhs, **tolerances):
+        if ts[-1] == 1.0 and not captured:
+            captured.append((op, rhs))
+        return solve_linear(op, rhs, **tolerances)
+
     monkeypatch.setattr(sigmak.solver, "gmres", recorded)
+    monkeypatch.setattr(sigmak.solver, "linearize", linearized)
+    monkeypatch.setattr(sigmak.solver, "solve_linear", solved)
     spec = canonical_problem("A", N=24, alpha="-0.5*(1+cos(x1))",
                              f="0.3+0.25*sin(x2)*sin(x3)")
     trace = continue_path(spec, Schedule())
-    failed = [info for info in runs if info != 0]
-    assert failed == [3]
+    assert runs and all(info == 0 for info in runs)
     assert [row.t for row in trace.rows] == [0.0, 0.1, 0.30000000000000004,
                                              0.55, 0.8, 0.925, 1.0]
-    assert [row.newton_iters for row in trace.rows] == [0, 4, 4, 4, 5, 4, 4]
+    assert [row.newton_iters for row in trace.rows] == [0, 4, 4, 4, 6, 4, 4]
+
+    # the first system at t = 1 comes from the accepted t = 0.8 state
+    assert ts.index(1.0) == sum(row.newton_iters for row in trace.rows[:5])
+    (op, rhs), = captured
+    runs.clear()
+    with pytest.raises(LinearSolveError):
+        solve_linear(op, rhs)
+    assert runs == [3]
 
 
 def test_continue_path_trace_csv_contract():
