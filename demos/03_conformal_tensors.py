@@ -18,7 +18,7 @@ import numpy as np
 
 from sigmak import Grid, ProblemSpec, canonical_background, sample_text
 from sigmak.curvature import build_u_tensor, build_v_tensor, build_w_tensor
-from sigmak.grid import grad_values, hess
+from sigmak.grid import derivatives
 from sigmak.symfunc import in_gamma
 
 grid = Grid(n=3, N=16)
@@ -29,8 +29,8 @@ report = spec.validate(strict=True)
 print("problem:", *report.to_lines()[:6], sep="\n  ")
 
 # At u = 0 and t = 0 the tensor V is a known multiple of the identity.
-u0 = sample_text("0", grid)
-mats = build_v_tensor(build_u_tensor(hess(u0), grad_values(u0), 0.0, spec), 0.0)
+grad0, hess0 = derivatives(sample_text("0", grid))
+mats = build_v_tensor(build_u_tensor(hess0, grad0, 0.0, spec), 0.0)
 origin = mats[:, :, 0, 0, 0]
 print(f"\nV(u=0, t=0), shape {mats.shape}, at the origin:\n{origin}")
 print("eigenvalues everywhere equal, cone report:",
@@ -45,7 +45,7 @@ def node_eigenvalues(tensor):
 
 # A nonzero u bends the spectrum; t = 1 is the real equation.
 u = sample_text("0.05*sin(x1)*cos(x2)", grid)
-hess_u, grad_u = hess(u), grad_values(u)
+grad_u, hess_u = derivatives(u)
 for t in (0.0, 0.5, 1.0):
     v = build_v_tensor(build_u_tensor(hess_u, grad_u, t, spec), t)
     eigs = node_eigenvalues(v)

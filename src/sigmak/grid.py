@@ -4,29 +4,36 @@ The box is fixed to [0, 2pi) per axis with N identical points per axis
 (h = 2pi/N) so that trigonometric manufactured solutions are exactly
 periodic. Derivatives are plain partial derivatives (flat background
 metric, identity g0): second-order central differences with periodic
-wrap-around via np.roll. The Laplacian is computed by summing the same
-per-axis second differences the Hessian diagonal uses, in the same axis
-order, so laplacian(u) equals the Hessian trace bitwise.
+wrap-around.
+
+The stencil is written once, here. _wrap_pad adds one periodic layer on
+every side of a grid array, and _stencil_shifts lists the 2n^2 + 1 offsets
+of the stencil as slices of that padded copy, the view at offset o holding
+the value at node + o. derivatives takes the gradient and the Hessian of a
+field from one padded copy through those views; derivatives_at takes them
+at a few nodes only, from each node's 3^n neighbourhood (the padded copy
+of a one-node grid), bitwise equal to the whole-grid values there; the
+linearized operator's matvec (operators.LinearOperator) reads its argument
+through the same views. The Laplacian is the trace of the Hessian.
 
 Tensor-valued derivatives are plain arrays stored component-major: one
 contiguous grid plane per component, so every later pass over them is a
-pass over whole planes. grad_values and spectral_grad return shape
-(n,) + grid.shape, hess and spectral_hess return full symmetric matrices of
-shape (n, n) + grid.shape. derivatives_at takes the stencil gradient and
-Hessian at a few nodes only, bitwise equal to the whole-grid values there.
+pass over whole planes. Gradients have shape (n,) + grid.shape and
+Hessians are full symmetric matrices of shape (n, n) + grid.shape.
+
+spectral_derivatives differentiates via one FFT instead of the stencil; it
+is exact for band-limited fields and exists so convergence studies can
+build continuum right-hand sides that are not polluted by the O(h^2)
+stencil error being measured.
 
 Fields can be serialized to a bit-exact text format: a header line
 `field n=<n> N=<N> name=<name>` followed by N^n values, one per line,
 row-major, 17 significant digits.
-
-The spectral_grad/spectral_hess helpers differentiate via FFT instead of
-stencils; they are exact for band-limited fields and exist so convergence
-studies can build continuum right-hand sides that are not polluted by the
-O(h^2) stencil error being measured.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -37,9 +44,8 @@ from .errors import DomainError, ExprEvalError
 
 __all__ = [
     "Grid", "ScalarField",
-    "grad_values", "hess", "derivatives_at", "laplacian", "sample",
-    "sample_values", "dump_field", "load_field",
-    "spectral_grad", "spectral_hess",
+    "derivatives", "derivatives_at", "sample", "sample_values",
+    "dump_field", "load_field", "spectral_derivatives",
     "random_smooth_field",
 ]
 
@@ -108,75 +114,91 @@ class ScalarField:
         return float(np.abs(self.values).max())
 
 
-def _d1(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return (np.roll(vals, -1, axis) - np.roll(vals, 1, axis)) / (2.0 * h)
+# Slices of a wrap-padded axis that shift it by -1, 0 and +1.
+_SHIFT = {-1: slice(0, -2), 0: slice(1, -1), 1: slice(2, None)}
 
 
-def _d2(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return (np.roll(vals, -1, axis) - 2.0 * vals + np.roll(vals, 1, axis)) / (h * h)
+@functools.lru_cache(maxsize=8)
+def _stencil_shifts(n: int) -> tuple:
+    """The 2n^2 + 1 offsets of the periodic stencil, as index tuples into
+    a wrap-padded grid (see _wrap_pad) whose view at offset o holds the
+    value at node + o. The order is that of operators.LinearOperator's
+    weight planes, in blocks: the centre; +e_i for each axis i; -e_i for
+    each i; then, over the pairs i < j in np.triu_indices order, +e_i+e_j,
+    -e_i-e_j, +e_i-e_j and -e_i+e_j, one block each."""
+    eye = np.eye(n, dtype=int)
+    iu, ju = np.triu_indices(n, 1)
+    plus, mixed = eye[iu] + eye[ju], eye[iu] - eye[ju]
+    offsets = np.concatenate([np.zeros((1, n), dtype=int), eye, -eye,
+                              plus, -plus, mixed, -mixed])
+    return tuple(tuple(_SHIFT[o] for o in row) for row in offsets.tolist())
 
 
-def grad_values(u: ScalarField) -> np.ndarray:
-    """Gradient, one plane per axis: shape (n,) + grid.shape."""
-    return _grad_array(u.values, u.grid.h)
+def _wrap_pad(a: np.ndarray) -> np.ndarray:
+    """a with one periodic layer added on both sides of every axis, written
+    by slice copies: the interior, then each axis's two faces in turn, each
+    face spanning every other axis in full, so the faces of later axes fill
+    the edges and corners."""
+    out = np.empty(tuple(s + 2 for s in a.shape), dtype=a.dtype)
+    out[(slice(1, -1),) * a.ndim] = a
+    for axis in range(a.ndim):
+        lead = (slice(None),) * axis
+        out[lead + (0,)] = out[lead + (-2,)]
+        out[lead + (-1,)] = out[lead + (1,)]
+    return out
 
 
-def _grad_array(vals: np.ndarray, h: float) -> np.ndarray:
-    return np.stack([_d1(vals, a, h) for a in range(vals.ndim)])
-
-
-def hess(u: ScalarField) -> np.ndarray:
-    """Central-difference Hessian, shape (n, n) + grid.shape: per-axis second
-    differences on the diagonal, 4-point cross stencil off the diagonal. The
-    2n one-step shifts are made once and shared by both, so each cross pair
-    takes 4 rolls; the arithmetic order is _d2's (laplacian's) and the
-    stencil's as written. Each component is written straight to its
-    contiguous (i, j) plane."""
-    return _hess_array(u.values, u.grid.h)
-
-
-def _hess_array(vals: np.ndarray, h: float) -> np.ndarray:
-    n = vals.ndim
-    plus = [np.roll(vals, -1, a) for a in range(n)]
-    minus = [np.roll(vals, 1, a) for a in range(n)]
-    twice = 2.0 * vals
-    planes = np.empty((n, n) + vals.shape)
+def _stencil_derivatives(padded: np.ndarray, h: float) -> tuple:
+    """Central-difference gradient and Hessian of the grid whose wrap-padded
+    copy is `padded`, read through the views of _stencil_shifts: shapes
+    (n,) + grid.shape and (n, n) + grid.shape. Each plane is
+    (v(+e_i) - v(-e_i))/(2h), (v(+e_i) - 2v + v(-e_i))/h^2 or
+    (v(+e_i+e_j) - v(+e_i-e_j) - v(-e_i+e_j) + v(-e_i-e_j))/(4h^2),
+    evaluated left to right, and written straight to its plane."""
+    n = padded.ndim
+    m = n * (n - 1) // 2
+    centre, *views = (padded[shift] for shift in _stencil_shifts(n))
+    plus, minus, pairs = views[:n], views[n:2 * n], views[2 * n:]
+    pp, mm, pm, mp = (pairs[b * m:(b + 1) * m] for b in range(4))
+    grad = np.empty((n,) + centre.shape)
+    hess = np.empty((n, n) + centre.shape)
+    twice = 2.0 * centre
     for i in range(n):
-        planes[i, i] = (plus[i] - twice + minus[i]) / (h * h)
-        for j in range(i + 1, n):
-            # v(+e_i+e_j) - v(+e_i-e_j) - v(-e_i+e_j) + v(-e_i-e_j)
-            planes[i, j] = planes[j, i] = (
-                np.roll(plus[i], -1, j) - np.roll(plus[i], 1, j)
-                - np.roll(minus[i], -1, j) + np.roll(minus[i], 1, j)
-            ) / (4.0 * h * h)
-    return planes
+        np.subtract(plus[i], minus[i], out=grad[i])
+        grad[i] /= 2.0 * h
+        np.subtract(plus[i], twice, out=hess[i, i])
+        hess[i, i] += minus[i]
+        hess[i, i] /= h * h
+    for p, (i, j) in enumerate(zip(*np.triu_indices(n, 1))):
+        cross = hess[i, j]
+        np.subtract(pp[p], pm[p], out=cross)
+        cross -= mp[p]
+        cross += mm[p]
+        cross /= 4.0 * h * h
+        hess[j, i] = cross
+    return grad, hess
+
+
+def derivatives(u: ScalarField) -> tuple:
+    """Central-difference gradient and Hessian of u from one wrap-padded
+    copy: shapes (n,) + grid.shape and (n, n) + grid.shape."""
+    return _stencil_derivatives(_wrap_pad(u.values), u.grid.h)
 
 
 def derivatives_at(u: ScalarField, nodes) -> tuple:
-    """grad_values(u) and hess(u) at the given nodes only, stacked on a last
-    axis in the order given: shapes (n, m) and (n, n, m). Each node's
-    stencils are taken on its periodic 3^n neighbourhood, whose centre sees
-    the same neighbour values as on the whole grid, so the results equal
-    the whole-grid ones bitwise."""
+    """derivatives(u) at the given nodes only, stacked on a last axis in the
+    order given: shapes (n, m) and (n, n, m). Each node's periodic 3^n
+    neighbourhood is the wrap-padded copy of a one-node grid, so the same
+    stencil on it gives the whole-grid values bitwise."""
     g = u.grid
-    centre = (1,) * g.n
     steps = np.arange(-1, 2)
     grads, hessians = [], []
     for node in nodes:
         block = u.values[np.ix_(*((steps + c) % g.N for c in node))]
-        grads.append(_grad_array(block, g.h)[(..., *centre)])
-        hessians.append(_hess_array(block, g.h)[(..., *centre)])
+        grad, hess = _stencil_derivatives(block, g.h)
+        grads.append(grad.reshape(g.n))
+        hessians.append(hess.reshape(g.n, g.n))
     return np.stack(grads, axis=-1), np.stack(hessians, axis=-1)
-
-
-def laplacian(u: ScalarField) -> ScalarField:
-    """Sum of per-axis second differences, in axis order (bitwise equal to
-    the trace of hess)."""
-    g = u.grid
-    out = _d2(u.values, 0, g.h)
-    for a in range(1, g.n):
-        out += _d2(u.values, a, g.h)
-    return ScalarField(g, out)
 
 
 def sample_values(ast, grid: Grid) -> np.ndarray:
@@ -224,10 +246,13 @@ def load_field(source) -> tuple:
         parts = header.split()
         if len(parts) != 4 or parts[0] != "field":
             raise DomainError(f"malformed field header: {header!r}")
-        kv = dict(p.split("=", 1) for p in parts[1:])
-        grid = Grid(n=int(kv["n"]), N=int(kv["N"]))
-        name = kv["name"]
-        values = np.array([float(line) for line in fp if line.strip()])
+        try:
+            kv = dict(p.split("=", 1) for p in parts[1:])
+            grid = Grid(n=int(kv["n"]), N=int(kv["N"]))
+            name = kv["name"]
+            values = np.array([float(line) for line in fp if line.strip()])
+        except (KeyError, ValueError) as exc:
+            raise DomainError(f"malformed field dump: {exc!r}") from exc
         if values.size != grid.size:
             raise DomainError(
                 f"field dump has {values.size} values, expected {grid.size}")
@@ -237,49 +262,27 @@ def load_field(source) -> tuple:
             fp.close()
 
 
-def _wavenumbers(N: int) -> np.ndarray:
-    return np.fft.fftfreq(N, d=1.0 / N)
-
-
-def spectral_grad(u: ScalarField) -> np.ndarray:
-    """FFT gradient, shape (n,) + grid.shape. Exact for band-limited fields;
-    the Nyquist mode of odd derivatives is zeroed as is standard."""
+def spectral_derivatives(u: ScalarField) -> tuple:
+    """FFT gradient and Hessian from one fftn: shapes (n,) + grid.shape and
+    (n, n) + grid.shape. Exact for band-limited fields; the Nyquist mode of
+    odd (first) derivatives is zeroed as is standard, so it is zeroed in the
+    gradient and in the mixed second derivatives."""
     g = u.grid
     uhat = np.fft.fftn(u.values)
-    out = np.empty((g.n,) + g.shape)
-    for a in range(g.n):
-        k = _wavenumbers(g.N)
-        if g.N % 2 == 0:
-            k = k.copy()
-            k[g.N // 2] = 0.0
-        shape = [1] * g.n
-        shape[a] = g.N
-        out[a] = np.fft.ifftn(1j * k.reshape(shape) * uhat).real
-    return out
-
-
-def spectral_hess(u: ScalarField) -> np.ndarray:
-    """FFT Hessian, shape (n, n) + grid.shape (exact for band-limited
-    fields)."""
-    g = u.grid
-    uhat = np.fft.fftn(u.values)
-    out = np.empty((g.n, g.n) + g.shape)
-    kfull = _wavenumbers(g.N)
+    kfull = np.fft.fftfreq(g.N, d=1.0 / g.N)
     kodd = kfull.copy()
     if g.N % 2 == 0:
         kodd[g.N // 2] = 0.0
-    for i in range(g.n):
-        si = [1] * g.n
-        si[i] = g.N
-        for j in range(i, g.n):
-            sj = [1] * g.n
-            sj[j] = g.N
-            if i == j:
-                sym = -(kfull.reshape(si) ** 2)
-            else:
-                sym = -(kodd.reshape(si) * kodd.reshape(sj))
-            out[i, j] = out[j, i] = np.fft.ifftn(sym * uhat).real
-    return out
+    shapes = [(1,) * a + (g.N,) + (1,) * (g.n - 1 - a) for a in range(g.n)]
+    grad = np.empty((g.n,) + g.shape)
+    hess = np.empty((g.n, g.n) + g.shape)
+    for i, si in enumerate(shapes):
+        grad[i] = np.fft.ifftn(1j * kodd.reshape(si) * uhat).real
+        hess[i, i] = np.fft.ifftn(-(kfull.reshape(si) ** 2) * uhat).real
+        for j in range(i + 1, g.n):
+            sym = -(kodd.reshape(si) * kodd.reshape(shapes[j]))
+            hess[i, j] = hess[j, i] = np.fft.ifftn(sym * uhat).real
+    return grad, hess
 
 
 def random_smooth_field(grid: Grid, rng: np.random.Generator,

@@ -33,11 +33,12 @@ linearized operator invertible on the periodic box.
 
 LinearOperator holds the linearization matrix-free: the 2n^2 + 1 weights of
 its periodic second-order stencil as component-major planes, written straight
-from the coefficient planes, and a matvec that wrap-pads its argument once
-and adds each weighted shift as a slice view, in the order a CSR row would,
-so the product is bitwise that of the assembled matrix (as_csr, which alone
-imports scipy, builds it on demand for tests and diagnostics). Its
-preconditioner is the frozen-coefficient FFT inverse.
+from the coefficient planes, one per offset of the stencil that grid defines
+(grid._stencil_shifts), and a matvec that wrap-pads its argument once
+(grid._wrap_pad) and adds each weighted shift as a slice view, in the order
+a CSR row would, so the product is bitwise that of the assembled matrix
+(as_csr, which alone imports scipy, builds it on demand for tests and
+diagnostics). Its preconditioner is the frozen-coefficient FFT inverse.
 
 A caution recorded here because it is easy to trip over: the second-order
 coefficient family of the multiplied form is positive definite near solution
@@ -74,11 +75,11 @@ from .errors import AdmissibilityError, DomainError, ValidationError
 from .grid import (
     Grid,
     ScalarField,
+    _stencil_shifts,
+    _wrap_pad,
+    derivatives,
     derivatives_at,
-    grad_values,
-    hess,
-    spectral_grad,
-    spectral_hess,
+    spectral_derivatives,
 )
 from .symfunc import (
     ConeReport,
@@ -184,8 +185,7 @@ def prepare_state(u: ScalarField, t: float, spec: ProblemSpec) -> StateData:
     derivatives, cone margins, and the case weights."""
     _check_state_args(u, t, spec)
     k = spec.k
-    gv = grad_values(u)
-    hess_u = hess(u)
+    gv, hess_u = derivatives(u)
     mats = _case_tensor(hess_u, gv, t, spec)
     del hess_u   # the recurrence below sets the memory peak; free it first
     sig, dk, dkm1 = sigma_and_dsigma_batch(mats, k)
@@ -208,40 +208,6 @@ def residual(sd: StateData) -> ScalarField:
     vals = sd.sig[k] + sd.a_weight * sd.e2su * sd.sig[k - 1] \
         - sd.r_weight * sd.e2ksu
     return ScalarField(sd.spec.grid, vals)
-
-
-# Slices of a wrap-padded axis that shift it by -1, 0 and +1.
-_SHIFT = {-1: slice(0, -2), 0: slice(1, -1), 1: slice(2, None)}
-
-
-@functools.lru_cache(maxsize=8)
-def _stencil_shifts(n: int) -> tuple:
-    """The 2n^2 + 1 offsets of the periodic stencil, as index tuples into
-    a wrap-padded grid (see _wrap_pad) whose view at offset o holds the
-    value at node + o. The order is that of the weight planes, in blocks:
-    the centre; +e_i for each axis i; -e_i for each i; then, over the pairs
-    i < j in np.triu_indices order, +e_i+e_j, -e_i-e_j, +e_i-e_j and
-    -e_i+e_j, one block each."""
-    eye = np.eye(n, dtype=int)
-    iu, ju = np.triu_indices(n, 1)
-    plus, mixed = eye[iu] + eye[ju], eye[iu] - eye[ju]
-    offsets = np.concatenate([np.zeros((1, n), dtype=int), eye, -eye,
-                              plus, -plus, mixed, -mixed])
-    return tuple(tuple(_SHIFT[o] for o in row) for row in offsets.tolist())
-
-
-def _wrap_pad(a: np.ndarray) -> np.ndarray:
-    """a with one periodic layer added on both sides of every axis, written
-    by slice copies: the interior, then each axis's two faces in turn, each
-    face spanning every other axis in full, so the faces of later axes fill
-    the edges and corners."""
-    out = np.empty(tuple(s + 2 for s in a.shape), dtype=a.dtype)
-    out[(slice(1, -1),) * a.ndim] = a
-    for axis in range(a.ndim):
-        lead = (slice(None),) * axis
-        out[lead + (0,)] = out[lead + (-2,)]
-        out[lead + (-1,)] = out[lead + (1,)]
-    return out
 
 
 @functools.lru_cache(maxsize=4)
@@ -703,8 +669,7 @@ def manufactured_forcing(u_star: ScalarField, t: float,
     case B has no forcing to manufacture. The curvature tensor of u_star must
     be admissible and the resulting f positive, otherwise ValidationError.
     """
-    if u_star.grid != spec.grid:
-        raise DomainError("field grid does not match the problem grid")
+    _check_state_args(u_star, t, spec)
     if spec.case == "B":
         raise DomainError("case B prescribes f identically 0; nothing to "
                           "manufacture")
@@ -712,7 +677,8 @@ def manufactured_forcing(u_star: ScalarField, t: float,
         raise DomainError("case A forcing needs t > 0 (f enters with "
                           "weight t)")
     k = spec.k
-    mats = _case_tensor(spectral_hess(u_star), spectral_grad(u_star), t, spec)
+    grad, hess_u = spectral_derivatives(u_star)
+    mats = _case_tensor(hess_u, grad, t, spec)
     sig = sigma_matrix_planes(mats, k)
     margins = np.minimum.reduce(sig[1:k])
     worst = float(margins.min())

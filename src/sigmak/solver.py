@@ -46,7 +46,7 @@ from .errors import (
     NonConvergenceError,
     PathFailureError,
 )
-from .grid import ScalarField, hess
+from .grid import ScalarField, derivatives
 from .operators import (
     EllipticityReport,
     LinearOperator,
@@ -232,7 +232,7 @@ def monitor(sd: StateData) -> MonitorRecord:
     return MonitorRecord(
         sup_u=float(np.abs(sd.u.values).max()),
         sup_grad_u_sq=float(grad_sq.max()),
-        sup_hess_u=_sup_spectral_radius(hess(sd.u)),
+        sup_hess_u=_sup_spectral_radius(derivatives(sd.u)[1]),
         cone_margin=sd.cone_margin)
 
 

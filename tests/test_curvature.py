@@ -11,7 +11,7 @@ from sigmak.curvature import (CASES, build_u_tensor, build_v_tensor,
                               sample_tensor)
 from sigmak.errors import (DomainError, ExprEvalError, ExprSyntaxError,
                            ValidationError)
-from sigmak.grid import grad_values, hess, sample_values
+from sigmak.grid import derivatives, sample_values
 
 
 def test_background_from_components_and_defaults():
@@ -165,7 +165,8 @@ def test_conformal_sign_and_required_cone():
 
 
 def _stencil_derivatives(u):
-    return hess(u), grad_values(u)
+    grad, hess = derivatives(u)
+    return hess, grad
 
 
 def _unit_batch_zeros(n: int, ndim: int) -> tuple:
@@ -243,9 +244,9 @@ def test_w_tensor_gradient_terms():
     u = sample_text("0.1*sin(x1)*cos(x2)", g)
     w = build_w_tensor(*_stencil_derivatives(u), spec)
     w0 = build_w_tensor(*_unit_batch_zeros(3, 3), spec)
-    gv = grad_values(u)
+    gv, hm = derivatives(u)
     grad_sq = np.einsum("a...,a...->...", gv, gv)
-    want = (hess(u)
+    want = (hm
             + np.einsum("a...,b...->ab...", gv, gv)
             - 0.5 * grad_sq * np.eye(3)[:, :, None, None, None])
     assert np.abs((w - w0) - want).max() <= 1e-13
@@ -308,7 +309,7 @@ def test_tensor_builders_equal_the_reference_expressions(n):
     spec_c = ProblemSpec.build(
         "C", n, 3, g, alpha="-0.05", f="1",
         background={(1, 1): "1", (2, 3): "0.3*sin(x3)", (n, n): "0.5"})
-    hm, gv = hess(u), grad_values(u)
+    gv, hm = derivatives(u)
     zero_h, zero_g = _unit_batch_zeros(n, n)
     inputs = (hm.copy(), gv.copy())
     for t in (0.0, 0.35, 1.0):

@@ -12,7 +12,7 @@ from sigmak import (Grid, ProblemSpec, ScalarField, c0_diagnostic,
                     manufactured_forcing, prepare_state, residual, sample_text)
 from sigmak.curvature import build_u_tensor, build_v_tensor, build_w_tensor
 from sigmak.errors import AdmissibilityError, DomainError, ValidationError
-from sigmak.grid import grad_values, hess, random_smooth_field
+from sigmak.grid import derivatives, random_smooth_field
 from sigmak.operators import (SIGMA_FLOOR, C0_SLACK_CONSTANT, LinearOperator,
                               _coefficients, _v_spectrum,
                               line_second_difference)
@@ -109,8 +109,9 @@ def test_linear_operator_routes_agree():
         first = rng.standard_normal((n,) + grid.shape)
         zeroth = rng.standard_normal(grid.shape)
         phi = ScalarField(grid, rng.standard_normal(grid.shape))
-        want = (np.einsum("ij...,ij...->...", second, hess(phi))
-                + np.einsum("i...,i...->...", first, grad_values(phi))
+        grad, hess = derivatives(phi)
+        want = (np.einsum("ij...,ij...->...", second, hess)
+                + np.einsum("i...,i...->...", first, grad)
                 + zeroth * phi.values)
         op = LinearOperator(grid=grid, second=second, first=first,
                             zeroth=zeroth)
@@ -639,6 +640,16 @@ def test_manufactured_forcing_rejections():
     big = sample_text("5*sin(x1)*cos(x2)", specA.grid)
     with pytest.raises(ValidationError):
         manufactured_forcing(big, 1.0, specA)
+
+
+@pytest.mark.parametrize("case", ["A", "C"])
+@pytest.mark.parametrize("t", [2.0, -1.0])
+def test_manufactured_forcing_rejects_t_outside_the_unit_interval(case, t):
+    """Like prepare_state, for every case: case C's weights do not depend
+    on t, yet a t outside [0, 1] is still not a point of the path."""
+    spec = canonical_problem(case)
+    with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+        manufactured_forcing(ScalarField.zeros(spec.grid), t, spec)
 
 
 def test_manufactured_forcing_roundtrip_residual():

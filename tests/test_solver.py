@@ -17,7 +17,7 @@ from sigmak.config import peak_bytes
 from sigmak.errors import (AdmissibilityError, ConeExitError, DomainError,
                            LinearSolveError, NonConvergenceError,
                            PathFailureError)
-from sigmak.grid import hess, random_smooth_field
+from sigmak.grid import derivatives, random_smooth_field
 from sigmak.operators import (LinearOperator, _coefficients,
                               ellipticity_certificate, linearize,
                               manufactured_forcing, prepare_state)
@@ -523,7 +523,7 @@ def test_pruned_sup_hess_is_the_full_eigvalsh_maximum():
         # depends on x1 only: every stencil Hessian is diag(d, 0, ..., 0)
         fields.append(sample_text("0.3*sin(2*x1) + 0.1*cos(x1)", g))
     for u in fields:
-        mats = hess(u)
+        mats = derivatives(u)[1]
         assert _sup_spectral_radius(mats) == full(mats)
     for n in (3, 5):
         v = rng.standard_normal((4000, n))
@@ -536,7 +536,7 @@ def test_pruned_sup_hess_is_the_full_eigvalsh_maximum():
             assert _sup_spectral_radius(mats) == full(mats)
     spec = canonical_problem("A", N=8)
     u = random_smooth_field(spec.grid, rng, amplitude=0.02)
-    assert monitor(prepare_state(u, 0.5, spec)).sup_hess_u == full(hess(u))
+    assert monitor(prepare_state(u, 0.5, spec)).sup_hess_u == full(derivatives(u)[1])
 
 
 def test_solve_case_c_constant_oracle():
