@@ -17,28 +17,28 @@ conformal metric). The homotopy parameter t in U and V deforms the problem
 to the t = 0 reference equation whose unique solution is u = 0.
 
 Every tensor is a plain array of symmetric matrices stored component-major,
-shape (n, n) + batch, as grid.hess returns them: each entry is one
-contiguous plane over the batch, and per-node scalars broadcast against a
-stack without new axes.
+shape (n, n) + batch, as grid.derivatives returns the Hessian: each entry is
+one contiguous plane over the batch, and per-node scalars broadcast against
+a stack without new axes.
 
-  build_u_tensor(hess, grad, t, spec, at)   hess (n, n) + batch, grad (n,) +
-                                            batch
-  build_v_tensor(mats, t)                   any matrix stack; t a scalar or
-                                            an array over the batch shape
-  build_w_tensor(hess, grad, spec, at)
+  build_u_tensor(hess, grad, t, spec)   hess (n, n) + batch, grad (n,) +
+                                        batch
+  build_v_tensor(mats, t)               any matrix stack; t a scalar or an
+                                        array over the batch shape
+  build_w_tensor(hess, grad, spec)
 
 The derivatives are whatever the caller has: stencil derivatives for the
-solver, spectral ones for manufactured forcing, zeros (with unit batch
-axes) for the gradient-free comparison tensor. The Laplacian is the trace of
-the given Hessian. `at` is a tuple of index arrays into the grid axes
-(every node by default), so a tensor can be built at a few nodes from
-derivatives taken there.
+solver, spectral ones for manufactured forcing, zeros shaped like the
+stored background for the gradient-free comparison tensor. Their batch
+shape must hold the background's (spec.background.shape[2:]), which the
+builders read as stored. The Laplacian is the trace of the given Hessian.
 
 ProblemSpec bundles the case tag, (n, k), coefficient expressions alpha and
 f, and the one background tensor the case reads (ric0 for cases A and B,
 schouten0 for case C), stored at the broadcast shape of its values;
-validate() samples the coefficients and enforces the per-case sign
-conditions before any solve touches the data.
+validate() enforces the per-case sign conditions on the sampled
+coefficients and the background condition before any solve touches the
+data.
 """
 
 from __future__ import annotations
@@ -216,15 +216,6 @@ class ProblemSpec:
             background=self.background,
         )
 
-    def background_at(self, at=()) -> np.ndarray:
-        """The background as stored, or at the grid nodes `at` (one index
-        array per grid axis) through a full-grid broadcast view."""
-        if not at:
-            return self.background
-        full = np.broadcast_to(self.background,
-                               self.background.shape[:2] + self.grid.shape)
-        return full[(..., *at)]
-
     @property
     def conformal_sign(self) -> int:
         """+1 when g = e^{2u} g0 (cases A, B); -1 when g = e^{-2u} g0 (C)."""
@@ -252,11 +243,12 @@ class ProblemSpec:
         return cone_margins(-self.background / (self.n - 2), self.k)
 
     def validate(self, strict: bool = True) -> ValidationReport:
-        """Check the per-case sign conditions on alpha and f and record the
-        background admissibility margin. With strict=True a violated sign
-        condition raises ValidationError. The report is computed on the first
-        call and kept, so the solve, the path and the checks share one sweep
-        (a spec's fields are not reassigned after it is built)."""
+        """Check the per-case sign conditions on alpha and f and the
+        background condition (background_cone's margin positive at every
+        node). With strict=True a violated condition raises ValidationError.
+        The report is computed on the first call and kept, so the solve, the
+        path and the checks share one sweep (a spec's fields are not
+        reassigned after it is built)."""
         report = self._validation
         if strict and report.problems:
             raise ValidationError("; ".join(report.problems))
@@ -282,7 +274,12 @@ class ProblemSpec:
                 problems.append("case C requires f >= theta > 0 pointwise")
             if a.max() > 0.0:
                 problems.append("case C requires alpha <= 0 pointwise")
-        margins, _, worst = self.background_cone()
+        _, node, worst = self.background_cone()
+        if not worst.inside:
+            tensor = "A_{g0}" if self.case == "C" else "-Ric_{g0}/(n-2)"
+            problems.append(f"case {self.case} requires {tensor} in "
+                            f"Gamma_{worst.k} pointwise (margin "
+                            f"{worst.margin:.3e} at node {node})")
         return ValidationReport(
             case=self.case, n=self.n, k=self.k, N=self.grid.N,
             conformal_sign=self.conformal_sign,
@@ -290,7 +287,7 @@ class ProblemSpec:
             f_min=float(f.min()), f_max=float(f.max()),
             theta=float(f.min()) if self.case == "C" else 0.0,
             background_cone_k=worst.k,
-            background_margin_min=float(margins.min()),
+            background_margin_min=worst.margin,
             problems=tuple(problems),
         )
 
@@ -300,31 +297,17 @@ def _check_t(t) -> None:
         raise DomainError(f"homotopy parameter t must lie in [0, 1], got {t}")
 
 
-def _outer(left: np.ndarray, grad: np.ndarray, others: tuple) -> np.ndarray:
-    """left x grad as a fresh array to accumulate the other terms of a
-    tensor into: one broadcast product of planes, widened to the shape and
-    dtype of the sum only when the derivatives are narrower (the unit-batch
-    zero derivatives of the comparison tensor against a background read at
-    its nodes)."""
-    out = left[:, None] * grad[None, :]
-    shape = np.broadcast_shapes(out.shape, *(np.shape(a) for a in others))
-    dtype = np.result_type(out, *others)
-    if out.shape != shape or out.dtype != dtype:
-        out = np.broadcast_to(out, shape).astype(dtype)
-    return out
-
-
 def build_u_tensor(hess: np.ndarray, grad: np.ndarray, t: float,
-                   spec: ProblemSpec, at=()) -> np.ndarray:
-    """The homotopy curvature tensor U(u, t) from the derivatives of u at
-    the nodes `at` of the background; affine in t."""
+                   spec: ProblemSpec) -> np.ndarray:
+    """The homotopy curvature tensor U(u, t) from the derivatives of u;
+    affine in t."""
     _check_t(t)
     n = spec.n
     iso = (np.einsum("ii...->...", hess) / (n - 2)
            + np.einsum("a...,a...->...", grad, grad) + (1.0 - t) / n)
-    ric = t * spec.background_at(at) / (n - 2)
+    ric = t * spec.background / (n - 2)
     # hess + ((iso I - du x du) - ric), accumulated over -du x du
-    out = _outer(np.negative(grad), grad, (hess, ric, iso))
+    out = np.negative(grad)[:, None] * grad[None, :]
     diag = symfunc._diag(out)
     diag += iso
     out -= ric
@@ -345,16 +328,15 @@ def build_v_tensor(mats: np.ndarray, t) -> np.ndarray:
 
 
 def build_w_tensor(hess: np.ndarray, grad: np.ndarray,
-                   spec: ProblemSpec, at=()) -> np.ndarray:
+                   spec: ProblemSpec) -> np.ndarray:
     """W = Hess u + du x du - (1/2)|grad u|^2 I + schouten0 (case C), from
-    the derivatives of u at the nodes `at` of the background."""
+    the derivatives of u."""
     if spec.case != "C":
         raise DomainError(f"W is the case C tensor; spec case is {spec.case}")
-    schouten0 = spec.background_at(at)
     grad_sq = np.einsum("a...,a...->...", grad, grad)
     # (hess + (du x du + schouten0)) - (1/2)|grad u|^2 I, over du x du
-    out = _outer(grad, grad, (hess, schouten0))
-    out += schouten0
+    out = grad[:, None] * grad[None, :]
+    out += spec.background
     out += hess
     diag = symfunc._diag(out)
     diag -= 0.5 * grad_sq

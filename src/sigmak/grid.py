@@ -10,11 +10,9 @@ The stencil is written once, here. _wrap_pad adds one periodic layer on
 every side of a grid array, and _stencil_shifts lists the 2n^2 + 1 offsets
 of the stencil as slices of that padded copy, the view at offset o holding
 the value at node + o. derivatives takes the gradient and the Hessian of a
-field from one padded copy through those views; derivatives_at takes them
-at a few nodes only, from each node's 3^n neighbourhood (the padded copy
-of a one-node grid), bitwise equal to the whole-grid values there; the
-linearized operator's matvec (operators.LinearOperator) reads its argument
-through the same views. The Laplacian is the trace of the Hessian.
+field from one padded copy through those views, and the linearized
+operator's matvec (operators.LinearOperator) reads its argument through the
+same views. The Laplacian is the trace of the Hessian.
 
 Tensor-valued derivatives are plain arrays stored component-major: one
 contiguous grid plane per component, so every later pass over them is a
@@ -44,7 +42,7 @@ from .errors import DomainError, ExprEvalError
 
 __all__ = [
     "Grid", "ScalarField",
-    "derivatives", "derivatives_at", "sample", "sample_values",
+    "derivatives", "sample", "sample_values",
     "dump_field", "load_field", "spectral_derivatives",
     "random_smooth_field",
 ]
@@ -183,22 +181,6 @@ def derivatives(u: ScalarField) -> tuple:
     """Central-difference gradient and Hessian of u from one wrap-padded
     copy: shapes (n,) + grid.shape and (n, n) + grid.shape."""
     return _stencil_derivatives(_wrap_pad(u.values), u.grid.h)
-
-
-def derivatives_at(u: ScalarField, nodes) -> tuple:
-    """derivatives(u) at the given nodes only, stacked on a last axis in the
-    order given: shapes (n, m) and (n, n, m). Each node's periodic 3^n
-    neighbourhood is the wrap-padded copy of a one-node grid, so the same
-    stencil on it gives the whole-grid values bitwise."""
-    g = u.grid
-    steps = np.arange(-1, 2)
-    grads, hessians = [], []
-    for node in nodes:
-        block = u.values[np.ix_(*((steps + c) % g.N for c in node))]
-        grad, hess = _stencil_derivatives(block, g.h)
-        grads.append(grad.reshape(g.n))
-        hessians.append(hess.reshape(g.n, g.n))
-    return np.stack(grads, axis=-1), np.stack(hessians, axis=-1)
 
 
 def sample_values(ast, grid: Grid) -> np.ndarray:

@@ -59,6 +59,11 @@ family has s_i (case C) or p_i + sum(p)/(n-2) with p_i = t s_i + (1-t) sum(s);
 and the quotient family has t q_i + (1-t) sum(q) (case C: q_i) with
 q_i = sigma_{k-1}(lambda|i)/sigma_{k-1} + (r e^{2ksu} - sigma_k)
 sigma_{k-2}(lambda|i)/sigma_{k-1}^2. No coefficient matrix is formed.
+
+Like residual and linearize, both audits take the StateData the caller
+holds, for a path the one it ended on (solver.ContinuationTrace.final_data):
+ellipticity_certificate reads the spectrum of its tensor at every node, and
+c0_diagnostic its sigmas and weights at the extremal nodes of u.
 """
 
 from __future__ import annotations
@@ -78,7 +83,6 @@ from .grid import (
     _stencil_shifts,
     _wrap_pad,
     derivatives,
-    derivatives_at,
     spectral_derivatives,
 )
 from .symfunc import (
@@ -165,12 +169,12 @@ def case_weights(spec: ProblemSpec, t: float):
 
 
 def _case_tensor(hess_u: np.ndarray, gv: np.ndarray, t: float,
-                 spec: ProblemSpec, at=()) -> np.ndarray:
-    """The case's curvature tensor from derivatives of u at the background
-    nodes `at`: V(U(u, t), t) for cases A and B, W(u) for case C."""
+                 spec: ProblemSpec) -> np.ndarray:
+    """The case's curvature tensor from derivatives of u: V(U(u, t), t) for
+    cases A and B, W(u) for case C."""
     if spec.case == "C":
-        return build_w_tensor(hess_u, gv, spec, at)
-    return build_v_tensor(build_u_tensor(hess_u, gv, t, spec, at), t)
+        return build_w_tensor(hess_u, gv, spec)
+    return build_v_tensor(build_u_tensor(hess_u, gv, t, spec), t)
 
 
 def _check_state_args(u: ScalarField, t: float, spec: ProblemSpec) -> None:
@@ -742,8 +746,9 @@ def _cone_quotient(sig: np.ndarray, k: int) -> float:
     return float(sig[k] / sig[k - 1])
 
 
-def c0_diagnostic(u: ScalarField, t: float, spec: ProblemSpec) -> C0Report:
-    """Check the discrete extremum comparison and emit the implied bounds.
+def c0_diagnostic(sd: StateData) -> C0Report:
+    """Check the discrete extremum comparison at the state sd and emit the
+    implied bounds.
 
     At the argmax of u the Hessian contribution is nonpositive and the
     gradient vanishes, so the state tensor is dominated by the comparison
@@ -755,9 +760,11 @@ def c0_diagnostic(u: ScalarField, t: float, spec: ProblemSpec) -> C0Report:
     closed-form sup/inf estimates; for case C the bound machinery targets
     the other conformal sign, so only the gaps are reported.
 
-    Both tensors are built at the two extremal nodes only, from the stencil
-    derivatives there and the background indexed there."""
-    _check_state_args(u, t, spec)
+    The state side is read off sd at the two extremal nodes of u: its
+    sigmas and its weights. B is built once at the stored shape of the
+    background, from zero derivatives of that shape, and its spectrum is
+    taken at the two nodes only."""
+    spec, t, u = sd.spec, sd.t, sd.u
     n, k = spec.n, spec.k
     grid = spec.grid
     node_max = _argmax_node(u.values)
@@ -766,14 +773,13 @@ def c0_diagnostic(u: ScalarField, t: float, spec: ProblemSpec) -> C0Report:
     u_min = float(u.values[node_min])
 
     at = tuple(np.array(axis) for axis in zip(node_max, node_min))
-    gv, hess_u = derivatives_at(u, (node_max, node_min))
-    sig_max, sig_min = sigma_matrix_planes(
-        _case_tensor(hess_u, gv, t, spec, at), k).T
-    comparison = _case_tensor(np.zeros((n, n, 1)), np.zeros((n, 1)), t,
-                              spec, at)
+    sig_max, sig_min = sd.sig[(..., *at)].T
+    batch = spec.background.shape[2:]
+    comparison = np.broadcast_to(
+        _case_tensor(np.zeros((n, n) + batch), np.zeros((n,) + batch), t,
+                     spec), (n, n) + grid.shape)
     sig_b_max, sig_b_min = sigma_all_batch(
-        np.linalg.eigvalsh(np.moveaxis(comparison, -1, 0)), k)
-    a_weight, r_weight = case_weights(spec, t)
+        np.linalg.eigvalsh(np.moveaxis(comparison[(..., *at)], -1, 0)), k)
 
     q_max = _cone_quotient(sig_max, k)
     q_min = _cone_quotient(sig_min, k)
@@ -786,17 +792,17 @@ def c0_diagnostic(u: ScalarField, t: float, spec: ProblemSpec) -> C0Report:
     sup_est = float("nan")
     inf_est = float("nan")
     if spec.case == "A":
-        h_max = float(r_weight[node_max])
-        h_min = float(r_weight[node_min])
+        h_max = float(sd.r_weight[node_max])
+        h_min = float(sd.r_weight[node_min])
         if sig_b_max[k] > 0.0:
             sup_est = math.log(sig_b_max[k] / h_max) / (2.0 * k)
-        low = sig_b_min[k] + float(a_weight[node_min]) \
+        low = sig_b_min[k] + float(sd.a_weight[node_min]) \
             * math.exp(2.0 * u_min) * sig_b_min[k - 1]
         if low > 0.0:
             inf_est = math.log(low / h_min) / (2.0 * k)
     elif spec.case == "B":
-        q_w_max = -float(a_weight[node_max])
-        q_w_min = -float(a_weight[node_min])
+        q_w_max = -float(sd.a_weight[node_max])
+        q_w_min = -float(sd.a_weight[node_min])
         if qb_max > 0.0:
             sup_est = 0.5 * math.log(qb_max / q_w_max)
         if qb_min > 0.0:

@@ -108,7 +108,8 @@ class VerificationReport:
 
 def _normalize_checks(checks) -> tuple:
     """Accept None (all defaults), a sequence of names, or a mapping
-    name -> ceiling override; return ((name, ceiling-or-None), ...)."""
+    name -> ceiling override; return ((name, ceiling-or-None), ...). A
+    ceiling is a number, and only the bounded-* checks take one."""
     if checks is None:
         items = [(name, None) for name in KNOWN_CHECKS]
     elif isinstance(checks, dict):
@@ -124,7 +125,15 @@ def _normalize_checks(checks) -> tuple:
         if name in seen:
             raise ConfigError(f"check '{name}' listed twice")
         seen.add(name)
-        out.append((name, None if ceiling is None else float(ceiling)))
+        if ceiling is not None:
+            if name not in BOUNDED_CHECKS:
+                raise ConfigError(f"check '{name}' takes no ceiling")
+            try:
+                ceiling = float(ceiling)
+            except (TypeError, ValueError) as err:
+                raise ConfigError(f"check '{name}': ceiling {ceiling!r} is "
+                                  f"not a number") from err
+        out.append((name, ceiling))
     return tuple(out)
 
 
@@ -145,7 +154,8 @@ def run_checks(trace: ContinuationTrace, spec: ProblemSpec, checks=None,
 
     checks may be None (all known checks at default ceilings), a sequence of
     names, or a mapping of names to ceiling overrides for the bounded-*
-    family. Unknown or duplicated names raise ConfigError. validation is
+    family. Unknown or duplicated names, and a ceiling that is not a number
+    or is given to a check without one, raise ConfigError. validation is
     spec's ValidationReport, echoed into the report; it is computed here
     when not given. Inputs are not mutated; rerunning yields an identical
     report.
@@ -187,9 +197,8 @@ def run_checks(trace: ContinuationTrace, spec: ProblemSpec, checks=None,
                     name, "fail", float("nan"), 0.0,
                     "no certificate" if rows else "empty trace"))
         elif name == "c0_comparison":
-            if trace.final_state is not None:
-                final = trace.final_state
-                rep = c0_diagnostic(final.u, final.t, spec)
+            if trace.final_data is not None:
+                rep = c0_diagnostic(trace.final_data)
                 gap = min(rep.gap_at_max, rep.gap_at_min)
                 status = "pass" if rep.within_slack else "fail"
                 detail = (f"gap_at_max={rep.gap_at_max!r} "
@@ -198,7 +207,8 @@ def run_checks(trace: ContinuationTrace, spec: ProblemSpec, checks=None,
                     name, status, gap, -rep.slack_delta, detail))
             else:
                 results.append(CheckResult(
-                    name, "fail", float("nan"), 0.0, "empty trace"))
+                    name, "fail", float("nan"), 0.0,
+                    "no final state" if rows else "empty trace"))
     final_t = trace.final_t
     return VerificationReport(
         run_id=_run_id(spec, trace, items),

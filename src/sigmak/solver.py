@@ -39,7 +39,6 @@ import numpy as np
 
 from .curvature import ProblemSpec
 from .errors import (
-    AdmissibilityError,
     ConeExitError,
     DomainError,
     LinearSolveError,
@@ -146,30 +145,36 @@ class ContinuationTrace:
 
     Row summaries stay small on purpose; only the last accepted state keeps
     its full field (final_state), which downstream checks and the final dump
-    read. ellipticity is the audit of that state alone, computed when first
-    read once the solver has ended the trace (end), so a caller that never
-    reads it never pays for it; None for a trace not ended, until set."""
+    read. final_data is that state's StateData and ellipticity its audit,
+    each computed when first read once the solver has ended the trace (end)
+    and kept, so the audits share one state and a caller that never reads
+    them never pays for them; both are None for a trace not ended."""
 
     rows: list = field(default_factory=list)
     final_state: HomotopyState | None = None
-    _certify: Callable[[], EllipticityReport] | None = field(
+    _provider: Callable[[], StateData] | None = field(
         default=None, repr=False, compare=False)
-    _ellipticity: EllipticityReport | None = field(default=None, repr=False)
+    _final_data: StateData | None = field(
+        default=None, repr=False, compare=False)
+    _ellipticity: EllipticityReport | None = field(
+        default=None, repr=False, compare=False)
+
+    def end(self, provider: Callable[[], StateData]) -> None:
+        """End the trace on final_state; provider returns its StateData
+        when final_data is first read."""
+        self._provider = provider
+
+    @property
+    def final_data(self) -> StateData | None:
+        if self._provider is not None:
+            self._final_data, self._provider = self._provider(), None
+        return self._final_data
 
     @property
     def ellipticity(self) -> EllipticityReport | None:
-        if self._certify is not None:
-            self._ellipticity, self._certify = self._certify(), None
+        if self._ellipticity is None and self.final_data is not None:
+            self._ellipticity = ellipticity_certificate(self.final_data)
         return self._ellipticity
-
-    @ellipticity.setter
-    def ellipticity(self, report: EllipticityReport | None) -> None:
-        self._ellipticity, self._certify = report, None
-
-    def end(self, state_data: Callable[[], StateData]) -> None:
-        """End the trace on final_state; state_data returns its StateData
-        when ellipticity is first read, and what it holds lives till then."""
-        self._certify = lambda: ellipticity_certificate(state_data())
 
     def append(self, state: HomotopyState, record: MonitorRecord) -> None:
         if self.rows and state.t <= self.rows[-1].t:
@@ -439,9 +444,9 @@ def continue_path(spec: ProblemSpec,
     trace accumulated so far, whose last row holds the final accepted t.
 
     Every accepted state is monitored, but only the one the trace ends on
-    is audited for ellipticity (trace.ellipticity), and only once that is
-    read: the t = 1 state from its live StateData, or on failure the last
-    accepted state, whose StateData is built again for the audit.
+    is audited, and only once its StateData (trace.final_data) is read: the
+    t = 1 state's is the live one, and on failure the last accepted state's
+    is built again, once, for the audits to share.
     """
     spec.validate(strict=True)
     sched = schedule if schedule is not None else Schedule()
@@ -480,15 +485,11 @@ def solve_caseC(spec: ProblemSpec, u_init: ScalarField | None = None,
                 ) -> tuple[HomotopyState, StateData]:
     """Direct damped Newton for case C at t = 1, the anchor of its path
     (experimental: the estimates exist, an existence theorem does not), with
-    the schedule's Newton settings. Requires the background Schouten tensor
-    strictly inside Gamma_{k-1} at every node. Returns what newton_correct
-    returns."""
+    the schedule's Newton settings. Requires a valid problem (ValidationError
+    otherwise), whose background Schouten tensor lies strictly inside
+    Gamma_{k-1} at every node. Returns what newton_correct returns."""
     if spec.case != "C":
         raise DomainError("solve_caseC only accepts case C problems")
-    margins, node, report = spec.background_cone()
-    if float(margins.min()) <= 0.0:
-        raise AdmissibilityError(
-            f"background Schouten tensor must lie in Gamma_{spec.k - 1}",
-            node=node, margin=report.margin)
+    spec.validate(strict=True)
     u0 = u_init if u_init is not None else ScalarField.zeros(spec.grid)
     return newton_correct(u0, 1.0, spec, schedule)

@@ -300,11 +300,14 @@ def sample_gamma(n: int, k: int, count: int, rng: np.random.Generator,
     """Rejection-sample `count` spectra from Gamma_k.
 
     Proposals are uniform on the cube [-1, 3]^n; a sample is kept when
-    min_j sigma_j exceeds min_margin. Returns shape (count, n).
+    min_j sigma_j exceeds min_margin. Returns shape (count, n); a count of
+    0 draws nothing, and a negative count raises DomainError.
     """
     if not 1 <= k <= n:
         raise DomainError(f"k must lie in [1, {n}], got {k}")
-    kept = []
+    if count < 0:
+        raise DomainError(f"count must be nonnegative, got {count}")
+    kept = [np.empty((0, n))]
     total = 0
     while total < count:
         block = rng.uniform(-1.0, 3.0, size=(max(count, 256), n))

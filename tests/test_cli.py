@@ -176,6 +176,29 @@ def test_verify_rejects_case_b(tmp_path):
     assert rc == 2
 
 
+def test_inadmissible_background_exits_two_before_any_solve(
+        tmp_path, capsys, monkeypatch):
+    """A background outside its cone (-Ric_{g0}/(n-2) outside Gamma_k for
+    case A, A_{g0} outside Gamma_{k-1} for case C) fails validation: solve
+    and verify exit 2 with config.txt alone written, and no Newton solve
+    starts."""
+    def no_solve(*args):
+        raise AssertionError("a Newton solve started")
+
+    monkeypatch.setattr(sigmak.solver, "newton_correct", no_solve)
+    for case, sign, cone in (("A", "1", "Gamma_3"), ("C", "-1", "Gamma_2")):
+        cfg = RunConfig(case=case, N=8, alpha="-0.1", f="0.7",
+                        background={f"({i},{i})": sign for i in (1, 2, 3)})
+        for command in ("solve", "verify"):
+            rc, out = drive(tmp_path, cfg, command, f"{case}-{command}")
+            assert rc == 2, (case, command)
+            assert os.listdir(out) == ["config.txt"]
+            err = capsys.readouterr().err
+            assert err.startswith(f"sigmak {command}: invalid configuration")
+            if command == "solve":
+                assert cone in err
+
+
 def test_verify_rejects_inadmissible_star(tmp_path):
     cfg = RunConfig(case="C", alpha="-0.05", f="1", N=8,
                     u_star="5*sin(x1)*cos(x2)")

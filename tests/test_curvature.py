@@ -103,6 +103,18 @@ def test_isotropic_background_admissibility():
                             background={(i, i): "1" for i in (1, 2, 3)})
     margins_b, _, report_b = bad.background_cone()
     assert margins_b.min() < 0.0 and not report_b.inside
+    # an inadmissible background is a validation problem of every case
+    report = bad.validate(strict=False)
+    assert report.problems == (
+        "case A requires -Ric_{g0}/(n-2) in Gamma_3 pointwise "
+        "(margin -3.000e+00 at node (0, 0, 0))",)
+    assert report.background_margin_min == margins_b.min()
+    with pytest.raises(ValidationError, match="Gamma_3"):
+        bad.validate(strict=True)
+    bad_c = ProblemSpec.build("C", 3, 3, g, alpha="-0.05", f="1",
+                              background={(i, i): "-1" for i in (1, 2, 3)})
+    with pytest.raises(ValidationError, match=r"A_\{g0\} in Gamma_2"):
+        bad_c.validate(strict=True)
     # None is the canonical tensor of the case; {} is the zero tensor
     for case in CASES:
         spec = ProblemSpec.build(case, 3, 3, g)
@@ -169,10 +181,11 @@ def _stencil_derivatives(u):
     return hess, grad
 
 
-def _unit_batch_zeros(n: int, ndim: int) -> tuple:
-    """Zero Hessian and gradient with unit batch axes, which the builders
-    broadcast against the background."""
-    return np.zeros((n, n) + (1,) * ndim), np.zeros((n,) + (1,) * ndim)
+def _background_zeros(spec) -> tuple:
+    """Zero Hessian and gradient shaped like the stored background: the
+    derivatives of the gradient-free comparison tensor."""
+    batch = spec.background.shape[2:]
+    return np.zeros((spec.n, spec.n) + batch), np.zeros((spec.n,) + batch)
 
 
 def test_u_tensor_closed_form_at_zero():
@@ -187,7 +200,7 @@ def test_u_tensor_closed_form_at_zero():
                                                                None, None]
         assert mats.shape == (3, 3) + g.shape
         assert np.abs(mats - want).max() <= 1e-14
-        broadcast = build_u_tensor(*_unit_batch_zeros(3, 3), t, spec)
+        broadcast = build_u_tensor(*_background_zeros(spec), t, spec)
         assert broadcast.shape == (3, 3, 1, 1, 1)
         assert np.array_equal(np.broadcast_to(broadcast, mats.shape), mats)
     with pytest.raises(DomainError):
@@ -234,7 +247,7 @@ def test_w_tensor_reduces_to_schouten_at_zero():
     assert w.shape == (3, 3) + g.shape
     assert np.abs(w - spec.background).max() == 0.0
     with pytest.raises(DomainError):
-        build_w_tensor(*_unit_batch_zeros(3, 3), canonical_problem("A"))
+        build_w_tensor(*_background_zeros(spec), canonical_problem("A"))
 
 
 def test_w_tensor_gradient_terms():
@@ -243,7 +256,7 @@ def test_w_tensor_gradient_terms():
     g = spec.grid
     u = sample_text("0.1*sin(x1)*cos(x2)", g)
     w = build_w_tensor(*_stencil_derivatives(u), spec)
-    w0 = build_w_tensor(*_unit_batch_zeros(3, 3), spec)
+    w0 = build_w_tensor(*_background_zeros(spec), spec)
     gv, hm = derivatives(u)
     grad_sq = np.einsum("a...,a...->...", gv, gv)
     want = (hm
@@ -310,13 +323,14 @@ def test_tensor_builders_equal_the_reference_expressions(n):
         "C", n, 3, g, alpha="-0.05", f="1",
         background={(1, 1): "1", (2, 3): "0.3*sin(x3)", (n, n): "0.5"})
     gv, hm = derivatives(u)
-    zero_h, zero_g = _unit_batch_zeros(n, n)
     inputs = (hm.copy(), gv.copy())
     for t in (0.0, 0.35, 1.0):
         u_t = build_u_tensor(hm, gv, t, spec_a)
         _same(u_t, _u_reference(hm, gv, t, spec_a))
         _same(build_v_tensor(u_t, t), _v_reference(u_t, t))
-        # unit-batch zero derivatives against a background on fewer axes
+        # zero derivatives shaped like the background, which varies on
+        # fewer axes than the grid has
+        zero_h, zero_g = _background_zeros(spec_a)
         _same(build_u_tensor(zero_h, zero_g, t, spec_a),
               _u_reference(zero_h, zero_g, t, spec_a))
     ts = rng.uniform(0.0, 1.0, size=g.shape)
@@ -324,6 +338,7 @@ def test_tensor_builders_equal_the_reference_expressions(n):
     wide = u_t.astype(np.longdouble)
     _same(build_v_tensor(wide, ts), _v_reference(wide, ts))
     _same(build_w_tensor(hm, gv, spec_c), _w_reference(hm, gv, spec_c))
+    zero_h, zero_g = _background_zeros(spec_c)
     _same(build_w_tensor(zero_h, zero_g, spec_c),
           _w_reference(zero_h, zero_g, spec_c))
     # the derivatives and the background are read, never written

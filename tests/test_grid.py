@@ -7,8 +7,7 @@ import pytest
 
 from sigmak import Grid, ScalarField, dump_field, load_field, sample_text
 from sigmak.errors import DomainError
-from sigmak.grid import (derivatives, derivatives_at, random_smooth_field,
-                         spectral_derivatives)
+from sigmak.grid import derivatives, random_smooth_field, spectral_derivatives
 
 
 def test_grid_invariants():
@@ -150,20 +149,3 @@ def test_hessian_equals_the_eight_roll_stencils(n, N):
     assert np.array_equal(mats, want)
     assert np.array_equal(u.values, before)
 
-
-@pytest.mark.parametrize("n, N", [(3, 8), (4, 9), (5, 8), (6, 8)])
-def test_derivatives_at_nodes_equal_the_whole_grid_values(n, N):
-    """derivatives_at takes each node's stencils on its periodic 3^n
-    neighbourhood; at interior, edge and corner nodes the result must equal
-    derivatives of the whole grid bit for bit."""
-    g = Grid(n, N)
-    rng = np.random.default_rng(N * n)
-    u = ScalarField(g, rng.standard_normal(g.shape))
-    nodes = [(0,) * n, (N - 1,) * n, tuple(rng.integers(0, N, size=n)),
-             tuple([0] + [N - 1] * (n - 1))]
-    gv, hs = derivatives_at(u, nodes)
-    assert gv.shape == (n, len(nodes)) and hs.shape == (n, n, len(nodes))
-    whole_g, whole_h = derivatives(u)
-    for i, node in enumerate(nodes):
-        assert np.array_equal(gv[..., i], whole_g[(..., *node)])
-        assert np.array_equal(hs[..., i], whole_h[(..., *node)])

@@ -6,18 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from helpers import canonical_problem, matmul_sigma_and_dsigma
+from helpers import brute_sigma_all, canonical_problem, matmul_sigma_and_dsigma
 from sigmak import (Grid, ProblemSpec, ScalarField, c0_diagnostic,
                     concavity_certificate, ellipticity_certificate, linearize,
                     manufactured_forcing, prepare_state, residual, sample_text)
-from sigmak.curvature import build_u_tensor, build_v_tensor, build_w_tensor
+from sigmak.curvature import build_v_tensor
 from sigmak.errors import AdmissibilityError, DomainError, ValidationError
 from sigmak.grid import derivatives, random_smooth_field
 from sigmak.operators import (SIGMA_FLOOR, C0_SLACK_CONSTANT, LinearOperator,
                               _coefficients, _v_spectrum,
                               line_second_difference)
 from sigmak.solver import solve_linear
-from sigmak.symfunc import sigma_all_batch
 
 
 # -- residual oracles --------------------------------------------------------
@@ -448,8 +447,8 @@ def test_broadcast_background_is_exact(case, n):
                               linearize(sd_f).weights)
         assert ellipticity_certificate(sd_s).to_lines() \
             == ellipticity_certificate(sd_f).to_lines()
-        assert c0_diagnostic(u, t, stored).to_lines() \
-            == c0_diagnostic(u, t, full).to_lines()
+        assert c0_diagnostic(sd_s).to_lines() \
+            == c0_diagnostic(sd_f).to_lines()
         if case != "B":
             star = sample_text("0.1*sin(x1)*cos(x2)", grid)
             assert np.array_equal(
@@ -487,34 +486,70 @@ def _close(got: float, want: float, rel: float = 1e-13) -> bool:
     return abs(got - want) <= rel * abs(want)
 
 
+def _roll_derivatives_at(u, node) -> tuple:
+    """Central-difference gradient and Hessian of u at one node, each value
+    read off np.roll shifts of the whole grid."""
+    v, h, n = u.values, u.grid.h, u.grid.n
+
+    def at(*moves):
+        """u at node + the sum of the unit moves (axis, +-1)."""
+        w = v
+        for axis, step in moves:
+            w = np.roll(w, -step, axis)
+        return w[node]
+
+    grad = np.empty(n)
+    hess = np.empty((n, n))
+    for i in range(n):
+        grad[i] = (at((i, 1)) - at((i, -1))) / (2.0 * h)
+        hess[i, i] = (at((i, 1)) - 2.0 * v[node] + at((i, -1))) / h ** 2
+        for j in range(i + 1, n):
+            hess[i, j] = hess[j, i] = (
+                at((i, 1), (j, 1)) - at((i, 1), (j, -1))
+                - at((i, -1), (j, 1)) + at((i, -1), (j, -1))) / (4.0 * h * h)
+    return grad, hess
+
+
+def _tensor_at(grad, hess, t, spec, node):
+    """The case tensor at one node as one matrix, written out from its
+    definition: V(U(u, t), t) for cases A and B, W(u) for case C."""
+    n = spec.n
+    eye = np.eye(n)
+    background = np.broadcast_to(
+        spec.background, (n, n) + spec.grid.shape)[(..., *node)]
+    if spec.case == "C":
+        return hess + np.outer(grad, grad) - 0.5 * (grad @ grad) * eye \
+            + background
+    u_mat = hess + (np.trace(hess) / (n - 2) + grad @ grad
+                    + (1.0 - t) / n) * eye \
+        - np.outer(grad, grad) - t * background / (n - 2)
+    return t * u_mat + (1.0 - t) * np.trace(u_mat) * eye
+
+
 def _reference_c0(u, t, spec, sd) -> dict:
-    """The whole-grid comparison route: the state's sigmas from the full
-    prepared state sd, the comparison tensor built at the background's
-    stored shape and broadcast over the whole grid, both read at the
-    extremal nodes of u."""
+    """The comparison from its definition at the extremal nodes of u: the
+    state tensor from np.roll stencils there and the comparison tensor from
+    zero derivatives, each written out as one matrix, with sigmas from the
+    brute-force subset sums of their eigenvalues. The weights are sd's."""
     n, k = spec.n, spec.k
     node_max = np.unravel_index(int(np.argmax(u.values)), u.values.shape)
     node_min = np.unravel_index(int(np.argmin(u.values)), u.values.shape)
-    zero_hess = np.zeros((n, n) + (1,) * n)
-    zero_grad = np.zeros((n,) + (1,) * n)
-    if spec.case == "C":
-        comparison = build_w_tensor(zero_hess, zero_grad, spec)
-    else:
-        comparison = build_v_tensor(
-            build_u_tensor(zero_hess, zero_grad, t, spec), t)
-    comparison = np.broadcast_to(comparison, (n, n) + spec.grid.shape)
 
     def quotient(sig):
         if sig[1:k].min() <= 0.0 or sig[k - 1] < SIGMA_FLOOR:
             return float("nan")
         return float(sig[k] / sig[k - 1])
 
+    def sigmas(mat):
+        return brute_sigma_all(np.linalg.eigvalsh(mat), k)
+
     out = {"max_node": tuple(int(i) for i in node_max),
            "min_node": tuple(int(i) for i in node_min)}
     for end, node in (("max", node_max), ("min", node_min)):
-        sig_b = sigma_all_batch(
-            np.linalg.eigvalsh(comparison[(..., *node)]), k)
-        out[f"quotient_at_{end}"] = quotient(sd.sig[(..., *node)])
+        state = _tensor_at(*_roll_derivatives_at(u, node), t, spec, node)
+        sig_b = sigmas(_tensor_at(np.zeros(n), np.zeros((n, n)), t, spec,
+                                  node))
+        out[f"quotient_at_{end}"] = quotient(sigmas(state))
         out[f"comparison_at_{end}"] = quotient(sig_b)
         out[f"sig_b_{end}"] = sig_b
     out["gap_at_max"] = out["comparison_at_max"] - out["quotient_at_max"]
@@ -528,13 +563,13 @@ def _reference_c0(u, t, spec, sd) -> dict:
 @pytest.mark.parametrize("case", ["A", "B", "C"])
 def test_audit_matches_matrix_routes(case, n):
     """The eigenvalue-form certificate against eigvalsh of the assembled
-    coefficient families, and the two-node comparison against the
-    whole-grid route: on a random smooth state that leaves the cone at
-    some nodes, and on the uniform state u = 0, whose nodes tie exactly
-    along the axes the background does not depend on. The random state has
-    more modes than axes: with fewer, whole families of nodes share their
-    values up to roundoff, and the argmin among such near-ties is not
-    defined by either route."""
+    coefficient families, and the comparison read off the prepared state
+    against its definition at the extremal nodes: on a random smooth state
+    that leaves the cone at some nodes, and on the uniform state u = 0,
+    whose nodes tie exactly along the axes the background does not depend
+    on. The random state has more modes than axes: with fewer, whole
+    families of nodes share their values up to roundoff, and the argmin
+    among such near-ties is not defined by either route."""
     spec = _varied_problem(case, n)
     t = 1.0 if case == "C" else 0.6
     k = spec.k
@@ -556,15 +591,21 @@ def test_audit_matches_matrix_routes(case, n):
                               and want["quotient_min_eig"] > 0.0
                               and got.trace_slack >= -1e-10)
 
-        got = c0_diagnostic(u, t, spec)
+        got = c0_diagnostic(sd)
         want = _reference_c0(u, t, spec, sd)
         del sd
         assert got.max_node == want["max_node"]
         assert got.min_node == want["min_node"]
-        for name in ("quotient_at_max", "comparison_at_max", "gap_at_max",
-                     "quotient_at_min", "comparison_at_min", "gap_at_min"):
-            g, w = getattr(got, name), want[name]
-            assert (math.isnan(g) and math.isnan(w)) or _close(g, w), name
+        for end in ("max", "min"):
+            for name in (f"quotient_at_{end}", f"comparison_at_{end}"):
+                g, w = getattr(got, name), want[name]
+                assert (math.isnan(g) and math.isnan(w)) or _close(g, w), name
+            # a gap is a difference of two quotients, so it is held to the
+            # comparison quotient's scale: at u = 0 it is roundoff
+            g, w = getattr(got, f"gap_at_{end}"), want[f"gap_at_{end}"]
+            scale = abs(want[f"comparison_at_{end}"])
+            assert (math.isnan(g) and math.isnan(w)) \
+                or abs(g - w) <= 1e-13 * scale, end
         delta = C0_SLACK_CONSTANT * spec.grid.h
         assert got.within_slack == bool(
             want["gap_at_max"] >= -delta and want["gap_at_min"] >= -delta)
@@ -684,7 +725,8 @@ def test_stencil_residual_is_second_order_at_n4_k3(case):
 
 def test_c0_diagnostic_exact_at_constant_state():
     spec = canonical_problem("A")
-    diag = c0_diagnostic(ScalarField.zeros(spec.grid), 1.0, spec)
+    diag = c0_diagnostic(prepare_state(ScalarField.zeros(spec.grid), 1.0,
+                                       spec))
     assert diag.within_slack
     assert diag.gap_at_max == 0.0 and diag.gap_at_min == 0.0
     # sup estimate: e^{2k u} <= sigma_k(V_B)/f = 1/0.7.
@@ -695,7 +737,8 @@ def test_c0_diagnostic_exact_at_constant_state():
 
 def test_c0_diagnostic_case_c_reports_gaps_only():
     spec = canonical_problem("C")
-    diag = c0_diagnostic(ScalarField.zeros(spec.grid), 1.0, spec)
+    diag = c0_diagnostic(prepare_state(ScalarField.zeros(spec.grid), 1.0,
+                                       spec))
     assert diag.within_slack
     assert math.isnan(diag.sup_estimate) and math.isnan(diag.inf_estimate)
 
@@ -707,7 +750,7 @@ def test_c0_diagnostic_holds_along_a_solve():
     spec.validate(strict=True)
     trace = continue_path(spec, Schedule())
     final = trace.final_state
-    diag = c0_diagnostic(final.u, final.t, spec)
+    diag = c0_diagnostic(trace.final_data)
     assert diag.within_slack, diag.to_lines()
     assert final.u.max_abs() <= diag.sup_estimate + spec.grid.h
 
@@ -723,7 +766,7 @@ def test_node_fields_at_a_uniform_state_are_the_first_node(case):
         for t in sorted({spec.start_t, 1.0}):
             sd = prepare_state(u, t, spec)
             cert = ellipticity_certificate(sd)
-            c0 = c0_diagnostic(u, t, spec)
+            c0 = c0_diagnostic(sd)
             first = (0,) * n
             assert sd.worst_node()[0] == first
             assert (cert.worst_margin_node, cert.newton_min_eig_node,

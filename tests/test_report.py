@@ -5,29 +5,33 @@ import json
 import numpy as np
 import pytest
 
+import sigmak.operators
+import sigmak.report
+import sigmak.solver
 from sigmak import (
     ConfigError,
     ContinuationTrace,
     HomotopyState,
+    PathFailureError,
     ScalarField,
     continue_path,
     run_checks,
 )
-from sigmak.operators import ellipticity_certificate, prepare_state
+from sigmak.operators import prepare_state
 from sigmak.report import KNOWN_CHECKS
-from sigmak.solver import monitor
+from sigmak.solver import Schedule, monitor
 
 from helpers import canonical_problem
 
 
 def rest_trace(spec):
-    """One-row trace holding the exact t=0 solution u = 0, certified."""
+    """One-row trace holding the exact t=0 solution u = 0, ended on it."""
     state = HomotopyState(t=0.0, u=ScalarField.zeros(spec.grid),
                           residual_norm=0.0, cone_margin=1.0, newton_iters=0)
     sd = prepare_state(state.u, state.t, spec)
     trace = ContinuationTrace()
     trace.append(state, monitor(sd))
-    trace.ellipticity = ellipticity_certificate(sd)
+    trace.end(lambda: sd)
     return trace
 
 
@@ -62,12 +66,19 @@ def test_unknown_check_rejected():
     spec = canonical_problem("A", N=8)
     with pytest.raises(ConfigError, match="unknown check"):
         run_checks(rest_trace(spec), spec, ["bounded_sup_u", "no_such_check"])
+    # a known check that has no ceiling is not given one silently
+    with pytest.raises(ConfigError, match="'cone_margin' takes no ceiling"):
+        run_checks(rest_trace(spec), spec, {"cone_margin": 5.0})
 
 
 def test_duplicate_check_rejected():
     spec = canonical_problem("A", N=8)
     with pytest.raises(ConfigError, match="listed twice"):
         run_checks(rest_trace(spec), spec, ["cone_margin", "cone_margin"])
+    # nor is a ceiling that is not a number let through as ValueError
+    for ceiling in ("high", [1.0]):
+        with pytest.raises(ConfigError, match="is not a number"):
+            run_checks(rest_trace(spec), spec, {"bounded_sup_u": ceiling})
 
 
 def test_ceiling_override_can_fail_a_bounded_check():
@@ -144,18 +155,54 @@ def test_case_c_comparison_holds_at_schouten_rest():
     trace = ContinuationTrace()
     sd = prepare_state(state.u, state.t, spec)
     trace.append(state, monitor(sd))
+    # both audits read the state the trace was ended on, and fail without
+    missing = run_checks(trace, spec, ["c0_comparison", "ellipticity"])
+    assert [(c.status, c.detail) for c in missing.checks] == [
+        ("fail", "no final state"), ("fail", "no certificate")]
+    trace.end(lambda: sd)
     report = run_checks(trace, spec, ["c0_comparison"])
     (check,) = report.checks
     assert check.status == "pass"
     assert check.value == 0.0
     assert report.ok
-    # the ellipticity check reads the trace's own certificate
-    (missing,) = run_checks(trace, spec, ["ellipticity"]).checks
-    assert (missing.status, missing.detail) == ("fail", "no certificate")
-    trace.ellipticity = ellipticity_certificate(sd)
     (check,) = run_checks(trace, spec, ["ellipticity"]).checks
     assert check.status == "pass"
     assert check.value == trace.ellipticity.newton_min_eig
+
+
+def test_audits_share_the_final_state_data(monkeypatch):
+    """run_checks builds no state for a path that reached t = 1, whose
+    final StateData is still alive, and one for a failed path, its last
+    accepted state; the ellipticity and C0 audits both read that one
+    StateData, trace.final_data."""
+    built, audited = [], []
+    for module in (sigmak.solver, sigmak.operators):
+        real = module.prepare_state
+        monkeypatch.setattr(module, "prepare_state", lambda *args, _r=real:
+                            built.append(args) or _r(*args))
+    for module, name in ((sigmak.solver, "ellipticity_certificate"),
+                         (sigmak.report, "c0_diagnostic")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda sd, _r=real:
+                            audited.append(sd) or _r(sd))
+    spec = canonical_problem("A", N=8)
+    reached = continue_path(spec)
+    with pytest.raises(PathFailureError) as exc:
+        continue_path(spec, Schedule(dt_init=0.5, dt_max=0.5, dt_min=0.5,
+                                     newton_max_iters=1))
+    failed = exc.value.trace
+    for trace, builds, t in ((reached, 0, 1.0), (failed, 1, 0.0)):
+        built.clear()
+        audited.clear()
+        report = run_checks(trace, spec)
+        assert len(built) == builds
+        assert [check.status for check in report.checks] == ["pass"] * 6
+        assert len(audited) == 2
+        assert audited[0] is audited[1] is trace.final_data
+        assert trace.final_data.t == t
+        # a second report reads the kept state and certificate
+        run_checks(trace, spec)
+        assert len(built) == builds and len(audited) == 3
 
 
 def test_given_validation_is_echoed_instead_of_recomputed():

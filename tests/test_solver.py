@@ -14,9 +14,9 @@ from sigmak import (Grid, ProblemSpec, RunConfig, ScalarField,
                     sample_text, solve_caseC, solve_t0)
 from sigmak.cli import main
 from sigmak.config import peak_bytes
-from sigmak.errors import (AdmissibilityError, ConeExitError, DomainError,
-                           LinearSolveError, NonConvergenceError,
-                           PathFailureError)
+from sigmak.errors import (ConeExitError, DomainError, LinearSolveError,
+                           NonConvergenceError, PathFailureError,
+                           ValidationError)
 from sigmak.grid import derivatives, random_smooth_field
 from sigmak.operators import (LinearOperator, _coefficients,
                               ellipticity_certificate, linearize,
@@ -466,7 +466,6 @@ def test_continue_path_trace_csv_contract():
 def test_continue_path_requires_valid_problem():
     g = Grid(3, 16)
     bad = ProblemSpec.build("A", 3, 3, g, alpha="0.1", f="0.7")
-    from sigmak.errors import ValidationError
     with pytest.raises(ValidationError):
         continue_path(bad, Schedule())
 
@@ -559,7 +558,7 @@ def test_solve_case_c_requires_admissible_schouten():
     spec = ProblemSpec.build(
         "C", 3, 3, g, alpha="-0.05", f="1",
         background={"(1,1)": "-1", "(2,2)": "-1", "(3,3)": "-1"})
-    with pytest.raises(AdmissibilityError):
+    with pytest.raises(ValidationError, match="Gamma_2"):
         solve_caseC(spec)
 
 
@@ -587,13 +586,13 @@ def test_case_c_path_is_its_anchor_alone():
 
 
 def test_case_c_path_propagates_its_anchors_errors():
-    """The anchor's errors reach the caller as they are: an inadmissible
-    background Schouten tensor, and a Newton solve with no admissible
-    decreasing step (the certify-C4 data at n=3)."""
+    """The anchor's errors reach the caller as they are: a Newton solve
+    with no admissible decreasing step (the certify-C4 data at n=3). An
+    inadmissible background Schouten tensor fails validation before it."""
     bad = ProblemSpec.build(
         "C", 3, 3, Grid(3, 8), alpha="-0.05", f="1",
         background={"(1,1)": "-1", "(2,2)": "-1", "(3,3)": "-1"})
-    with pytest.raises(AdmissibilityError):
+    with pytest.raises(ValidationError, match="Gamma_2"):
         continue_path(bad, Schedule())
     stuck = canonical_problem("C", N=8, f="1+0.5*cos(x1+x2)")
     with pytest.raises(ConeExitError, match="no admissible decreasing step"):

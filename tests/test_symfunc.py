@@ -93,6 +93,19 @@ def test_gamma_chain_is_nested():
             assert in_gamma(lam, k).inside
 
 
+def test_sample_gamma_count_edges():
+    """A count of 0 is an empty (0, n) sample that draws nothing; a
+    negative count is a DomainError."""
+    rng = np.random.default_rng(9)
+    state = rng.bit_generator.state
+    empty = sample_gamma(4, 3, 0, rng)
+    assert empty.shape == (0, 4) and empty.dtype == np.float64
+    assert rng.bit_generator.state == state
+    with pytest.raises(DomainError, match="count must be nonnegative"):
+        sample_gamma(4, 3, -1, rng)
+    assert sample_gamma(4, 3, 1, rng).shape == (1, 4)
+
+
 def test_newton_maclaurin_equality_on_diagonal_ray():
     # On lam = c*(1,...,1) the inequality is tight for every (k, l).
     for c in (0.5, 1.0, math.e):
