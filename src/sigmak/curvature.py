@@ -254,6 +254,26 @@ class ProblemSpec:
             raise ValidationError("; ".join(report.problems))
         return report
 
+    def validate_background(self) -> None:
+        """Raise ValidationError, with the message validate reports, unless
+        the background condition holds; the sign conditions on alpha and f
+        are not checked."""
+        _, problem = self._background_check
+        if problem is not None:
+            raise ValidationError(problem)
+
+    @cached_property
+    def _background_check(self) -> tuple:
+        """(the worst node's cone report, the background condition's
+        violation message or None), computed once per spec."""
+        _, node, worst = self.background_cone()
+        if worst.inside:
+            return worst, None
+        tensor = "A_{g0}" if self.case == "C" else "-Ric_{g0}/(n-2)"
+        return worst, (f"case {self.case} requires {tensor} in "
+                       f"Gamma_{worst.k} pointwise (margin "
+                       f"{worst.margin:.3e} at node {node})")
+
     @cached_property
     def _validation(self) -> ValidationReport:
         a = self.alpha_field.values
@@ -274,12 +294,9 @@ class ProblemSpec:
                 problems.append("case C requires f >= theta > 0 pointwise")
             if a.max() > 0.0:
                 problems.append("case C requires alpha <= 0 pointwise")
-        _, node, worst = self.background_cone()
-        if not worst.inside:
-            tensor = "A_{g0}" if self.case == "C" else "-Ric_{g0}/(n-2)"
-            problems.append(f"case {self.case} requires {tensor} in "
-                            f"Gamma_{worst.k} pointwise (margin "
-                            f"{worst.margin:.3e} at node {node})")
+        worst, background = self._background_check
+        if background is not None:
+            problems.append(background)
         return ValidationReport(
             case=self.case, n=self.n, k=self.k, N=self.grid.N,
             conformal_sign=self.conformal_sign,

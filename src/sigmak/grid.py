@@ -22,7 +22,8 @@ Hessians are full symmetric matrices of shape (n, n) + grid.shape.
 spectral_derivatives differentiates via one FFT instead of the stencil; it
 is exact for band-limited fields and exists so convergence studies can
 build continuum right-hand sides that are not polluted by the O(h^2)
-stencil error being measured.
+stencil error being measured. prolong carries a field to a finer grid as
+its trigonometric interpolant, the start of a nested-iteration solve.
 
 Fields can be serialized to a bit-exact text format: a header line
 `field n=<n> N=<N> name=<name>` followed by N^n values, one per line,
@@ -43,7 +44,7 @@ from .errors import DomainError, ExprEvalError
 __all__ = [
     "Grid", "ScalarField",
     "derivatives", "sample", "sample_values",
-    "dump_field", "load_field", "spectral_derivatives",
+    "dump_field", "load_field", "spectral_derivatives", "prolong",
     "random_smooth_field",
 ]
 
@@ -265,6 +266,36 @@ def spectral_derivatives(u: ScalarField) -> tuple:
             sym = -(kodd.reshape(si) * kodd.reshape(shapes[j]))
             hess[i, j] = hess[j, i] = np.fft.ifftn(sym * uhat).real
     return grad, hess
+
+
+def prolong(u: ScalarField, grid: Grid) -> ScalarField:
+    """u's trigonometric interpolant sampled on grid, a grid of u's
+    dimension with at least as many points per axis: u's spectrum
+    zero-padded one axis at a time, with an even N's Nyquist plane split
+    evenly between the wavenumbers +N/2 and -N/2 so the padded spectrum
+    stays Hermitian. Exact for fields band-limited below N/2; on a grid
+    whose N is a multiple of u's, every node of u's grid keeps its value
+    to roundoff."""
+    N, M = u.grid.N, grid.N
+    if grid.n != u.grid.n or M < N:
+        raise DomainError(f"cannot prolong a field on n={u.grid.n}, N={N} "
+                          f"to n={grid.n}, N={M}")
+    coeffs = np.fft.fftn(u.values)
+    low, high = (N + 1) // 2, (N - 1) // 2   # wavenumbers 0..low-1, -high..-1
+    for axis in range(grid.n):
+        lead = (slice(None),) * axis
+        padded = np.zeros(coeffs.shape[:axis] + (M,) + coeffs.shape[axis + 1:],
+                          dtype=complex)
+        padded[lead + (slice(0, low),)] = coeffs[lead + (slice(0, low),)]
+        padded[lead + (slice(M - high, M),)] = \
+            coeffs[lead + (slice(N - high, N),)]
+        if N % 2 == 0:
+            half = 0.5 * coeffs[lead + (N // 2,)]
+            padded[lead + (N // 2,)] += half
+            padded[lead + (M - N // 2,)] += half
+        coeffs = padded
+    values = np.fft.ifftn(coeffs).real * (M / N) ** grid.n
+    return ScalarField(grid, values)
 
 
 def random_smooth_field(grid: Grid, rng: np.random.Generator,

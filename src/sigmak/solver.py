@@ -14,7 +14,10 @@ partial trace attached.
 Case C has no homotopy family: its W tensor and weights do not depend on t,
 so its path starts at t = 1 (ProblemSpec.start_t) with a direct damped
 Newton solve from u = 0 and is that one point alone, labeled experimental
-(the estimates exist; an existence proof does not).
+(the estimates exist; an existence proof does not). A path given a start
+field, in any case, is likewise the one Newton solve at t = 1 from it: the
+nested-iteration solve of a fine grid from a coarse grid's prolonged
+solution.
 
 Each Newton step solves its linearized system by one Krylov path: restarted
 GMRES on the matrix-free operator, right-preconditioned by its
@@ -431,12 +434,15 @@ def solve_t0(spec: ProblemSpec, u_init: ScalarField,
     return state.u
 
 
-def continue_path(spec: ProblemSpec,
-                  schedule: Schedule | None = None) -> ContinuationTrace:
+def continue_path(spec: ProblemSpec, schedule: Schedule | None = None,
+                  u_start: ScalarField | None = None) -> ContinuationTrace:
     """Walk t from spec.start_t to 1 with adaptive steps; return the full
-    trace. The anchor at start_t is newton_correct from u = 0 at t = 0 for
-    cases A and B, and solve_caseC at t = 1 for case C, whose path is that
-    point alone; an error of the anchor propagates as it is.
+    trace. The anchor at start_t is newton_correct from u = 0: at t = 0 for
+    cases A and B, and at t = 1 for case C, whose path is that point alone.
+    Given u_start, a field on spec.grid, the anchor is newton_correct from
+    u_start at t = 1 in every case, and the path is that point alone (a
+    nested-iteration solve from a coarser grid's prolonged solution). An
+    error of the anchor propagates as it is.
 
     Step control: a corrector success in at most 4 iterations doubles dt (up
     to dt_max); a corrector failure halves dt and retries from the last
@@ -452,9 +458,14 @@ def continue_path(spec: ProblemSpec,
     sched = schedule if schedule is not None else Schedule()
     trace = ContinuationTrace()
 
-    t = spec.start_t
-    state, sd = solve_caseC(spec, schedule=sched) if t == 1.0 else \
-        newton_correct(ScalarField.zeros(spec.grid), t, spec, sched)
+    if u_start is None:
+        t, u_start = spec.start_t, ScalarField.zeros(spec.grid)
+    elif u_start.grid != spec.grid:
+        raise DomainError(f"start field on {u_start.grid} does not match the "
+                          f"problem grid {spec.grid}")
+    else:
+        t = 1.0
+    state, sd = newton_correct(u_start, t, spec, sched)
     trace.append(state, monitor(sd))
 
     dt = sched.dt_init

@@ -7,7 +7,8 @@ import pytest
 
 from sigmak import Grid, ScalarField, dump_field, load_field, sample_text
 from sigmak.errors import DomainError
-from sigmak.grid import derivatives, random_smooth_field, spectral_derivatives
+from sigmak.grid import (derivatives, prolong, random_smooth_field,
+                         spectral_derivatives)
 
 
 def test_grid_invariants():
@@ -68,6 +69,30 @@ def test_spectral_derivatives_exact_for_band_limited():
     assert np.abs(mats[0, 0] - want_d11).max() <= 1e-12
     want_d12 = sample_text("0 - cos(x1)*sin(x2)", g).values
     assert np.abs(mats[0, 1] - want_d12).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_prolong_is_the_trigonometric_interpolant(n):
+    """A field band-limited below N/2, sampled at N=8 and prolonged to
+    N=16, is that field sampled at N=16, and every coarse node keeps its
+    value. A cosine at the coarse Nyquist wavenumber is split evenly between
+    +-4: it stays real, and the fine grid samples cos(4 x1). A target of
+    another dimension or with fewer points per axis is rejected."""
+    src = "0.1*sin(x1)*cos(x2) + 0.3*cos(3*x1 - 2*x2) + 0.2*sin(x2 + 3*x1)"
+    coarse, fine = Grid(n, 8), Grid(n, 16)
+    u = prolong(sample_text(src, coarse), fine)
+    assert u.grid == fine
+    assert np.abs(u.values - sample_text(src, fine).values).max() <= 1e-13
+    every_other = (slice(None, None, 2),) * n
+    assert np.abs(u.values[every_other]
+                  - sample_text(src, coarse).values).max() <= 1e-14
+    nyquist = prolong(sample_text("cos(4*x1)", coarse), fine)
+    assert np.abs(nyquist.values
+                  - sample_text("cos(4*x1)", fine).values).max() <= 1e-14
+    with pytest.raises(DomainError):
+        prolong(sample_text(src, fine), coarse)
+    with pytest.raises(DomainError):
+        prolong(sample_text(src, coarse), Grid(n + 1, 16))
 
 
 def test_stencil_gradient_matches_spectral_on_smooth_fields():

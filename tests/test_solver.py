@@ -585,6 +585,21 @@ def test_case_c_path_is_its_anchor_alone():
     assert trace.to_csv().startswith(TRACE_HEADER)
 
 
+def test_a_started_path_is_one_correction_at_t1():
+    """Given a start field, the path in any case is the Newton correction
+    from it at t = 1 alone: from the solution the full path reached, one row
+    with no iterations. A start field on another grid is rejected."""
+    for spec in (canonical_problem("A", N=8), canonical_problem("C", N=8)):
+        full = continue_path(spec, Schedule())
+        started = continue_path(spec, Schedule(), full.final_state.u)
+        assert [(row.t, row.newton_iters)
+                for row in started.rows] == [(1.0, 0)]
+        assert np.array_equal(started.final_state.u.values,
+                              full.final_state.u.values)
+        with pytest.raises(DomainError, match="does not match"):
+            continue_path(spec, Schedule(), ScalarField.zeros(Grid(3, 16)))
+
+
 def test_case_c_path_propagates_its_anchors_errors():
     """The anchor's errors reach the caller as they are: a Newton solve
     with no admissible decreasing step (the certify-C4 data at n=3). An
