@@ -46,21 +46,30 @@ MEMORY_BUDGET_BYTES = 2 * 2 ** 30
 
 def peak_bytes(n: int, N: int) -> int:
     """Estimated peak bytes of a solve or check on the grid with N points on
-    each of n axes: N^n nodes at 84 n^2 + 300 bytes a node. That per-node
-    cost bounds the tracemalloc peaks of `sigmak solve` at n = 3, 4, 5
-    (N = 16 at n = 3 and N = 8 above): 796, 1227 and 1786 bytes a node for
-    case A with k = 3 on a background whose (1,1) entry varies along every
-    axis, 797, 1108 and 1602 for case A with k = n, and 716, 1083 and 1569
-    for case C with k = 3; n = 6 peaked at 2889 when the operator also held
-    CSR column indices. The peaks are set by the (n, n) planes of the state
-    and the recurrence, the one background tensor (grid-sized only when it
-    varies along every axis), and the operator's 2n^2 + 1 stencil weight
-    planes. A full GMRES basis (51 grid vectors, 408 bytes a node) fits
-    inside it: the Newton state is dropped before the Krylov solve (at
-    n = 3, N = 24 the peak while solve_linear runs is 585 bytes a node), and
-    a singular solve that allocates the whole basis peaks at 477 bytes a
-    node at n = 3, N = 16."""
-    return N ** n * (84 * n * n + 300)
+    each of n axes: N^n nodes at 48 n^2 + 400 bytes a node (832, 1168,
+    1600 and 2128 at n = 3..6). It bounds the tracemalloc peaks, in bytes a
+    node, of `sigmak solve` (N = 16 at n = 3, N = 8 above) and of
+    `sigmak verify` (per node of its 2N grid, from N = 8):
+
+        n   case A, k = n   case A, k = 3   case C, k = 3   varying bg   verify
+        3         578             578             708            788        728
+        4         796             788             768            920        732
+        5       1,023           1,007           1,015          1,239
+        6       1,384           1,360           1,348          1,702
+
+    where "varying bg" is case A, k = 3, on a background whose (1,1) entry
+    varies along every axis, so it is stored grid-sized. That leaves 25-29%
+    of headroom at n >= 4 and 5% over the n = 3, N = 16 background run,
+    whose peak carries about 80 bytes a node of fixed cost (case A at
+    N = 24 peaks at 521). The peaks are set by the (n, n) planes of a
+    state (its tensor and the recurrence's two derivative planes, which
+    linearize spends as its coefficient planes), a Hessian or the
+    background where it is grid-sized, and the operator's 1 + 2n + n(n-1)/2
+    weight planes. A full GMRES basis (51 grid vectors, 408 bytes a node)
+    fits inside it: the Newton state is dropped before the Krylov solve,
+    and a singular solve that allocates the whole basis peaks at 477 bytes
+    a node at n = 3, N = 16."""
+    return N ** n * (48 * n * n + 400)
 
 
 def sample_bytes(n: int, k: int) -> int:

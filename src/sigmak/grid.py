@@ -10,9 +10,9 @@ The stencil is written once, here. _wrap_pad adds one periodic layer on
 every side of a grid array, and _stencil_shifts lists the 2n^2 + 1 offsets
 of the stencil as slices of that padded copy, the view at offset o holding
 the value at node + o. derivatives takes the gradient and the Hessian of a
-field from one padded copy through those views, and the linearized
-operator's matvec (operators.LinearOperator) reads its argument through the
-same views. The Laplacian is the trace of the Hessian.
+field from one padded copy through those views (hessian the Hessian alone),
+and the linearized operator's matvec (operators.LinearOperator) reads its
+argument through the same views. The Laplacian is the trace of the Hessian.
 
 Tensor-valued derivatives are plain arrays stored component-major: one
 contiguous grid plane per component, so every later pass over them is a
@@ -43,7 +43,7 @@ from .errors import DomainError, ExprEvalError
 
 __all__ = [
     "Grid", "ScalarField",
-    "derivatives", "sample", "sample_values",
+    "derivatives", "hessian", "sample", "sample_values",
     "dump_field", "load_field", "spectral_derivatives", "prolong",
     "random_smooth_field",
 ]
@@ -121,10 +121,11 @@ _SHIFT = {-1: slice(0, -2), 0: slice(1, -1), 1: slice(2, None)}
 def _stencil_shifts(n: int) -> tuple:
     """The 2n^2 + 1 offsets of the periodic stencil, as index tuples into
     a wrap-padded grid (see _wrap_pad) whose view at offset o holds the
-    value at node + o. The order is that of operators.LinearOperator's
-    weight planes, in blocks: the centre; +e_i for each axis i; -e_i for
-    each i; then, over the pairs i < j in np.triu_indices order, +e_i+e_j,
-    -e_i-e_j, +e_i-e_j and -e_i+e_j, one block each."""
+    value at node + o. The order is the one in which
+    operators.LinearOperator sums its weighted shifts, in blocks: the
+    centre; +e_i for each axis i; -e_i for each i; then, over the pairs
+    i < j in np.triu_indices order, +e_i+e_j, -e_i-e_j, +e_i-e_j and
+    -e_i+e_j, one block each."""
     eye = np.eye(n, dtype=int)
     iu, ju = np.triu_indices(n, 1)
     plus, mixed = eye[iu] + eye[ju], eye[iu] - eye[ju]
@@ -147,11 +148,13 @@ def _wrap_pad(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stencil_derivatives(padded: np.ndarray, h: float) -> tuple:
+def _stencil_derivatives(padded: np.ndarray, h: float,
+                         gradient: bool = True) -> tuple:
     """Central-difference gradient and Hessian of the grid whose wrap-padded
     copy is `padded`, read through the views of _stencil_shifts: shapes
-    (n,) + grid.shape and (n, n) + grid.shape. Each plane is
-    (v(+e_i) - v(-e_i))/(2h), (v(+e_i) - 2v + v(-e_i))/h^2 or
+    (n,) + grid.shape and (n, n) + grid.shape, the gradient None unless
+    `gradient`. Each plane is (v(+e_i) - v(-e_i))/(2h),
+    (v(+e_i) - 2v + v(-e_i))/h^2 or
     (v(+e_i+e_j) - v(+e_i-e_j) - v(-e_i+e_j) + v(-e_i-e_j))/(4h^2),
     evaluated left to right, and written straight to its plane."""
     n = padded.ndim
@@ -159,12 +162,13 @@ def _stencil_derivatives(padded: np.ndarray, h: float) -> tuple:
     centre, *views = (padded[shift] for shift in _stencil_shifts(n))
     plus, minus, pairs = views[:n], views[n:2 * n], views[2 * n:]
     pp, mm, pm, mp = (pairs[b * m:(b + 1) * m] for b in range(4))
-    grad = np.empty((n,) + centre.shape)
+    grad = np.empty((n,) + centre.shape) if gradient else None
     hess = np.empty((n, n) + centre.shape)
     twice = 2.0 * centre
     for i in range(n):
-        np.subtract(plus[i], minus[i], out=grad[i])
-        grad[i] /= 2.0 * h
+        if gradient:
+            np.subtract(plus[i], minus[i], out=grad[i])
+            grad[i] /= 2.0 * h
         np.subtract(plus[i], twice, out=hess[i, i])
         hess[i, i] += minus[i]
         hess[i, i] /= h * h
@@ -182,6 +186,11 @@ def derivatives(u: ScalarField) -> tuple:
     """Central-difference gradient and Hessian of u from one wrap-padded
     copy: shapes (n,) + grid.shape and (n, n) + grid.shape."""
     return _stencil_derivatives(_wrap_pad(u.values), u.grid.h)
+
+
+def hessian(u: ScalarField) -> np.ndarray:
+    """The Hessian of derivatives(u), bitwise, without its gradient."""
+    return _stencil_derivatives(_wrap_pad(u.values), u.grid.h, False)[1]
 
 
 def sample_values(ast, grid: Grid) -> np.ndarray:
@@ -204,8 +213,14 @@ def sample_text(src: str, grid: Grid) -> ScalarField:
     return sample(fieldexpr.parse(src, grid.n), grid)
 
 
+# Values dump_field formats per call: a block's text is a few hundred
+# kilobytes, a small transient beside any solve's arrays.
+_DUMP_BLOCK = 8192
+
+
 def dump_field(field: ScalarField, name: str, target) -> None:
-    """Write the bit-exact text dump (header plus one value per line)."""
+    """Write the bit-exact text dump (header plus one value per line), one
+    %-format and one write per block of _DUMP_BLOCK values."""
     if any(ch.isspace() for ch in name) or not name:
         raise DomainError(f"field name must be nonempty without spaces, got {name!r}")
     own = isinstance(target, (str, bytes, os.PathLike))
@@ -213,8 +228,10 @@ def dump_field(field: ScalarField, name: str, target) -> None:
     try:
         g = field.grid
         fp.write(f"field n={g.n} N={g.N} name={name}\n")
-        for v in field.values.ravel():
-            fp.write(f"{v:.17g}\n")
+        values = field.values.ravel()
+        for start in range(0, values.size, _DUMP_BLOCK):
+            block = values[start:start + _DUMP_BLOCK].tolist()
+            fp.write(("%.17g\n" * len(block)) % tuple(block))
     finally:
         if own:
             fp.close()

@@ -31,14 +31,16 @@ pattern. For case A with alpha <= 0 (and case B with its positive quotient
 weight) the zeroth coefficient is strictly negative, which is what makes the
 linearized operator invertible on the periodic box.
 
-LinearOperator holds the linearization matrix-free: the 2n^2 + 1 weights of
-its periodic second-order stencil as component-major planes, written straight
-from the coefficient planes, one per offset of the stencil that grid defines
-(grid._stencil_shifts), and a matvec that wrap-pads its argument once
-(grid._wrap_pad) and adds each weighted shift as a slice view, in the order
-a CSR row would, so the product is bitwise that of the assembled matrix
-(as_csr, which alone imports scipy, builds it on demand for tests and
-diagnostics). Its preconditioner is the frozen-coefficient FFT inverse.
+LinearOperator holds the linearization matrix-free: the weights of its
+periodic second-order stencil as component-major planes, written straight
+from the coefficient planes, one for the centre, one per axis offset +-e_i
+of the stencil that grid defines (grid._stencil_shifts) and one per pair
+i < j, whose four corners share it up to sign; and a matvec that wrap-pads
+its argument once (grid._wrap_pad) and adds each weighted shift as a slice
+view, in the order a CSR row would, so the product is bitwise that of the
+assembled matrix (as_csr, which alone imports scipy, builds it on demand
+for tests and diagnostics). Its preconditioner is the frozen-coefficient
+FFT inverse.
 
 A caution recorded here because it is easy to trip over: the second-order
 coefficient family of the multiplied form is positive definite near solution
@@ -70,7 +72,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -123,7 +125,9 @@ class StateData:
 
     Holding these in one place lets residual, linearization, certificates,
     and the solver's line search share a single recurrence pass. Tensor
-    fields are component-major, one grid plane per component.
+    fields are component-major, one grid plane per component. Linearizing
+    the state spends it: dk and dkm1 become the coefficient planes and are
+    set to None (see _coefficients); the other fields stay valid.
     """
 
     spec: ProblemSpec
@@ -132,8 +136,8 @@ class StateData:
     gv: np.ndarray        # gradient of u, (n,) + grid.shape
     mats: np.ndarray      # V for cases A/B, W for case C, (n, n) + grid.shape
     sig: np.ndarray       # sigma_0..sigma_k of the tensor, (k+1,) + grid.shape
-    dk: np.ndarray        # d sigma_k / dM, (n, n) + grid.shape
-    dkm1: np.ndarray      # d sigma_{k-1} / dM, (n, n) + grid.shape
+    dk: np.ndarray | None     # d sigma_k / dM, (n, n) + grid.shape
+    dkm1: np.ndarray | None   # d sigma_{k-1} / dM, (n, n) + grid.shape
     margins: np.ndarray   # grid.shape, min of sigma_1..sigma_m (m = required cone)
     e2su: np.ndarray      # exp(2 s u)
     e2ksu: np.ndarray     # exp(2 k s u)
@@ -242,18 +246,20 @@ class LinearOperator:
     second has shape (n, n) + grid.shape and is symmetric per node, first has
     shape (n,) + grid.shape (component-major, like every tensor field),
     zeroth has shape grid.shape. Construction writes the stencil weights
-    straight from these planes into `weights`, (2n^2 + 1,) + grid.shape,
-    one plane per offset of _stencil_shifts: c - 2 tau at the centre
-    (tau = sum_i G_ii/h^2), G_ii/h^2 +- b_i/(2h) at +-e_i, G_ij/(2h^2) at
-    +-(e_i+e_j) and -G_ij/(2h^2) at +-(e_i-e_j); the coefficients are not
-    kept. A given `values` (float64, C-contiguous, grid.size * (2n^2 + 1)
+    straight from these planes into `weights`, (1 + 2n + n(n-1)/2,) +
+    grid.shape: c - 2 tau for the centre (tau = sum_i G_ii/h^2),
+    G_ii/h^2 + b_i/(2h) for each +e_i, G_ii/h^2 - b_i/(2h) for each -e_i,
+    and one plane G_ij/(2h^2) per pair i < j, the weight at +-(e_i+e_j)
+    and, negated, at +-(e_i-e_j); the coefficients are not kept. A given
+    `values` (float64, C-contiguous, grid.size * (1 + 2n + n(n-1)/2)
     entries) is overwritten in full and becomes `weights` without a copy,
     so one buffer can serve operators never alive together.
 
-    matvec() wrap-pads its argument once and adds the weighted shifts, each
-    a slice view of the padded array, in plane order, which is bitwise
-    as_csr() @ x; apply() reshapes around it. as_csr() assembles the matrix
-    for tests and diagnostics.
+    matvec() wrap-pads its argument once and sums the weighted shifts, each
+    a slice view of the padded array, in the order of _stencil_shifts,
+    which is bitwise as_csr() @ x; apply() reshapes around it. as_csr()
+    assembles the matrix, one weight per offset, for tests and
+    diagnostics.
 
     precondition() inverts L with its coefficients frozen (the approach of
     Benamou, Froese and Oberman for fully nonlinear elliptic equations). Each
@@ -291,7 +297,8 @@ class LinearOperator:
                 f"coefficients must be component-major, (n, n) + grid.shape "
                 f"and (n,) + grid.shape; got {second.shape} and "
                 f"{first.shape}")
-        width = 2 * n * n + 1
+        p = 1 + 2 * n
+        width = p + m
         self.weights = np.empty((width,) + g.shape) if values is None \
             else values.reshape((width,) + g.shape)
         planes = self.weights.reshape(width, g.size)
@@ -302,14 +309,10 @@ class LinearOperator:
         zeroth = zeroth.ravel()
         np.subtract(zeroth, 2.0 * tau, out=planes[0])
         np.add(diag, bias, out=planes[1:1 + n])
-        np.subtract(diag, bias, out=planes[1 + n:1 + 2 * n])
-        p = 1 + 2 * n
+        np.subtract(diag, bias, out=planes[1 + n:p])
         iu, ju = np.triu_indices(n, 1)
-        cross = planes[p:p + m]
+        cross = planes[p:]
         np.divide(second[iu, ju], 2.0 * h ** 2, out=cross)
-        planes[p + m:p + 2 * m] = cross
-        np.negative(cross, out=planes[p + 2 * m:p + 3 * m])
-        planes[p + 3 * m:] = planes[p + 2 * m:p + 3 * m]
 
         self.row_scale = 1.0 / (2.0 * np.abs(tau) + np.abs(zeroth))
         mean = self.row_scale / g.size
@@ -336,17 +339,22 @@ class LinearOperator:
         return self.matvec(values.ravel()).reshape(self.grid.shape)
 
     def matvec(self, flat: np.ndarray) -> np.ndarray:
-        """L on a flattened field: w_0 x, then w_j times the shift of x by
-        offset j added in plane order, so each node sums its terms in the
-        order of the CSR row (as_csr)."""
+        """L on a flattened field: w_0 x, then each offset's weighted shift
+        of x in the order of _stencil_shifts, so each node sums its terms in
+        the order of the CSR row (as_csr). A pair plane is added at its two
+        +-(e_i+e_j) corners and subtracted at its two +-(e_i-e_j) corners,
+        which is bitwise adding its negation there."""
         x = flat.reshape(self.grid.shape)
         padded = _wrap_pad(x)
         shifts = _stencil_shifts(self.grid.n)
+        axes, pairs = np.split(self.weights[1:], [2 * self.grid.n])
+        steps = [(w, np.add) for w in [*axes, *pairs, *pairs]] \
+            + [(w, np.subtract) for w in [*pairs, *pairs]]
         y = self.weights[0] * x
         term = np.empty_like(y)
-        for w, shift in zip(self.weights[1:], shifts[1:]):
+        for (w, step), shift in zip(steps, shifts[1:]):
             np.multiply(w, padded[shift], out=term)
-            y += term
+            step(y, term, out=y)
         return y.ravel()
 
     def precondition(self, flat: np.ndarray) -> np.ndarray:
@@ -360,24 +368,39 @@ class LinearOperator:
 
     def as_csr(self) -> "csr_matrix":
         """The operator as a new scipy.sparse.csr_matrix: the weight planes
-        copied, node by node, into the rows of the grid's cached pattern
+        expanded to one plane per offset of _stencil_shifts (each pair plane
+        at its +-(e_i+e_j) corners, its negation at its +-(e_i-e_j) corners)
+        and copied, node by node, into the rows of the grid's cached pattern
         (_stencil_pattern). Its index arrays are that shared read-only
         pattern, so in-place restructuring such as sum_duplicates() raises.
         scipy is imported here only."""
         from scipy.sparse import csr_matrix
         indices, indptr = _stencil_pattern(self.grid)
         size = self.grid.size
-        data = self.weights.reshape(-1, size).T.ravel()
+        planes = self.weights.reshape(-1, size)
+        pairs = planes[1 + 2 * self.grid.n:]
+        data = np.concatenate([planes, pairs, -pairs, -pairs]).T.ravel()
         return csr_matrix((data, indices, indptr), shape=(size, size))
 
 
 def _coefficients(sd: StateData):
     """Analytic (second, first, zeroth) coefficient fields of the multiplied
-    form's Frechet derivative at the cached state."""
+    form's Frechet derivative at the cached state.
+
+    The state is spent by it: S = dk + a e^{2su} dkm1 is formed over the
+    state's own planes (dkm1 scaled in place, then added into dk), second is
+    written over S, and sd.dk and sd.dkm1 are set to None, so a second call,
+    or a linearize, on the same state raises DomainError. Every other field
+    of sd stays as it was."""
+    if sd.dk is None:
+        raise DomainError("the state's derivative planes were spent by an "
+                          "earlier linearization; prepare the state again")
     spec = sd.spec
     n, k, t = spec.n, spec.k, sd.t
-    S = (sd.a_weight * sd.e2su) * sd.dkm1
-    S += sd.dk
+    sd.dkm1 *= sd.a_weight * sd.e2su
+    S = sd.dk
+    S += sd.dkm1
+    sd.dk = sd.dkm1 = None
     trS = np.einsum("ii...->...", S)
     if spec.case == "C":
         second = S
@@ -410,6 +433,9 @@ def linearize(sd: StateData,
     recurrence, composed with the dependence of the curvature tensor on
     (hess u, grad u, u); zeroth-order terms from the explicit exponentials.
     values is handed to LinearOperator, which writes the weights into it.
+    The coefficients are formed over the state's derivative planes, so sd
+    is spent (see _coefficients): linearizing it again raises DomainError.
+    No (n, n) + grid.shape array is allocated.
     """
     if sd.cone_margin <= 0.0:
         node, report = sd.worst_node()
@@ -460,11 +486,13 @@ def ellipticity_certificate(sd: StateData) -> EllipticityReport:
     spec = sd.spec
     n, k = spec.n, spec.k
     lam = np.linalg.eigvalsh(np.moveaxis(sd.mats, (0, 1), (-2, -1)))
-    others = np.array([np.delete(np.arange(n), i) for i in range(n)])
-    # sigma_{k-2} and sigma_{k-1} of the deleted spectra (lambda|i): the
-    # eigenvalues of d sigma_{k-1}(T) and d sigma_k(T)
-    deleted = sigma_all_batch(lam[..., others], k - 1)
-    dkm1, dk = deleted[..., k - 2], deleted[..., k - 1]
+    # sigma_{k-2} and sigma_{k-1} of the deleted spectra (lambda|i), one i
+    # at a time: the eigenvalues of d sigma_{k-1}(T) and d sigma_k(T)
+    dkm1, dk = np.empty_like(lam), np.empty_like(lam)
+    for i in range(n):
+        deleted = sigma_all_batch(np.delete(lam, i, axis=-1), k - 1)
+        dkm1[..., i], dk[..., i] = deleted[..., k - 2], deleted[..., k - 1]
+    del lam, deleted
     s_eigs = dk + (sd.a_weight * sd.e2su)[..., None] * dkm1
     if spec.case == "C":
         newton_eigs = s_eigs.min(axis=-1)
@@ -472,6 +500,8 @@ def ellipticity_certificate(sd: StateData) -> EllipticityReport:
         p_eigs = _v_spectrum(s_eigs, sd.t)
         newton_eigs = (p_eigs + p_eigs.sum(axis=-1, keepdims=True)
                        / (n - 2.0)).min(axis=-1)
+        del p_eigs
+    del s_eigs
     nm_node = _argmin_node(newton_eigs)
     worst_node = _argmin_node(sd.margins)
 
@@ -480,7 +510,10 @@ def ellipticity_certificate(sd: StateData) -> EllipticityReport:
     if valid.any():
         skm1 = np.where(valid, sd.sig[k - 1], 1.0)
         excess = (sd.r_weight * sd.e2ksu - sd.sig[k]) / skm1 ** 2
-        q_eigs = dk / skm1[..., None] + excess[..., None] * dkm1
+        q_eigs = dk / skm1[..., None]
+        del dk
+        q_eigs += excess[..., None] * dkm1
+        del dkm1
         if spec.case != "C":
             q_eigs = _v_spectrum(q_eigs, sd.t)
         q_min = float(q_eigs.min(axis=-1)[valid].min())
@@ -761,9 +794,9 @@ def c0_diagnostic(sd: StateData) -> C0Report:
     the other conformal sign, so only the gaps are reported.
 
     The state side is read off sd at the two extremal nodes of u: its
-    sigmas and its weights. B is built once at the stored shape of the
-    background, from zero derivatives of that shape, and its spectrum is
-    taken at the two nodes only."""
+    sigmas and its weights. B is built at those two nodes only, from zero
+    derivatives and the background read there, so a background stored
+    grid-sized adds no grid-sized temporary."""
     spec, t, u = sd.spec, sd.t, sd.u
     n, k = spec.n, spec.k
     grid = spec.grid
@@ -774,12 +807,11 @@ def c0_diagnostic(sd: StateData) -> C0Report:
 
     at = tuple(np.array(axis) for axis in zip(node_max, node_min))
     sig_max, sig_min = sd.sig[(..., *at)].T
-    batch = spec.background.shape[2:]
-    comparison = np.broadcast_to(
-        _case_tensor(np.zeros((n, n) + batch), np.zeros((n,) + batch), t,
-                     spec), (n, n) + grid.shape)
+    ends = replace(spec, background=np.broadcast_to(
+        spec.background, (n, n) + grid.shape)[(..., *at)])
+    comparison = _case_tensor(np.zeros((n, n, 2)), np.zeros((n, 2)), t, ends)
     sig_b_max, sig_b_min = sigma_all_batch(
-        np.linalg.eigvalsh(np.moveaxis(comparison[(..., *at)], -1, 0)), k)
+        np.linalg.eigvalsh(np.moveaxis(comparison, -1, 0)), k)
 
     q_max = _cone_quotient(sig_max, k)
     q_min = _cone_quotient(sig_min, k)

@@ -48,7 +48,7 @@ from .errors import (
     NonConvergenceError,
     PathFailureError,
 )
-from .grid import ScalarField, derivatives
+from .grid import ScalarField, hessian
 from .operators import (
     EllipticityReport,
     LinearOperator,
@@ -234,13 +234,15 @@ def __getattr__(name: str):
 
 def monitor(sd: StateData) -> MonitorRecord:
     """Compute the monitored sup quantities and the cone margin of the
-    accepted state sd. The ellipticity audit is not part of it: the solver
+    accepted state sd. The gradient is the state's; the state holds no
+    Hessian, so Hess u is taken by the Hessian-only stencil pass
+    (grid.hessian). The ellipticity audit is not part of it: the solver
     certifies only the state a trace ends on (ContinuationTrace.ellipticity)."""
     grad_sq = (sd.gv ** 2).sum(axis=0)
     return MonitorRecord(
         sup_u=float(np.abs(sd.u.values).max()),
         sup_grad_u_sq=float(grad_sq.max()),
-        sup_hess_u=_sup_spectral_radius(derivatives(sd.u)[1]),
+        sup_hess_u=_sup_spectral_radius(hessian(sd.u)),
         cone_margin=sd.cone_margin)
 
 

@@ -350,13 +350,13 @@ def test_grids_over_the_memory_budget_exit_two_before_any_work(
             assert rc == 2
             assert "memory budget" in capsys.readouterr().err
             assert not out.exists()
-    # verify solves at N and 2N: N=64 passes validation at n=3, its doubled
+    # verify solves at N and 2N: N=32 passes validation at n=4, its doubled
     # grid does not.
-    cfg = RunConfig(N=64)
+    cfg = RunConfig(n=4, k=3, N=32)
     cfg.validate()
-    rc, out = drive(tmp_path, cfg, "verify", "verify64")
+    rc, out = drive(tmp_path, cfg, "verify", "verify32")
     assert rc == 2
-    assert "N=128" in capsys.readouterr().err
+    assert "N=64" in capsys.readouterr().err
     assert sorted(os.listdir(out)) == ["config.txt"]
 
 

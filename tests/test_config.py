@@ -201,6 +201,15 @@ def test_validate_rejects_grids_over_the_memory_budget():
             cfg.validate()
 
 
+def test_verify_at_n5_fits_the_memory_budget():
+    """The n = 5, k = 3 convergence study solves at N = 8 and 16: both
+    grids pass the unchanged budget, with the default check.samples."""
+    cfg = RunConfig(n=5, k=3, N=8)
+    cfg.validate()
+    cfg.check_memory(16)
+    assert MEMORY_BUDGET_BYTES == 2 * 2 ** 30
+
+
 def test_validate_accepts_every_grid_the_suite_demos_and_benchmark_run():
     # (n, k, N, doubled): the largest grids of the tests, the README config,
     # the demos' n=3 grids and the benchmark's three workloads; verify

@@ -7,7 +7,7 @@ import pytest
 
 from sigmak import Grid, ScalarField, dump_field, load_field, sample_text
 from sigmak.errors import DomainError
-from sigmak.grid import (derivatives, prolong, random_smooth_field,
+from sigmak.grid import (derivatives, hessian, prolong, random_smooth_field,
                          spectral_derivatives)
 
 
@@ -119,6 +119,23 @@ def test_dump_load_round_trip_is_bit_exact():
     assert buf2.getvalue() == text
 
 
+def test_dump_writes_each_value_as_its_own_17_digit_line():
+    """The blockwise dump is byte for byte the header and then one
+    f"{v:.17g}" line per value, over several blocks and a partial one, for
+    signed zeros, subnormals, the extremes and integers past 2^53."""
+    g = Grid(4, 11)
+    rng = np.random.default_rng(6)
+    values = rng.standard_normal(g.size) * 10.0 ** rng.integers(
+        -300, 300, g.size)
+    values[:10] = [0.0, -0.0, 5e-324, -2.2e-308, 1.7976931348623157e308,
+                   1e16, 2.0 ** 60 + 1.0, 0.1, 1.0 / 3.0, -1e-5]
+    u = ScalarField(g, values.reshape(g.shape))
+    buf = io.StringIO()
+    dump_field(u, "u", buf)
+    want = "field n=4 N=11 name=u\n" + "".join(f"{v:.17g}\n" for v in values)
+    assert buf.getvalue() == want
+
+
 def test_dump_rejects_bad_names_and_load_rejects_bad_headers():
     g = Grid(3, 8)
     u = ScalarField.zeros(g)
@@ -172,5 +189,6 @@ def test_hessian_equals_the_eight_roll_stencils(n, N):
     grad, mats = derivatives(u)
     assert np.array_equal(grad, want_g)
     assert np.array_equal(mats, want)
+    assert np.array_equal(hessian(u), want)
     assert np.array_equal(u.values, before)
 

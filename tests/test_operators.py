@@ -11,12 +11,15 @@ from sigmak import (Grid, ProblemSpec, ScalarField, c0_diagnostic,
                     concavity_certificate, ellipticity_certificate, linearize,
                     manufactured_forcing, prepare_state, residual, sample_text)
 from sigmak.curvature import build_v_tensor
-from sigmak.errors import AdmissibilityError, DomainError, ValidationError
+from sigmak.errors import (AdmissibilityError, DomainError, SigmaKError,
+                           ValidationError)
 from sigmak.grid import derivatives, random_smooth_field
-from sigmak.operators import (SIGMA_FLOOR, C0_SLACK_CONSTANT, LinearOperator,
+from sigmak.operators import (SIGMA_FLOOR, C0_SLACK_CONSTANT,
+                              EllipticityReport, LinearOperator,
                               _coefficients, _v_spectrum,
                               line_second_difference)
 from sigmak.solver import solve_linear
+from sigmak.symfunc import sigma_all_batch
 
 
 # -- residual oracles --------------------------------------------------------
@@ -121,9 +124,12 @@ def test_linear_operator_routes_agree():
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_matvec_is_bitwise_the_assembled_product(n):
-    """The matrix-free matvec equals as_csr() @ x bit for bit on random
-    elliptic coefficients (G positive definite at every node, c < 0) at
-    N=8: it adds each node's terms in the order of its CSR row."""
+    """The operator holds 1 + 2n + n(n-1)/2 weight planes, and its
+    matrix-free matvec equals as_csr() @ x, with its 2n^2 + 1 entries a
+    row, bit for bit on random elliptic coefficients (G positive definite
+    at every node, c < 0) at N=8: it adds each node's terms in the order
+    of its CSR row, subtracting a pair plane's product where the row holds
+    the plane's negation."""
     rng = np.random.default_rng(70 + n)
     grid = Grid(n, 8)
     root = 0.3 * rng.standard_normal((n, n) + grid.shape)
@@ -135,8 +141,16 @@ def test_matvec_is_bitwise_the_assembled_product(n):
     del root, second
     x = rng.standard_normal(grid.size)
     csr = op.as_csr()
+    assert op.weights.shape == (_planes(n),) + grid.shape
     assert csr.nnz == grid.size * (2 * n * n + 1)
     assert np.array_equal(op.matvec(x), csr @ x)
+
+
+def _planes(n):
+    """Weight planes of an operator in n dimensions: the centre, +-e_i for
+    each axis, and one per pair i < j (21 in place of 2n^2 + 1 = 51 at
+    n = 5)."""
+    return 1 + 2 * n + n * (n - 1) // 2
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -153,7 +167,7 @@ def test_operator_built_into_a_supplied_buffer_keeps_it(n):
                   first=rng.standard_normal((n,) + grid.shape),
                   zeroth=rng.standard_normal(grid.shape))
     fresh = LinearOperator(**coeffs)
-    buf = np.full(grid.size * (2 * n * n + 1), np.nan)
+    buf = np.full(grid.size * _planes(n), np.nan)
     op = LinearOperator(**coeffs, values=buf)
     assert np.shares_memory(op.weights, buf)
     assert np.array_equal(op.weights, fresh.weights)
@@ -162,9 +176,8 @@ def test_operator_built_into_a_supplied_buffer_keeps_it(n):
 
     spec = canonical_problem("A", n=n, k=3, N=8)
     u = random_smooth_field(spec.grid, rng, amplitude=0.02)
-    sd = prepare_state(u, 0.6, spec)
-    want = linearize(sd)
-    refilled = linearize(sd, values=op.weights)
+    want = linearize(prepare_state(u, 0.6, spec))
+    refilled = linearize(prepare_state(u, 0.6, spec), values=op.weights)
     assert np.shares_memory(refilled.weights, buf)
     assert np.array_equal(refilled.weights, want.weights)
     assert np.array_equal(refilled.matvec(phi), want.matvec(phi))
@@ -193,9 +206,9 @@ def test_preconditioner_inverts_constant_coefficient_operators(n):
 
 
 def _reference_weights(grid, second, first, zeroth):
-    """The stencil weight planes, (2n^2 + 1,) + grid.shape in the order of
-    _stencil_shifts, from the component-major coefficients: the fill the
-    operator's weights must equal bit for bit."""
+    """The stencil weight planes, (1 + 2n + n(n-1)/2,) + grid.shape, from
+    the component-major coefficients: the fill the operator's weights must
+    equal bit for bit."""
     n = grid.n
     second = np.moveaxis(second, (0, 1), (-2, -1)).reshape(grid.size, n, n)
     first = np.moveaxis(first, 0, -1).reshape(grid.size, n)
@@ -206,21 +219,16 @@ def _reference_weights(grid, second, first, zeroth):
 def _weight_rows(h, second, first, zeroth):
     """One row of stencil weights per node, one column block at a time, from
     node-major coefficients: second (rows, n, n), first (rows, n), zeroth
-    (rows,)."""
+    (rows,). The centre, +e_i, -e_i, then one weight per pair i < j."""
     rows, n = first.shape
-    m = n * (n - 1) // 2
     diag = np.einsum("rii->ri", second) / h ** 2
     bias = first / (2.0 * h)
-    vals = np.empty((rows, 2 * n * n + 1))
+    vals = np.empty((rows, _planes(n)))
     vals[:, 0] = zeroth - 2.0 * diag.sum(axis=1)
     vals[:, 1:1 + n] = diag + bias
     vals[:, 1 + n:1 + 2 * n] = diag - bias
-    p = 1 + 2 * n
     iu, ju = np.triu_indices(n, 1)
-    vals[:, p:p + m] = second[:, iu, ju] / (2.0 * h ** 2)
-    vals[:, p + m:p + 2 * m] = vals[:, p:p + m]
-    vals[:, p + 2 * m:p + 3 * m] = -vals[:, p:p + m]
-    vals[:, p + 3 * m:] = vals[:, p + 2 * m:p + 3 * m]
+    vals[:, 1 + 2 * n:] = second[:, iu, ju] / (2.0 * h ** 2)
     return vals
 
 
@@ -259,17 +267,18 @@ def test_linearization_coefficients_and_weights_are_bitwise(case, n, k):
     """The in-place coefficient fields and the blockwise value fill equal
     the plain expressions S = dk + a e^{2su} dkm1, P = V(S, t),
     second = P + (tr P/(n-2)) I (case C: S), first and zeroth as in the
-    module docstring."""
+    module docstring. Each linearization spends its state, so the weights
+    are built from the state prepared again."""
     spec = canonical_problem(case, n=n, k=k, N=8)
     u = random_smooth_field(spec.grid, np.random.default_rng(n),
                             amplitude=0.02)
     t = 1.0 if case == "C" else 0.6
     sd = prepare_state(u, t, spec)
-    second, first, zeroth = _coefficients(sd)
     want_second, want_first = _reference_coefficients(sd)
+    second, first, zeroth = _coefficients(sd)
     assert np.array_equal(second, want_second)
     assert np.array_equal(first, want_first)
-    weights = linearize(sd).weights
+    weights = linearize(prepare_state(u, t, spec)).weights
     want = _reference_weights(spec.grid, second, first, zeroth)
     assert weights.shape == want.shape
     for j, (got, plane) in enumerate(zip(weights, want)):
@@ -335,8 +344,7 @@ def test_state_and_operator_match_the_matmul_recurrence(case, n, k):
     close(np.moveaxis(sd.dk.reshape(n, n, -1)[:, :, nodes], -1, 0), dk)
     close(np.moveaxis(sd.dkm1.reshape(n, n, -1)[:, :, nodes], -1, 0), dkm1)
     op = linearize(sd)
-    width = 2 * n * n + 1
-    close(op.weights.reshape(width, -1)[:, nodes].T, _weight_rows(
+    close(op.weights.reshape(_planes(n), -1)[:, nodes].T, _weight_rows(
         spec.grid.h, *_node_coefficients(sd, nodes, sig, dk, dkm1)))
 
 
@@ -347,6 +355,31 @@ def test_zeroth_order_sign_matches_case():
         _, _, zeroth = _coefficients(
             prepare_state(ScalarField.zeros(spec.grid), 1.0, spec))
         assert np.all(sign * zeroth > 0.0)
+
+
+def test_linearization_spends_its_state():
+    """linearize forms its coefficients over the state's derivative planes
+    and drops them: a second linearize or _coefficients on the same state
+    raises DomainError, a SigmaKError, while the fields the residual, the
+    monitor and the audits read are untouched."""
+    spec = canonical_problem("A", n=4, k=3, N=8)
+    u = random_smooth_field(spec.grid, np.random.default_rng(8),
+                            amplitude=0.02)
+    sd = prepare_state(u, 0.6, spec)
+    res = residual(sd).values
+    kept = {f.name: getattr(sd, f.name).copy()
+            for f in dataclasses.fields(sd)
+            if f.name not in ("spec", "t", "u", "dk", "dkm1")}
+    want = linearize(prepare_state(u, 0.6, spec)).weights
+    assert np.array_equal(linearize(sd).weights, want)
+    assert sd.dk is None and sd.dkm1 is None
+    for name, value in kept.items():
+        assert np.array_equal(getattr(sd, name), value), name
+    assert np.array_equal(residual(sd).values, res)
+    for spend in (linearize, _coefficients):
+        with pytest.raises(SigmaKError, match="spent") as exc:
+            spend(sd)
+        assert isinstance(exc.value, DomainError)
 
 
 # -- certificates -------------------------------------------------------------
@@ -480,6 +513,62 @@ def _reference_ellipticity(sd) -> dict:
             "quotient_min_eig": float(q_eigs.min()),
             "quotient_trace_min": float(q_traces.min()),
             "nodes_outside_cone": int(valid.size - valid.sum())}
+
+
+def _gather_ellipticity(sd) -> list:
+    """The certificate's lines by the route it replaced: the deleted-spectrum
+    sigmas of all n indices from one (..., n, n-1) gather of the spectrum,
+    and every later array formed at once."""
+    spec = sd.spec
+    n, k = spec.n, spec.k
+    lam = np.linalg.eigvalsh(_node_major(sd.mats))
+    others = np.array([np.delete(np.arange(n), i) for i in range(n)])
+    deleted = sigma_all_batch(lam[..., others], k - 1)
+    dkm1, dk = deleted[..., k - 2], deleted[..., k - 1]
+    s_eigs = dk + (sd.a_weight * sd.e2su)[..., None] * dkm1
+    if spec.case == "C":
+        newton_eigs = s_eigs.min(axis=-1)
+    else:
+        p_eigs = _v_spectrum(s_eigs, sd.t)
+        newton_eigs = (p_eigs + p_eigs.sum(axis=-1, keepdims=True)
+                       / (n - 2.0)).min(axis=-1)
+    valid = (sd.margins > 0.0) & (sd.sig[k - 1] >= SIGMA_FLOOR)
+    skm1 = np.where(valid, sd.sig[k - 1], 1.0)
+    excess = (sd.r_weight * sd.e2ksu - sd.sig[k]) / skm1 ** 2
+    q_eigs = dk / skm1[..., None] + excess[..., None] * dkm1
+    if spec.case != "C":
+        q_eigs = _v_spectrum(q_eigs, sd.t)
+    q_min = float(q_eigs.min(axis=-1)[valid].min())
+    q_trace_min = float(q_eigs.sum(axis=-1)[valid].min())
+    node = np.unravel_index(int(np.argmin(newton_eigs)), newton_eigs.shape)
+    worst = np.unravel_index(int(np.argmin(sd.margins)), sd.margins.shape)
+    bound = (n - k + 1.0) / k
+    newton_min = float(newton_eigs.min())
+    outside = int(valid.size - valid.sum())
+    return EllipticityReport(
+        case=spec.case, n=n, k=k, N=spec.grid.N, t=float(sd.t),
+        nodes=int(valid.size), nodes_outside_cone=outside,
+        worst_margin=float(sd.margins.min()),
+        worst_margin_node=tuple(int(i) for i in worst),
+        newton_min_eig=newton_min,
+        newton_min_eig_node=tuple(int(i) for i in node),
+        quotient_min_eig=q_min, quotient_trace_min=q_trace_min,
+        trace_bound=bound, trace_slack=q_trace_min - bound,
+        passed=bool(outside == 0 and newton_min > 0.0 and q_min > 0.0
+                    and q_trace_min - bound >= -1e-10)).to_lines()
+
+
+@pytest.mark.parametrize("case", ["A", "C"])
+@pytest.mark.parametrize("n, k", [(4, 3), (5, 4), (6, 5)])
+def test_ellipticity_report_equals_the_gathered_route(case, n, k):
+    """The certificate, which forms the deleted-spectrum sigmas one index
+    at a time, writes a report equal line for line to the one-gather route,
+    on a non-constant state of a varied problem."""
+    spec = _varied_problem(case, n, k)
+    u = random_smooth_field(spec.grid, np.random.default_rng(30 + n),
+                            amplitude=0.02, modes=n + 2)
+    sd = prepare_state(u, 1.0 if case == "C" else 0.6, spec)
+    assert ellipticity_certificate(sd).to_lines() == _gather_ellipticity(sd)
 
 
 def _close(got: float, want: float, rel: float = 1e-13) -> bool:
