@@ -27,12 +27,12 @@ print(f"sup |u|   = {final.u.max_abs():.3e}  (constant-coefficient "
       f"problem, exact answer 0)")
 # The trace keeps the StateData of the state it ended on; the residual and
 # the audits below read it.
-print(f"residual  = {residual(trace.final_data).max_abs():.3e}")
+print(f"residual  = {residual(final).max_abs():.3e}")
 
 # The C0 comparison diagnostic re-runs the maximum-principle argument at
 # the final state: the quotient at the max of u must not exceed the value
 # obtained after dropping the Hessian terms.
-diag = c0_diagnostic(trace.final_data)
+diag = c0_diagnostic(final)
 print()
 print(*diag.to_lines(), sep="\n")
 

@@ -71,8 +71,6 @@ from .operators import (
 )
 from .solver import (
     Schedule,
-    HomotopyState,
-    MonitorRecord,
     TraceRow,
     ContinuationTrace,
     TRACE_HEADER,

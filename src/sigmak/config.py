@@ -52,20 +52,22 @@ def peak_bytes(n: int, N: int) -> int:
     `sigmak verify` (per node of its 2N grid, from N = 8):
 
         n   case A, k = n   case A, k = 3   case C, k = 3   varying bg   verify
-        3         578             578             708            788        728
-        4         796             788             768            920        732
-        5       1,023           1,007           1,015          1,239
-        6       1,384           1,360           1,348          1,702
+        3         582             582             712            792        732
+        4         788             780             764            908        710
+        5         979             963             939          1,163        961
+        6       1,289           1,265           1,249          1,553
 
     where "varying bg" is case A, k = 3, on a background whose (1,1) entry
-    varies along every axis, so it is stored grid-sized. That leaves 25-29%
+    varies along every axis, so it is stored grid-sized. That leaves 29-38%
     of headroom at n >= 4 and 5% over the n = 3, N = 16 background run,
     whose peak carries about 80 bytes a node of fixed cost (case A at
     N = 24 peaks at 521). The peaks are set by the (n, n) planes of a
-    state (its tensor and the recurrence's two derivative planes, which
-    linearize spends as its coefficient planes), a Hessian or the
-    background where it is grid-sized, and the operator's 1 + 2n + n(n-1)/2
-    weight planes. A full GMRES basis (51 grid vectors, 408 bytes a node)
+    state (its tensor and its Newton weight, which linearize spends as its
+    coefficient planes, and the recurrence's derivative planes while it
+    runs), a Hessian or the background where it is grid-sized, and the
+    operator's 1 + 2n + n(n-1)/2 weight planes; the largest is the
+    corrector's, as a line-search candidate is built beside the weight
+    planes. A full GMRES basis (51 grid vectors, 408 bytes a node)
     fits inside it: the Newton state is dropped before the Krylov solve,
     and a singular solve that allocates the whole basis peaks at 477 bytes
     a node at n = 3, N = 16."""

@@ -44,7 +44,7 @@ data.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -207,14 +207,9 @@ class ProblemSpec:
             background=sample_tensor(grid, background),
         )
 
-    def with_f_field(self, f_field: ScalarField, label: str = "<manufactured>"):
+    def with_f_field(self, f_field: ScalarField) -> "ProblemSpec":
         """Copy of this spec with a directly prescribed f field."""
-        return ProblemSpec(
-            case=self.case, n=self.n, k=self.k, grid=self.grid,
-            alpha_src=self.alpha_src, f_src=label,
-            alpha_field=self.alpha_field, f_field=f_field,
-            background=self.background,
-        )
+        return replace(self, f_src="<manufactured>", f_field=f_field)
 
     @property
     def conformal_sign(self) -> int:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fieldexpr
-from .errors import DomainError, ExprEvalError
+from .errors import DomainError
 
 __all__ = [
     "Grid", "ScalarField",

@@ -63,14 +63,13 @@ q_i = sigma_{k-1}(lambda|i)/sigma_{k-1} + (r e^{2ksu} - sigma_k)
 sigma_{k-2}(lambda|i)/sigma_{k-1}^2. No coefficient matrix is formed.
 
 Like residual and linearize, both audits take the StateData the caller
-holds, for a path the one it ended on (solver.ContinuationTrace.final_data):
+holds, for a path the one it ended on (solver.ContinuationTrace.final_state):
 ellipticity_certificate reads the spectrum of its tensor at every node, and
 c0_diagnostic its sigmas and weights at the extremal nodes of u.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import InitVar, dataclass, field, replace
 
@@ -124,10 +123,12 @@ class StateData:
     """Per-node quantities cached for one (u, t) state.
 
     Holding these in one place lets residual, linearization, certificates,
-    and the solver's line search share a single recurrence pass. Tensor
-    fields are component-major, one grid plane per component. Linearizing
-    the state spends it: dk and dkm1 become the coefficient planes and are
-    set to None (see _coefficients); the other fields stay valid.
+    the monitor and the solver's line search share a single recurrence
+    pass. Tensor fields are component-major, one grid plane per component.
+    newton_weight is S = d sigma_k + a e^{2su} d sigma_{k-1}, the matrix
+    weight of the linearization (see the module docstring). Linearizing the
+    state spends it: S becomes the coefficient planes and is set to None
+    (see _coefficients); the other fields stay valid.
     """
 
     spec: ProblemSpec
@@ -136,8 +137,7 @@ class StateData:
     gv: np.ndarray        # gradient of u, (n,) + grid.shape
     mats: np.ndarray      # V for cases A/B, W for case C, (n, n) + grid.shape
     sig: np.ndarray       # sigma_0..sigma_k of the tensor, (k+1,) + grid.shape
-    dk: np.ndarray | None     # d sigma_k / dM, (n, n) + grid.shape
-    dkm1: np.ndarray | None   # d sigma_{k-1} / dM, (n, n) + grid.shape
+    newton_weight: np.ndarray | None   # S, (n, n) + grid.shape
     margins: np.ndarray   # grid.shape, min of sigma_1..sigma_m (m = required cone)
     e2su: np.ndarray      # exp(2 s u)
     e2ksu: np.ndarray     # exp(2 k s u)
@@ -188,25 +188,36 @@ def _check_state_args(u: ScalarField, t: float, spec: ProblemSpec) -> None:
         raise DomainError(f"homotopy parameter t must lie in [0, 1], got {t}")
 
 
-def prepare_state(u: ScalarField, t: float, spec: ProblemSpec) -> StateData:
-    """Build the cached state for (u, t): curvature tensor, sigma values and
-    derivatives, cone margins, and the case weights."""
-    _check_state_args(u, t, spec)
+def _build_state(u: ScalarField, t: float, spec: ProblemSpec,
+                 route) -> StateData:
+    """The state of (u, t) from the derivatives of u that route returns,
+    grid.derivatives (the stencil) or grid.spectral_derivatives."""
     k = spec.k
-    gv, hess_u = derivatives(u)
+    gv, hess_u = route(u)
     mats = _case_tensor(hess_u, gv, t, spec)
     del hess_u   # the recurrence below sets the memory peak; free it first
-    sig, dk, dkm1 = sigma_and_dsigma_batch(mats, k)
-    m = spec.required_cone
-    margins = np.minimum.reduce(sig[1:m + 1])
-
+    sig, S, lower = sigma_and_dsigma_batch(mats, k)
     s = spec.conformal_sign
     a_weight, r_weight = case_weights(spec, t)
-    return StateData(spec=spec, t=t, u=u, gv=gv, mats=mats, sig=sig, dk=dk,
-                     dkm1=dkm1, margins=margins,
-                     e2su=np.exp(2.0 * s * u.values),
+    e2su = np.exp(2.0 * s * u.values)
+    # S = d sigma_k + a e^{2su} d sigma_{k-1}, over the recurrence's planes;
+    # those of d sigma_{k-1} go at once (held longer, they raised peak RSS)
+    lower *= a_weight * e2su
+    S += lower
+    del lower
+    m = spec.required_cone
+    margins = np.minimum.reduce(sig[1:m + 1])
+    return StateData(spec=spec, t=t, u=u, gv=gv, mats=mats, sig=sig,
+                     newton_weight=S, margins=margins, e2su=e2su,
                      e2ksu=np.exp(2.0 * k * s * u.values),
                      a_weight=a_weight, r_weight=r_weight)
+
+
+def prepare_state(u: ScalarField, t: float, spec: ProblemSpec) -> StateData:
+    """Build the cached state for (u, t) from stencil derivatives: curvature
+    tensor, sigmas, Newton weight, cone margins, and the case weights."""
+    _check_state_args(u, t, spec)
+    return _build_state(u, t, spec, derivatives)
 
 
 def residual(sd: StateData) -> ScalarField:
@@ -216,25 +227,6 @@ def residual(sd: StateData) -> ScalarField:
     vals = sd.sig[k] + sd.a_weight * sd.e2su * sd.sig[k - 1] \
         - sd.r_weight * sd.e2ksu
     return ScalarField(sd.spec.grid, vals)
-
-
-@functools.lru_cache(maxsize=4)
-def _stencil_pattern(grid: Grid) -> tuple:
-    """Column indices and row pointers of the periodic stencil in CSR form:
-    row i holds the flat index of node i + o for each offset o of
-    _stencil_shifts, in that order. It depends only on the grid, so it is
-    built once per grid and shared, read-only, by every as_csr on it. int32
-    holds the indices while nnz < 2^31."""
-    width = 2 * grid.n * grid.n + 1
-    nnz = grid.size * width
-    itype = np.int32 if nnz < 2 ** 31 else np.int64
-    padded = _wrap_pad(np.arange(grid.size, dtype=itype).reshape(grid.shape))
-    indices = np.stack([padded[shift] for shift in _stencil_shifts(grid.n)],
-                       axis=-1).ravel()
-    indptr = np.arange(0, nnz + 1, width, dtype=itype)
-    indices.flags.writeable = False
-    indptr.flags.writeable = False
-    return indices, indptr
 
 
 @dataclass
@@ -370,15 +362,17 @@ class LinearOperator:
         """The operator as a new scipy.sparse.csr_matrix: the weight planes
         expanded to one plane per offset of _stencil_shifts (each pair plane
         at its +-(e_i+e_j) corners, its negation at its +-(e_i-e_j) corners)
-        and copied, node by node, into the rows of the grid's cached pattern
-        (_stencil_pattern). Its index arrays are that shared read-only
-        pattern, so in-place restructuring such as sum_duplicates() raises.
-        scipy is imported here only."""
+        and copied, node by node, into row i, whose columns are the flat
+        indices of node i + o for each offset o, in that order. scipy is
+        imported here only."""
         from scipy.sparse import csr_matrix
-        indices, indptr = _stencil_pattern(self.grid)
-        size = self.grid.size
+        grid, size = self.grid, self.grid.size
+        shifts = _stencil_shifts(grid.n)
+        padded = _wrap_pad(np.arange(size).reshape(grid.shape))
+        indices = np.stack([padded[s] for s in shifts], axis=-1).ravel()
+        indptr = np.arange(0, indices.size + 1, len(shifts))
         planes = self.weights.reshape(-1, size)
-        pairs = planes[1 + 2 * self.grid.n:]
+        pairs = planes[1 + 2 * grid.n:]
         data = np.concatenate([planes, pairs, -pairs, -pairs]).T.ravel()
         return csr_matrix((data, indices, indptr), shape=(size, size))
 
@@ -387,20 +381,16 @@ def _coefficients(sd: StateData):
     """Analytic (second, first, zeroth) coefficient fields of the multiplied
     form's Frechet derivative at the cached state.
 
-    The state is spent by it: S = dk + a e^{2su} dkm1 is formed over the
-    state's own planes (dkm1 scaled in place, then added into dk), second is
-    written over S, and sd.dk and sd.dkm1 are set to None, so a second call,
-    or a linearize, on the same state raises DomainError. Every other field
-    of sd stays as it was."""
-    if sd.dk is None:
-        raise DomainError("the state's derivative planes were spent by an "
+    The state is spent by it: second is written over the state's Newton
+    weight S, and sd.newton_weight is set to None, so a second call, or a
+    linearize, on the same state raises DomainError. Every other field of
+    sd stays as it was."""
+    if sd.newton_weight is None:
+        raise DomainError("the state's Newton weight was spent by an "
                           "earlier linearization; prepare the state again")
     spec = sd.spec
     n, k, t = spec.n, spec.k, sd.t
-    sd.dkm1 *= sd.a_weight * sd.e2su
-    S = sd.dk
-    S += sd.dkm1
-    sd.dk = sd.dkm1 = None
+    S, sd.newton_weight = sd.newton_weight, None
     trS = np.einsum("ii...->...", S)
     if spec.case == "C":
         second = S
@@ -429,12 +419,12 @@ def linearize(sd: StateData,
     at the state sd, which must lie inside the case's cone
     (AdmissibilityError).
 
-    Assembled analytically: d sigma terms via the derivative matrices from the
-    recurrence, composed with the dependence of the curvature tensor on
-    (hess u, grad u, u); zeroth-order terms from the explicit exponentials.
-    values is handed to LinearOperator, which writes the weights into it.
-    The coefficients are formed over the state's derivative planes, so sd
-    is spent (see _coefficients): linearizing it again raises DomainError.
+    Assembled analytically: the state's Newton weight S (the d sigma terms
+    from the recurrence), composed with the dependence of the curvature
+    tensor on (hess u, grad u, u); zeroth-order terms from the explicit
+    exponentials. values is handed to LinearOperator, which writes the
+    weights into it. The coefficients are formed over S, so sd is spent
+    (see _coefficients): linearizing it again raises DomainError.
     No (n, n) + grid.shape array is allocated.
     """
     if sd.cone_margin <= 0.0:
@@ -488,12 +478,12 @@ def ellipticity_certificate(sd: StateData) -> EllipticityReport:
     lam = np.linalg.eigvalsh(np.moveaxis(sd.mats, (0, 1), (-2, -1)))
     # sigma_{k-2} and sigma_{k-1} of the deleted spectra (lambda|i), one i
     # at a time: the eigenvalues of d sigma_{k-1}(T) and d sigma_k(T)
-    dkm1, dk = np.empty_like(lam), np.empty_like(lam)
+    ekm1, ek = np.empty_like(lam), np.empty_like(lam)
     for i in range(n):
         deleted = sigma_all_batch(np.delete(lam, i, axis=-1), k - 1)
-        dkm1[..., i], dk[..., i] = deleted[..., k - 2], deleted[..., k - 1]
+        ekm1[..., i], ek[..., i] = deleted[..., k - 2], deleted[..., k - 1]
     del lam, deleted
-    s_eigs = dk + (sd.a_weight * sd.e2su)[..., None] * dkm1
+    s_eigs = ek + (sd.a_weight * sd.e2su)[..., None] * ekm1
     if spec.case == "C":
         newton_eigs = s_eigs.min(axis=-1)
     else:
@@ -510,10 +500,10 @@ def ellipticity_certificate(sd: StateData) -> EllipticityReport:
     if valid.any():
         skm1 = np.where(valid, sd.sig[k - 1], 1.0)
         excess = (sd.r_weight * sd.e2ksu - sd.sig[k]) / skm1 ** 2
-        q_eigs = dk / skm1[..., None]
-        del dk
-        q_eigs += excess[..., None] * dkm1
-        del dkm1
+        q_eigs = ek / skm1[..., None]
+        del ek
+        q_eigs += excess[..., None] * ekm1
+        del ekm1
         if spec.case != "C":
             q_eigs = _v_spectrum(q_eigs, sd.t)
         q_min = float(q_eigs.min(axis=-1)[valid].min())
@@ -705,6 +695,10 @@ def manufactured_forcing(u_star: ScalarField, t: float,
     convergence study). Case A needs t > 0 (the f term enters with weight t);
     case B has no forcing to manufacture. The curvature tensor of u_star must
     be admissible and the resulting f positive, otherwise ValidationError.
+
+    Everything is read off the state of u_star built from spectral
+    derivatives under the spec with f = 0, whose r weight is the f-free
+    part of r (r = r_weight + t f in case A, f in case C).
     """
     _check_state_args(u_star, t, spec)
     if spec.case == "B":
@@ -714,23 +708,16 @@ def manufactured_forcing(u_star: ScalarField, t: float,
         raise DomainError("case A forcing needs t > 0 (f enters with "
                           "weight t)")
     k = spec.k
-    grad, hess_u = spectral_derivatives(u_star)
-    mats = _case_tensor(hess_u, grad, t, spec)
-    sig = sigma_matrix_planes(mats, k)
-    margins = np.minimum.reduce(sig[1:k])
-    worst = float(margins.min())
+    sd = _build_state(u_star, t, spec.with_f_field(
+        ScalarField.zeros(spec.grid)), spectral_derivatives)
+    worst = sd.cone_margin
     if worst <= 0.0:
-        node = _argmin_node(margins)
+        node = _argmin_node(sd.margins)
         raise ValidationError(
             f"curvature tensor of u_star leaves Gamma_{k - 1} at node "
             f"{node} (margin {worst:.3e})")
-    s = spec.conformal_sign
-    e2su = np.exp(2.0 * s * u_star.values)
-    e2ksu = np.exp(2.0 * k * s * u_star.values)
-    # The weights at f = 0: r is r0 + t f in case A and f itself in case C.
-    a, r0 = case_weights(spec.with_f_field(ScalarField.zeros(spec.grid)), t)
-    r = (sig[k] + a * e2su * sig[k - 1]) / e2ksu
-    f = (r - r0) / t if spec.case == "A" else r
+    r = (sd.sig[k] + sd.a_weight * sd.e2su * sd.sig[k - 1]) / sd.e2ksu
+    f = (r - sd.r_weight) / t if spec.case == "A" else r
     low = float(f.min())
     if low <= 0.0:
         node = _argmin_node(f)

@@ -197,8 +197,8 @@ def run_checks(trace: ContinuationTrace, spec: ProblemSpec, checks=None,
                     name, "fail", float("nan"), 0.0,
                     "no certificate" if rows else "empty trace"))
         elif name == "c0_comparison":
-            if trace.final_data is not None:
-                rep = c0_diagnostic(trace.final_data)
+            if trace.final_state is not None:
+                rep = c0_diagnostic(trace.final_state)
                 gap = min(rep.gap_at_max, rep.gap_at_min)
                 status = "pass" if rep.within_slack else "fail"
                 detail = (f"gap_at_max={rep.gap_at_max!r} "

@@ -35,7 +35,6 @@ ones solve tightly. Nothing on this path imports scipy.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -103,28 +102,6 @@ class Schedule:
 
 
 @dataclass
-class HomotopyState:
-    """One accepted point on the continuation path."""
-
-    t: float
-    u: ScalarField
-    residual_norm: float
-    cone_margin: float
-    newton_iters: int
-
-
-@dataclass
-class MonitorRecord:
-    """The a priori quantities tracked along the path: the sup bounds the
-    estimates control and the cone margin."""
-
-    sup_u: float
-    sup_grad_u_sq: float
-    sup_hess_u: float
-    cone_margin: float
-
-
-@dataclass
 class TraceRow:
     step: int
     t: float
@@ -144,52 +121,33 @@ TRACE_HEADER = ",".join(f.name for f in fields(TraceRow))
 
 @dataclass
 class ContinuationTrace:
-    """Ordered record of accepted states plus their monitor values.
+    """Ordered rows of the accepted states, and the state the path ended on.
 
-    Row summaries stay small on purpose; only the last accepted state keeps
-    its full field (final_state), which downstream checks and the final dump
-    read. final_data is that state's StateData and ellipticity its audit,
-    each computed when first read once the solver has ended the trace (end)
-    and kept, so the audits share one state and a caller that never reads
-    them never pays for them; both are None for a trace not ended."""
+    Rows stay small on purpose; only the state the trace ends on keeps its
+    fields: final_state, the StateData continue_path sets when the path
+    ends (the t = 1 state, or on failure the last accepted state, built
+    again once), which the final dump and both audits read. ellipticity is
+    its audit, computed when first read and kept, so a caller that never
+    reads it never pays for it; both are None for a trace not ended."""
 
     rows: list = field(default_factory=list)
-    final_state: HomotopyState | None = None
-    _provider: Callable[[], StateData] | None = field(
-        default=None, repr=False, compare=False)
-    _final_data: StateData | None = field(
-        default=None, repr=False, compare=False)
+    final_state: StateData | None = None
     _ellipticity: EllipticityReport | None = field(
         default=None, repr=False, compare=False)
 
-    def end(self, provider: Callable[[], StateData]) -> None:
-        """End the trace on final_state; provider returns its StateData
-        when final_data is first read."""
-        self._provider = provider
-
-    @property
-    def final_data(self) -> StateData | None:
-        if self._provider is not None:
-            self._final_data, self._provider = self._provider(), None
-        return self._final_data
-
     @property
     def ellipticity(self) -> EllipticityReport | None:
-        if self._ellipticity is None and self.final_data is not None:
-            self._ellipticity = ellipticity_certificate(self.final_data)
+        if self._ellipticity is None and self.final_state is not None:
+            self._ellipticity = ellipticity_certificate(self.final_state)
         return self._ellipticity
 
-    def append(self, state: HomotopyState, record: MonitorRecord) -> None:
-        if self.rows and state.t <= self.rows[-1].t:
+    def append(self, sd: StateData, newton_iters: int,
+               residual_norm: float) -> None:
+        """Add the row of the accepted state sd (see monitor)."""
+        if self.rows and sd.t <= self.rows[-1].t:
             raise DomainError("trace t values must be strictly increasing")
-        self.final_state = state
-        self.rows.append(TraceRow(
-            step=len(self.rows), t=state.t,
-            newton_iters=state.newton_iters,
-            residual_norm=state.residual_norm,
-            cone_margin=state.cone_margin,
-            sup_u=record.sup_u, sup_grad_u_sq=record.sup_grad_u_sq,
-            sup_hess_u=record.sup_hess_u))
+        self.rows.append(monitor(sd, len(self.rows), newton_iters,
+                                 residual_norm))
 
     @property
     def final_t(self) -> float:
@@ -232,18 +190,20 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def monitor(sd: StateData) -> MonitorRecord:
-    """Compute the monitored sup quantities and the cone margin of the
-    accepted state sd. The gradient is the state's; the state holds no
-    Hessian, so Hess u is taken by the Hessian-only stencil pass
+def monitor(sd: StateData, step: int, newton_iters: int,
+            residual_norm: float) -> TraceRow:
+    """The trace row of the accepted state sd, with its monitored sup
+    quantities and cone margin. The gradient is the state's; the state
+    holds no Hessian, so Hess u is taken by the Hessian-only stencil pass
     (grid.hessian). The ellipticity audit is not part of it: the solver
     certifies only the state a trace ends on (ContinuationTrace.ellipticity)."""
     grad_sq = (sd.gv ** 2).sum(axis=0)
-    return MonitorRecord(
+    return TraceRow(
+        step=step, t=sd.t, newton_iters=newton_iters,
+        residual_norm=residual_norm, cone_margin=sd.cone_margin,
         sup_u=float(np.abs(sd.u.values).max()),
         sup_grad_u_sq=float(grad_sq.max()),
-        sup_hess_u=_sup_spectral_radius(hessian(sd.u)),
-        cone_margin=sd.cone_margin)
+        sup_hess_u=_sup_spectral_radius(hessian(sd.u)))
 
 
 def gmres(matvec, precondition, b: np.ndarray, x0: np.ndarray,
@@ -343,7 +303,7 @@ def solve_linear(op: LinearOperator, rhs: np.ndarray,
 
 
 def newton_correct(u: ScalarField, t: float, spec: ProblemSpec,
-                   schedule: Schedule) -> tuple[HomotopyState, StateData]:
+                   schedule: Schedule) -> tuple[StateData, int, float]:
     """Damped Newton on the multiplied residual at fixed t, from u.
 
     Each step solves L[delta] = -residual and takes the largest step size
@@ -363,9 +323,8 @@ def newton_correct(u: ScalarField, t: float, spec: ProblemSpec,
     refills the previous operator's weight planes in place, so one such
     buffer serves the whole call.
 
-    Returns the converged HomotopyState and the StateData of its u, which
-    monitor and the audit take; callers that do not need the latter drop it
-    at once.
+    Returns (sd, newton_iters, residual max-norm): sd is the StateData of
+    the converged u, which monitor and the audits take.
     """
     tol, max_iters = schedule.newton_tol, schedule.newton_max_iters
     sd = prepare_state(u, t, spec)
@@ -417,8 +376,7 @@ def newton_correct(u: ScalarField, t: float, spec: ProblemSpec,
             raise ConeExitError(
                 f"line search found no admissible decreasing step at "
                 f"t={t!r} (residual {rnorm:.3e}, margin {margin:.3e})")
-    return HomotopyState(t=t, u=u, residual_norm=rnorm, cone_margin=margin,
-                         newton_iters=it), sd
+    return sd, it, rnorm
 
 
 def solve_t0(spec: ProblemSpec, u_init: ScalarField,
@@ -432,8 +390,7 @@ def solve_t0(spec: ProblemSpec, u_init: ScalarField,
     if spec.case not in ("A", "B"):
         raise DomainError("the t = 0 endpoint belongs to the homotopy "
                           "cases A and B")
-    state, _ = newton_correct(u_init, 0.0, spec, schedule)
-    return state.u
+    return newton_correct(u_init, 0.0, spec, schedule)[0].u
 
 
 def continue_path(spec: ProblemSpec, schedule: Schedule | None = None,
@@ -452,9 +409,9 @@ def continue_path(spec: ProblemSpec, schedule: Schedule | None = None,
     trace accumulated so far, whose last row holds the final accepted t.
 
     Every accepted state is monitored, but only the one the trace ends on
-    is audited, and only once its StateData (trace.final_data) is read: the
-    t = 1 state's is the live one, and on failure the last accepted state's
-    is built again, once, for the audits to share.
+    is kept (trace.final_state) and audited, once its audit is read: the
+    t = 1 state's is the corrector's own, and on failure the last accepted
+    state's is built again, once, for the audits to share.
     """
     spec.validate(strict=True)
     sched = schedule if schedule is not None else Schedule()
@@ -467,35 +424,35 @@ def continue_path(spec: ProblemSpec, schedule: Schedule | None = None,
                           f"problem grid {spec.grid}")
     else:
         t = 1.0
-    state, sd = newton_correct(u_start, t, spec, sched)
-    trace.append(state, monitor(sd))
+    sd, iters, rnorm = newton_correct(u_start, t, spec, sched)
+    trace.append(sd, iters, rnorm)
+    u = sd.u
 
     dt = sched.dt_init
     while t < 1.0:
         sd = None   # keep no state's arrays alive into the next corrector
         t_next = min(t + dt, 1.0)
         try:
-            accepted, sd = newton_correct(state.u, t_next, spec, sched)
+            sd, iters, rnorm = newton_correct(u, t_next, spec, sched)
         except (ConeExitError, NonConvergenceError, LinearSolveError) as err:
             dt *= 0.5
             if dt < sched.dt_min:
-                trace.end(lambda: prepare_state(state.u, state.t, spec))
+                trace.final_state = prepare_state(u, t, spec)
                 raise PathFailureError(
                     f"step size underflow below {sched.dt_min:.0e} at "
                     f"t={t!r}: {err}", trace=trace) from err
             continue
-        state = accepted
-        t = t_next
-        trace.append(state, monitor(sd))
-        if state.newton_iters <= 4:
+        u, t = sd.u, t_next
+        trace.append(sd, iters, rnorm)
+        if iters <= 4:
             dt = min(2.0 * dt, sched.dt_max)
-    trace.end(lambda: sd)
+    trace.final_state = sd
     return trace
 
 
 def solve_caseC(spec: ProblemSpec, u_init: ScalarField | None = None,
                 schedule: Schedule = Schedule()
-                ) -> tuple[HomotopyState, StateData]:
+                ) -> tuple[StateData, int, float]:
     """Direct damped Newton for case C at t = 1, the anchor of its path
     (experimental: the estimates exist, an existence theorem does not), with
     the schedule's Newton settings. Requires a valid problem (ValidationError

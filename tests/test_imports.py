@@ -1,0 +1,84 @@
+"""No module of the package imports a name it never uses.
+
+No linter is a dependency of the project, so this is the unused-import rule
+(pyflakes F401) written on the standard library's ast. A name counts as used
+when it is read anywhere in the module, named in its __all__, or read in a
+string annotation. An import line marked `# noqa: F401` is exempt, and so is
+__init__.py, whose imports are the package's re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "sigmak"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module, lines: list) -> dict:
+    """Bound name -> line of every import outside __future__ and noqa."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        text = "\n".join(lines[node.lineno - 1:node.end_lineno])
+        if "# noqa: F401" in text:
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            names[bound] = node.lineno
+    return names
+
+
+def _used(tree: ast.Module) -> set:
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+        elif isinstance(node, (ast.arg, ast.FunctionDef, ast.AnnAssign)):
+            notes = [getattr(node, "annotation", None),
+                     getattr(node, "returns", None)]
+            for note in notes:
+                if isinstance(note, ast.Constant) and isinstance(
+                        note.value, str):
+                    used.update(n.id for n in ast.walk(ast.parse(
+                        note.value, mode="eval")) if isinstance(n, ast.Name))
+    return used
+
+
+def unused_imports(path: Path) -> list:
+    """(line, name) of each import in the file at path that is never used."""
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    used = _used(tree)
+    imported = _imported(tree, source.splitlines())
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_has_no_unused_import(path):
+    assert unused_imports(path) == []
+
+
+def test_the_rule_sees_an_unused_import(tmp_path):
+    """The rule flags an unused import, keeps a used one, a __future__
+    import, a noqa-marked one and one read only in a string annotation."""
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import os.path\n"
+        "from json import dumps  # noqa: F401\n"
+        "from typing import Sequence, Mapping as M\n"
+        "from collections.abc import Callable\n"
+        "def f(x: 'Sequence[int]') -> 'M':\n"
+        "    return os.path.join(x)\n", encoding="utf-8")
+    assert unused_imports(module) == [(2, "math"), (6, "Callable")]

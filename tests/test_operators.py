@@ -19,7 +19,7 @@ from sigmak.operators import (SIGMA_FLOOR, C0_SLACK_CONSTANT,
                               _coefficients, _v_spectrum,
                               line_second_difference)
 from sigmak.solver import solve_linear
-from sigmak.symfunc import sigma_all_batch
+from sigmak.symfunc import sigma_all_batch, sigma_and_dsigma_batch
 
 
 # -- residual oracles --------------------------------------------------------
@@ -232,6 +232,18 @@ def _weight_rows(h, second, first, zeroth):
     return vals
 
 
+def _reference_derivatives(sd):
+    """dsigma_k and dsigma_{k-1} of the state's tensor, from the recurrence
+    prepare_state runs."""
+    return sigma_and_dsigma_batch(sd.mats, sd.spec.k)[1:]
+
+
+def _reference_weight(sd):
+    """The plain expression of the Newton weight S = dk + a e^{2su} dkm1."""
+    dk, dkm1 = _reference_derivatives(sd)
+    return dk + (sd.a_weight * sd.e2su) * dkm1
+
+
 def _reference_coefficients(sd):
     """The plain expressions of the second- and first-order coefficients:
     S = dk + a e^{2su} dkm1, P = V(S, t), second = P + (tr P/(n-2)) I,
@@ -239,8 +251,7 @@ def _reference_coefficients(sd):
     grad u). Defined at every node, inside the cone or not."""
     n, t = sd.spec.n, sd.t
     eye = np.eye(n).reshape((n, n) + (1,) * n)
-    weight = sd.a_weight * sd.e2su
-    S = sd.dk + weight * sd.dkm1
+    S = _reference_weight(sd)
     trS = np.einsum("ii...->...", S)
     if sd.spec.case == "C":
         second = S
@@ -267,13 +278,15 @@ def test_linearization_coefficients_and_weights_are_bitwise(case, n, k):
     """The in-place coefficient fields and the blockwise value fill equal
     the plain expressions S = dk + a e^{2su} dkm1, P = V(S, t),
     second = P + (tr P/(n-2)) I (case C: S), first and zeroth as in the
-    module docstring. Each linearization spends its state, so the weights
-    are built from the state prepared again."""
+    module docstring, and the state's Newton weight equals S. Each
+    linearization spends its state, so the weights are built from the state
+    prepared again."""
     spec = canonical_problem(case, n=n, k=k, N=8)
     u = random_smooth_field(spec.grid, np.random.default_rng(n),
                             amplitude=0.02)
     t = 1.0 if case == "C" else 0.6
     sd = prepare_state(u, t, spec)
+    assert np.array_equal(sd.newton_weight, _reference_weight(sd))
     want_second, want_first = _reference_coefficients(sd)
     second, first, zeroth = _coefficients(sd)
     assert np.array_equal(second, want_second)
@@ -320,18 +333,20 @@ _ACCEPTED_NK = [(n, k) for n in range(3, 7) for k in range(3, n + 1)]
 @pytest.mark.parametrize("n, k", _ACCEPTED_NK)
 @pytest.mark.parametrize("case", ["A", "B", "C"])
 def test_state_and_operator_match_the_matmul_recurrence(case, n, k):
-    """prepare_state's sigma_0..sigma_k, dsigma_k and dsigma_{k-1} and
-    linearize's weight planes, against the whole-matrix product recurrence of
-    tests/helpers.py pushed through the plain coefficient and weight
-    expressions: within 1e-13 of the largest reference entry, at 400 sampled
-    nodes of a non-constant state, for every accepted (n, k) and case. The
-    derivative matrices are exactly symmetric at every node."""
+    """prepare_state's sigma_0..sigma_k, the dsigma_k and dsigma_{k-1} of
+    its recurrence, its Newton weight and linearize's weight planes, against
+    the whole-matrix product recurrence of tests/helpers.py pushed through
+    the plain weight and coefficient expressions: within 1e-13 of the
+    largest reference entry, at 400 sampled nodes of a non-constant state,
+    for every accepted (n, k) and case. The derivative matrices and the
+    Newton weight are exactly symmetric at every node."""
     spec = _varied_problem(case, n, k)
     rng = np.random.default_rng(100 * n + k)
     u = random_smooth_field(spec.grid, rng, amplitude=0.02, modes=8)
     t = 1.0 if case == "C" else 0.6
     sd = prepare_state(u, t, spec)
-    for d in (sd.dk, sd.dkm1):
+    got_dk, got_dkm1 = _reference_derivatives(sd)
+    for d in (got_dk, got_dkm1, sd.newton_weight):
         assert np.array_equal(d, np.swapaxes(d, 0, 1))
     nodes = rng.choice(spec.grid.size, size=400, replace=False)
     mats = np.moveaxis(sd.mats.reshape(n, n, -1)[:, :, nodes], -1, 0)
@@ -341,8 +356,11 @@ def test_state_and_operator_match_the_matmul_recurrence(case, n, k):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     close(sd.sig.reshape(k + 1, -1)[:, nodes].T, sig)
-    close(np.moveaxis(sd.dk.reshape(n, n, -1)[:, :, nodes], -1, 0), dk)
-    close(np.moveaxis(sd.dkm1.reshape(n, n, -1)[:, :, nodes], -1, 0), dkm1)
+    close(np.moveaxis(got_dk.reshape(n, n, -1)[:, :, nodes], -1, 0), dk)
+    close(np.moveaxis(got_dkm1.reshape(n, n, -1)[:, :, nodes], -1, 0), dkm1)
+    weight = (sd.a_weight * sd.e2su).ravel()[nodes]
+    close(np.moveaxis(sd.newton_weight.reshape(n, n, -1)[:, :, nodes], -1, 0),
+          dk + weight[:, None, None] * dkm1)
     op = linearize(sd)
     close(op.weights.reshape(_planes(n), -1)[:, nodes].T, _weight_rows(
         spec.grid.h, *_node_coefficients(sd, nodes, sig, dk, dkm1)))
@@ -358,8 +376,8 @@ def test_zeroth_order_sign_matches_case():
 
 
 def test_linearization_spends_its_state():
-    """linearize forms its coefficients over the state's derivative planes
-    and drops them: a second linearize or _coefficients on the same state
+    """linearize forms its coefficients over the state's Newton weight and
+    drops it: a second linearize or _coefficients on the same state
     raises DomainError, a SigmaKError, while the fields the residual, the
     monitor and the audits read are untouched."""
     spec = canonical_problem("A", n=4, k=3, N=8)
@@ -369,10 +387,10 @@ def test_linearization_spends_its_state():
     res = residual(sd).values
     kept = {f.name: getattr(sd, f.name).copy()
             for f in dataclasses.fields(sd)
-            if f.name not in ("spec", "t", "u", "dk", "dkm1")}
+            if f.name not in ("spec", "t", "u", "newton_weight")}
     want = linearize(prepare_state(u, 0.6, spec)).weights
     assert np.array_equal(linearize(sd).weights, want)
-    assert sd.dk is None and sd.dkm1 is None
+    assert sd.newton_weight is None
     for name, value in kept.items():
         assert np.array_equal(getattr(sd, name), value), name
     assert np.array_equal(residual(sd).values, res)
@@ -499,9 +517,10 @@ def _reference_ellipticity(sd) -> dict:
     valid = (sd.margins > 0.0) & (sd.sig[k - 1] >= SIGMA_FLOOR)
     skm1 = np.where(valid, sd.sig[k - 1], 1.0)
     sk = sd.sig[k]
-    d_quot = sd.dk / skm1 - (sk / skm1 ** 2) * sd.dkm1
+    dk, dkm1 = _reference_derivatives(sd)
+    d_quot = dk / skm1 - (sk / skm1 ** 2) * dkm1
     h_field = sd.r_weight * sd.e2ksu
-    gq = d_quot + (h_field / skm1 ** 2) * sd.dkm1
+    gq = d_quot + (h_field / skm1 ** 2) * dkm1
     if spec.case != "C":
         gq = build_v_tensor(gq, sd.t)
     q_eigs = np.where(valid, np.linalg.eigvalsh(_node_major(gq))[..., 0],
@@ -839,7 +858,7 @@ def test_c0_diagnostic_holds_along_a_solve():
     spec.validate(strict=True)
     trace = continue_path(spec, Schedule())
     final = trace.final_state
-    diag = c0_diagnostic(trace.final_data)
+    diag = c0_diagnostic(final)
     assert diag.within_slack, diag.to_lines()
     assert final.u.max_abs() <= diag.sup_estimate + spec.grid.h
 

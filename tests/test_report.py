@@ -11,7 +11,6 @@ import sigmak.solver
 from sigmak import (
     ConfigError,
     ContinuationTrace,
-    HomotopyState,
     PathFailureError,
     ScalarField,
     continue_path,
@@ -19,19 +18,17 @@ from sigmak import (
 )
 from sigmak.operators import prepare_state
 from sigmak.report import KNOWN_CHECKS
-from sigmak.solver import Schedule, monitor
+from sigmak.solver import Schedule
 
 from helpers import canonical_problem
 
 
 def rest_trace(spec):
     """One-row trace holding the exact t=0 solution u = 0, ended on it."""
-    state = HomotopyState(t=0.0, u=ScalarField.zeros(spec.grid),
-                          residual_norm=0.0, cone_margin=1.0, newton_iters=0)
-    sd = prepare_state(state.u, state.t, spec)
+    sd = prepare_state(ScalarField.zeros(spec.grid), 0.0, spec)
     trace = ContinuationTrace()
-    trace.append(state, monitor(sd))
-    trace.end(lambda: sd)
+    trace.append(sd, 0, 0.0)
+    trace.final_state = sd
     return trace
 
 
@@ -150,16 +147,14 @@ def test_case_c_comparison_holds_at_schouten_rest():
     # With u = 0 the state tensor equals the comparison tensor pointwise,
     # so both quotient gaps vanish and the check passes.
     spec = canonical_problem("C", N=8)
-    state = HomotopyState(t=1.0, u=ScalarField.zeros(spec.grid),
-                          residual_norm=0.0, cone_margin=1.0, newton_iters=0)
     trace = ContinuationTrace()
-    sd = prepare_state(state.u, state.t, spec)
-    trace.append(state, monitor(sd))
+    sd = prepare_state(ScalarField.zeros(spec.grid), 1.0, spec)
+    trace.append(sd, 0, 0.0)
     # both audits read the state the trace was ended on, and fail without
     missing = run_checks(trace, spec, ["c0_comparison", "ellipticity"])
     assert [(c.status, c.detail) for c in missing.checks] == [
         ("fail", "no final state"), ("fail", "no certificate")]
-    trace.end(lambda: sd)
+    trace.final_state = sd
     report = run_checks(trace, spec, ["c0_comparison"])
     (check,) = report.checks
     assert check.status == "pass"
@@ -171,10 +166,10 @@ def test_case_c_comparison_holds_at_schouten_rest():
 
 
 def test_audits_share_the_final_state_data(monkeypatch):
-    """run_checks builds no state for a path that reached t = 1, whose
-    final StateData is still alive, and one for a failed path, its last
-    accepted state; the ellipticity and C0 audits both read that one
-    StateData, trace.final_data."""
+    """run_checks builds no state: a path that reached t = 1 keeps the
+    corrector's final StateData, and a failed path the StateData of its
+    last accepted state, built once as the path fails; the ellipticity and
+    C0 audits both read that one StateData, trace.final_state."""
     built, audited = [], []
     for module in (sigmak.solver, sigmak.operators):
         real = module.prepare_state
@@ -191,18 +186,20 @@ def test_audits_share_the_final_state_data(monkeypatch):
         continue_path(spec, Schedule(dt_init=0.5, dt_max=0.5, dt_min=0.5,
                                      newton_max_iters=1))
     failed = exc.value.trace
-    for trace, builds, t in ((reached, 0, 1.0), (failed, 1, 0.0)):
+    # the failed path's last act is to build its final state, at t = 0
+    assert built[-1][0] is failed.final_state.u and built[-1][1] == 0.0
+    for trace, t in ((reached, 1.0), (failed, 0.0)):
         built.clear()
         audited.clear()
         report = run_checks(trace, spec)
-        assert len(built) == builds
+        assert len(built) == 0
         assert [check.status for check in report.checks] == ["pass"] * 6
         assert len(audited) == 2
-        assert audited[0] is audited[1] is trace.final_data
-        assert trace.final_data.t == t
+        assert audited[0] is audited[1] is trace.final_state
+        assert trace.final_state.t == t
         # a second report reads the kept state and certificate
         run_checks(trace, spec)
-        assert len(built) == builds and len(audited) == 3
+        assert len(built) == 0 and len(audited) == 3
 
 
 def test_given_validation_is_echoed_instead_of_recomputed():
