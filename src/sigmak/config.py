@@ -30,6 +30,7 @@ from .curvature import (CASES, ProblemSpec, _fmt, canonical_background,
                         component_key)
 from .errors import ConfigError, DomainError, ExprSyntaxError, SigmaKError
 from .grid import Grid
+from .operators import CHECK_BLOCK
 from .report import BOUNDED_CHECKS, KNOWN_CHECKS, _normalize_checks
 from .solver import Schedule
 
@@ -74,12 +75,35 @@ def peak_bytes(n: int, N: int) -> int:
     return N ** n * (48 * n * n + 400)
 
 
-def sample_bytes(n: int, k: int) -> int:
-    """Estimated peak bytes a check sample adds. It bounds the tracemalloc
-    peaks a sample of the suites and the concavity certificate (the largest)
-    at n = 3..6: 869 at n = k = 3, 1445/2181/3077 at k = 3 and
-    1976/3664/6120 at k = n = 4/5/6, alike at 20,000 and 40,000 samples."""
-    return 32 * n * n * k + 128
+def sample_bytes(n: int) -> int:
+    """Estimated bytes a check sample adds to the peak: 48 n + 64. The
+    samples stream through blocks of CHECK_BLOCK (see block_bytes), so what
+    grows with check.samples is what the sampling rounds hold, O(n) a
+    sample (spectra, weights, line directions), never a matrix. Measured
+    tracemalloc peaks of the suites and the concavity certificate, in bytes
+    a sample at 200,000 samples, before streaming (the whole draw held at
+    once, charged 32 n^2 k + 128; the (4,4), (5,3), (6,3) and (6,6) peaks
+    taken at 20,000 and 40,000 samples, where they were alike) and now:
+
+        (n, k)        (3,3)   (4,3)   (4,4)   (5,3)   (5,5)   (6,3)   (6,6)
+        whole draw      865   1,442   1,976   2,181   3,668   3,077   6,120
+        blocks          177     225     230     275     265     325     324
+        estimate        208     256     256     304     304     352     352
+
+    The measured slope from 20,000 to 200,000 samples is 48 n + 33 at
+    every k."""
+    return 48 * n + 64
+
+
+def block_bytes(n: int, k: int) -> int:
+    """Estimated bytes of one block's working set, charged once per check:
+    CHECK_BLOCK samples at 32 n^2 (k + 1) + 512 bytes (1,664 at n = k = 3,
+    8,576 at n = k = 6). The largest is the concavity certificate's, whose
+    Hessian check holds k planes of an (n, n) matrix per sample through a
+    sigma recurrence; the measured intercepts at 1,025 samples are 1,271,
+    2,008, 2,451, 4,307 and 6,987 bytes a block sample at (3,3), (4,3),
+    (4,4), (5,5) and (6,6), 18-24% under the estimate."""
+    return CHECK_BLOCK * (32 * n * n * (k + 1) + 512)
 
 
 @dataclass
@@ -163,10 +187,10 @@ class RunConfig:
     def check_memory(self, N: int) -> None:
         """ConfigError when a run on this n with N points per axis and
         check.samples samples would need more than MEMORY_BUDGET_BYTES (see
-        peak_bytes and sample_bytes). validate checks spec.N; verify also
-        checks its doubled grid."""
-        need = peak_bytes(self.n, N) \
-            + self.check_samples * sample_bytes(self.n, self.k)
+        peak_bytes, sample_bytes and block_bytes). validate checks spec.N;
+        verify also checks its doubled grid."""
+        need = peak_bytes(self.n, N) + block_bytes(self.n, self.k) \
+            + self.check_samples * sample_bytes(self.n)
         if need > MEMORY_BUDGET_BYTES:
             raise ConfigError(
                 f"a run with n={self.n}, N={N} and check.samples = "

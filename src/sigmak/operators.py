@@ -108,6 +108,11 @@ CONCAVITY_STEP = 1e-4
 CONCAVITY_MARGIN = 1e-2
 PROBE_MARGIN = 1e-8
 
+# Samples `sigmak check` evaluates at once: its suites and the concavity
+# certificate hold one block's matrices and working arrays, never a whole
+# draw's. Read at call time, so it can be patched through this module.
+CHECK_BLOCK = 1024
+
 # Truncation slack constant for the discrete C0 comparison: the maximum
 # principle argument is exact in the continuum, and the discrete extremum
 # obeys it up to O(h) from the stencil truncation.
@@ -584,39 +589,63 @@ class ConcavityReport:
         return record_lines(self, prefix)
 
 
-def _draw_concavity_samples(n: int, k: int, count: int,
-                            rng: np.random.Generator):
-    """Sample (eta, t, h, d, psi) tuples whose whole probe segment lies in
+def sample_blocks(count: int) -> list:
+    """Slices cutting range(count) into blocks of CHECK_BLOCK samples, the
+    last taking a remainder of one sample, so that a block holds one sample
+    only when the whole draw does (numpy reduces a batch of one in another
+    order, which can move its last bit)."""
+    starts = list(range(0, count, CHECK_BLOCK))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [count])]
+
+
+def _concavity_blocks(n: int, k: int, count: int,
+                      rng: np.random.Generator):
+    """Yield the first `count` kept (eta, t, h, d, psi) samples in blocks,
+    each the kept samples of one sample_blocks piece of a round's draws, so
+    at most CHECK_BLOCK + 2 samples; a piece that keeps one sample, or would
+    leave one to find, waits for the next, so a block holds one sample only
+    when count is 1. A sample is kept when its whole probe segment lies in
     Gamma_{k-1} (the hypothesis of the concavity statement), with enough
-    margin at the endpoints to keep G finite."""
+    margin at the endpoints to keep G finite.
+
+    Stream order: each rejection round draws from rng exactly what a
+    whole-batch sampler would, in the same order: m base spectra, m
+    weights t, m weights h, m line directions, then m matrix directions,
+    the last in sample_blocks(m) pieces, which continue one stream. The keep
+    mask reads (eta, t, d) alone, so it is known before any psi is drawn, and
+    no draw after the count-th kept sample is used. Every sample's
+    arithmetic is batch-size independent for batches of two or more, so the
+    certificate does not depend on CHECK_BLOCK."""
     step = CONCAVITY_STEP
-    etas = np.empty((0, n))
-    ts = np.empty(0)
-    hs = np.empty(0)
-    ds = np.empty((0, n))
-    psis = np.empty((0, n, n))
     h_top = 2.0 * math.comb(n, k)
-    while etas.shape[0] < count:
-        m = max(count - etas.shape[0], 256)
+    pending, held, done = [], 0, 0
+    while done + held < count:
+        m = max(count - done - held, 256)
         eta = sample_gamma(n, k - 1, m, rng, min_margin=CONCAVITY_MARGIN)
         t = rng.uniform(0.0, 1.0, m)
         h = rng.uniform(0.1, h_top, m)
         d = rng.normal(size=(m, n))
         d /= np.linalg.norm(d, axis=-1, keepdims=True)
-        raw = rng.normal(size=(m, n, n))
-        psi = 0.5 * (raw + np.swapaxes(raw, -1, -2))
-        psi /= np.linalg.norm(psi, axis=(-2, -1), keepdims=True)
         ok = np.ones(m, dtype=bool)
         for shift in (0.0, step, -step):
             sig = sigma_all_batch(_v_spectrum(eta + shift * d, t), k - 1)
             ok &= sig[:, 1:].min(axis=-1) > PROBE_MARGIN
-        etas = np.concatenate([etas, eta[ok]])
-        ts = np.concatenate([ts, t[ok]])
-        hs = np.concatenate([hs, h[ok]])
-        ds = np.concatenate([ds, d[ok]])
-        psis = np.concatenate([psis, psi[ok]])
-    sl = slice(0, count)
-    return etas[sl], ts[sl], hs[sl], ds[sl], psis[sl]
+        for sl in sample_blocks(m):
+            raw = rng.normal(size=(sl.stop - sl.start, n, n))
+            psi = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+            psi /= np.linalg.norm(psi, axis=(-2, -1), keepdims=True)
+            keep = np.flatnonzero(ok[sl])[:count - done - held]
+            pending.append((eta[sl][keep], t[sl][keep], h[sl][keep],
+                            d[sl][keep], psi[keep]))
+            held += keep.size
+            if done + held == count or (held > 1
+                                        and count - done - held != 1):
+                yield tuple(np.concatenate(parts) for parts in zip(*pending))
+                pending, done, held = [], done + held, 0
+            if done == count:
+                return
 
 
 def _eq93_slacks(etas: np.ndarray, ts: np.ndarray, psis: np.ndarray,
@@ -663,20 +692,23 @@ def concavity_certificate(spec: ProblemSpec, samples: int,
     Hessian inequality for G0 in exact polynomial form against a relative
     -1e-8. Diagonal base points lose no generality: any base tensor is
     orthogonally equivalent to one, with the matrix direction transformed
-    along."""
+    along. The samples stream through _concavity_blocks and each check is
+    reduced block by block, so no array holds a matrix per sample of the
+    whole count: the memory held is one round's spectra and weights, O(n)
+    a sample, and one block's matrices."""
     if samples < 1:
         raise DomainError("samples must be positive")
     n, k = spec.n, spec.k
     rng = np.random.default_rng(seed)
-    etas, ts, hs, ds, psis = _draw_concavity_samples(n, k, samples, rng)
-
-    d2 = line_second_difference(etas, ts, hs, ds, k)
-    line_max = float(d2.max())
-    line_viol = int((d2 > 1e-8).sum())
-
-    slack = _eq93_slacks(etas, ts, psis, k)
-    hess_min = float(slack.min())
-    hess_viol = int((slack < -1e-8).sum())
+    line_max, line_viol, hess_min, hess_viol = -np.inf, 0, np.inf, 0
+    for etas, ts, hs, ds, psis in _concavity_blocks(n, k, samples, rng):
+        d2 = line_second_difference(etas, ts, hs, ds, k)
+        line_max = np.maximum(line_max, d2.max())
+        line_viol += int((d2 > 1e-8).sum())
+        slack = _eq93_slacks(etas, ts, psis, k)
+        hess_min = np.minimum(hess_min, slack.min())
+        hess_viol += int((slack < -1e-8).sum())
+    line_max, hess_min = float(line_max), float(hess_min)
     return ConcavityReport(
         n=n, k=k, samples=samples, seed=seed, step=float(CONCAVITY_STEP),
         margin_floor=float(CONCAVITY_MARGIN),

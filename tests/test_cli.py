@@ -9,9 +9,11 @@ import numpy as np
 
 import sigmak
 import sigmak.cli
+import sigmak.operators
 from sigmak import Grid, RunConfig, load_field, parse_config_file, sample_text
 from sigmak.cli import main
-from sigmak.operators import manufactured_forcing
+from sigmak.operators import (_concavity_blocks, manufactured_forcing,
+                              sample_blocks)
 from sigmak.solver import TRACE_HEADER, continue_path
 
 
@@ -65,6 +67,32 @@ def test_check_reruns_are_byte_identical(tmp_path):
     _, second = drive(tmp_path, fast_check_config(), "check", "two")
     for name in ("certificates.txt", "config.txt"):
         assert read(first, name) == read(second, name)
+
+
+def test_check_certificates_do_not_depend_on_the_block_size(
+        tmp_path, monkeypatch):
+    """check streams its samples through blocks of operators.CHECK_BLOCK,
+    read at call time, and leaves no block of one sample unless the draw is
+    one sample: certificates.txt is byte-identical with blocks of 7 and with
+    one block over every sample, at n = 3 and 4 and counts around 7."""
+    monkeypatch.setattr(sigmak.operators, "CHECK_BLOCK", 7)
+    assert sample_blocks(8) == [slice(0, 8)]
+    assert sample_blocks(15) == [slice(0, 7), slice(7, 15)]
+    assert sample_blocks(1) == [slice(0, 1)]
+    sizes = [len(block[0]) for block in
+             _concavity_blocks(3, 3, 8, np.random.default_rng(0))]
+    assert sum(sizes) == 8 and min(sizes) > 1, sizes
+    for n in (3, 4):
+        for samples in (1, 6, 7, 8, 50):
+            cfg = fast_check_config(n=n, check_samples=samples)
+            texts = []
+            for block in (7, samples + 1):
+                monkeypatch.setattr(sigmak.operators, "CHECK_BLOCK", block)
+                rc, out = drive(tmp_path, cfg, "check",
+                                f"n{n}_s{samples}_b{block}")
+                assert rc == 0
+                texts.append(read(out, "certificates.txt"))
+            assert texts[0] == texts[1], (n, samples)
 
 
 def test_solve_canonical_path_outputs(tmp_path):
@@ -329,7 +357,7 @@ def test_check_samples_over_the_memory_budget_exit_two_before_any_work(
                  "concavity_certificate", "_solve_manufactured"):
         monkeypatch.setattr(sigmak.cli, name, no_work)
     monkeypatch.setattr(RunConfig, "problem", no_work)
-    cfg = RunConfig(check_samples=10_000_000)
+    cfg = RunConfig(check_samples=20_000_000)
     for command in ("check", "solve", "verify"):
         rc, out = drive(tmp_path, cfg, command, command)
         assert rc == 2

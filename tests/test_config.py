@@ -225,10 +225,9 @@ def test_validate_accepts_every_grid_the_suite_demos_and_benchmark_run():
 
 
 def test_validate_rejects_check_samples_over_the_memory_budget():
-    # about 32 n^2 k + 128 bytes a sample: 10 million at n = k = 3 need
-    # about 9.2 GiB
-    cfg = RunConfig(check_samples=10_000_000)
-    assert cfg.check_samples * sample_bytes(3, 3) > MEMORY_BUDGET_BYTES
-    with pytest.raises(ConfigError, match="check.samples = 10000000"):
+    # 48 n + 64 bytes a sample: 20 million at n = 3 need about 3.9 GiB
+    cfg = RunConfig(check_samples=20_000_000)
+    assert cfg.check_samples * sample_bytes(3) > MEMORY_BUDGET_BYTES
+    with pytest.raises(ConfigError, match="check.samples = 20000000"):
         cfg.validate()
     RunConfig(check_samples=1_000_000).validate()

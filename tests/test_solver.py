@@ -13,12 +13,12 @@ from sigmak import (Grid, ProblemSpec, RunConfig, ScalarField,
                     Schedule, TRACE_HEADER, continue_path, monitor, residual,
                     sample_text, solve_caseC, solve_t0)
 from sigmak.cli import main
-from sigmak.config import peak_bytes
+from sigmak.config import block_bytes, peak_bytes, sample_bytes
 from sigmak.errors import (ConeExitError, DomainError, LinearSolveError,
                            NonConvergenceError, PathFailureError,
                            ValidationError)
 from sigmak.grid import derivatives, random_smooth_field
-from sigmak.operators import (LinearOperator, _coefficients,
+from sigmak.operators import (CHECK_BLOCK, LinearOperator, _coefficients,
                               ellipticity_certificate, linearize,
                               manufactured_forcing, prepare_state)
 from sigmak.solver import (GMRES_RESTART, LINEAR_GUARD, _sup_spectral_radius,
@@ -224,6 +224,37 @@ def test_solves_peak_within_the_memory_estimate(tmp_path):
     assert singular_peak < peak_bytes(3, 16)
 
 
+# An absolute ceiling on the peak of `sigmak check` at n = 4, k = 3, N = 8
+# and 20,000 samples (the certify-C4 check's size), so the estimate's
+# headroom cannot hide a check that holds its matrix draws again.
+_CHECK_C4_CEILING = 8_000_000
+
+
+def test_check_peak_within_the_memory_estimate(tmp_path):
+    """tracemalloc peaks of a whole `sigmak check` stay under the charge
+    RunConfig.check_memory makes, peak_bytes + block_bytes + samples times
+    sample_bytes, at (n, k) = (3, 3), (4, 3) and (4, 4), N = 8, from one
+    sample to 20,000; the (4, 3) check at 20,000 samples also stays under
+    _CHECK_C4_CEILING bytes."""
+    for n, k in ((3, 3), (4, 3), (4, 4)):
+        for samples in (1, CHECK_BLOCK + 1, 2000, 20000):
+            cfg = RunConfig(n=n, k=k, N=8, check_samples=samples)
+            conf = tmp_path / f"check{n}{k}_{samples}.config"
+            conf.write_text(cfg.to_text(), encoding="utf-8")
+            tracemalloc.start()
+            try:
+                rc = main(["check", "--config", str(conf), "--out",
+                           str(tmp_path / f"out{n}{k}_{samples}")])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert rc == 0, (n, k, samples)
+            assert peak < peak_bytes(n, 8) + block_bytes(n, k) \
+                + samples * sample_bytes(n), (n, k, samples, peak)
+            if (n, k, samples) == (4, 3, 20000):
+                assert peak < _CHECK_C4_CEILING, peak
+
+
 def test_solve_t0_zero_start_is_already_converged():
     spec = canonical_problem("A")
     u = solve_t0(spec, ScalarField.zeros(spec.grid))
@@ -309,21 +340,27 @@ def test_continue_path_canonical_case_a():
 
 def test_a_priori_quantities_are_stable_under_refinement():
     """The paper's estimates bound sup |u|, sup |grad u|^2 and sup |Hess u|
-    along the path by the data alone, not by the grid: on case A, n = k = 3,
-    alpha = -0.1, f = 0.7 + 0.3 sin x1, both paths reach t = 1, and the path
-    maximum of each monitored quantity at N = 16 and N = 32 differs by under
-    10% (0.1604/0.1603, 1.448e-3/1.536e-3 and 4.684e-2/4.714e-2)."""
+    along the path by the data alone, not by the grid: on each problem below
+    both paths reach t = 1, and the path maximum of each monitored quantity
+    at N = 16 and N = 32 differs by under 10%.
+
+    case A, n = k = 3, alpha = -0.1, f = 0.7 + 0.3 sin x1: 0.1604/0.1603,
+    1.448e-3/1.536e-3 and 4.684e-2/4.714e-2;
+    case C, n = k = 3, alpha = -0.05, f = 1 + 0.5 cos(x1 + x2) (its path is
+    the direct solve at t = 1): 0.19165/0.18737, 0.060459/0.059953 and
+    0.44744/0.43827."""
     names = ("sup_u", "sup_grad_u_sq", "sup_hess_u")
-    maxima = []
-    for N in (16, 32):
-        trace = continue_path(canonical_problem("A", N=N,
-                                                f="0.7+0.3*sin(x1)"),
-                              Schedule())
-        assert trace.final_t == 1.0
-        maxima.append([max(getattr(row, name) for row in trace.rows)
-                       for name in names])
-    for name, coarse, fine in zip(names, *maxima):
-        assert coarse > 0.0 and abs(coarse - fine) < 0.1 * fine, name
+    for case, f in (("A", "0.7+0.3*sin(x1)"), ("C", "1+0.5*cos(x1+x2)")):
+        maxima = []
+        for N in (16, 32):
+            trace = continue_path(canonical_problem(case, N=N, f=f),
+                                  Schedule())
+            assert trace.final_t == 1.0
+            maxima.append([max(getattr(row, name) for row in trace.rows)
+                           for name in names])
+        for name, coarse, fine in zip(names, *maxima):
+            assert coarse > 0.0 and abs(coarse - fine) < 0.1 * fine, \
+                (case, name)
 
 
 def _counting_certificates(monkeypatch):
