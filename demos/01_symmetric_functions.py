@@ -4,14 +4,16 @@ sigma_k(lambda) sums all k-fold products of the eigenvalues. The open cone
 Gamma_k = {sigma_1 > 0, ..., sigma_k > 0} is where the k-th root of sigma_k
 behaves like a concave, monotone function, and every structural inequality
 the solver relies on holds there. This script computes the polynomials two
-independent ways, then samples the cone and watches the Newton-Maclaurin
-and normalized-ratio inequalities hold with strictly positive slack.
+independent ways, runs the matrix route over a packed stack of matrices,
+then samples the cone and watches the Newton-Maclaurin and
+normalized-ratio inequalities hold with strictly positive slack.
 """
 
 import numpy as np
 
 from sigmak import (in_gamma, newton_maclaurin_gap, quotient_ratio_gap,
                     sigma, sigma_matrix)
+from sigmak.symfunc import pack, sigma_matrix_planes, sym_entries, unpack
 
 rng = np.random.default_rng(7)
 
@@ -27,6 +29,19 @@ m = q @ np.diag(lam) @ q.T
 print("\nconjugated matrix route:")
 for k in range(1, n + 1):
     print(f"  sigma_{k}(Q diag Q^T) = {sigma_matrix(m, k):.6f}")
+
+# Stacks of symmetric matrices (the package's tensor fields) are stored
+# packed: one plane per independent entry, the n diagonal entries first,
+# then the pairs i < j. The recurrence runs over all matrices at once.
+rows, cols = sym_entries(n)
+print("\npacked plane order:",
+      " ".join(f"({i + 1},{j + 1})" for i, j in zip(rows, cols)))
+stack = np.stack([m, np.diag(lam)], axis=-1)   # two matrices, batch last
+planes = pack(stack)
+assert np.array_equal(unpack(planes), stack)
+print(f"full stack {stack.shape} -> packed {planes.shape}")
+for j, row in enumerate(sigma_matrix_planes(planes, n)[1:], start=1):
+    print(f"  sigma_{j} of both matrices = {row[0]:.6f} {row[1]:.6f}")
 
 # Cone membership is a chain of sign conditions, reported with its margin.
 inside = in_gamma(lam, 3)

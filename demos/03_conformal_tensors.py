@@ -8,10 +8,11 @@ equation at t=0 (solved by u = 0 in closed form) and the target equation at
 t=1. This script builds the tensors at a few states and audits where they
 sit relative to the admissibility cone.
 
-The builders take the derivatives of u (stencil ones here) and return plain
-arrays of symmetric matrices stored component-major, shape
-(n, n) + grid.shape: entry (i, j) at every node is the grid plane
-mats[i, j]. np.moveaxis gives the per-node matrices that eigvalsh takes.
+The builders take the derivatives of u (stencil ones here) and return
+symmetric matrix fields stored packed, as sigmak.symfunc defines: shape
+(n(n+1)/2,) + grid.shape, one grid plane per independent entry, the
+diagonal entries first. unpack gives the full (n, n) + grid.shape stack,
+and np.moveaxis the per-node matrices that eigvalsh takes.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from sigmak import Grid, ProblemSpec, canonical_background, sample_text
 from sigmak.curvature import build_u_tensor, build_v_tensor, build_w_tensor
 from sigmak.grid import derivatives
-from sigmak.symfunc import in_gamma
+from sigmak.symfunc import in_gamma, unpack
 
 grid = Grid(n=3, N=16)
 # Case A reads Ric_{g0}; the canonical one is -identity.
@@ -31,15 +32,15 @@ print("problem:", *report.to_lines()[:6], sep="\n  ")
 # At u = 0 and t = 0 the tensor V is a known multiple of the identity.
 grad0, hess0 = derivatives(sample_text("0", grid))
 mats = build_v_tensor(build_u_tensor(hess0, grad0, 0.0, spec), 0.0)
-origin = mats[:, :, 0, 0, 0]
-print(f"\nV(u=0, t=0), shape {mats.shape}, at the origin:\n{origin}")
+origin = unpack(mats[:, 0, 0, 0])
+print(f"\nV(u=0, t=0), packed shape {mats.shape}, at the origin:\n{origin}")
 print("eigenvalues everywhere equal, cone report:",
       in_gamma(np.linalg.eigvalsh(origin), 3))
 
 
 def node_eigenvalues(tensor):
     """Eigenvalues at every node, stacked on a last axis."""
-    return np.linalg.eigvalsh(np.moveaxis(tensor, (0, 1), (-2, -1)))
+    return np.linalg.eigvalsh(np.moveaxis(unpack(tensor), (0, 1), (-2, -1)))
 
 
 

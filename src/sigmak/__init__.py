@@ -35,6 +35,8 @@ from .symfunc import (
     sample_gamma,
     sigma_matrix,
     dsigma_matrix,
+    pack,
+    unpack,
 )
 from .fieldexpr import parse, evaluate, to_string
 from .grid import (

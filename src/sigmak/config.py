@@ -47,51 +47,29 @@ MEMORY_BUDGET_BYTES = 2 * 2 ** 30
 
 def peak_bytes(n: int, N: int) -> int:
     """Estimated peak bytes of a solve or check on the grid with N points on
-    each of n axes: N^n nodes at 48 n^2 + 400 bytes a node (832, 1168,
-    1600 and 2128 at n = 3..6). It bounds the tracemalloc peaks, in bytes a
-    node, of `sigmak solve` (N = 16 at n = 3, N = 8 above) and of
-    `sigmak verify` (per node of its 2N grid, from N = 8):
-
-        n   case A, k = n   case A, k = 3   case C, k = 3   varying bg   verify
-        3         582             582             712            792        732
-        4         788             780             764            908        710
-        5         979             963             939          1,163        961
-        6       1,289           1,265           1,249          1,553
-
-    where "varying bg" is case A, k = 3, on a background whose (1,1) entry
-    varies along every axis, so it is stored grid-sized. That leaves 29-38%
-    of headroom at n >= 4 and 5% over the n = 3, N = 16 background run,
-    whose peak carries about 80 bytes a node of fixed cost (case A at
-    N = 24 peaks at 521). The peaks are set by the (n, n) planes of a
-    state (its tensor and its Newton weight, which linearize spends as its
-    coefficient planes, and the recurrence's derivative planes while it
-    runs), a Hessian or the background where it is grid-sized, and the
-    operator's 1 + 2n + n(n-1)/2 weight planes; the largest is the
-    corrector's, as a line-search candidate is built beside the weight
-    planes. A full GMRES basis (51 grid vectors, 408 bytes a node)
-    fits inside it: the Newton state is dropped before the Krylov solve,
-    and a singular solve that allocates the whole basis peaks at 477 bytes
-    a node at n = 3, N = 16."""
-    return N ** n * (48 * n * n + 400)
+    each of n axes: N^n nodes at 30 n^2 + 460 bytes a node (730, 940, 1,210
+    and 1,540 at n = 3..6). It is fitted to the tracemalloc peaks, in bytes
+    a node, of `sigmak solve` (N = 16 at n = 3, N = 8 above) and of
+    `sigmak verify` (per node of its 2N grid) with at least 20% of
+    headroom at n >= 4 and 5% over the largest n = 3 peak, a case A solve
+    on a background stored grid-sized. The peaks are set by the packed
+    n(n+1)/2 planes of a state (its tensor and its Newton weight, which
+    linearize spends as its coefficient planes, and the recurrence's
+    derivative planes while it runs), a Hessian or the background where it
+    is grid-sized, and the operator's 1 + 2n + n(n-1)/2 weight planes; the
+    largest is linearize's, beside a line-search candidate's state. A full
+    GMRES basis (51 grid vectors, 408 bytes a node) fits inside it. The
+    measured peaks are recorded in the memory_model of BENCH_21.json."""
+    return N ** n * (30 * n * n + 460)
 
 
 def sample_bytes(n: int) -> int:
     """Estimated bytes a check sample adds to the peak: 48 n + 64. The
     samples stream through blocks of CHECK_BLOCK (see block_bytes), so what
     grows with check.samples is what the sampling rounds hold, O(n) a
-    sample (spectra, weights, line directions), never a matrix. Measured
-    tracemalloc peaks of the suites and the concavity certificate, in bytes
-    a sample at 200,000 samples, before streaming (the whole draw held at
-    once, charged 32 n^2 k + 128; the (4,4), (5,3), (6,3) and (6,6) peaks
-    taken at 20,000 and 40,000 samples, where they were alike) and now:
-
-        (n, k)        (3,3)   (4,3)   (4,4)   (5,3)   (5,5)   (6,3)   (6,6)
-        whole draw      865   1,442   1,976   2,181   3,668   3,077   6,120
-        blocks          177     225     230     275     265     325     324
-        estimate        208     256     256     304     304     352     352
-
-    The measured slope from 20,000 to 200,000 samples is 48 n + 33 at
-    every k."""
+    sample (spectra, weights, line directions), never a matrix. The
+    measured slope, 48 n + 33 at every k, and the peaks it was fitted to
+    are recorded in the memory_model of BENCH_21.json."""
     return 48 * n + 64
 
 
@@ -99,10 +77,9 @@ def block_bytes(n: int, k: int) -> int:
     """Estimated bytes of one block's working set, charged once per check:
     CHECK_BLOCK samples at 32 n^2 (k + 1) + 512 bytes (1,664 at n = k = 3,
     8,576 at n = k = 6). The largest is the concavity certificate's, whose
-    Hessian check holds k planes of an (n, n) matrix per sample through a
-    sigma recurrence; the measured intercepts at 1,025 samples are 1,271,
-    2,008, 2,451, 4,307 and 6,987 bytes a block sample at (3,3), (4,3),
-    (4,4), (5,5) and (6,6), 18-24% under the estimate."""
+    Hessian check holds k planes of a matrix per sample through a sigma
+    recurrence; the measured intercepts lie 18-24% under the estimate (the
+    memory_model of BENCH_21.json)."""
     return CHECK_BLOCK * (32 * n * n * (k + 1) + 512)
 
 

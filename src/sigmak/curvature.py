@@ -16,21 +16,21 @@ from U; case C uses g = e^{-2u} g0 and W (the Schouten tensor of the
 conformal metric). The homotopy parameter t in U and V deforms the problem
 to the t = 0 reference equation whose unique solution is u = 0.
 
-Every tensor is a plain array of symmetric matrices stored component-major,
-shape (n, n) + batch, as grid.derivatives returns the Hessian: each entry is
-one contiguous plane over the batch, and per-node scalars broadcast against
-a stack without new axes.
+Every tensor is a packed stack of symmetric matrices, (n(n+1)/2,) + batch,
+in the layout symfunc defines (its module docstring), as grid.derivatives
+returns the Hessian: each independent entry is one contiguous plane over the
+batch, the diagonal planes first, and per-node scalars broadcast against a
+stack without new axes.
 
-  build_u_tensor(hess, grad, t, spec)   hess (n, n) + batch, grad (n,) +
-                                        batch
-  build_v_tensor(mats, t)               any matrix stack; t a scalar or an
+  build_u_tensor(hess, grad, t, spec)   hess packed, grad (n,) + batch
+  build_v_tensor(mats, t)               any packed stack; t a scalar or an
                                         array over the batch shape
   build_w_tensor(hess, grad, spec)
 
 The derivatives are whatever the caller has: stencil derivatives for the
 solver, spectral ones for manufactured forcing, zeros shaped like the
 stored background for the gradient-free comparison tensor. Their batch
-shape must hold the background's (spec.background.shape[2:]), which the
+shape must hold the background's (spec.background.shape[1:]), which the
 builders read as stored. The Laplacian is the trace of the given Hessian.
 
 ProblemSpec bundles the case tag, (n, k), coefficient expressions alpha and
@@ -112,25 +112,27 @@ def canonical_background(case: str, n: int) -> dict:
 
 def sample_tensor(grid: Grid, components: dict) -> np.ndarray:
     """A symmetric tensor sampled from a map of component "(i,j)" (1-based)
-    to expression text, omitted components zero. Stored component-major at
-    the broadcast shape of the component values: (n, n) + (1,) * n for a
+    to expression text, omitted components zero. Stored packed at the
+    broadcast shape of the component values: (n(n+1)/2,) + (1,) * n for a
     constant tensor, N on exactly the grid axes some component varies on."""
     n = grid.n
+    index = symfunc.sym_index(n)
     planes = {}
     for key, src in components.items():
         i, j = component_key(n, key)
-        planes[i - 1, j - 1] = sample_values(fieldexpr.parse(src, n), grid)
+        planes[index[i - 1, j - 1]] = sample_values(
+            fieldexpr.parse(src, n), grid)
     shape = np.broadcast_shapes((1,) * n, *(np.shape(v)
                                             for v in planes.values()))
-    tensor = np.zeros((n, n) + shape)
-    for (i, j), values in planes.items():
-        tensor[i, j] = tensor[j, i] = values
+    tensor = np.zeros((n * (n + 1) // 2,) + shape)
+    for p, values in planes.items():
+        tensor[p] = values
     return tensor
 
 
 def cone_margins(mats: np.ndarray, k: int):
     """Pointwise Gamma_k margins (min over j <= k of sigma_j of the
-    eigenvalues) for a component-major stack (n, n) + batch. Returns
+    eigenvalues) for a packed stack (n(n+1)/2,) + batch. Returns
     (margins, argmin index tuple, ConeReport at the worst node)."""
     sig = symfunc.sigma_matrix_planes(mats, k)[1:]
     margins = np.minimum.reduce(sig)
@@ -309,19 +311,29 @@ def _check_t(t) -> None:
         raise DomainError(f"homotopy parameter t must lie in [0, 1], got {t}")
 
 
+def _outer_planes(grad: np.ndarray) -> np.ndarray:
+    """du x du as a new packed stack: each plane du_a du_b written straight
+    from the gradient planes."""
+    rows, cols = symfunc.sym_entries(grad.shape[0])
+    out = np.empty((rows.size,) + grad.shape[1:])
+    for p, (a, b) in enumerate(zip(rows, cols)):
+        np.multiply(grad[a], grad[b], out=out[p])
+    return out
+
+
 def build_u_tensor(hess: np.ndarray, grad: np.ndarray, t: float,
                    spec: ProblemSpec) -> np.ndarray:
     """The homotopy curvature tensor U(u, t) from the derivatives of u;
     affine in t."""
     _check_t(t)
     n = spec.n
-    iso = (np.einsum("ii...->...", hess) / (n - 2)
+    iso = (np.einsum("i...->...", hess[:n]) / (n - 2)
            + np.einsum("a...,a...->...", grad, grad) + (1.0 - t) / n)
     ric = t * spec.background / (n - 2)
     # hess + ((iso I - du x du) - ric), accumulated over -du x du
-    out = np.negative(grad)[:, None] * grad[None, :]
-    diag = symfunc._diag(out)
-    diag += iso
+    out = _outer_planes(grad)
+    np.negative(out, out=out)
+    out[:n] += iso
     out -= ric
     out += hess
     return out
@@ -333,9 +345,9 @@ def build_v_tensor(mats: np.ndarray, t) -> np.ndarray:
     in extended precision."""
     _check_t(t)
     t = np.asarray(t)
+    n = symfunc.sym_dim(mats.shape[0])
     out = t * mats
-    diag = symfunc._diag(out)
-    diag += (1.0 - t) * np.einsum("ii...->...", mats)
+    out[:n] += (1.0 - t) * np.einsum("i...->...", mats[:n])
     return out
 
 
@@ -347,9 +359,8 @@ def build_w_tensor(hess: np.ndarray, grad: np.ndarray,
         raise DomainError(f"W is the case C tensor; spec case is {spec.case}")
     grad_sq = np.einsum("a...,a...->...", grad, grad)
     # (hess + (du x du + schouten0)) - (1/2)|grad u|^2 I, over du x du
-    out = grad[:, None] * grad[None, :]
+    out = _outer_planes(grad)
     out += spec.background
     out += hess
-    diag = symfunc._diag(out)
-    diag -= 0.5 * grad_sq
+    out[:spec.n] -= 0.5 * grad_sq
     return out

@@ -16,8 +16,10 @@ argument through the same views. The Laplacian is the trace of the Hessian.
 
 Tensor-valued derivatives are plain arrays stored component-major: one
 contiguous grid plane per component, so every later pass over them is a
-pass over whole planes. Gradients have shape (n,) + grid.shape and
-Hessians are full symmetric matrices of shape (n, n) + grid.shape.
+pass over whole planes. Gradients have shape (n,) + grid.shape; Hessians
+are symmetric matrix fields, packed as symfunc defines (its module
+docstring): n(n+1)/2 planes, the diagonal entries first, then the pairs
+i < j in the order of _stencil_shifts' pair offsets.
 
 spectral_derivatives differentiates via one FFT instead of the stencil; it
 is exact for band-limited fields and exists so convergence studies can
@@ -152,8 +154,8 @@ def _stencil_derivatives(padded: np.ndarray, h: float,
                          gradient: bool = True) -> tuple:
     """Central-difference gradient and Hessian of the grid whose wrap-padded
     copy is `padded`, read through the views of _stencil_shifts: shapes
-    (n,) + grid.shape and (n, n) + grid.shape, the gradient None unless
-    `gradient`. Each plane is (v(+e_i) - v(-e_i))/(2h),
+    (n,) + grid.shape and, packed, (n(n+1)/2,) + grid.shape, the gradient
+    None unless `gradient`. Each plane is (v(+e_i) - v(-e_i))/(2h),
     (v(+e_i) - 2v + v(-e_i))/h^2 or
     (v(+e_i+e_j) - v(+e_i-e_j) - v(-e_i+e_j) + v(-e_i-e_j))/(4h^2),
     evaluated left to right, and written straight to its plane."""
@@ -163,28 +165,27 @@ def _stencil_derivatives(padded: np.ndarray, h: float,
     plus, minus, pairs = views[:n], views[n:2 * n], views[2 * n:]
     pp, mm, pm, mp = (pairs[b * m:(b + 1) * m] for b in range(4))
     grad = np.empty((n,) + centre.shape) if gradient else None
-    hess = np.empty((n, n) + centre.shape)
+    hess = np.empty((n + m,) + centre.shape)
     twice = 2.0 * centre
     for i in range(n):
         if gradient:
             np.subtract(plus[i], minus[i], out=grad[i])
             grad[i] /= 2.0 * h
-        np.subtract(plus[i], twice, out=hess[i, i])
-        hess[i, i] += minus[i]
-        hess[i, i] /= h * h
-    for p, (i, j) in enumerate(zip(*np.triu_indices(n, 1))):
-        cross = hess[i, j]
+        np.subtract(plus[i], twice, out=hess[i])
+        hess[i] += minus[i]
+        hess[i] /= h * h
+    for p, cross in enumerate(hess[n:]):
         np.subtract(pp[p], pm[p], out=cross)
         cross -= mp[p]
         cross += mm[p]
         cross /= 4.0 * h * h
-        hess[j, i] = cross
     return grad, hess
 
 
 def derivatives(u: ScalarField) -> tuple:
-    """Central-difference gradient and Hessian of u from one wrap-padded
-    copy: shapes (n,) + grid.shape and (n, n) + grid.shape."""
+    """Central-difference gradient and packed Hessian of u from one
+    wrap-padded copy: shapes (n,) + grid.shape and
+    (n(n+1)/2,) + grid.shape."""
     return _stencil_derivatives(_wrap_pad(u.values), u.grid.h)
 
 
@@ -263,10 +264,10 @@ def load_field(source) -> tuple:
 
 
 def spectral_derivatives(u: ScalarField) -> tuple:
-    """FFT gradient and Hessian from one fftn: shapes (n,) + grid.shape and
-    (n, n) + grid.shape. Exact for band-limited fields; the Nyquist mode of
-    odd (first) derivatives is zeroed as is standard, so it is zeroed in the
-    gradient and in the mixed second derivatives."""
+    """FFT gradient and packed Hessian from one fftn: shapes (n,) +
+    grid.shape and (n(n+1)/2,) + grid.shape. Exact for band-limited fields;
+    the Nyquist mode of odd (first) derivatives is zeroed as is standard, so
+    it is zeroed in the gradient and in the mixed second derivatives."""
     g = u.grid
     uhat = np.fft.fftn(u.values)
     kfull = np.fft.fftfreq(g.N, d=1.0 / g.N)
@@ -275,13 +276,13 @@ def spectral_derivatives(u: ScalarField) -> tuple:
         kodd[g.N // 2] = 0.0
     shapes = [(1,) * a + (g.N,) + (1,) * (g.n - 1 - a) for a in range(g.n)]
     grad = np.empty((g.n,) + g.shape)
-    hess = np.empty((g.n, g.n) + g.shape)
+    hess = np.empty((g.n * (g.n + 1) // 2,) + g.shape)
     for i, si in enumerate(shapes):
         grad[i] = np.fft.ifftn(1j * kodd.reshape(si) * uhat).real
-        hess[i, i] = np.fft.ifftn(-(kfull.reshape(si) ** 2) * uhat).real
-        for j in range(i + 1, g.n):
-            sym = -(kodd.reshape(si) * kodd.reshape(shapes[j]))
-            hess[i, j] = hess[j, i] = np.fft.ifftn(sym * uhat).real
+        hess[i] = np.fft.ifftn(-(kfull.reshape(si) ** 2) * uhat).real
+    for p, (i, j) in enumerate(zip(*np.triu_indices(g.n, 1)), start=g.n):
+        sym = -(kodd.reshape(shapes[i]) * kodd.reshape(shapes[j]))
+        hess[p] = np.fft.ifftn(sym * uhat).real
     return grad, hess
 
 

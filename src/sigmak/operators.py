@@ -89,12 +89,14 @@ from .grid import (
 from .symfunc import (
     ConeReport,
     _argmin_node,
-    _diag,
     _worst_node,
+    pack,
     sample_gamma,
     sigma_all_batch,
     sigma_and_dsigma_batch,
     sigma_matrix_planes,
+    sym_index,
+    unpack,
 )
 
 # Floor under sigma_{k-1} for quotient-form evaluation: below it the state is
@@ -129,7 +131,9 @@ class StateData:
 
     Holding these in one place lets residual, linearization, certificates,
     the monitor and the solver's line search share a single recurrence
-    pass. Tensor fields are component-major, one grid plane per component.
+    pass. Vector fields are component-major, one grid plane per component;
+    the symmetric tensor fields mats and newton_weight are packed, one grid
+    plane per independent entry (the layout of symfunc's module docstring).
     newton_weight is S = d sigma_k + a e^{2su} d sigma_{k-1}, the matrix
     weight of the linearization (see the module docstring). Linearizing the
     state spends it: S becomes the coefficient planes and is set to None
@@ -140,9 +144,9 @@ class StateData:
     t: float
     u: ScalarField
     gv: np.ndarray        # gradient of u, (n,) + grid.shape
-    mats: np.ndarray      # V for cases A/B, W for case C, (n, n) + grid.shape
+    mats: np.ndarray      # V for cases A/B, W for case C, packed
     sig: np.ndarray       # sigma_0..sigma_k of the tensor, (k+1,) + grid.shape
-    newton_weight: np.ndarray | None   # S, (n, n) + grid.shape
+    newton_weight: np.ndarray | None   # S, packed
     margins: np.ndarray   # grid.shape, min of sigma_1..sigma_m (m = required cone)
     e2su: np.ndarray      # exp(2 s u)
     e2ksu: np.ndarray     # exp(2 k s u)
@@ -240,9 +244,10 @@ class LinearOperator:
     with periodic second-order stencils, held matrix-free as its stencil
     weights, together with its frozen-coefficient preconditioner.
 
-    second has shape (n, n) + grid.shape and is symmetric per node, first has
-    shape (n,) + grid.shape (component-major, like every tensor field),
-    zeroth has shape grid.shape. Construction writes the stencil weights
+    second is a packed symmetric field, (n(n+1)/2,) + grid.shape in the
+    layout of symfunc's module docstring, first has shape (n,) + grid.shape
+    (component-major, like every vector field), zeroth has shape
+    grid.shape. Construction writes the stencil weights
     straight from these planes into `weights`, (1 + 2n + n(n-1)/2,) +
     grid.shape: c - 2 tau for the centre (tau = sum_i G_ii/h^2),
     G_ii/h^2 + b_i/(2h) for each +e_i, G_ii/h^2 - b_i/(2h) for each -e_i,
@@ -289,27 +294,27 @@ class LinearOperator:
         g = self.grid
         n, h = g.n, g.h
         m = n * (n - 1) // 2
-        if second.shape != (n, n) + g.shape or first.shape != (n,) + g.shape:
+        if second.shape != (n + m,) + g.shape \
+                or first.shape != (n,) + g.shape:
             raise DomainError(
-                f"coefficients must be component-major, (n, n) + grid.shape "
-                f"and (n,) + grid.shape; got {second.shape} and "
+                f"coefficients must be packed, (n(n+1)/2,) + grid.shape, and "
+                f"component-major, (n,) + grid.shape; got {second.shape} and "
                 f"{first.shape}")
         p = 1 + 2 * n
         width = p + m
         self.weights = np.empty((width,) + g.shape) if values is None \
             else values.reshape((width,) + g.shape)
         planes = self.weights.reshape(width, g.size)
-        second = second.reshape(n, n, g.size)
-        diag = _diag(second) / h ** 2
+        second = second.reshape(n + m, g.size)
+        diag = second[:n] / h ** 2
         bias = first.reshape(n, g.size) / (2.0 * h)
         tau = diag.sum(axis=0)
         zeroth = zeroth.ravel()
         np.subtract(zeroth, 2.0 * tau, out=planes[0])
         np.add(diag, bias, out=planes[1:1 + n])
         np.subtract(diag, bias, out=planes[1 + n:p])
-        iu, ju = np.triu_indices(n, 1)
         cross = planes[p:]
-        np.divide(second[iu, ju], 2.0 * h ** 2, out=cross)
+        np.divide(second[n:], 2.0 * h ** 2, out=cross)
 
         self.row_scale = 1.0 / (2.0 * np.abs(tau) + np.abs(zeroth))
         mean = self.row_scale / g.size
@@ -326,7 +331,7 @@ class LinearOperator:
                          -abs(float(mean @ zeroth)), dtype=complex)
         for i, (gi, bi) in enumerate(zip(diag @ mean, bias @ mean)):
             symbol += -4.0 * gi * halves[i] + 2j * bi * sines[i]
-        for gij, i, j in zip(cross @ mean, iu, ju):
+        for gij, i, j in zip(cross @ mean, *np.triu_indices(n, 1)):
             symbol -= 4.0 * gij * sines[i] * sines[j]
         self.inv_symbol = np.divide(1.0, symbol, out=np.zeros_like(symbol),
                                     where=symbol != 0.0)
@@ -382,6 +387,21 @@ class LinearOperator:
         return csr_matrix((data, indices, indptr), shape=(size, size))
 
 
+def _times_vector(mats: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """M v for a packed stack M and a vector field v, (n,) + batch, one
+    component plane at a time: (M v)_i = sum_j M_ij v_j accumulated from zero
+    over j in order, bitwise the full stack's
+    np.einsum("ij...,j...->i...")."""
+    index = sym_index(vec.shape[0])
+    out = np.zeros(vec.shape)
+    term = np.empty(vec.shape[1:])
+    for i, row in enumerate(index):
+        for j, p in enumerate(row):
+            np.multiply(mats[p], vec[j], out=term)
+            out[i] += term
+    return out
+
+
 def _coefficients(sd: StateData):
     """Analytic (second, first, zeroth) coefficient fields of the multiplied
     form's Frechet derivative at the cached state.
@@ -396,21 +416,19 @@ def _coefficients(sd: StateData):
     spec = sd.spec
     n, k, t = spec.n, spec.k, sd.t
     S, sd.newton_weight = sd.newton_weight, None
-    trS = np.einsum("ii...->...", S)
+    trS = np.einsum("i...->...", S[:n])
     if spec.case == "C":
         second = S
-        first = 2.0 * np.einsum("ij...,j...->i...", S, sd.gv) - trS * sd.gv
+        first = 2.0 * _times_vector(S, sd.gv) - trS * sd.gv
     else:
         # P = build_v_tensor(S, t), written over S: t S + (1-t) tr(S) I
         P = S
         P *= t
-        diag = _diag(P)
-        diag += (1.0 - t) * trS
+        P[:n] += (1.0 - t) * trS
         trP = (t + n * (1.0 - t)) * trS
-        first = 2.0 * trP * sd.gv \
-            - 2.0 * np.einsum("ij...,j...->i...", P, sd.gv)
+        first = 2.0 * trP * sd.gv - 2.0 * _times_vector(P, sd.gv)
         # second = P + (tr P / (n-2)) I, again in place
-        diag += trP / (n - 2.0)
+        P[:n] += trP / (n - 2.0)
         second = P
     s = spec.conformal_sign
     zeroth = 2.0 * s * (sd.a_weight * sd.e2su * sd.sig[k - 1]
@@ -430,7 +448,7 @@ def linearize(sd: StateData,
     exponentials. values is handed to LinearOperator, which writes the
     weights into it. The coefficients are formed over S, so sd is spent
     (see _coefficients): linearizing it again raises DomainError.
-    No (n, n) + grid.shape array is allocated.
+    No matrix field beyond S is allocated.
     """
     if sd.cone_margin <= 0.0:
         node, report = sd.worst_node()
@@ -480,7 +498,7 @@ def ellipticity_certificate(sd: StateData) -> EllipticityReport:
     certificate."""
     spec = sd.spec
     n, k = spec.n, spec.k
-    lam = np.linalg.eigvalsh(np.moveaxis(sd.mats, (0, 1), (-2, -1)))
+    lam = np.linalg.eigvalsh(np.moveaxis(unpack(sd.mats), (0, 1), (-2, -1)))
     # sigma_{k-2} and sigma_{k-1} of the deleted spectra (lambda|i), one i
     # at a time: the eigenvalues of d sigma_{k-1}(T) and d sigma_k(T)
     ekm1, ek = np.empty_like(lam), np.empty_like(lam)
@@ -662,13 +680,13 @@ def _eq93_slacks(etas: np.ndarray, ts: np.ndarray, psis: np.ndarray,
     is equivalent, after multiplying by sigma^3 > 0, to
     sigma sigma'' <= (k/(k+1)) (sigma')^2.
     """
-    m = k - 1
+    n, m = etas.shape[-1], k - 1
     nodes = np.arange(m + 1, dtype=float) - (m // 2)
     # V(diag(eta) + s Psi) = diag(mu) + s V(Psi), with mu the V-spectrum;
-    # stack is component-major over (sample, node)
-    stack = build_v_tensor(np.moveaxis(psis, 0, -1), ts)[..., None] * nodes
-    diag = _diag(stack)
-    diag += _v_spectrum(etas, ts).T[..., None]
+    # stack is packed over (sample, node)
+    stack = build_v_tensor(pack(np.moveaxis(psis, 0, -1)), ts)[..., None] \
+        * nodes
+    stack[:n] += _v_spectrum(etas, ts).T[..., None]
     vals = sigma_matrix_planes(stack, m)[m]
     ainv = np.linalg.inv(np.vander(nodes, increasing=True))
     coef = vals @ ainv.T
@@ -826,11 +844,13 @@ def c0_diagnostic(sd: StateData) -> C0Report:
 
     at = tuple(np.array(axis) for axis in zip(node_max, node_min))
     sig_max, sig_min = sd.sig[(..., *at)].T
+    planes = spec.background.shape[0]
     ends = replace(spec, background=np.broadcast_to(
-        spec.background, (n, n) + grid.shape)[(..., *at)])
-    comparison = _case_tensor(np.zeros((n, n, 2)), np.zeros((n, 2)), t, ends)
+        spec.background, (planes,) + grid.shape)[(..., *at)])
+    comparison = _case_tensor(np.zeros((planes, 2)), np.zeros((n, 2)), t,
+                              ends)
     sig_b_max, sig_b_min = sigma_all_batch(
-        np.linalg.eigvalsh(np.moveaxis(comparison, -1, 0)), k)
+        np.linalg.eigvalsh(np.moveaxis(unpack(comparison), -1, 0)), k)
 
     q_max = _cone_quotient(sig_max, k)
     q_min = _cone_quotient(sig_min, k)

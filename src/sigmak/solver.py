@@ -57,6 +57,7 @@ from .operators import (
     prepare_state,
     residual,
 )
+from .symfunc import full_contraction, unpack
 
 # Default relative tolerance asked of GMRES (2-norm of the true residual),
 # and the looser max-norm guard the returned vector must actually meet; a
@@ -159,23 +160,23 @@ class ContinuationTrace:
 
 
 def _sup_spectral_radius(mats: np.ndarray) -> float:
-    """max over a component-major stack of symmetric matrices, (n, n) +
-    batch, of the spectral radius, equal bitwise to
-    np.abs(np.linalg.eigvalsh(M)).max() for M the same stack with the
+    """max over a packed stack of symmetric matrices, (n(n+1)/2,) + batch,
+    of the spectral radius, equal bitwise to
+    np.abs(np.linalg.eigvalsh(M)).max() for M the unpacked stack with the
     matrix axes last.
 
     rho(H) <= |H|_F, so with `best` the radius at the matrix of largest
     Frobenius norm, only matrices whose norm exceeds best (less a 1e-12
     relative allowance for roundoff) can hold a larger radius, and only
-    those are decomposed. LAPACK solves each matrix on its own, so the
-    maximum over them is the full stack's."""
-    fro = np.sqrt(np.einsum("ij...,ij...->...", mats, mats))
-    mats = np.moveaxis(mats, (0, 1), (-2, -1))
+    those are unpacked and decomposed. LAPACK solves each matrix on its
+    own, so the maximum over them is the full stack's."""
+    fro = np.sqrt(full_contraction(mats, mats))
     top = np.unravel_index(int(np.argmax(fro)), fro.shape)
-    best = float(np.abs(np.linalg.eigvalsh(mats[top])).max())
+    best = float(np.abs(np.linalg.eigvalsh(unpack(mats[(..., *top)]))).max())
     rivals = fro > (1.0 - 1e-12) * best
     if rivals.any():
-        best = max(best, float(np.abs(np.linalg.eigvalsh(mats[rivals])).max()))
+        rival_mats = np.moveaxis(unpack(mats[:, rivals]), -1, 0)
+        best = max(best, float(np.abs(np.linalg.eigvalsh(rival_mats)).max()))
     return best
 
 

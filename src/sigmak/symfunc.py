@@ -13,8 +13,8 @@ eigendecomposition:
   deleted spectra). It starts at T_1 = tr(M) I - M, each product
   M T_{j-1} gives sigma_j as its trace, and the last trace tr(M T_{k-1}) is
   one contraction, so sigma_0..sigma_k with T_{k-1} and T_{k-2} cost k-2
-  matrix products, each formed on its upper triangle (M and T_{j-1}
-  commute) and mirrored.
+  matrix products, each formed on its upper triangle only (M and T_{j-1}
+  commute, so the product is symmetric).
 
 The Garding cone Gamma_k = {lambda : sigma_j(lambda) > 0 for 1 <= j <= k}
 drives admissibility throughout the package; in_gamma reports membership with
@@ -23,16 +23,27 @@ the Newton-Maclaurin inequality and the monotonicity of normalized ratios
 (sigma_k/C(n,k) / sigma_l/C(n,l))^{1/(k-l)}, are exposed as signed gaps so
 they can be sampled and audited.
 
-Spectra are bare arrays, stacked on the last axis. Matrix stacks are
-component-major, shape (n, n) + batch, so that every entry is one
-contiguous plane and every step of the recurrence is a pass over whole
-planes; sigma_and_dsigma_batch and its sigma-only view sigma_matrix_planes
-take that layout and return sigma stacks as (k+1,) + batch. A single
-matrix, (n, n), is the stack with an empty batch.
+Spectra are bare arrays, stacked on the last axis. Symmetric matrix fields
+are stored packed, and this module defines the layout for the whole
+package: a stack of symmetric n x n matrices over a batch shape is an
+array of shape (n(n+1)/2,) + batch, one contiguous plane per independent
+entry, the n diagonal entries (i, i) first, then the pairs i < j in
+np.triu_indices(n, 1) order (the order of grid._stencil_shifts' pair
+offsets and of LinearOperator's pair planes). sym_entries lists the entry
+of each plane, sym_index maps an entry (a, b) to its plane, and pack and
+unpack convert from and to the full stack (n, n) + batch, which exists
+only where LAPACK's eigvalsh needs it, at the single-matrix boundary of
+sigma_matrix and dsigma_matrix, and where `sigmak check` draws random
+matrices. Every step of the recurrence is a pass
+over whole planes; sigma_and_dsigma_batch and its sigma-only view
+sigma_matrix_planes take packed stacks and return sigma stacks as
+(k+1,) + batch. A single packed matrix, (n(n+1)/2,), is the stack with an
+empty batch.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -53,6 +64,12 @@ __all__ = [
     "dsigma_matrix",
     "sigma_and_dsigma_batch",
     "sample_gamma",
+    "sym_entries",
+    "sym_index",
+    "sym_dim",
+    "pack",
+    "unpack",
+    "full_contraction",
 ]
 
 
@@ -221,78 +238,137 @@ def quotient_ratio_gap(spec, k: int, l: int, r: int, s: int):
     return _scalar_or_array(ratio(r, s) - ratio(k, l))
 
 
-def _diag(mats: np.ndarray) -> np.ndarray:
-    """The diagonal planes of a component-major stack as a view, shape
-    (n,) + batch; writeable when mats is, so isotropic terms can be added in
-    place."""
-    return np.einsum("ii...->i...", mats)
+@functools.lru_cache(maxsize=8)
+def sym_entries(n: int) -> tuple:
+    """The entries (rows, cols) of the packed planes of an n x n symmetric
+    matrix, in plane order: (i, i) for each i, then (i, j) for the pairs
+    i < j in np.triu_indices(n, 1) order. Read-only index arrays."""
+    iu, ju = np.triu_indices(n, 1)
+    entries = (np.concatenate([np.arange(n), iu]),
+               np.concatenate([np.arange(n), ju]))
+    for a in entries:
+        a.setflags(write=False)
+    return entries
+
+
+@functools.lru_cache(maxsize=8)
+def sym_index(n: int) -> np.ndarray:
+    """The (n, n) table of the plane that holds entry (a, b) of a packed
+    symmetric matrix; symmetric and read-only."""
+    rows, cols = sym_entries(n)
+    table = np.empty((n, n), dtype=np.intp)
+    table[rows, cols] = table[cols, rows] = np.arange(rows.size)
+    table.setflags(write=False)
+    return table
+
+
+def sym_dim(planes: int) -> int:
+    """The n of a packed stack with `planes` = n(n+1)/2 planes."""
+    n = (math.isqrt(8 * planes + 1) - 1) // 2
+    if n < 1 or n * (n + 1) // 2 != planes:
+        raise DomainError(f"{planes} planes are not a packed symmetric "
+                          f"matrix stack")
+    return n
+
+
+def pack(mats) -> np.ndarray:
+    """The packed stack (n(n+1)/2,) + batch of a full stack of symmetric
+    matrices (n, n) + batch, as a new array; each pair plane is read from
+    the upper triangle."""
+    mats = np.asarray(mats)
+    return mats[sym_entries(mats.shape[0])]
+
+
+def unpack(planes) -> np.ndarray:
+    """The full stack (n, n) + batch of a packed stack, as a new array."""
+    planes = np.asarray(planes)
+    return planes[sym_index(sym_dim(planes.shape[0]))]
+
+
+def full_contraction(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_ab x_ab y_ab over all n^2 entries of two packed stacks, so each
+    pair plane counts twice: accumulated from zero in row-major entry
+    order, which is bitwise the full stacks' np.einsum("ab...,ab...->...")."""
+    out = np.zeros(np.broadcast_shapes(x.shape[1:], y.shape[1:]))
+    term = np.empty_like(out)
+    for p in sym_index(sym_dim(x.shape[0])).ravel():
+        np.multiply(x[p, ...], y[p, ...], out=term)
+        out += term
+    return out
 
 
 def sigma_and_dsigma_batch(mats: np.ndarray, k: int):
-    """One Faddeev-LeVerrier pass over a component-major stack of symmetric
-    matrices (n, n) + batch, returning (sigma_0..k, dsigma_k, dsigma_{k-1})
-    as (k+1,) + batch and two (n, n) + batch stacks, both exactly symmetric.
+    """One Faddeev-LeVerrier pass over a packed stack of symmetric matrices
+    (n(n+1)/2,) + batch, returning (sigma_0..k, dsigma_k, dsigma_{k-1}) as
+    (k+1,) + batch and two packed stacks.
 
     dsigma_k = T_{k-1} and dsigma_{k-1} = T_{k-2}, the latter None for k = 1
     (sigma_0 is constant). The T are fresh arrays, never views of mats or of
     each other; the recurrence holds at most two of them, writing each
     product into the buffer of the T it no longer needs. M and T_{j-1}
-    commute, so each product M T_{j-1} is formed on its upper triangle, one
-    row of planes per einsum, and mirrored: every T is exactly symmetric.
-    sigma_j is the sum of the product's diagonal planes; only sigma_k, whose
-    product is not needed, is one contraction sum of M_ab T_ab.
+    commute, so the product M T_{j-1} is symmetric and only its packed
+    entries are formed, each (M T)_ab = sum_c M_ac T_cb accumulated from
+    zero over c in order (bitwise the einsum row products of the full
+    stacks). sigma_j is the sum of the product's diagonal planes; only
+    sigma_k, whose product is not needed, is the contraction
+    full_contraction(M, T_{k-1}).
     """
     mats = np.asarray(mats, dtype=float)
-    n = mats.shape[0]
+    n = sym_dim(mats.shape[0])
     if not 1 <= k <= n:
         raise DomainError(f"k must lie in [1, {n}], got {k}")
-    sig = np.empty((k + 1,) + mats.shape[2:])
+    sig = np.empty((k + 1,) + mats.shape[1:])
     sig[0] = 1.0
     t_prev = t_last = None
     if k <= 2:   # T_0 = I is returned only then
         t_last = np.zeros_like(mats)
-        _diag(t_last)[...] = 1.0
+        t_last[:n] = 1.0
+    index = sym_index(n)
+    term = np.empty(mats.shape[1:])
     for j in range(1, k):
         # T_j = sigma_j I - M T_{j-1}, with sigma_j = tr(M T_{j-1})/j;
         # T_1 = tr(M) I - M needs no product
         if j == 1:
             t_next = np.negative(mats)
-            np.einsum("ii...->...", mats, out=sig[1, ...])
+            np.einsum("i...->...", mats[:n], out=sig[1, ...])
         else:
             t_next = np.empty_like(mats) if t_prev is None else t_prev
-            for a in range(n):
-                np.einsum("c...,cb...->b...", mats[a], t_last[:, a:],
-                          out=t_next[a, a:])
-                t_next[a + 1:, a] = t_next[a, a + 1:]
-            np.einsum("ii...->...", t_next, out=sig[j, ...])
+            for p, (a, b) in enumerate(zip(*sym_entries(n))):
+                # from zero, as an einsum sums: a sum begun at the first
+                # product would keep -0.0 where every product is -0.0
+                entry = t_next[p, ...]
+                entry[...] = 0.0
+                for c in range(n):
+                    np.multiply(mats[index[a, c], ...],
+                                t_last[index[c, b], ...], out=term)
+                    entry += term
+            np.einsum("i...->...", t_next[:n], out=sig[j, ...])
             sig[j] /= j
             np.negative(t_next, out=t_next)
-        diag = _diag(t_next)
-        diag += sig[j]
+        t_next[:n] += sig[j]
         t_prev, t_last = t_last, t_next
     # sigma_k = tr(M T_{k-1})/k, without forming the product (T_{k-1} is
     # symmetric, so the trace is the sum of M_ab T_ab)
-    np.einsum("ab...,ab...->...", mats, t_last, out=sig[k, ...])
-    sig[k] /= k
+    sig[k] = full_contraction(mats, t_last) / k
     return sig, t_last, t_prev
 
 
 def sigma_matrix_planes(mats: np.ndarray, k: int) -> np.ndarray:
-    """sigma_0..sigma_k of the eigenvalues of a component-major stack of
-    symmetric matrices, shape (n, n) + batch, as planes (k+1,) + batch."""
+    """sigma_0..sigma_k of the eigenvalues of a packed stack of symmetric
+    matrices, (n(n+1)/2,) + batch, as planes (k+1,) + batch."""
     return sigma_and_dsigma_batch(mats, k)[0]
 
 
 def sigma_matrix(m, k: int) -> float:
     """sigma_k of the eigenvalues of a symmetric matrix, 1 <= k <= n."""
-    return float(sigma_matrix_planes(_matrix_values(m), k)[k])
+    return float(sigma_matrix_planes(pack(_matrix_values(m)), k)[k])
 
 
 def dsigma_matrix(m, k: int) -> np.ndarray:
-    """Derivative matrix d sigma_k / d M of a symmetric matrix: the
+    """Derivative matrix d sigma_k / d M of a symmetric matrix, (n, n): the
     Faddeev-LeVerrier cofactor-like matrix T_{k-1}(M), exactly symmetric,
     contracting against M to k sigma_k (Euler homogeneity)."""
-    return sigma_and_dsigma_batch(_matrix_values(m), k)[1]
+    return unpack(sigma_and_dsigma_batch(pack(_matrix_values(m)), k)[1])
 
 
 def sample_gamma(n: int, k: int, count: int, rng: np.random.Generator,

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 
@@ -151,16 +152,31 @@ def test_solve_failure_keeps_partial_trace(tmp_path, capsys):
 
 def test_failed_case_c_solve_writes_an_empty_trace_and_report(tmp_path,
                                                             capsys):
-    # The direct case C Newton solve of this problem finds no admissible
-    # decreasing step at t = 1. It has no accepted prefix, so the run writes
-    # a header-only trace and a report whose checks fail on the empty trace.
+    """A real failure at the default schedule: the direct case C Newton
+    solve of this problem (n=3, k=3, N=8, alpha=-0.05,
+    f=1+0.5cos(x1+x2)) finds no admissible decreasing step at t = 1, in
+    well under a second. It has no accepted prefix, so the run writes a
+    header-only trace and a report whose checks fail on the empty trace,
+    and a rerun writes the same bytes. Solving case C on a path from
+    u = 0 (ROADMAP item 1) is to turn this failure into a pass, and this
+    test's expectation with it."""
     cfg = RunConfig(case="C", n=3, k=3, N=8, alpha="-0.05",
                     f="1+0.5*cos(x1+x2)")
+    start = time.perf_counter()
     rc, out = drive(tmp_path, cfg, "solve")
+    assert time.perf_counter() - start < 1.0
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("sigmak solve: line search found no admissible")
+    captured = capsys.readouterr()
+    err = captured.err
+    assert err.startswith("sigmak solve: line search found no admissible "
+                          "decreasing step at t=1.0")
     assert err.count("\n") == 1
+    rc_again, again = drive(tmp_path, cfg, "solve", tag="again")
+    assert rc_again == rc
+    assert capsys.readouterr() == captured
+    assert sorted(os.listdir(again)) == sorted(os.listdir(out))
+    for name in os.listdir(out):
+        assert read(again, name) == read(out, name), name
 
     assert (out / "trace.csv").read_text() == TRACE_HEADER + "\n"
     assert not (out / "u_final.field").exists()

@@ -12,11 +12,12 @@ from sigmak.curvature import (CASES, build_u_tensor, build_v_tensor,
 from sigmak.errors import (DomainError, ExprEvalError, ExprSyntaxError,
                            ValidationError)
 from sigmak.grid import derivatives, sample_values
+from sigmak.symfunc import pack, unpack
 
 
 def test_background_from_components_and_defaults():
     g = Grid(3, 8)
-    bg = sample_tensor(g, {"(1,1)": "-1", "(1,2)": "0.5*sin(x1)"})
+    bg = unpack(sample_tensor(g, {"(1,1)": "-1", "(1,2)": "0.5*sin(x1)"}))
     # stored at the broadcast shape of its component values
     assert bg.shape == (3, 3, 8, 1, 1)
     full = np.broadcast_to(bg, (3, 3) + g.shape)
@@ -25,7 +26,8 @@ def test_background_from_components_and_defaults():
     assert np.array_equal(bg, np.swapaxes(bg, 0, 1))
     # Omitted components are zero, including a whole tensor with none.
     assert np.array_equal(full[2, 2], np.zeros(g.shape))
-    assert np.array_equal(sample_tensor(g, {}), np.zeros((3, 3, 1, 1, 1)))
+    assert np.array_equal(unpack(sample_tensor(g, {})),
+                          np.zeros((3, 3, 1, 1, 1)))
 
 
 def test_background_component_keys_accept_tuples_and_strings():
@@ -46,17 +48,17 @@ def test_background_component_keys_accept_tuples_and_strings():
 @pytest.mark.parametrize("n", [3, 4])
 def test_sample_tensor_shape_follows_the_axes_it_varies_on(n):
     g = Grid(n, 8)
-    constant = sample_tensor(g, canonical_background("A", n))
+    constant = unpack(sample_tensor(g, canonical_background("A", n)))
     assert constant.shape == (n, n) + (1,) * n
     assert np.array_equal(constant[..., *(0,) * n], -np.eye(n))
     # a component in x2 only: N on grid axis 2 only
-    x2 = sample_tensor(g, {"(1,1)": "-1", "(1,3)": "0.2*cos(x2)"})
+    x2 = unpack(sample_tensor(g, {"(1,1)": "-1", "(1,3)": "0.2*cos(x2)"}))
     assert x2.shape == (n, n, 1, 8) + (1,) * (n - 2)
     assert np.array_equal(x2, np.swapaxes(x2, 0, 1))
     assert np.array_equal(x2[0, 2], 0.2 * np.cos(g.coords()[1]))
     # every axis once the components together read every coordinate
-    every = sample_tensor(g, {(i, i): f"-1-0.1*sin(x{i})"
-                              for i in range(1, n + 1)})
+    every = unpack(sample_tensor(g, {(i, i): f"-1-0.1*sin(x{i})"
+                                     for i in range(1, n + 1)}))
     assert every.shape == (n, n) + g.shape
 
 
@@ -122,7 +124,7 @@ def test_isotropic_background_admissibility():
             spec.background,
             sample_tensor(g, canonical_background(case, 3)))
     zero = ProblemSpec.build("A", 3, 3, g, background={})
-    assert np.array_equal(zero.background, np.zeros((3, 3, 1, 1, 1)))
+    assert np.array_equal(unpack(zero.background), np.zeros((3, 3, 1, 1, 1)))
 
 
 def test_problem_validation_per_case():
@@ -182,10 +184,10 @@ def _stencil_derivatives(u):
 
 
 def _background_zeros(spec) -> tuple:
-    """Zero Hessian and gradient shaped like the stored background: the
-    derivatives of the gradient-free comparison tensor."""
-    batch = spec.background.shape[2:]
-    return np.zeros((spec.n, spec.n) + batch), np.zeros((spec.n,) + batch)
+    """Zero packed Hessian and gradient shaped like the stored background:
+    the derivatives of the gradient-free comparison tensor."""
+    planes, *batch = spec.background.shape
+    return np.zeros((planes, *batch)), np.zeros((spec.n, *batch))
 
 
 def test_u_tensor_closed_form_at_zero():
@@ -195,12 +197,12 @@ def test_u_tensor_closed_form_at_zero():
     g = spec.grid
     u0 = ScalarField.zeros(g)
     for t in (0.0, 0.3, 1.0):
-        mats = build_u_tensor(*_stencil_derivatives(u0), t, spec)
+        mats = unpack(build_u_tensor(*_stencil_derivatives(u0), t, spec))
         want = (t * np.eye(3) + ((1.0 - t) / 3.0) * np.eye(3))[:, :, None,
                                                                None, None]
         assert mats.shape == (3, 3) + g.shape
         assert np.abs(mats - want).max() <= 1e-14
-        broadcast = build_u_tensor(*_background_zeros(spec), t, spec)
+        broadcast = unpack(build_u_tensor(*_background_zeros(spec), t, spec))
         assert broadcast.shape == (3, 3, 1, 1, 1)
         assert np.array_equal(np.broadcast_to(broadcast, mats.shape), mats)
     with pytest.raises(DomainError):
@@ -214,7 +216,7 @@ def test_v_tensor_interpolates_trace_weights():
     u = sample_text("0.05*sin(x1)", g)
     for t in (0.0, 0.4, 1.0):
         ut = build_u_tensor(*_stencil_derivatives(u), t, spec)
-        vt = build_v_tensor(ut, t)
+        ut, vt = unpack(ut), unpack(build_v_tensor(ut, t))
         tr_u = np.einsum("ii...->...", ut)
         tr_v = np.einsum("ii...->...", vt)
         assert np.abs(tr_v - (t + 3 * (1 - t)) * tr_u).max() <= 1e-12
@@ -225,7 +227,7 @@ def test_v_tensor_interpolates_trace_weights():
 def test_v_tensor_takes_per_matrix_t_and_keeps_dtype():
     rng = np.random.default_rng(4)
     raw = rng.standard_normal((4, 4, 5))
-    mats = 0.5 * (raw + np.swapaxes(raw, 0, 1))
+    mats = pack(0.5 * (raw + np.swapaxes(raw, 0, 1)))
     ts = rng.uniform(0.0, 1.0, 5)
     stacked = build_v_tensor(mats, ts)
     for i in range(5):
@@ -243,9 +245,10 @@ def test_w_tensor_reduces_to_schouten_at_zero():
         "C", 3, 3, g, alpha="-0.05", f="1",
         background={"(1,1)": "1", "(2,2)": "0.5", "(3,3)": "2",
                     "(1,2)": "0.1"})
-    w = build_w_tensor(*_stencil_derivatives(ScalarField.zeros(g)), spec)
+    w = unpack(build_w_tensor(*_stencil_derivatives(ScalarField.zeros(g)),
+                              spec))
     assert w.shape == (3, 3) + g.shape
-    assert np.abs(w - spec.background).max() == 0.0
+    assert np.abs(w - unpack(spec.background)).max() == 0.0
     with pytest.raises(DomainError):
         build_w_tensor(*_background_zeros(spec), canonical_problem("A"))
 
@@ -255,9 +258,10 @@ def test_w_tensor_gradient_terms():
     spec = canonical_problem("C", N=16)
     g = spec.grid
     u = sample_text("0.1*sin(x1)*cos(x2)", g)
-    w = build_w_tensor(*_stencil_derivatives(u), spec)
-    w0 = build_w_tensor(*_background_zeros(spec), spec)
+    w = unpack(build_w_tensor(*_stencil_derivatives(u), spec))
+    w0 = unpack(build_w_tensor(*_background_zeros(spec), spec))
     gv, hm = derivatives(u)
+    hm = unpack(hm)
     grad_sq = np.einsum("a...,a...->...", gv, gv)
     want = (hm
             + np.einsum("a...,b...->ab...", gv, gv)
@@ -276,8 +280,9 @@ def test_with_f_field_swaps_forcing_only():
     assert spec.f_field.values[0, 0, 0] == 0.7
 
 
-# The builders accumulate in place; these are the plain broadcasting
-# expressions they must reproduce bit for bit (signed zeros aside).
+# The builders accumulate in place on packed stacks; these are the plain
+# broadcasting expressions on full stacks that their unpacked results must
+# reproduce bit for bit (signed zeros aside).
 def _eye(n, batch_ndim):
     """The identity as a component-major stack with unit batch axes."""
     return np.eye(n).reshape((n, n) + (1,) * batch_ndim)
@@ -289,7 +294,7 @@ def _u_reference(hess_m, grad, t, spec):
            + np.einsum("a...,a...->...", grad, grad) + (1.0 - t) / n)
     outer = grad[:, None] * grad[None, :]
     return hess_m + ((iso * _eye(n, iso.ndim) - outer)
-                     - t * spec.background / (n - 2))
+                     - t * unpack(spec.background) / (n - 2))
 
 
 def _v_reference(mats, t):
@@ -301,7 +306,7 @@ def _v_reference(mats, t):
 def _w_reference(hess_m, grad, spec):
     grad_sq = np.einsum("a...,a...->...", grad, grad)
     outer = grad[:, None] * grad[None, :]
-    return (hess_m + (outer + spec.background)) \
+    return (hess_m + (outer + unpack(spec.background))) \
         - (0.5 * grad_sq) * _eye(spec.n, grad_sq.ndim)
 
 
@@ -324,23 +329,25 @@ def test_tensor_builders_equal_the_reference_expressions(n):
         background={(1, 1): "1", (2, 3): "0.3*sin(x3)", (n, n): "0.5"})
     gv, hm = derivatives(u)
     inputs = (hm.copy(), gv.copy())
+    full_h = unpack(hm)
     for t in (0.0, 0.35, 1.0):
         u_t = build_u_tensor(hm, gv, t, spec_a)
-        _same(u_t, _u_reference(hm, gv, t, spec_a))
-        _same(build_v_tensor(u_t, t), _v_reference(u_t, t))
+        _same(unpack(u_t), _u_reference(full_h, gv, t, spec_a))
+        _same(unpack(build_v_tensor(u_t, t)), _v_reference(unpack(u_t), t))
         # zero derivatives shaped like the background, which varies on
         # fewer axes than the grid has
         zero_h, zero_g = _background_zeros(spec_a)
-        _same(build_u_tensor(zero_h, zero_g, t, spec_a),
-              _u_reference(zero_h, zero_g, t, spec_a))
+        _same(unpack(build_u_tensor(zero_h, zero_g, t, spec_a)),
+              _u_reference(unpack(zero_h), zero_g, t, spec_a))
     ts = rng.uniform(0.0, 1.0, size=g.shape)
-    _same(build_v_tensor(u_t, ts), _v_reference(u_t, ts))
+    _same(unpack(build_v_tensor(u_t, ts)), _v_reference(unpack(u_t), ts))
     wide = u_t.astype(np.longdouble)
-    _same(build_v_tensor(wide, ts), _v_reference(wide, ts))
-    _same(build_w_tensor(hm, gv, spec_c), _w_reference(hm, gv, spec_c))
+    _same(unpack(build_v_tensor(wide, ts)), _v_reference(unpack(wide), ts))
+    _same(unpack(build_w_tensor(hm, gv, spec_c)),
+          _w_reference(full_h, gv, spec_c))
     zero_h, zero_g = _background_zeros(spec_c)
-    _same(build_w_tensor(zero_h, zero_g, spec_c),
-          _w_reference(zero_h, zero_g, spec_c))
+    _same(unpack(build_w_tensor(zero_h, zero_g, spec_c)),
+          _w_reference(unpack(zero_h), zero_g, spec_c))
     # the derivatives and the background are read, never written
     assert np.array_equal(hm, inputs[0]) and np.array_equal(gv, inputs[1])
     assert not np.shares_memory(build_v_tensor(u_t, 0.5), u_t)

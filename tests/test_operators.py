@@ -19,7 +19,8 @@ from sigmak.operators import (SIGMA_FLOOR, C0_SLACK_CONSTANT,
                               _coefficients, _v_spectrum,
                               line_second_difference)
 from sigmak.solver import solve_linear
-from sigmak.symfunc import sigma_all_batch, sigma_and_dsigma_batch
+from sigmak.symfunc import (pack, sigma_all_batch, sigma_and_dsigma_batch,
+                            unpack)
 
 
 # -- residual oracles --------------------------------------------------------
@@ -112,10 +113,10 @@ def test_linear_operator_routes_agree():
         zeroth = rng.standard_normal(grid.shape)
         phi = ScalarField(grid, rng.standard_normal(grid.shape))
         grad, hess = derivatives(phi)
-        want = (np.einsum("ij...,ij...->...", second, hess)
+        want = (np.einsum("ij...,ij...->...", second, unpack(hess))
                 + np.einsum("i...,i...->...", first, grad)
                 + zeroth * phi.values)
-        op = LinearOperator(grid=grid, second=second, first=first,
+        op = LinearOperator(grid=grid, second=pack(second), first=first,
                             zeroth=zeroth)
         got = op.apply(phi.values)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), n
@@ -135,7 +136,7 @@ def test_matvec_is_bitwise_the_assembled_product(n):
     root = 0.3 * rng.standard_normal((n, n) + grid.shape)
     second = np.einsum("ik...,jk...->ij...", root, root)
     second += np.eye(n).reshape((n, n) + (1,) * n)
-    op = LinearOperator(grid=grid, second=second,
+    op = LinearOperator(grid=grid, second=pack(second),
                         first=rng.standard_normal((n,) + grid.shape),
                         zeroth=-0.5 - rng.random(grid.shape))
     del root, second
@@ -163,7 +164,7 @@ def test_operator_built_into_a_supplied_buffer_keeps_it(n):
     grid = Grid(n, 8)
     second = rng.standard_normal((n, n) + grid.shape)
     second = second + np.swapaxes(second, 0, 1)
-    coeffs = dict(grid=grid, second=second,
+    coeffs = dict(grid=grid, second=pack(second),
                   first=rng.standard_normal((n,) + grid.shape),
                   zeroth=rng.standard_normal(grid.shape))
     fresh = LinearOperator(**coeffs)
@@ -198,7 +199,7 @@ def test_preconditioner_inverts_constant_coefficient_operators(n):
     first = np.broadcast_to(rng.standard_normal(n).reshape((n,) + unit),
                             (n,) + grid.shape)
     zeroth = np.full(grid.shape, -0.5 - rng.random())
-    op = LinearOperator(grid=grid, second=second, first=first,
+    op = LinearOperator(grid=grid, second=pack(second), first=first,
                         zeroth=zeroth)
     r = rng.standard_normal(grid.size)
     got = op.matvec(op.precondition(r))
@@ -234,8 +235,9 @@ def _weight_rows(h, second, first, zeroth):
 
 def _reference_derivatives(sd):
     """dsigma_k and dsigma_{k-1} of the state's tensor, from the recurrence
-    prepare_state runs."""
-    return sigma_and_dsigma_batch(sd.mats, sd.spec.k)[1:]
+    prepare_state runs, unpacked."""
+    return tuple(unpack(d) for d in
+                 sigma_and_dsigma_batch(sd.mats, sd.spec.k)[1:])
 
 
 def _reference_weight(sd):
@@ -286,9 +288,10 @@ def test_linearization_coefficients_and_weights_are_bitwise(case, n, k):
                             amplitude=0.02)
     t = 1.0 if case == "C" else 0.6
     sd = prepare_state(u, t, spec)
-    assert np.array_equal(sd.newton_weight, _reference_weight(sd))
+    assert np.array_equal(unpack(sd.newton_weight), _reference_weight(sd))
     want_second, want_first = _reference_coefficients(sd)
     second, first, zeroth = _coefficients(sd)
+    second = unpack(second)
     assert np.array_equal(second, want_second)
     assert np.array_equal(first, want_first)
     weights = linearize(prepare_state(u, t, spec)).weights
@@ -346,10 +349,11 @@ def test_state_and_operator_match_the_matmul_recurrence(case, n, k):
     t = 1.0 if case == "C" else 0.6
     sd = prepare_state(u, t, spec)
     got_dk, got_dkm1 = _reference_derivatives(sd)
-    for d in (got_dk, got_dkm1, sd.newton_weight):
+    newton_weight = unpack(sd.newton_weight)
+    for d in (got_dk, got_dkm1, newton_weight):
         assert np.array_equal(d, np.swapaxes(d, 0, 1))
     nodes = rng.choice(spec.grid.size, size=400, replace=False)
-    mats = np.moveaxis(sd.mats.reshape(n, n, -1)[:, :, nodes], -1, 0)
+    mats = np.moveaxis(unpack(sd.mats).reshape(n, n, -1)[:, :, nodes], -1, 0)
     sig, dk, dkm1 = matmul_sigma_and_dsigma(mats, k)
 
     def close(got, want):
@@ -359,7 +363,7 @@ def test_state_and_operator_match_the_matmul_recurrence(case, n, k):
     close(np.moveaxis(got_dk.reshape(n, n, -1)[:, :, nodes], -1, 0), dk)
     close(np.moveaxis(got_dkm1.reshape(n, n, -1)[:, :, nodes], -1, 0), dkm1)
     weight = (sd.a_weight * sd.e2su).ravel()[nodes]
-    close(np.moveaxis(sd.newton_weight.reshape(n, n, -1)[:, :, nodes], -1, 0),
+    close(np.moveaxis(newton_weight.reshape(n, n, -1)[:, :, nodes], -1, 0),
           dk + weight[:, None, None] * dkm1)
     op = linearize(sd)
     close(op.weights.reshape(_planes(n), -1)[:, nodes].T, _weight_rows(
@@ -486,7 +490,8 @@ def test_broadcast_background_is_exact(case, n):
                    _varied_problem(case, n)):
         grid = stored.grid
         full = dataclasses.replace(stored, background=np.broadcast_to(
-            stored.background, (n, n) + grid.shape).copy())
+            stored.background, stored.background.shape[:1] + grid.shape
+        ).copy())
         u = random_smooth_field(grid, np.random.default_rng(n),
                                 amplitude=0.02)
         sd_s, sd_f = prepare_state(u, t, stored), prepare_state(u, t, full)
@@ -522,7 +527,7 @@ def _reference_ellipticity(sd) -> dict:
     h_field = sd.r_weight * sd.e2ksu
     gq = d_quot + (h_field / skm1 ** 2) * dkm1
     if spec.case != "C":
-        gq = build_v_tensor(gq, sd.t)
+        gq = unpack(build_v_tensor(pack(gq), sd.t))
     q_eigs = np.where(valid, np.linalg.eigvalsh(_node_major(gq))[..., 0],
                       np.inf)
     q_traces = np.where(valid, np.einsum("ii...->...", gq), np.inf)
@@ -540,7 +545,7 @@ def _gather_ellipticity(sd) -> list:
     and every later array formed at once."""
     spec = sd.spec
     n, k = spec.n, spec.k
-    lam = np.linalg.eigvalsh(_node_major(sd.mats))
+    lam = np.linalg.eigvalsh(_node_major(unpack(sd.mats)))
     others = np.array([np.delete(np.arange(n), i) for i in range(n)])
     deleted = sigma_all_batch(lam[..., others], k - 1)
     dkm1, dk = deleted[..., k - 2], deleted[..., k - 1]
@@ -624,7 +629,7 @@ def _tensor_at(grad, hess, t, spec, node):
     n = spec.n
     eye = np.eye(n)
     background = np.broadcast_to(
-        spec.background, (n, n) + spec.grid.shape)[(..., *node)]
+        unpack(spec.background), (n, n) + spec.grid.shape)[(..., *node)]
     if spec.case == "C":
         return hess + np.outer(grad, grad) - 0.5 * (grad @ grad) * eye \
             + background
@@ -739,7 +744,8 @@ def test_v_spectrum_is_the_diagonal_of_v_on_diagonal_tensors():
         x = xs.astype(dtype)
         diag = x.T[:, None] * np.eye(5)[..., None]
         for t in (ts.astype(dtype), 0.3):
-            want = np.einsum("ii...->...i", build_v_tensor(diag, t))
+            want = np.einsum("ii...->...i",
+                             unpack(build_v_tensor(pack(diag), t)))
             got = _v_spectrum(x, t)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)

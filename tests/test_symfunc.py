@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import brute_sigma, brute_sigma_all, matmul_sigma_and_dsigma
-from sigmak import (dsigma_matrix, in_gamma, newton_maclaurin_gap,
-                    quotient_ratio_gap, sigma, sigma_matrix)
+from sigmak import (Grid, LinearOperator, dsigma_matrix, in_gamma,
+                    newton_maclaurin_gap, quotient_ratio_gap, sigma,
+                    sigma_matrix)
 from sigmak.errors import DomainError
-from sigmak.symfunc import (sample_gamma, sigma_all, sigma_all_batch,
-                            sigma_and_dsigma_batch, sigma_matrix_planes)
+from sigmak.symfunc import (pack, sample_gamma, sigma_all, sigma_all_batch,
+                            sigma_and_dsigma_batch, sigma_matrix_planes,
+                            sym_dim, sym_entries, sym_index, unpack)
 
 
 def test_sigma_small_hand_values():
@@ -229,12 +231,12 @@ def test_dsigma_euler_identity():
     raw = rng.standard_normal((4, 4, 100))
     mats = 0.5 * (raw + np.swapaxes(raw, 0, 1))
     for k in range(1, 5):
-        sig, dk, dkm1 = sigma_and_dsigma_batch(mats, k)
-        lhs = np.einsum("ijb,jib->b", dk, mats)
+        sig, dk, dkm1 = sigma_and_dsigma_batch(pack(mats), k)
+        lhs = np.einsum("ijb,jib->b", unpack(dk), mats)
         scale = np.maximum(1.0, np.abs(k * sig[k]))
         assert np.all(np.abs(lhs - k * sig[k]) <= 1e-12 * scale)
         if k >= 2:
-            lhs2 = np.einsum("ijb,jib->b", dkm1, mats)
+            lhs2 = np.einsum("ijb,jib->b", unpack(dkm1), mats)
             assert np.all(np.abs(lhs2 - (k - 1) * sig[k - 1])
                           <= 1e-12 * np.maximum(1.0, np.abs(sig[k - 1])))
 
@@ -260,7 +262,8 @@ def test_batch_shapes_and_scalar_agreement():
     rng = np.random.default_rng(11)
     mats = rng.standard_normal((2, 3, 5, 5))
     mats = 0.5 * (mats + np.swapaxes(mats, -1, -2))
-    all_sig = sigma_matrix_planes(np.moveaxis(mats, (-2, -1), (0, 1)), 4)
+    all_sig = sigma_matrix_planes(pack(np.moveaxis(mats, (-2, -1), (0, 1))),
+                                  4)
     assert all_sig.shape == (5, 2, 3)
     assert all_sig[3, 1, 2] == pytest.approx(sigma_matrix(mats[1, 2], 3),
                                              rel=1e-12, abs=1e-12)
@@ -322,7 +325,7 @@ def test_sigma_and_dsigma_batch_match_the_eigenvalue_route(n):
     # sigma_{j-1} of every deleted spectrum lam|i, stacked on axis -2
     deleted = np.stack([sigma_all_batch(np.delete(lams, i, axis=-1), n - 1)
                         for i in range(n)], axis=-2)
-    planes = np.moveaxis(mats, (-2, -1), (0, 1))
+    planes = pack(np.moveaxis(mats, (-2, -1), (0, 1)))
     for k in range(1, n + 1):
         sig, dk, dkm1 = sigma_and_dsigma_batch(planes, k)
         assert sig.shape == (k + 1, 4, 5)
@@ -335,21 +338,23 @@ def test_sigma_and_dsigma_batch_match_the_eigenvalue_route(n):
                 continue
             want = np.einsum("...ij,...j,...kj->ik...", q,
                              deleted[..., j - 1], q)
+            d = unpack(d)
             np.testing.assert_allclose(d, want, rtol=1e-11, atol=1e-11)
             assert np.array_equal(d, np.swapaxes(d, 0, 1))
 
 
 def test_sigma_and_dsigma_batch_low_orders_are_exact_fresh_arrays():
     mats, _, _ = _conjugated_stack(4, (3,), seed=11)
-    mats = np.ascontiguousarray(np.moveaxis(mats, 0, -1))
+    mats = pack(np.moveaxis(mats, 0, -1))
     before = mats.copy()
-    eye = np.broadcast_to(np.eye(4)[..., None], mats.shape)
+    eye = np.broadcast_to(np.eye(4)[..., None], (4, 4) + mats.shape[1:])
     sig, dk, dkm1 = sigma_and_dsigma_batch(mats, 1)
-    assert np.array_equal(dk, eye) and dkm1 is None
+    assert np.array_equal(unpack(dk), eye) and dkm1 is None
     assert dk.flags.writeable and not np.shares_memory(dk, mats)
     sig, dk, dkm1 = sigma_and_dsigma_batch(mats, 2)
-    assert np.array_equal(dkm1, eye)
-    assert np.array_equal(dk, sig[1] * np.eye(4)[..., None] - mats)
+    assert np.array_equal(unpack(dkm1), eye)
+    assert np.array_equal(unpack(dk),
+                          sig[1] * np.eye(4)[..., None] - unpack(mats))
     for d in (dk, dkm1):
         assert d.flags.writeable and not np.shares_memory(d, mats)
     assert not np.shares_memory(dk, dkm1)
@@ -362,17 +367,19 @@ def test_sigma_and_dsigma_batch_low_orders_are_exact_fresh_arrays():
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_trailing_axis_wrappers_are_views_onto_the_planes(n):
-    """Matrices stacked with their axes last reach the component-major
-    recurrence through np.moveaxis alone: for every k, sigma_matrix_planes
+    """Matrices stacked with their axes last reach the packed recurrence
+    through pack(np.moveaxis(...)): for every k, sigma_matrix_planes
     is its sigma part bit for bit; sigma_matrix / dsigma_matrix of a single
     matrix, the stack with an empty batch, agree with its entries at that
     node; and the recurrence matches the whole-matrix product reference,
     each within 1e-13 of the largest reference entry."""
     mats, _, _ = _conjugated_stack(n, (6, 7), seed=30 + n)
-    planes = np.ascontiguousarray(np.moveaxis(mats, (-2, -1), (0, 1)))
+    planes = pack(np.moveaxis(mats, (-2, -1), (0, 1)))
     for k in range(1, n + 1):
         sig, dk, dkm1 = sigma_and_dsigma_batch(planes, k)
         assert np.array_equal(sigma_matrix_planes(planes, k), sig)
+        dk = unpack(dk)
+        dkm1 = None if dkm1 is None else unpack(dkm1)
         for node in ((0, 0), (2, 5), (5, 6)):
             _assert_rel(np.array(sigma_matrix(mats[node], k)),
                         sig[(k, *node)])
@@ -391,3 +398,92 @@ def _assert_rel(got, want, rel=1e-13):
     """Largest difference within rel of the largest reference entry."""
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+def _full_layout_recurrence(mats, k: int):
+    """The Faddeev-LeVerrier pass on full stacks (n, n) + batch that the
+    packed recurrence replaced, kept as its bitwise reference: each row of
+    the upper triangle of M T_{j-1} one einsum, mirrored; the traces and
+    the sigma_k contraction einsums over the full stacks."""
+    n = mats.shape[0]
+
+    def diag(a):
+        return np.einsum("ii...->i...", a)
+
+    sig = np.empty((k + 1,) + mats.shape[2:])
+    sig[0] = 1.0
+    t_prev = t_last = None
+    if k <= 2:
+        t_last = np.zeros_like(mats)
+        diag(t_last)[...] = 1.0
+    for j in range(1, k):
+        if j == 1:
+            t_next = np.negative(mats)
+            np.einsum("ii...->...", mats, out=sig[1, ...])
+        else:
+            t_next = np.empty_like(mats) if t_prev is None else t_prev
+            for a in range(n):
+                np.einsum("c...,cb...->b...", mats[a], t_last[:, a:],
+                          out=t_next[a, a:])
+                t_next[a + 1:, a] = t_next[a, a + 1:]
+            np.einsum("ii...->...", t_next, out=sig[j, ...])
+            sig[j] /= j
+            np.negative(t_next, out=t_next)
+        diag(t_next)[...] += sig[j]
+        t_prev, t_last = t_last, t_next
+    np.einsum("ab...,ab...->...", mats, t_last, out=sig[k, ...])
+    sig[k] /= k
+    return sig, t_last, t_prev
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_packed_layout_is_pinned(n):
+    """The one symmetric-matrix layout: the diagonal planes, then the pairs
+    i < j in np.triu_indices order; pack and unpack invert each other; the
+    linearized operator's pair planes are the coefficient's pair planes
+    over 2h^2, bitwise; and the packed recurrence equals the full-layout
+    recurrence bitwise, signed zeros included, on contiguous stacks for
+    every k."""
+    m = n * (n + 1) // 2
+    rows, cols = sym_entries(n)
+    iu, ju = np.triu_indices(n, 1)
+    assert rows.tolist() == list(range(n)) + iu.tolist()
+    assert cols.tolist() == list(range(n)) + ju.tolist()
+    table = sym_index(n)
+    assert np.array_equal(table, table.T)
+    assert np.array_equal(table[rows, cols], np.arange(m))
+    assert sym_dim(m) == n
+    with pytest.raises(DomainError):
+        sym_dim(m + 1)
+
+    rng = np.random.default_rng(100 + n)
+    raw = rng.standard_normal((n, n, 6, 5))
+    raw[rng.random(raw.shape) < 0.2] = -0.0
+    raw[rng.random(raw.shape) < 0.1] = 0.0
+    mats = np.triu(np.moveaxis(raw, (0, 1), (-2, -1)))
+    mats = np.moveaxis(mats + np.triu(mats, 1).swapaxes(-1, -2),
+                       (-2, -1), (0, 1)).copy()
+    planes = pack(mats)
+    assert planes.shape == (m, 6, 5) and planes.flags.c_contiguous
+    for p, (a, b) in enumerate(zip(rows, cols)):
+        assert planes[p].tobytes() == mats[a, b].tobytes()
+    assert unpack(planes).tobytes() == mats.tobytes()
+    assert pack(unpack(planes)).tobytes() == planes.tobytes()
+
+    grid = Grid(n, 8)
+    second = pack(rng.standard_normal((n, n) + grid.shape))
+    op = LinearOperator(grid=grid, second=second,
+                        first=rng.standard_normal((n,) + grid.shape),
+                        zeroth=rng.standard_normal(grid.shape))
+    assert op.weights[1 + 2 * n:].tobytes() \
+        == (second[n:] / (2.0 * grid.h ** 2)).tobytes()
+
+    for k in range(1, n + 1):
+        got = sigma_and_dsigma_batch(planes, k)
+        want = _full_layout_recurrence(mats, k)
+        assert got[0].tobytes() == want[0].tobytes()
+        for t_got, t_want in zip(got[1:], want[1:]):
+            if t_want is None:
+                assert t_got is None
+                continue
+            assert unpack(t_got).tobytes() == t_want.tobytes()
