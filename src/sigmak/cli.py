@@ -52,9 +52,10 @@ from .report import run_checks
 from .solver import ContinuationTrace, continue_path
 # Unused here: bench/tracer.py wraps sigmak.cli.solve_caseC by name.
 from .solver import solve_caseC  # noqa: F401
-from .symfunc import (newton_maclaurin_gap, pack, quotient_ratio_gap,
+from .symfunc import (_commuting_product, full_contraction,
+                      newton_maclaurin_gap, pack, quotient_ratio_gap,
                       sample_gamma, sigma_all_batch, sigma_and_dsigma_batch,
-                      sigma_matrix_planes, unpack)
+                      sigma_matrix_planes, sym_dim)
 
 _GAP_SLACK = 1e-10
 _REL_TOL = 1e-10
@@ -125,20 +126,43 @@ def _suite_ratio_monotonicity(cfg: RunConfig, rng: np.random.Generator) -> tuple
                         "suite.ratio_monotonicity"), ok
 
 
+def _k_sigma_by_power_sums(planes: np.ndarray, k: int) -> np.ndarray:
+    """k sigma_k of each matrix M of a packed stack, by Newton's identities
+    j sigma_j = sum_{i=1..j} (-1)^(i-1) sigma_{j-i} p_i from the power sums
+    p_i = tr(M^i): tr(M) for i = 1, else full_contraction(M^a, M^b) with
+    a = i // 2 and b = i - a. The powers up to M^ceil(k/2) cost
+    ceil(k/2) - 1 products, and neither the sigma recurrence nor an
+    eigendecomposition is involved."""
+    n = sym_dim(planes.shape[0])
+    powers = [None, planes]
+    for _ in range(2, (k + 1) // 2 + 1):
+        powers.append(_commuting_product(powers[-1], planes))
+    sums = [None, planes[:n].sum(axis=0)] + [
+        full_contraction(powers[i // 2], powers[i - i // 2])
+        for i in range(2, k + 1)]
+    sigmas = [1.0]
+    for j in range(1, k + 1):
+        total = sum((-1) ** (i - 1) * sigmas[j - i] * sums[i]
+                    for i in range(1, j + 1))
+        sigmas.append(total / j)
+    return total
+
+
 def _suite_euler_identity(cfg: RunConfig, rng: np.random.Generator) -> tuple:
     """tr(dsigma_k(M) M) = k sigma_k(M) for arbitrary symmetric M, drawn and
-    evaluated one block at a time."""
+    evaluated one block at a time: dsigma_k from the recurrence, k sigma_k
+    from Newton's identities (_k_sigma_by_power_sums), so a wrong dsigma_k
+    cannot be met by the recurrence's own sigma_k."""
     n, k = cfg.n, cfg.k
     count = cfg.check_samples
     max_rel = -np.inf
     for sl in sample_blocks(count):
         raw = rng.standard_normal(size=(sl.stop - sl.start, n, n))
-        mats = np.moveaxis(0.5 * (raw + np.swapaxes(raw, -1, -2)), 0, -1)
-        sig, dk, _ = sigma_and_dsigma_batch(pack(mats), k)
-        # the trace summed in another order than the recurrence's own
-        # contraction, so the identity is not met by construction
-        lhs = np.einsum("ij...,ji...->...", unpack(dk), mats)
-        max_rel = np.maximum(max_rel, _rel_err(lhs, k * sig[k]))
+        planes = pack(np.moveaxis(0.5 * (raw + np.swapaxes(raw, -1, -2)),
+                                  0, -1))
+        dk = sigma_and_dsigma_batch(planes, k)[1]
+        max_rel = np.maximum(max_rel, _rel_err(
+            full_contraction(dk, planes), _k_sigma_by_power_sums(planes, k)))
     return _rel_err_record("euler_identity", count, max_rel)
 
 

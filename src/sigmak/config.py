@@ -45,22 +45,26 @@ _INT_RE = re.compile(r"^[+-]?\d+$")
 MEMORY_BUDGET_BYTES = 2 * 2 ** 30
 
 
+# Bytes a node of peak_bytes at n = 3, 4, 5 and 6.
+_PEAK_PER_NODE = (730, 940, 1030, 1160)
+
+
 def peak_bytes(n: int, N: int) -> int:
     """Estimated peak bytes of a solve or check on the grid with N points on
-    each of n axes: N^n nodes at 30 n^2 + 460 bytes a node (730, 940, 1,210
-    and 1,540 at n = 3..6). It is fitted to the tracemalloc peaks, in bytes
-    a node, of `sigmak solve` (N = 16 at n = 3, N = 8 above) and of
-    `sigmak verify` (per node of its 2N grid) with at least 20% of
-    headroom at n >= 4 and 5% over the largest n = 3 peak, a case A solve
-    on a background stored grid-sized. The peaks are set by the packed
-    n(n+1)/2 planes of a state (its tensor and its Newton weight, which
-    linearize spends as its coefficient planes, and the recurrence's
-    derivative planes while it runs), a Hessian or the background where it
-    is grid-sized, and the operator's 1 + 2n + n(n-1)/2 weight planes; the
-    largest is linearize's, beside a line-search candidate's state. A full
-    GMRES basis (51 grid vectors, 408 bytes a node) fits inside it. The
-    measured peaks are recorded in the memory_model of BENCH_21.json."""
-    return N ** n * (30 * n * n + 460)
+    each of n axes: N^n nodes at 730, 940, 1,030 and 1,160 bytes a node at
+    n = 3..6. Each is fitted to the tracemalloc peaks, in bytes a node, of
+    `sigmak solve` (N = 16 at n = 3, N = 8 above) and of `sigmak verify`
+    (per node of its 2N grid) with at least 20% of headroom at n >= 4 and
+    5% over the largest n = 3 peak, a case A solve on a background stored
+    grid-sized. A state holds its gradient, sigmas, Newton weight (which
+    linearize spends as its coefficient planes) and weights, and is built
+    in node blocks, so no grid-sized tensor, Hessian or recurrence plane
+    exists; the peaks are linearize's, beside a spent state, or the Krylov
+    solve's, whose full GMRES basis (51 grid vectors, 408 bytes a node) is
+    allocated at once beside the operator's 1 + 2n + n(n-1)/2 weight
+    planes, plus the background where it is grid-sized. The measured peaks
+    are recorded in the memory_model of BENCH_23.json."""
+    return N ** n * _PEAK_PER_NODE[n - 3]
 
 
 def sample_bytes(n: int) -> int:

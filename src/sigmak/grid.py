@@ -10,9 +10,11 @@ The stencil is written once, here. _wrap_pad adds one periodic layer on
 every side of a grid array, and _stencil_shifts lists the 2n^2 + 1 offsets
 of the stencil as slices of that padded copy, the view at offset o holding
 the value at node + o. derivatives takes the gradient and the Hessian of a
-field from one padded copy through those views (hessian the Hessian alone),
-and the linearized operator's matvec (operators.LinearOperator) reads its
-argument through the same views. The Laplacian is the trace of the Hessian.
+field from one padded copy through those views (hessian the Hessian alone);
+the state builds of operators take them the same way from slabs of one
+padded copy, each with its halo, one node block at a time; and the
+linearized operator's matvec (operators.LinearOperator) reads its argument
+through the same views. The Laplacian is the trace of the Hessian.
 
 Tensor-valued derivatives are plain arrays stored component-major: one
 contiguous grid plane per component, so every later pass over them is a
@@ -151,24 +153,25 @@ def _wrap_pad(a: np.ndarray) -> np.ndarray:
 
 
 def _stencil_derivatives(padded: np.ndarray, h: float,
-                         gradient: bool = True) -> tuple:
-    """Central-difference gradient and Hessian of the grid whose wrap-padded
-    copy is `padded`, read through the views of _stencil_shifts: shapes
-    (n,) + grid.shape and, packed, (n(n+1)/2,) + grid.shape, the gradient
-    None unless `gradient`. Each plane is (v(+e_i) - v(-e_i))/(2h),
-    (v(+e_i) - 2v + v(-e_i))/h^2 or
+                         grad: np.ndarray | None = None) -> np.ndarray:
+    """Central-difference Hessian of the nodes whose wrap-padded copy is
+    `padded` (a whole grid's, or a slab of it with its halo), read through
+    the views of _stencil_shifts: packed, (n(n+1)/2,) + the unpadded shape.
+    Given grad, an array (n,) + that shape (a view into a larger one
+    serves), the gradient is written into it. Each plane is
+    (v(+e_i) - v(-e_i))/(2h), (v(+e_i) - 2v + v(-e_i))/h^2 or
     (v(+e_i+e_j) - v(+e_i-e_j) - v(-e_i+e_j) + v(-e_i-e_j))/(4h^2),
-    evaluated left to right, and written straight to its plane."""
+    evaluated left to right, and written straight to its plane, so every
+    node's values do not depend on the extent of `padded`."""
     n = padded.ndim
     m = n * (n - 1) // 2
     centre, *views = (padded[shift] for shift in _stencil_shifts(n))
     plus, minus, pairs = views[:n], views[n:2 * n], views[2 * n:]
     pp, mm, pm, mp = (pairs[b * m:(b + 1) * m] for b in range(4))
-    grad = np.empty((n,) + centre.shape) if gradient else None
     hess = np.empty((n + m,) + centre.shape)
     twice = 2.0 * centre
     for i in range(n):
-        if gradient:
+        if grad is not None:
             np.subtract(plus[i], minus[i], out=grad[i])
             grad[i] /= 2.0 * h
         np.subtract(plus[i], twice, out=hess[i])
@@ -179,19 +182,20 @@ def _stencil_derivatives(padded: np.ndarray, h: float,
         cross -= mp[p]
         cross += mm[p]
         cross /= 4.0 * h * h
-    return grad, hess
+    return hess
 
 
 def derivatives(u: ScalarField) -> tuple:
     """Central-difference gradient and packed Hessian of u from one
     wrap-padded copy: shapes (n,) + grid.shape and
     (n(n+1)/2,) + grid.shape."""
-    return _stencil_derivatives(_wrap_pad(u.values), u.grid.h)
+    grad = np.empty((u.grid.n,) + u.grid.shape)
+    return grad, _stencil_derivatives(_wrap_pad(u.values), u.grid.h, grad)
 
 
 def hessian(u: ScalarField) -> np.ndarray:
     """The Hessian of derivatives(u), bitwise, without its gradient."""
-    return _stencil_derivatives(_wrap_pad(u.values), u.grid.h, False)[1]
+    return _stencil_derivatives(_wrap_pad(u.values), u.grid.h)
 
 
 def sample_values(ast, grid: Grid) -> np.ndarray:

@@ -62,10 +62,24 @@ and the quotient family has t q_i + (1-t) sum(q) (case C: q_i) with
 q_i = sigma_{k-1}(lambda|i)/sigma_{k-1} + (r e^{2ksu} - sigma_k)
 sigma_{k-2}(lambda|i)/sigma_{k-1}^2. No coefficient matrix is formed.
 
+A state is built in node blocks: runs of whole slabs of the first grid
+axis, each contiguous within every plane, as many slabs as keep a block's
+packed tensor planes within STATE_BLOCK_BYTES (_node_blocks). A block takes
+its stencil derivatives from the one wrap-padded copy of u (its slabs and
+their halo), forms its curvature tensor from them and the background read
+there, and runs the sigma recurrence, writing its gradient, its sigmas and
+its Newton weight (with the case weights read there) straight into the
+state's planes (_tensor_blocks, _build_state). So the Hessian, the tensor
+and the recurrence's planes exist one block at a time, and the state keeps
+no tensor. Every operation is node-local and done in the same order, so
+the state does not depend on the block size.
+
 Like residual and linearize, both audits take the StateData the caller
 holds, for a path the one it ended on (solver.ContinuationTrace.final_state):
-ellipticity_certificate reads the spectrum of its tensor at every node, and
-c0_diagnostic its sigmas and weights at the extremal nodes of u.
+ellipticity_certificate derives the state's tensor again, block by block
+through the same generator, and reduces its spectrum as the blocks come;
+c0_diagnostic reads the state's sigmas and weights at the extremal nodes of
+u.
 """
 
 from __future__ import annotations
@@ -81,9 +95,9 @@ from .errors import AdmissibilityError, DomainError, ValidationError
 from .grid import (
     Grid,
     ScalarField,
+    _stencil_derivatives,
     _stencil_shifts,
     _wrap_pad,
-    derivatives,
     spectral_derivatives,
 )
 from .symfunc import (
@@ -115,6 +129,12 @@ PROBE_MARGIN = 1e-8
 # draw's. Read at call time, so it can be patched through this module.
 CHECK_BLOCK = 1024
 
+# Bytes of packed tensor planes, n(n+1)/2 float64 values a node, in one node
+# block of a state build or an ellipticity audit (see _node_blocks): a block
+# holds whole slabs of the first grid axis, at least one. Read at call time,
+# so it can be patched through this module.
+STATE_BLOCK_BYTES = 2 ** 20
+
 # Truncation slack constant for the discrete C0 comparison: the maximum
 # principle argument is exact in the continuum, and the discrete extremum
 # obeys it up to O(h) from the stencil truncation.
@@ -132,19 +152,23 @@ class StateData:
     Holding these in one place lets residual, linearization, certificates,
     the monitor and the solver's line search share a single recurrence
     pass. Vector fields are component-major, one grid plane per component;
-    the symmetric tensor fields mats and newton_weight are packed, one grid
-    plane per independent entry (the layout of symfunc's module docstring).
+    the symmetric tensor field newton_weight is packed, one grid plane per
+    independent entry (the layout of symfunc's module docstring).
     newton_weight is S = d sigma_k + a e^{2su} d sigma_{k-1}, the matrix
     weight of the linearization (see the module docstring). Linearizing the
     state spends it: S becomes the coefficient planes and is set to None
     (see _coefficients); the other fields stay valid.
+
+    The curvature tensor itself (V for cases A and B, W for case C) is not
+    held: it exists one node block at a time while the state is built, and
+    ellipticity_certificate, its one reader after that, derives it again
+    from u and t, block by block (_tensor_blocks).
     """
 
     spec: ProblemSpec
     t: float
     u: ScalarField
     gv: np.ndarray        # gradient of u, (n,) + grid.shape
-    mats: np.ndarray      # V for cases A/B, W for case C, packed
     sig: np.ndarray       # sigma_0..sigma_k of the tensor, (k+1,) + grid.shape
     newton_weight: np.ndarray | None   # S, packed
     margins: np.ndarray   # grid.shape, min of sigma_1..sigma_m (m = required cone)
@@ -197,36 +221,90 @@ def _check_state_args(u: ScalarField, t: float, spec: ProblemSpec) -> None:
         raise DomainError(f"homotopy parameter t must lie in [0, 1], got {t}")
 
 
+def _node_blocks(grid: Grid) -> list:
+    """Slices of the first grid axis cutting it into node blocks of whole
+    slabs, as many slabs as keep a block's n(n+1)/2 packed float64 planes
+    within STATE_BLOCK_BYTES, and at least one; each block is contiguous
+    within every grid plane."""
+    n, N = grid.n, grid.N
+    slab = 8 * (n * (n + 1) // 2) * N ** (n - 1)
+    rows = max(1, STATE_BLOCK_BYTES // slab)
+    return [slice(a, min(a + rows, N)) for a in range(0, N, rows)]
+
+
+def _tensor_blocks(u: ScalarField, t: float, spec: ProblemSpec,
+                   gv: np.ndarray, hess: np.ndarray | None = None,
+                   write_gradient: bool = False):
+    """Yield (rows, tensor) for each node block of spec.grid (_node_blocks):
+    rows the block's slice of the first grid axis, tensor the case tensor
+    there (_case_tensor), packed, (n(n+1)/2,) + the block's shape.
+
+    The gradient is read from gv[:, rows]. Given hess, the whole grid's
+    packed Hessian, each block reads its slice of it; otherwise the block's
+    Hessian is the stencil's, from one wrap-padded copy of u, each block
+    reading its slabs and their halo, and with write_gradient the block's
+    stencil gradient is first written into gv[:, rows]. The background is
+    read at the block's slabs where it varies along the first axis."""
+    background = spec.background
+    padded = _wrap_pad(u.values) if hess is None else None
+    for rows in _node_blocks(spec.grid):
+        grad = gv[:, rows]
+        at_rows = spec if background.shape[1] == 1 \
+            else replace(spec, background=background[:, rows])
+        # the Hessian is formed inside the expression, so it goes with the
+        # tensor's construction and this frame holds neither
+        yield rows, _case_tensor(
+            hess[:, rows] if padded is None else _stencil_derivatives(
+                padded[rows.start:rows.stop + 2], spec.grid.h,
+                grad if write_gradient else None),
+            grad, t, at_rows)
+
+
 def _build_state(u: ScalarField, t: float, spec: ProblemSpec,
-                 route) -> StateData:
-    """The state of (u, t) from the derivatives of u that route returns,
-    grid.derivatives (the stencil) or grid.spectral_derivatives."""
-    k = spec.k
-    gv, hess_u = route(u)
-    mats = _case_tensor(hess_u, gv, t, spec)
-    del hess_u   # the recurrence below sets the memory peak; free it first
-    sig, S, lower = sigma_and_dsigma_batch(mats, k)
+                 route=None) -> StateData:
+    """The state of (u, t), built block by block (_tensor_blocks): from
+    stencil derivatives, or from the whole-grid derivatives route returns
+    (grid.spectral_derivatives). Each block's sigmas and Newton weight are
+    written straight into the state's planes."""
+    n, k = spec.n, spec.k
+    shape = spec.grid.shape
     s = spec.conformal_sign
     a_weight, r_weight = case_weights(spec, t)
     e2su = np.exp(2.0 * s * u.values)
-    # S = d sigma_k + a e^{2su} d sigma_{k-1}, over the recurrence's planes;
-    # those of d sigma_{k-1} go at once (held longer, they raised peak RSS)
-    lower *= a_weight * e2su
-    S += lower
-    del lower
+    if route is None:
+        gv, hess = np.empty((n,) + shape), None
+    else:
+        gv, hess = route(u)
+    sig = S = None
+    for rows, mats in _tensor_blocks(u, t, spec, gv, hess,
+                                     write_gradient=True):
+        if S is None:
+            # allocated once the first block's tensor is built, so a grid
+            # of one block does not hold them beside that build's temporaries
+            sig = np.empty((k + 1,) + shape)
+            S = np.empty((n * (n + 1) // 2,) + shape)
+        # S = d sigma_k + a e^{2su} d sigma_{k-1}, over d sigma_k written
+        # into S; the block's planes go before the next block's are built
+        lower = sigma_and_dsigma_batch(mats, k, (sig[:, rows], S[:, rows]))[2]
+        del mats
+        lower *= a_weight[rows] * e2su[rows]
+        S[:, rows] += lower
+        del lower
+    del hess
     m = spec.required_cone
     margins = np.minimum.reduce(sig[1:m + 1])
-    return StateData(spec=spec, t=t, u=u, gv=gv, mats=mats, sig=sig,
+    return StateData(spec=spec, t=t, u=u, gv=gv, sig=sig,
                      newton_weight=S, margins=margins, e2su=e2su,
                      e2ksu=np.exp(2.0 * k * s * u.values),
                      a_weight=a_weight, r_weight=r_weight)
 
 
 def prepare_state(u: ScalarField, t: float, spec: ProblemSpec) -> StateData:
-    """Build the cached state for (u, t) from stencil derivatives: curvature
-    tensor, sigmas, Newton weight, cone margins, and the case weights."""
+    """Build the cached state for (u, t) from stencil derivatives, one node
+    block at a time: gradient, sigmas, Newton weight, cone margins, and the
+    case weights."""
     _check_state_args(u, t, spec)
-    return _build_state(u, t, spec, derivatives)
+    return _build_state(u, t, spec)
 
 
 def residual(sd: StateData) -> ScalarField:
@@ -417,16 +495,25 @@ def _coefficients(sd: StateData):
     n, k, t = spec.n, spec.k, sd.t
     S, sd.newton_weight = sd.newton_weight, None
     trS = np.einsum("i...->...", S[:n])
+    # first is formed in place, with the operations of its plain
+    # expression (2 S gv - tr(S) gv, or 2 tr(P) gv - 2 P gv), so it is
+    # bitwise that expression and holds n planes fewer
     if spec.case == "C":
         second = S
-        first = 2.0 * _times_vector(S, sd.gv) - trS * sd.gv
+        first = _times_vector(S, sd.gv)
+        first *= 2.0
+        first -= trS * sd.gv
     else:
         # P = build_v_tensor(S, t), written over S: t S + (1-t) tr(S) I
         P = S
         P *= t
         P[:n] += (1.0 - t) * trS
         trP = (t + n * (1.0 - t)) * trS
-        first = 2.0 * trP * sd.gv - 2.0 * _times_vector(P, sd.gv)
+        first = 2.0 * trP * sd.gv
+        product = _times_vector(P, sd.gv)
+        product *= 2.0
+        first -= product
+        del product
         # second = P + (tr P / (n-2)) I, again in place
         P[:n] += trP / (n - 2.0)
         second = P
@@ -495,42 +582,51 @@ class EllipticityReport:
 def ellipticity_certificate(sd: StateData) -> EllipticityReport:
     """Audit ellipticity at the state sd. Never raises: nodes outside the
     cone (or under the denominator floor) are counted and fail the
-    certificate."""
+    certificate.
+
+    The state's tensor is derived again, from sd.u's stencil Hessian and
+    sd's gradient, one node block at a time (_tensor_blocks), bitwise the
+    tensor the state was built from; each block's spectrum is reduced to
+    three planes as it comes: the smallest eigenvalue of each family at
+    each node, and the quotient family's trace."""
     spec = sd.spec
     n, k = spec.n, spec.k
-    lam = np.linalg.eigvalsh(np.moveaxis(unpack(sd.mats), (0, 1), (-2, -1)))
-    # sigma_{k-2} and sigma_{k-1} of the deleted spectra (lambda|i), one i
-    # at a time: the eigenvalues of d sigma_{k-1}(T) and d sigma_k(T)
-    ekm1, ek = np.empty_like(lam), np.empty_like(lam)
-    for i in range(n):
-        deleted = sigma_all_batch(np.delete(lam, i, axis=-1), k - 1)
-        ekm1[..., i], ek[..., i] = deleted[..., k - 2], deleted[..., k - 1]
-    del lam, deleted
-    s_eigs = ek + (sd.a_weight * sd.e2su)[..., None] * ekm1
-    if spec.case == "C":
-        newton_eigs = s_eigs.min(axis=-1)
-    else:
-        p_eigs = _v_spectrum(s_eigs, sd.t)
-        newton_eigs = (p_eigs + p_eigs.sum(axis=-1, keepdims=True)
-                       / (n - 2.0)).min(axis=-1)
-        del p_eigs
-    del s_eigs
-    nm_node = _argmin_node(newton_eigs)
-    worst_node = _argmin_node(sd.margins)
-
     valid = (sd.margins > 0.0) & (sd.sig[k - 1] >= SIGMA_FLOOR)
-    outside = int(sd.margins.size - valid.sum())
-    if valid.any():
-        skm1 = np.where(valid, sd.sig[k - 1], 1.0)
-        excess = (sd.r_weight * sd.e2ksu - sd.sig[k]) / skm1 ** 2
+    newton_eigs, q_low, q_trace = (np.empty(spec.grid.shape) for _ in range(3))
+    for rows, mats in _tensor_blocks(sd.u, sd.t, spec, sd.gv):
+        lam = np.linalg.eigvalsh(np.moveaxis(unpack(mats), (0, 1), (-2, -1)))
+        del mats
+        # sigma_{k-2} and sigma_{k-1} of the deleted spectra (lambda|i), one
+        # i at a time: the eigenvalues of d sigma_{k-1}(T) and d sigma_k(T)
+        ekm1, ek = np.empty_like(lam), np.empty_like(lam)
+        for i in range(n):
+            deleted = sigma_all_batch(np.delete(lam, i, axis=-1), k - 1)
+            ekm1[..., i], ek[..., i] = deleted[..., k - 2], deleted[..., k - 1]
+        del lam, deleted
+        s_eigs = ek + (sd.a_weight[rows] * sd.e2su[rows])[..., None] * ekm1
+        if spec.case == "C":
+            newton_eigs[rows] = s_eigs.min(axis=-1)
+        else:
+            p_eigs = _v_spectrum(s_eigs, sd.t)
+            newton_eigs[rows] = (p_eigs + p_eigs.sum(axis=-1, keepdims=True)
+                                 / (n - 2.0)).min(axis=-1)
+            del p_eigs
+        del s_eigs
+        skm1 = np.where(valid[rows], sd.sig[k - 1, rows], 1.0)
+        excess = (sd.r_weight[rows] * sd.e2ksu[rows] - sd.sig[k, rows]) \
+            / skm1 ** 2
         q_eigs = ek / skm1[..., None]
         del ek
         q_eigs += excess[..., None] * ekm1
         del ekm1
         if spec.case != "C":
             q_eigs = _v_spectrum(q_eigs, sd.t)
-        q_min = float(q_eigs.min(axis=-1)[valid].min())
-        q_trace_min = float(q_eigs.sum(axis=-1)[valid].min())
+        q_low[rows], q_trace[rows] = q_eigs.min(axis=-1), q_eigs.sum(axis=-1)
+        del q_eigs
+    outside = int(valid.size - valid.sum())
+    if valid.any():
+        q_min = float(q_low[valid].min())
+        q_trace_min = float(q_trace[valid].min())
     else:
         q_min = float("nan")
         q_trace_min = float("nan")
@@ -542,8 +638,10 @@ def ellipticity_certificate(sd: StateData) -> EllipticityReport:
     return EllipticityReport(
         case=spec.case, n=n, k=k, N=spec.grid.N, t=float(sd.t),
         nodes=int(sd.margins.size), nodes_outside_cone=outside,
-        worst_margin=sd.cone_margin, worst_margin_node=worst_node,
-        newton_min_eig=newton_min, newton_min_eig_node=nm_node,
+        worst_margin=sd.cone_margin,
+        worst_margin_node=_argmin_node(sd.margins),
+        newton_min_eig=newton_min,
+        newton_min_eig_node=_argmin_node(newton_eigs),
         quotient_min_eig=q_min, quotient_trace_min=q_trace_min,
         trace_bound=bound, trace_slack=slack, passed=passed)
 

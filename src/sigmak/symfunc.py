@@ -297,55 +297,73 @@ def full_contraction(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigma_and_dsigma_batch(mats: np.ndarray, k: int):
+def _commuting_product(x: np.ndarray, y: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """The product x y of two packed stacks of symmetric matrices that
+    commute matrix by matrix (so the product is symmetric), (n(n+1)/2,) +
+    batch, formed on its packed entries only, into out when given: each
+    (x y)_ab = sum_c x_ac y_cb accumulated from zero over c in order,
+    bitwise the einsum row products of the full stacks (a sum begun at
+    the first product would keep -0.0 where every product is -0.0)."""
+    n = sym_dim(x.shape[0])
+    index = sym_index(n)
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape)) if out is None \
+        else out
+    term = np.empty(out.shape[1:])
+    for p, (a, b) in enumerate(zip(*sym_entries(n))):
+        entry = out[p, ...]
+        entry[...] = 0.0
+        for c in range(n):
+            np.multiply(x[index[a, c], ...], y[index[c, b], ...], out=term)
+            entry += term
+    return out
+
+
+def sigma_and_dsigma_batch(mats: np.ndarray, k: int, out: tuple = None):
     """One Faddeev-LeVerrier pass over a packed stack of symmetric matrices
     (n(n+1)/2,) + batch, returning (sigma_0..k, dsigma_k, dsigma_{k-1}) as
-    (k+1,) + batch and two packed stacks.
+    (k+1,) + batch and two packed stacks. Given out, a pair of arrays
+    shaped like the first two (views into larger arrays serve), sigma_0..k
+    and dsigma_k are written into them, and they are the ones returned.
 
     dsigma_k = T_{k-1} and dsigma_{k-1} = T_{k-2}, the latter None for k = 1
     (sigma_0 is constant). The T are fresh arrays, never views of mats or of
-    each other; the recurrence holds at most two of them, writing each
-    product into the buffer of the T it no longer needs. M and T_{j-1}
-    commute, so the product M T_{j-1} is symmetric and only its packed
-    entries are formed, each (M T)_ab = sum_c M_ac T_cb accumulated from
-    zero over c in order (bitwise the einsum row products of the full
-    stacks). sigma_j is the sum of the product's diagonal planes; only
-    sigma_k, whose product is not needed, is the contraction
-    full_contraction(M, T_{k-1}).
+    each other, but for a dsigma_k written into out. The recurrence holds
+    two buffers, one for the T of odd j and one for those of even j, so
+    each product overwrites the T it no longer needs; given out, the
+    buffer of T_{k-1}'s parity is out's, and one fresh buffer serves the
+    rest. M and T_{j-1} commute, so the product M T_{j-1} is formed on its
+    packed entries only (_commuting_product). sigma_j is the sum of the
+    product's diagonal planes; only sigma_k, whose product is not needed,
+    is the contraction full_contraction(M, T_{k-1}).
     """
     mats = np.asarray(mats, dtype=float)
     n = sym_dim(mats.shape[0])
     if not 1 <= k <= n:
         raise DomainError(f"k must lie in [1, {n}], got {k}")
-    sig = np.empty((k + 1,) + mats.shape[1:])
+    sig, t_out = (np.empty((k + 1,) + mats.shape[1:]), None) \
+        if out is None else out
     sig[0] = 1.0
+    buffers = {} if t_out is None else {(k - 1) % 2: t_out}
     t_prev = t_last = None
     if k <= 2:   # T_0 = I is returned only then
-        t_last = np.zeros_like(mats)
+        t_last = buffers[0] if 0 in buffers else np.empty_like(mats)
+        t_last[...] = 0.0
         t_last[:n] = 1.0
-    index = sym_index(n)
-    term = np.empty(mats.shape[1:])
     for j in range(1, k):
+        target = buffers.get(j % 2)
         # T_j = sigma_j I - M T_{j-1}, with sigma_j = tr(M T_{j-1})/j;
         # T_1 = tr(M) I - M needs no product
         if j == 1:
-            t_next = np.negative(mats)
+            t_next = np.negative(mats, out=target)
             np.einsum("i...->...", mats[:n], out=sig[1, ...])
         else:
-            t_next = np.empty_like(mats) if t_prev is None else t_prev
-            for p, (a, b) in enumerate(zip(*sym_entries(n))):
-                # from zero, as an einsum sums: a sum begun at the first
-                # product would keep -0.0 where every product is -0.0
-                entry = t_next[p, ...]
-                entry[...] = 0.0
-                for c in range(n):
-                    np.multiply(mats[index[a, c], ...],
-                                t_last[index[c, b], ...], out=term)
-                    entry += term
+            t_next = _commuting_product(mats, t_last, target)
             np.einsum("i...->...", t_next[:n], out=sig[j, ...])
             sig[j] /= j
             np.negative(t_next, out=t_next)
         t_next[:n] += sig[j]
+        buffers[j % 2] = t_next
         t_prev, t_last = t_last, t_next
     # sigma_k = tr(M T_{k-1})/k, without forming the product (T_{k-1} is
     # symmetric, so the trace is the sum of M_ab T_ab)

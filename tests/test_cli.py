@@ -96,6 +96,83 @@ def test_check_certificates_do_not_depend_on_the_block_size(
             assert texts[0] == texts[1], (n, samples)
 
 
+def _first_axis_background(case: str, n: int) -> dict:
+    """Background components near the canonical tensor that vary along the
+    first grid axis, so each node block reads its own slabs of it, and
+    along the last."""
+    sign = "1" if case == "C" else "-1"
+    comps = {f"({i},{i})": sign for i in range(1, n + 1)}
+    comps["(1,1)"] = f"{sign}+0.1*sin(x1)"
+    comps[f"({n},{n})"] = f"{sign}-0.05*cos(x{n})"
+    comps["(1,2)"] = "0.05*cos(x1)"
+    return comps
+
+
+_BLOCK_CASES = {"A": dict(alpha="-0.1-0.05*cos(x2)", f="0.7+0.2*sin(x1)"),
+                "B": dict(alpha="-0.3-0.05*sin(x1)", f="0"),
+                "C": dict(alpha="-0.05", f="1+0.3*cos(x1)")}
+
+
+def test_outputs_do_not_depend_on_the_state_block_size(tmp_path,
+                                                        monkeypatch):
+    """States are built, and audited, in node blocks of whole first-axis
+    slabs sized by operators.STATE_BLOCK_BYTES, read at call time: with
+    blocks of one slab and with one block over the whole grid, solve,
+    verify (N = 8 -> 16; case B has no verify) and check write
+    byte-identical files and exit alike, for cases A, B and C at n = 3 and
+    4 on a background that varies along the first axis."""
+    for n in (3, 4):
+        for case, data in _BLOCK_CASES.items():
+            cfg = RunConfig(case=case, n=n, k=3, N=8, check_samples=20,
+                            background=_first_axis_background(case, n),
+                            **data)
+            commands = ("check", "solve") if case == "B" \
+                else ("check", "solve", "verify")
+            runs = []
+            for block in (1, 2 ** 40):
+                monkeypatch.setattr(sigmak.operators, "STATE_BLOCK_BYTES",
+                                    block)
+                blocks = sigmak.operators._node_blocks(cfg.grid())
+                assert len(blocks) == (8 if block == 1 else 1)
+                files = {}
+                for command in commands:
+                    rc, out = drive(tmp_path, cfg, command,
+                                    f"{case}{n}_b{block}/{command}")
+                    files[command] = rc, {name: read(out, name)
+                                          for name in sorted(os.listdir(out))}
+                runs.append(files)
+            assert runs[0] == runs[1], (case, n)
+            assert runs[0]["solve"][0] == 0, (case, n)
+
+
+def test_euler_suite_catches_a_wrong_dsigma_k(tmp_path, monkeypatch):
+    """The Euler suite takes k sigma_k from Newton's identities, not from
+    the recurrence: a recurrence whose dsigma_k, and with it the sigma_k it
+    contracts from dsigma_k, is off by a factor 1 + 1e-8 fails the suite
+    and the check."""
+    real = sigmak.cli.sigma_and_dsigma_batch
+
+    def scaled(mats, k, *out):
+        sig, dk, dkm1 = real(mats, k, *out)
+        sig[k] *= 1.0 + 1e-8
+        dk *= 1.0 + 1e-8
+        return sig, dk, dkm1
+
+    for n in (3, 4):
+        cfg = fast_check_config(n=n)
+        rc, out = drive(tmp_path, cfg, "check", f"real{n}")
+        assert rc == 0
+        assert "suite.euler_identity.passed: true" \
+            in (out / "certificates.txt").read_text()
+        monkeypatch.setattr(sigmak.cli, "sigma_and_dsigma_batch", scaled)
+        rc, out = drive(tmp_path, cfg, "check", f"scaled{n}")
+        monkeypatch.setattr(sigmak.cli, "sigma_and_dsigma_batch", real)
+        text = (out / "certificates.txt").read_text()
+        assert rc == 1
+        assert "suite.euler_identity.passed: false" in text
+        assert "summary.passed: false" in text
+
+
 def test_solve_canonical_path_outputs(tmp_path):
     cfg = RunConfig(N=8)
     rc, out = drive(tmp_path, cfg, "solve")

@@ -10,14 +10,14 @@ from helpers import brute_sigma_all, canonical_problem, matmul_sigma_and_dsigma
 from sigmak import (Grid, ProblemSpec, ScalarField, c0_diagnostic,
                     concavity_certificate, ellipticity_certificate, linearize,
                     manufactured_forcing, prepare_state, residual, sample_text)
-from sigmak.curvature import build_v_tensor
+from sigmak.curvature import build_u_tensor, build_v_tensor, build_w_tensor
 from sigmak.errors import (AdmissibilityError, DomainError, SigmaKError,
                            ValidationError)
 from sigmak.grid import derivatives, random_smooth_field
 from sigmak.operators import (SIGMA_FLOOR, C0_SLACK_CONSTANT,
                               EllipticityReport, LinearOperator,
-                              _coefficients, _v_spectrum,
-                              line_second_difference)
+                              _coefficients, _node_blocks, _tensor_blocks,
+                              _v_spectrum, line_second_difference)
 from sigmak.solver import solve_linear
 from sigmak.symfunc import (pack, sigma_all_batch, sigma_and_dsigma_batch,
                             unpack)
@@ -233,11 +233,27 @@ def _weight_rows(h, second, first, zeroth):
     return vals
 
 
+def _whole_tensor(u, t, spec):
+    """The curvature tensor of (u, t), packed, built on the whole grid at
+    once from derivatives(u): V(U(u, t), t) for cases A and B, W(u) for
+    case C."""
+    gv, hess = derivatives(u)
+    if spec.case == "C":
+        return build_w_tensor(hess, gv, spec)
+    return build_v_tensor(build_u_tensor(hess, gv, t, spec), t)
+
+
+def _state_tensor(sd):
+    """The curvature tensor of the state sd (_whole_tensor); the state
+    itself keeps none."""
+    return _whole_tensor(sd.u, sd.t, sd.spec)
+
+
 def _reference_derivatives(sd):
     """dsigma_k and dsigma_{k-1} of the state's tensor, from the recurrence
     prepare_state runs, unpacked."""
     return tuple(unpack(d) for d in
-                 sigma_and_dsigma_batch(sd.mats, sd.spec.k)[1:])
+                 sigma_and_dsigma_batch(_state_tensor(sd), sd.spec.k)[1:])
 
 
 def _reference_weight(sd):
@@ -353,7 +369,8 @@ def test_state_and_operator_match_the_matmul_recurrence(case, n, k):
     for d in (got_dk, got_dkm1, newton_weight):
         assert np.array_equal(d, np.swapaxes(d, 0, 1))
     nodes = rng.choice(spec.grid.size, size=400, replace=False)
-    mats = np.moveaxis(unpack(sd.mats).reshape(n, n, -1)[:, :, nodes], -1, 0)
+    mats = np.moveaxis(
+        unpack(_state_tensor(sd)).reshape(n, n, -1)[:, :, nodes], -1, 0)
     sig, dk, dkm1 = matmul_sigma_and_dsigma(mats, k)
 
     def close(got, want):
@@ -370,6 +387,36 @@ def test_state_and_operator_match_the_matmul_recurrence(case, n, k):
         spec.grid.h, *_node_coefficients(sd, nodes, sig, dk, dkm1)))
 
 
+@pytest.mark.parametrize("case", ["A", "B", "C"])
+def test_node_blocks_rebuild_the_whole_grid_tensor(case, monkeypatch):
+    """_node_blocks cuts the first grid axis, in order, into runs of whole
+    slabs within STATE_BLOCK_BYTES of packed planes (at least one slab),
+    and _tensor_blocks yields block by block bitwise the tensor built on
+    the whole grid at once, writing the gradient of derivatives(u): with
+    blocks of one slab, of three slabs (the last one shorter) and of the
+    whole grid, on a background that varies along the first axis."""
+    spec = _varied_problem(case, 4)
+    assert spec.background.shape[1] == spec.grid.N
+    u = random_smooth_field(spec.grid, np.random.default_rng(12),
+                            amplitude=0.02, modes=6)
+    t = 1.0 if case == "C" else 0.6
+    want_grad = derivatives(u)[0]
+    want = _whole_tensor(u, t, spec)
+    slab = 8 * 10 * 8 ** 3
+    for block, starts in ((1, list(range(8))), (3 * slab + 7, [0, 3, 6]),
+                          (2 ** 40, [0])):
+        monkeypatch.setattr("sigmak.operators.STATE_BLOCK_BYTES", block)
+        rows = _node_blocks(spec.grid)
+        assert [r.start for r in rows] == starts
+        assert [r.stop for r in rows] == starts[1:] + [8]
+        gv = np.empty_like(want_grad)
+        got = list(_tensor_blocks(u, t, spec, gv, write_gradient=True))
+        assert [r for r, _ in got] == rows
+        assert np.array_equal(np.concatenate([m for _, m in got], axis=1),
+                              want)
+        assert np.array_equal(gv, want_grad)
+
+
 def test_zeroth_order_sign_matches_case():
     """c < 0 for the positive-sign cases (A, B), c > 0 for case C."""
     for case, sign in (("A", -1.0), ("B", -1.0), ("C", +1.0)):
@@ -383,7 +430,8 @@ def test_linearization_spends_its_state():
     """linearize forms its coefficients over the state's Newton weight and
     drops it: a second linearize or _coefficients on the same state
     raises DomainError, a SigmaKError, while the fields the residual, the
-    monitor and the audits read are untouched."""
+    monitor and the audits read are untouched, and so is the tensor the
+    ellipticity audit derives again from u and t."""
     spec = canonical_problem("A", n=4, k=3, N=8)
     u = random_smooth_field(spec.grid, np.random.default_rng(8),
                             amplitude=0.02)
@@ -392,12 +440,17 @@ def test_linearization_spends_its_state():
     kept = {f.name: getattr(sd, f.name).copy()
             for f in dataclasses.fields(sd)
             if f.name not in ("spec", "t", "u", "newton_weight")}
+    u_values, tensor = u.values.copy(), _state_tensor(sd)
+    audit = ellipticity_certificate(sd).to_lines()
     want = linearize(prepare_state(u, 0.6, spec)).weights
     assert np.array_equal(linearize(sd).weights, want)
     assert sd.newton_weight is None
     for name, value in kept.items():
         assert np.array_equal(getattr(sd, name), value), name
     assert np.array_equal(residual(sd).values, res)
+    assert np.array_equal(sd.u.values, u_values)
+    assert np.array_equal(_state_tensor(sd), tensor)
+    assert ellipticity_certificate(sd).to_lines() == audit
     for spend in (linearize, _coefficients):
         with pytest.raises(SigmaKError, match="spent") as exc:
             spend(sd)
@@ -545,7 +598,7 @@ def _gather_ellipticity(sd) -> list:
     and every later array formed at once."""
     spec = sd.spec
     n, k = spec.n, spec.k
-    lam = np.linalg.eigvalsh(_node_major(unpack(sd.mats)))
+    lam = np.linalg.eigvalsh(_node_major(unpack(_state_tensor(sd))))
     others = np.array([np.delete(np.arange(n), i) for i in range(n)])
     deleted = sigma_all_batch(lam[..., others], k - 1)
     dkm1, dk = deleted[..., k - 2], deleted[..., k - 1]

@@ -181,9 +181,10 @@ _PEAK_CONFIGS = (
 
 # An absolute ceiling, in bytes a node, on the n = k = 5 solve's peak, so
 # the estimate's headroom cannot hide a regression of the Newton iteration:
-# the solve with packed tensor fields peaks at about 767 bytes a node, and
-# the ceiling adds a margin of about 8% to that.
-_N5_CEILING = 830
+# the solve, whose states are built in node blocks and hold no tensor,
+# peaks at about 656 bytes a node, and the ceiling adds a margin of about
+# 8% to that.
+_N5_CEILING = 710
 
 
 def test_solves_peak_within_the_memory_estimate(tmp_path):
@@ -227,6 +228,33 @@ def test_solves_peak_within_the_memory_estimate(tmp_path):
     assert calls[0] >= 3
     assert singular_peak >= (GMRES_RESTART + 1) * grid.size * 8
     assert singular_peak < peak_bytes(3, 16)
+
+
+def test_prepare_state_holds_one_node_block_beyond_its_state(monkeypatch):
+    """prepare_state builds its state one node block at a time: at
+    n = k = 5, N = 8, with blocks of one first-axis slab (N^4 nodes), its
+    tracemalloc peak is at most the bytes of the StateData's arrays plus one
+    block's working set, the wrap-padded copy of u and three packed tensors
+    of the block (its Hessian, U and V while the tensor is built; fewer
+    while the recurrence runs), with a margin of 5% of the state's bytes.
+    A build on the whole grid at once holds the Hessian, the tensor and
+    the recurrence's planes of every node, over 100 bytes a node more."""
+    monkeypatch.setattr(sigmak.operators, "STATE_BLOCK_BYTES", 1)
+    n, N = 5, 8
+    spec = RunConfig(n=n, k=5, N=N).problem()
+    u = random_smooth_field(spec.grid, np.random.default_rng(5),
+                            amplitude=0.02)
+    prepare_state(u, 0.6, spec)
+    tracemalloc.start()
+    try:
+        sd = prepare_state(u, 0.6, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(value.nbytes for value in vars(sd).values()
+               if isinstance(value, np.ndarray))
+    block = 8 * (3 * n * (n + 1) // 2 * N ** (n - 1) + (N + 2) ** n)
+    assert peak <= 1.05 * held + block, (peak, held, block)
 
 
 # An absolute ceiling on the peak of `sigmak check` at n = 4, k = 3, N = 8

@@ -366,6 +366,36 @@ def test_sigma_and_dsigma_batch_low_orders_are_exact_fresh_arrays():
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_sigma_and_dsigma_batch_writes_into_given_views(n):
+    """Given out, views into larger arrays (one slab of a grid), the
+    recurrence writes sigma_0..k and dsigma_k into them and returns them,
+    bitwise the fresh results, signed zeros included, for every k; the
+    returned dsigma_{k-1} is a fresh array, and out's other slabs are
+    untouched."""
+    mats, _, _ = _conjugated_stack(n, (4, 3), seed=50 + n)
+    mats = pack(np.moveaxis(mats, (-2, -1), (0, 1)))
+    mats[:, 0, 0] = 0.0
+    for k in range(1, n + 1):
+        want = sigma_and_dsigma_batch(mats, k)
+        sig_all = np.full((k + 1, 2) + mats.shape[1:], 7.0)
+        dk_all = np.full((mats.shape[0], 2) + mats.shape[1:], 7.0)
+        sig, dk, dkm1 = sigma_and_dsigma_batch(mats, k,
+                                               (sig_all[:, 1], dk_all[:, 1]))
+        assert np.shares_memory(sig, sig_all) and np.shares_memory(dk, dk_all)
+        for got, ref in zip((sig, dk, dkm1), want):
+            if ref is None:
+                assert got is None
+                continue
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+        assert np.array_equal(sig_all[:, 1], want[0])
+        assert np.array_equal(dk_all[:, 1], want[1])
+        assert np.all(sig_all[:, 0] == 7.0) and np.all(dk_all[:, 0] == 7.0)
+        if dkm1 is not None:
+            assert not np.shares_memory(dkm1, dk_all)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_trailing_axis_wrappers_are_views_onto_the_planes(n):
     """Matrices stacked with their axes last reach the packed recurrence
     through pack(np.moveaxis(...)): for every k, sigma_matrix_planes
