@@ -102,28 +102,27 @@ def _suite_recurrence(cfg: RunConfig, rng: np.random.Generator) -> tuple:
     return _rel_err_record("recurrence", count, max_rel)
 
 
+def _gap_record(name: str, count: int, gaps: np.ndarray) -> tuple:
+    min_gap = float(gaps.min())
+    violations = int((gaps < -_GAP_SLACK).sum())
+    ok = violations == 0
+    return record_lines({"samples": count, "min_gap": min_gap,
+                         "violations": violations, "passed": ok},
+                        f"suite.{name}"), ok
+
+
 def _suite_newton_maclaurin(cfg: RunConfig, rng: np.random.Generator) -> tuple:
     n, k = cfg.n, cfg.k
     spectra = sample_gamma(n, k, cfg.check_samples, rng)
     gaps = np.stack([newton_maclaurin_gap(spectra, k, l) for l in range(1, k)])
-    min_gap = float(gaps.min())
-    violations = int((gaps < -_GAP_SLACK).sum())
-    ok = violations == 0
-    return record_lines({"samples": len(spectra), "min_gap": min_gap,
-                         "violations": violations, "passed": ok},
-                        "suite.newton_maclaurin"), ok
+    return _gap_record("newton_maclaurin", len(spectra), gaps)
 
 
 def _suite_ratio_monotonicity(cfg: RunConfig, rng: np.random.Generator) -> tuple:
     n, k = cfg.n, cfg.k
     spectra = sample_gamma(n, k, cfg.check_samples, rng)
     gaps = quotient_ratio_gap(spectra, k, 0, k - 1, 0)
-    min_gap = float(gaps.min())
-    violations = int((gaps < -_GAP_SLACK).sum())
-    ok = violations == 0
-    return record_lines({"samples": len(spectra), "min_gap": min_gap,
-                         "violations": violations, "passed": ok},
-                        "suite.ratio_monotonicity"), ok
+    return _gap_record("ratio_monotonicity", len(spectra), gaps)
 
 
 def _k_sigma_by_power_sums(planes: np.ndarray, k: int) -> np.ndarray:

@@ -70,10 +70,10 @@ def peak_bytes(n: int, N: int) -> int:
 def sample_bytes(n: int) -> int:
     """Estimated bytes a check sample adds to the peak: 48 n + 64. The
     samples stream through blocks of CHECK_BLOCK (see block_bytes), so what
-    grows with check.samples is what the sampling rounds hold, O(n) a
-    sample (spectra, weights, line directions), never a matrix. The
-    measured slope, 48 n + 33 at every k, and the peaks it was fitted to
-    are recorded in the memory_model of BENCH_21.json."""
+    grows with check.samples is the concavity draw, O(n) a sample (spectra,
+    weights, line directions), never a matrix. The measured slope, 48 n + 33
+    at every k, and the peaks it was fitted to are recorded in the
+    memory_model of BENCH_21.json."""
     return 48 * n + 64
 
 

@@ -80,6 +80,12 @@ ellipticity_certificate derives the state's tensor again, block by block
 through the same generator, and reduces its spectrum as the blocks come;
 c0_diagnostic reads the state's sigmas and weights at the extremal nodes of
 u.
+
+The concavity certificate reads every derivative along a line exactly:
+each sigma it checks is a polynomial in the line parameter, so its
+derivatives at 0 come from its values at integer nodes
+(_derivatives_at_zero), for the line check's quotient and the Hessian
+check's sigma_{k-1} alike.
 """
 
 from __future__ import annotations
@@ -117,12 +123,9 @@ from .symfunc import (
 # treated as a cone exit rather than divided through.
 SIGMA_FLOOR = 1e-12
 
-# Concavity certificate knobs: probe step for line second differences, the
-# cone margin required of sampled base spectra, and the (far smaller) margin
-# required of the probe endpoints so every evaluation stays in the cone.
-CONCAVITY_STEP = 1e-4
+# Gamma_{k-1} margin required of the concavity certificate's sampled base
+# spectra (ConcavityReport.margin_floor).
 CONCAVITY_MARGIN = 1e-2
-PROBE_MARGIN = 1e-8
 
 # Samples `sigmak check` evaluates at once: its suites and the concavity
 # certificate hold one block's matrices and working arrays, never a whole
@@ -654,34 +657,51 @@ def _v_spectrum(xs: np.ndarray, ts) -> np.ndarray:
     return ts * xs + (1.0 - ts) * xs.sum(axis=-1, keepdims=True)
 
 
-def _quotient_g(xs: np.ndarray, ts: np.ndarray, hs: np.ndarray, k: int) -> np.ndarray:
-    """G(x) = (sigma_k - h)/sigma_{k-1} evaluated at mu = t x + (1-t) tr(x) e."""
-    sig = sigma_all_batch(_v_spectrum(xs, ts), k)
-    return (sig[..., k] - hs) / sig[..., k - 1]
+def _line_nodes(degree: int) -> np.ndarray:
+    """The degree + 1 integer nodes, centred on 0, at which a polynomial of
+    that degree in s is evaluated to read its derivatives at s = 0."""
+    return np.arange(degree + 1, dtype=float) - (degree // 2)
 
 
-def line_second_difference(etas: np.ndarray, ts: np.ndarray, hs: np.ndarray,
+def _derivatives_at_zero(vals: np.ndarray) -> tuple:
+    """(p(0), p'(0), p''(0)) of the polynomials p of degree m whose values at
+    _line_nodes(m) lie on the last axis of vals (m + 1 entries): p(0) is the
+    value at node 0, and p'(0) and p''(0) come from the coefficients the
+    inverse Vandermonde matrix of the nodes gives, exact to roundoff, with no
+    small-step cancellation."""
+    m = vals.shape[-1] - 1
+    ainv = np.linalg.inv(np.vander(_line_nodes(m), increasing=True))
+    coef = vals @ ainv.T
+    return vals[..., m // 2], coef[..., 1], 2.0 * coef[..., 2]
+
+
+def line_second_derivative(etas: np.ndarray, ts: np.ndarray, hs: np.ndarray,
                            ds: np.ndarray, k: int) -> np.ndarray:
-    """Second central differences, step CONCAVITY_STEP, of G (see
-    _quotient_g) along the lines eta + s d, one per row of etas and ds with
-    its t and h, computed in extended precision and returned as float64.
-    Concavity makes each nonpositive whenever its probe segment stays inside
-    Gamma_{k-1}."""
-    ld = np.longdouble
-    step = ld(CONCAVITY_STEP)
-    e_ld, t_ld, h_ld, d_ld = (np.asarray(a, dtype=ld)
-                              for a in (etas, ts, hs, ds))
-    g0 = _quotient_g(e_ld, t_ld, h_ld, k)
-    gp = _quotient_g(e_ld + step * d_ld, t_ld, h_ld, k)
-    gm = _quotient_g(e_ld - step * d_ld, t_ld, h_ld, k)
-    return ((gp - 2.0 * g0 + gm) / step ** 2).astype(float)
+    """G''(0) of G(s) = (sigma_k - h)/sigma_{k-1} at mu + s nu, with mu and nu
+    the V-spectra (_v_spectrum) of eta and d, one line per row of etas and ds
+    with its t and h. sigma_k and sigma_{k-1} are polynomials of degree k and
+    k-1 in s, so one sigma_all_batch pass at the k + 1 nodes of
+    _line_nodes(k) gives N = sigma_k - h and D = sigma_{k-1} and their first
+    two derivatives exactly (_derivatives_at_zero), and
+
+        G'' = (N'' D^2 - N D'' D - 2 D' (N' D - N D')) / D^3.
+
+    Concavity on Gamma_{k-1} makes each nonpositive wherever mu lies in it."""
+    nodes = _line_nodes(k)
+    mu, nu = _v_spectrum(etas, ts), _v_spectrum(ds, ts)
+    sig = sigma_all_batch(mu[:, None] + nodes[:, None] * nu[:, None], k)
+    (den, num), (den1, num1), (den2, num2) = _derivatives_at_zero(
+        np.moveaxis(sig[..., k - 1:], -1, 0))
+    num = num - hs
+    return (num2 * den ** 2 - num * den2 * den
+            - 2.0 * den1 * (num1 * den - num * den1)) / den ** 3
 
 
 @dataclass
 class ConcavityReport:
-    """Sampling audit of concavity: line second differences of the quotient
-    operator, and the sharpened Hessian inequality for G0 = -1/sigma_{k-1}
-    (checked in the equivalent polynomial form
+    """Sampling audit of concavity: exact second derivatives of the quotient
+    operator along lines, and the sharpened Hessian inequality for
+    G0 = -1/sigma_{k-1} (checked in the equivalent polynomial form
 
         sigma * sigma''  <=  (k/(k+1)) * (sigma')^2
 
@@ -693,7 +713,6 @@ class ConcavityReport:
     k: int
     samples: int
     seed: int
-    step: float
     margin_floor: float
     line_max_second_diff: float
     line_violations: int
@@ -718,50 +737,27 @@ def sample_blocks(count: int) -> list:
 
 def _concavity_blocks(n: int, k: int, count: int,
                       rng: np.random.Generator):
-    """Yield the first `count` kept (eta, t, h, d, psi) samples in blocks,
-    each the kept samples of one sample_blocks piece of a round's draws, so
-    at most CHECK_BLOCK + 2 samples; a piece that keeps one sample, or would
-    leave one to find, waits for the next, so a block holds one sample only
-    when count is 1. A sample is kept when its whole probe segment lies in
-    Gamma_{k-1} (the hypothesis of the concavity statement), with enough
-    margin at the endpoints to keep G finite.
+    """Yield the `count` (eta, t, h, d, psi) samples in the blocks of
+    sample_blocks(count), so a block holds one sample only when count is 1.
 
-    Stream order: each rejection round draws from rng exactly what a
-    whole-batch sampler would, in the same order: m base spectra, m
-    weights t, m weights h, m line directions, then m matrix directions,
-    the last in sample_blocks(m) pieces, which continue one stream. The keep
-    mask reads (eta, t, d) alone, so it is known before any psi is drawn, and
-    no draw after the count-th kept sample is used. Every sample's
-    arithmetic is batch-size independent for batches of two or more, so the
-    certificate does not depend on CHECK_BLOCK."""
-    step = CONCAVITY_STEP
-    h_top = 2.0 * math.comb(n, k)
-    pending, held, done = [], 0, 0
-    while done + held < count:
-        m = max(count - done - held, 256)
-        eta = sample_gamma(n, k - 1, m, rng, min_margin=CONCAVITY_MARGIN)
-        t = rng.uniform(0.0, 1.0, m)
-        h = rng.uniform(0.1, h_top, m)
-        d = rng.normal(size=(m, n))
-        d /= np.linalg.norm(d, axis=-1, keepdims=True)
-        ok = np.ones(m, dtype=bool)
-        for shift in (0.0, step, -step):
-            sig = sigma_all_batch(_v_spectrum(eta + shift * d, t), k - 1)
-            ok &= sig[:, 1:].min(axis=-1) > PROBE_MARGIN
-        for sl in sample_blocks(m):
-            raw = rng.normal(size=(sl.stop - sl.start, n, n))
-            psi = 0.5 * (raw + np.swapaxes(raw, -1, -2))
-            psi /= np.linalg.norm(psi, axis=(-2, -1), keepdims=True)
-            keep = np.flatnonzero(ok[sl])[:count - done - held]
-            pending.append((eta[sl][keep], t[sl][keep], h[sl][keep],
-                            d[sl][keep], psi[keep]))
-            held += keep.size
-            if done + held == count or (held > 1
-                                        and count - done - held != 1):
-                yield tuple(np.concatenate(parts) for parts in zip(*pending))
-                pending, done, held = [], done + held, 0
-            if done == count:
-                return
+    Stream order: count base spectra in Gamma_{k-1} with margin
+    CONCAVITY_MARGIN, count weights t, count weights h and count unit line
+    directions, then the unit symmetric matrix directions, drawn one block
+    at a time as the blocks are yielded. Every sample is admissible: V(eta)
+    = t eta + (1-t) tr(eta) e is a convex combination of two points of the
+    convex cone Gamma_{k-1}, which is all the exact line check needs. Every
+    sample's arithmetic is batch-size independent for batches of two or
+    more, so the certificate does not depend on CHECK_BLOCK."""
+    eta = sample_gamma(n, k - 1, count, rng, min_margin=CONCAVITY_MARGIN)
+    t = rng.uniform(0.0, 1.0, count)
+    h = rng.uniform(0.1, 2.0 * math.comb(n, k), count)
+    d = rng.normal(size=(count, n))
+    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+    for sl in sample_blocks(count):
+        raw = rng.normal(size=(sl.stop - sl.start, n, n))
+        psi = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+        psi /= np.linalg.norm(psi, axis=(-2, -1), keepdims=True)
+        yield eta[sl], t[sl], h[sl], d[sl], psi
 
 
 def _eq93_slacks(etas: np.ndarray, ts: np.ndarray, psis: np.ndarray,
@@ -771,7 +767,7 @@ def _eq93_slacks(etas: np.ndarray, ts: np.ndarray, psis: np.ndarray,
 
     sigma(s) = sigma_{k-1}(V + s Psi) is a polynomial of degree k-1 in s, so
     its derivatives at 0 are recovered exactly (to roundoff) from values at
-    k integer nodes; no small-step cancellation is involved. The inequality
+    the k nodes of _line_nodes(k - 1) (_derivatives_at_zero). The inequality
 
         -G0'' >= (1 + 1/(k+1)) (G0')^2 / G0
 
@@ -779,18 +775,12 @@ def _eq93_slacks(etas: np.ndarray, ts: np.ndarray, psis: np.ndarray,
     sigma sigma'' <= (k/(k+1)) (sigma')^2.
     """
     n, m = etas.shape[-1], k - 1
-    nodes = np.arange(m + 1, dtype=float) - (m // 2)
     # V(diag(eta) + s Psi) = diag(mu) + s V(Psi), with mu the V-spectrum;
     # stack is packed over (sample, node)
     stack = build_v_tensor(pack(np.moveaxis(psis, 0, -1)), ts)[..., None] \
-        * nodes
+        * _line_nodes(m)
     stack[:n] += _v_spectrum(etas, ts).T[..., None]
-    vals = sigma_matrix_planes(stack, m)[m]
-    ainv = np.linalg.inv(np.vander(nodes, increasing=True))
-    coef = vals @ ainv.T
-    sig0 = vals[:, m // 2]
-    d1 = coef[:, 1]
-    d2 = 2.0 * coef[:, 2]
+    sig0, d1, d2 = _derivatives_at_zero(sigma_matrix_planes(stack, m)[m])
     num = (k / (k + 1.0)) * d1 ** 2 - sig0 * d2
     scale = np.maximum(1.0, d1 ** 2 + np.abs(sig0 * d2))
     return num / scale
@@ -802,23 +792,24 @@ def concavity_certificate(spec: ProblemSpec, samples: int,
 
     Draws spectra in Gamma_{k-1} (margin floor CONCAVITY_MARGIN), homotopy
     weights t in [0, 1], equation weights h, unit line directions, and unit
-    symmetric matrix directions. Checks (a) second central differences of
+    symmetric matrix directions. Checks (a) the second derivative of
     G = (sigma_k - h)/sigma_{k-1} at mu = t eta + (1-t) tr(eta) e along
-    lines, in extended precision, against +1e-8, and (b) the sharpened
-    Hessian inequality for G0 in exact polynomial form against a relative
-    -1e-8. Diagonal base points lose no generality: any base tensor is
-    orthogonally equivalent to one, with the matrix direction transformed
-    along. The samples stream through _concavity_blocks and each check is
-    reduced block by block, so no array holds a matrix per sample of the
-    whole count: the memory held is one round's spectra and weights, O(n)
-    a sample, and one block's matrices."""
+    lines (line_second_derivative) against +1e-8, and (b) the sharpened
+    Hessian inequality for G0 against a relative -1e-8, both read exactly
+    off polynomial values at integer nodes (_derivatives_at_zero). Diagonal
+    base points lose no generality: any base tensor is orthogonally
+    equivalent to one, with the matrix direction transformed along. The
+    samples stream through _concavity_blocks and each check is reduced
+    block by block, so no array holds a matrix per sample of the whole
+    count: the memory held is the draw's spectra and weights, O(n) a
+    sample, and one block's matrices."""
     if samples < 1:
         raise DomainError("samples must be positive")
     n, k = spec.n, spec.k
     rng = np.random.default_rng(seed)
     line_max, line_viol, hess_min, hess_viol = -np.inf, 0, np.inf, 0
     for etas, ts, hs, ds, psis in _concavity_blocks(n, k, samples, rng):
-        d2 = line_second_difference(etas, ts, hs, ds, k)
+        d2 = line_second_derivative(etas, ts, hs, ds, k)
         line_max = np.maximum(line_max, d2.max())
         line_viol += int((d2 > 1e-8).sum())
         slack = _eq93_slacks(etas, ts, psis, k)
@@ -826,7 +817,7 @@ def concavity_certificate(spec: ProblemSpec, samples: int,
         hess_viol += int((slack < -1e-8).sum())
     line_max, hess_min = float(line_max), float(hess_min)
     return ConcavityReport(
-        n=n, k=k, samples=samples, seed=seed, step=float(CONCAVITY_STEP),
+        n=n, k=k, samples=samples, seed=seed,
         margin_floor=float(CONCAVITY_MARGIN),
         line_max_second_diff=line_max, line_violations=line_viol,
         hess_min_slack=hess_min, hess_violations=hess_viol,

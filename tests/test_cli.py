@@ -4,9 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sigmak
 import sigmak.cli
@@ -94,6 +99,49 @@ def test_check_certificates_do_not_depend_on_the_block_size(
                 assert rc == 0
                 texts.append(read(out, "certificates.txt"))
             assert texts[0] == texts[1], (n, samples)
+
+
+def _expressions(n: int):
+    """Expressions of the field grammar in x1..xn: numbers and coordinates
+    under at most four nestings of the unary functions and the binary
+    operators, so they can take any sign, blow up, or leave a function's
+    domain."""
+    leaves = st.one_of(st.sampled_from([f"x{i}" for i in range(1, n + 1)]),
+                       st.sampled_from(["0", "0.05", "0.7", "1", "2", "3"]))
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.builds("{}({})".format,
+                  st.sampled_from(["sin", "cos", "exp", "log", "abs",
+                                   "sqrt", "-"]), inner),
+        st.builds("({}{}{})".format, inner, st.sampled_from("+-*/^"),
+                  inner)), max_leaves=4)
+
+
+@st.composite
+def _check_configs(draw):
+    """RunConfigs that validate: a case, n <= 4, N = 8, 3 <= k <= n, alpha
+    and f from the field grammar, and 1 to 300 samples: one sample, and
+    counts on both sides of sample_gamma's 256-proposal rounds."""
+    n = draw(st.integers(3, 4))
+    return RunConfig(
+        case=draw(st.sampled_from(["A", "B", "C"])), n=n,
+        k=draw(st.integers(3, n)), N=8, alpha=draw(_expressions(n)),
+        f=draw(_expressions(n)), check_samples=draw(st.integers(1, 300)),
+        seed=draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=40, deadline=timedelta(seconds=2))
+@given(_check_configs())
+def test_check_fuzz_exits_with_a_documented_code(cfg):
+    """Over validating configs, `sigmak check` run through main exits 0, 1
+    or 2 within the per-example deadline, raising nothing, and writes
+    certificates.txt whenever it ran (exit 0 or 1)."""
+    cfg.validate()
+    with tempfile.TemporaryDirectory() as tmp:
+        conf, out = Path(tmp) / "check.config", Path(tmp) / "out"
+        conf.write_text(cfg.to_text(), encoding="utf-8")
+        rc = main(["check", "--config", str(conf), "--out", str(out)])
+        assert rc in (0, 1, 2), rc
+        assert (out / "certificates.txt").exists() == (rc != 2), rc
 
 
 def _first_axis_background(case: str, n: int) -> dict:
@@ -556,7 +604,7 @@ def test_record_layouts_are_pinned(tmp_path):
                    "quotient_trace_min", "trace_bound", "trace_slack",
                    "passed")
     suites += [("ellipticity_t0", ellipticity), ("ellipticity_t1", ellipticity)]
-    suites.append(("concavity", ("n", "k", "samples", "seed", "step",
+    suites.append(("concavity", ("n", "k", "samples", "seed",
                                  "margin_floor", "line_max_second_diff",
                                  "line_violations", "hess_min_slack",
                                  "hess_violations", "passed")))

@@ -1,10 +1,15 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no private
+function of the package goes unreferenced.
 
-No linter is a dependency of the project, so this is the unused-import rule
-(pyflakes F401) written on the standard library's ast. A name counts as used
-when it is read anywhere in the module, named in its __all__, or read in a
-string annotation. An import line marked `# noqa: F401` is exempt, and so is
-__init__.py, whose imports are the package's re-exports.
+No linter is a dependency of the project, so these rules are written on the
+standard library's ast. The unused-import rule is pyflakes F401: a name
+counts as used when it is read anywhere in the module, named in its
+__all__, or read in a string annotation. An import line marked
+`# noqa: F401` is exempt, and so is __init__.py, whose imports are the
+package's re-exports. The dead-function rule asks that every module-level
+function whose name starts with one underscore (a dunder is not private) be
+named somewhere in the package's code other than its own definition: read
+as a name or an attribute, or imported; tests do not count.
 """
 
 import ast
@@ -82,3 +87,66 @@ def test_the_rule_sees_an_unused_import(tmp_path):
         "def f(x: 'Sequence[int]') -> 'M':\n"
         "    return os.path.join(x)\n", encoding="utf-8")
     assert unused_imports(module) == [(2, "math"), (6, "Callable")]
+
+
+def _private_functions(tree: ast.Module) -> dict:
+    """Name -> line of each module-level function private to the package."""
+    return {node.name: node.lineno for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_") and not node.name.startswith("__")}
+
+
+def _referenced(tree: ast.Module) -> set:
+    """Every name the module's code reads, as a name, an attribute or an
+    import."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def dead_private_functions(paths) -> list:
+    """(file name, line, name) of each module-level private function defined
+    in the files at paths that none of them references."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in paths}
+    referenced = set().union(*map(_referenced, trees.values()))
+    return sorted((name, line, func) for name, tree in trees.items()
+                  for func, line in _private_functions(tree).items()
+                  if func not in referenced)
+
+
+def test_package_has_no_dead_private_function():
+    assert dead_private_functions(sorted(SRC.glob("*.py"))) == []
+
+
+def test_the_rule_sees_a_dead_private_function(tmp_path):
+    """The rule flags a private function nothing references, keeps one
+    called in its module, one imported by another module, one read as an
+    attribute, and ignores a dunder and a public function."""
+    first = tmp_path / "first.py"
+    first.write_text(
+        "def _dead(x):\n"
+        "    return _called(x)\n"
+        "def _called(x):\n"
+        "    return x\n"
+        "def _imported():\n"
+        "    pass\n"
+        "def _attribute():\n"
+        "    pass\n"
+        "def __getattr__(name):\n"
+        "    pass\n"
+        "def public():\n"
+        "    pass\n", encoding="utf-8")
+    second = tmp_path / "second.py"
+    second.write_text(
+        "from first import _imported\n"
+        "import first\n"
+        "first._attribute()\n", encoding="utf-8")
+    assert dead_private_functions([first, second]) == [
+        ("first.py", 1, "_dead")]

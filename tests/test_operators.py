@@ -6,6 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from helpers import brute_sigma_all, canonical_problem, matmul_sigma_and_dsigma
 from sigmak import (Grid, ProblemSpec, ScalarField, c0_diagnostic,
                     concavity_certificate, ellipticity_certificate, linearize,
@@ -15,12 +18,13 @@ from sigmak.errors import (AdmissibilityError, DomainError, SigmaKError,
                            ValidationError)
 from sigmak.grid import derivatives, random_smooth_field
 from sigmak.operators import (SIGMA_FLOOR, C0_SLACK_CONSTANT,
-                              EllipticityReport, LinearOperator,
-                              _coefficients, _node_blocks, _tensor_blocks,
-                              _v_spectrum, line_second_difference)
+                              CONCAVITY_MARGIN, EllipticityReport,
+                              LinearOperator, _coefficients, _node_blocks,
+                              _tensor_blocks, _v_spectrum,
+                              line_second_derivative)
 from sigmak.solver import solve_linear
-from sigmak.symfunc import (pack, sigma_all_batch, sigma_and_dsigma_batch,
-                            unpack)
+from sigmak.symfunc import (pack, sample_gamma, sigma_all_batch,
+                            sigma_and_dsigma_batch, unpack)
 
 
 # -- residual oracles --------------------------------------------------------
@@ -820,9 +824,45 @@ def test_line_second_difference_negative_inside_cone():
     eta = np.array([1.0, 1.0, 1.0])
     d = np.array([1.0, -0.5, 0.2])
     d = d / np.linalg.norm(d)
-    val = line_second_difference(eta[None], np.array([0.7]), np.array([0.5]),
+    val = line_second_derivative(eta[None], np.array([0.7]), np.array([0.5]),
                                  d[None], 3)
     assert val.shape == (1,) and val[0] < 0.0
+
+
+def test_line_second_derivative_matches_the_radial_closed_form():
+    """Along the radial line eta + s eta/|eta|, V is linear, so sigma_j
+    scales by (1 + s/|eta|)^j and G''(0) = -h k (k-1) / (|eta|^2
+    sigma_{k-1}(V(eta))). The exact derivative meets it to 1e-6 relative at
+    every acceptance (n, k) pair, on Gamma_{k-1} samples drawn as the
+    certificate draws them."""
+    rng = np.random.default_rng(24)
+    for n in (3, 4, 5, 6):
+        for k in range(3, n + 1):
+            etas = sample_gamma(n, k - 1, 300, rng,
+                                min_margin=CONCAVITY_MARGIN)
+            ts = rng.uniform(0.0, 1.0, 300)
+            hs = rng.uniform(0.1, 2.0 * math.comb(n, k), 300)
+            norms = np.linalg.norm(etas, axis=-1)
+            got = line_second_derivative(etas, ts, hs, etas / norms[:, None],
+                                         k)
+            skm1 = sigma_all_batch(_v_spectrum(etas, ts), k - 1)[:, k - 1]
+            want = -hs * k * (k - 1) / (norms ** 2 * skm1)
+            assert np.abs(got / want - 1.0).max() <= 1e-6, (n, k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=-1.0, max_value=3.0), min_size=3,
+                max_size=6), st.data())
+def test_v_map_keeps_gamma_samples_inside_the_cone(xs, data):
+    """V(eta) = t eta + (1-t) tr(eta) e, a convex combination of two points
+    of the convex cone Gamma_{k-1}, has a positive Gamma_{k-1} margin for
+    every eta in it and t in [0, 1]: every concavity sample is admissible
+    with no probe mask."""
+    eta = np.array(xs)
+    k = data.draw(st.integers(min_value=3, max_value=eta.size))
+    assume(sigma_all_batch(eta, k - 1)[1:].min() > CONCAVITY_MARGIN)
+    t = data.draw(st.floats(min_value=0.0, max_value=1.0))
+    assert sigma_all_batch(_v_spectrum(eta, t), k - 1)[1:].min() > 0.0
 
 
 # -- manufactured forcing ------------------------------------------------------
