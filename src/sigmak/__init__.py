@@ -80,6 +80,8 @@ from .solver import (
     newton_correct,
     solve_t0,
     continue_path,
+    ladder_levels,
+    solve_ladder,
     solve_caseC,
 )
 from .report import CheckResult, VerificationReport, run_checks

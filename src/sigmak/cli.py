@@ -5,25 +5,28 @@ check   runs the symmetric-function property suites and the ellipticity and
         certificates.txt; exit 0 iff every suite and certificate passes.
 solve   runs the path from the problem's start_t to t = 1 (continuation
         from t = 0 for cases A and B, the direct solve at t = 1 alone for
-        case C), writing trace.csv, the final field dump, report.txt and
-        report.json; exit 0 on reaching the target with all configured
-        checks green, exit 1 on a reported failure. A failed anchor writes
-        a header-only trace.csv and a report that fails on it.
-verify  manufactures the forcing for the configured u_star, solves at N on
-        the path solve walks and at 2N by nested iteration (one Newton
-        correction at t = 1 from the N solution's trigonometric
-        interpolant, grid.prolong), and reports the observed convergence
-        order and each solve's Newton iterations; exit 0 iff the order lies
-        in [1.6, 2.4] (or u_star is identically zero and both errors stay
-        below 1e-10). The background condition is checked before the
-        forcing is manufactured, so a background outside its cone is named
-        as the cause.
+        case C) on the grid ladder of spec.N, writing trace.csv, the final
+        field dump, report.txt and report.json; exit 0 on reaching the
+        target with all configured checks green, exit 1 on a reported
+        failure. A failed anchor writes a header-only trace.csv and a
+        report that fails on it.
+verify  manufactures the forcing for the configured u_star on each grid and
+        solves on the ladder of N with 2N as its last level, one Newton
+        correction at t = 1 from the extrapolated interpolants of the
+        solutions below it; it reports the observed convergence order from
+        N to 2N, the grid levels and each level's Newton iterations; exit 0
+        iff the order lies in [1.6, 2.4] (or u_star is identically zero and
+        both errors stay below 1e-10). The background condition is checked
+        before the forcing is manufactured, so a background outside its
+        cone is named as the cause.
 
 Every command first echoes the effective configuration to config.txt in the
 output directory, once it has validated, so a run that fails later still
 leaves it; the echo re-parses to an identical RunConfig. Every solve runs
-through solver.continue_path, which picks the path from the case, with the
-configured schedule (solver.*). Exit codes: 0 ok, 1 run failure, 2 invalid
+through solver.solve_ladder on the grids of solver.ladder_levels: the
+coarsest walks solver.continue_path, which picks the path from the case,
+with the configured schedule (solver.*), and each finer grid is one Newton
+solve at t = 1. Exit codes: 0 ok, 1 run failure, 2 invalid
 configuration (including a run over the memory budget, found before any
 work; verify also checks its 2N grid), 3 I/O error. Output files carry no
 timestamps, and all sampling flows from the single config seed, so
@@ -49,7 +52,8 @@ from .grid import Grid, ScalarField, dump_field, prolong, sample_text
 from .operators import (concavity_certificate, ellipticity_certificate,
                         manufactured_forcing, prepare_state, sample_blocks)
 from .report import run_checks
-from .solver import ContinuationTrace, continue_path
+from .solver import (ContinuationTrace, continue_path, ladder_levels,
+                     solve_ladder)
 # Unused here: bench/tracer.py wraps sigmak.cli.solve_caseC by name.
 from .solver import solve_caseC  # noqa: F401
 from .symfunc import (_commuting_product, full_contraction,
@@ -209,16 +213,31 @@ def _write_solve_outputs(cfg: RunConfig, spec: ProblemSpec,
 
 
 def run_solve(cfg: RunConfig, out_dir: str) -> int:
+    """Solve the configured problem on the ladder of spec.N and write its
+    outputs; trace rows before t = 1 come from the coarsest grid.
+
+    A failed path still reports its accepted prefix. When that path ran on
+    a coarser grid than spec.N, its last accepted u is prolonged to the
+    configured grid and the state there is built at the same t, after the
+    coarse state is freed: u_final.field and the audits are on spec.N. A
+    failed anchor (a case C solve, or a finer level's correction) has no
+    accepted prefix: it reports an empty trace and writes no field."""
     spec = cfg.problem()
     validation = spec.validate(strict=True)
+    grids = [Grid(cfg.n, N) for N in ladder_levels(cfg.N, spec.start_t)]
     try:
-        trace = continue_path(spec, cfg.schedule())
+        trace = solve_ladder(
+            lambda grid: spec if grid == spec.grid else cfg.problem(grid),
+            grids, cfg.schedule(), continue_path)
     except (PathFailureError, ConeExitError, NonConvergenceError,
             LinearSolveError) as err:
-        # A failed path still reports its accepted prefix; a failed anchor
-        # (a case C solve, typically) has none: it reports an empty trace.
         failed = err.trace if isinstance(err, PathFailureError) \
             else ContinuationTrace()
+        if failed.final_state is not None and \
+                failed.final_state.u.grid != spec.grid:
+            u, failed.final_state = failed.final_state.u, None
+            failed.final_state = prepare_state(prolong(u, spec.grid),
+                                               failed.final_t, spec)
         _write_solve_outputs(cfg, spec, validation, failed, out_dir)
         print(f"sigmak solve: {err}", file=sys.stderr)
         return 1
@@ -228,32 +247,33 @@ def run_solve(cfg: RunConfig, out_dir: str) -> int:
 
 # -- verify ------------------------------------------------------------------
 
-def _solve_manufactured(cfg: RunConfig, grid: Grid,
-                        u_start: ScalarField | None = None) -> tuple:
-    """Solve on one grid with forcing manufactured from u_star, on the full
-    path or, given u_start, by the one Newton correction at t = 1 from it;
-    returns (sup error against u_star, sup |u_star|, the solved u, the
-    Newton iterations summed over the path). The background condition is
-    checked first, so an inadmissible background is named as the cause; a
-    case with no forcing to manufacture (B) fails in manufactured_forcing."""
+def _manufactured_spec(cfg: RunConfig, grid: Grid) -> ProblemSpec:
+    """The configured problem on grid with the forcing manufactured from
+    u_star. The background condition is checked first, so an inadmissible
+    background is named as the cause; a case with no forcing to
+    manufacture (B) fails in manufactured_forcing."""
     base = cfg.problem(grid)
     base.validate_background()
     star = sample_text(cfg.u_star, grid)
-    spec = base.with_f_field(manufactured_forcing(star, 1.0, base))
-    trace = continue_path(spec, cfg.schedule(), u_start)
-    u = trace.final_state.u
-    err = float(np.abs(u.values - star.values).max())
-    return err, star.max_abs(), u, sum(row.newton_iters for row in trace.rows)
+    return base.with_f_field(manufactured_forcing(star, 1.0, base))
 
 
 def run_verify(cfg: RunConfig, out_dir: str) -> int:
     n_coarse, n_fine = cfg.N, 2 * cfg.N
     cfg.check_memory(n_fine)
-    err_coarse, star_sup, u_coarse, iters_coarse = _solve_manufactured(
-        cfg, Grid(cfg.n, n_coarse))
-    fine = Grid(cfg.n, n_fine)
-    err_fine, _, u_fine, iters_fine = _solve_manufactured(
-        cfg, fine, prolong(u_coarse, fine))
+    first = _manufactured_spec(cfg, Grid(cfg.n, n_coarse))
+    levels = ladder_levels(n_coarse, first.start_t) + [n_fine]
+    solved = solve_ladder(
+        lambda grid: first if grid == first.grid
+        else _manufactured_spec(cfg, grid),
+        [Grid(cfg.n, N) for N in levels], cfg.schedule(), continue_path
+    ).levels
+    (u_coarse, _), (u_fine, iters_fine) = solved[-2:]
+    iters = tuple(it for _, it in solved)
+    stars = [sample_text(cfg.u_star, u.grid) for u in (u_coarse, u_fine)]
+    err_coarse, err_fine = (float(np.abs(u.values - star.values).max())
+                            for u, star in zip((u_coarse, u_fine), stars))
+    star_sup = stars[0].max_abs()
 
     if star_sup == 0.0:
         status = "info"
@@ -271,8 +291,9 @@ def run_verify(cfg: RunConfig, out_dir: str) -> int:
     record = {"case": cfg.case, "n": cfg.n, "k": cfg.k,
               "N_coarse": n_coarse, "N_fine": n_fine, "u_star": cfg.u_star,
               "err_coarse": err_coarse, "err_fine": err_fine, "order": order,
-              "newton_iters_coarse": iters_coarse,
+              "newton_iters_coarse": sum(iters[:-1]),
               "newton_iters_fine": iters_fine,
+              "grid_levels": tuple(levels), "newton_iters_levels": iters,
               "status": status, "detail": detail, "passed": passed}
     _write_text(os.path.join(out_dir, "report.txt"),
                 "\n".join(record_lines(record, "verify")) + "\n")

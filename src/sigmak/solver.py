@@ -15,9 +15,16 @@ Case C has no homotopy family: its W tensor and weights do not depend on t,
 so its path starts at t = 1 (ProblemSpec.start_t) with a direct damped
 Newton solve from u = 0 and is that one point alone, labeled experimental
 (the estimates exist; an existence proof does not). A path given a start
-field, in any case, is likewise the one Newton solve at t = 1 from it: the
-nested-iteration solve of a fine grid from a coarse grid's prolonged
-solution.
+field, in any case, is likewise the one Newton solve at t = 1 from it.
+
+solve_ladder solves on a ladder of grids by nested iteration (grid
+sequencing for Newton): the C^0, C^1 and C^2 bounds of the continuity
+method do not depend on the grid, so the path walks t on the coarsest grid
+alone, and each finer grid is one such Newton solve at t = 1 from the
+prolonged solution of the grid below, extrapolated to O(h^2) once two
+coarser solutions exist. ladder_levels gives the grids of a solve: the
+halvings of N down to Grid's floor for a path that walks t, and N alone for
+case C, whose direct Newton solve may land on another discrete solution.
 
 Each Newton step solves its linearized system by one Krylov path: restarted
 GMRES on the matrix-free operator, right-preconditioned by its
@@ -35,7 +42,7 @@ ones solve tightly. Nothing on this path imports scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -47,7 +54,7 @@ from .errors import (
     NonConvergenceError,
     PathFailureError,
 )
-from .grid import ScalarField, hessian
+from .grid import ScalarField, hessian, prolong
 from .operators import (
     EllipticityReport,
     LinearOperator,
@@ -129,10 +136,14 @@ class ContinuationTrace:
     ends (the t = 1 state, or on failure the last accepted state, built
     again once), which the final dump and both audits read. ellipticity is
     its audit, computed when first read and kept, so a caller that never
-    reads it never pays for it; both are None for a trace not ended."""
+    reads it never pays for it; both are None for a trace not ended.
+    levels, set by solve_ladder, holds (u, newton_iters) of each grid
+    level, coarsest first: the solved field and the Newton iterations the
+    level took (its whole path on the coarsest level)."""
 
     rows: list = field(default_factory=list)
     final_state: StateData | None = None
+    levels: list = field(default_factory=list)
     _ellipticity: EllipticityReport | None = field(
         default=None, repr=False, compare=False)
 
@@ -448,6 +459,58 @@ def continue_path(spec: ProblemSpec, schedule: Schedule | None = None,
         if iters <= 4:
             dt = min(2.0 * dt, sched.dt_max)
     trace.final_state = sd
+    return trace
+
+
+def ladder_levels(N: int, start_t: float) -> list:
+    """The points per axis of the grids a solve on N runs through, coarsest
+    first: N, N/2, N/4, ... for as long as the size is even and its half is
+    at least 8, Grid's floor, on a path that walks t (start_t < 1, cases A
+    and B); [N] alone for a path that starts at t = 1 (case C)."""
+    levels = [N]
+    while start_t < 1.0 and levels[0] % 2 == 0 and levels[0] // 2 >= 8:
+        levels.insert(0, levels[0] // 2)
+    return levels
+
+
+def solve_ladder(spec_at, grids: list, schedule: Schedule | None = None,
+                 path=continue_path) -> ContinuationTrace:
+    """Solve on grids, coarsest first, by nested iteration. spec_at(grid)
+    is the problem on a grid, asked once for each, in order.
+
+    The coarsest level is path(spec, schedule), the whole path from
+    start_t. Each finer level is path(spec, schedule, start), one Newton
+    solve at t = 1 from start: the prolongation (grid.prolong) P u_1 of the
+    level below's solution, and P u_1 + (P u_1 - P u_2) / 4 once a second
+    solution u_2 below it exists, which cancels the O(h^2) error term
+    between the two. A level's state is freed before the next one builds
+    its own; only the solved fields are kept, in trace.levels.
+
+    Returns the last level's trace. Its rows are the coarsest path's before
+    t = 1, then the last level's t = 1 row, which carries the step number
+    of the coarsest t = 1 row and the Newton iterations every level took at
+    t = 1, so the newton_iters column counts every accepted corrector's
+    iterations, as a single-grid trace does. An error
+    propagates as it is: a failed coarsest path raises PathFailureError
+    with its trace on the coarsest grid, and a failed finer level raises
+    its anchor's error. path is the single-grid solve; callers pass the
+    continue_path they look up, so a wrapper of theirs sees every level."""
+    sched = schedule if schedule is not None else Schedule()
+    trace = path(spec_at(grids[0]), sched)
+    rows = trace.rows
+    levels = [(trace.final_state.u, sum(row.newton_iters for row in rows))]
+    for grid in grids[1:]:
+        trace = None   # this level's state goes before the next one's
+        start = prolong(levels[-1][0], grid).values
+        if len(levels) > 1:
+            start += 0.25 * (start - prolong(levels[-2][0], grid).values)
+        trace = path(spec_at(grid), sched, ScalarField(grid, start))
+        levels.append((trace.final_state.u, trace.rows[0].newton_iters))
+    if len(levels) > 1:
+        at_one = rows[-1].newton_iters + sum(it for _, it in levels[1:])
+        trace.rows = rows[:-1] + [replace(trace.rows[0], step=rows[-1].step,
+                                          newton_iters=at_one)]
+    trace.levels = levels
     return trace
 
 

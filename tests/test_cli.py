@@ -20,6 +20,7 @@ from sigmak import Grid, RunConfig, load_field, parse_config_file, sample_text
 from sigmak.cli import main
 from sigmak.operators import (_concavity_blocks, manufactured_forcing,
                               sample_blocks)
+from sigmak.report import run_checks
 from sigmak.solver import TRACE_HEADER, continue_path
 
 
@@ -275,6 +276,76 @@ def test_solve_failure_keeps_partial_trace(tmp_path, capsys):
     assert (out / "u_final.field").exists()
 
 
+def test_failed_laddered_solve_writes_its_outputs_on_the_configured_grid(
+        tmp_path, capsys, monkeypatch):
+    """At N = 16 the path walks t on N = 8. When that path fails (a frozen
+    step with a one-iteration Newton budget cannot leave t = 0), the run
+    exits 1 naming the failure, writes the accepted prefix to trace.csv and
+    a report that did not reach the target, and dumps and audits the last
+    accepted state rebuilt on the configured N = 16 grid, never the coarse
+    one; a rerun writes the same bytes."""
+    audited = []
+
+    def recorded(trace, *args):
+        audited.append(trace.final_state.u.grid.N)
+        return run_checks(trace, *args)
+
+    monkeypatch.setattr(sigmak.cli, "run_checks", recorded)
+    cfg = RunConfig(N=16, dt_init=0.5, dt_max=0.5, dt_min=0.5,
+                    newton_max_iters=1)
+    rc, out = drive(tmp_path, cfg, "solve")
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("sigmak solve: step size underflow")
+    assert audited == [16]
+    lines = (out / "trace.csv").read_text().splitlines()
+    assert lines[0] == TRACE_HEADER
+    assert [line.split(",")[1] for line in lines[1:]] == ["0.0"]
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["trace"]["reached_target"] is False
+    name, u = load_field(out / "u_final.field")
+    assert name == "u" and u.grid.shape == (16, 16, 16)
+
+    rc_again, again = drive(tmp_path, cfg, "solve", tag="again")
+    assert rc_again == rc
+    assert capsys.readouterr() == captured
+    assert sorted(os.listdir(again)) == sorted(os.listdir(out))
+    for name in os.listdir(out):
+        assert read(again, name) == read(out, name), name
+
+
+@st.composite
+def _solve_configs(draw):
+    """RunConfigs that validate: a case, n = k = 3, N of 8 (one grid) or 16
+    (a ladder for cases A and B), alpha and f from the field grammar. Half
+    the draws wrap them into the case's sign conditions, alpha as
+    -(0.05+0.3*sin(a)^2) and f as 0.3+0.4*sin(f)^2 (0 for case B), so those
+    reach the solver instead of failing validation."""
+    case = draw(st.sampled_from(["A", "B", "C"]))
+    alpha, f = draw(_expressions(3)), draw(_expressions(3))
+    if draw(st.booleans()):
+        alpha = f"-(0.05+0.3*sin({alpha})^2)"
+        f = "0" if case == "B" else f"(0.3+0.4*sin({f})^2)"
+    return RunConfig(case=case, n=3, k=3, N=draw(st.sampled_from([8, 16])),
+                     alpha=alpha, f=f)
+
+
+@settings(max_examples=15, deadline=timedelta(seconds=5))
+@given(_solve_configs())
+def test_solve_fuzz_exits_with_a_documented_code(cfg):
+    """Over validating configs, `sigmak solve` run through main exits 0, 1
+    or 2 within the per-example deadline, raising nothing, and any
+    u_final.field it writes is on the configured grid."""
+    cfg.validate()
+    with tempfile.TemporaryDirectory() as tmp:
+        conf, out = Path(tmp) / "solve.config", Path(tmp) / "out"
+        conf.write_text(cfg.to_text(), encoding="utf-8")
+        rc = main(["solve", "--config", str(conf), "--out", str(out)])
+        assert rc in (0, 1, 2), rc
+        if (out / "u_final.field").exists():
+            assert load_field(out / "u_final.field")[1].grid == cfg.grid()
+
+
 def test_failed_case_c_solve_writes_an_empty_trace_and_report(tmp_path,
                                                             capsys):
     """A real failure at the default schedule: the direct case C Newton
@@ -334,35 +405,48 @@ def test_verify_manufactured_convergence_case_c(tmp_path):
 
 def test_verify_solves_its_fine_grid_from_the_prolonged_coarse_solution(
         tmp_path, monkeypatch):
-    """`sigmak verify` on the README config walks the path on the coarse
-    grid only. The 2N solve is one row at t = 1: three Newton iterations
-    from the coarse solution's trigonometric interpolant, which land on the
-    solution the full path from u = 0 reaches on the 2N problem. The report
-    counts both solves' iterations, and a rerun is byte-identical."""
-    traces = []
+    """`sigmak verify` on the README config (N = 16) solves on the grid
+    ladder 8, 16, 32 and walks the path on N = 8 only. N = 16 is one row at
+    t = 1, three Newton iterations from the N = 8 solution's trigonometric
+    interpolant; 2N = 32 is one row of two iterations from the
+    extrapolated start P u_16 + (P u_16 - P u_8) / 4. Both land on the
+    solutions the full paths from u = 0 reach on their grids. The report
+    records the levels and each level's iterations, newton_iters_coarse
+    sums them up to N, and a rerun is byte-identical."""
+    levels = []
 
     def recorded(*args):
-        traces.append(continue_path(*args))
-        return traces[-1]
+        trace = continue_path(*args)
+        levels.append((trace.final_state.u.grid.N,
+                       [(row.t, row.newton_iters) for row in trace.rows]))
+        return trace
 
     monkeypatch.setattr(sigmak.cli, "continue_path", recorded)
     cfg = RunConfig()
     rc, out = drive(tmp_path, cfg, "verify", "one")
     assert rc == 0
-    coarse, fine = traces
-    assert [row.newton_iters for row in coarse.rows] == [0, 4, 4, 4, 4, 5]
-    assert [(row.t, row.newton_iters) for row in fine.rows] == [(1.0, 3)]
+    (n8, coarsest), (n16, coarse), (n32, fine) = levels
+    assert (n8, n16, n32) == (8, 16, 32)
+    assert [iters for _, iters in coarsest] == [0, 4, 4, 4, 4, 5]
+    assert coarse == [(1.0, 3)]
+    assert fine == [(1.0, 2)]
     doc = json.loads((out / "report.json").read_text())
-    assert (doc["newton_iters_coarse"], doc["newton_iters_fine"]) == (21, 3)
+    assert (doc["newton_iters_coarse"], doc["newton_iters_fine"]) == (24, 2)
+    assert doc["grid_levels"] == [8, 16, 32]
+    assert doc["newton_iters_levels"] == [21, 3, 2]
+    text = (out / "report.txt").read_text()
+    assert "verify.grid_levels: (8, 16, 32)\n" in text
+    assert "verify.newton_iters_levels: (21, 3, 2)\n" in text
 
-    grid = Grid(cfg.n, 2 * cfg.N)
-    base = cfg.problem(grid)
-    star = sample_text(cfg.u_star, grid)
-    spec = base.with_f_field(manufactured_forcing(star, 1.0, base))
-    path = continue_path(spec, cfg.schedule())
-    assert len(path.rows) == 6
-    _, u_fine = load_field(out / "u_fine.field")
-    assert np.abs(u_fine.values - path.final_state.u.values).max() <= 1e-12
+    for name, N in (("u_coarse", cfg.N), ("u_fine", 2 * cfg.N)):
+        grid = Grid(cfg.n, N)
+        base = cfg.problem(grid)
+        star = sample_text(cfg.u_star, grid)
+        spec = base.with_f_field(manufactured_forcing(star, 1.0, base))
+        path = continue_path(spec, cfg.schedule())
+        assert len(path.rows) == 6
+        _, u = load_field(out / f"{name}.field")
+        assert np.abs(u.values - path.final_state.u.values).max() <= 1e-12
 
     rc, again = drive(tmp_path, cfg, "verify", "two")
     assert rc == 0
@@ -495,7 +579,7 @@ def test_check_samples_over_the_memory_budget_exit_two_before_any_work(
         raise AssertionError("work started on a rejected config")
     for name in ("_suite_recurrence", "_suite_newton_maclaurin",
                  "_suite_ratio_monotonicity", "_suite_euler_identity",
-                 "concavity_certificate", "_solve_manufactured"):
+                 "concavity_certificate", "_manufactured_spec"):
         monkeypatch.setattr(sigmak.cli, name, no_work)
     monkeypatch.setattr(RunConfig, "problem", no_work)
     cfg = RunConfig(check_samples=20_000_000)
@@ -511,7 +595,7 @@ def test_grids_over_the_memory_budget_exit_two_before_any_work(
     def no_work(*args, **kwargs):
         raise AssertionError("work started on a rejected config")
     monkeypatch.setattr(RunConfig, "problem", no_work)
-    monkeypatch.setattr(sigmak.cli, "_solve_manufactured", no_work)
+    monkeypatch.setattr(sigmak.cli, "_manufactured_spec", no_work)
     for n, N in ((4, 64), (6, 128)):
         cfg = RunConfig(n=n, k=3, N=N)
         for command in ("check", "solve", "verify"):
@@ -633,7 +717,8 @@ def test_record_layouts_are_pinned(tmp_path):
     assert rc == 0
     record = ["case", "n", "k", "N_coarse", "N_fine", "u_star", "err_coarse",
               "err_fine", "order", "newton_iters_coarse", "newton_iters_fine",
-              "status", "detail", "passed"]
+              "grid_levels", "newton_iters_levels", "status", "detail",
+              "passed"]
     assert _keys((verify / "report.txt").read_text()) == [
         f"verify.{key}" for key in record]
     doc = json.loads((verify / "report.json").read_text())

@@ -1,5 +1,6 @@
 """Newton correction, continuation, and the trace contract."""
 
+import gc
 import math
 import time
 import tracemalloc
@@ -18,12 +19,13 @@ from sigmak.config import block_bytes, peak_bytes, sample_bytes
 from sigmak.errors import (ConeExitError, DomainError, LinearSolveError,
                            NonConvergenceError, PathFailureError,
                            ValidationError)
-from sigmak.grid import derivatives, random_smooth_field
-from sigmak.operators import (CHECK_BLOCK, LinearOperator, _coefficients,
-                              ellipticity_certificate, linearize,
-                              manufactured_forcing, prepare_state)
+from sigmak.grid import derivatives, prolong, random_smooth_field
+from sigmak.operators import (CHECK_BLOCK, LinearOperator, StateData,
+                              _coefficients, ellipticity_certificate,
+                              linearize, manufactured_forcing, prepare_state)
 from sigmak.solver import (GMRES_RESTART, LINEAR_GUARD, _sup_spectral_radius,
-                           newton_correct, solve_linear)
+                           ladder_levels, newton_correct, solve_ladder,
+                           solve_linear)
 from sigmak.symfunc import pack, unpack
 
 
@@ -714,3 +716,124 @@ def test_case_c_path_propagates_its_anchors_errors():
     stuck = canonical_problem("C", N=8, f="1+0.5*cos(x1+x2)")
     with pytest.raises(ConeExitError, match="no admissible decreasing step"):
         continue_path(stuck, Schedule())
+
+
+def _ladder(cfg: RunConfig, path=continue_path):
+    """`sigmak solve`'s ladder for cfg, run through the library."""
+    spec = cfg.problem()
+    grids = [Grid(cfg.n, N) for N in ladder_levels(cfg.N, spec.start_t)]
+    return solve_ladder(
+        lambda grid: spec if grid == spec.grid else cfg.problem(grid),
+        grids, cfg.schedule(), path)
+
+
+def test_ladder_levels_halve_an_even_grid_down_to_the_floor():
+    """A path that walks t runs on N, N/2, N/4, ... while the size is even
+    and its half is at least 8; a case C path (start_t = 1) on N alone."""
+    for N, levels in ((8, [8]), (12, [12]), (16, [8, 16]), (24, [12, 24]),
+                      (32, [8, 16, 32])):
+        for case in ("A", "B"):
+            spec = canonical_problem(case, N=N)
+            assert ladder_levels(N, spec.start_t) == levels, (case, N)
+        spec = RunConfig(case="C", alpha="-0.05", f="1", N=N).problem()
+        assert ladder_levels(N, spec.start_t) == [N]
+
+
+# The README's case A config at N = 16, the N = 24 configuration whose full
+# path stalls for 13 Newton iterations on a rejected step, and case B.
+_LADDER_CONFIGS = (
+    RunConfig(),
+    RunConfig(N=24, alpha="-0.5*(1+cos(x1))", f="0.3+0.25*sin(x2)*sin(x3)"),
+    RunConfig(case="B", alpha="-0.3", f="0"),
+)
+
+
+def test_ladder_lands_on_the_single_grid_solution(monkeypatch):
+    """On each of _LADDER_CONFIGS the ladder's u at t = 1 equals the full
+    single-grid path's to 1e-12 (9.7e-18, 8.5e-14 and 2.1e-17 when
+    measured). Its rows are the coarsest path's before t = 1, then one
+    t = 1 row monitored on the configured grid, steps numbered in order,
+    whose newton_iters column sums to every level's iterations and to the
+    Newton iterations the ladder ran (no step is rejected here)."""
+    iterations = []
+    monkeypatch.setattr(sigmak.solver, "linearize", lambda *args, **kw:
+                        iterations.append(1) or linearize(*args, **kw))
+    for cfg in _LADDER_CONFIGS:
+        spec = cfg.problem()
+        full = continue_path(spec, cfg.schedule())
+        iterations.clear()
+        ladder = _ladder(cfg)
+        assert sum(row.newton_iters for row in ladder.rows) == len(iterations)
+        u = ladder.final_state.u
+        assert u.grid == spec.grid, cfg
+        assert np.abs(u.values - full.final_state.u.values).max() <= 1e-12
+        assert [level.grid.N for level, _ in ladder.levels] \
+            == ladder_levels(cfg.N, 0.0)
+        assert ladder.levels[-1][0] is u
+        rows = ladder.rows
+        assert [row.step for row in rows] == list(range(len(rows)))
+        assert all(a.t < b.t for a, b in zip(rows, rows[1:]))
+        assert rows[-1].t == 1.0
+        assert sum(row.newton_iters for row in rows) \
+            == sum(iters for _, iters in ladder.levels)
+        assert rows[-1].sup_u == u.max_abs()
+        assert rows[-1].cone_margin == ladder.final_state.cone_margin
+
+
+def test_ladder_starts_each_level_from_the_extrapolated_prolongation():
+    """On N = 32 (levels 8, 16, 32) the N = 16 level starts from the
+    prolonged N = 8 solution and the N = 32 level from P u_16 +
+    (P u_16 - P u_8) / 4, and each is one row at t = 1."""
+    starts, solved, ts = [], [], []
+
+    def path(spec, schedule, u_start=None):
+        starts.append(u_start)
+        trace = continue_path(spec, schedule, u_start)
+        solved.append(trace.final_state.u)
+        ts.append([row.t for row in trace.rows])
+        return trace
+
+    _ladder(RunConfig(N=32, f="0.7+0.3*sin(x1)"), path)
+    assert starts[0] is None and ts[1:] == [[1.0], [1.0]]
+    grid16, grid32 = Grid(3, 16), Grid(3, 32)
+    assert np.array_equal(starts[1].values, prolong(solved[0], grid16).values)
+    fine, coarse = prolong(solved[1], grid32).values, \
+        prolong(solved[0], grid32).values
+    assert np.array_equal(starts[2].values, fine + 0.25 * (fine - coarse))
+
+
+def test_laddered_solve_peaks_no_higher_than_the_single_grid_solve():
+    """At n = 4, N = 16 (levels 8 and 16) the ladder frees each level's
+    state before the next level builds its own: no state of the N = 8
+    problem is alive when the N = 16 correction starts, and the ladder's
+    tracemalloc peak is at most the single-grid path's and under
+    peak_bytes(4, 16)."""
+    cfg = RunConfig(n=4, N=16, f="0.7+0.3*sin(x1)")
+    spec, coarse = cfg.problem(), cfg.problem(Grid(4, 8))
+    grids = [coarse.grid, spec.grid]
+    alive = []
+
+    def path(level_spec, schedule, u_start=None):
+        gc.collect()
+        alive.append(sum(isinstance(obj, StateData) and obj.spec is coarse
+                         for obj in gc.get_objects()))
+        return continue_path(level_spec, schedule, u_start)
+
+    solve_ladder(lambda grid: coarse if grid == coarse.grid else spec, grids,
+                 cfg.schedule(), path)
+    assert alive == [0, 0]
+
+    peaks = []
+    for run in (lambda: continue_path(spec, cfg.schedule()),
+                lambda: solve_ladder(
+                    lambda grid: coarse if grid == coarse.grid else spec,
+                    grids, cfg.schedule())):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    single, laddered = peaks
+    assert laddered <= single, peaks
+    assert laddered < peak_bytes(4, 16), peaks
