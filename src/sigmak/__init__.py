@@ -81,7 +81,6 @@ from .solver import (
     solve_t0,
     continue_path,
     ladder_levels,
-    solve_ladder,
     solve_caseC,
 )
 from .report import CheckResult, VerificationReport, run_checks

@@ -6,31 +6,29 @@ check   runs the symmetric-function property suites and the ellipticity and
 solve   runs the path from the problem's start_t to t = 1 (continuation
         from t = 0 for cases A and B, the direct solve at t = 1 alone for
         case C) on the grid ladder of spec.N, writing trace.csv, the final
-        field dump, report.txt and report.json; exit 0 on reaching the
-        target with all configured checks green, exit 1 on a reported
-        failure. A failed anchor writes a header-only trace.csv and a
-        report that fails on it.
-verify  manufactures the forcing for the configured u_star on each grid and
-        solves on the ladder of N with 2N as its last level, one Newton
-        correction at t = 1 from the extrapolated interpolants of the
-        solutions below it; it reports the observed convergence order from
-        N to 2N, the grid levels and each level's Newton iterations; exit 0
-        iff the order lies in [1.6, 2.4] (or u_star is identically zero and
-        both errors stay below 1e-10). The background condition is checked
-        before the forcing is manufactured, so a background outside its
-        cone is named as the cause.
+        field dump, report.txt and report.json; exit 0 iff the report
+        passes (target reached, every check green), else 1. A failed anchor
+        or refinement writes a header-only trace.csv.
+verify  manufactures the forcing for the configured u_star on each grid,
+        validates the N and 2N problems, and solves on the ladder of N with
+        2N as its last level; it reports the observed convergence order
+        from N to 2N, the grid levels and each level's Newton iterations;
+        exit 0 iff the order lies in [1.6, 2.4] (or u_star is identically
+        zero and both errors stay below 1e-10). The background condition is
+        checked first, so a background outside its cone is named as the
+        cause.
 
 Every command first echoes the effective configuration to config.txt in the
 output directory, once it has validated, so a run that fails later still
-leaves it; the echo re-parses to an identical RunConfig. Every solve runs
-through solver.solve_ladder on the grids of solver.ladder_levels: the
-coarsest walks solver.continue_path, which picks the path from the case,
-with the configured schedule (solver.*), and each finer grid is one Newton
-solve at t = 1. Exit codes: 0 ok, 1 run failure, 2 invalid
-configuration (including a run over the memory budget, found before any
-work; verify also checks its 2N grid), 3 I/O error. Output files carry no
-timestamps, and all sampling flows from the single config seed, so
-repeated runs produce byte-identical files.
+leaves it; the echo re-parses to an identical RunConfig. Every solve walks
+solver.continue_path, which picks the path from the case, with the
+configured schedule (solver.*), on the coarsest grid of
+solver.ladder_levels; solver.refine carries its solution up the finer
+grids. Exit codes: 0 ok, 1 run failure, 2 invalid configuration (including
+a run over the memory budget, found before any work; verify also checks
+its 2N grid), 3 I/O error. Output files carry no timestamps, and all
+sampling flows from the single config seed, so repeated runs produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ import sys
 import numpy as np
 
 from .config import RunConfig, parse_config_file
-from .curvature import ProblemSpec, ValidationReport, record_lines
+from .curvature import ProblemSpec, record_lines
 from .errors import (AdmissibilityError, ConeExitError, ConfigError,
                      DomainError, ExprEvalError, ExprSyntaxError,
                      LinearSolveError, NonConvergenceError, PathFailureError)
@@ -52,8 +50,7 @@ from .grid import Grid, ScalarField, dump_field, prolong, sample_text
 from .operators import (concavity_certificate, ellipticity_certificate,
                         manufactured_forcing, prepare_state, sample_blocks)
 from .report import run_checks
-from .solver import (ContinuationTrace, continue_path, ladder_levels,
-                     solve_ladder)
+from .solver import ContinuationTrace, continue_path, ladder_levels, refine
 # Unused here: bench/tracer.py wraps sigmak.cli.solve_caseC by name.
 from .solver import solve_caseC  # noqa: F401
 from .symfunc import (_commuting_product, full_contraction,
@@ -199,9 +196,38 @@ def run_check(cfg: RunConfig, out_dir: str) -> int:
 
 # -- solve -----------------------------------------------------------------
 
-def _write_solve_outputs(cfg: RunConfig, spec: ProblemSpec,
-                         validation: ValidationReport,
-                         trace: ContinuationTrace, out_dir: str) -> bool:
+def run_solve(cfg: RunConfig, out_dir: str) -> int:
+    """Solve the configured problem on the ladder of spec.N and write its
+    outputs; trace rows before t = 1 come from the coarsest grid, and the
+    t = 1 row from spec.N's state (ContinuationTrace.end_on).
+
+    A failed path still reports its accepted prefix. When that path ran on
+    a coarser grid than spec.N, its last accepted u is prolonged to the
+    configured grid and the state there is built at the same t, after the
+    coarse state is freed: u_final.field and the audits are on spec.N. A
+    failed anchor (a case C solve) or refinement has no accepted prefix:
+    it reports an empty trace and writes no field."""
+    spec = cfg.problem()
+    validation = spec.validate(strict=True)
+    grids = [Grid(cfg.n, N) for N in ladder_levels(cfg.N, spec.start_t)]
+    sched = cfg.schedule()
+    spec_at = lambda grid: spec if grid == spec.grid else cfg.problem(grid)
+    failure = None
+    try:
+        trace = continue_path(spec_at(grids[0]), sched)
+        if len(grids) > 1:
+            levels, (sd, _, rnorm) = refine(trace, spec_at, grids[1:], sched)
+            trace.end_on(sd, sum(it for _, it in levels[1:]), rnorm)
+    except (PathFailureError, ConeExitError, NonConvergenceError,
+            LinearSolveError) as err:
+        failure = f"sigmak solve: {err}"
+        trace = err.trace if isinstance(err, PathFailureError) \
+            else ContinuationTrace()
+        if trace.final_state is not None and \
+                trace.final_state.u.grid != spec.grid:
+            u, trace.final_state = trace.final_state.u, None
+            trace.final_state = prepare_state(prolong(u, spec.grid),
+                                              trace.final_t, spec)
     _write_text(os.path.join(out_dir, "trace.csv"), trace.to_csv())
     if trace.final_state is not None:
         dump_field(trace.final_state.u, "u",
@@ -209,40 +235,9 @@ def _write_solve_outputs(cfg: RunConfig, spec: ProblemSpec,
     report = run_checks(trace, spec, cfg.checks_mapping(), validation)
     _write_text(os.path.join(out_dir, "report.txt"), report.to_text())
     _write_text(os.path.join(out_dir, "report.json"), report.to_json_text())
-    return report.reached_target and report.ok
-
-
-def run_solve(cfg: RunConfig, out_dir: str) -> int:
-    """Solve the configured problem on the ladder of spec.N and write its
-    outputs; trace rows before t = 1 come from the coarsest grid.
-
-    A failed path still reports its accepted prefix. When that path ran on
-    a coarser grid than spec.N, its last accepted u is prolonged to the
-    configured grid and the state there is built at the same t, after the
-    coarse state is freed: u_final.field and the audits are on spec.N. A
-    failed anchor (a case C solve, or a finer level's correction) has no
-    accepted prefix: it reports an empty trace and writes no field."""
-    spec = cfg.problem()
-    validation = spec.validate(strict=True)
-    grids = [Grid(cfg.n, N) for N in ladder_levels(cfg.N, spec.start_t)]
-    try:
-        trace = solve_ladder(
-            lambda grid: spec if grid == spec.grid else cfg.problem(grid),
-            grids, cfg.schedule(), continue_path)
-    except (PathFailureError, ConeExitError, NonConvergenceError,
-            LinearSolveError) as err:
-        failed = err.trace if isinstance(err, PathFailureError) \
-            else ContinuationTrace()
-        if failed.final_state is not None and \
-                failed.final_state.u.grid != spec.grid:
-            u, failed.final_state = failed.final_state.u, None
-            failed.final_state = prepare_state(prolong(u, spec.grid),
-                                               failed.final_t, spec)
-        _write_solve_outputs(cfg, spec, validation, failed, out_dir)
-        print(f"sigmak solve: {err}", file=sys.stderr)
-        return 1
-    ok = _write_solve_outputs(cfg, spec, validation, trace, out_dir)
-    return 0 if ok else 1
+    if failure is not None:
+        print(failure, file=sys.stderr)
+    return 0 if report.passed else 1
 
 
 # -- verify ------------------------------------------------------------------
@@ -261,13 +256,16 @@ def _manufactured_spec(cfg: RunConfig, grid: Grid) -> ProblemSpec:
 def run_verify(cfg: RunConfig, out_dir: str) -> int:
     n_coarse, n_fine = cfg.N, 2 * cfg.N
     cfg.check_memory(n_fine)
-    first = _manufactured_spec(cfg, Grid(cfg.n, n_coarse))
-    levels = ladder_levels(n_coarse, first.start_t) + [n_fine]
-    solved = solve_ladder(
-        lambda grid: first if grid == first.grid
-        else _manufactured_spec(cfg, grid),
-        [Grid(cfg.n, N) for N in levels], cfg.schedule(), continue_path
-    ).levels
+    specs = {N: _manufactured_spec(cfg, Grid(cfg.n, N))
+             for N in (n_coarse, n_fine)}
+    for spec in specs.values():
+        spec.validate(strict=True)
+    levels = ladder_levels(n_coarse, specs[n_coarse].start_t) + [n_fine]
+    grids = [Grid(cfg.n, N) for N in levels]
+    spec_at = lambda grid: specs.get(grid.N) or _manufactured_spec(cfg, grid)
+    sched = cfg.schedule()
+    solved, _ = refine(continue_path(spec_at(grids[0]), sched), spec_at,
+                       grids[1:], sched)
     (u_coarse, _), (u_fine, iters_fine) = solved[-2:]
     iters = tuple(it for _, it in solved)
     stars = [sample_text(cfg.u_star, u.grid) for u in (u_coarse, u_fine)]

@@ -65,7 +65,13 @@ class VerificationReport:
 
     @property
     def ok(self) -> bool:
+        """No check failed."""
         return all(c.status != "fail" for c in self.checks)
+
+    @property
+    def passed(self) -> bool:
+        """The report's result: the target reached and no check failed."""
+        return self.reached_target and self.ok
 
     def to_text(self) -> str:
         lines = [f"run: {self.run_id}"]
@@ -75,7 +81,7 @@ class VerificationReport:
         lines.append(f"trace.reached_target: "
                      f"{'true' if self.reached_target else 'false'}")
         lines.extend(c.to_line() for c in self.checks)
-        lines.append(f"result: {'pass' if self.ok else 'fail'}")
+        lines.append(f"result: {'pass' if self.passed else 'fail'}")
         return "\n".join(lines) + "\n"
 
     def to_json_text(self) -> str:
@@ -101,7 +107,7 @@ class VerificationReport:
                 }
                 for c in self.checks
             ],
-            "result": "pass" if self.ok else "fail",
+            "result": "pass" if self.passed else "fail",
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

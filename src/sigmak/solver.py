@@ -14,14 +14,13 @@ partial trace attached.
 Case C has no homotopy family: its W tensor and weights do not depend on t,
 so its path starts at t = 1 (ProblemSpec.start_t) with a direct damped
 Newton solve from u = 0 and is that one point alone, labeled experimental
-(the estimates exist; an existence proof does not). A path given a start
-field, in any case, is likewise the one Newton solve at t = 1 from it.
+(the estimates exist; an existence proof does not).
 
-solve_ladder solves on a ladder of grids by nested iteration (grid
-sequencing for Newton): the C^0, C^1 and C^2 bounds of the continuity
-method do not depend on the grid, so the path walks t on the coarsest grid
-alone, and each finer grid is one such Newton solve at t = 1 from the
-prolonged solution of the grid below, extrapolated to O(h^2) once two
+refine carries a path's t = 1 solution up a ladder of grids by nested
+iteration (grid sequencing for Newton): the C^0, C^1 and C^2 bounds of the
+continuity method do not depend on the grid, so the path walks t on the
+coarsest grid alone, and each finer grid is one Newton solve at t = 1 from
+the prolonged solution of the grid below, extrapolated to O(h^2) once two
 coarser solutions exist. ladder_levels gives the grids of a solve: the
 halvings of N down to Grid's floor for a path that walks t, and N alone for
 case C, whose direct Newton solve may land on another discrete solution.
@@ -42,7 +41,7 @@ ones solve tightly. Nothing on this path imports scipy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -54,7 +53,7 @@ from .errors import (
     NonConvergenceError,
     PathFailureError,
 )
-from .grid import ScalarField, hessian, prolong
+from .grid import Grid, ScalarField, hessian, prolong
 from .operators import (
     EllipticityReport,
     LinearOperator,
@@ -135,15 +134,12 @@ class ContinuationTrace:
     fields: final_state, the StateData continue_path sets when the path
     ends (the t = 1 state, or on failure the last accepted state, built
     again once), which the final dump and both audits read. ellipticity is
-    its audit, computed when first read and kept, so a caller that never
-    reads it never pays for it; both are None for a trace not ended.
-    levels, set by solve_ladder, holds (u, newton_iters) of each grid
-    level, coarsest first: the solved field and the Newton iterations the
-    level took (its whole path on the coarsest level)."""
+    its audit, computed when first read and kept until final_state changes,
+    so a caller that never reads it never pays for it; both are None for a
+    trace not ended."""
 
     rows: list = field(default_factory=list)
     final_state: StateData | None = None
-    levels: list = field(default_factory=list)
     _ellipticity: EllipticityReport | None = field(
         default=None, repr=False, compare=False)
 
@@ -160,6 +156,15 @@ class ContinuationTrace:
             raise DomainError("trace t values must be strictly increasing")
         self.rows.append(monitor(sd, len(self.rows), newton_iters,
                                  residual_norm))
+
+    def end_on(self, sd: StateData, newton_iters: int,
+               residual_norm: float) -> None:
+        """End the trace on sd, a finer grid's state at the last row's t
+        (refine): its row, with newton_iters added, replaces the last."""
+        last = self.rows[-1]
+        self.rows[-1] = monitor(sd, last.step, last.newton_iters +
+                                newton_iters, residual_norm)
+        self.final_state, self._ellipticity = sd, None
 
     @property
     def final_t(self) -> float:
@@ -405,15 +410,12 @@ def solve_t0(spec: ProblemSpec, u_init: ScalarField,
     return newton_correct(u_init, 0.0, spec, schedule)[0].u
 
 
-def continue_path(spec: ProblemSpec, schedule: Schedule | None = None,
-                  u_start: ScalarField | None = None) -> ContinuationTrace:
+def continue_path(spec: ProblemSpec,
+                  schedule: Schedule | None = None) -> ContinuationTrace:
     """Walk t from spec.start_t to 1 with adaptive steps; return the full
     trace. The anchor at start_t is newton_correct from u = 0: at t = 0 for
     cases A and B, and at t = 1 for case C, whose path is that point alone.
-    Given u_start, a field on spec.grid, the anchor is newton_correct from
-    u_start at t = 1 in every case, and the path is that point alone (a
-    nested-iteration solve from a coarser grid's prolonged solution). An
-    error of the anchor propagates as it is.
+    An error of the anchor propagates as it is.
 
     Step control: a corrector success in at most 4 iterations doubles dt (up
     to dt_max); a corrector failure halves dt and retries from the last
@@ -429,14 +431,9 @@ def continue_path(spec: ProblemSpec, schedule: Schedule | None = None,
     sched = schedule if schedule is not None else Schedule()
     trace = ContinuationTrace()
 
-    if u_start is None:
-        t, u_start = spec.start_t, ScalarField.zeros(spec.grid)
-    elif u_start.grid != spec.grid:
-        raise DomainError(f"start field on {u_start.grid} does not match the "
-                          f"problem grid {spec.grid}")
-    else:
-        t = 1.0
-    sd, iters, rnorm = newton_correct(u_start, t, spec, sched)
+    t = spec.start_t
+    sd, iters, rnorm = newton_correct(ScalarField.zeros(spec.grid), t, spec,
+                                      sched)
     trace.append(sd, iters, rnorm)
     u = sd.u
 
@@ -473,45 +470,41 @@ def ladder_levels(N: int, start_t: float) -> list:
     return levels
 
 
-def solve_ladder(spec_at, grids: list, schedule: Schedule | None = None,
-                 path=continue_path) -> ContinuationTrace:
-    """Solve on grids, coarsest first, by nested iteration. spec_at(grid)
-    is the problem on a grid, asked once for each, in order.
-
-    The coarsest level is path(spec, schedule), the whole path from
-    start_t. Each finer level is path(spec, schedule, start), one Newton
-    solve at t = 1 from start: the prolongation (grid.prolong) P u_1 of the
-    level below's solution, and P u_1 + (P u_1 - P u_2) / 4 once a second
-    solution u_2 below it exists, which cancels the O(h^2) error term
-    between the two. A level's state is freed before the next one builds
-    its own; only the solved fields are kept, in trace.levels.
-
-    Returns the last level's trace. Its rows are the coarsest path's before
-    t = 1, then the last level's t = 1 row, which carries the step number
-    of the coarsest t = 1 row and the Newton iterations every level took at
-    t = 1, so the newton_iters column counts every accepted corrector's
-    iterations, as a single-grid trace does. An error
-    propagates as it is: a failed coarsest path raises PathFailureError
-    with its trace on the coarsest grid, and a failed finer level raises
-    its anchor's error. path is the single-grid solve; callers pass the
-    continue_path they look up, so a wrapper of theirs sees every level."""
-    sched = schedule if schedule is not None else Schedule()
-    trace = path(spec_at(grids[0]), sched)
-    rows = trace.rows
-    levels = [(trace.final_state.u, sum(row.newton_iters for row in rows))]
-    for grid in grids[1:]:
-        trace = None   # this level's state goes before the next one's
-        start = prolong(levels[-1][0], grid).values
-        if len(levels) > 1:
-            start += 0.25 * (start - prolong(levels[-2][0], grid).values)
-        trace = path(spec_at(grid), sched, ScalarField(grid, start))
-        levels.append((trace.final_state.u, trace.rows[0].newton_iters))
+def _extrapolated_start(levels: list, grid: Grid) -> ScalarField:
+    """A correction's start on grid: the prolongation (grid.prolong) P u_1
+    of u_1, the last of levels' fields, and P u_1 + (P u_1 - P u_2) / 4
+    once a field u_2 precedes it, which cancels their O(h^2) error term."""
+    start = prolong(levels[-1][0], grid)
     if len(levels) > 1:
-        at_one = rows[-1].newton_iters + sum(it for _, it in levels[1:])
-        trace.rows = rows[:-1] + [replace(trace.rows[0], step=rows[-1].step,
-                                          newton_iters=at_one)]
-    trace.levels = levels
-    return trace
+        start.values += 0.25 * (start.values
+                                - prolong(levels[-2][0], grid).values)
+    return start
+
+
+def refine(trace: ContinuationTrace, spec_at, grids: list,
+           schedule: Schedule) -> tuple[list, tuple]:
+    """Carry the t = 1 solution trace ended on up grids, finer each, by
+    nested iteration: on each grid, spec_at(grid) validated strictly, one
+    newton_correct at t = 1 from _extrapolated_start of the solutions
+    below. trace.final_state is freed before the first grid builds its
+    state, each grid's state before the next one's, and each start once
+    the correction leaves it; nothing is monitored, and an error
+    propagates as it is.
+
+    Returns (levels, last): (u, newton_iters) of the trace's solution, with
+    its path's iterations, then of each grid's; and what the last grid's
+    newton_correct returned."""
+    levels = [(trace.final_state.u,
+               sum(row.newton_iters for row in trace.rows))]
+    trace.final_state = trace._ellipticity = last = None
+    for grid in grids:
+        last = None   # this level's state goes before the next one's
+        spec = spec_at(grid)
+        spec.validate(strict=True)
+        last = newton_correct(_extrapolated_start(levels, grid), 1.0, spec,
+                              schedule)
+        levels.append((last[0].u, last[1]))
+    return levels, last
 
 
 def solve_caseC(spec: ProblemSpec, u_init: ScalarField | None = None,

@@ -16,10 +16,11 @@ from hypothesis import strategies as st
 import sigmak
 import sigmak.cli
 import sigmak.operators
+import sigmak.solver
 from sigmak import Grid, RunConfig, load_field, parse_config_file, sample_text
 from sigmak.cli import main
-from sigmak.operators import (_concavity_blocks, manufactured_forcing,
-                              sample_blocks)
+from sigmak.operators import (_concavity_blocks, linearize,
+                              manufactured_forcing, sample_blocks)
 from sigmak.report import run_checks
 from sigmak.solver import TRACE_HEADER, continue_path
 
@@ -303,9 +304,42 @@ def test_failed_laddered_solve_writes_its_outputs_on_the_configured_grid(
     assert [line.split(",")[1] for line in lines[1:]] == ["0.0"]
     doc = json.loads((out / "report.json").read_text())
     assert doc["trace"]["reached_target"] is False
+    assert doc["result"] == "fail"
+    assert (out / "report.txt").read_text().endswith("result: fail\n")
     name, u = load_field(out / "u_final.field")
     assert name == "u" and u.grid.shape == (16, 16, 16)
 
+    rc_again, again = drive(tmp_path, cfg, "solve", tag="again")
+    assert rc_again == rc
+    assert capsys.readouterr() == captured
+    assert sorted(os.listdir(again)) == sorted(os.listdir(out))
+    for name in os.listdir(out):
+        assert read(again, name) == read(out, name), name
+
+
+def test_failed_refinement_writes_an_empty_trace_and_no_field(tmp_path,
+                                                              capsys):
+    """Data not resolved on the coarsest grid: alpha has a kink at x3 = 0
+    (sqrt of the periodic coordinate), so the N = 8 path converges but its
+    prolonged solution starts the N = 16 correction outside Gamma_3. The
+    ladder has no fallback: the run exits 1 naming the cone exit, writes a
+    header-only trace, no field and a report that did not reach the
+    target, in well under a second (0.04 s in process on a 2-core x86
+    machine), and a rerun writes the same bytes."""
+    cfg = RunConfig(case="B", n=3, k=3, N=16,
+                    alpha="-(0.05+0.3*sin(sin(sqrt(x3)))^2)", f="0")
+    start = time.perf_counter()
+    rc, out = drive(tmp_path, cfg, "solve")
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("sigmak solve: entry state outside "
+                                   "Gamma_3")
+    assert (out / "trace.csv").read_text() == TRACE_HEADER + "\n"
+    assert not (out / "u_final.field").exists()
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["trace"]["reached_target"] is False
+    assert doc["result"] == "fail"
     rc_again, again = drive(tmp_path, cfg, "solve", tag="again")
     assert rc_again == rc
     assert capsys.readouterr() == captured
@@ -406,30 +440,39 @@ def test_verify_manufactured_convergence_case_c(tmp_path):
 def test_verify_solves_its_fine_grid_from_the_prolonged_coarse_solution(
         tmp_path, monkeypatch):
     """`sigmak verify` on the README config (N = 16) solves on the grid
-    ladder 8, 16, 32 and walks the path on N = 8 only. N = 16 is one row at
-    t = 1, three Newton iterations from the N = 8 solution's trigonometric
-    interpolant; 2N = 32 is one row of two iterations from the
-    extrapolated start P u_16 + (P u_16 - P u_8) / 4. Both land on the
-    solutions the full paths from u = 0 reach on their grids. The report
-    records the levels and each level's iterations, newton_iters_coarse
-    sums them up to N, and a rerun is byte-identical."""
-    levels = []
+    ladder 8, 16, 32 and walks the path on N = 8 only, its one
+    continue_path call. N = 16 is one correction at t = 1, three Newton
+    iterations from the N = 8 solution's trigonometric interpolant;
+    2N = 32 is one correction of two iterations from the extrapolated
+    start P u_16 + (P u_16 - P u_8) / 4. Both land on the solutions the
+    full paths from u = 0 reach on their grids. The report records the
+    levels and each level's iterations, newton_iters_coarse sums them up to
+    N, and a rerun is byte-identical."""
+    paths, corrections = [], []
+    real_correct = sigmak.solver.newton_correct
 
     def recorded(*args):
         trace = continue_path(*args)
-        levels.append((trace.final_state.u.grid.N,
-                       [(row.t, row.newton_iters) for row in trace.rows]))
+        paths.append((trace.final_state.u.grid.N,
+                      [(row.t, row.newton_iters) for row in trace.rows]))
         return trace
 
+    def correct(u, t, spec, schedule):
+        result = real_correct(u, t, spec, schedule)
+        corrections.append((u.grid.N, t, result[1]))
+        return result
+
     monkeypatch.setattr(sigmak.cli, "continue_path", recorded)
+    monkeypatch.setattr(sigmak.solver, "newton_correct", correct)
     cfg = RunConfig()
     rc, out = drive(tmp_path, cfg, "verify", "one")
     assert rc == 0
-    (n8, coarsest), (n16, coarse), (n32, fine) = levels
-    assert (n8, n16, n32) == (8, 16, 32)
+    ((n8, coarsest),) = paths
+    assert n8 == 8
     assert [iters for _, iters in coarsest] == [0, 4, 4, 4, 4, 5]
-    assert coarse == [(1.0, 3)]
-    assert fine == [(1.0, 2)]
+    assert len(corrections) == len(coarsest) + 2
+    assert corrections[-2:] == [(16, 1.0, 3), (32, 1.0, 2)]
+    monkeypatch.undo()
     doc = json.loads((out / "report.json").read_text())
     assert (doc["newton_iters_coarse"], doc["newton_iters_fine"]) == (24, 2)
     assert doc["grid_levels"] == [8, 16, 32]
@@ -454,6 +497,22 @@ def test_verify_solves_its_fine_grid_from_the_prolonged_coarse_solution(
     assert names == sorted(os.listdir(again))
     for name in names:
         assert read(out, name) == read(again, name), name
+
+
+def test_verify_validates_both_grids_before_any_newton_step(
+        tmp_path, capsys, monkeypatch):
+    """alpha = 0.05 - 0.1 cos(4 x1)^2 is -0.05 on every N = 8 node and
+    +0.05 on the odd N = 16 nodes, so only the N = 16 problem breaks case
+    A's sign condition: verify at N = 16 exits 2 naming it before a single
+    Newton iteration, on the coarsest grid or any other."""
+    linearized = []
+    monkeypatch.setattr(sigmak.solver, "linearize", lambda *args, **kw:
+                        linearized.append(1) or linearize(*args, **kw))
+    cfg = RunConfig(alpha="0.05-0.1*cos(4*x1)^2", f="0.7")
+    rc, _ = drive(tmp_path, cfg, "verify")
+    assert rc == 2
+    assert "case A requires alpha <= 0 pointwise" in capsys.readouterr().err
+    assert linearized == []
 
 
 def test_verify_converges_at_second_order_beyond_n3(tmp_path):

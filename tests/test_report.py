@@ -49,7 +49,9 @@ def test_reached_target_only_at_t_equal_one():
     report = run_checks(trace, spec)
     assert report.reached_target
     assert report.final_t == 1.0
-    assert report.ok
+    assert report.ok and report.passed
+    assert report.to_text().endswith("result: pass\n")
+    assert json.loads(report.to_json_text())["result"] == "pass"
 
 
 def test_check_subset_and_order_are_respected():
@@ -108,7 +110,9 @@ def test_text_report_shape():
     assert lines[0].startswith("run: ")
     assert "trace.steps: 1" in lines
     assert "trace.reached_target: false" in lines
-    assert lines[-1] == "result: pass"
+    # every check passes, but a t = 0 trace has not reached the target
+    assert report.ok and not report.passed
+    assert lines[-1] == "result: fail"
     assert sum(line.startswith("check.") for line in lines) == len(KNOWN_CHECKS)
     assert text.endswith("\n")
 
@@ -122,7 +126,8 @@ def test_json_report_round_trips_and_masks_non_finite():
                if c["detail"] == "empty trace")
 
     good = json.loads(run_checks(rest_trace(spec), spec).to_json_text())
-    assert good["result"] == "pass"
+    assert all(c["status"] == "pass" for c in good["checks"])
+    assert good["result"] == "fail"   # t = 0 is not the target
     assert good["trace"]["final_t"] == 0.0
     assert {c["name"] for c in good["checks"]} == set(KNOWN_CHECKS)
 

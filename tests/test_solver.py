@@ -24,7 +24,7 @@ from sigmak.operators import (CHECK_BLOCK, LinearOperator, StateData,
                               _coefficients, ellipticity_certificate,
                               linearize, manufactured_forcing, prepare_state)
 from sigmak.solver import (GMRES_RESTART, LINEAR_GUARD, _sup_spectral_radius,
-                           ladder_levels, newton_correct, solve_ladder,
+                           ladder_levels, newton_correct, refine,
                            solve_linear)
 from sigmak.symfunc import pack, unpack
 
@@ -689,21 +689,6 @@ def test_case_c_path_is_its_anchor_alone():
     assert trace.to_csv().startswith(TRACE_HEADER)
 
 
-def test_a_started_path_is_one_correction_at_t1():
-    """Given a start field, the path in any case is the Newton correction
-    from it at t = 1 alone: from the solution the full path reached, one row
-    with no iterations. A start field on another grid is rejected."""
-    for spec in (canonical_problem("A", N=8), canonical_problem("C", N=8)):
-        full = continue_path(spec, Schedule())
-        started = continue_path(spec, Schedule(), full.final_state.u)
-        assert [(row.t, row.newton_iters)
-                for row in started.rows] == [(1.0, 0)]
-        assert np.array_equal(started.final_state.u.values,
-                              full.final_state.u.values)
-        with pytest.raises(DomainError, match="does not match"):
-            continue_path(spec, Schedule(), ScalarField.zeros(Grid(3, 16)))
-
-
 def test_case_c_path_propagates_its_anchors_errors():
     """The anchor's errors reach the caller as they are: a Newton solve
     with no admissible decreasing step (the certify-C4 data at n=3). An
@@ -718,13 +703,34 @@ def test_case_c_path_propagates_its_anchors_errors():
         continue_path(stuck, Schedule())
 
 
-def _ladder(cfg: RunConfig, path=continue_path):
-    """`sigmak solve`'s ladder for cfg, run through the library."""
+def _ladder(cfg: RunConfig):
+    """`sigmak solve`'s ladder for cfg, run through the library: the path
+    on the coarsest grid, refined to the configured one, whose state then
+    ends the trace."""
     spec = cfg.problem()
     grids = [Grid(cfg.n, N) for N in ladder_levels(cfg.N, spec.start_t)]
-    return solve_ladder(
-        lambda grid: spec if grid == spec.grid else cfg.problem(grid),
-        grids, cfg.schedule(), path)
+    spec_at = lambda grid: spec if grid == spec.grid else cfg.problem(grid)
+    trace = continue_path(spec_at(grids[0]), cfg.schedule())
+    levels, (sd, _, rnorm) = refine(trace, spec_at, grids[1:],
+                                    cfg.schedule())
+    trace.end_on(sd, sum(iters for _, iters in levels[1:]), rnorm)
+    return trace, levels
+
+
+def _spy_on_corrections(monkeypatch, before=None):
+    """Record (t, start field, solved field) of every newton_correct that
+    sigmak.solver runs, calling before() ahead of each."""
+    calls = []
+
+    def spy(u, t, spec, schedule):
+        if before is not None:
+            before()
+        result = newton_correct(u, t, spec, schedule)
+        calls.append((t, u, result[0].u))
+        return result
+
+    monkeypatch.setattr(sigmak.solver, "newton_correct", spy)
+    return calls
 
 
 def test_ladder_levels_halve_an_even_grid_down_to_the_floor():
@@ -754,80 +760,117 @@ def test_ladder_lands_on_the_single_grid_solution(monkeypatch):
     measured). Its rows are the coarsest path's before t = 1, then one
     t = 1 row monitored on the configured grid, steps numbered in order,
     whose newton_iters column sums to every level's iterations and to the
-    Newton iterations the ladder ran (no step is rejected here)."""
-    iterations = []
+    Newton iterations the ladder ran (no step is rejected here). Only the
+    rows the trace keeps are monitored."""
+    iterations, monitored = [], []
     monkeypatch.setattr(sigmak.solver, "linearize", lambda *args, **kw:
                         iterations.append(1) or linearize(*args, **kw))
+    monkeypatch.setattr(sigmak.solver, "monitor", lambda *args:
+                        monitored.append(1) or monitor(*args))
     for cfg in _LADDER_CONFIGS:
         spec = cfg.problem()
         full = continue_path(spec, cfg.schedule())
         iterations.clear()
-        ladder = _ladder(cfg)
+        monitored.clear()
+        ladder, levels = _ladder(cfg)
         assert sum(row.newton_iters for row in ladder.rows) == len(iterations)
         u = ladder.final_state.u
         assert u.grid == spec.grid, cfg
         assert np.abs(u.values - full.final_state.u.values).max() <= 1e-12
-        assert [level.grid.N for level, _ in ladder.levels] \
+        assert [level.grid.N for level, _ in levels] \
             == ladder_levels(cfg.N, 0.0)
-        assert ladder.levels[-1][0] is u
+        assert levels[-1][0] is u
         rows = ladder.rows
+        assert len(monitored) == len(rows) + 1
         assert [row.step for row in rows] == list(range(len(rows)))
         assert all(a.t < b.t for a, b in zip(rows, rows[1:]))
         assert rows[-1].t == 1.0
         assert sum(row.newton_iters for row in rows) \
-            == sum(iters for _, iters in ladder.levels)
+            == sum(iters for _, iters in levels)
         assert rows[-1].sup_u == u.max_abs()
         assert rows[-1].cone_margin == ladder.final_state.cone_margin
+        assert ladder.ellipticity == ellipticity_certificate(
+            ladder.final_state)
 
 
-def test_ladder_starts_each_level_from_the_extrapolated_prolongation():
+def test_ladder_starts_each_level_from_the_extrapolated_prolongation(
+        monkeypatch):
     """On N = 32 (levels 8, 16, 32) the N = 16 level starts from the
     prolonged N = 8 solution and the N = 32 level from P u_16 +
-    (P u_16 - P u_8) / 4, and each is one row at t = 1."""
-    starts, solved, ts = [], [], []
-
-    def path(spec, schedule, u_start=None):
-        starts.append(u_start)
-        trace = continue_path(spec, schedule, u_start)
-        solved.append(trace.final_state.u)
-        ts.append([row.t for row in trace.rows])
-        return trace
-
-    _ladder(RunConfig(N=32, f="0.7+0.3*sin(x1)"), path)
-    assert starts[0] is None and ts[1:] == [[1.0], [1.0]]
+    (P u_16 - P u_8) / 4, each one correction at t = 1 after the path's
+    six on N = 8."""
+    calls = _spy_on_corrections(monkeypatch)
+    _ladder(RunConfig(N=32, f="0.7+0.3*sin(x1)"))
+    (t16, start16, u16), (t32, start32, _) = calls[-2:]
+    assert len(calls) == 8 and calls[-3][0] == 1.0
+    assert (t16, t32) == (1.0, 1.0)
+    u8 = calls[-3][2]
     grid16, grid32 = Grid(3, 16), Grid(3, 32)
-    assert np.array_equal(starts[1].values, prolong(solved[0], grid16).values)
-    fine, coarse = prolong(solved[1], grid32).values, \
-        prolong(solved[0], grid32).values
-    assert np.array_equal(starts[2].values, fine + 0.25 * (fine - coarse))
+    assert np.array_equal(start16.values, prolong(u8, grid16).values)
+    fine, coarse = prolong(u16, grid32).values, prolong(u8, grid32).values
+    assert np.array_equal(start32.values, fine + 0.25 * (fine - coarse))
 
 
-def test_laddered_solve_peaks_no_higher_than_the_single_grid_solve():
-    """At n = 4, N = 16 (levels 8 and 16) the ladder frees each level's
-    state before the next level builds its own: no state of the N = 8
-    problem is alive when the N = 16 correction starts, and the ladder's
-    tracemalloc peak is at most the single-grid path's and under
-    peak_bytes(4, 16)."""
+def test_a_refined_trace_audits_the_state_it_ends_on():
+    """The trace's audit follows its final_state: a path whose N = 8 audit
+    was read has none once refine frees that state, and once ended on the
+    N = 16 state it audits that one, as does a path ended on it while its
+    own state's audit is kept."""
+    cfg = RunConfig()
+    trace = continue_path(cfg.problem(Grid(3, 8)), cfg.schedule())
+    coarse = trace.ellipticity
+    assert coarse == ellipticity_certificate(trace.final_state)
+    levels, (sd, iters, rnorm) = refine(trace, cfg.problem, [Grid(3, 16)],
+                                        cfg.schedule())
+    assert trace.final_state is None and trace.ellipticity is None
+    trace.end_on(sd, iters, rnorm)
+    assert trace.final_state is sd
+    assert trace.ellipticity == ellipticity_certificate(sd) != coarse
+    audited = continue_path(cfg.problem(Grid(3, 8)), cfg.schedule())
+    assert audited.ellipticity == coarse
+    audited.end_on(sd, iters, rnorm)
+    assert audited.ellipticity == trace.ellipticity
+
+
+def test_refine_validates_each_grid_before_its_newton_solve(monkeypatch):
+    """A finer grid whose problem fails validation (alpha = 0.05 - 0.1
+    cos(4 x1)^2 is -0.05 on every N = 8 node and +0.05 on the odd N = 16
+    nodes) raises ValidationError before any Newton step runs there."""
+    cfg = RunConfig(alpha="0.05-0.1*cos(4*x1)^2")
+    trace = continue_path(cfg.problem(Grid(3, 8)), cfg.schedule())
+    calls = _spy_on_corrections(monkeypatch)
+    with pytest.raises(ValidationError, match="alpha <= 0"):
+        refine(trace, cfg.problem, [Grid(3, 16)], cfg.schedule())
+    assert calls == []
+
+
+def test_laddered_solve_peaks_no_higher_than_the_single_grid_solve(
+        monkeypatch):
+    """At n = 4, N = 16 (levels 8 and 16) refine frees the path's state
+    before the N = 16 grid builds its own: no state of the N = 8 problem is
+    alive when the N = 16 correction starts, and the ladder's tracemalloc
+    peak is at most the single-grid path's and under peak_bytes(4, 16)."""
     cfg = RunConfig(n=4, N=16, f="0.7+0.3*sin(x1)")
     spec, coarse = cfg.problem(), cfg.problem(Grid(4, 8))
-    grids = [coarse.grid, spec.grid]
     alive = []
 
-    def path(level_spec, schedule, u_start=None):
+    def count_coarse_states():
         gc.collect()
         alive.append(sum(isinstance(obj, StateData) and obj.spec is coarse
                          for obj in gc.get_objects()))
-        return continue_path(level_spec, schedule, u_start)
 
-    solve_ladder(lambda grid: coarse if grid == coarse.grid else spec, grids,
-                 cfg.schedule(), path)
-    assert alive == [0, 0]
+    def ladder():
+        trace = continue_path(coarse, cfg.schedule())
+        refine(trace, lambda grid: spec, [spec.grid], cfg.schedule())
+
+    with monkeypatch.context() as patched:
+        calls = _spy_on_corrections(patched, count_coarse_states)
+        ladder()
+    assert [t for t, _, _ in calls[-2:]] == [1.0, 1.0]
+    assert alive[0] == alive[-1] == 0
 
     peaks = []
-    for run in (lambda: continue_path(spec, cfg.schedule()),
-                lambda: solve_ladder(
-                    lambda grid: coarse if grid == coarse.grid else spec,
-                    grids, cfg.schedule())):
+    for run in (lambda: continue_path(spec, cfg.schedule()), ladder):
         tracemalloc.start()
         try:
             run()

@@ -15,7 +15,8 @@ import pytest
 
 from helpers import canonical_problem
 import sigmak.operators
-from sigmak import ScalarField
+from sigmak import RunConfig, ScalarField
+from sigmak.cli import main
 from sigmak.grid import random_smooth_field
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -57,3 +58,31 @@ def test_prepare_state_runs_through_the_wrapped_layers(tracer, case, tensors):
     # unwrapped again: a second call records nothing
     sigmak.operators.prepare_state(ScalarField.zeros(spec.grid), 1.0, spec)
     assert len(traced.spans) == len(spans)
+
+
+@pytest.mark.parametrize("command, N, monitored", [("solve", 16, 7),
+                                                   ("verify", 8, 6)])
+def test_a_laddered_command_walks_one_traced_path(tracer, tmp_path, command,
+                                                  N, monitored):
+    """A laddered solve (the README config, levels 8 and 16) and a verify
+    at N = 8 (levels 8 and 16) run through sigmak.cli.main open one
+    solver.continue_path span: the coarse path's six correctors nest in it
+    and the one refinement correction runs outside it, so steps_accepted
+    reads 5. Only rows that are kept are monitored: the path's six, and
+    for solve the t = 1 row rebuilt on N = 16."""
+    conf = tmp_path / "run.config"
+    conf.write_text(RunConfig(N=N).to_text(), encoding="utf-8")
+    traced, left = tracer.Tracer(), []
+    with traced.installed(left):
+        rc = main([command, "--config", str(conf), "--out",
+                   str(tmp_path / "out")])
+    assert rc == 0 and left == []
+    spans = traced.spans
+    (path,) = [i for i, span in enumerate(spans)
+               if span[0] == "solver.continue_path"]
+    correctors = [span[3] for span in spans
+                  if span[0] == "solver.newton_correct"]
+    assert correctors == [path] * 6 + [-1]
+    metrics = traced.metrics()
+    assert metrics["solver.continuation.steps_accepted"] == 5
+    assert metrics["solver.monitor.calls"] == monitored
