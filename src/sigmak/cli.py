@@ -54,9 +54,9 @@ from .solver import ContinuationTrace, continue_path, ladder_levels, refine
 # Unused here: bench/tracer.py wraps sigmak.cli.solve_caseC by name.
 from .solver import solve_caseC  # noqa: F401
 from .symfunc import (_commuting_product, full_contraction,
-                      newton_maclaurin_gap, pack, quotient_ratio_gap,
+                      newton_maclaurin_gap, outer_planes, quotient_ratio_gap,
                       sample_gamma, sigma_all_batch, sigma_and_dsigma_batch,
-                      sigma_matrix_planes, sym_dim)
+                      sigma_matrix_planes, sym_dim, sym_entries)
 
 _GAP_SLACK = 1e-10
 _REL_TOL = 1e-10
@@ -84,19 +84,34 @@ def _rel_err_record(name: str, count: int, max_rel) -> tuple:
                          "passed": ok}, f"suite.{name}"), ok
 
 
+def _conjugated_planes(raw: np.ndarray, lams: np.ndarray) -> tuple:
+    """(q, planes) for Gaussian draws raw (B, n, n) and spectra lams (B, n):
+    q[j], (n, B), is column j of each draw's orthonormal factor by classical
+    Gram-Schmidt applied twice (CGS2), and planes is the packed stack of
+    M = sum_j lams_j q_j q_j^T, one packed outer product a term."""
+    q = raw.transpose(2, 1, 0).copy()  # (column, component, sample)
+    for j, v in enumerate(q):
+        for _ in range(2):
+            coef = (q[:j] * v).sum(axis=1)
+            v -= (coef[:, None] * q[:j]).sum(axis=0)
+        v /= np.sqrt((v * v).sum(axis=0))
+    return q, sum(outer_planes(v) * lam for v, lam in zip(q, lams.T))
+
+
 def _suite_recurrence(cfg: RunConfig, rng: np.random.Generator) -> tuple:
-    """Trace recurrence on conjugated matrices against the eigenvalue route:
-    all spectra drawn first, then each block's conjugating matrices."""
+    """Trace recurrence on conjugated matrices M = Q diag(lam) Q^T against
+    the eigenvalue route: all spectra drawn first, then each block's
+    Gaussian draws, whose CGS2 factor is Q (_conjugated_planes). That is
+    LAPACK's Householder Q up to column signs, which M does not see, so M
+    is the QR construction's to roundoff, built straight into packed
+    planes."""
     n = cfg.n
     count = cfg.check_samples
     lams = rng.uniform(-3.0, 3.0, size=(count, n))
     max_rel = -np.inf
     for sl in sample_blocks(count):
         raw = rng.standard_normal(size=(sl.stop - sl.start, n, n))
-        q, _ = np.linalg.qr(raw)
-        mats = np.einsum("bij,bj,bkj->bik", q, lams[sl], q)
-        mats = 0.5 * (mats + np.swapaxes(mats, -1, -2))
-        planes = pack(np.moveaxis(mats, (-2, -1), (0, 1)))
+        planes = _conjugated_planes(raw, lams[sl])[1]
         via_traces = np.moveaxis(sigma_matrix_planes(planes, n), 0, -1)
         max_rel = np.maximum(max_rel, _rel_err(via_traces,
                                                sigma_all_batch(lams[sl], n)))
@@ -155,11 +170,12 @@ def _suite_euler_identity(cfg: RunConfig, rng: np.random.Generator) -> tuple:
     cannot be met by the recurrence's own sigma_k."""
     n, k = cfg.n, cfg.k
     count = cfg.check_samples
+    rows, cols = sym_entries(n)
     max_rel = -np.inf
     for sl in sample_blocks(count):
         raw = rng.standard_normal(size=(sl.stop - sl.start, n, n))
-        planes = pack(np.moveaxis(0.5 * (raw + np.swapaxes(raw, -1, -2)),
-                                  0, -1))
+        full = np.moveaxis(raw, 0, -1)
+        planes = 0.5 * (full[rows, cols] + full[cols, rows])
         dk = sigma_and_dsigma_batch(planes, k)[1]
         max_rel = np.maximum(max_rel, _rel_err(
             full_contraction(dk, planes), _k_sigma_by_power_sums(planes, k)))

@@ -311,16 +311,6 @@ def _check_t(t) -> None:
         raise DomainError(f"homotopy parameter t must lie in [0, 1], got {t}")
 
 
-def _outer_planes(grad: np.ndarray) -> np.ndarray:
-    """du x du as a new packed stack: each plane du_a du_b written straight
-    from the gradient planes."""
-    rows, cols = symfunc.sym_entries(grad.shape[0])
-    out = np.empty((rows.size,) + grad.shape[1:])
-    for p, (a, b) in enumerate(zip(rows, cols)):
-        np.multiply(grad[a], grad[b], out=out[p])
-    return out
-
-
 def build_u_tensor(hess: np.ndarray, grad: np.ndarray, t: float,
                    spec: ProblemSpec) -> np.ndarray:
     """The homotopy curvature tensor U(u, t) from the derivatives of u;
@@ -331,7 +321,7 @@ def build_u_tensor(hess: np.ndarray, grad: np.ndarray, t: float,
            + np.einsum("a...,a...->...", grad, grad) + (1.0 - t) / n)
     ric = t * spec.background / (n - 2)
     # hess + ((iso I - du x du) - ric), accumulated over -du x du
-    out = _outer_planes(grad)
+    out = symfunc.outer_planes(grad)
     np.negative(out, out=out)
     out[:n] += iso
     out -= ric
@@ -359,7 +349,7 @@ def build_w_tensor(hess: np.ndarray, grad: np.ndarray,
         raise DomainError(f"W is the case C tensor; spec case is {spec.case}")
     grad_sq = np.einsum("a...,a...->...", grad, grad)
     # (hess + (du x du + schouten0)) - (1/2)|grad u|^2 I, over du x du
-    out = _outer_planes(grad)
+    out = symfunc.outer_planes(grad)
     out += spec.background
     out += hess
     out[:spec.n] -= 0.5 * grad_sq

@@ -90,6 +90,7 @@ check's sigma_{k-1} alike.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import InitVar, dataclass, field, replace
 
@@ -663,15 +664,23 @@ def _line_nodes(degree: int) -> np.ndarray:
     return np.arange(degree + 1, dtype=float) - (degree // 2)
 
 
+@functools.lru_cache(maxsize=8)
+def _vander_inverse(degree: int) -> np.ndarray:
+    """The inverse of the increasing Vandermonde matrix of _line_nodes(degree),
+    mapping values at the nodes to polynomial coefficients; read-only."""
+    ainv = np.linalg.inv(np.vander(_line_nodes(degree), increasing=True))
+    ainv.setflags(write=False)
+    return ainv
+
+
 def _derivatives_at_zero(vals: np.ndarray) -> tuple:
     """(p(0), p'(0), p''(0)) of the polynomials p of degree m whose values at
     _line_nodes(m) lie on the last axis of vals (m + 1 entries): p(0) is the
     value at node 0, and p'(0) and p''(0) come from the coefficients the
-    inverse Vandermonde matrix of the nodes gives, exact to roundoff, with no
-    small-step cancellation."""
+    inverse Vandermonde matrix of the nodes gives (_vander_inverse), exact to
+    roundoff, with no small-step cancellation."""
     m = vals.shape[-1] - 1
-    ainv = np.linalg.inv(np.vander(_line_nodes(m), increasing=True))
-    coef = vals @ ainv.T
+    coef = vals @ _vander_inverse(m).T
     return vals[..., m // 2], coef[..., 1], 2.0 * coef[..., 2]
 
 

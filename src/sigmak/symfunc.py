@@ -30,15 +30,15 @@ array of shape (n(n+1)/2,) + batch, one contiguous plane per independent
 entry, the n diagonal entries (i, i) first, then the pairs i < j in
 np.triu_indices(n, 1) order (the order of grid._stencil_shifts' pair
 offsets and of LinearOperator's pair planes). sym_entries lists the entry
-of each plane, sym_index maps an entry (a, b) to its plane, and pack and
-unpack convert from and to the full stack (n, n) + batch, which exists
-only where LAPACK's eigvalsh needs it, at the single-matrix boundary of
-sigma_matrix and dsigma_matrix, and where `sigmak check` draws random
-matrices. Every step of the recurrence is a pass
-over whole planes; sigma_and_dsigma_batch and its sigma-only view
-sigma_matrix_planes take packed stacks and return sigma stacks as
-(k+1,) + batch. A single packed matrix, (n(n+1)/2,), is the stack with an
-empty batch.
+of each plane, sym_index maps an entry (a, b) to its plane, outer_planes
+writes v v^T of a stack of vectors, and pack and unpack convert from and
+to the full stack (n, n) + batch, which exists only where LAPACK's eigvalsh
+needs it, at the single-matrix boundary of sigma_matrix and dsigma_matrix,
+and where `sigmak check` draws random matrices. Every step of the
+recurrence is a pass over whole planes; sigma_and_dsigma_batch and its
+sigma-only view sigma_matrix_planes take packed stacks and return sigma
+stacks as (k+1,) + batch. A single packed matrix, (n(n+1)/2,), is the
+stack with an empty batch.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ __all__ = [
     "sym_dim",
     "pack",
     "unpack",
+    "outer_planes",
     "full_contraction",
 ]
 
@@ -283,6 +284,16 @@ def unpack(planes) -> np.ndarray:
     """The full stack (n, n) + batch of a packed stack, as a new array."""
     planes = np.asarray(planes)
     return planes[sym_index(sym_dim(planes.shape[0]))]
+
+
+def outer_planes(vecs: np.ndarray) -> np.ndarray:
+    """v v^T as a new packed stack, for the stack of vectors vecs, (n,) +
+    batch: each plane v_a v_b written straight from the component planes."""
+    rows, cols = sym_entries(vecs.shape[0])
+    out = np.empty((rows.size,) + vecs.shape[1:])
+    for p, (a, b) in enumerate(zip(rows, cols)):
+        np.multiply(vecs[a], vecs[b], out=out[p])
+    return out
 
 
 def full_contraction(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -18,11 +18,12 @@ import sigmak.cli
 import sigmak.operators
 import sigmak.solver
 from sigmak import Grid, RunConfig, load_field, parse_config_file, sample_text
-from sigmak.cli import main
+from sigmak.cli import _conjugated_planes, main
 from sigmak.operators import (_concavity_blocks, linearize,
                               manufactured_forcing, sample_blocks)
 from sigmak.report import run_checks
 from sigmak.solver import TRACE_HEADER, continue_path
+from sigmak.symfunc import pack, unpack
 
 
 def drive(tmp_path, cfg, command, tag="run"):
@@ -221,6 +222,39 @@ def test_euler_suite_catches_a_wrong_dsigma_k(tmp_path, monkeypatch):
         assert rc == 1
         assert "suite.euler_identity.passed: false" in text
         assert "summary.passed: false" in text
+
+
+def test_conjugated_planes_match_the_qr_construction():
+    """The recurrence suite's packed M = Q diag(lam) Q^T, with Q from CGS2,
+    against an oracle from np.linalg.qr and a dense einsum: the same M to
+    roundoff, the drawn spectrum as its eigenvalues and orthonormal Q, at
+    every n and for a block of one sample."""
+    for n in range(3, 7):
+        for count in (1, 64):
+            rng = np.random.default_rng(n)
+            raw = rng.standard_normal(size=(count, n, n))
+            lams = rng.uniform(-3.0, 3.0, size=(count, n))
+            q, planes = _conjugated_planes(raw, lams)
+            q_qr, _ = np.linalg.qr(raw)
+            dense = np.einsum("bij,bj,bkj->ikb", q_qr, lams, q_qr)
+            assert planes.shape == (n * (n + 1) // 2, count)
+            assert np.abs(planes - pack(dense)).max() <= 1e-13, (n, count)
+            eigs = np.linalg.eigvalsh(np.moveaxis(unpack(planes), -1, 0))
+            assert np.allclose(eigs, np.sort(lams, axis=-1),
+                               rtol=0.0, atol=1e-13), (n, count)
+            gram = np.einsum("jab,lab->bjl", q, q)
+            assert np.abs(gram - np.eye(n)).max() <= 1e-14, (n, count)
+
+
+def test_check_runs_without_a_qr_factorization(tmp_path, monkeypatch):
+    def no_qr(*args, **kwargs):
+        raise AssertionError("check called np.linalg.qr")
+
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    rc, out = drive(tmp_path, fast_check_config(), "check")
+    assert rc == 0
+    assert "suite.recurrence.passed: true" \
+        in (out / "certificates.txt").read_text()
 
 
 def test_solve_canonical_path_outputs(tmp_path):

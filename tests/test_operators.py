@@ -19,8 +19,9 @@ from sigmak.errors import (AdmissibilityError, DomainError, SigmaKError,
 from sigmak.grid import derivatives, random_smooth_field
 from sigmak.operators import (SIGMA_FLOOR, C0_SLACK_CONSTANT,
                               CONCAVITY_MARGIN, EllipticityReport,
-                              LinearOperator, _coefficients, _node_blocks,
-                              _tensor_blocks, _v_spectrum,
+                              LinearOperator, _coefficients,
+                              _derivatives_at_zero, _line_nodes, _node_blocks,
+                              _tensor_blocks, _v_spectrum, _vander_inverse,
                               line_second_derivative)
 from sigmak.solver import solve_linear
 from sigmak.symfunc import (pack, sample_gamma, sigma_all_batch,
@@ -848,6 +849,22 @@ def test_line_second_derivative_matches_the_radial_closed_form():
             skm1 = sigma_all_batch(_v_spectrum(etas, ts), k - 1)[:, k - 1]
             want = -hs * k * (k - 1) / (norms ** 2 * skm1)
             assert np.abs(got / want - 1.0).max() <= 1e-6, (n, k)
+
+
+def test_vander_inverse_is_computed_once_per_degree_and_read_only():
+    """Each degree's inverse Vandermonde matrix is one cached, read-only
+    array, and _derivatives_at_zero reads p(0), p'(0) and p''(0) of a known
+    polynomial off its values at the nodes."""
+    for m in range(2, 7):
+        ainv = _vander_inverse(m)
+        assert ainv is _vander_inverse(m) and not ainv.flags.writeable
+        with pytest.raises(ValueError):
+            ainv[0, 0] = 0.0
+        coef = np.arange(1.0, m + 2.0)
+        vals = np.polynomial.polynomial.polyval(_line_nodes(m), coef)
+        got = _derivatives_at_zero(vals)
+        assert np.allclose(got, (coef[0], coef[1], 2.0 * coef[2]),
+                           rtol=1e-12, atol=0.0), m
 
 
 @settings(max_examples=200, deadline=None)
