@@ -144,8 +144,10 @@ class RunConfig:
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         for attr, _ in BOUNDED_CHECKS.values():
-            if not getattr(self, f"ceiling_{attr}") > 0.0:
-                raise ConfigError(f"monitor.ceiling_{attr} must be positive")
+            ceiling = getattr(self, f"ceiling_{attr}")
+            if not 0.0 < ceiling < float("inf"):
+                raise ConfigError(f"monitor.ceiling_{attr} must be finite "
+                                  f"and positive, got {ceiling!r}")
         try:
             self.schedule()
         except SigmaKError as err:

@@ -76,10 +76,11 @@ the state does not depend on the block size.
 
 Like residual and linearize, both audits take the StateData the caller
 holds, for a path the one it ended on (solver.ContinuationTrace.final_state):
-ellipticity_certificate derives the state's tensor again, block by block
-through the same generator, and reduces its spectrum as the blocks come;
-c0_diagnostic reads the state's sigmas and weights at the extremal nodes of
-u.
+ellipticity_certificate derives the state's tensor again from u and t,
+block by block through the same generator, and reduces its spectrum as the
+blocks come; c0_diagnostic reads the state's sigmas and weights at the
+extremal nodes of u, and takes the comparison tensor's sigmas there by the
+same packed recurrence (symfunc.sigma_matrix_planes).
 
 The concavity certificate reads every derivative along a line exactly:
 each sigma it checks is a polynomial in the line parameter, so its
@@ -237,18 +238,18 @@ def _node_blocks(grid: Grid) -> list:
 
 
 def _tensor_blocks(u: ScalarField, t: float, spec: ProblemSpec,
-                   gv: np.ndarray, hess: np.ndarray | None = None,
-                   write_gradient: bool = False):
+                   gv: np.ndarray, hess: np.ndarray | None = None):
     """Yield (rows, tensor) for each node block of spec.grid (_node_blocks):
     rows the block's slice of the first grid axis, tensor the case tensor
     there (_case_tensor), packed, (n(n+1)/2,) + the block's shape.
 
     The gradient is read from gv[:, rows]. Given hess, the whole grid's
-    packed Hessian, each block reads its slice of it; otherwise the block's
-    Hessian is the stencil's, from one wrap-padded copy of u, each block
-    reading its slabs and their halo, and with write_gradient the block's
-    stencil gradient is first written into gv[:, rows]. The background is
-    read at the block's slabs where it varies along the first axis."""
+    packed Hessian, each block reads its slice of it, and gv holds the
+    gradient that came with it; otherwise the block's Hessian is the
+    stencil's, from one wrap-padded copy of u, each block reading its slabs
+    and their halo, and the block's stencil gradient is first written into
+    gv[:, rows]. The background is read at the block's slabs where it
+    varies along the first axis."""
     background = spec.background
     padded = _wrap_pad(u.values) if hess is None else None
     for rows in _node_blocks(spec.grid):
@@ -259,8 +260,7 @@ def _tensor_blocks(u: ScalarField, t: float, spec: ProblemSpec,
         # tensor's construction and this frame holds neither
         yield rows, _case_tensor(
             hess[:, rows] if padded is None else _stencil_derivatives(
-                padded[rows.start:rows.stop + 2], spec.grid.h,
-                grad if write_gradient else None),
+                padded[rows.start:rows.stop + 2], spec.grid.h, grad),
             grad, t, at_rows)
 
 
@@ -280,8 +280,7 @@ def _build_state(u: ScalarField, t: float, spec: ProblemSpec,
     else:
         gv, hess = route(u)
     sig = S = None
-    for rows, mats in _tensor_blocks(u, t, spec, gv, hess,
-                                     write_gradient=True):
+    for rows, mats in _tensor_blocks(u, t, spec, gv, hess):
         if S is None:
             # allocated once the first block's tensor is built, so a grid
             # of one block does not hold them beside that build's temporaries
@@ -588,16 +587,19 @@ def ellipticity_certificate(sd: StateData) -> EllipticityReport:
     cone (or under the denominator floor) are counted and fail the
     certificate.
 
-    The state's tensor is derived again, from sd.u's stencil Hessian and
-    sd's gradient, one node block at a time (_tensor_blocks), bitwise the
-    tensor the state was built from; each block's spectrum is reduced to
+    The state's tensor is derived again from sd.u and sd.t alone, by the
+    stencil, one node block at a time (_tensor_blocks), with the blocks'
+    gradient written into a buffer of the audit's own: for a state built
+    from stencil derivatives (prepare_state), bitwise the gradient and the
+    tensor the state was built from. Each block's spectrum is reduced to
     three planes as it comes: the smallest eigenvalue of each family at
     each node, and the quotient family's trace."""
     spec = sd.spec
     n, k = spec.n, spec.k
     valid = (sd.margins > 0.0) & (sd.sig[k - 1] >= SIGMA_FLOOR)
     newton_eigs, q_low, q_trace = (np.empty(spec.grid.shape) for _ in range(3))
-    for rows, mats in _tensor_blocks(sd.u, sd.t, spec, sd.gv):
+    for rows, mats in _tensor_blocks(sd.u, sd.t, spec,
+                                     np.empty_like(sd.gv)):
         lam = np.linalg.eigvalsh(np.moveaxis(unpack(mats), (0, 1), (-2, -1)))
         del mats
         # sigma_{k-2} and sigma_{k-1} of the deleted spectra (lambda|i), one
@@ -931,7 +933,8 @@ def c0_diagnostic(sd: StateData) -> C0Report:
     The state side is read off sd at the two extremal nodes of u: its
     sigmas and its weights. B is built at those two nodes only, from zero
     derivatives and the background read there, so a background stored
-    grid-sized adds no grid-sized temporary."""
+    grid-sized adds no grid-sized temporary, and its sigmas come from the
+    packed recurrence the state's came from."""
     spec, t, u = sd.spec, sd.t, sd.u
     n, k = spec.n, spec.k
     grid = spec.grid
@@ -947,8 +950,7 @@ def c0_diagnostic(sd: StateData) -> C0Report:
         spec.background, (planes,) + grid.shape)[(..., *at)])
     comparison = _case_tensor(np.zeros((planes, 2)), np.zeros((n, 2)), t,
                               ends)
-    sig_b_max, sig_b_min = sigma_all_batch(
-        np.linalg.eigvalsh(np.moveaxis(unpack(comparison), -1, 0)), k)
+    sig_b_max, sig_b_min = sigma_matrix_planes(comparison, k).T
 
     q_max = _cone_quotient(sig_max, k)
     q_min = _cone_quotient(sig_min, k)

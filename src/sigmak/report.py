@@ -28,14 +28,46 @@ BOUNDED_CHECKS = {
     "bounded_sup_hess_u": ("sup_hess_u", 100.0),
 }
 
-KNOWN_CHECKS = (
-    "bounded_sup_u",
-    "bounded_sup_grad_u_sq",
-    "bounded_sup_hess_u",
-    "cone_margin",
-    "ellipticity",
-    "c0_comparison",
-)
+
+def _bounded(attr: str):
+    def check(rows, limit):
+        value = max(getattr(row, attr) for row in rows)
+        return value <= limit, value, limit, ""
+    return check
+
+
+def _cone_margin(rows, limit):
+    value = min(row.cone_margin for row in rows)
+    return value > limit, value, limit, ""
+
+
+def _ellipticity(cert, limit):
+    return (cert.passed, cert.newton_min_eig, limit,
+            f"quotient_trace_min={cert.quotient_trace_min!r} "
+            f"trace_bound={cert.trace_bound!r}")
+
+
+def _c0_comparison(sd, limit):
+    rep = c0_diagnostic(sd)
+    return (rep.within_slack, min(rep.gap_at_max, rep.gap_at_min),
+            -rep.slack_delta,
+            f"gap_at_max={rep.gap_at_max!r} gap_at_min={rep.gap_at_min!r}")
+
+
+# name -> (what the check reads off a trace, its detail when a trace with
+# rows has nothing there, and the check: (what it read, the ceiling of a
+# bounded check or 0.0) -> (passed, value, tolerance, detail))
+_CHECKS = {
+    **{name: (lambda trace: trace.rows, "empty trace", _bounded(attr))
+       for name, (attr, _) in BOUNDED_CHECKS.items()},
+    "cone_margin": (lambda trace: trace.rows, "empty trace", _cone_margin),
+    "ellipticity": (lambda trace: trace.ellipticity, "no certificate",
+                    _ellipticity),
+    "c0_comparison": (lambda trace: trace.final_state, "no final state",
+                      _c0_comparison),
+}
+
+KNOWN_CHECKS = tuple(_CHECKS)
 
 
 @dataclass(frozen=True)
@@ -156,7 +188,9 @@ def _run_id(spec: ProblemSpec, trace: ContinuationTrace, items: tuple) -> str:
 def run_checks(trace: ContinuationTrace, spec: ProblemSpec, checks=None,
                validation: ValidationReport | None = None
                ) -> VerificationReport:
-    """Evaluate the configured checks against a trace.
+    """Evaluate the configured checks against a trace, each through its
+    entry of one table (_CHECKS), which reads the trace's ellipticity audit
+    at most once.
 
     checks may be None (all known checks at default ceilings), a sequence of
     names, or a mapping of names to ceiling overrides for the bounded-*
@@ -172,49 +206,17 @@ def run_checks(trace: ContinuationTrace, spec: ProblemSpec, checks=None,
     rows = trace.rows
     results = []
     for name, ceiling in items:
-        if name in BOUNDED_CHECKS:
-            attr, default_ceiling = BOUNDED_CHECKS[name]
-            limit = default_ceiling if ceiling is None else ceiling
-            if rows:
-                value = max(getattr(row, attr) for row in rows)
-                status = "pass" if value <= limit else "fail"
-                detail = ""
-            else:
-                value, status, detail = float("nan"), "fail", "empty trace"
-            results.append(CheckResult(name, status, value, limit, detail))
-        elif name == "cone_margin":
-            if rows:
-                value = min(row.cone_margin for row in rows)
-                status = "pass" if value > 0.0 else "fail"
-                detail = ""
-            else:
-                value, status, detail = float("nan"), "fail", "empty trace"
-            results.append(CheckResult(name, status, value, 0.0, detail))
-        elif name == "ellipticity":
-            if trace.ellipticity is not None:
-                cert = trace.ellipticity
-                status = "pass" if cert.passed else "fail"
-                detail = (f"quotient_trace_min={cert.quotient_trace_min!r} "
-                          f"trace_bound={cert.trace_bound!r}")
-                results.append(CheckResult(
-                    name, status, cert.newton_min_eig, 0.0, detail))
-            else:
-                results.append(CheckResult(
-                    name, "fail", float("nan"), 0.0,
-                    "no certificate" if rows else "empty trace"))
-        elif name == "c0_comparison":
-            if trace.final_state is not None:
-                rep = c0_diagnostic(trace.final_state)
-                gap = min(rep.gap_at_max, rep.gap_at_min)
-                status = "pass" if rep.within_slack else "fail"
-                detail = (f"gap_at_max={rep.gap_at_max!r} "
-                          f"gap_at_min={rep.gap_at_min!r}")
-                results.append(CheckResult(
-                    name, status, gap, -rep.slack_delta, detail))
-            else:
-                results.append(CheckResult(
-                    name, "fail", float("nan"), 0.0,
-                    "no final state" if rows else "empty trace"))
+        read, missing, check = _CHECKS[name]
+        limit = ceiling if ceiling is not None \
+            else BOUNDED_CHECKS.get(name, (None, 0.0))[1]
+        source = read(trace)
+        if source:
+            passed, value, tolerance, detail = check(source, limit)
+            results.append(CheckResult(name, "pass" if passed else "fail",
+                                       value, tolerance, detail))
+        else:
+            results.append(CheckResult(name, "fail", float("nan"), limit,
+                                       missing if rows else "empty trace"))
     final_t = trace.final_t
     return VerificationReport(
         run_id=_run_id(spec, trace, items),

@@ -134,20 +134,16 @@ class ContinuationTrace:
     fields: final_state, the StateData continue_path sets when the path
     ends (the t = 1 state, or on failure the last accepted state, built
     again once), which the final dump and both audits read. ellipticity is
-    its audit, computed when first read and kept until final_state changes,
-    so a caller that never reads it never pays for it; both are None for a
-    trace not ended."""
+    its audit, taken again on each read, so a caller that never reads it
+    never pays for it; both are None for a trace not ended."""
 
     rows: list = field(default_factory=list)
     final_state: StateData | None = None
-    _ellipticity: EllipticityReport | None = field(
-        default=None, repr=False, compare=False)
 
     @property
     def ellipticity(self) -> EllipticityReport | None:
-        if self._ellipticity is None and self.final_state is not None:
-            self._ellipticity = ellipticity_certificate(self.final_state)
-        return self._ellipticity
+        sd = self.final_state
+        return None if sd is None else ellipticity_certificate(sd)
 
     def append(self, sd: StateData, newton_iters: int,
                residual_norm: float) -> None:
@@ -164,7 +160,7 @@ class ContinuationTrace:
         last = self.rows[-1]
         self.rows[-1] = monitor(sd, last.step, last.newton_iters +
                                 newton_iters, residual_norm)
-        self.final_state, self._ellipticity = sd, None
+        self.final_state = sd
 
     @property
     def final_t(self) -> float:
@@ -423,7 +419,7 @@ def continue_path(spec: ProblemSpec,
     trace accumulated so far, whose last row holds the final accepted t.
 
     Every accepted state is monitored, but only the one the trace ends on
-    is kept (trace.final_state) and audited, once its audit is read: the
+    is kept (trace.final_state) and audited when its audit is read: the
     t = 1 state's is the corrector's own, and on failure the last accepted
     state's is built again, once, for the audits to share.
     """
@@ -496,7 +492,7 @@ def refine(trace: ContinuationTrace, spec_at, grids: list,
     newton_correct returned."""
     levels = [(trace.final_state.u,
                sum(row.newton_iters for row in trace.rows))]
-    trace.final_state = trace._ellipticity = last = None
+    trace.final_state = last = None
     for grid in grids:
         last = None   # this level's state goes before the next one's
         spec = spec_at(grid)

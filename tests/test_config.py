@@ -136,7 +136,10 @@ def test_validate_rejects_out_of_range_knobs():
         (dict(seed=-1), "seed"),
         (dict(check_samples=0), "check.samples"),
         (dict(ceiling_sup_u=0.0), "monitor.ceiling_sup_u"),
-        (dict(ceiling_sup_u=float("nan")), "monitor.ceiling_sup_u"),
+        (dict(ceiling_sup_u=float("nan")),
+         "monitor.ceiling_sup_u must be finite and positive"),
+        (dict(ceiling_sup_hess_u=float("inf")),
+         "monitor.ceiling_sup_hess_u must be finite and positive"),
         (dict(newton_tol=float("nan")), "newton_tol must be finite"),
         (dict(newton_tol=float("inf")), "newton_tol must be finite"),
         (dict(dt_init=0.5, dt_max=0.25), "solver schedule"),

@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and no private
-function of the package goes unreferenced.
+"""No module of the package imports a name it never uses, no private
+function of the package goes unreferenced, and no module writes another
+object's private attributes.
 
 No linter is a dependency of the project, so these rules are written on the
 standard library's ast. The unused-import rule is pyflakes F401: a name
@@ -9,7 +10,11 @@ __all__, or read in a string annotation. An import line marked
 package's re-exports. The dead-function rule asks that every module-level
 function whose name starts with one underscore (a dunder is not private) be
 named somewhere in the package's code other than its own definition: read
-as a name or an attribute, or imported; tests do not count.
+as a name or an attribute, or imported; tests do not count. The private
+write rule asks that every attribute assigned to (by =, an augmented
+assignment or an annotated one, inside a tuple target too) whose name
+starts with an underscore be one of self or cls: an object's private
+state is set by its own methods.
 """
 
 import ast
@@ -150,3 +155,68 @@ def test_the_rule_sees_a_dead_private_function(tmp_path):
         "first._attribute()\n", encoding="utf-8")
     assert dead_private_functions([first, second]) == [
         ("first.py", 1, "_dead")]
+
+
+def _attribute_targets(node: ast.AST) -> list:
+    """The attributes an assignment statement node writes, tuple and list
+    targets unpacked; [] for any other node."""
+    if isinstance(node, ast.Assign):
+        targets = list(node.targets)
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return []
+    found = []
+    while targets:
+        target = targets.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            targets.extend(target.elts)
+        elif isinstance(target, ast.Starred):
+            targets.append(target.value)
+        elif isinstance(target, ast.Attribute):
+            found.append(target)
+    return found
+
+
+def foreign_private_writes(path: Path) -> list:
+    """(line, target) of each assignment in the file at path to an
+    underscore attribute of an object other than self or cls."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(
+        (target.lineno, ast.unparse(target)) for node in ast.walk(tree)
+        for target in _attribute_targets(node)
+        if target.attr.startswith("_") and not (
+            isinstance(target.value, ast.Name)
+            and target.value.id in ("self", "cls")))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_writes_no_private_attribute_of_another_object(path):
+    assert foreign_private_writes(path) == []
+
+
+def test_the_rule_sees_a_foreign_private_write(tmp_path):
+    """The rule flags a write to another object's underscore attribute, by
+    plain, chained, tuple, augmented and annotated assignment, and through
+    an attribute chain; it keeps writes to self and cls, public writes, and
+    reads."""
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "class A:\n"
+        "    def __init__(self, other):\n"
+        "        self._x = other._x\n"
+        "        other._y = 1\n"
+        "        self.inner._z = 2\n"
+        "    @classmethod\n"
+        "    def make(cls):\n"
+        "        cls._count = 0\n"
+        "def f(a, b):\n"
+        "    a.public = b._hidden\n"
+        "    a.x, (b._p, a._q) = 1, (2, 3)\n"
+        "    a.y = b._r = 4\n"
+        "    a._s += 1\n"
+        "    a._t: int = 5\n", encoding="utf-8")
+    assert foreign_private_writes(module) == [
+        (4, "other._y"), (5, "self.inner._z"), (11, "a._q"), (11, "b._p"),
+        (12, "b._r"), (13, "a._s"), (14, "a._t")]

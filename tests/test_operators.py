@@ -415,7 +415,7 @@ def test_node_blocks_rebuild_the_whole_grid_tensor(case, monkeypatch):
         assert [r.start for r in rows] == starts
         assert [r.stop for r in rows] == starts[1:] + [8]
         gv = np.empty_like(want_grad)
-        got = list(_tensor_blocks(u, t, spec, gv, write_gradient=True))
+        got = list(_tensor_blocks(u, t, spec, gv))
         assert [r for r, _ in got] == rows
         assert np.array_equal(np.concatenate([m for _, m in got], axis=1),
                               want)
@@ -651,6 +651,20 @@ def test_ellipticity_report_equals_the_gathered_route(case, n, k):
                             amplitude=0.02, modes=n + 2)
     sd = prepare_state(u, 1.0 if case == "C" else 0.6, spec)
     assert ellipticity_certificate(sd).to_lines() == _gather_ellipticity(sd)
+
+
+@pytest.mark.parametrize("case", ["A", "B", "C"])
+def test_ellipticity_reads_its_tensor_from_u_and_t_alone(case):
+    """The certificate derives the state's gradient itself: overwriting
+    sd.gv first changes no field of it, and leaves sd.gv as written."""
+    spec = _varied_problem(case, 4)
+    u = random_smooth_field(spec.grid, np.random.default_rng(31),
+                            amplitude=0.02, modes=6)
+    sd = prepare_state(u, 1.0 if case == "C" else 0.6, spec)
+    want = ellipticity_certificate(sd)
+    sd.gv[...] = 1e3
+    assert ellipticity_certificate(sd) == want
+    assert (sd.gv == 1e3).all()
 
 
 def _close(got: float, want: float, rel: float = 1e-13) -> bool:
@@ -977,6 +991,30 @@ def test_c0_diagnostic_holds_along_a_solve():
     diag = c0_diagnostic(final)
     assert diag.within_slack, diag.to_lines()
     assert final.u.max_abs() <= diag.sup_estimate + spec.grid.h
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("case", ["A", "B", "C"])
+def test_c0_comparison_matches_the_eigenvalue_route(case, n):
+    """On a background with varying and off-diagonal components, the
+    comparison quotients, which come from the packed recurrence the state's
+    sigmas come from, match sigma_all_batch of the comparison matrix's
+    eigvalsh to 1e-13 relative; and at u = 0, where the state tensor is the
+    comparison tensor, both gaps are exactly zero."""
+    spec = _varied_problem(case, n)
+    t = 1.0 if case == "C" else 0.6
+    u = random_smooth_field(spec.grid, np.random.default_rng(40 + n),
+                            amplitude=0.02, modes=n + 2)
+    got = c0_diagnostic(prepare_state(u, t, spec))
+    for end in ("max", "min"):
+        node = getattr(got, f"{end}_node")
+        lam = np.linalg.eigvalsh(_tensor_at(np.zeros(n), np.zeros((n, n)), t,
+                                            spec, node))
+        sig = sigma_all_batch(lam, spec.k)
+        want = sig[spec.k] / sig[spec.k - 1]
+        assert _close(getattr(got, f"comparison_at_{end}"), want), end
+    rest = c0_diagnostic(prepare_state(ScalarField.zeros(spec.grid), t, spec))
+    assert rest.gap_at_max == 0.0 and rest.gap_at_min == 0.0
 
 
 @pytest.mark.parametrize("case", ["A", "B", "C"])

@@ -17,7 +17,7 @@ from sigmak import (
     run_checks,
 )
 from sigmak.operators import prepare_state
-from sigmak.report import KNOWN_CHECKS
+from sigmak.report import BOUNDED_CHECKS, KNOWN_CHECKS
 from sigmak.solver import Schedule
 
 from helpers import canonical_problem
@@ -92,14 +92,32 @@ def test_ceiling_override_can_fail_a_bounded_check():
     assert run_checks(trace, spec, ["bounded_sup_u"]).ok
 
 
+def _pin_missing(checks, details):
+    """Each of checks fails with value nan and the detail details gives its
+    name, in details' order."""
+    assert [c.name for c in checks] == list(details)
+    for check in checks:
+        assert check.status == "fail"
+        assert np.isnan(check.value)
+        assert check.detail == details[check.name]
+
+
 def test_empty_trace_fails_every_check():
+    """A check with nothing to read fails with value nan, and its tolerance
+    is its ceiling (the default or the one given) for a bounded check and
+    0.0 otherwise."""
     spec = canonical_problem("A", N=8)
     report = run_checks(ContinuationTrace(), spec)
     assert not report.reached_target
     assert np.isnan(report.final_t)
-    for check in report.checks:
-        assert check.status == "fail"
-        assert check.detail == "empty trace"
+    _pin_missing(report.checks, dict.fromkeys(KNOWN_CHECKS, "empty trace"))
+    assert [c.tolerance for c in report.checks] == [
+        BOUNDED_CHECKS[name][1] if name in BOUNDED_CHECKS else 0.0
+        for name in KNOWN_CHECKS]
+    ceilings = {"bounded_sup_grad_u_sq": 7.5, "cone_margin": None}
+    report = run_checks(ContinuationTrace(), spec, ceilings)
+    _pin_missing(report.checks, dict.fromkeys(ceilings, "empty trace"))
+    assert [c.tolerance for c in report.checks] == [7.5, 0.0]
 
 
 def test_text_report_shape():
@@ -155,10 +173,12 @@ def test_case_c_comparison_holds_at_schouten_rest():
     trace = ContinuationTrace()
     sd = prepare_state(ScalarField.zeros(spec.grid), 1.0, spec)
     trace.append(sd, 0, 0.0)
-    # both audits read the state the trace was ended on, and fail without
+    # both audits read the state the trace was ended on, and fail without:
+    # value nan, tolerance 0.0
     missing = run_checks(trace, spec, ["c0_comparison", "ellipticity"])
-    assert [(c.status, c.detail) for c in missing.checks] == [
-        ("fail", "no final state"), ("fail", "no certificate")]
+    _pin_missing(missing.checks, {"c0_comparison": "no final state",
+                                  "ellipticity": "no certificate"})
+    assert [c.tolerance for c in missing.checks] == [0.0, 0.0]
     trace.final_state = sd
     report = run_checks(trace, spec, ["c0_comparison"])
     (check,) = report.checks
@@ -202,9 +222,10 @@ def test_audits_share_the_final_state_data(monkeypatch):
         assert len(audited) == 2
         assert audited[0] is audited[1] is trace.final_state
         assert trace.final_state.t == t
-        # a second report reads the kept state and certificate
+        # a second report reads the kept state and audits it again
         run_checks(trace, spec)
-        assert len(built) == 0 and len(audited) == 3
+        assert len(built) == 0 and len(audited) == 4
+        assert audited[2] is audited[3] is trace.final_state
 
 
 def test_given_validation_is_echoed_instead_of_recomputed():

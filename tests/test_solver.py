@@ -415,11 +415,11 @@ def _counting_certificates(monkeypatch):
 
 def test_a_path_is_certified_once_at_its_final_state(monkeypatch):
     """continue_path audits ellipticity on demand: not at all until
-    trace.ellipticity is read, then once, at the state the trace ends on,
-    on the case A path, on the case C path (its anchor alone) and on a
-    failed path (its last accepted state, built again by one prepare_state
-    as the path fails, none on the read). Each certificate equals a fresh
-    audit of that state field for field."""
+    trace.ellipticity is read, then once per read (the audit is not kept),
+    at the state the trace ends on, on the case A path, on the case C path
+    (its anchor alone) and on a failed path (its last accepted state, built
+    again by one prepare_state as the path fails, none on the read). Each
+    certificate equals a fresh audit of that state field for field."""
     calls = _counting_certificates(monkeypatch)
     spec = canonical_problem("A")
     trace = continue_path(spec, Schedule())
@@ -427,8 +427,9 @@ def test_a_path_is_certified_once_at_its_final_state(monkeypatch):
     final = trace.final_state
     assert trace.ellipticity == ellipticity_certificate(
         prepare_state(final.u, 1.0, spec))
-    assert trace.ellipticity.passed
     assert calls == [1.0]
+    assert trace.ellipticity.passed
+    assert calls == [1.0, 1.0]
 
     calls.clear()
     spec = canonical_problem("C", alpha="-0.05", f="0.85")
@@ -449,7 +450,8 @@ def test_a_path_is_certified_once_at_its_final_state(monkeypatch):
     trace, built = exc.value.trace, len(states)
     assert states[-1][0] is trace.final_state.u and states[-1][1] == 0.0
     assert calls == []
-    assert trace.ellipticity.t == 0.0 and trace.ellipticity.passed
+    cert = trace.ellipticity
+    assert cert.t == 0.0 and cert.passed
     assert calls == [0.0] and len(states) == built
 
 
