@@ -587,13 +587,12 @@ def ellipticity_certificate(sd: StateData) -> EllipticityReport:
     cone (or under the denominator floor) are counted and fail the
     certificate.
 
-    The state's tensor is derived again from sd.u and sd.t alone, by the
-    stencil, one node block at a time (_tensor_blocks), with the blocks'
-    gradient written into a buffer of the audit's own: for a state built
-    from stencil derivatives (prepare_state), bitwise the gradient and the
-    tensor the state was built from. Each block's spectrum is reduced to
-    three planes as it comes: the smallest eigenvalue of each family at
-    each node, and the quotient family's trace."""
+    The state's tensor is derived again from sd.u and sd.t alone, one node
+    block at a time (_tensor_blocks), its stencil gradient written into a
+    buffer of the audit's own: bitwise the tensor a prepare_state state was
+    built from. Each block's spectrum is reduced to three planes as it
+    comes: the smallest eigenvalue of each family at each node, and the
+    quotient family's trace."""
     spec = sd.spec
     n, k = spec.n, spec.k
     valid = (sd.margins > 0.0) & (sd.sig[k - 1] >= SIGMA_FLOOR)

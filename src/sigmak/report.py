@@ -54,17 +54,15 @@ def _c0_comparison(sd, limit):
             f"gap_at_max={rep.gap_at_max!r} gap_at_min={rep.gap_at_min!r}")
 
 
-# name -> (what the check reads off a trace, its detail when a trace with
-# rows has nothing there, and the check: (what it read, the ceiling of a
-# bounded check or 0.0) -> (passed, value, tolerance, detail))
+# name -> (the trace attribute the check reads, its detail when a trace
+# with rows has nothing there, and the check: (what it read, the ceiling of
+# a bounded check or 0.0) -> (passed, value, tolerance, detail))
 _CHECKS = {
-    **{name: (lambda trace: trace.rows, "empty trace", _bounded(attr))
+    **{name: ("rows", "empty trace", _bounded(attr))
        for name, (attr, _) in BOUNDED_CHECKS.items()},
-    "cone_margin": (lambda trace: trace.rows, "empty trace", _cone_margin),
-    "ellipticity": (lambda trace: trace.ellipticity, "no certificate",
-                    _ellipticity),
-    "c0_comparison": (lambda trace: trace.final_state, "no final state",
-                      _c0_comparison),
+    "cone_margin": ("rows", "empty trace", _cone_margin),
+    "ellipticity": ("ellipticity", "no certificate", _ellipticity),
+    "c0_comparison": ("final_state", "no final state", _c0_comparison),
 }
 
 KNOWN_CHECKS = tuple(_CHECKS)
@@ -206,10 +204,10 @@ def run_checks(trace: ContinuationTrace, spec: ProblemSpec, checks=None,
     rows = trace.rows
     results = []
     for name, ceiling in items:
-        read, missing, check = _CHECKS[name]
+        attr, missing, check = _CHECKS[name]
         limit = ceiling if ceiling is not None \
             else BOUNDED_CHECKS.get(name, (None, 0.0))[1]
-        source = read(trace)
+        source = getattr(trace, attr)
         if source:
             passed, value, tolerance, detail = check(source, limit)
             results.append(CheckResult(name, "pass" if passed else "fail",
