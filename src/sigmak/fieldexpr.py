@@ -2,21 +2,30 @@
 
 Coefficient data (alpha, f, background tensor components, manufactured
 solutions) enters the library as strings like "0.1*sin(x1)*cos(x2)". The
-grammar has numbers, coordinate variables x1..xn, the unary functions
-sin, cos, exp, log, abs, sqrt, the binary operators + - * / ^, and
-parentheses. Precedence from tightest to loosest: ^, unary minus, * /,
-+ -; the four arithmetic operators associate left, ^ associates right.
+grammar is Python's expression grammar cut down to numbers, coordinate
+variables x1..xn, the unary functions sin, cos, exp, log, abs, sqrt, unary
+minus, the binary operators + - * / ^ (Python's ``**``, which is itself
+refused), and parentheses. Precedence from tightest to loosest: ^, unary
+minus, * /, + -; the four arithmetic operators associate left, ^ associates
+right. A number is digits with an optional point and exponent ("2", ".5",
+"1.e-2", "2.5E2") read as a double; leading zeros are decimal, so "007" is
+7. A tree more than MAX_DEPTH nodes deep (Python's own limit on nested
+parentheses) is a syntax error.
 
-parse produces an immutable AST; evaluate runs it at a point in IEEE
-doubles; eval_array runs it over numpy coordinate arrays with the same
-domain checks, which is how grids are sampled. to_string pretty-prints
-with minimal parentheses and is an exact inverse of parse on trees:
-parse(to_string(t)) == t.
+parse reads the text with the standard library's ast.parse, which neither
+compiles nor runs it, and converts the nodes of the grammar into an
+immutable tree; any other node is a syntax error at its offset. evaluate
+runs a tree at a point in IEEE doubles; eval_array runs it over numpy
+coordinate arrays with the same domain checks, which is how grids are
+sampled. to_string pretty-prints with minimal parentheses and is an exact
+inverse of parse on trees: parse(to_string(t)) == t.
 """
 
 from __future__ import annotations
 
+import ast
 import re
+import warnings
 from dataclasses import dataclass
 from typing import Union
 
@@ -27,10 +36,11 @@ from .errors import DomainError, ExprEvalError, ExprSyntaxError
 __all__ = [
     "Const", "Var", "Unary", "Binary", "ExprAst",
     "parse", "evaluate", "eval_array", "to_string", "free_var_max",
-    "FUNCTIONS",
+    "FUNCTIONS", "MAX_DEPTH",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "abs", "sqrt")
+MAX_DEPTH = 200
 
 
 @dataclass(frozen=True)
@@ -58,142 +68,78 @@ class Binary:
 
 ExprAst = Union[Const, Var, Unary, Binary]
 
+# A character outside the grammar, or Python's spelling of ^.
+_FOREIGN = re.compile(r"[^0-9A-Za-z_.+\-*/^()\s]|\*\*")
+# The zeros that lead a number, which Python refuses before an integer.
+_LEADING_ZEROS = re.compile(r"(?<![\w.])(?<![eE][+-])0+(?=\d)")
 _NUMBER = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _VAR = re.compile(r"x([1-9][0-9]*)\Z")
-
-
-class _Tokenizer:
-    def __init__(self, src: str):
-        self.src = src
-        self.pos = 0
-        self._skip_ws()
-
-    def _skip_ws(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        """(kind, text, offset) of the next token without consuming it."""
-        self._skip_ws()
-        if self.pos >= len(self.src):
-            return ("end", "", self.pos)
-        ch = self.src[self.pos]
-        if ch in "+-*/^()":
-            return ("op", ch, self.pos)
-        m = _NUMBER.match(self.src, self.pos)
-        if m:
-            return ("number", m.group(0), self.pos)
-        m = _IDENT.match(self.src, self.pos)
-        if m:
-            return ("ident", m.group(0), self.pos)
-        raise ExprSyntaxError(f"unexpected character {ch!r}", self.pos)
-
-    def next(self):
-        kind, text, offset = self.peek()
-        self.pos = offset + len(text)
-        return kind, text, offset
-
-
-class _Parser:
-    """Recursive descent for:
-
-        sum     := product (('+'|'-') product)*
-        product := unary (('*'|'/') unary)*
-        unary   := '-' unary | power
-        power   := atom ('^' unary)?
-        atom    := number | name '(' sum ')' | var | '(' sum ')'
-    """
-
-    def __init__(self, src: str, n: int):
-        self.toks = _Tokenizer(src)
-        self.n = n
-
-    def parse(self) -> ExprAst:
-        node = self.sum()
-        kind, text, offset = self.toks.peek()
-        if kind != "end":
-            raise ExprSyntaxError(f"unexpected {text!r}", offset)
-        return node
-
-    def sum(self) -> ExprAst:
-        node = self.product()
-        while True:
-            kind, text, _ = self.toks.peek()
-            if kind == "op" and text in "+-":
-                self.toks.next()
-                node = Binary(text, node, self.product())
-            else:
-                return node
-
-    def product(self) -> ExprAst:
-        node = self.unary()
-        while True:
-            kind, text, _ = self.toks.peek()
-            if kind == "op" and text in "*/":
-                self.toks.next()
-                node = Binary(text, node, self.unary())
-            else:
-                return node
-
-    def unary(self) -> ExprAst:
-        kind, text, _ = self.toks.peek()
-        if kind == "op" and text == "-":
-            self.toks.next()
-            return Unary("neg", self.unary())
-        return self.power()
-
-    def power(self) -> ExprAst:
-        node = self.atom()
-        kind, text, _ = self.toks.peek()
-        if kind == "op" and text == "^":
-            self.toks.next()
-            # right-associative; exponent may carry its own unary minus
-            return Binary("^", node, self.unary())
-        return node
-
-    def atom(self) -> ExprAst:
-        kind, text, offset = self.toks.next()
-        if kind == "number":
-            value = float(text)
-            if not np.isfinite(value):
-                raise ExprSyntaxError(f"constant {text!r} overflows", offset)
-            return Const(value)
-        if kind == "op" and text == "(":
-            node = self.sum()
-            self.expect(")")
-            return node
-        if kind == "ident":
-            if text in FUNCTIONS:
-                self.expect("(")
-                node = self.sum()
-                self.expect(")")
-                return Unary(text, node)
-            m = _VAR.match(text)
-            if m:
-                index = int(m.group(1))
-                if index > self.n:
-                    raise ExprSyntaxError(
-                        f"variable x{index} exceeds dimension n={self.n}", offset)
-                return Var(index)
-            raise ExprSyntaxError(f"unknown identifier {text!r}", offset)
-        where = "end of input" if kind == "end" else repr(text)
-        raise ExprSyntaxError(f"expected expression, found {where}", offset)
-
-    def expect(self, ch: str):
-        kind, text, offset = self.toks.peek()
-        if kind == "op" and text == ch:
-            self.toks.next()
-            return
-        found = "end of input" if kind == "end" else repr(text)
-        raise ExprSyntaxError(f"expected {ch!r}, found {found}", offset)
+_OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
+              ast.Pow: "^"}
 
 
 def parse(src: str, n: int) -> ExprAst:
     """Parse an expression over x1..xn. Syntax errors carry the byte offset."""
     if not 1 <= n:
         raise DomainError(f"dimension must be positive, got {n}")
-    return _Parser(src, n).parse()
+    foreign = _FOREIGN.search(src)
+    if foreign:
+        raise ExprSyntaxError(f"unexpected {foreign[0]!r}", foreign.start())
+    # Blanks and leading zeros become spaces in place; then the leading
+    # spaces, which Python reads as an indent, go and ^ becomes **. origin
+    # maps each offset in the text Python reads back into src.
+    text = _LEADING_ZEROS.sub(lambda m: " " * len(m[0]),
+                              re.sub(r"\s", " ", src))
+    lead = len(text) - len(text.lstrip(" "))
+    origin = [i for i in range(lead, len(src))
+              for _ in range(2 if src[i] == "^" else 1)] + [len(src)]
+    text = text[lead:].replace("^", "**")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            body = ast.parse(text, mode="eval").body
+    except SyntaxError as err:
+        at = min((err.offset or 1) - 1, len(text))
+        # (',' is foreign: no comma was forgotten)
+        message = err.msg.removesuffix(". Perhaps you forgot a comma?")
+        raise ExprSyntaxError(message, origin[at]) from None
+    except (MemoryError, RecursionError):
+        raise ExprSyntaxError("expression nested too deeply", 0) from None
+
+    def fail(message: str, node: ast.expr):
+        raise ExprSyntaxError(message, origin[node.col_offset])
+
+    def tree(node: ast.expr, depth: int) -> ExprAst:
+        if depth > MAX_DEPTH:
+            fail(f"expression nested deeper than {MAX_DEPTH} levels", node)
+        if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+            return Binary(_OPERATORS[type(node.op)],
+                          tree(node.left, depth + 1),
+                          tree(node.right, depth + 1))
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return Unary("neg", tree(node.operand, depth + 1))
+        # A function name, not parenthesized, applied to one argument ('='
+        # and ',' are foreign, so there is no keyword and no second one).
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in FUNCTIONS and len(node.args) == 1
+                and node.func.col_offset == node.col_offset):
+            return Unary(node.func.id, tree(node.args[0], depth + 1))
+        if isinstance(node, ast.Name):
+            var = _VAR.match(node.id)
+            if not var:
+                fail(f"unknown identifier {node.id!r}", node)
+            # (the length test spares int() a string too long to convert)
+            if len(var[1]) > 9 or int(var[1]) > n:
+                fail(f"variable x{var[1]} exceeds dimension n={n}", node)
+            return Var(int(var[1]))
+        segment = text[node.col_offset:node.end_col_offset]
+        if isinstance(node, ast.Constant) and _NUMBER.fullmatch(segment):
+            if not np.isfinite(float(segment)):
+                fail(f"constant {segment!r} overflows", node)
+            return Const(float(segment))
+        fail(f"unexpected {segment!r}", node)
+
+    return tree(body, 1)
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
@@ -247,13 +193,39 @@ def free_var_max(node: ExprAst) -> int:
     return max(free_var_max(node.left), free_var_max(node.right))
 
 
+# op -> (numpy ufunc, [(mask of bad arguments, message), ...]), one table
+# per arity with the message for a non-finite result.
+_UNARY = ({
+    "neg": (np.negative, []),
+    "sin": (np.sin, []),
+    "cos": (np.cos, []),
+    "exp": (np.exp, []),
+    "log": (np.log, [(lambda a: a <= 0.0, "log of a non-positive value")]),
+    "abs": (np.abs, []),
+    "sqrt": (np.sqrt,
+             [(lambda a: a < 0.0, "square root of a negative value")]),
+}, "function", "non-finite result")
+_BINARY = ({
+    "+": (np.add, []),
+    "-": (np.subtract, []),
+    "*": (np.multiply, []),
+    "/": (np.divide, [(lambda a, b: b == 0.0, "division by zero")]),
+    "^": (np.power, [(lambda a, b: (a < 0.0) & (b != np.floor(b)),
+                      "negative base under a fractional power"),
+                     (lambda a, b: (a == 0.0) & (b < 0.0),
+                      "zero base under a negative power")]),
+}, "operator", "non-finite result (overflow)")
+
+
 def eval_array(node: ExprAst, coords, shape=None) -> np.ndarray:
     """Evaluate over numpy coordinate arrays (broadcastable to `shape`).
 
     Domain violations (log of a nonpositive value, division by zero,
     negative base under a fractional power, overflow to non-finite) raise
     ExprEvalError naming the offending subexpression; when `shape` is given
-    the first failing grid index is included.
+    the first failing grid index is included. Every result but a
+    negation's must be finite (negation passes a non-finite coordinate
+    through).
     """
     coords = [np.asarray(c, dtype=float) for c in coords]
 
@@ -273,61 +245,21 @@ def eval_array(node: ExprAst, coords, shape=None) -> np.ndarray:
                     f"expression uses x{sub.index} but only {len(coords)} "
                     "coordinates were supplied")
             return coords[sub.index - 1]
-        if isinstance(sub, Unary):
-            a = walk(sub.arg)
-            if sub.op == "neg":
-                return -a
-            if sub.op == "log":
-                bad = a <= 0.0
-                if np.any(bad):
-                    fail("log of a non-positive value", sub, bad)
-                out = np.log(a)
-            elif sub.op == "sqrt":
-                bad = a < 0.0
-                if np.any(bad):
-                    fail("square root of a negative value", sub, bad)
-                out = np.sqrt(a)
-            elif sub.op == "sin":
-                out = np.sin(a)
-            elif sub.op == "cos":
-                out = np.cos(a)
-            elif sub.op == "exp":
-                out = np.exp(a)
-            elif sub.op == "abs":
-                out = np.abs(a)
-            else:
-                raise DomainError(f"unknown function {sub.op!r}")
+        args = ([walk(sub.arg)] if isinstance(sub, Unary)
+                else [walk(sub.left), walk(sub.right)])
+        table, kind, non_finite = _UNARY if len(args) == 1 else _BINARY
+        if sub.op not in table:
+            raise DomainError(f"unknown {kind} {sub.op!r}")
+        ufunc, checks = table[sub.op]
+        for bad_args, message in checks:
+            bad = bad_args(*args)
+            if np.any(bad):
+                fail(message, sub, bad)
+        out = ufunc(*args)
+        if sub.op != "neg":
             bad = ~np.isfinite(out)
             if np.any(bad):
-                fail("non-finite result", sub, bad)
-            return out
-        a = walk(sub.left)
-        b = walk(sub.right)
-        if sub.op == "+":
-            out = a + b
-        elif sub.op == "-":
-            out = a - b
-        elif sub.op == "*":
-            out = a * b
-        elif sub.op == "/":
-            bad = b == 0.0
-            if np.any(bad):
-                fail("division by zero", sub, bad)
-            out = a / b
-        elif sub.op == "^":
-            nonint = b != np.floor(b)
-            bad = (a < 0.0) & nonint
-            if np.any(bad):
-                fail("negative base under a fractional power", sub, bad)
-            bad = (a == 0.0) & (b < 0.0)
-            if np.any(bad):
-                fail("zero base under a negative power", sub, bad)
-            out = np.power(a, b)
-        else:
-            raise DomainError(f"unknown operator {sub.op!r}")
-        bad = ~np.isfinite(out)
-        if np.any(bad):
-            fail("non-finite result (overflow)", sub, bad)
+                fail(non_finite, sub, bad)
         return out
 
     return walk(node)

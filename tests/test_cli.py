@@ -627,6 +627,19 @@ def test_invalid_config_exits_two(tmp_path):
                  "--out", str(tmp_path / "out")]) == 2
 
 
+def test_too_deep_expressions_exit_two(tmp_path, capsys):
+    """A spec.f summing 990 terms and a spec.alpha in 300 parentheses are
+    nested deeper than an expression may be: `sigmak solve` exits 2 naming
+    the key instead of failing with a RecursionError."""
+    terms = "+".join(["x1"] * 990)
+    for key, cfg in (("spec.f", RunConfig(N=8, f=f"0.7+0*({terms})")),
+                     ("spec.alpha",
+                      RunConfig(N=8, alpha="(" * 300 + "-0.1" + ")" * 300))):
+        rc, out = drive(tmp_path, cfg, "solve", key)
+        assert rc == 2, key
+        assert f"invalid configuration: {key}:" in capsys.readouterr().err
+
+
 def test_bad_background_components_exit_two(tmp_path, capsys):
     """A malformed or out-of-range component key, a coordinate beyond n and
     an expression that fails on the grid: `sigmak solve` exits 2 for each,

@@ -1,6 +1,6 @@
 """No module of the package imports a name it never uses, no private
-function of the package goes unreferenced, and no module writes another
-object's private attributes.
+function of the package goes unreferenced, no module writes another
+object's private attributes, and none runs code from text.
 
 No linter is a dependency of the project, so these rules are written on the
 standard library's ast. The unused-import rule is pyflakes F401: a name
@@ -14,7 +14,10 @@ as a name or an attribute, or imported; tests do not count. The private
 write rule asks that every attribute assigned to (by =, an augmented
 assignment or an annotated one, inside a tuple target too) whose name
 starts with an underscore be one of self or cls: an object's private
-state is set by its own methods.
+state is set by its own methods. The code-from-text rule asks that no
+module read the builtins eval, exec or compile, by bare name (called or
+not) or through the builtins module: configuration text is parsed, never
+run.
 """
 
 import ast
@@ -220,3 +223,48 @@ def test_the_rule_sees_a_foreign_private_write(tmp_path):
     assert foreign_private_writes(module) == [
         (4, "other._y"), (5, "self.inner._z"), (11, "a._q"), (11, "b._p"),
         (12, "b._r"), (13, "a._s"), (14, "a._t")]
+
+
+_RUNNERS = ("eval", "exec", "compile")
+
+
+def code_runners(path: Path) -> list:
+    """(line, name) of each read in the file at path of the builtin eval,
+    exec or compile, by bare name or as an attribute of builtins or
+    __builtins__."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted(
+        (node.lineno, ast.unparse(node)) for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id in _RUNNERS
+        or isinstance(node, ast.Attribute) and node.attr in _RUNNERS
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("builtins", "__builtins__"))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_module_runs_no_code_from_text(path):
+    assert code_runners(path) == []
+
+
+def test_the_rule_sees_code_run_from_text(tmp_path):
+    """The rule flags calls of eval, exec and compile, one through the
+    builtins module and a bare name bound for a later call; it keeps
+    re.compile, ast.parse in eval mode, ast.literal_eval and a method
+    that happens to be called eval."""
+    module = tmp_path / "sample.py"
+    module.write_text(
+        "import ast, builtins, re\n"
+        "def f(text, model):\n"
+        "    eval(text)\n"
+        "    exec(text, {})\n"
+        "    code = compile(text, '<s>', 'eval')\n"
+        "    builtins.eval(code)\n"
+        "    run = exec\n"
+        "    re.compile(text)\n"
+        "    ast.parse(text, mode='eval')\n"
+        "    ast.literal_eval(text)\n"
+        "    return model.eval()\n", encoding="utf-8")
+    assert code_runners(module) == [
+        (3, "eval"), (4, "exec"), (5, "compile"), (6, "builtins.eval"),
+        (7, "exec")]
