@@ -46,6 +46,7 @@ from .curvature import ProblemSpec, record_lines
 from .errors import (AdmissibilityError, ConeExitError, ConfigError,
                      DomainError, ExprEvalError, ExprSyntaxError,
                      LinearSolveError, NonConvergenceError, PathFailureError)
+from .fieldexpr import keyed
 from .grid import Grid, ScalarField, dump_field, prolong, sample_text
 from .operators import (concavity_certificate, ellipticity_certificate,
                         manufactured_forcing, prepare_state, sample_blocks)
@@ -265,7 +266,7 @@ def _manufactured_spec(cfg: RunConfig, grid: Grid) -> ProblemSpec:
     manufacture (B) fails in manufactured_forcing."""
     base = cfg.problem(grid)
     base.validate_background()
-    star = sample_text(cfg.u_star, grid)
+    star = keyed("verify.u_star", sample_text, cfg.u_star, grid)
     return base.with_f_field(manufactured_forcing(star, 1.0, base))
 
 

@@ -26,8 +26,8 @@ import re
 from dataclasses import dataclass, field, fields
 
 from . import fieldexpr
-from .curvature import (CASES, ProblemSpec, _fmt, canonical_background,
-                        component_key)
+from .curvature import (CASES, ProblemSpec, _fmt, background_key,
+                        canonical_background, component_key)
 from .errors import ConfigError, DomainError, ExprSyntaxError, SigmaKError
 from .grid import Grid
 from .operators import CHECK_BLOCK
@@ -56,14 +56,14 @@ def peak_bytes(n: int, N: int) -> int:
     `sigmak solve` (N = 16 at n = 3, N = 8 above) and of `sigmak verify`
     (per node of its 2N grid) with at least 20% of headroom at n >= 4 and
     5% over the largest n = 3 peak, a case A solve on a background stored
-    grid-sized. A state holds its gradient, sigmas, Newton weight (which
-    linearize spends as its coefficient planes) and weights, and is built
-    in node blocks, so no grid-sized tensor, Hessian or recurrence plane
-    exists; the peaks are linearize's, beside a spent state, or the Krylov
-    solve's, whose full GMRES basis (51 grid vectors, 408 bytes a node) is
-    allocated at once beside the operator's 1 + 2n + n(n-1)/2 weight
-    planes, plus the background where it is grid-sized. The measured peaks
-    are recorded in the memory_model of BENCH_23.json."""
+    grid-sized. A state holds its gradient, sigmas, floored sigma_{k-1},
+    Newton weight S_Q (spent by linearize as its coefficient planes) and
+    weights, and is built in node blocks, so no grid-sized tensor, Hessian
+    or recurrence plane exists; the peaks are linearize's, beside a spent
+    state, or the Krylov solve's, whose full GMRES basis (51 grid vectors,
+    408 bytes a node) is allocated at once beside the operator's
+    1 + 2n + n(n-1)/2 weight planes, plus the background where it is
+    grid-sized. The measured peaks are in the memory_model of BENCH_23.json."""
     return N ** n * _PEAK_PER_NODE[n - 3]
 
 
@@ -120,7 +120,7 @@ class RunConfig:
     @property
     def background_key(self) -> str:
         """The key prefix of the background tensor this case reads."""
-        return "background." + ("schouten0" if self.case == "C" else "ric0")
+        return background_key(self.case)
 
     # -- validation ------------------------------------------------------
 

@@ -52,7 +52,7 @@ import numpy as np
 from . import fieldexpr
 from . import symfunc
 from .errors import DomainError, ValidationError
-from .grid import Grid, ScalarField, sample, sample_values
+from .grid import Grid, ScalarField, sample_text, sample_values
 
 __all__ = [
     "ProblemSpec", "ValidationReport", "canonical_background",
@@ -110,18 +110,25 @@ def canonical_background(case: str, n: int) -> dict:
     return {f"({i},{i})": value for i in range(1, n + 1)}
 
 
-def sample_tensor(grid: Grid, components: dict) -> np.ndarray:
+def background_key(case: str) -> str:
+    """The configuration key of the background tensor a case reads."""
+    return "background." + ("schouten0" if case == "C" else "ric0")
+
+
+def sample_tensor(grid: Grid, components: dict,
+                  key: str = "background") -> np.ndarray:
     """A symmetric tensor sampled from a map of component "(i,j)" (1-based)
-    to expression text, omitted components zero. Stored packed at the
-    broadcast shape of the component values: (n(n+1)/2,) + (1,) * n for a
-    constant tensor, N on exactly the grid axes some component varies on."""
+    to expression text, omitted components zero; an ExprEvalError names the
+    component as key.(i,j). Stored packed at the broadcast shape of the
+    component values: (n(n+1)/2,) + (1,) * n for a constant tensor, N on
+    exactly the grid axes some component varies on."""
     n = grid.n
     index = symfunc.sym_index(n)
     planes = {}
-    for key, src in components.items():
-        i, j = component_key(n, key)
-        planes[index[i - 1, j - 1]] = sample_values(
-            fieldexpr.parse(src, n), grid)
+    for comp, src in components.items():
+        i, j = component_key(n, comp)
+        planes[index[i - 1, j - 1]] = fieldexpr.keyed(
+            f"{key}.{comp}", sample_values, fieldexpr.parse(src, n), grid)
     shape = np.broadcast_shapes((1,) * n, *(np.shape(v)
                                             for v in planes.values()))
     tensor = np.zeros((n * (n + 1) // 2,) + shape)
@@ -199,14 +206,12 @@ class ProblemSpec:
             raise DomainError(f"need 3 <= k <= n={n}, got k={k}")
         if background is None:
             background = canonical_background(case, n)
-        alpha_ast = fieldexpr.parse(alpha, n)
-        f_ast = fieldexpr.parse(f, n)
         return cls(
             case=case, n=n, k=k, grid=grid,
             alpha_src=alpha, f_src=f,
-            alpha_field=sample(alpha_ast, grid),
-            f_field=sample(f_ast, grid),
-            background=sample_tensor(grid, background),
+            alpha_field=fieldexpr.keyed("spec.alpha", sample_text, alpha, grid),
+            f_field=fieldexpr.keyed("spec.f", sample_text, f, grid),
+            background=sample_tensor(grid, background, background_key(case)),
         )
 
     def with_f_field(self, f_field: ScalarField) -> "ProblemSpec":

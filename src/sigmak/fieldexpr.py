@@ -35,7 +35,7 @@ from .errors import DomainError, ExprEvalError, ExprSyntaxError
 
 __all__ = [
     "Const", "Var", "Unary", "Binary", "ExprAst",
-    "parse", "evaluate", "eval_array", "to_string", "free_var_max",
+    "parse", "evaluate", "eval_array", "to_string", "free_var_max", "keyed",
     "FUNCTIONS", "MAX_DEPTH",
 ]
 
@@ -255,7 +255,9 @@ def eval_array(node: ExprAst, coords, shape=None) -> np.ndarray:
             bad = bad_args(*args)
             if np.any(bad):
                 fail(message, sub, bad)
-        out = ufunc(*args)
+        # an overflow is caught as a non-finite result below, not warned of
+        with np.errstate(all="ignore"):
+            out = ufunc(*args)
         if sub.op != "neg":
             bad = ~np.isfinite(out)
             if np.any(bad):
@@ -263,6 +265,16 @@ def eval_array(node: ExprAst, coords, shape=None) -> np.ndarray:
         return out
 
     return walk(node)
+
+
+def keyed(key: str, evaluate, *args):
+    """evaluate(*args), with the message of an ExprEvalError it raises led
+    by key, the configuration key of the expression it evaluates."""
+    try:
+        return evaluate(*args)
+    except ExprEvalError as err:
+        err.args = (f"{key}: {err}",)
+        raise
 
 
 def evaluate(node: ExprAst, point) -> float:

@@ -1,8 +1,8 @@
 """Residuals, linearizations, and numerical certificates.
 
-The solver iterates on the multiplied form of the curvature equation,
+The curvature equation in its multiplied form is
 
-    sigma_k(T) + a e^{2su} sigma_{k-1}(T) - r e^{2ksu} = 0,
+    R = sigma_k(T) + a e^{2su} sigma_{k-1}(T) - r e^{2ksu} = 0,
 
 where T is the case's curvature tensor (V for cases A and B, W for case C),
 s is the conformal sign, and the weights (a, r), computed by case_weights,
@@ -12,24 +12,29 @@ collect the case data:
     case B:  a = -((1-t) C(n,k)/C(n,k-1) - t alpha),     r = 0
     case C:  a = alpha,                                  r = f.
 
-The multiplied form is polynomial in T and needs no cone membership to
-evaluate; residual returns it. The quotient form divides through by
-sigma_{k-1}(T); it is the concave one, so it drives the diagnostics
-(ellipticity trace bound, the C0 comparison), but it demands the cone and a
-denominator floor.
+The solver iterates on the quotient form, R divided through by
+sigma_{k-1}(T) (floored at SIGMA_FLOOR: the state's den),
 
-The linearization is assembled analytically. Writing S for the matrix
-weight d sigma_k(T) + a e^{2su} d sigma_{k-1}(T) and pushing it through the
-tensor construction gives, for cases A and B with P = t S + (1-t) tr(S) I,
+    Q = G + a e^{2su},   G = (sigma_k(T) - r e^{2ksu}) / sigma_{k-1}(T),
+
+which vanishes where R does inside the cone; residual returns Q. G's
+derivative is positive definite on the whole cone, so every Newton step
+inverts an elliptic operator; the solver's stop and decrease tests
+measure R = den Q.
+
+The linearization is assembled analytically. Writing S_Q for the matrix
+weight (d sigma_k(T) - G d sigma_{k-1}(T)) / sigma_{k-1}(T) and pushing it
+through the tensor construction gives, for cases A and B with
+P = t S_Q + (1-t) tr(S_Q) I,
 
     second order   P + (tr P / (n-2)) I
     first order    2 tr(P) grad u - 2 P grad u
-    zeroth order   2s (a e^{2su} sigma_{k-1}(T) - k r e^{2ksu}),
+    zeroth order   2s (a e^{2su} - k r e^{2ksu} / sigma_{k-1}(T)),
 
-and for case C simply S, 2 S grad u - tr(S) grad u, and the same zeroth
-pattern. For case A with alpha <= 0 (and case B with its positive quotient
-weight) the zeroth coefficient is strictly negative, which is what makes the
-linearized operator invertible on the periodic box.
+and for case C simply S_Q, 2 S_Q grad u - tr(S_Q) grad u, and the same
+zeroth pattern. For case A with alpha <= 0 (and case B with its positive
+quotient weight) the zeroth coefficient is strictly negative, which is what
+makes the linearized operator invertible on the periodic box.
 
 LinearOperator holds the linearization matrix-free: the weights of its
 periodic second-order stencil as component-major planes, written straight
@@ -42,37 +47,26 @@ assembled matrix (as_csr, which alone imports scipy, builds it on demand
 for tests and diagnostics). Its preconditioner is the frozen-coefficient
 FFT inverse.
 
-A caution recorded here because it is easy to trip over: the second-order
-coefficient family of the multiplied form is positive definite near solution
-states but not at arbitrary cone points (the identity
-
-    S = sigma_{k-1} F_quot + (residual'/sigma_{k-1}) d sigma_{k-1}
-
-ties its definiteness to the size of the residual). The quotient-form family
-is the one that is positive definite on the whole cone, and the ellipticity
-certificate therefore reports both.
-
-Both families are polynomials in T, so the certificate reads them off one
-eigvalsh of T (the eigenvalue form of Caffarelli, Nirenberg and Spruck).
-With lambda the eigenvalues of T and sigma_j(lambda|i) the sigma_j of lambda
-with lambda_i deleted, S has eigenvalues
-s_i = sigma_{k-1}(lambda|i) + a e^{2su} sigma_{k-2}(lambda|i); the second-order
-family has s_i (case C) or p_i + sum(p)/(n-2) with p_i = t s_i + (1-t) sum(s);
-and the quotient family has t q_i + (1-t) sum(q) (case C: q_i) with
-q_i = sigma_{k-1}(lambda|i)/sigma_{k-1} + (r e^{2ksu} - sigma_k)
-sigma_{k-2}(lambda|i)/sigma_{k-1}^2. No coefficient matrix is formed.
+S_Q shares T's eigenvectors, so the ellipticity certificate reads its
+family off one eigvalsh of T (the eigenvalue form of Caffarelli, Nirenberg
+and Spruck, Acta Math. 155, 1985). With lambda the eigenvalues of T and
+sigma_j(lambda|i) the sigma_j of lambda with lambda_i deleted, S_Q has
+eigenvalues q_i = sigma_{k-1}(lambda|i)/sigma_{k-1} + (r e^{2ksu} - sigma_k)
+sigma_{k-2}(lambda|i)/sigma_{k-1}^2, and the family the certificate rates
+is t q_i + (1-t) sum(q) (case C: q_i), P's spectrum. No coefficient matrix
+is formed.
 
 A state is built in node blocks: runs of whole slabs of the first grid
 axis, each contiguous within every plane, as many slabs as keep a block's
 packed tensor planes within STATE_BLOCK_BYTES (_node_blocks). A block takes
 its stencil derivatives from the one wrap-padded copy of u (its slabs and
 their halo), forms its curvature tensor from them and the background read
-there, and runs the sigma recurrence, writing its gradient, its sigmas and
-its Newton weight (with the case weights read there) straight into the
-state's planes (_tensor_blocks, _build_state). So the Hessian, the tensor
-and the recurrence's planes exist one block at a time, and the state keeps
-no tensor. Every operation is node-local and done in the same order, so
-the state does not depend on the block size.
+there, and runs the sigma recurrence, writing its gradient, its sigmas, its
+denominator and its Newton weight (with the case weights read there)
+straight into the state's planes (_tensor_blocks, _build_state). So the
+Hessian, the tensor and the recurrence's planes exist one block at a time,
+and the state keeps no tensor. Every operation is node-local and done in
+the same order, so the state does not depend on the block size.
 
 Like residual and linearize, both audits take the StateData the caller
 holds, for a path the one it ended on (solver.ContinuationTrace.final_state):
@@ -121,8 +115,8 @@ from .symfunc import (
     unpack,
 )
 
-# Floor under sigma_{k-1} for quotient-form evaluation: below it the state is
-# treated as a cone exit rather than divided through.
+# Floor under sigma_{k-1} where the quotient form divides by it (a state's
+# den); the audits treat a node below it as outside the cone.
 SIGMA_FLOOR = 1e-12
 
 # Gamma_{k-1} margin required of the concavity certificate's sampled base
@@ -159,10 +153,10 @@ class StateData:
     pass. Vector fields are component-major, one grid plane per component;
     the symmetric tensor field newton_weight is packed, one grid plane per
     independent entry (the layout of symfunc's module docstring).
-    newton_weight is S = d sigma_k + a e^{2su} d sigma_{k-1}, the matrix
-    weight of the linearization (see the module docstring). Linearizing the
-    state spends it: S becomes the coefficient planes and is set to None
-    (see _coefficients); the other fields stay valid.
+    newton_weight is S_Q = (d sigma_k - G d sigma_{k-1}) / den, the matrix
+    weight of the quotient form's linearization (see the module docstring).
+    Linearizing the state spends it: S_Q becomes the coefficient planes and
+    is set to None (see _coefficients); the other fields stay valid.
 
     The curvature tensor itself (V for cases A and B, W for case C) is not
     held: it exists one node block at a time while the state is built, and
@@ -175,7 +169,8 @@ class StateData:
     u: ScalarField
     gv: np.ndarray        # gradient of u, (n,) + grid.shape
     sig: np.ndarray       # sigma_0..sigma_k of the tensor, (k+1,) + grid.shape
-    newton_weight: np.ndarray | None   # S, packed
+    den: np.ndarray       # sigma_{k-1} floored at SIGMA_FLOOR
+    newton_weight: np.ndarray | None   # S_Q, packed
     margins: np.ndarray   # grid.shape, min of sigma_1..sigma_m (m = required cone)
     e2su: np.ndarray      # exp(2 s u)
     e2ksu: np.ndarray     # exp(2 k s u)
@@ -268,13 +263,14 @@ def _build_state(u: ScalarField, t: float, spec: ProblemSpec,
                  route=None) -> StateData:
     """The state of (u, t), built block by block (_tensor_blocks): from
     stencil derivatives, or from the whole-grid derivatives route returns
-    (grid.spectral_derivatives). Each block's sigmas and Newton weight are
-    written straight into the state's planes."""
+    (grid.spectral_derivatives). Each block's sigmas, denominator and
+    Newton weight are written straight into the state's planes."""
     n, k = spec.n, spec.k
     shape = spec.grid.shape
     s = spec.conformal_sign
     a_weight, r_weight = case_weights(spec, t)
     e2su = np.exp(2.0 * s * u.values)
+    e2ksu = np.exp(2.0 * k * s * u.values)
     if route is None:
         gv, hess = np.empty((n,) + shape), None
     else:
@@ -284,38 +280,39 @@ def _build_state(u: ScalarField, t: float, spec: ProblemSpec,
         if S is None:
             # allocated once the first block's tensor is built, so a grid
             # of one block does not hold them beside that build's temporaries
-            sig = np.empty((k + 1,) + shape)
+            sig, den = np.empty((k + 1,) + shape), np.empty(shape)
             S = np.empty((n * (n + 1) // 2,) + shape)
-        # S = d sigma_k + a e^{2su} d sigma_{k-1}, over d sigma_k written
+        # S_Q = (d sigma_k - G d sigma_{k-1}) / den, over d sigma_k written
         # into S; the block's planes go before the next block's are built
         lower = sigma_and_dsigma_batch(mats, k, (sig[:, rows], S[:, rows]))[2]
         del mats
-        lower *= a_weight[rows] * e2su[rows]
-        S[:, rows] += lower
+        np.maximum(sig[k - 1, rows], SIGMA_FLOOR, out=den[rows])
+        lower *= (sig[k, rows] - r_weight[rows] * e2ksu[rows]) / den[rows]
+        S[:, rows] -= lower
         del lower
+        S[:, rows] /= den[rows]
     del hess
     m = spec.required_cone
     margins = np.minimum.reduce(sig[1:m + 1])
-    return StateData(spec=spec, t=t, u=u, gv=gv, sig=sig,
+    return StateData(spec=spec, t=t, u=u, gv=gv, sig=sig, den=den,
                      newton_weight=S, margins=margins, e2su=e2su,
-                     e2ksu=np.exp(2.0 * k * s * u.values),
-                     a_weight=a_weight, r_weight=r_weight)
+                     e2ksu=e2ksu, a_weight=a_weight, r_weight=r_weight)
 
 
 def prepare_state(u: ScalarField, t: float, spec: ProblemSpec) -> StateData:
     """Build the cached state for (u, t) from stencil derivatives, one node
-    block at a time: gradient, sigmas, Newton weight, cone margins, and the
-    case weights."""
+    block at a time: gradient, sigmas, denominator, Newton weight, cone
+    margins, and the case weights."""
     _check_state_args(u, t, spec)
     return _build_state(u, t, spec)
 
 
 def residual(sd: StateData) -> ScalarField:
-    """Multiplied-form equation residual per node at the state sd; defined
-    inside the cone or not."""
+    """Quotient-form residual Q = (sigma_k - r e^{2ksu}) / den + a e^{2su}
+    per node at the state sd; den Q is the multiplied form's."""
     k = sd.spec.k
-    vals = sd.sig[k] + sd.a_weight * sd.e2su * sd.sig[k - 1] \
-        - sd.r_weight * sd.e2ksu
+    vals = (sd.sig[k] - sd.r_weight * sd.e2ksu) / sd.den \
+        + sd.a_weight * sd.e2su
     return ScalarField(sd.spec.grid, vals)
 
 
@@ -484,11 +481,11 @@ def _times_vector(mats: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 
 def _coefficients(sd: StateData):
-    """Analytic (second, first, zeroth) coefficient fields of the multiplied
+    """Analytic (second, first, zeroth) coefficient fields of the quotient
     form's Frechet derivative at the cached state.
 
     The state is spent by it: second is written over the state's Newton
-    weight S, and sd.newton_weight is set to None, so a second call, or a
+    weight S_Q, and sd.newton_weight is set to None, so a second call, or a
     linearize, on the same state raises DomainError. Every other field of
     sd stays as it was."""
     if sd.newton_weight is None:
@@ -521,24 +518,24 @@ def _coefficients(sd: StateData):
         P[:n] += trP / (n - 2.0)
         second = P
     s = spec.conformal_sign
-    zeroth = 2.0 * s * (sd.a_weight * sd.e2su * sd.sig[k - 1]
-                        - k * sd.r_weight * sd.e2ksu)
+    zeroth = 2.0 * s * (sd.a_weight * sd.e2su
+                        - k * sd.r_weight * sd.e2ksu / sd.den)
     return second, first, zeroth
 
 
 def linearize(sd: StateData,
               values: np.ndarray | None = None) -> LinearOperator:
-    """Frechet derivative of the multiplied-form residual with respect to u
-    at the state sd, which must lie inside the case's cone
+    """Frechet derivative of the quotient-form residual (residual) with
+    respect to u at the state sd, which must lie inside the case's cone
     (AdmissibilityError).
 
-    Assembled analytically: the state's Newton weight S (the d sigma terms
-    from the recurrence), composed with the dependence of the curvature
-    tensor on (hess u, grad u, u); zeroth-order terms from the explicit
-    exponentials. values is handed to LinearOperator, which writes the
-    weights into it. The coefficients are formed over S, so sd is spent
-    (see _coefficients): linearizing it again raises DomainError.
-    No matrix field beyond S is allocated.
+    Assembled analytically: the state's Newton weight S_Q (the d sigma
+    terms from the recurrence), composed with the dependence of the
+    curvature tensor on (hess u, grad u, u); zeroth-order terms from the
+    explicit exponentials. values is handed to LinearOperator, which writes
+    the weights into it. The coefficients are formed over S_Q, so sd is
+    spent (see _coefficients): linearizing it again raises DomainError.
+    No matrix field beyond S_Q is allocated.
     """
     if sd.cone_margin <= 0.0:
         node, report = sd.worst_node()
@@ -555,10 +552,10 @@ class EllipticityReport:
     """Pointwise ellipticity audit of one state, from the eigenvalues of the
     state tensor (see the module docstring): no coefficient matrix is formed.
 
-    newton_* rates the second-order coefficients the solver actually inverts
-    (multiplied form); quotient_* rates the concave quotient family, whose
-    smallest eigenvalue is positive on the whole cone and whose trace (the
-    sum of its eigenvalues) obeys the (n-k+1)/k lower bound.
+    quotient_* rates S_Q's family pushed through the tensor map (P, the
+    solver's second-order coefficients less their positive trace term): its
+    smallest eigenvalue is positive on the whole cone, and its trace obeys
+    the (n-k+1)/k lower bound.
     """
 
     case: str
@@ -570,8 +567,6 @@ class EllipticityReport:
     nodes_outside_cone: int
     worst_margin: float
     worst_margin_node: tuple
-    newton_min_eig: float
-    newton_min_eig_node: tuple
     quotient_min_eig: float
     quotient_trace_min: float
     trace_bound: float
@@ -590,13 +585,12 @@ def ellipticity_certificate(sd: StateData) -> EllipticityReport:
     The state's tensor is derived again from sd.u and sd.t alone, one node
     block at a time (_tensor_blocks), its stencil gradient written into a
     buffer of the audit's own: bitwise the tensor a prepare_state state was
-    built from. Each block's spectrum is reduced to three planes as it
-    comes: the smallest eigenvalue of each family at each node, and the
-    quotient family's trace."""
+    built from. Each block's spectrum is reduced to two planes as it comes:
+    the quotient family's smallest eigenvalue and its trace at each node."""
     spec = sd.spec
     n, k = spec.n, spec.k
     valid = (sd.margins > 0.0) & (sd.sig[k - 1] >= SIGMA_FLOOR)
-    newton_eigs, q_low, q_trace = (np.empty(spec.grid.shape) for _ in range(3))
+    q_low, q_trace = np.empty(spec.grid.shape), np.empty(spec.grid.shape)
     for rows, mats in _tensor_blocks(sd.u, sd.t, spec,
                                      np.empty_like(sd.gv)):
         lam = np.linalg.eigvalsh(np.moveaxis(unpack(mats), (0, 1), (-2, -1)))
@@ -608,16 +602,7 @@ def ellipticity_certificate(sd: StateData) -> EllipticityReport:
             deleted = sigma_all_batch(np.delete(lam, i, axis=-1), k - 1)
             ekm1[..., i], ek[..., i] = deleted[..., k - 2], deleted[..., k - 1]
         del lam, deleted
-        s_eigs = ek + (sd.a_weight[rows] * sd.e2su[rows])[..., None] * ekm1
-        if spec.case == "C":
-            newton_eigs[rows] = s_eigs.min(axis=-1)
-        else:
-            p_eigs = _v_spectrum(s_eigs, sd.t)
-            newton_eigs[rows] = (p_eigs + p_eigs.sum(axis=-1, keepdims=True)
-                                 / (n - 2.0)).min(axis=-1)
-            del p_eigs
-        del s_eigs
-        skm1 = np.where(valid[rows], sd.sig[k - 1, rows], 1.0)
+        skm1 = sd.den[rows]
         excess = (sd.r_weight[rows] * sd.e2ksu[rows] - sd.sig[k, rows]) \
             / skm1 ** 2
         q_eigs = ek / skm1[..., None]
@@ -637,16 +622,12 @@ def ellipticity_certificate(sd: StateData) -> EllipticityReport:
         q_trace_min = float("nan")
     bound = (n - k + 1.0) / k
     slack = q_trace_min - bound
-    newton_min = float(newton_eigs.min())
-    passed = bool(outside == 0 and newton_min > 0.0 and q_min > 0.0
-                  and slack >= -1e-10)
+    passed = bool(outside == 0 and q_min > 0.0 and slack >= -1e-10)
     return EllipticityReport(
         case=spec.case, n=n, k=k, N=spec.grid.N, t=float(sd.t),
         nodes=int(sd.margins.size), nodes_outside_cone=outside,
         worst_margin=sd.cone_margin,
         worst_margin_node=_argmin_node(sd.margins),
-        newton_min_eig=newton_min,
-        newton_min_eig_node=_argmin_node(newton_eigs),
         quotient_min_eig=q_min, quotient_trace_min=q_trace_min,
         trace_bound=bound, trace_slack=slack, passed=passed)
 

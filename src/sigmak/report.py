@@ -42,7 +42,7 @@ def _cone_margin(rows, limit):
 
 
 def _ellipticity(cert, limit):
-    return (cert.passed, cert.newton_min_eig, limit,
+    return (cert.passed, cert.quotient_min_eig, limit,
             f"quotient_trace_min={cert.quotient_trace_min!r} "
             f"trace_bound={cert.trace_bound!r}")
 

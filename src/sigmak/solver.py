@@ -317,27 +317,27 @@ def solve_linear(op: LinearOperator, rhs: np.ndarray,
 
 def newton_correct(u: ScalarField, t: float, spec: ProblemSpec,
                    schedule: Schedule) -> tuple[StateData, int, float]:
-    """Damped Newton on the multiplied residual at fixed t, from u.
+    """Damped Newton on the quotient-form residual Q at fixed t, from u.
 
-    Each step solves L[delta] = -residual and takes the largest step size
-    s in {1, 1/2, ..., 2^-10} whose candidate (a) keeps the cone margin at or
+    Each step solves L[delta] = -Q and takes the largest step size s in
+    {1, 1/2, ..., 2^-10} whose candidate (a) keeps the cone margin at or
     above schedule.cone_factor times the current margin at every node, and
-    (b) cuts the residual max-norm to at most (1 - s * schedule.armijo_factor)
-    of the current one. The tolerance schedule.newton_tol is checked before
-    the first iteration, so an already converged u returns unchanged with
-    newton_iters = 0; more than schedule.newton_max_iters iterations raise
-    NonConvergenceError.
+    (b) cuts the max-norm of the multiplied residual R = den Q to at most
+    (1 - s * schedule.armijo_factor) of the current one. The stop test
+    holds R to schedule.newton_tol, checked before the first iteration, so
+    an already converged u returns unchanged with newton_iters = 0; more
+    than schedule.newton_max_iters iterations raise NonConvergenceError.
 
     The step is an inexact Newton step (Eisenstat and Walker): the linear
     solve asks only for the relative tolerance max(LINEAR_RTOL,
-    min(FORCING_MAX, residual max-norm)), and for no more than an absolute
+    min(FORCING_MAX, max-norm of R)), and for no more than an absolute
     0.1 newton_tol on the 2-norm of its residual, below which the Newton
     test cannot see the linear error. Each linearize after the first
     refills the previous operator's weight planes in place, so one such
     buffer serves the whole call.
 
-    Returns (sd, newton_iters, residual max-norm): sd is the StateData of
-    the converged u, which monitor and the audits take.
+    Returns (sd, newton_iters, max-norm of R): sd is the StateData of the
+    converged u, which monitor and the audits take.
     """
     tol, max_iters = schedule.newton_tol, schedule.newton_max_iters
     sd = prepare_state(u, t, spec)
@@ -348,7 +348,7 @@ def newton_correct(u: ScalarField, t: float, spec: ProblemSpec,
             f"entry state outside Gamma_{spec.required_cone} at node {node} "
             f"(margin {rep.margin:.3e})")
     res = residual(sd).values
-    rnorm = float(np.abs(res).max())
+    rnorm = float(np.abs(sd.den * res).max())
     it = 0
     values = None
     while rnorm > tol:
@@ -379,7 +379,7 @@ def newton_correct(u: ScalarField, t: float, spec: ProblemSpec,
             if m_cand < schedule.cone_factor * margin:
                 continue
             r_cand = residual(sd_cand).values
-            rn_cand = float(np.abs(r_cand).max())
+            rn_cand = float(np.abs(sd_cand.den * r_cand).max())
             if rn_cand <= (1.0 - s * schedule.armijo_factor) * rnorm:
                 u, sd, margin = cand, sd_cand, m_cand
                 res, rnorm = r_cand, rn_cand

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from datetime import timedelta
 from pathlib import Path
 
@@ -69,6 +70,22 @@ def test_check_fails_when_a_certificate_fails(tmp_path):
     assert "ellipticity_t0.passed: true" in text
     assert "ellipticity_t1.passed: false" in text
     assert "summary.passed: false" in text
+
+
+def test_check_and_solve_agree_on_case_b_at_n5(tmp_path):
+    """Case B, n=5, k=4, alpha = -0.3, N=8: check audits the family of the
+    Newton weight solve inverts, so both exit 0, and at u = 0, t = 1 its
+    smallest eigenvalue is 0.1. The multiplied form's family, which Newton
+    inverted before, read -0.138 there, and check exited 1 where solve
+    passed."""
+    cfg = fast_check_config(case="B", n=5, k=4, alpha="-0.3", f="0")
+    rc_check, out = drive(tmp_path, cfg, "check", "check")
+    rc_solve, _ = drive(tmp_path, cfg, "solve", "solve")
+    assert (rc_check, rc_solve) == (0, 0)
+    lines = (out / "certificates.txt").read_text().splitlines()
+    (value,) = [line.split(": ")[1] for line in lines
+                if line.startswith("ellipticity_t1.quotient_min_eig:")]
+    assert abs(float(value) - 0.1) <= 1e-12
 
 
 def test_check_reruns_are_byte_identical(tmp_path):
@@ -417,15 +434,15 @@ def test_solve_fuzz_exits_with_a_documented_code(cfg):
 def test_failed_case_c_solve_writes_an_empty_trace_and_report(tmp_path,
                                                             capsys):
     """A real failure at the default schedule: the direct case C Newton
-    solve of this problem (n=3, k=3, N=8, alpha=-0.05,
-    f=1+0.5cos(x1+x2)) finds no admissible decreasing step at t = 1, in
-    well under a second. It has no accepted prefix, so the run writes a
+    solve of this problem (n=4, k=3, N=12, alpha=-0.05,
+    f=1+0.8 sin(x1) cos(x2)) finds no admissible decreasing step at t = 1,
+    in well under a second. It has no accepted prefix, so the run writes a
     header-only trace and a report whose checks fail on the empty trace,
     and a rerun writes the same bytes. Solving case C on a path from
     u = 0 (ROADMAP item 1) is to turn this failure into a pass, and this
     test's expectation with it."""
-    cfg = RunConfig(case="C", n=3, k=3, N=8, alpha="-0.05",
-                    f="1+0.5*cos(x1+x2)")
+    cfg = RunConfig(case="C", n=4, k=3, N=12, alpha="-0.05",
+                    f="1+0.8*sin(x1)*cos(x2)")
     start = time.perf_counter()
     rc, out = drive(tmp_path, cfg, "solve")
     assert time.perf_counter() - start < 1.0
@@ -503,17 +520,17 @@ def test_verify_solves_its_fine_grid_from_the_prolonged_coarse_solution(
     assert rc == 0
     ((n8, coarsest),) = paths
     assert n8 == 8
-    assert [iters for _, iters in coarsest] == [0, 4, 4, 4, 4, 5]
+    assert [iters for _, iters in coarsest] == [0, 4, 5, 4, 5, 5]
     assert len(corrections) == len(coarsest) + 2
     assert corrections[-2:] == [(16, 1.0, 3), (32, 1.0, 2)]
     monkeypatch.undo()
     doc = json.loads((out / "report.json").read_text())
-    assert (doc["newton_iters_coarse"], doc["newton_iters_fine"]) == (24, 2)
+    assert (doc["newton_iters_coarse"], doc["newton_iters_fine"]) == (26, 2)
     assert doc["grid_levels"] == [8, 16, 32]
-    assert doc["newton_iters_levels"] == [21, 3, 2]
+    assert doc["newton_iters_levels"] == [23, 3, 2]
     text = (out / "report.txt").read_text()
     assert "verify.grid_levels: (8, 16, 32)\n" in text
-    assert "verify.newton_iters_levels: (21, 3, 2)\n" in text
+    assert "verify.newton_iters_levels: (23, 3, 2)\n" in text
 
     for name, N in (("u_coarse", cfg.N), ("u_fine", 2 * cfg.N)):
         grid = Grid(cfg.n, N)
@@ -679,6 +696,29 @@ def test_unread_background_and_non_finite_numbers_exit_two(tmp_path,
         assert message in capsys.readouterr().err, text
 
 
+def test_expressions_failing_on_the_grid_exit_two_naming_their_key(
+        tmp_path, capsys):
+    """An expression that overflows on the grid, in each kind of key that
+    holds one: the command exits 2 with one line on stderr, which names the
+    key, and numpy warns of nothing (here a warning is an error)."""
+    bad = (("solve", "spec.f", '"0.7+exp(1000*x1)"'),
+           ("solve", "spec.alpha", '"-exp(1000*x2)"'),
+           ("verify", "verify.u_star", '"exp(1000*x1)"'),
+           ("solve", "background.ric0.(1,1)", '"-1-exp(1000*x3)"'))
+    for i, (command, key, value) in enumerate(bad):
+        conf = tmp_path / f"bad{i}.config"
+        conf.write_text(f"spec.N = 8\n{key} = {value}\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command, "--config", str(conf), "--out",
+                       str(tmp_path / f"out{i}")])
+        assert rc == 2, key
+        err = capsys.readouterr().err
+        assert err.startswith(f"sigmak {command}: invalid configuration: "
+                              f"{key}: non-finite result in "), err
+        assert err.count("\n") == 1, err
+
+
 def test_check_samples_over_the_memory_budget_exit_two_before_any_work(
         tmp_path, monkeypatch, capsys):
     def no_work(*args, **kwargs):
@@ -789,8 +829,7 @@ def test_record_layouts_are_pinned(tmp_path):
                        ("samples", "min_gap", "violations", "passed")))
     suites.append(("suite.euler_identity", ("samples", "max_rel_err", "passed")))
     ellipticity = ("case", "n", "k", "N", "t", "nodes", "nodes_outside_cone",
-                   "worst_margin", "worst_margin_node", "newton_min_eig",
-                   "newton_min_eig_node", "quotient_min_eig",
+                   "worst_margin", "worst_margin_node", "quotient_min_eig",
                    "quotient_trace_min", "trace_bound", "trace_slack",
                    "passed")
     suites += [("ellipticity_t0", ellipticity), ("ellipticity_t1", ellipticity)]

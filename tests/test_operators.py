@@ -39,14 +39,16 @@ def test_residual_zero_at_homotopy_start():
 
 
 def test_residual_zero_at_constant_solutions():
+    """The quotient form divides by sigma_{k-1}, so it vanishes to roundoff
+    where the multiplied form vanishes exactly."""
     # Case A canonical: sigma_3(I) + alpha sigma_2(I) = 1 - 0.3 = 0.7 = f.
     spec = canonical_problem("A")
     assert residual(prepare_state(ScalarField.zeros(spec.grid), 1.0,
-                                   spec)).max_abs() == 0.0
+                                   spec)).max_abs() <= 1e-15
     # Case B with alpha = -1/3: sigma_3(I) = (1/3) sigma_2(I).
     spec = canonical_problem("B")
     assert residual(prepare_state(ScalarField.zeros(spec.grid), 1.0,
-                                   spec)).max_abs() == 0.0
+                                   spec)).max_abs() <= 1e-15
     # Case B with alpha = -1/(3 e^2): constant solution u = 1.
     spec = canonical_problem("B", alpha=repr(-1.0 / (3.0 * math.e ** 2)))
     u1 = ScalarField(spec.grid, np.ones(spec.grid.shape))
@@ -54,7 +56,7 @@ def test_residual_zero_at_constant_solutions():
     # Case C with f = 1 + 3 alpha: W(0) = schouten0 = identity.
     spec = canonical_problem("C", alpha="-0.05", f="0.85")
     assert residual(prepare_state(ScalarField.zeros(spec.grid), 1.0,
-                                   spec)).max_abs() == 0.0
+                                   spec)).max_abs() <= 1e-15
 
 
 def test_linearize_rejects_states_outside_cone():
@@ -62,7 +64,7 @@ def test_linearize_rejects_states_outside_cone():
     u = sample_text("0.5*sin(x1)*cos(x2)", spec.grid)  # exits Gamma_2
     sd = prepare_state(u, 1.0, spec)
     assert sd.cone_margin <= 0.0
-    # The multiplied residual still evaluates.
+    # The residual still evaluates.
     assert np.all(np.isfinite(residual(sd).values))
     with pytest.raises(AdmissibilityError) as exc:
         linearize(sd)
@@ -91,11 +93,15 @@ def _directional_fd(u, t, spec, phi, eps=1e-6):
     return (rp - rm) / (2.0 * eps)
 
 
-@pytest.mark.parametrize("case,t", [("A", 0.0), ("A", 0.7), ("B", 0.4),
-                                    ("B", 1.0), ("C", 1.0)])
-def test_linearize_matches_central_differences(case, t):
-    spec = canonical_problem(case)
-    rng = np.random.default_rng(hash((case, t)) % 2 ** 31)
+@pytest.mark.parametrize("case,t,n,k,N", [
+    pytest.param(case, t, n, k, N,
+                 id=f"{case}-{t}" + ("" if n == 3 else f"-n{n}k{k}N{N}"))
+    for n, k, N in ((3, 3, 16), (4, 3, 8), (5, 4, 8))
+    for case, t in (("A", 0.0), ("A", 0.7), ("B", 0.4), ("B", 1.0),
+                    ("C", 1.0))])
+def test_linearize_matches_central_differences(case, t, n, k, N):
+    spec = canonical_problem(case, n=n, k=k, N=N)
+    rng = np.random.default_rng([ord(case), round(10 * t), n, k])
     u = random_smooth_field(spec.grid, rng, amplitude=0.02)
     phi = random_smooth_field(spec.grid, rng, amplitude=1.0)
     op = linearize(prepare_state(u, t, spec))
@@ -261,17 +267,30 @@ def _reference_derivatives(sd):
                  sigma_and_dsigma_batch(_state_tensor(sd), sd.spec.k)[1:])
 
 
+def _quotient_weight(sig, dk, dkm1, forcing):
+    """The plain expression of the Newton weight S_Q = (dk - G dkm1)/den
+    with G = (sigma_k - forcing)/den and den = max(sigma_{k-1},
+    SIGMA_FLOOR), from sigma_0..sigma_k on the first axis of sig, the
+    derivative matrices on the first two axes of dk and dkm1, and forcing
+    = r e^{2ksu}. Returns (S_Q, den)."""
+    k = sig.shape[0] - 1
+    den = np.maximum(sig[k - 1], SIGMA_FLOOR)
+    return (dk - ((sig[k] - forcing) / den) * dkm1) / den, den
+
+
 def _reference_weight(sd):
-    """The plain expression of the Newton weight S = dk + a e^{2su} dkm1."""
-    dk, dkm1 = _reference_derivatives(sd)
-    return dk + (sd.a_weight * sd.e2su) * dkm1
+    """S_Q (_quotient_weight) from the recurrence prepare_state runs, on
+    the whole grid at once."""
+    sig, dk, dkm1 = sigma_and_dsigma_batch(_state_tensor(sd), sd.spec.k)
+    return _quotient_weight(sig, unpack(dk), unpack(dkm1),
+                            sd.r_weight * sd.e2ksu)[0]
 
 
 def _reference_coefficients(sd):
     """The plain expressions of the second- and first-order coefficients:
-    S = dk + a e^{2su} dkm1, P = V(S, t), second = P + (tr P/(n-2)) I,
-    first = 2 tr(P) grad u - 2 P grad u (case C: S, 2 S grad u - tr(S)
-    grad u). Defined at every node, inside the cone or not."""
+    S_Q (_reference_weight), P = V(S_Q, t), second = P + (tr P/(n-2)) I,
+    first = 2 tr(P) grad u - 2 P grad u (case C: S_Q, 2 S_Q grad u -
+    tr(S_Q) grad u). Defined at every node, inside the cone or not."""
     n, t = sd.spec.n, sd.t
     eye = np.eye(n).reshape((n, n) + (1,) * n)
     S = _reference_weight(sd)
@@ -299,9 +318,9 @@ def _node_major(mats):
                                         ("A", 5, 4), ("C", 4, 3)])
 def test_linearization_coefficients_and_weights_are_bitwise(case, n, k):
     """The in-place coefficient fields and the blockwise value fill equal
-    the plain expressions S = dk + a e^{2su} dkm1, P = V(S, t),
-    second = P + (tr P/(n-2)) I (case C: S), first and zeroth as in the
-    module docstring, and the state's Newton weight equals S. Each
+    the plain expressions S_Q = (dk - G dkm1)/den, P = V(S_Q, t),
+    second = P + (tr P/(n-2)) I (case C: S_Q), first and zeroth as in the
+    module docstring, and the state's Newton weight equals S_Q. Each
     linearization spends its state, so the weights are built from the state
     prepared again."""
     spec = canonical_problem(case, n=n, k=k, N=8)
@@ -333,9 +352,11 @@ def _node_coefficients(sd, nodes, sig, dk, dkm1):
     def at(field):
         return field.reshape(field.shape[:field.ndim - n] + (-1,))[..., nodes]
 
-    weight = at(sd.a_weight * sd.e2su)
+    forcing = at(sd.r_weight * sd.e2ksu)
     gv = at(sd.gv).T
-    S = dk + weight[:, None, None] * dkm1
+    S, den = _quotient_weight(sig.T[..., None, None], dk, dkm1,
+                              forcing[:, None, None])
+    den = den[:, 0, 0]
     trS = np.trace(S, axis1=-2, axis2=-1)
     if spec.case == "C":
         second = S
@@ -346,8 +367,7 @@ def _node_coefficients(sd, nodes, sig, dk, dkm1):
         trP = (t + n * (1.0 - t)) * trS
         second = P + (trP / (n - 2.0))[:, None, None] * eye
         first = 2.0 * trP[:, None] * gv - 2.0 * np.einsum("rij,rj->ri", P, gv)
-    zeroth = 2.0 * s * (weight * sig[:, k - 1]
-                        - k * at(sd.r_weight * sd.e2ksu))
+    zeroth = 2.0 * s * (at(sd.a_weight * sd.e2su) - k * forcing / den)
     return second, first, zeroth
 
 
@@ -384,9 +404,10 @@ def test_state_and_operator_match_the_matmul_recurrence(case, n, k):
     close(sd.sig.reshape(k + 1, -1)[:, nodes].T, sig)
     close(np.moveaxis(got_dk.reshape(n, n, -1)[:, :, nodes], -1, 0), dk)
     close(np.moveaxis(got_dkm1.reshape(n, n, -1)[:, :, nodes], -1, 0), dkm1)
-    weight = (sd.a_weight * sd.e2su).ravel()[nodes]
+    forcing = (sd.r_weight * sd.e2ksu).ravel()[nodes]
     close(np.moveaxis(newton_weight.reshape(n, n, -1)[:, :, nodes], -1, 0),
-          dk + weight[:, None, None] * dkm1)
+          _quotient_weight(sig.T[..., None, None], dk, dkm1,
+                           forcing[:, None, None])[0])
     op = linearize(sd)
     close(op.weights.reshape(_planes(n), -1)[:, nodes].T, _weight_rows(
         spec.grid.h, *_node_coefficients(sd, nodes, sig, dk, dkm1)))
@@ -468,15 +489,12 @@ def test_ellipticity_certificate_closed_form_values():
     spec = canonical_problem("A")
     u0 = ScalarField.zeros(spec.grid)
     cert0 = ellipticity_certificate(prepare_state(u0, 0.0, spec))
-    # second = k C(n,k) (2n-2)/(n-2) I at the start: 3*1*4/1 = 12.
     assert cert0.passed
-    assert cert0.newton_min_eig == pytest.approx(12.0, rel=1e-12)
     assert cert0.quotient_min_eig == pytest.approx(1.0, rel=1e-12)
     assert cert0.quotient_trace_min == pytest.approx(3.0, rel=1e-12)
     assert cert0.trace_bound == pytest.approx(1.0 / 3.0, rel=1e-15)
     cert1 = ellipticity_certificate(prepare_state(u0, 1.0, spec))
     assert cert1.passed
-    assert cert1.newton_min_eig == pytest.approx(3.2, rel=1e-12)
     assert cert1.quotient_min_eig == pytest.approx(4.0 / 15.0, rel=1e-12)
     assert cert1.quotient_trace_min == pytest.approx(0.8, rel=1e-12)
 
@@ -488,21 +506,6 @@ def test_ellipticity_certificate_flags_cone_exit():
     assert not cert.passed
     assert cert.nodes_outside_cone > 0
     assert cert.worst_margin < 0.0
-
-
-def test_ellipticity_can_fail_inside_cone_for_multiplied_family():
-    """The multiplied-form second-order family is not unconditionally
-    positive on the cone; a state can sit inside Gamma_2 and still fail
-    the Newton-family eigenvalue check while the quotient family stays
-    elliptic. The certificate must report this honestly."""
-    spec = canonical_problem("A")
-    u = sample_text("0.5*sin(x1)", spec.grid)
-    cert = ellipticity_certificate(prepare_state(u, 1.0, spec))
-    assert cert.nodes_outside_cone == 0
-    assert cert.worst_margin > 0.0
-    assert not cert.passed
-    assert cert.newton_min_eig < 0.0
-    assert cert.quotient_min_eig > 0.0
 
 
 def test_ellipticity_trace_bound_all_cases():
@@ -571,12 +574,10 @@ def test_broadcast_background_is_exact(case, n):
 
 
 def _reference_ellipticity(sd) -> dict:
-    """The matrix route: eigvalsh of the assembled second-order family, and
-    of the quotient family dk/s_{k-1} - s_k/s_{k-1}^2 dkm1
-    + r e^{2ksu}/s_{k-1}^2 dkm1 pushed through V (cases A, B)."""
+    """The matrix route: eigvalsh of the quotient family dk/s_{k-1}
+    - s_k/s_{k-1}^2 dkm1 + r e^{2ksu}/s_{k-1}^2 dkm1 pushed through V
+    (cases A, B)."""
     spec, k = sd.spec, sd.spec.k
-    second, _ = _reference_coefficients(sd)
-    newton_eigs = np.linalg.eigvalsh(_node_major(second))[..., 0]
     valid = (sd.margins > 0.0) & (sd.sig[k - 1] >= SIGMA_FLOOR)
     skm1 = np.where(valid, sd.sig[k - 1], 1.0)
     sk = sd.sig[k]
@@ -589,10 +590,7 @@ def _reference_ellipticity(sd) -> dict:
     q_eigs = np.where(valid, np.linalg.eigvalsh(_node_major(gq))[..., 0],
                       np.inf)
     q_traces = np.where(valid, np.einsum("ii...->...", gq), np.inf)
-    node = np.unravel_index(int(np.argmin(newton_eigs)), newton_eigs.shape)
-    return {"newton_min_eig": float(newton_eigs.min()),
-            "newton_min_eig_node": tuple(int(i) for i in node),
-            "quotient_min_eig": float(q_eigs.min()),
+    return {"quotient_min_eig": float(q_eigs.min()),
             "quotient_trace_min": float(q_traces.min()),
             "nodes_outside_cone": int(valid.size - valid.sum())}
 
@@ -607,13 +605,6 @@ def _gather_ellipticity(sd) -> list:
     others = np.array([np.delete(np.arange(n), i) for i in range(n)])
     deleted = sigma_all_batch(lam[..., others], k - 1)
     dkm1, dk = deleted[..., k - 2], deleted[..., k - 1]
-    s_eigs = dk + (sd.a_weight * sd.e2su)[..., None] * dkm1
-    if spec.case == "C":
-        newton_eigs = s_eigs.min(axis=-1)
-    else:
-        p_eigs = _v_spectrum(s_eigs, sd.t)
-        newton_eigs = (p_eigs + p_eigs.sum(axis=-1, keepdims=True)
-                       / (n - 2.0)).min(axis=-1)
     valid = (sd.margins > 0.0) & (sd.sig[k - 1] >= SIGMA_FLOOR)
     skm1 = np.where(valid, sd.sig[k - 1], 1.0)
     excess = (sd.r_weight * sd.e2ksu - sd.sig[k]) / skm1 ** 2
@@ -622,21 +613,17 @@ def _gather_ellipticity(sd) -> list:
         q_eigs = _v_spectrum(q_eigs, sd.t)
     q_min = float(q_eigs.min(axis=-1)[valid].min())
     q_trace_min = float(q_eigs.sum(axis=-1)[valid].min())
-    node = np.unravel_index(int(np.argmin(newton_eigs)), newton_eigs.shape)
     worst = np.unravel_index(int(np.argmin(sd.margins)), sd.margins.shape)
     bound = (n - k + 1.0) / k
-    newton_min = float(newton_eigs.min())
     outside = int(valid.size - valid.sum())
     return EllipticityReport(
         case=spec.case, n=n, k=k, N=spec.grid.N, t=float(sd.t),
         nodes=int(valid.size), nodes_outside_cone=outside,
         worst_margin=float(sd.margins.min()),
         worst_margin_node=tuple(int(i) for i in worst),
-        newton_min_eig=newton_min,
-        newton_min_eig_node=tuple(int(i) for i in node),
         quotient_min_eig=q_min, quotient_trace_min=q_trace_min,
         trace_bound=bound, trace_slack=q_trace_min - bound,
-        passed=bool(outside == 0 and newton_min > 0.0 and q_min > 0.0
+        passed=bool(outside == 0 and q_min > 0.0
                     and q_trace_min - bound >= -1e-10)).to_lines()
 
 
@@ -748,7 +735,7 @@ def _reference_c0(u, t, spec, sd) -> dict:
 @pytest.mark.parametrize("case", ["A", "B", "C"])
 def test_audit_matches_matrix_routes(case, n):
     """The eigenvalue-form certificate against eigvalsh of the assembled
-    coefficient families, and the comparison read off the prepared state
+    quotient family, and the comparison read off the prepared state
     against its definition at the extremal nodes: on a random smooth state
     that leaves the cone at some nodes, and on the uniform state u = 0,
     whose nodes tie exactly along the axes the background does not depend
@@ -767,12 +754,9 @@ def test_audit_matches_matrix_routes(case, n):
         want = _reference_ellipticity(sd)
         assert (0 < got.nodes_outside_cone < got.nodes) == leaves_cone
         assert got.nodes_outside_cone == want["nodes_outside_cone"]
-        assert got.newton_min_eig_node == want["newton_min_eig_node"]
-        for name in ("newton_min_eig", "quotient_min_eig",
-                     "quotient_trace_min"):
+        for name in ("quotient_min_eig", "quotient_trace_min"):
             assert _close(getattr(got, name), want[name]), (name, got)
         assert got.passed == (got.nodes_outside_cone == 0
-                              and want["newton_min_eig"] > 0.0
                               and want["quotient_min_eig"] > 0.0
                               and got.trace_slack >= -1e-10)
 
@@ -1031,5 +1015,5 @@ def test_node_fields_at_a_uniform_state_are_the_first_node(case):
             c0 = c0_diagnostic(sd)
             first = (0,) * n
             assert sd.worst_node()[0] == first
-            assert (cert.worst_margin_node, cert.newton_min_eig_node,
-                    c0.max_node, c0.min_node) == (first,) * 4
+            assert (cert.worst_margin_node, c0.max_node,
+                    c0.min_node) == (first,) * 3

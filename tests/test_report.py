@@ -187,7 +187,7 @@ def test_case_c_comparison_holds_at_schouten_rest():
     assert report.ok
     (check,) = run_checks(trace, spec, ["ellipticity"]).checks
     assert check.status == "pass"
-    assert check.value == trace.ellipticity.newton_min_eig
+    assert check.value == trace.ellipticity.quotient_min_eig
 
 
 def test_audits_share_the_final_state_data(monkeypatch):

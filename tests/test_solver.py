@@ -330,7 +330,8 @@ def test_newton_correct_reports_iterations():
     assert iters >= 1
     assert rnorm <= 1e-10
     assert sd.t == 0.0
-    assert rnorm == residual(sd).max_abs()
+    # Newton steps on the quotient form Q and reports the multiplied R = den Q
+    assert rnorm == float(np.abs(sd.den * residual(sd).values).max())
 
 
 def test_newton_correct_refills_one_values_buffer(monkeypatch):
@@ -460,11 +461,12 @@ def test_canonical_case_a_newton_iterations_are_pinned(monkeypatch):
     (n=3, N=16; the README config's trace.csv) and of the same problem with
     the forcing manufactured from u* = 0.1 sin(x1) cos(x2) (the coarse solve
     of `sigmak verify`), and the matvecs each path takes. Changes to the
-    linear layer must keep the iterations. The inexact Newton steps keep
-    them and take 75 matvecs on the manufactured path, against 140 with
-    every system solved to LINEAR_RTOL; the canonical path lands on a
-    constant solution, where the preconditioner is exact and each of its
-    21 solves takes one matvec."""
+    linear layer must keep the iterations. The manufactured path takes 78
+    matvecs with inexact Newton steps on the quotient form (75 with the
+    multiplied form's steps it replaced, 140 with every system solved to
+    LINEAR_RTOL); the canonical path lands on a constant solution, where
+    the preconditioner is exact and each of its 21 solves takes one
+    matvec."""
     calls, matvec = [0], LinearOperator.matvec
 
     def counted(op, flat):
@@ -480,10 +482,10 @@ def test_canonical_case_a_newton_iterations_are_pinned(monkeypatch):
     star = sample_text("0.1*sin(x1)*cos(x2)", spec.grid)
     manufactured = spec.with_f_field(manufactured_forcing(star, 1.0, spec))
     trace = continue_path(manufactured, Schedule())
-    assert [row.newton_iters for row in trace.rows] == [0, 4, 4, 4, 4, 5]
-    assert calls[0] == 75
+    assert [row.newton_iters for row in trace.rows] == [0, 4, 5, 4, 5, 5]
+    assert calls[0] == 78
     assert [row.t for row in trace.rows] == [0.0, 0.1, 0.30000000000000004,
-                                             0.55, 0.8, 1.0]
+                                             0.5, 0.75, 1.0]
 
 
 @pytest.mark.parametrize("case, n, k, f, iters, ts", [
@@ -504,47 +506,41 @@ def test_newton_iterations_beyond_n3_are_pinned(case, n, k, f, iters, ts):
 
 
 def test_stagnating_gmres_fails_within_three_cycles(monkeypatch):
-    """The README-style solve at n=3, N=24 with alpha = -0.5 (1 + cos x1)
-    and f = 0.3 + 0.25 sin(x2) sin(x3): the first Newton system of the step
-    from t = 0.8 to t = 1 is not elliptic at some nodes. Solved by
+    """A system that is not elliptic on half the box, with second-order
+    coefficient cos(x1) I and zeroth -1 on Grid(3, 24): solved by
     solve_linear at its default tolerance, its restarted GMRES stagnates
-    (relative residual 1.6e-4, 4.7e-5, 2.4e-5 after the first three
-    cycles) and must fail within 3 cycles rather than run all of them. On
-    the path the inexact Newton step asks that system only for FORCING_MAX
-    relative, which GMRES reaches, so every system on the path converges;
-    the path keeps the t values of exact Newton steps, and its t = 0.8 row
-    takes 6 Newton iterations (5 with exact steps)."""
-    runs, ts, captured = [], [], []
-    gmres, linearize = sigmak.solver.gmres, sigmak.solver.linearize
+    and must fail within 3 cycles rather than run all of them.
+
+    Newton's own systems are elliptic wherever the state lies in the cone,
+    since it linearizes the quotient form. The README-style solve at n=3,
+    N=24 with alpha = -0.5 (1 + cos x1) and f = 0.3 + 0.25 sin(x2) sin(x3),
+    whose first system at t = 1 was not elliptic at some nodes under the
+    multiplied form's step and stagnated the same way, now solves every
+    system of its path within the first cycle's test."""
+    runs = []
+    gmres = sigmak.solver.gmres
 
     def recorded(*args):
         result = gmres(*args)
         runs.append(result[1])
         return result
 
-    def linearized(sd, values=None):
-        ts.append(sd.t)
-        return linearize(sd, values=values)
-
-    def solved(op, rhs, **tolerances):
-        if ts[-1] == 1.0 and not captured:
-            captured.append((op, rhs))
-        return solve_linear(op, rhs, **tolerances)
-
     monkeypatch.setattr(sigmak.solver, "gmres", recorded)
-    monkeypatch.setattr(sigmak.solver, "linearize", linearized)
-    monkeypatch.setattr(sigmak.solver, "solve_linear", solved)
     spec = canonical_problem("A", N=24, alpha="-0.5*(1+cos(x1))",
                              f="0.3+0.25*sin(x2)*sin(x3)")
     trace = continue_path(spec, Schedule())
     assert runs and all(info == 0 for info in runs)
     assert [row.t for row in trace.rows] == [0.0, 0.1, 0.30000000000000004,
-                                             0.55, 0.8, 0.925, 1.0]
-    assert [row.newton_iters for row in trace.rows] == [0, 4, 4, 4, 6, 4, 4]
+                                             0.5, 0.75, 1.0]
+    assert [row.newton_iters for row in trace.rows] == [0, 4, 5, 4, 4, 5]
 
-    # the first system at t = 1 comes from the accepted t = 0.8 state
-    assert ts.index(1.0) == sum(row.newton_iters for row in trace.rows[:5])
-    (op, rhs), = captured
+    grid = spec.grid
+    second = np.zeros((6,) + grid.shape)
+    second[:3] = sample_text("cos(x1)", grid).values
+    op = LinearOperator(grid=grid, second=second,
+                        first=np.zeros((3,) + grid.shape),
+                        zeroth=-np.ones(grid.shape))
+    rhs = sample_text("sin(x1)*cos(x2)+0.3*sin(x3)", grid).values
     runs.clear()
     with pytest.raises(LinearSolveError):
         solve_linear(op, rhs)
@@ -693,16 +689,31 @@ def test_case_c_path_is_its_anchor_alone():
 
 def test_case_c_path_propagates_its_anchors_errors():
     """The anchor's errors reach the caller as they are: a Newton solve
-    with no admissible decreasing step (the certify-C4 data at n=3). An
+    with no admissible decreasing step (n=4, N=12, f = 1 + 0.8 sin(x1)
+    cos(x2), whose quotient-form steps find none from u = 0). An
     inadmissible background Schouten tensor fails validation before it."""
     bad = ProblemSpec.build(
         "C", 3, 3, Grid(3, 8), alpha="-0.05", f="1",
         background={"(1,1)": "-1", "(2,2)": "-1", "(3,3)": "-1"})
     with pytest.raises(ValidationError, match="Gamma_2"):
         continue_path(bad, Schedule())
-    stuck = canonical_problem("C", N=8, f="1+0.5*cos(x1+x2)")
+    stuck = canonical_problem("C", n=4, N=12, f="1+0.8*sin(x1)*cos(x2)")
     with pytest.raises(ConeExitError, match="no admissible decreasing step"):
         continue_path(stuck, Schedule())
+
+
+def test_case_c_direct_solve_converges_on_the_certify_data_at_n3():
+    """The certify-C4 data at n=3, N=8 (f = 1 + 0.5 cos(x1+x2)), where the
+    multiplied form's steps found no admissible decreasing step: the
+    quotient form's direct solve converges from u = 0 in 7 iterations, to
+    a state with cone margin 1.709."""
+    trace = continue_path(canonical_problem("C", N=8, f="1+0.5*cos(x1+x2)"),
+                          Schedule())
+    row, = trace.rows
+    assert row.newton_iters == 7
+    assert row.residual_norm <= 1e-10
+    assert row.cone_margin == pytest.approx(1.709, abs=1e-3)
+    assert trace.ellipticity.passed
 
 
 def _ladder(cfg: RunConfig):
