@@ -6,10 +6,13 @@ The path starts at t = 0, where the equation collapses to
 
 with the closed-form unique solution u = 0, and walks t up to 1 with a
 zeroth-order predictor (reuse the previous u) and a damped Newton corrector.
-Every accepted state keeps the curvature tensor strictly inside the case's
-cone; the line search enforces that together with an Armijo-type residual
-decrease, so a path either reaches t = 1 admissibly or fails loudly with the
-partial trace attached.
+By default the first step tries t = 1 at once (dt_init = dt_max = 1): the
+corrector linearizes the concave quotient form, elliptic on the whole cone,
+so one solve from u = 0 reaches t = 1 wherever its contraction allows, and
+a failed step is halved. Every accepted state keeps the curvature tensor
+strictly inside the case's cone; the line search enforces that together
+with an Armijo-type residual decrease, so a path either reaches t = 1
+admissibly or fails loudly with the partial trace attached.
 
 Case C has no homotopy family: its W tensor and weights do not depend on t,
 so its path starts at t = 1 (ProblemSpec.start_t) with a direct damped
@@ -85,10 +88,15 @@ GMRES_MAX_RESTARTS = 20
 
 @dataclass(frozen=True)
 class Schedule:
-    """Continuation and corrector knobs, with the library defaults."""
+    """Continuation and corrector knobs, with the library defaults.
 
-    dt_init: float = 0.1
-    dt_max: float = 0.25
+    The first step is dt_init and no step exceeds dt_max; both default to
+    1, so a path tries t = 1 in one step and walks shorter steps only
+    after a failure. A schedule that caps dt_max below 1 must lower
+    dt_init with it (dt_min <= dt_init <= dt_max)."""
+
+    dt_init: float = 1.0
+    dt_max: float = 1.0
     dt_min: float = 1e-6
     newton_tol: float = 1e-10
     newton_max_iters: int = 30
@@ -413,10 +421,12 @@ def continue_path(spec: ProblemSpec,
     cases A and B, and at t = 1 for case C, whose path is that point alone.
     An error of the anchor propagates as it is.
 
-    Step control: a corrector success in at most 4 iterations doubles dt (up
-    to dt_max); a corrector failure halves dt and retries from the last
-    accepted state; dt below dt_min raises PathFailureError carrying the
-    trace accumulated so far, whose last row holds the final accepted t.
+    Step control: the first step is dt_init (by default 1, so t = 1 at
+    once, and a path that takes it has two rows, t = 0 and t = 1); a
+    corrector success in at most 4 iterations doubles dt (up to dt_max); a
+    corrector failure halves dt and retries from the last accepted state;
+    dt below dt_min raises PathFailureError carrying the trace accumulated
+    so far, whose last row holds the final accepted t.
 
     Every accepted state is monitored, but only the one the trace ends on
     is kept (trace.final_state) and audited when its audit is read: the

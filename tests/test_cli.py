@@ -490,10 +490,13 @@ def test_verify_manufactured_convergence_case_c(tmp_path):
 
 def test_verify_solves_its_fine_grid_from_the_prolonged_coarse_solution(
         tmp_path, monkeypatch):
-    """`sigmak verify` on the README config (N = 16) solves on the grid
-    ladder 8, 16, 32 and walks the path on N = 8 only, its one
-    continue_path call. N = 16 is one correction at t = 1, three Newton
-    iterations from the N = 8 solution's trigonometric interpolant;
+    """`sigmak verify` on the default config (the README problem, N = 16,
+    under the default schedule) solves on the grid ladder 8, 16, 32 and
+    walks the path on N = 8 only, its one continue_path call, which takes
+    t = 1 in one step of five Newton iterations (23 over five steps under
+    the old defaults, dt_init = 0.1 and dt_max = 0.25). N = 16 is one
+    correction at t = 1, three Newton iterations from the N = 8 solution's
+    trigonometric interpolant;
     2N = 32 is one correction of two iterations from the extrapolated
     start P u_16 + (P u_16 - P u_8) / 4. Both land on the solutions the
     full paths from u = 0 reach on their grids. The report records the
@@ -520,17 +523,17 @@ def test_verify_solves_its_fine_grid_from_the_prolonged_coarse_solution(
     assert rc == 0
     ((n8, coarsest),) = paths
     assert n8 == 8
-    assert [iters for _, iters in coarsest] == [0, 4, 5, 4, 5, 5]
+    assert coarsest == [(0.0, 0), (1.0, 5)]
     assert len(corrections) == len(coarsest) + 2
     assert corrections[-2:] == [(16, 1.0, 3), (32, 1.0, 2)]
     monkeypatch.undo()
     doc = json.loads((out / "report.json").read_text())
-    assert (doc["newton_iters_coarse"], doc["newton_iters_fine"]) == (26, 2)
+    assert (doc["newton_iters_coarse"], doc["newton_iters_fine"]) == (8, 2)
     assert doc["grid_levels"] == [8, 16, 32]
-    assert doc["newton_iters_levels"] == [23, 3, 2]
+    assert doc["newton_iters_levels"] == [5, 3, 2]
     text = (out / "report.txt").read_text()
     assert "verify.grid_levels: (8, 16, 32)\n" in text
-    assert "verify.newton_iters_levels: (23, 3, 2)\n" in text
+    assert "verify.newton_iters_levels: (5, 3, 2)\n" in text
 
     for name, N in (("u_coarse", cfg.N), ("u_fine", 2 * cfg.N)):
         grid = Grid(cfg.n, N)
@@ -538,7 +541,7 @@ def test_verify_solves_its_fine_grid_from_the_prolonged_coarse_solution(
         star = sample_text(cfg.u_star, grid)
         spec = base.with_f_field(manufactured_forcing(star, 1.0, base))
         path = continue_path(spec, cfg.schedule())
-        assert len(path.rows) == 6
+        assert len(path.rows) == 2
         _, u = load_field(out / f"{name}.field")
         assert np.abs(u.values - path.final_state.u.values).max() <= 1e-12
 
@@ -694,6 +697,25 @@ def test_unread_background_and_non_finite_numbers_exit_two(tmp_path,
         assert main(["solve", "--config", str(conf), "--out",
                      str(tmp_path / f"out{i}")]) == 2, text
         assert message in capsys.readouterr().err, text
+
+
+def test_a_cap_below_the_default_first_step_exits_two(tmp_path, capsys):
+    """The default schedule's first step is dt_init = 1, so a config that
+    sets only solver.dt_max below 1 breaks dt_min <= dt_init <= dt_max:
+    every command exits 2 naming the schedule, with nothing written. The
+    rule is not clamped; lowering solver.dt_init with the cap is valid."""
+    for command in ("check", "solve", "verify"):
+        conf = tmp_path / f"{command}.config"
+        conf.write_text("spec.N = 8\nsolver.dt_max = 0.25\n",
+                        encoding="utf-8")
+        out = tmp_path / command
+        assert main([command, "--config", str(conf), "--out",
+                     str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"sigmak {command}: invalid configuration: solver schedule: "
+            "need 0 < dt_min <= dt_init <= dt_max <= 1\n")
+        assert not out.exists()
+    RunConfig(dt_init=0.1, dt_max=0.25).validate()
 
 
 def test_expressions_failing_on_the_grid_exit_two_naming_their_key(

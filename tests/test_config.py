@@ -143,6 +143,7 @@ def test_validate_rejects_out_of_range_knobs():
         (dict(newton_tol=float("nan")), "newton_tol must be finite"),
         (dict(newton_tol=float("inf")), "newton_tol must be finite"),
         (dict(dt_init=0.5, dt_max=0.25), "solver schedule"),
+        (dict(dt_max=0.25), "solver schedule"),
         (dict(alpha="sin(x1"), "spec.alpha"),
         (dict(f="x9"), "spec.f"),
         (dict(u_star="1 +"), "verify.u_star"),

@@ -457,16 +457,21 @@ def test_a_path_is_certified_once_at_its_final_state(monkeypatch):
 
 
 def test_canonical_case_a_newton_iterations_are_pinned(monkeypatch):
-    """Per-step Newton iteration counts of the canonical case A solve
-    (n=3, N=16; the README config's trace.csv) and of the same problem with
-    the forcing manufactured from u* = 0.1 sin(x1) cos(x2) (the coarse solve
-    of `sigmak verify`), and the matvecs each path takes. Changes to the
-    linear layer must keep the iterations. The manufactured path takes 78
-    matvecs with inexact Newton steps on the quotient form (75 with the
-    multiplied form's steps it replaced, 140 with every system solved to
-    LINEAR_RTOL); the canonical path lands on a constant solution, where
-    the preconditioner is exact and each of its 21 solves takes one
-    matvec."""
+    """Per-step Newton iteration counts and t values of the canonical case
+    A solve (n=3, N=16) and of the same problem with the forcing
+    manufactured from u* = 0.1 sin(x1) cos(x2) (the coarse solve of
+    `sigmak verify`), and the matvecs each path takes, under two schedules.
+    Changes to the linear layer must keep them.
+
+    The README config sets solver.dt_init = 0.1 under the default cap
+    dt_max = 1, so its trace.csv still walks t from 0.1. The canonical
+    path stays on constant solutions, where the preconditioner is exact
+    and each solve takes one matvec; its t = 0.3 state already solves
+    t = 0.7 to newton_tol, so that step takes no iteration, and it returns
+    to u = 0 at t = 1. The default schedule takes t = 1 in one step: u = 0
+    already solves the canonical problem there, and the manufactured one
+    takes 5 iterations and 19 matvecs, against 22 and 76 on the README's
+    walk."""
     calls, matvec = [0], LinearOperator.matvec
 
     def counted(op, flat):
@@ -475,30 +480,34 @@ def test_canonical_case_a_newton_iterations_are_pinned(monkeypatch):
 
     monkeypatch.setattr(LinearOperator, "matvec", counted)
     spec = canonical_problem("A")
-    trace = continue_path(spec, Schedule())
-    assert [row.newton_iters for row in trace.rows] == [0, 4, 4, 4, 4, 5]
-    assert calls[0] == 21
-    calls[0] = 0
     star = sample_text("0.1*sin(x1)*cos(x2)", spec.grid)
     manufactured = spec.with_f_field(manufactured_forcing(star, 1.0, spec))
-    trace = continue_path(manufactured, Schedule())
-    assert [row.newton_iters for row in trace.rows] == [0, 4, 5, 4, 5, 5]
-    assert calls[0] == 78
-    assert [row.t for row in trace.rows] == [0.0, 0.1, 0.30000000000000004,
-                                             0.5, 0.75, 1.0]
+    readme = Schedule(dt_init=0.1)
+    for problem, schedule, iters, ts, matvecs in (
+            (spec, readme, [0, 4, 4, 0, 5],
+             [0.0, 0.1, 0.30000000000000004, 0.7000000000000001, 1.0], 13),
+            (manufactured, readme, [0, 4, 5, 4, 5, 4],
+             [0.0, 0.1, 0.30000000000000004, 0.5, 0.9, 1.0], 76),
+            (spec, Schedule(), [0, 0], [0.0, 1.0], 0),
+            (manufactured, Schedule(), [0, 5], [0.0, 1.0], 19)):
+        calls[0] = 0
+        trace = continue_path(problem, schedule)
+        assert [row.newton_iters for row in trace.rows] == iters
+        assert [row.t for row in trace.rows] == ts
+        assert calls[0] == matvecs
 
 
 @pytest.mark.parametrize("case, n, k, f, iters, ts", [
-    ("A", 5, 4, None, [0, 3, 4, 4, 5, 5],
-     [0.0, 0.1, 0.30000000000000004, 0.55, 0.8, 1.0]),
+    ("A", 5, 4, None, [0, 7], [0.0, 1.0]),
     ("C", 4, 3, "1+0.5*cos(x1+x2)", [8], [1.0]),
 ], ids=["A5k4", "C4"])
 def test_newton_iterations_beyond_n3_are_pinned(case, n, k, f, iters, ts):
     """Per-step Newton iteration counts of two solves beyond n=3, as in
-    their trace.csv: case A with n=5, k=4, N=8 along the continuation path,
-    and the direct case C solve with n=4, k=3, N=8, f = 1 + 0.5 cos(x1+x2),
-    the one point of its path. Changes to the tensor, recurrence or linear
-    layers must keep both."""
+    their trace.csv: case A with n=5, k=4, N=8, whose path takes t = 1 in
+    one step (21 iterations over five steps under the old ramp, dt_init
+    0.1 and dt_max 0.25), and the direct case C solve with n=4, k=3, N=8,
+    f = 1 + 0.5 cos(x1+x2), the one point of its path. Changes to the
+    tensor, recurrence or linear layers must keep both."""
     trace = continue_path(canonical_problem(case, n=n, k=k, N=8, f=f),
                           Schedule())
     assert [row.newton_iters for row in trace.rows] == iters
@@ -516,7 +525,9 @@ def test_stagnating_gmres_fails_within_three_cycles(monkeypatch):
     N=24 with alpha = -0.5 (1 + cos x1) and f = 0.3 + 0.25 sin(x2) sin(x3),
     whose first system at t = 1 was not elliptic at some nodes under the
     multiplied form's step and stagnated the same way, now solves every
-    system of its path within the first cycle's test."""
+    system of its path within the first cycle's test. That path is the
+    walk from dt_init = 0.1 under the cap dt_max = 0.25, given explicitly
+    since the default schedule takes t = 1 in one step."""
     runs = []
     gmres = sigmak.solver.gmres
 
@@ -528,7 +539,7 @@ def test_stagnating_gmres_fails_within_three_cycles(monkeypatch):
     monkeypatch.setattr(sigmak.solver, "gmres", recorded)
     spec = canonical_problem("A", N=24, alpha="-0.5*(1+cos(x1))",
                              f="0.3+0.25*sin(x2)*sin(x3)")
-    trace = continue_path(spec, Schedule())
+    trace = continue_path(spec, Schedule(dt_init=0.1, dt_max=0.25))
     assert runs and all(info == 0 for info in runs)
     assert [row.t for row in trace.rows] == [0.0, 0.1, 0.30000000000000004,
                                              0.5, 0.75, 1.0]
@@ -545,6 +556,35 @@ def test_stagnating_gmres_fails_within_three_cycles(monkeypatch):
     with pytest.raises(LinearSolveError):
         solve_linear(op, rhs)
     assert runs == [3]
+
+
+@pytest.mark.parametrize("problem, iters", [
+    (dict(case="A", N=24, alpha="-0.5*(1+cos(x1))",
+          f="0.3+0.25*sin(x2)*sin(x3)"), 6),
+    (dict(case="A", n=4, N=16, f="0.7+0.3*sin(x1)"), 5),
+    (dict(case="B", n=5, k=4, N=8, alpha="-0.3"), 4),
+], ids=["stall-N24", "A4", "B5k4"])
+def test_default_schedule_takes_t_equal_one_in_one_step(monkeypatch, problem,
+                                                        iters):
+    """Under the default schedule (dt_init = dt_max = 1) the stall config,
+    case A at n=4 and case B at n=5, k=4 each reach t = 1 in one step, with
+    no rejected step: the trace has the rows t = 0 and t = 1, and every
+    linearization is one of the accepted rows' iterations (22, 20 and 17
+    along the walk from dt_init = 0.1 under dt_max = 0.25). Both paths
+    land on the same discrete solution: the fields agree to 1e-8 in the
+    max-norm (2.1e-13, 1.1e-15 and 5.7e-10 when measured)."""
+    spec = canonical_problem(**problem)
+    linearized = []
+    monkeypatch.setattr(sigmak.solver, "linearize", lambda *args, **kw:
+                        linearized.append(1) or linearize(*args, **kw))
+    trace = continue_path(spec, Schedule())
+    assert [row.t for row in trace.rows] == [0.0, 1.0]
+    assert [row.newton_iters for row in trace.rows] == [0, iters]
+    assert len(linearized) == iters
+    walked = continue_path(spec, Schedule(dt_init=0.1, dt_max=0.25))
+    assert walked.rows[-1].t == 1.0
+    assert np.abs(trace.final_state.u.values
+                  - walked.final_state.u.values).max() <= 1e-8
 
 
 def test_continue_path_trace_csv_contract():
@@ -811,11 +851,11 @@ def test_ladder_starts_each_level_from_the_extrapolated_prolongation(
     """On N = 32 (levels 8, 16, 32) the N = 16 level starts from the
     prolonged N = 8 solution and the N = 32 level from P u_16 +
     (P u_16 - P u_8) / 4, each one correction at t = 1 after the path's
-    six on N = 8."""
+    two on N = 8 (its anchor at t = 0 and its one step to t = 1)."""
     calls = _spy_on_corrections(monkeypatch)
     _ladder(RunConfig(N=32, f="0.7+0.3*sin(x1)"))
     (t16, start16, u16), (t32, start32, _) = calls[-2:]
-    assert len(calls) == 8 and calls[-3][0] == 1.0
+    assert len(calls) == 4 and calls[-3][0] == 1.0
     assert (t16, t32) == (1.0, 1.0)
     u8 = calls[-3][2]
     grid16, grid32 = Grid(3, 16), Grid(3, 32)

@@ -60,16 +60,17 @@ def test_prepare_state_runs_through_the_wrapped_layers(tracer, case, tensors):
     assert len(traced.spans) == len(spans)
 
 
-@pytest.mark.parametrize("command, N, monitored", [("solve", 16, 7),
-                                                   ("verify", 8, 6)])
+@pytest.mark.parametrize("command, N, monitored", [("solve", 16, 3),
+                                                   ("verify", 8, 2)])
 def test_a_laddered_command_walks_one_traced_path(tracer, tmp_path, command,
                                                   N, monitored):
-    """A laddered solve (the README config, levels 8 and 16) and a verify
-    at N = 8 (levels 8 and 16) run through sigmak.cli.main open one
-    solver.continue_path span: the coarse path's six correctors nest in it
-    and the one refinement correction runs outside it, so steps_accepted
-    reads 5. Only rows that are kept are monitored: the path's six, and
-    for solve the t = 1 row rebuilt on N = 16."""
+    """A laddered solve (the README problem under the default schedule,
+    levels 8 and 16) and a verify at N = 8 (levels 8 and 16) run through
+    sigmak.cli.main open one solver.continue_path span: the coarse path's
+    two correctors (its anchor and its one step to t = 1) nest in it and
+    the one refinement correction runs outside it, so steps_accepted reads
+    1. Only rows that are kept are monitored: the path's two, and for
+    solve the t = 1 row rebuilt on N = 16."""
     conf = tmp_path / "run.config"
     conf.write_text(RunConfig(N=N).to_text(), encoding="utf-8")
     traced, left = tracer.Tracer(), []
@@ -82,7 +83,7 @@ def test_a_laddered_command_walks_one_traced_path(tracer, tmp_path, command,
                if span[0] == "solver.continue_path"]
     correctors = [span[3] for span in spans
                   if span[0] == "solver.newton_correct"]
-    assert correctors == [path] * 6 + [-1]
+    assert correctors == [path] * 2 + [-1]
     metrics = traced.metrics()
-    assert metrics["solver.continuation.steps_accepted"] == 5
+    assert metrics["solver.continuation.steps_accepted"] == 1
     assert metrics["solver.monitor.calls"] == monitored
